@@ -26,7 +26,7 @@ from .analysis import (
     linear_fit,
     wsl_length_from_boundary,
 )
-from .config import EXPERIMENTS, ShotPlan, load_config, parse_config
+from .config import EXPERIMENTS, ShotPlan, parse_config, read_config
 from .device import ANGULAR_PER_MHZ, PotentialSpec
 from .dynamics import (
     evolve_lindblad,
@@ -37,9 +37,8 @@ from .dynamics import (
 )
 from .errors import ConfigError, DomainError
 from .measurement import ConfusionMatrix, group_means, sample_shots
-from .model import build_observable, build_sector_basis, build_xy_hamiltonian, full_tag
-from .observables import expectation
-from .freefermion import propagate_single_particle, single_particle_matrix
+from .model import build_observable, build_sector_basis, build_xy_hamiltonian
+from .observables import trajectory
 
 CSV_FORMAT = "%.9g"
 
@@ -99,108 +98,187 @@ def _confusion_list(config):
     return [ConfusionMatrix(f0=f0, f1=f1) for f0, f1 in config.readout]
 
 
-def _snapshots(config, potential, initial_spec=None):
-    """Evolve once on the full space; returns a list of QuantumState."""
+def _times(config):
+    return np.arange(0.0, config.t_max_ns + 1e-9, config.dt_sample_ns)
+
+
+def _route(config, potential, noise):
+    """The one place that picks a solver space for a run.
+
+    Ideal, shot-free runs from a 0/1 product state evolve in that state's
+    excitation sector: the XY chain conserves excitation number, and for one
+    excitation the block is the single-particle matrix. Everything else
+    (Lindblad runs, shot runs, whose sampler reads full-space states, and
+    X+/X- product states) uses the full 2^n space.
+    Returns (hamiltonian, initial state, sector basis or None, collapse set or
+    None).
+    """
     params = config.device
     n = params.n_qubits
-    times = np.arange(0.0, config.t_max_ns + 1e-9, config.dt_sample_ns)
-    state = prepare_initial_state(initial_spec or config.initial_state, n)
-    h = build_xy_hamiltonian(params, potential)
-    tag = full_tag(n)
-    if config.noise == "lindblad":
+    spec = config.initial_state
+    basis = None
+    if noise == "ideal" and config.shots is None and set(spec) <= {"0", "1"}:
+        basis = build_sector_basis(n, spec.count("1"))
+    h = build_xy_hamiltonian(params, potential, basis=basis)
+    state = prepare_initial_state(spec, n, basis=basis)
+    collapse = None
+    if noise == "lindblad":
         collapse = make_collapse_ops(params, dephasing=config.dephasing)
-        rhos = evolve_lindblad(h, state, times, collapse)
-        return times, [QuantumState(r, tag) for r in rhos]
-    amps = evolve_unitary(h, state, times)
-    return times, [QuantumState(v, tag) for v in amps]
+    return h, state, basis, collapse
 
 
-def _sampled_estimates(config, states, basis, estimators, f_index, setting_index,
-                       shots_per_setting):
-    """Per-snapshot, per-estimator group means under one basis setting."""
+def _exact(config, potential, noise, kind, indices):
+    """Exact columns {name: values} of one observable kind; indices maps
+    column name -> site or bond index."""
+    h, state, basis, collapse = _route(config, potential, noise)
+    ops = {
+        name: build_observable(kind, j, config.device, basis=basis)
+        for name, j in indices.items()
+    }
+    mode = "unitary" if collapse is None else "lindblad"
+    return trajectory(h, state, _times(config), ops, mode=mode,
+                      collapse=collapse).columns
+
+
+def _sampled(config, potential, f_index, settings):
+    """Group means (nt, n_groups) per estimator, one dict per setting.
+
+    settings: (measurement basis, estimator names, shots) triples, sampled on
+    the same full-space snapshots; the seed of each shot record is keyed by
+    (seed, gradient, snapshot, setting).
+    """
+    h, state, _, collapse = _route(config, potential, config.noise)
+    times = _times(config)
+    if collapse is None:
+        data = evolve_unitary(h, state, times)
+    else:
+        data = evolve_lindblad(h, state, times, collapse)
+    states = [QuantumState(d, h.basis_tag) for d in data]
     confusion = _confusion_list(config)
     correct = confusion if config.readout_correction else None
     plan = config.shots
-    out = {name: [] for name in estimators}
-    for k, state in enumerate(states):
-        seed = _derive_seed(plan.seed, f_index, k, setting_index)
-        rec = sample_shots(
-            state, confusion, basis, shots_per_setting, seed,
-            n_groups=plan.n_groups,
-        )
-        for name in estimators:
-            out[name].append(group_means(rec, name, confusion=correct))
-    return {name: np.asarray(v) for name, v in out.items()}  # (nt, n_groups)
+    out = []
+    for setting, (meas_basis, estimators, n_shots) in enumerate(settings):
+        got = {name: [] for name in estimators}
+        for k, snapshot in enumerate(states):
+            seed = _derive_seed(plan.seed, f_index, k, setting)
+            rec = sample_shots(snapshot, confusion, meas_basis, n_shots, seed,
+                               n_groups=plan.n_groups)
+            for name in estimators:
+                got[name].append(group_means(rec, name, confusion=correct))
+        out.append({name: np.asarray(v) for name, v in got.items()})
+    return out
 
 
-def _exact_columns(states, ops):
-    cols = {name: np.empty(len(states)) for name in ops}
-    for k, state in enumerate(states):
-        for name, op in ops.items():
-            cols[name][k] = expectation(state, op)
-    return cols
+def _mean_err(per_group):
+    """Columns and error bars from per-group estimates (nt, n_groups)."""
+    cols = {k: v.mean(axis=1) for k, v in per_group.items()}
+    errs = {k: v.std(axis=1, ddof=1) for k, v in per_group.items()}
+    return cols, errs
 
 
-def _run_spin_transport(config, out_dir):
-    params = config.device
-    n = params.n_qubits
+def _per_gradient(config, out_dir, columns):
+    """One CSV per gradient; columns(config, f_index, potential) -> (cols, errs)."""
+    times = _times(config)
     outputs = []
     for i, f in enumerate(config.gradients_mhz):
-        pot = _potential_for(f)
-        times, states = _snapshots(config, pot)
-        ops = {
-            f"P{j}": build_observable("density", j, params)
-            for j in range(1, n + 1)
-        }
-        if config.shots is None:
-            cols = _exact_columns(states, ops)
-            errs = {}
-        else:
-            per_site = _sampled_estimates(
-                config, states, "Z" * n, [f"P{j}" for j in range(1, n + 1)],
-                i, 0, config.shots.n_shots,
-            )
-            cols = {k: v.mean(axis=1) for k, v in per_site.items()}
-            errs = {k: v.std(axis=1, ddof=1) for k, v in per_site.items()}
-        name = f"spin_transport_F{_f_label(f)}.csv"
+        cols, errs = columns(config, i, _potential_for(f))
+        name = f"{config.experiment}_F{_f_label(f)}.csv"
         _write_atomic(os.path.join(out_dir, name), _csv_text(times, cols, errs))
         outputs.append(name)
-    return outputs, {}
+    return outputs
 
 
-def _p5_series(config, f, f_index):
-    """Boundary-site trajectory for one gradient (theory route when ideal)."""
-    params = config.device
-    times = np.arange(0.0, config.t_max_ns + 1e-9, config.dt_sample_ns)
-    pot = _potential_for(f)
-    if config.noise == "ideal" and config.shots is None:
-        h = single_particle_matrix(params, pot)
-        dens = propagate_single_particle(h, 1, times)
-        return times, dens[:, params.n_qubits - 1], None
-    times, states = _snapshots(config, pot)
-    n = params.n_qubits
+def _densities(config, f_index, potential, sites):
+    """Site-density columns; sites maps column name -> site."""
     if config.shots is None:
-        op = build_observable("density", n, params)
-        return times, np.array([expectation(s, op) for s in states]), None
-    est = _sampled_estimates(config, states, "Z" * n, [f"P{n}"], f_index, 0,
-                             config.shots.n_shots)[f"P{n}"]
-    return times, est.mean(axis=1), est.std(axis=1, ddof=1)
+        return _exact(config, potential, config.noise, "density", sites), {}
+    n = config.device.n_qubits
+    (per_site,) = _sampled(config, potential, f_index,
+                           [("Z" * n, list(sites), config.shots.n_shots)])
+    return _mean_err(per_site)
+
+
+def _all_sites(config):
+    return {f"P{j}": j for j in range(1, config.device.n_qubits + 1)}
+
+
+def _spin_transport(config, f_index, potential):
+    return _densities(config, f_index, potential, _all_sites(config))
+
+
+def _thermal_transport(config, f_index, potential):
+    n = config.device.n_qubits
+    bonds = (1, n - 1)
+    if config.shots is None:
+        raw = _exact(config, potential, config.noise, "kinetic",
+                     {f"K{b}": b for b in bonds})
+        # rad/ns -> ordinary-frequency MHz units (value of K/2pi)
+        return {k: v / ANGULAR_PER_MHZ for k, v in raw.items()}, {}
+    half = config.shots.n_shots // 2
+    xx, yy = _sampled(config, potential, f_index, [
+        ("X" * n, [f"XX{b}" for b in bonds], half),
+        ("Y" * n, [f"YY{b}" for b in bonds], half),
+    ])
+    g_mhz = config.device.coupling_mhz
+    return _mean_err({
+        f"K{b}": 0.5 * g_mhz[b - 1] * (xx[f"XX{b}"] + yy[f"YY{b}"])
+        for b in bonds
+    })
+
+
+def _spin_current(config, f_index, potential):
+    n = config.device.n_qubits
+    bonds = range(1, n)
+    if config.shots is None:
+        return _exact(config, potential, config.noise, "spin_current",
+                      {f"J{b}": b for b in bonds}), {}
+    half = config.shots.n_shots // 2
+    # setting A: XYXY...; setting B: YXYX...
+    basis_a = "".join("X" if q % 2 == 0 else "Y" for q in range(n))
+    basis_b = "".join("Y" if q % 2 == 0 else "X" for q in range(n))
+    est_a = [("XY" if b % 2 == 1 else "YX") + str(b) for b in bonds]
+    est_b = [("YX" if b % 2 == 1 else "XY") + str(b) for b in bonds]
+    got_a, got_b = _sampled(config, potential, f_index,
+                            [(basis_a, est_a, half), (basis_b, est_b, half)])
+    per_group = {}
+    for b in bonds:
+        if b % 2 == 1:
+            xy, yx = got_a[f"XY{b}"], got_b[f"YX{b}"]
+        else:
+            xy, yx = got_b[f"XY{b}"], got_a[f"YX{b}"]
+        per_group[f"J{b}"] = 0.5 * (xy - yx)
+    return _mean_err(per_group)
+
+
+def _decoherence_check(config, f_index, potential):
+    sites = _all_sites(config)
+    ideal = _exact(config, potential, "ideal", "density", sites)
+    lind = _exact(config, potential, "lindblad", "density", sites)
+    cols = {}
+    for name in sites:
+        cols[f"{name}_ideal"] = ideal[name]
+        cols[f"{name}_lindblad"] = lind[name]
+    return cols, {}
 
 
 def _run_wsl_scan(config, out_dir):
-    params = config.device
+    n = config.device.n_qubits
     theory_mode = config.noise == "ideal" and config.shots is None
+    times = _times(config)
     rows = []
     for f_index, f in enumerate(config.gradients_mhz):
         if f <= 0:
             raise ConfigError("wsl_scan: gradients must be positive")
-        times, p5, _err = _p5_series(config, f, f_index)
+        # the boundary column of spin_transport: same seeds, same values
+        cols, _ = _densities(config, f_index, _potential_for(f), {f"P{n}": n})
+        p5 = cols[f"P{n}"]
         if theory_mode:
             peak = first_wavefront_peak(p5)
         else:
             peak = gaussian_fit_wavefront(times, np.clip(p5, 0.0, 1.0)) \
                 .parameters["amplitude"]
-        xi_est = wsl_length_from_boundary(peak, params.n_qubits - 1)
+        xi_est = wsl_length_from_boundary(peak, n - 1)
         rows.append((f, peak, np.log(peak), xi_est))
     header = "F_mhz,p5max,ln_p5max,xi_boundary"
     lines = [header]
@@ -221,133 +299,12 @@ def _run_wsl_scan(config, out_dir):
     return [name], fits
 
 
-def _run_thermal_transport(config, out_dir):
-    params = config.device
-    n = params.n_qubits
-    g_mhz = params.coupling_mhz
-    bonds = (1, n - 1)
-    outputs = []
-    for i, f in enumerate(config.gradients_mhz):
-        pot = _potential_for(f)
-        times, states = _snapshots(config, pot)
-        if config.shots is None:
-            ops = {
-                f"K{b}": build_observable("kinetic", b, params) for b in bonds
-            }
-            raw = _exact_columns(states, ops)
-            # rad/ns -> ordinary-frequency MHz units (value of K/2pi)
-            cols = {k: v / ANGULAR_PER_MHZ for k, v in raw.items()}
-            errs = {}
-        else:
-            half = config.shots.n_shots // 2
-            xx = _sampled_estimates(config, states, "X" * n,
-                                    [f"XX{b}" for b in bonds], i, 0, half)
-            yy = _sampled_estimates(config, states, "Y" * n,
-                                    [f"YY{b}" for b in bonds], i, 1, half)
-            cols, errs = {}, {}
-            for b in bonds:
-                per_group = 0.5 * g_mhz[b - 1] * (xx[f"XX{b}"] + yy[f"YY{b}"])
-                cols[f"K{b}"] = per_group.mean(axis=1)
-                errs[f"K{b}"] = per_group.std(axis=1, ddof=1)
-        name = f"thermal_transport_F{_f_label(f)}.csv"
-        order = {f"K{b}": cols[f"K{b}"] for b in bonds}
-        _write_atomic(os.path.join(out_dir, name), _csv_text(times, order, errs))
-        outputs.append(name)
-    return outputs, {}
-
-
-def _run_spin_current(config, out_dir):
-    params = config.device
-    n = params.n_qubits
-    outputs = []
-    sector_ok = set(config.initial_state) <= {"0", "1"}
-    for i, f in enumerate(config.gradients_mhz):
-        pot = _potential_for(f)
-        bond_names = [f"J{b}" for b in range(1, n)]
-        if config.shots is None and config.noise == "ideal" and sector_ok:
-            # fixed-excitation fast path
-            basis = build_sector_basis(n, config.initial_state.count("1"))
-            h = build_xy_hamiltonian(params, pot, basis=basis)
-            state = prepare_initial_state(config.initial_state, n, basis=basis)
-            times = np.arange(0.0, config.t_max_ns + 1e-9, config.dt_sample_ns)
-            amps = evolve_unitary(h, state, times)
-            ops = {
-                name: build_observable("spin_current", b, params, basis=basis)
-                for b, name in enumerate(bond_names, start=1)
-            }
-            states = [QuantumState(v, basis.tag) for v in amps]
-            cols = _exact_columns(states, ops)
-            errs = {}
-        else:
-            times, states = _snapshots(config, pot)
-            if config.shots is None:
-                ops = {
-                    name: build_observable("spin_current", b, params)
-                    for b, name in enumerate(bond_names, start=1)
-                }
-                cols = _exact_columns(states, ops)
-                errs = {}
-            else:
-                half = config.shots.n_shots // 2
-                # setting A: XYXY...; setting B: YXYX...
-                basis_a = "".join("X" if q % 2 == 0 else "Y" for q in range(n))
-                basis_b = "".join("Y" if q % 2 == 0 else "X" for q in range(n))
-                est_a = [("XY" if b % 2 == 1 else "YX") + str(b)
-                         for b in range(1, n)]
-                est_b = [("YX" if b % 2 == 1 else "XY") + str(b)
-                         for b in range(1, n)]
-                got_a = _sampled_estimates(config, states, basis_a, est_a,
-                                           i, 0, half)
-                got_b = _sampled_estimates(config, states, basis_b, est_b,
-                                           i, 1, half)
-                cols, errs = {}, {}
-                for b in range(1, n):
-                    if b % 2 == 1:
-                        xy, yx = got_a[f"XY{b}"], got_b[f"YX{b}"]
-                    else:
-                        xy, yx = got_b[f"XY{b}"], got_a[f"YX{b}"]
-                    per_group = 0.5 * (xy - yx)
-                    cols[f"J{b}"] = per_group.mean(axis=1)
-                    errs[f"J{b}"] = per_group.std(axis=1, ddof=1)
-        name = f"spin_current_F{_f_label(f)}.csv"
-        order = {k: cols[k] for k in bond_names}
-        _write_atomic(os.path.join(out_dir, name), _csv_text(times, order, errs))
-        outputs.append(name)
-    return outputs, {}
-
-
-def _run_decoherence_check(config, out_dir):
-    params = config.device
-    n = params.n_qubits
-    outputs = []
-    for f in config.gradients_mhz:
-        pot = _potential_for(f)
-        ideal_cfg = dataclasses.replace(config, noise="ideal")
-        lind_cfg = dataclasses.replace(config, noise="lindblad")
-        times, ideal_states = _snapshots(ideal_cfg, pot)
-        _, lind_states = _snapshots(lind_cfg, pot)
-        ops = {
-            f"P{j}": build_observable("density", j, params)
-            for j in range(1, n + 1)
-        }
-        ideal_cols = _exact_columns(ideal_states, ops)
-        lind_cols = _exact_columns(lind_states, ops)
-        cols = {}
-        for j in range(1, n + 1):
-            cols[f"P{j}_ideal"] = ideal_cols[f"P{j}"]
-            cols[f"P{j}_lindblad"] = lind_cols[f"P{j}"]
-        name = f"decoherence_check_F{_f_label(f)}.csv"
-        _write_atomic(os.path.join(out_dir, name), _csv_text(times, cols))
-        outputs.append(name)
-    return outputs, {}
-
-
-_RUNNERS = {
-    "spin_transport": _run_spin_transport,
-    "wsl_scan": _run_wsl_scan,
-    "thermal_transport": _run_thermal_transport,
-    "spin_current": _run_spin_current,
-    "decoherence_check": _run_decoherence_check,
+# per-gradient experiments: their columns; wsl_scan writes one scan table
+_COLUMNS = {
+    "spin_transport": _spin_transport,
+    "thermal_transport": _thermal_transport,
+    "spin_current": _spin_current,
+    "decoherence_check": _decoherence_check,
 }
 
 
@@ -355,9 +312,15 @@ def run(config, out_dir=None):
     """Execute one experiment; returns the summary dict it also writes."""
     out_dir = out_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    outputs, fits = _RUNNERS[config.experiment](config, out_dir)
+    if config.experiment == "wsl_scan":
+        outputs, fits = _run_wsl_scan(config, out_dir)
+    else:
+        outputs = _per_gradient(config, out_dir, _COLUMNS[config.experiment])
+        fits = {}
     normalized = config.normalized()
-    canonical = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
+    # provenance of the physics: where the files go does not change the hash
+    physics = {k: v for k, v in normalized.items() if k != "output_dir"}
+    canonical = json.dumps(physics, sort_keys=True, separators=(",", ":"))
     summary = {
         "experiment": config.experiment,
         "config": normalized,
@@ -393,26 +356,23 @@ def _build_parser():
 
 
 def _load(args, default_experiment):
-    if args.config:
-        config = load_config(args.config, default_experiment=default_experiment)
-        if default_experiment and config.experiment != default_experiment:
-            raise ConfigError(
-                f"config names experiment {config.experiment!r} but the "
-                f"subcommand is {default_experiment!r}"
-            )
-    else:
+    raw = read_config(args.config) if args.config else None
+    if raw is None:
         raw = {}
+    if isinstance(raw, dict):
+        # flags act on the raw mapping, so the preset's readout table and
+        # every other device-derived default follow the new device
+        raw = dict(raw)
         if args.preset:
             raw["device"] = args.preset
-        config = parse_config(raw, default_experiment=default_experiment)
-    if args.config and args.preset:
-        from .device import device_preset
-
-        config = dataclasses.replace(
-            config, device=device_preset(args.preset), preset_name=args.preset
+        if args.out:
+            raw["output_dir"] = args.out
+    config = parse_config(raw, default_experiment=default_experiment)
+    if default_experiment and config.experiment != default_experiment:
+        raise ConfigError(
+            f"config names experiment {config.experiment!r} but the "
+            f"subcommand is {default_experiment!r}"
         )
-    if args.out:
-        config = dataclasses.replace(config, output_dir=args.out)
     if args.seed is not None and config.shots is not None:
         config = dataclasses.replace(
             config, shots=ShotPlan(

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import yaml
 
 from .device import DeviceParams, device_preset
-from .errors import ConfigError, DomainError
+from .dynamics import _tokenize_state_spec
+from .errors import ConfigError, DomainError, StateSpecError
 
 EXPERIMENTS = (
     "spin_transport",
@@ -27,15 +28,15 @@ PAPER_SHOTS_TWO_SETTING = (2000, 10)
 
 DEFAULT_SCAN_GRID_MHZ = (5.0, 7.5, 10.0, 12.5, 15.0)
 
-_DEFAULT_INITIAL = {
-    "spin_transport": "10000",
-    "wsl_scan": "10000",
-    "thermal_transport": "X+X+000",
-    "spin_current": "10000",
-    "decoherence_check": "10000",
-}
-
 _TWO_SETTING = {"thermal_transport", "spin_current"}
+
+
+def _default_initial(experiment, n_qubits):
+    """One excitation on site 1 ("10000"); the thermal run starts from the
+    edge-coherent state ("X+X+000")."""
+    if experiment == "thermal_transport":
+        return "X+X+" + "0" * (n_qubits - 2)
+    return "1" + "0" * (n_qubits - 1)
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,9 @@ class ShotPlan:
             raise ConfigError(
                 f"shots: {self.n_shots} not divisible by {self.n_groups} groups"
             )
+        # checked here so a --seed override is held to it too
+        if self.seed < 0:
+            raise ConfigError(f"shots.seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -241,8 +245,16 @@ def parse_config(raw, default_experiment=None):
     for i, f in enumerate(gradients):
         _require(f >= 0, f"F[{i}]", "gradient magnitudes must be >= 0")
 
-    initial = raw.get("initial_state", _DEFAULT_INITIAL[experiment])
+    initial = raw.get("initial_state",
+                      _default_initial(experiment, device.n_qubits))
     _require(isinstance(initial, str), "initial_state", "expected a string")
+    try:
+        sites = len(_tokenize_state_spec(initial))
+    except StateSpecError as exc:
+        raise ConfigError(f"initial_state: {exc}") from None
+    _require(sites == device.n_qubits, "initial_state",
+             f"{initial!r} describes {sites} sites, the device has "
+             f"{device.n_qubits} qubits")
 
     t_max = _as_number(raw.get("t_max", 300.0), "t_max", positive=True)
     dt = _as_number(raw.get("dt_sample", 2.0), "dt_sample", positive=True)
@@ -287,12 +299,16 @@ def parse_config(raw, default_experiment=None):
     )
 
 
-def load_config(path, default_experiment=None):
+def read_config(path):
+    """The raw YAML mapping of a config file, before validation."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
-    return parse_config(raw, default_experiment=default_experiment)
+
+
+def load_config(path, default_experiment=None):
+    return parse_config(read_config(path), default_experiment=default_experiment)

@@ -6,7 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from starkchain import parse_config
+from starkchain import (
+    PotentialSpec,
+    parse_config,
+    propagate_single_particle,
+    single_particle_matrix,
+)
 from starkchain.cli import main, run
 
 
@@ -41,6 +46,42 @@ class TestValidate:
         assert main(["validate", "--config", str(p)]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["1002", "100"])
+    def test_bad_initial_state(self, tmp_path, capsys, spec):
+        p = tmp_path / "c.yaml"
+        p.write_text(f"experiment: spin_transport\ninitial_state: '{spec}'\n")
+        assert main(["validate", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial_state: ")
+        assert err.count("\n") == 1
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("experiment: spin_transport\nshots: paper\n")
+        assert main(["validate", "--config", str(p), "--seed", "-1"]) == 2
+        assert "shots.seed" in capsys.readouterr().err
+
+    def test_preset_flag_sets_readout_table(self, tmp_path, capsys):
+        # table-s1 reads the fidelities of the device the flag selects, not
+        # those of the device the file describes
+        p = tmp_path / "c.yaml"
+        p.write_text(
+            "experiment: spin_transport\n"
+            "device: {n_qubits: 5, coupling_mhz: [10, 10, 10, 10],\n"
+            "         readout_f0: [0.5, 0.5, 0.5, 0.5, 0.5],\n"
+            "         readout_f1: [0.6, 0.6, 0.6, 0.6, 0.6]}\n"
+            "readout: table-s1\n"
+        )
+        assert main(["validate", "--config", str(p)]) == 0
+        own = json.loads(capsys.readouterr().out)
+        assert own["readout"][0] == {"f0": 0.5, "f1": 0.6}
+        assert main(["validate", "--config", str(p),
+                     "--preset", "paper-device"]) == 0
+        echoed = json.loads(capsys.readouterr().out)
+        assert echoed["device"]["preset"] == "paper-device"
+        assert echoed["readout"][0] == {"f0": 0.981, "f1": 0.853}
+        assert echoed["readout"][4] == {"f0": 0.971, "f1": 0.917}
+
     def test_subcommand_mismatch(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text("experiment: wsl_scan\n")
@@ -74,6 +115,32 @@ class TestSpinTransport:
         assert len(summary["config_sha256"]) == 64
         assert "starkchain" in summary["versions"]
         assert "numpy" in summary["versions"]
+
+    def test_hash_ignores_output_dir(self, tmp_path):
+        raw = {"experiment": "spin_transport", "t_max": 20, "dt_sample": 10}
+        a = run(parse_config(dict(raw, output_dir=str(tmp_path / "a"))))
+        b = run(parse_config(dict(raw, output_dir=str(tmp_path / "b"))))
+        assert a["config"]["output_dir"] != b["config"]["output_dir"]
+        assert a["config_sha256"] == b["config_sha256"]
+        c = run(parse_config(dict(raw, t_max=30, output_dir=str(tmp_path / "c"))))
+        assert c["config_sha256"] != a["config_sha256"]
+
+    def test_sector_route_at_scale(self, tmp_path):
+        # n = 14: the one-excitation sector is the 14-site single-particle
+        # problem, not a 16384-dim full-space evolution
+        n, f = 14, 12.0
+        device = {"n_qubits": n, "coupling_mhz": [14.4] * (n - 1)}
+        cfg = parse_config({"experiment": "spin_transport", "device": device,
+                            "initial_state": "1" + "0" * (n - 1),
+                            "F": f, "t_max": 200, "dt_sample": 4})
+        run(cfg, out_dir=str(tmp_path))
+        header, data = _read_csv(tmp_path / "spin_transport_F12.csv")
+        cols = _cols(header, data)
+        h = single_particle_matrix(cfg.device, PotentialSpec.linear(-f))
+        ref = propagate_single_particle(h, 1, cols["t_ns"])
+        got = np.column_stack([cols[f"P{j}"] for j in range(1, n + 1)])
+        # CSV values carry 9 significant digits
+        np.testing.assert_allclose(got, ref, rtol=5e-9, atol=1e-10)
 
     def test_shot_columns(self, tmp_path):
         cfg = parse_config({
@@ -195,18 +262,20 @@ class TestSpinCurrent:
             assert cols[f"J{b}"][0] == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(cols["J4"])) > 0.5  # ballistic arrival at F = 0
 
-    def test_sector_and_full_paths_agree(self, tmp_path):
-        # the sector fast path (ideal, no shots) against the full-space
-        # density-matrix path with negligible dissipation
-        base = {"experiment": "spin_current", "F": 10, "t_max": 60,
+    @pytest.mark.parametrize("experiment", ["spin_transport", "spin_current"])
+    def test_sector_and_full_paths_agree(self, tmp_path, experiment):
+        # the sector route (ideal, no shots) against the full-space
+        # density-matrix route with negligible dissipation
+        base = {"experiment": experiment, "F": 10, "t_max": 60,
                 "dt_sample": 12}
         run(parse_config(base), out_dir=str(tmp_path / "sector"))
         slow = dict(base, noise="lindblad", shots="none",
                     device={"preset": "paper-device",
                             "t1_us": [1e9] * 5, "t2star_us": [1e9] * 5})
         run(parse_config(slow), out_dir=str(tmp_path / "full"))
-        _, da = _read_csv(tmp_path / "sector" / "spin_current_F10.csv")
-        _, db = _read_csv(tmp_path / "full" / "spin_current_F10.csv")
+        name = f"{experiment}_F10.csv"
+        _, da = _read_csv(tmp_path / "sector" / name)
+        _, db = _read_csv(tmp_path / "full" / name)
         np.testing.assert_allclose(da, db, atol=1e-6)
 
 

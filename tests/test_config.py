@@ -112,6 +112,25 @@ class TestDevice:
         with pytest.raises(ConfigError, match="coupling_mhz"):
             parse_config({"experiment": "spin_transport", "device": {"n_qubits": 3}})
 
+    def test_default_initial_state_follows_chain_length(self):
+        device = {"n_qubits": 3, "coupling_mhz": [5.0, 5.0]}
+        cfg = parse_config({"experiment": "spin_transport", "device": device})
+        assert cfg.initial_state == "100"
+        cfg = parse_config({"experiment": "thermal_transport", "device": device})
+        assert cfg.initial_state == "X+X+0"
+
+
+class TestInitialState:
+    @pytest.mark.parametrize("spec, msg", [
+        ("1002", "unknown token '2'"),
+        ("100", "describes 3 sites, the device has 5"),
+        ("X+X+0000", "describes 6 sites"),
+        ("X1000", "dangling 'X'"),
+    ])
+    def test_checked_against_device(self, spec, msg):
+        with pytest.raises(ConfigError, match=r"^initial_state: .*" + msg):
+            parse_config({"experiment": "spin_transport", "initial_state": spec})
+
 
 class TestTimeGrid:
     def test_validation(self):
@@ -145,6 +164,10 @@ class TestShots:
             parse_config({"experiment": "decoherence_check", "shots": "paper"})
         cfg = parse_config({"experiment": "decoherence_check"})
         assert cfg.shots is None
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match=r"shots\.seed: must be >= 0"):
+            parse_config({"experiment": "spin_transport", "shots": {"seed": -1}})
 
     def test_string_forms(self):
         assert parse_config({"experiment": "spin_transport", "shots": "none"}).shots is None

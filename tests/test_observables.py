@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from starkchain import (
     ANGULAR_PER_MHZ,
+    DeviceParams,
     DomainError,
     NumericalConsistencyError,
     OperatorMatrix,
@@ -13,6 +15,7 @@ from starkchain import (
     QuantumState,
     TrajectoryTable,
     build_observable,
+    build_sector_basis,
     build_xy_hamiltonian,
     expectation,
     make_collapse_ops,
@@ -154,6 +157,42 @@ class TestTrajectory:
         st = prepare_initial_state("10000", 5)
         with pytest.raises(DomainError):
             trajectory(self.h, st, [0.0], {"B": bad})
+
+
+@st.composite
+def _chains(draw):
+    n = draw(st.integers(3, 6))
+    couplings = draw(st.lists(st.floats(2.0, 25.0), min_size=n - 1,
+                              max_size=n - 1))
+    tilt = draw(st.floats(-30.0, 30.0))
+    occupations = draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))
+    return n, couplings, tilt, "".join(occupations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chains())
+def test_sector_and_full_trajectories_agree(chain):
+    # a 0/1 product state never leaves its excitation sector, so densities
+    # and bond currents from the sector block equal the full-space ones
+    n, couplings, tilt, spec = chain
+    dev = DeviceParams.uniform(n).replace(coupling_mhz=couplings)
+    pot = PotentialSpec.linear(tilt)
+    basis = build_sector_basis(n, spec.count("1"))
+    times = np.linspace(0.0, 120.0, 13)
+
+    def columns(basis):
+        obs = {f"P{j}": build_observable("density", j, dev, basis=basis)
+               for j in range(1, n + 1)}
+        obs.update({f"J{b}": build_observable("spin_current", b, dev, basis=basis)
+                    for b in range(1, n)})
+        h = build_xy_hamiltonian(dev, pot, basis=basis)
+        state = prepare_initial_state(spec, n, basis=basis)
+        return trajectory(h, state, times, obs).columns
+
+    sector, full = columns(basis), columns(None)
+    for name, values in full.items():
+        np.testing.assert_allclose(sector[name], values, rtol=0, atol=1e-10,
+                                   err_msg=name)
 
 
 class TestImaginaryResidue:
