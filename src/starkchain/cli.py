@@ -268,8 +268,6 @@ def _run_wsl_scan(config, out_dir):
     times = _times(config)
     rows = []
     for f_index, f in enumerate(config.gradients_mhz):
-        if f <= 0:
-            raise ConfigError("wsl_scan: gradients must be positive")
         # the boundary column of spin_transport: same seeds, same values
         cols, _ = _densities(config, f_index, _potential_for(f), {f"P{n}": n})
         p5 = cols[f"P{n}"]
@@ -373,7 +371,9 @@ def _load(args, default_experiment):
             f"config names experiment {config.experiment!r} but the "
             f"subcommand is {default_experiment!r}"
         )
-    if args.seed is not None and config.shots is not None:
+    if args.seed is not None:
+        if config.shots is None:
+            raise ConfigError("--seed: this run samples no shots (shots: none)")
         config = dataclasses.replace(
             config, shots=ShotPlan(
                 n_shots=config.shots.n_shots,

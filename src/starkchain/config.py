@@ -244,6 +244,9 @@ def parse_config(raw, default_experiment=None):
         raise ConfigError("F: expected a number or a non-empty list of MHz values")
     for i, f in enumerate(gradients):
         _require(f >= 0, f"F[{i}]", "gradient magnitudes must be >= 0")
+        # the scan fits ln(P5max) against F and reads a length off each F
+        _require(f > 0 or experiment != "wsl_scan", f"F[{i}]",
+                 "wsl_scan needs gradient magnitudes > 0")
 
     initial = raw.get("initial_state",
                       _default_initial(experiment, device.n_qubits))

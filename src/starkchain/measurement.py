@@ -1,5 +1,6 @@
 """Simulated noisy single-shot readout and grouped error-bar statistics."""
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -65,50 +66,89 @@ def confusion_from_device(params):
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ShotRecord:
-    bitstrings: tuple
+    """The shots of one joint readout, held as bits.
+
+    bits is a read-only (n_shots, n_qubits) uint8 array with site 1 in
+    column 0; the shots split into n_groups equal consecutive groups. Build a
+    record from bits=..., or from bitstrings=... (text such as '10011', site
+    1 leftmost), which is parsed once here. Text is formatted again only on
+    request, by .bitstrings and save_shots.
+    """
+
+    bits: np.ndarray
     n_groups: int
     seed: int
     basis: str
 
-    def __post_init__(self):
-        basis = str(self.basis).upper()
+    def __init__(self, bitstrings=None, n_groups=1, seed=0, basis="", *,
+                 bits=None):
+        basis = str(basis).upper()
         if not basis or any(a not in VALID_AXES for a in basis):
-            raise DomainError(f"basis must be over {{Z,X,Y}}, got {self.basis!r}")
-        object.__setattr__(self, "basis", basis)
-        bits = tuple(str(b) for b in self.bitstrings)
+            raise DomainError(f"basis must be over {{Z,X,Y}}, got {basis!r}")
         n_qubits = len(basis)
-        pat = re.compile(r"^[01]+$")
-        for b in bits:
-            if len(b) != n_qubits or not pat.match(b):
-                raise DomainError(f"bad bitstring {b!r} for {n_qubits} qubits")
-        object.__setattr__(self, "bitstrings", bits)
-        if self.n_groups < 1 or len(bits) % self.n_groups != 0:
+        if (bitstrings is None) == (bits is None):
+            raise DomainError("give exactly one of bitstrings and bits")
+        if bits is None:
+            bits = _parse_bitstrings(bitstrings, n_qubits)
+        else:
+            bits = np.asarray(bits)
+            if bits.ndim != 2 or bits.shape[1] != n_qubits:
+                raise DomainError(
+                    f"bits of shape {bits.shape} for {n_qubits} qubits")
+            if not ((bits == 0) | (bits == 1)).all():
+                raise DomainError("bits must be 0 or 1")
+            bits = bits.astype(np.uint8)
+        bits.flags.writeable = False
+        if n_groups < 1 or bits.shape[0] % n_groups != 0:
             raise DomainError(
-                f"{len(bits)} shots not divisible into {self.n_groups} groups"
+                f"{bits.shape[0]} shots not divisible into {n_groups} groups"
             )
+        for name, value in (("bits", bits), ("n_groups", n_groups),
+                            ("seed", seed), ("basis", basis)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_shots(self):
-        return len(self.bitstrings)
+        return self.bits.shape[0]
 
     @property
     def n_qubits(self):
         return len(self.basis)
 
+    @property
+    def bitstrings(self):
+        return tuple(_shot_lines(self.bits).splitlines())
+
     def bit_array(self):
-        return np.array(
-            [[int(c) for c in b] for b in self.bitstrings], dtype=np.int64
-        )
+        return self.bits
+
+
+_BITSTRING_RE = re.compile(r"[01]+")
+
+
+def _parse_bitstrings(bitstrings, n_qubits):
+    rows = [str(b) for b in bitstrings]
+    for b in rows:
+        if len(b) != n_qubits or not _BITSTRING_RE.fullmatch(b):
+            raise DomainError(f"bad bitstring {b!r} for {n_qubits} qubits")
+    flat = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    return (flat - ord("0")).reshape(len(rows), n_qubits)
+
+
+def _shot_lines(bits):
+    """One line of '0'/'1' characters per shot, each ending in a newline."""
+    text = np.full((bits.shape[0], bits.shape[1] + 1), ord("\n"), np.uint8)
+    text[:, :-1] = bits + ord("0")
+    return text.tobytes().decode("ascii")
 
 
 def save_shots(record, path):
     """Line-per-shot text format: basis header, then one bitstring per line."""
     with open(path, "w") as fh:
         fh.write(record.basis + "\n")
-        for b in record.bitstrings:
-            fh.write(b + "\n")
+        fh.write(_shot_lines(record.bits))
 
 
 def load_shots(path, n_groups=1, seed=0):
@@ -123,16 +163,25 @@ def load_shots(path, n_groups=1, seed=0):
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _basis_rotation(basis):
+    """The read-only 2^n x 2^n pre-rotation of a basis string. A run samples
+    all snapshots of one setting in a row, so this is built once per setting;
+    the bound keeps at most four of these matrices alive."""
+    u = _ROT[basis[0]].copy()
+    for a in basis[1:]:
+        u = np.kron(u, _ROT[a])
+    u.flags.writeable = False
+    return u
+
+
 def _rotated_probabilities(state, basis):
     n = len(basis)
     if state.basis_tag != full_tag(n):
         raise StateSpecError(
             f"sampling needs a full-space state on {n} qubits, got {state.basis_tag!r}"
         )
-    ops = [_ROT[a] for a in basis]
-    u = ops[0]
-    for op in ops[1:]:
-        u = np.kron(u, op)
+    u = _basis_rotation(basis)
     if state.is_density:
         rho = u @ state.data @ u.conj().T
         probs = np.real(np.diag(rho)).copy()
@@ -174,11 +223,8 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
     flip1 = np.array([1.0 - c.f1 for c in confusion])  # P(report 0 | true 1)
     p_flip = np.where(bits == 0, flip0[None, :], flip1[None, :])
     reported = np.where(u[:, 1:] < p_flip, 1 - bits, bits)
-    strings = tuple(
-        "".join("1" if b else "0" for b in row) for row in reported
-    )
     return ShotRecord(
-        bitstrings=strings, n_groups=int(n_groups), seed=int(seed), basis=basis
+        bits=reported, n_groups=int(n_groups), seed=int(seed), basis=basis
     )
 
 
@@ -207,25 +253,32 @@ def _parse_estimator(name, record):
     return kind, (idx, idx + 1)
 
 
-def _joint_histogram(bits, sites):
-    """Counts over the 2^k outcomes of the listed sites (site 1 first)."""
+def _group_histograms(record, sites):
+    """Counts (n_groups, 2^k) over the joint outcomes of the k listed sites
+    (site 1 first) in each group, from one bincount: the group index sits in
+    the bits above the k outcome bits."""
     k = len(sites)
-    idx = np.zeros(bits.shape[0], dtype=np.int64)
-    for s in sites:
-        idx = (idx << 1) | bits[:, s - 1]
-    return np.bincount(idx, minlength=2 ** k).astype(float)
+    group_size = record.n_shots // record.n_groups
+    idx = np.repeat(np.arange(record.n_groups, dtype=np.int64) << k, group_size)
+    for i, s in enumerate(sites):
+        idx |= record.bits[:, s - 1].astype(np.int64) << (k - 1 - i)
+    counts = np.bincount(idx, minlength=record.n_groups << k)
+    return counts.reshape(record.n_groups, 1 << k).astype(float)
 
 
-def _correct_histogram(hist, mats):
+def _correct_histograms(hist, mats):
+    """Apply the tensored inverse confusion matrix to each group's histogram
+    (one per row), clamp, and keep each group's shot count."""
     inv = mats[0]
     for m in mats[1:]:
         inv = np.kron(inv, m)
-    out = inv @ hist
-    out = np.clip(out, 0.0, None)
-    total = out.sum()
-    if total <= 0:
+    # batched matmul makes one matrix-vector product per group, summed in
+    # the same order as inv @ h for a single group (hist @ inv.T is not)
+    out = np.clip(np.matmul(inv, hist[:, :, None])[:, :, 0], 0.0, None)
+    total = out.sum(axis=1)
+    if np.any(total <= 0):
         raise DomainError("readout correction produced an empty histogram")
-    return out * (hist.sum() / total)
+    return out * (hist.sum(axis=1) / total)[:, None]
 
 
 def group_means(record, estimator, confusion=None):
@@ -237,30 +290,20 @@ def group_means(record, estimator, confusion=None):
     before the estimate.
     """
     kind, sites = _parse_estimator(str(estimator), record)
-    group_size = record.n_shots // record.n_groups
-    if group_size == 0:
+    if record.n_shots < record.n_groups:
         raise DomainError("empty groups")
-    mats = None
+    hist = _group_histograms(record, sites)
     if confusion is not None:
-        mats = [confusion[s - 1].inverse() for s in sites]
-    bits = record.bit_array()
-    k = len(sites)
-    # outcome values: P -> bit itself; Pauli pair -> product of (1-2b)
-    vals = np.zeros(2 ** k)
-    for outcome in range(2 ** k):
-        obits = [(outcome >> (k - 1 - i)) & 1 for i in range(k)]
-        if kind == "P":
-            vals[outcome] = obits[0]
-        else:
-            vals[outcome] = np.prod([1.0 - 2.0 * b for b in obits])
-    means = []
-    for g in range(record.n_groups):
-        chunk = bits[g * group_size:(g + 1) * group_size]
-        hist = _joint_histogram(chunk, sites)
-        if mats is not None:
-            hist = _correct_histogram(hist, mats)
-        means.append(float(np.dot(vals, hist) / hist.sum()))
-    return np.asarray(means)
+        hist = _correct_histograms(
+            hist, [confusion[s - 1].inverse() for s in sites])
+    # outcome values over (b_i) or (b_i b_j): the bit itself for P, the
+    # product of (1-2b) for a Pauli pair
+    if kind == "P":
+        vals = np.array([0.0, 1.0])
+    else:
+        vals = np.array([1.0, -1.0, -1.0, 1.0])
+    # one dot product per group, as np.dot(vals, h) for a single group
+    return np.matmul(hist[:, None, :], vals)[:, 0] / hist.sum(axis=1)
 
 
 def grouped_statistics(record, estimator, confusion=None):

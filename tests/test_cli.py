@@ -1,5 +1,6 @@
 """End-to-end runner tests: CSV artifacts, summaries, reproducibility."""
 
+import hashlib
 import json
 import os
 
@@ -81,6 +82,26 @@ class TestValidate:
         assert echoed["device"]["preset"] == "paper-device"
         assert echoed["readout"][0] == {"f0": 0.981, "f1": 0.853}
         assert echoed["readout"][4] == {"f0": 0.971, "f1": 0.917}
+
+    def test_zero_gradient_in_scan(self, tmp_path, capsys):
+        # refused before any gradient is evolved
+        p = tmp_path / "c.yaml"
+        p.write_text("experiment: wsl_scan\nF: [5, 0]\n")
+        assert main(["validate", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: F[1]: ")
+        assert err.count("\n") == 1
+
+    def test_seed_flag_without_shots(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("experiment: spin_transport\nt_max: 20\nshots: none\n")
+        out = tmp_path / "out"
+        assert main(["spin_transport", "--config", str(p), "--out", str(out),
+                     "--seed", "7"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_subcommand_mismatch(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
@@ -195,6 +216,39 @@ class TestReproducibility:
         fa = (a / "spin_transport_F15.csv").read_bytes()
         fb = (b / "spin_transport_F15.csv").read_bytes()
         assert fa != fb
+
+
+class TestGoldenShots:
+    """SHA-256 of the CSVs of short noisy shot runs (paper shots, seed 0,
+    table-s1 readout), with and without readout correction. They pin the
+    sampler and the estimators, the correction path included, to the bit."""
+
+    GOLDEN = {
+        ("spin_transport", False):
+            "5d3b752c0774d5259d03ae6f9aa7483e3632c230db0702799b9dbc2404f0aaef",
+        ("spin_transport", True):
+            "51e4962f9486f6c569a2c7b6c210872c043d19dcf8897e30055ee9c7eb28290f",
+        ("thermal_transport", False):
+            "bfdadf809a11d23a7ab17d5c6c89635bc4f69d32ce4f89f38226167d5cc72f85",
+        ("thermal_transport", True):
+            "58502fa8516d47f5eadd6fa898fb9a232fd2d465d1c1e91c852c07e0b735b3ab",
+        ("spin_current", False):
+            "86de7de5bc31103519fc8eb8f31158deb9f9a7a356c9eaf279880950a6f81f51",
+        ("spin_current", True):
+            "56716615113d699f705ee2ac600499cef676c4761a7d9ec5de6caf1ddd30cbdd",
+    }
+
+    @pytest.mark.parametrize("experiment, correction", sorted(GOLDEN))
+    def test_csv_hash(self, tmp_path, experiment, correction):
+        cfg = parse_config({
+            "experiment": experiment, "noise": "lindblad",
+            "readout": "table-s1", "readout_correction": correction,
+            "t_max": 20, "dt_sample": 10,
+        })
+        summary = run(cfg, out_dir=str(tmp_path))
+        (name,) = summary["outputs"]
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == self.GOLDEN[(experiment, correction)]
 
 
 class TestWslScan:

@@ -1,7 +1,14 @@
 """Confusion matrices, shot sampling and grouped statistics."""
 
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from starkchain import (
     ConfusionMatrix,
@@ -233,3 +240,96 @@ class TestReadoutCorrection:
         rec = sample_shots(st, conf, "ZZZZZ", 60_000, seed=13, n_groups=6)
         grand, _ = grouped_statistics(rec, "P4", confusion=conf)
         assert abs(grand - 1.0) < 0.01
+
+
+def _reference_group_means(bitstrings, n_groups, estimator, confusion=None):
+    """The string-based estimator: parse every shot's text into bits, then
+    histogram and estimate group by group."""
+    kind, idx = re.fullmatch(r"(P|XX|YY|XY|YX|ZZ)([1-9][0-9]*)",
+                             estimator).groups()
+    sites = (int(idx),) if kind == "P" else (int(idx), int(idx) + 1)
+    k = len(sites)
+    bits = np.array([[int(c) for c in b] for b in bitstrings], dtype=np.int64)
+    vals = np.zeros(2 ** k)
+    for outcome in range(2 ** k):
+        obits = [(outcome >> (k - 1 - i)) & 1 for i in range(k)]
+        if kind == "P":
+            vals[outcome] = obits[0]
+        else:
+            vals[outcome] = np.prod([1.0 - 2.0 * b for b in obits])
+    size = len(bitstrings) // n_groups
+    means = []
+    for g in range(n_groups):
+        chunk = bits[g * size:(g + 1) * size]
+        code = np.zeros(size, dtype=np.int64)
+        for s in sites:
+            code = (code << 1) | chunk[:, s - 1]
+        hist = np.bincount(code, minlength=2 ** k).astype(float)
+        if confusion is not None:
+            inv = confusion[sites[0] - 1].inverse()
+            for s in sites[1:]:
+                inv = np.kron(inv, confusion[s - 1].inverse())
+            out = np.clip(inv @ hist, 0.0, None)
+            hist = out * (hist.sum() / out.sum())
+        means.append(float(np.dot(vals, hist) / hist.sum()))
+    return np.asarray(means)
+
+
+@st.composite
+def _records(draw):
+    n = draw(st.integers(2, 5))
+    basis = draw(st.text(alphabet="ZXY", min_size=n, max_size=n))
+    n_groups = draw(st.integers(1, 6))
+    size = draw(st.integers(1, 40))
+    bits = draw(hnp.arrays(np.uint8, (n_groups * size, n),
+                           elements=st.integers(0, 1)))
+    # a site density, or the Pauli pair the basis measures on one bond
+    bond = draw(st.integers(1, n - 1))
+    pair = basis[bond - 1:bond + 1]
+    if pair in ("XX", "YY", "XY", "YX", "ZZ") and draw(st.booleans()):
+        estimator = f"{pair}{bond}"
+    else:
+        estimator = f"P{draw(st.integers(1, n))}"
+    confusion = None
+    if draw(st.booleans()):
+        confusion = confusion_from_device(paper_device())[:n]
+    return bits, n_groups, basis, estimator, confusion
+
+
+@settings(max_examples=300, deadline=None)
+@given(_records())
+def test_group_means_match_string_reference(case):
+    bits, n_groups, basis, estimator, confusion = case
+    strings = tuple("".join(str(b) for b in row) for row in bits)
+    want = _reference_group_means(strings, n_groups, estimator, confusion)
+    for rec in (ShotRecord(bits=bits, n_groups=n_groups, seed=0, basis=basis),
+                ShotRecord(bitstrings=strings, n_groups=n_groups, seed=0,
+                           basis=basis)):
+        np.testing.assert_array_equal(rec.bit_array(), bits)
+        assert rec.bitstrings == strings
+        got = group_means(rec, estimator, confusion=confusion)
+        # same arithmetic as the reference, so equal to the last bit
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.lists(st.sampled_from(["0", "1", "X+", "X-"]), min_size=2,
+                     max_size=5),
+       axes=st.data(), n_groups=st.integers(1, 5), size=st.integers(1, 50),
+       seed=st.integers(0, 2 ** 32))
+def test_save_load_roundtrip_of_sampled_record(spec, axes, n_groups, size,
+                                               seed):
+    n = len(spec)
+    basis = axes.draw(st.text(alphabet="ZXY", min_size=n, max_size=n))
+    state = prepare_initial_state("".join(spec), n)
+    conf = confusion_from_device(paper_device())[:n]
+    rec = sample_shots(state, conf, basis, n_groups * size, seed=seed,
+                       n_groups=n_groups)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "shots.txt")
+        save_shots(rec, path)
+        back = load_shots(path, n_groups=n_groups, seed=seed)
+    assert back.basis == rec.basis
+    assert back.n_groups == rec.n_groups and back.seed == rec.seed
+    assert back.bits.dtype == np.uint8
+    np.testing.assert_array_equal(back.bits, rec.bits)
