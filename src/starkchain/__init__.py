@@ -43,7 +43,6 @@ from .errors import (
     ConfigError,
     DomainError,
     FitDomainError,
-    IntegrationAccuracyError,
     NoWavefrontError,
     NumericalConsistencyError,
     StateSpecError,
@@ -96,7 +95,6 @@ __all__ = [
     "ExperimentConfig",
     "FitDomainError",
     "FitResult",
-    "IntegrationAccuracyError",
     "NoWavefrontError",
     "NumericalConsistencyError",
     "OperatorMatrix",

@@ -22,8 +22,4 @@ class NoWavefrontError(RuntimeError):
 
 
 class NumericalConsistencyError(RuntimeError):
-    """A quantity violated a numerical sanity bound (imaginary residue, positivity)."""
-
-
-class IntegrationAccuracyError(RuntimeError):
-    """The integrator step produced results outside its accuracy contract."""
+    """A quantity violated a numerical sanity bound (imaginary residue, trace, positivity)."""

@@ -138,12 +138,11 @@ class OperatorMatrix:
 
 
 def _site_operator(local_ops, site, n_sites, local_dim=2):
-    """Sparse operator acting with local_ops[site] on one site (1-based)."""
-    out = None
-    for j in range(1, n_sites + 1):
-        block = sp.csr_matrix(local_ops) if j == site else sp.identity(local_dim, format="csr")
-        out = block if out is None else sp.kron(out, block, format="csr")
-    return out
+    """Sparse I_{d^(site-1)} (x) local_ops (x) I_{d^(n_sites-site)}, site 1-based."""
+    left = sp.identity(local_dim ** (site - 1), format="csr")
+    right = sp.identity(local_dim ** (n_sites - site), format="csr")
+    return sp.kron(sp.kron(left, sp.csr_matrix(local_ops), format="csr"),
+                   right, format="csr")
 
 
 def _check_chain(params, potential):

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import evolve_lindblad, evolve_unitary, DEFAULT_LINDBLAD_STEP_NS
+from .dynamics import evolve_lindblad, evolve_unitary
 from .errors import DomainError, NumericalConsistencyError
 
 IMAG_ERROR_TOL = 1e-8
@@ -89,7 +89,7 @@ def _expect_rho(rho, matrices):
 
 
 def trajectory(hamiltonian, state, times_ns, observables, mode="unitary",
-               collapse=None, step=DEFAULT_LINDBLAD_STEP_NS):
+               collapse=None):
     """Evolve once and tabulate exact expectations of each named observable.
 
     observables: mapping name -> OperatorMatrix (insertion order fixes the
@@ -113,7 +113,7 @@ def trajectory(hamiltonian, state, times_ns, observables, mode="unitary",
     elif mode == "lindblad":
         if collapse is None:
             raise DomainError("lindblad mode needs a collapse operator set")
-        rhos = evolve_lindblad(hamiltonian, state, times_ns, collapse, step=step)
+        rhos = evolve_lindblad(hamiltonian, state, times_ns, collapse)
         data = np.array([_expect_rho(r, mats) for r in rhos])
     else:
         raise DomainError(f"unknown evolution mode {mode!r}")

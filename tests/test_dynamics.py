@@ -1,14 +1,17 @@
-"""State preparation, unitary propagation and the Lindblad stepper."""
+"""State preparation, unitary propagation and the Lindblad propagator."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from starkchain import (
     ANGULAR_PER_MHZ,
+    CollapseOperatorSet,
     DeviceParams,
     DomainError,
+    NumericalConsistencyError,
     OperatorMatrix,
     PotentialSpec,
     QuantumState,
@@ -20,10 +23,13 @@ from starkchain import (
     evolve_lindblad,
     evolve_unitary,
     full_index,
+    full_tag,
     make_collapse_ops,
     paper_device,
     prepare_initial_state,
 )
+from starkchain.dynamics import _reachable_states
+from starkchain.model import SIGMA_PLUS, _site_operator
 
 
 def _random_hermitian_op(dim, rng, tag):
@@ -195,14 +201,13 @@ class TestCollapseOps:
 
 class TestLindblad:
     def test_amplitude_damping_closed_form(self):
-        # decoupled chain: <n_1>(t) = exp(-t / T1); coarse step is plenty for
-        # RK4 here (dt/T1 ~ 6e-4)
+        # decoupled chain: <n_1>(t) = exp(-t / T1)
         dev = DeviceParams.uniform(2, coupling_mhz=0.0, t1_us=17.0, t2star_us=1e6)
         h = build_xy_hamiltonian(dev, PotentialSpec.linear(0.0))
         st = prepare_initial_state("10", 2)
         col = make_collapse_ops(dev)
         times = np.array([0.0, 1000.0, 5000.0, 17000.0])
-        rhos = evolve_lindblad(h, st, times, col, step=10.0)
+        rhos = evolve_lindblad(h, st, times, col)
         n1 = build_observable("density", 1, dev).todense()
         got = [np.trace(r @ n1).real for r in rhos]
         np.testing.assert_allclose(got, np.exp(-times / 17000.0), atol=1e-8)
@@ -214,7 +219,7 @@ class TestLindblad:
         st = prepare_initial_state("X+0", 2)
         col = make_collapse_ops(dev)
         t = 800.0
-        rho = evolve_lindblad(h, st, [t], col, step=0.5)[0]
+        rho = evolve_lindblad(h, st, [t], col)[0]
         # read the coherence entry rho_{10,00} directly
         i10, i00 = full_index((1, 0)), full_index((0, 0))
         rate = 0.5 / 17000.0 + 0.5 / 2000.0
@@ -226,7 +231,7 @@ class TestLindblad:
         st = prepare_initial_state("10000", 5)
         col = make_collapse_ops(dev)
         times = np.linspace(0, 300, 7)
-        rhos = evolve_lindblad(h, st, times, col, step=0.05)
+        rhos = evolve_lindblad(h, st, times, col)
         for r in rhos:
             assert abs(np.trace(r).real - 1.0) < 1e-8
             assert np.max(np.abs(r - r.conj().T)) < 1e-10
@@ -238,7 +243,7 @@ class TestLindblad:
         st = prepare_initial_state("10000", 5)
         col = make_collapse_ops(dev)
         times = np.array([0.0, 40.0, 80.0])
-        rhos = evolve_lindblad(h, st, times, col, step=0.05)
+        rhos = evolve_lindblad(h, st, times, col)
         amps = evolve_unitary(h, st, times)
         for r, v in zip(rhos, amps):
             np.testing.assert_allclose(r, np.outer(v, v.conj()), atol=1e-7)
@@ -249,6 +254,107 @@ class TestLindblad:
         st = prepare_initial_state("10000", 5)
         col = make_collapse_ops(dev)
         with pytest.raises(DomainError):
-            evolve_lindblad(h, st, [0.0], col, step=0.0)
-        with pytest.raises(DomainError):
             evolve_lindblad(h, st, [-5.0], col)
+        with pytest.raises(DomainError):
+            evolve_lindblad(h, st, [0.0, np.inf], col)
+
+    def test_non_positive_state_rejected(self):
+        dev = DeviceParams.uniform(2, t1_us=17.0, t2star_us=2.0)
+        h = build_xy_hamiltonian(dev, PotentialSpec.linear(0.0))
+        col = make_collapse_ops(dev)
+        st = QuantumState(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), full_tag(2))
+        with pytest.raises(NumericalConsistencyError):
+            evolve_lindblad(h, st, [0.0, 10.0], col)
+
+
+def _dense_lindblad(h, collapse, state, times):
+    """Reference: dense expm of the full-space Liouvillian, column-stacked."""
+    hd = h.todense()
+    dim = hd.shape[0]
+    eye = np.eye(dim)
+    gen = -1j * (np.kron(eye, hd) - np.kron(hd.T, eye))
+    for op in collapse.operators:
+        c = op.todense()
+        cdc = c.conj().T @ c
+        gen += np.kron(c.conj(), c) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
+    v0 = state.to_density().data.reshape(-1, order="F")
+    return np.array([(scipy.linalg.expm(gen * t) @ v0).reshape(dim, dim, order="F")
+                     for t in times])
+
+
+# unsorted, repeated and unevenly spaced
+_REFERENCE_TIMES = np.array([75.0, 0.0, 12.5, 75.0, 3.0, 160.0, 12.5])
+
+
+class TestLindbladReference:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", ["one", "edge", "all"])
+    def test_matches_dense_expm(self, n, kind):
+        spec = {"one": "1" + "0" * (n - 1),
+                "edge": "X+X+" + "0" * (n - 2),
+                "all": "X+" * n}[kind]
+        dev = DeviceParams.uniform(n, coupling_mhz=12.0).replace(
+            t1_us=np.linspace(0.4, 1.2, n), t2star_us=np.linspace(0.3, 0.9, n))
+        h = build_xy_hamiltonian(dev, PotentialSpec.linear(-9.0))
+        col = make_collapse_ops(dev)
+        st = prepare_initial_state(spec, n)
+        got = evolve_lindblad(h, st, _REFERENCE_TIMES, col)
+        ref = _dense_lindblad(h, col, st, _REFERENCE_TIMES)
+        assert np.max(np.abs(got - ref)) <= 1e-10
+
+    def test_raising_jump_reaches_every_state(self):
+        # a sigma+ jump on site 1 adds excitations, so from 10000 the state
+        # must spread over every sector, and still match the reference
+        dev = paper_device()
+        h = build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0))
+        pump = OperatorMatrix(matrix=np.sqrt(1.0 / 2000.0) * _site_operator(SIGMA_PLUS, 1, 5),
+                              basis_tag=full_tag(5))
+        col = CollapseOperatorSet(
+            operators=make_collapse_ops(dev).operators + (pump,),
+            basis_tag=full_tag(5))
+        st = prepare_initial_state("10000", 5)
+        times = np.array([0.0, 60.0])
+        got = evolve_lindblad(h, st, times, col)
+        np.testing.assert_allclose(got, _dense_lindblad(h, col, st, times),
+                                   rtol=0, atol=1e-10)
+        two_up = [i for i in range(32) if bin(i).count("1") == 2]
+        assert np.trace(got[1][np.ix_(two_up, two_up)]).real > 1e-3
+
+    def test_reachable_set_sizes(self):
+        dev = paper_device()
+        h = build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0))
+        col = make_collapse_ops(dev)
+        for spec, size in (("10000", 6), ("X+X+000", 16), ("X+" * 5, 32)):
+            rho = prepare_initial_state(spec, 5).to_density().data
+            assert _reachable_states(rho, h, col).size == size
+        dev6 = DeviceParams.uniform(6, t1_us=20.0, t2star_us=2.0)
+        h6 = build_xy_hamiltonian(dev6, PotentialSpec.linear(-15.0))
+        rho6 = prepare_initial_state("100000", 6).to_density().data
+        assert _reachable_states(rho6, h6, make_collapse_ops(dev6)).size == 7
+
+
+@st.composite
+def _noisy_chains(draw):
+    n = draw(st.integers(2, 4))
+    couplings = draw(st.lists(st.floats(0.0, 25.0), min_size=n - 1, max_size=n - 1))
+    tilt = draw(st.floats(-30.0, 30.0))
+    t1 = draw(st.lists(st.floats(0.5, 60.0), min_size=n, max_size=n))
+    t2 = draw(st.lists(st.floats(0.3, 30.0), min_size=n, max_size=n))
+    spec = "".join(draw(st.lists(st.sampled_from(["0", "1", "X+", "X-"]),
+                                 min_size=n, max_size=n)))
+    dephasing = draw(st.sampled_from(["as-given", "pure"]))
+    times = draw(st.lists(st.floats(0.0, 200.0), min_size=1, max_size=5))
+    return n, couplings, tilt, t1, t2, spec, dephasing, np.array(times)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_noisy_chains())
+def test_lindblad_matches_dense_expm_random_chains(chain):
+    n, couplings, tilt, t1, t2, spec, dephasing, times = chain
+    dev = DeviceParams.uniform(n).replace(coupling_mhz=couplings, t1_us=t1,
+                                          t2star_us=t2)
+    h = build_xy_hamiltonian(dev, PotentialSpec.linear(tilt))
+    col = make_collapse_ops(dev, dephasing=dephasing)
+    state = prepare_initial_state(spec, n)
+    got = evolve_lindblad(h, state, times, col)
+    assert np.max(np.abs(got - _dense_lindblad(h, col, state, times))) <= 1e-10

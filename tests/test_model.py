@@ -21,7 +21,16 @@ from starkchain import (
     sector_tag,
     single_particle_matrix,
 )
-from starkchain.model import fock_tag
+from starkchain.model import (
+    NUMBER_OP,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _site_operator,
+    fock_tag,
+)
 
 
 class TestIndexing:
@@ -78,6 +87,41 @@ class TestSectorBasis:
 
 def _dense(op):
     return op.todense()
+
+
+def _chained_site_operator(local_ops, site, n_sites, local_dim=2):
+    # reference: one Kronecker product per site, left to right
+    out = None
+    for j in range(1, n_sites + 1):
+        block = sp.csr_matrix(local_ops) if j == site else sp.identity(local_dim, format="csr")
+        out = block if out is None else sp.kron(out, block, format="csr")
+    return out
+
+
+class TestSiteOperator:
+    def _assert_same(self, got, ref):
+        assert got.format == "csr"
+        assert got.dtype == ref.dtype
+        assert got.shape == ref.shape
+        assert got.nnz == ref.nnz
+        assert (got != ref).nnz == 0
+
+    def test_xy_operators_match_chained_kron(self):
+        for op in (SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, NUMBER_OP):
+            for n in range(1, 7):
+                for site in range(1, n + 1):
+                    self._assert_same(_site_operator(op, site, n),
+                                      _chained_site_operator(op, site, n))
+
+    def test_bosonic_operators_match_chained_kron(self):
+        for d in (3, 4):
+            lower = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
+            num = lower.conj().T @ lower
+            for op in (lower, lower.conj().T, num, num @ (num - np.eye(d))):
+                for n in range(1, 5):
+                    for site in range(1, n + 1):
+                        self._assert_same(_site_operator(op, site, n, d),
+                                          _chained_site_operator(op, site, n, d))
 
 
 class TestXYHamiltonian:
