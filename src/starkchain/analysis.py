@@ -197,26 +197,23 @@ def linear_fit(x, y):
 
 
 def p5max_scan(gradients_mhz, params=None, mode="wavefront", t_max_ns=300.0,
-               dt_sample_ns=2.0, descending=True):
+               dt_sample_ns=2.0):
     """Boundary-arrival maxima per gradient from the free-fermion solver.
 
     mode 'wavefront' takes the raw first-wavefront peak (theory-point
-    convention); 'gaussian' takes the fitted amplitude. The ramp orientation
-    follows the experiment convention (descending along the chain); boundary
-    densities are orientation-invariant, so the flag exists only for
-    completeness.
+    convention); 'gaussian' takes the fitted amplitude. The ramp descends
+    along the chain, the experiment convention.
     """
     if params is None:
         from .device import paper_device
 
         params = paper_device()
     rows = []
-    sign = -1.0 if descending else 1.0
     times = np.arange(0.0, float(t_max_ns) + 1e-9, float(dt_sample_ns))
     for f in gradients_mhz:
         if f < 0:
             raise DomainError("scan gradients are magnitudes, must be >= 0")
-        pot = PotentialSpec.linear(sign * float(f))
+        pot = PotentialSpec.linear(-float(f))
         h = single_particle_matrix(params, pot)
         p5 = propagate_single_particle(h, 1, times)[:, params.n_qubits - 1]
         if mode == "wavefront":

@@ -135,9 +135,7 @@ def _exact(config, potential, noise, kind, indices):
         name: build_observable(kind, j, config.device, basis=basis)
         for name, j in indices.items()
     }
-    mode = "unitary" if collapse is None else "lindblad"
-    return trajectory(h, state, _times(config), ops, mode=mode,
-                      collapse=collapse).columns
+    return trajectory(h, state, _times(config), ops, collapse=collapse).columns
 
 
 def _sampled(config, potential, f_index, settings):

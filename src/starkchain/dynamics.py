@@ -7,8 +7,8 @@ import scipy.sparse as sp
 
 from .device import DeviceParams
 from .errors import DomainError, NumericalConsistencyError, StateSpecError
-from .model import (NUMBER_OP, SIGMA_MINUS, OperatorMatrix, SectorBasis,
-                    _site_operator, full_index, full_tag)
+from .model import (DENSE_DIM_CAP, NUMBER_OP, SIGMA_MINUS, OperatorMatrix,
+                    SectorBasis, _site_operator, full_index, full_tag)
 
 LINDBLAD_DIM_CAP = 1024  # ten qubits
 TRACE_TOL = 1e-6
@@ -133,56 +133,23 @@ def _check_hermitian(h):
         raise DomainError("hamiltonian is not Hermitian within 1e-12")
 
 
-def _lanczos_expm(matrix, vec, dt, m_max=48, tol=1e-12):
-    """Krylov approximation of expm(-i dt H) vec for Hermitian sparse H.
-
-    Full reorthogonalization; if the subspace residual estimate exceeds tol
-    the interval is split in half recursively.
-    """
-    norm0 = np.linalg.norm(vec)
-    if norm0 == 0.0:
-        return vec
-    m_max = min(m_max, matrix.shape[0])
-    basis = [vec / norm0]
-    alphas, betas = [], []
-    breakdown = False
-    for k in range(m_max):
-        w = matrix @ basis[k]
-        alpha = float(np.real(np.vdot(basis[k], w)))
-        alphas.append(alpha)
-        w = w - alpha * basis[k]
-        if k > 0:
-            w = w - betas[k - 1] * basis[k - 1]
-        for u in basis:  # full reorthogonalization, keeps small dims exact
-            w = w - np.vdot(u, w) * u
-        beta = np.linalg.norm(w)
-        if beta < 1e-14:
-            breakdown = True
-            break
-        betas.append(beta)
-        basis.append(w / beta)
-    m = len(alphas)
-    tri = np.diag(alphas).astype(complex)
-    if m > 1:
-        off = np.array(betas[:m - 1])
-        tri += np.diag(off, 1) + np.diag(off, -1)
-    evals, evecs = np.linalg.eigh(tri)
-    coef = evecs @ (np.exp(-1j * dt * evals) * evecs[0].conj())
-    if not breakdown and abs(coef[-1]) > tol:
-        half = _lanczos_expm(matrix, vec, 0.5 * dt, m_max, tol)
-        return _lanczos_expm(matrix, half, 0.5 * dt, m_max, tol)
-    out = np.zeros_like(vec)
-    for k in range(m):
-        out += coef[k] * basis[k]
-    return out * norm0
+def _checked_times(times):
+    """Requested times as a 1-d float array; DomainError unless every one is
+    finite and non-negative."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise DomainError("times must be finite and non-negative")
+    return times
 
 
-def evolve_unitary(hamiltonian, state, times, method="auto"):
+def evolve_unitary(hamiltonian, state, times):
     """Pure-state evolution psi(t) = expm(-i H t) psi(0) on a time grid.
 
-    Returns an (n_times, dim) array of state vectors.  method "eigh" uses a
-    dense eigendecomposition (dim capped at 4096), "krylov" a Lanczos stepper
-    for larger problems, "auto" picks by dimension.
+    Up to DENSE_DIM_CAP dimensions a dense eigendecomposition gives every
+    time at once. Above it the requested times are visited in ascending order
+    and each interval is propagated with scipy's expm_multiply (Al-Mohy &
+    Higham 2011). Times must be finite and non-negative. Returns an
+    (n_times, dim) array of state vectors in the order of times.
     """
     _check_hermitian(hamiltonian)
     if state.is_density:
@@ -191,30 +158,23 @@ def evolve_unitary(hamiltonian, state, times, method="auto"):
         raise DomainError(
             f"state tag {state.basis_tag!r} does not match hamiltonian "
             f"{hamiltonian.basis_tag!r}")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if method == "auto":
-        method = "eigh" if hamiltonian.dim <= 4096 else "krylov"
-    if method == "eigh":
+    times = _checked_times(times)
+    if hamiltonian.dim <= DENSE_DIM_CAP:
         hm = hamiltonian.todense()
         evals, evecs = np.linalg.eigh(hm)
         c0 = evecs.conj().T @ state.data
         phases = np.exp(-1j * np.outer(times, evals))
         return (phases * c0) @ evecs.T
-    if method != "krylov":
-        raise DomainError(f"unknown evolution method {method!r}")
-    order = np.argsort(times, kind="stable")
+    gen = -1j * hamiltonian.matrix
     out = np.empty((times.size, state.dim), dtype=complex)
-    current = state.data.copy()
+    vec = state.data
     t_prev = 0.0
-    for idx in order:
-        t = times[idx]
-        if t < 0:
-            raise DomainError("krylov stepping requires non-negative times")
-        dt = t - t_prev
-        if dt != 0.0:
-            current = _lanczos_expm(hamiltonian.matrix, current, dt)
+    for pos in np.argsort(times, kind="stable"):
+        t = times[pos]
+        if t != t_prev:
+            vec = sp.linalg.expm_multiply((t - t_prev) * gen, vec)
             t_prev = t
-        out[idx] = current
+        out[pos] = vec
     return out
 
 
@@ -344,9 +304,7 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
         raise DomainError("collapse operators and hamiltonian bases differ")
     if state.basis_tag != hamiltonian.basis_tag:
         raise DomainError("state and hamiltonian bases differ")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.all(np.isfinite(times)) or np.any(times < 0):
-        raise DomainError("times must be finite and non-negative")
+    times = _checked_times(times)
     dim = hamiltonian.dim
     rho = state.to_density().data
     keep = _reachable_states(rho, hamiltonian, collapse)

@@ -42,14 +42,9 @@ class SingleParticleHamiltonian:
         return self.matrix.shape[0]
 
 
-def single_particle_matrix(params, potential, length=None):
+def single_particle_matrix(params, potential):
     """Tridiagonal matrix identical to the 1-excitation block of the chain."""
-    if length is None:
-        length = params.n_qubits
-    if length != params.n_qubits:
-        raise DomainError(
-            f"length {length} does not match device with {params.n_qubits} qubits"
-        )
+    length = params.n_qubits
     if length < 2:
         raise DomainError("need at least 2 sites")
     g = params.coupling_rad_ns

@@ -88,13 +88,13 @@ def _expect_rho(rho, matrices):
     return [complex(m.multiply(rho.T).sum()) for m in matrices]
 
 
-def trajectory(hamiltonian, state, times_ns, observables, mode="unitary",
-               collapse=None):
+def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
     """Evolve once and tabulate exact expectations of each named observable.
 
     observables: mapping name -> OperatorMatrix (insertion order fixes the
-    column order). mode "unitary" keeps a pure state; "lindblad" needs the
-    collapse operator set and pays the density-matrix cost.
+    column order). Without a collapse operator set the state stays pure; with
+    one it evolves under the master equation and pays the density-matrix
+    cost.
     """
     names = list(observables)
     ops = [observables[n] for n in names]
@@ -107,16 +107,12 @@ def trajectory(hamiltonian, state, times_ns, observables, mode="unitary",
             raise DomainError(f"observable {n!r} is not Hermitian")
     times_ns = np.asarray(times_ns, dtype=float)
     mats = [o.matrix for o in ops]
-    if mode == "unitary":
+    if collapse is None:
         amps = evolve_unitary(hamiltonian, state, times_ns)
         data = np.array([_expect_vec(v, mats) for v in amps])
-    elif mode == "lindblad":
-        if collapse is None:
-            raise DomainError("lindblad mode needs a collapse operator set")
+    else:
         rhos = evolve_lindblad(hamiltonian, state, times_ns, collapse)
         data = np.array([_expect_rho(r, mats) for r in rhos])
-    else:
-        raise DomainError(f"unknown evolution mode {mode!r}")
     imax = float(np.max(np.abs(data.imag)))
     if imax >= IMAG_ERROR_TOL:
         raise NumericalConsistencyError(f"trajectory imaginary residue {imax:.3e}")

@@ -245,7 +245,7 @@ def _thermal_kinetic_columns(noise):
             tab = trajectory(h, st, GRID, obs)
         else:
             col = make_collapse_ops(dev)
-            tab = trajectory(h, st, GRID, obs, mode="lindblad", collapse=col)
+            tab = trajectory(h, st, GRID, obs, collapse=col)
         out[f] = {k: tab.column(k) / ANGULAR_PER_MHZ for k in ("K1", "K4")}
     return out
 

@@ -27,9 +27,11 @@ from starkchain import (
     make_collapse_ops,
     paper_device,
     prepare_initial_state,
+    propagate_single_particle,
+    single_particle_matrix,
 )
 from starkchain.dynamics import _reachable_states
-from starkchain.model import SIGMA_PLUS, _site_operator
+from starkchain.model import DENSE_DIM_CAP, SIGMA_PLUS, _site_operator
 
 
 def _random_hermitian_op(dim, rng, tag):
@@ -129,14 +131,34 @@ class TestUnitaryEvolution:
         ref = scipy.linalg.expm(-1j * h.todense() * 100.0) @ st.data
         assert np.linalg.norm(got - ref) < 1e-8
 
-    def test_krylov_matches_eigh(self):
-        dev = paper_device()
-        h = build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0))
-        st = prepare_initial_state("10000", 5)
-        times = np.linspace(0, 120, 13)
-        a_eigh = evolve_unitary(h, st, times, method="eigh")
-        a_kry = evolve_unitary(h, st, times, method="krylov")
-        np.testing.assert_allclose(a_kry, a_eigh, atol=1e-9)
+    def test_above_dense_cap_matches_sectors(self):
+        # n = 13 is 8192 dims, above DENSE_DIM_CAP: the full space is stepped
+        # with expm_multiply, each excitation sector is diagonalized
+        n = 13
+        dev = DeviceParams.uniform(n, coupling_mhz=14.4)
+        pot = PotentialSpec.linear(-15.0)
+        h = build_xy_hamiltonian(dev, pot)
+        assert h.dim > DENSE_DIM_CAP
+        zeros = "0" * (n - 2)
+        got = evolve_unitary(h, prepare_initial_state("X+X+" + zeros, n),
+                             _REFERENCE_TIMES)
+        # X+X+0... is half the sum of 00..., 01..., 10... and 11...
+        ref = np.zeros_like(got)
+        for head in ("00", "01", "10", "11"):
+            b = build_sector_basis(n, head.count("1"))
+            part = evolve_unitary(build_xy_hamiltonian(dev, pot, basis=b),
+                                  prepare_initial_state(head + zeros, n, basis=b),
+                                  _REFERENCE_TIMES)
+            for k, vec in enumerate(part):
+                ref[k] += 0.5 * embed_in_full(QuantumState(vec, b.tag), b).data
+        assert np.max(np.abs(got - ref)) <= 1e-10
+        amps = evolve_unitary(h, prepare_initial_state("1" + "0" * (n - 1), n),
+                              _REFERENCE_TIMES)
+        sites = [full_index(tuple(int(j == i) for j in range(n)))
+                 for i in range(n)]
+        dens = propagate_single_particle(single_particle_matrix(dev, pot), 1,
+                                         _REFERENCE_TIMES)
+        assert np.max(np.abs(np.abs(amps[:, sites]) ** 2 - dens)) <= 1e-10
 
     def test_two_site_swap(self):
         # P2(t) = sin^2(g t), full population transfer at t = pi / 2g
@@ -165,14 +187,13 @@ class TestUnitaryEvolution:
         st = prepare_initial_state("10000", 5)
         with pytest.raises(DomainError):
             evolve_unitary(h, st.to_density(), [0.0])
-        with pytest.raises(DomainError):
-            evolve_unitary(h, st, [0.0], method="magic")
         b = build_sector_basis(5, 1)
         st_sec = prepare_initial_state("10000", 5, basis=b)
         with pytest.raises(DomainError):
             evolve_unitary(h, st_sec, [0.0])  # tag mismatch
-        with pytest.raises(DomainError):
-            evolve_unitary(h, st, [-1.0], method="krylov")
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                evolve_unitary(h, st, [0.0, bad])
 
 
 class TestCollapseOps:

@@ -48,10 +48,6 @@ class TestSingleParticleMatrix:
         np.testing.assert_allclose(np.diag(m.matrix), pot.offsets_rad_ns(5))
         np.testing.assert_allclose(np.diag(m.matrix, 1), dev.coupling_rad_ns)
 
-    def test_length_mismatch(self):
-        with pytest.raises(DomainError):
-            single_particle_matrix(paper_device(), PotentialSpec.linear(0.0), length=7)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             SingleParticleHamiltonian(matrix=np.ones((2, 3)))

@@ -138,17 +138,17 @@ class TestTrajectory:
         st = prepare_initial_state("10000", 5)
         col = make_collapse_ops(self.dev)
         obs = {"P1": build_observable("density", 1, self.dev)}
-        tab = trajectory(self.h, st, [0.0, 50.0], obs, mode="lindblad", collapse=col)
+        tab = trajectory(self.h, st, [0.0, 50.0], obs, collapse=col)
         assert tab.column("P1")[0] == pytest.approx(1.0, abs=1e-9)
         assert tab.column("P1")[1] < 1.0
 
-    def test_mode_validation(self):
+    def test_times_must_be_finite_and_non_negative(self):
         st = prepare_initial_state("10000", 5)
         obs = {"P1": build_observable("density", 1, self.dev)}
-        with pytest.raises(DomainError):
-            trajectory(self.h, st, [0.0], obs, mode="lindblad")  # no collapse set
-        with pytest.raises(DomainError):
-            trajectory(self.h, st, [0.0], obs, mode="stochastic")
+        for collapse in (None, make_collapse_ops(self.dev)):
+            for bad in (-1.0, np.nan, np.inf):
+                with pytest.raises(DomainError):
+                    trajectory(self.h, st, [0.0, bad], obs, collapse=collapse)
 
     def test_imaginary_residue_guard(self):
         # a non-Hermitian "observable" is rejected before evolution
