@@ -45,6 +45,7 @@ from .errors import (
     FitDomainError,
     NoWavefrontError,
     NumericalConsistencyError,
+    StarkchainError,
     StateSpecError,
 )
 from .freefermion import (
@@ -104,6 +105,7 @@ __all__ = [
     "ShotPlan",
     "ShotRecord",
     "SingleParticleHamiltonian",
+    "StarkchainError",
     "StateSpecError",
     "TrajectoryTable",
     "build_bose_hubbard_hamiltonian",

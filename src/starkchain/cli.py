@@ -35,7 +35,7 @@ from .dynamics import (
     prepare_initial_state,
     QuantumState,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, StarkchainError
 from .measurement import ConfusionMatrix, group_means, sample_shots
 from .model import build_observable, build_sector_basis, build_xy_hamiltonian
 from .observables import trajectory
@@ -397,7 +397,7 @@ def main(argv=None):
         print(f"wrote {len(summary['outputs'])} file(s) + summary.json to "
               f"{config.output_dir}")
         return 0
-    except (ConfigError, DomainError) as exc:
+    except StarkchainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import evolve_lindblad, evolve_unitary
+from .dynamics import _checked_times, evolve_lindblad, evolve_unitary
 from .errors import DomainError, NumericalConsistencyError
 
 IMAG_ERROR_TOL = 1e-8
@@ -105,7 +105,7 @@ def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
             )
         if not o.is_hermitian():
             raise DomainError(f"observable {n!r} is not Hermitian")
-    times_ns = np.asarray(times_ns, dtype=float)
+    times_ns = _checked_times(times_ns)
     mats = [o.matrix for o in ops]
     if collapse is None:
         amps = evolve_unitary(hamiltonian, state, times_ns)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from starkchain import (
+    NoWavefrontError,
     PotentialSpec,
     parse_config,
     propagate_single_particle,
@@ -276,6 +277,20 @@ class TestWslScan:
         analytic = 2 * g_mean / cols["F_mhz"]
         r = np.corrcoef(cols["xi_boundary"], analytic)[0, 1]
         assert r > 0.9
+
+    def test_too_short_for_a_wavefront(self, tmp_path, capsys):
+        # the config is valid but no front arrives within 4 ns: run raises,
+        # the command line prints one line and exits 2
+        p = tmp_path / "c.yaml"
+        p.write_text("experiment: wsl_scan\nnoise: ideal\nt_max: 4\n")
+        with pytest.raises(NoWavefrontError):
+            run(parse_config({"experiment": "wsl_scan", "noise": "ideal",
+                              "t_max": 4}), out_dir=str(tmp_path / "run"))
+        assert main(["wsl_scan", "--config", str(p),
+                     "--out", str(tmp_path / "main")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no first-wavefront peak")
+        assert err.count("\n") == 1
 
 
 class TestThermalTransport:

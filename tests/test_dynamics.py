@@ -30,8 +30,9 @@ from starkchain import (
     propagate_single_particle,
     single_particle_matrix,
 )
-from starkchain.dynamics import _reachable_states
-from starkchain.model import DENSE_DIM_CAP, SIGMA_PLUS, _site_operator
+from starkchain import dynamics
+from starkchain.dynamics import _generator_blocks, _liouvillian, _reachable_states
+from starkchain.model import DENSE_DIM_CAP, SIGMA_PLUS, SIGMA_X, _site_operator
 
 
 def _random_hermitian_op(dim, rng, tag):
@@ -305,23 +306,68 @@ def _dense_lindblad(h, collapse, state, times):
 
 # unsorted, repeated and unevenly spaced
 _REFERENCE_TIMES = np.array([75.0, 0.0, 12.5, 75.0, 3.0, 160.0, 12.5])
+# a uniform grid: its step recurs, so the small blocks get dense propagators
+_GRID_TIMES = np.arange(0.0, 160.0, 20.0)
+
+
+def _noisy_chain(n, jumps):
+    """Tilted chain with per-site T1/T2*. "flip" adds a sigma-x jump on site
+    2: it changes the ket-bra excitation difference k - k' by 0 or 2, so the
+    generator no longer splits by k - k'."""
+    dev = DeviceParams.uniform(n, coupling_mhz=12.0).replace(
+        t1_us=np.linspace(0.4, 1.2, n), t2star_us=np.linspace(0.3, 0.9, n))
+    h = build_xy_hamiltonian(dev, PotentialSpec.linear(-9.0))
+    col = make_collapse_ops(dev)
+    if jumps == "flip":
+        flip = OperatorMatrix(matrix=np.sqrt(1.0 / 800.0) * _site_operator(SIGMA_X, 2, n),
+                              basis_tag=full_tag(n))
+        col = CollapseOperatorSet(operators=col.operators + (flip,),
+                                  basis_tag=full_tag(n))
+    return h, col
+
+
+def _block_sizes(h, col, rho):
+    keep = _reachable_states(rho, h, col)
+    block = np.ix_(keep, keep)
+    gen = _liouvillian(h.matrix[block], [op.matrix[block] for op in col.operators])
+    blocks = _generator_blocks(gen)
+    np.testing.assert_array_equal(np.sort(np.concatenate(blocks)),
+                                  np.arange(keep.size ** 2))
+    return sorted((b.size for b in blocks), reverse=True)
 
 
 class TestLindbladReference:
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("kind", ["one", "edge", "all"])
-    def test_matches_dense_expm(self, n, kind):
+    def test_matches_dense_expm(self, n, kind, monkeypatch):
         spec = {"one": "1" + "0" * (n - 1),
                 "edge": "X+X+" + "0" * (n - 2),
                 "all": "X+" * n}[kind]
-        dev = DeviceParams.uniform(n, coupling_mhz=12.0).replace(
-            t1_us=np.linspace(0.4, 1.2, n), t2star_us=np.linspace(0.3, 0.9, n))
-        h = build_xy_hamiltonian(dev, PotentialSpec.linear(-9.0))
-        col = make_collapse_ops(dev)
         st = prepare_initial_state(spec, n)
-        got = evolve_lindblad(h, st, _REFERENCE_TIMES, col)
-        ref = _dense_lindblad(h, col, st, _REFERENCE_TIMES)
-        assert np.max(np.abs(got - ref)) <= 1e-10
+        for jumps in ("device", "flip"):
+            h, col = _noisy_chain(n, jumps)
+            for times in (_REFERENCE_TIMES, _GRID_TIMES):
+                ref = _dense_lindblad(h, col, st, times)
+                got = evolve_lindblad(h, st, times, col)
+                assert np.max(np.abs(got - ref)) <= 1e-10
+                # blocks of up to 8 entries dense, every larger one in a
+                # single expm_multiply call
+                with monkeypatch.context() as m:
+                    m.setattr(dynamics, "DENSE_BLOCK_CAP", 8)
+                    got = evolve_lindblad(h, st, times, col)
+                assert np.max(np.abs(got - ref)) <= 1e-10
+
+    @pytest.mark.parametrize("cap", [dynamics.DENSE_BLOCK_CAP, 8])
+    def test_steps_that_differ_in_the_last_ulp(self, cap, monkeypatch):
+        # the steps of this grid take six values around 0.1, some once and
+        # some many times; each is its own interval, none is rounded to another
+        times = np.arange(0.0, 3.0, 0.1)
+        assert np.unique(np.diff(times)).size > 1
+        h, col = _noisy_chain(3, "flip")
+        st = prepare_initial_state("X+10", 3)
+        monkeypatch.setattr(dynamics, "DENSE_BLOCK_CAP", cap)
+        got = evolve_lindblad(h, st, times, col)
+        assert np.max(np.abs(got - _dense_lindblad(h, col, st, times))) <= 1e-10
 
     def test_raising_jump_reaches_every_state(self):
         # a sigma+ jump on site 1 adds excitations, so from 10000 the state
@@ -348,6 +394,13 @@ class TestLindbladReference:
         for spec, size in (("10000", 6), ("X+X+000", 16), ("X+" * 5, 32)):
             rho = prepare_initial_state(spec, 5).to_density().data
             assert _reachable_states(rho, h, col).size == size
+        # damping and dephasing keep the ket-bra excitation difference, so
+        # the generator on the reachable states splits into these blocks
+        for spec, sizes in (("10000", [26, 5, 5]),
+                            ("X+X+000", [126, 55, 55, 10, 10]),
+                            ("X+" * 5, [252, 210, 210, 120, 120, 45, 45, 10, 10, 1, 1])):
+            rho = prepare_initial_state(spec, 5).to_density().data
+            assert _block_sizes(h, col, rho) == sizes
         dev6 = DeviceParams.uniform(6, t1_us=20.0, t2star_us=2.0)
         h6 = build_xy_hamiltonian(dev6, PotentialSpec.linear(-15.0))
         rho6 = prepare_initial_state("100000", 6).to_density().data

@@ -150,6 +150,15 @@ class TestTrajectory:
                 with pytest.raises(DomainError):
                     trajectory(self.h, st, [0.0, bad], obs, collapse=collapse)
 
+    def test_scalar_time_gives_one_row(self):
+        st = prepare_initial_state("10000", 5)
+        obs = {"P1": build_observable("density", 1, self.dev)}
+        for collapse in (None, make_collapse_ops(self.dev)):
+            tab = trajectory(self.h, st, 5.0, obs, collapse=collapse)
+            grid = trajectory(self.h, st, [5.0], obs, collapse=collapse)
+            np.testing.assert_array_equal(tab.times_ns, [5.0])
+            np.testing.assert_array_equal(tab.column("P1"), grid.column("P1"))
+
     def test_imaginary_residue_guard(self):
         # a non-Hermitian "observable" is rejected before evolution
         bad = OperatorMatrix(matrix=sp.csr_matrix(np.triu(np.ones((32, 32)))),
