@@ -67,6 +67,9 @@ def _f_label(f):
 
 
 def _write_atomic(path, text):
+    # the output directory is made with its first file, so a run that fails
+    # before writing anything leaves no directory behind
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
@@ -142,8 +145,11 @@ def _sampled(config, potential, f_index, settings):
     """Group means (nt, n_groups) per estimator, one dict per setting.
 
     settings: (measurement basis, estimator names, shots) triples, sampled on
-    the same full-space snapshots; the seed of each shot record is keyed by
-    (seed, gradient, snapshot, setting).
+    the same full-space snapshots; the shots of each snapshot are drawn from
+    a seed keyed by (seed, gradient, snapshot, setting). One sample_shots
+    call per setting covers every snapshot; its record's groups run
+    snapshot by snapshot, so each estimator's group means reshape to
+    (nt, n_groups).
     """
     h, state, _, collapse = _route(config, potential, config.noise)
     times = _times(config)
@@ -155,16 +161,15 @@ def _sampled(config, potential, f_index, settings):
     confusion = _confusion_list(config)
     correct = confusion if config.readout_correction else None
     plan = config.shots
+    shape = (len(states), plan.n_groups)
     out = []
     for setting, (meas_basis, estimators, n_shots) in enumerate(settings):
-        got = {name: [] for name in estimators}
-        for k, snapshot in enumerate(states):
-            seed = _derive_seed(plan.seed, f_index, k, setting)
-            rec = sample_shots(snapshot, confusion, meas_basis, n_shots, seed,
-                               n_groups=plan.n_groups)
-            for name in estimators:
-                got[name].append(group_means(rec, name, confusion=correct))
-        out.append({name: np.asarray(v) for name, v in got.items()})
+        seeds = [_derive_seed(plan.seed, f_index, k, setting)
+                 for k in range(len(states))]
+        rec = sample_shots(states, confusion, meas_basis, n_shots, seeds,
+                           n_groups=plan.n_groups)
+        out.append({name: group_means(rec, name, confusion=correct)
+                    .reshape(shape) for name in estimators})
     return out
 
 
@@ -307,7 +312,6 @@ _COLUMNS = {
 def run(config, out_dir=None):
     """Execute one experiment; returns the summary dict it also writes."""
     out_dir = out_dir or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     if config.experiment == "wsl_scan":
         outputs, fits = _run_wsl_scan(config, out_dir)
     else:

@@ -5,6 +5,7 @@ rejected with their full field path so typos never silently fall back to a
 default.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -120,7 +121,12 @@ def _require(cond, path, msg):
 def _as_number(value, path, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{path}: must be finite, got {v}")
     if positive and v <= 0:
         raise ConfigError(f"{path}: must be positive, got {v}")
     return v
@@ -237,7 +243,7 @@ def parse_config(raw, default_experiment=None):
         gradients = (DEFAULT_SCAN_GRID_MHZ if experiment == "wsl_scan"
                      else (15.0,))
     elif isinstance(f_raw, (int, float)) and not isinstance(f_raw, bool):
-        gradients = (float(f_raw),)
+        gradients = (_as_number(f_raw, "F"),)
     elif isinstance(f_raw, list) and f_raw:
         gradients = tuple(_as_number(v, f"F[{i}]") for i, v in enumerate(f_raw))
     else:

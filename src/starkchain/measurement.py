@@ -1,11 +1,11 @@
 """Simulated noisy single-shot readout and grouped error-bar statistics."""
 
-import functools
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import QuantumState
 from .errors import DomainError, StateSpecError
 from .model import full_tag
 
@@ -163,25 +163,20 @@ def load_shots(path, n_groups=1, seed=0):
     )
 
 
-@functools.lru_cache(maxsize=4)
 def _basis_rotation(basis):
-    """The read-only 2^n x 2^n pre-rotation of a basis string. A run samples
-    all snapshots of one setting in a row, so this is built once per setting;
-    the bound keeps at most four of these matrices alive."""
-    u = _ROT[basis[0]].copy()
+    """The 2^n x 2^n pre-rotation of a basis string."""
+    u = _ROT[basis[0]]
     for a in basis[1:]:
         u = np.kron(u, _ROT[a])
-    u.flags.writeable = False
     return u
 
 
-def _rotated_probabilities(state, basis):
-    n = len(basis)
+def _rotated_probabilities(state, u, n):
+    """Outcome probabilities of an n-qubit state after the pre-rotation u."""
     if state.basis_tag != full_tag(n):
         raise StateSpecError(
             f"sampling needs a full-space state on {n} qubits, got {state.basis_tag!r}"
         )
-    u = _basis_rotation(basis)
     if state.is_density:
         rho = u @ state.data @ u.conj().T
         probs = np.real(np.diag(rho)).copy()
@@ -199,6 +194,13 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
     Born draw, column q+1 the readout flip of qubit q. Any row can therefore
     be regenerated independently of the others, which is what makes the
     sampler deterministic under parallel evaluation as well.
+
+    state may also be a sequence of K states, with seed a sequence of K
+    seeds: the batch draws each state's shots from its own seed, exactly as
+    K single calls would, and returns one record holding them one state
+    after another. n_shots and n_groups stay per state, so the record has
+    K * n_groups groups in state-major order (group g of state k is group
+    k * n_groups + g), and its seed is the first state's seed.
     """
     basis = str(basis).upper()
     if any(a not in VALID_AXES for a in basis):
@@ -210,22 +212,32 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
         )
     if n_shots < 1:
         raise DomainError("n_shots must be positive")
-    probs = _rotated_probabilities(state, basis)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = rng.random((int(n_shots), n_qubits + 1))
-    outcomes = np.searchsorted(cdf, u[:, 0], side="right")
-    # bit q of outcome, site 1 = most significant
+    states = [state] if isinstance(state, QuantumState) else list(state)
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    if not states or len(seeds) != len(states):
+        raise DomainError(
+            f"need one seed per state, got {len(seeds)} seeds for "
+            f"{len(states)} states"
+        )
+    n_shots = int(n_shots)
+    rotation = _basis_rotation(basis)
+    # row o of the table holds the bits of outcome o, site 1 = most
+    # significant
     shifts = n_qubits - 1 - np.arange(n_qubits)
-    bits = (outcomes[:, None] >> shifts[None, :]) & 1
+    table = ((np.arange(1 << n_qubits)[:, None] >> shifts) & 1).astype(np.uint8)
     flip0 = np.array([1.0 - c.f0 for c in confusion])  # P(report 1 | true 0)
     flip1 = np.array([1.0 - c.f1 for c in confusion])  # P(report 0 | true 1)
-    p_flip = np.where(bits == 0, flip0[None, :], flip1[None, :])
-    reported = np.where(u[:, 1:] < p_flip, 1 - bits, bits)
-    return ShotRecord(
-        bits=reported, n_groups=int(n_groups), seed=int(seed), basis=basis
-    )
+    u = np.empty((n_shots, n_qubits + 1))
+    reported = np.empty((len(states) * n_shots, n_qubits), dtype=np.uint8)
+    for k, (snapshot, key) in enumerate(zip(states, seeds)):
+        cdf = np.cumsum(_rotated_probabilities(snapshot, rotation, n_qubits))
+        cdf[-1] = 1.0
+        np.random.Generator(np.random.Philox(key=int(key))).random(out=u)
+        bits = table[np.searchsorted(cdf, u[:, 0], side="right")]
+        flips = u[:, 1:] < np.where(bits, flip1, flip0)
+        np.bitwise_xor(bits, flips, out=reported[k * n_shots:(k + 1) * n_shots])
+    return ShotRecord(bits=reported, n_groups=len(states) * int(n_groups),
+                      seed=int(seeds[0]), basis=basis)
 
 
 _ESTIMATOR_RE = re.compile(r"^(P|XX|YY|XY|YX|ZZ)([1-9][0-9]*)$")

@@ -93,6 +93,21 @@ class TestValidate:
         assert err.startswith("error: F[1]: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("line, field", [
+        ("F: .inf", "F"),
+        ("F: [5, .inf]", "F[1]"),
+        ("t_max: .inf", "t_max"),
+        ("t_max: .nan", "t_max"),
+        ("dt_sample: .nan", "dt_sample"),
+    ])
+    def test_non_finite_number(self, tmp_path, capsys, line, field):
+        p = tmp_path / "c.yaml"
+        p.write_text(f"experiment: spin_transport\n{line}\n")
+        assert main(["validate", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: must be finite")
+        assert err.count("\n") == 1
+
     def test_seed_flag_without_shots(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text("experiment: spin_transport\nt_max: 20\nshots: none\n")
@@ -291,6 +306,9 @@ class TestWslScan:
         err = capsys.readouterr().err
         assert err.startswith("error: no first-wavefront peak")
         assert err.count("\n") == 1
+        # the output directory is made with the first file written
+        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "main").exists()
 
 
 class TestThermalTransport:

@@ -1,7 +1,11 @@
 """Config parsing: defaults, overrides and rejection paths."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starkchain import ConfigError, ShotPlan, load_config, parse_config
 
@@ -142,6 +146,25 @@ class TestTimeGrid:
             parse_config({"experiment": "spin_transport", "t_max": 10, "dt_sample": 20})
         with pytest.raises(ConfigError, match="t_max"):
             parse_config({"experiment": "spin_transport", "t_max": True})
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(["F", "F[1]", "t_max", "dt_sample"]),
+       value=st.one_of(st.sampled_from([math.inf, -math.inf, math.nan]),
+                       st.floats(), st.integers(), st.booleans(), st.text(),
+                       st.none()))
+def test_numbers_are_finite_or_refused(field, value):
+    raw = {"experiment": "spin_transport"}
+    if field == "F[1]":
+        raw["F"] = [5.0, value]
+    else:
+        raw[field] = value
+    try:
+        cfg = parse_config(raw)
+    except ConfigError:
+        return
+    numbers = cfg.gradients_mhz + (cfg.t_max_ns, cfg.dt_sample_ns)
+    assert all(math.isfinite(v) for v in numbers)
 
 
 class TestShots:

@@ -13,9 +13,11 @@ from hypothesis.extra import numpy as hnp
 from starkchain import (
     ConfusionMatrix,
     DomainError,
+    QuantumState,
     ShotRecord,
     StateSpecError,
     confusion_from_device,
+    full_tag,
     group_means,
     grouped_statistics,
     load_shots,
@@ -151,6 +153,16 @@ class TestSampling:
             sample_shots(st, [ConfusionMatrix.perfect()], "ZZ", 10, seed=0)
         with pytest.raises(DomainError):
             sample_shots(st, [ConfusionMatrix.perfect()] * 2, "ZZ", 0, seed=0)
+
+    def test_batch_argument_checks(self):
+        st = prepare_initial_state("00", 2)
+        conf = [ConfusionMatrix.perfect()] * 2
+        with pytest.raises(DomainError, match="one seed per state"):
+            sample_shots([st, st], conf, "ZZ", 10, seed=[1])
+        with pytest.raises(DomainError, match="one seed per state"):
+            sample_shots([st, st], conf, "ZZ", 10, seed=1)
+        with pytest.raises(DomainError, match="one seed per state"):
+            sample_shots([], conf, "ZZ", 10, seed=[])
 
 
 class TestEstimators:
@@ -333,3 +345,56 @@ def test_save_load_roundtrip_of_sampled_record(spec, axes, n_groups, size,
     assert back.n_groups == rec.n_groups and back.seed == rec.seed
     assert back.bits.dtype == np.uint8
     np.testing.assert_array_equal(back.bits, rec.bits)
+
+
+@st.composite
+def _batches(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    states = []
+    for _ in range(k):
+        vecs = rng.normal(size=(3, 2 ** n)) + 1j * rng.normal(size=(3, 2 ** n))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        if draw(st.booleans()):
+            states.append(QuantumState(vecs[0], full_tag(n)))
+        else:
+            weights = rng.dirichlet(np.ones(3))
+            rho = np.einsum("m,mi,mj->ij", weights, vecs, vecs.conj())
+            states.append(QuantumState(rho, full_tag(n)))
+    basis = draw(st.text(alphabet="ZXY", min_size=n, max_size=n))
+    seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=k,
+                          max_size=k))
+    n_groups = draw(st.integers(1, 4))
+    n_shots = n_groups * draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        confusion = confusion_from_device(paper_device())[:n]
+    else:
+        confusion = [ConfusionMatrix.perfect()] * n
+    return states, basis, seeds, n_shots, n_groups, confusion
+
+
+@settings(max_examples=100, deadline=None)
+@given(_batches())
+def test_batch_equals_its_parts(case):
+    states, basis, seeds, n_shots, n_groups, confusion = case
+    parts = [sample_shots(s, confusion, basis, n_shots, seed,
+                          n_groups=n_groups)
+             for s, seed in zip(states, seeds)]
+    batch = sample_shots(states, confusion, basis, n_shots, seeds,
+                         n_groups=n_groups)
+    assert batch.bits.dtype == np.uint8
+    np.testing.assert_array_equal(batch.bits,
+                                  np.vstack([p.bits for p in parts]))
+    assert batch.n_groups == len(states) * n_groups
+    assert batch.seed == seeds[0] and batch.basis == basis
+    n = len(basis)
+    estimators = [f"P{j}" for j in range(1, n + 1)]
+    estimators += [basis[b - 1:b + 1] + str(b) for b in range(1, n)
+                   if basis[b - 1:b + 1] in ("XX", "YY", "XY", "YX", "ZZ")]
+    for est in estimators:
+        for correct in (None, confusion):
+            got = group_means(batch, est, confusion=correct)
+            want = np.vstack([group_means(p, est, confusion=correct)
+                              for p in parts])
+            assert np.array_equal(got.reshape(len(states), n_groups), want)
