@@ -29,6 +29,8 @@ PAPER_SHOTS_TWO_SETTING = (2000, 10)
 
 DEFAULT_SCAN_GRID_MHZ = (5.0, 7.5, 10.0, 12.5, 15.0)
 
+MAX_TIME_POINTS = 100_000  # cap on the time grid; the paper's has 151 points
+
 _TWO_SETTING = {"thermal_transport", "spin_current"}
 
 
@@ -189,7 +191,13 @@ def _parse_shots(raw, experiment, path="shots"):
     for name, v in (("n_shots", n), ("n_groups", groups), ("seed", seed)):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(f"{path}.{name}: expected an integer, got {v!r}")
-    return ShotPlan(n_shots=n, n_groups=groups, seed=seed)
+    plan = ShotPlan(n_shots=n, n_groups=groups, seed=seed)
+    # each of the two settings takes half the shots, grouped on its own
+    half = n // 2
+    _require(experiment not in _TWO_SETTING or (half and half % groups == 0),
+             f"{path}.n_shots", f"{experiment} splits {n} shots into two "
+             f"settings of {half}, which do not divide into {groups} groups")
+    return plan
 
 
 def _parse_readout(raw, device, path="readout"):
@@ -268,6 +276,9 @@ def parse_config(raw, default_experiment=None):
     t_max = _as_number(raw.get("t_max", 300.0), "t_max", positive=True)
     dt = _as_number(raw.get("dt_sample", 2.0), "dt_sample", positive=True)
     _require(dt <= t_max, "dt_sample", "must not exceed t_max")
+    _require(t_max / dt < MAX_TIME_POINTS, "t_max",
+             f"{t_max:g} ns at dt_sample {dt:g} ns gives more than "
+             f"{MAX_TIME_POINTS} time points")
 
     noise = raw.get("noise", "ideal")
     _require(noise in ("ideal", "lindblad"), "noise",

@@ -9,8 +9,8 @@ import scipy.sparse as sp
 
 from .device import DeviceParams
 from .errors import DomainError, NumericalConsistencyError, StateSpecError
-from .model import (DENSE_DIM_CAP, NUMBER_OP, SIGMA_MINUS, OperatorMatrix,
-                    SectorBasis, _site_operator, full_index, full_tag)
+from .model import (DENSE_DIM_CAP, OperatorMatrix, SectorBasis, _basis_states,
+                    _bit_operator, full_tag)
 
 LINDBLAD_DIM_CAP = 1024  # ten qubits
 DENSE_BLOCK_CAP = 256  # largest generator block given a dense propagator
@@ -124,8 +124,7 @@ def embed_in_full(state, basis):
     if state.is_density:
         raise DomainError("embedding is implemented for state vectors")
     vec = np.zeros(2 ** basis.n_sites, dtype=complex)
-    for i, occ in enumerate(basis.states):
-        vec[full_index(occ)] = state.data[i]
+    vec[_basis_states(basis, basis.n_sites)[0]] = state.data
     return QuantumState(vec, full_tag(basis.n_sites))
 
 
@@ -210,55 +209,72 @@ def make_collapse_ops(params, dephasing="as-given"):
     if dephasing not in ("as-given", "pure"):
         raise DomainError(f"dephasing must be 'as-given' or 'pure', got {dephasing!r}")
     n = params.n_qubits
-    tag = full_tag(n)
+    states, occ, tag = _basis_states(None, n)
     ops = []
-    for q in range(1, n + 1):
-        gamma1 = 1.0 / params.t1_ns[q - 1]
+    for q, occupied in enumerate(occ.T):  # q counts sites from 0
+        gamma1 = 1.0 / params.t1_ns[q]
         ops.append(OperatorMatrix(
-            matrix=np.sqrt(gamma1) * _site_operator(SIGMA_MINUS, q, n),
+            matrix=_bit_operator(states, [(1 << (n - 1 - q), np.sqrt(gamma1) * occupied)]),
             basis_tag=tag))
-        rate = 1.0 / params.t2star_ns[q - 1]
+        rate = 1.0 / params.t2star_ns[q]
         if dephasing == "pure":
             rate = max(rate - 0.5 * gamma1, 0.0)
         if rate > 0.0:
             ops.append(OperatorMatrix(
-                matrix=np.sqrt(rate) * _site_operator(NUMBER_OP, q, n),
+                matrix=_bit_operator(states, [(0, np.sqrt(rate) * occupied)]),
                 basis_tag=tag))
     return CollapseOperatorSet(operators=tuple(ops), basis_tag=tag)
+
+
+def _jump_sum(jumps, dim):
+    """K = sum_k C_k+ C_k as one product of the stacked C_k."""
+    stacked = sp.vstack([*jumps, sp.csr_matrix((0, dim))], format="csr")
+    return stacked.getH() @ stacked
+
+
+def _kron_entries(x, y):
+    """Coordinates and values of the Kronecker product of two COO matrices."""
+    d = y.shape[0]
+    return ((x.row[:, None] * d + y.row).ravel(),
+            (x.col[:, None] * d + y.col).ravel(),
+            (x.data[:, None] * y.data).ravel())
 
 
 def _liouvillian(h, jumps):
     """Sparse generator acting on the row-major vectorized density matrix.
 
     h and jumps are sparse matrices on one basis: the Hamiltonian and the
-    rate-weighted collapse operators C_k.
+    rate-weighted collapse operators C_k. It is assembled in one pass as
+    A (x) 1 + 1 (x) conj(A) + sum_k C_k (x) conj(C_k), A = -iH - K/2.
     """
-    ident = sp.identity(h.shape[0], format="csr", dtype=complex)
-    gen = -1j * (sp.kron(h, ident) - sp.kron(ident, h.T))
-    for cm in jumps:
-        cdc = cm.getH() @ cm
-        gen = gen + sp.kron(cm, cm.conj())
-        gen = gen - 0.5 * (sp.kron(cdc, ident) + sp.kron(ident, cdc.T))
-    return gen.tocsr()
+    dim = h.shape[0]
+    a = (-1j * h - 0.5 * _jump_sum(jumps, dim)).tocoo()
+    eye = sp.identity(dim, format="coo")
+    parts = [_kron_entries(a, eye), _kron_entries(eye, a.conj())]
+    parts += [_kron_entries(c, c.conj()) for c in map(sp.coo_matrix, jumps)]
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    gen = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+    gen.eliminate_zeros()
+    return gen
 
 
 def _reachable_states(rho, hamiltonian, collapse):
     """Indices of the basis states reachable from the support of rho.
 
     Every term of the master equation moves the row index of rho along a
-    nonzero entry of H, of a C_k or of a C_k+ C_k. It moves the column index
-    along the transposed pattern of H and C_k+ C_k, which is the same since
-    both are Hermitian, and along C_k itself (C_k rho C_k+). The set closed
-    under those patterns therefore holds rho(t) at all times, whatever the
-    jump operators are.
+    nonzero entry of H, of a C_k or of K = sum_k C_k+ C_k. It moves the
+    column index along the transposed pattern of H and K, which is the same
+    since both are Hermitian, and along C_k itself (C_k rho C_k+). The set
+    closed under those patterns therefore holds rho(t) at all times, whatever
+    the jump operators are. One stacked link matrix holds every pattern.
     """
-    links = abs(hamiltonian.matrix)
-    for op in collapse.operators:
-        links = links + abs(op.matrix) + abs(op.matrix.getH() @ op.matrix)
-    links = (links != 0).astype(float)
-    reached = ((rho != 0).any(axis=0) | (rho != 0).any(axis=1)).astype(float)
+    dim = hamiltonian.dim
+    jumps = [op.matrix for op in collapse.operators]
+    links = abs(sp.vstack([hamiltonian.matrix, *jumps, _jump_sum(jumps, dim)],
+                          format="csr"))
+    reached = (rho != 0).any(axis=0) | (rho != 0).any(axis=1)
     while True:
-        grown = np.minimum(reached + links @ reached, 1.0)
+        grown = reached | (links @ reached).reshape(-1, dim).any(axis=0)
         if np.array_equal(grown, reached):
             return np.flatnonzero(reached)
         reached = grown

@@ -220,6 +220,9 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
             f"{len(states)} states"
         )
     n_shots = int(n_shots)
+    if n_groups < 1 or n_shots % n_groups:
+        raise DomainError(
+            f"{n_shots} shots per state not divisible into {n_groups} groups")
     rotation = _basis_rotation(basis)
     # row o of the table holds the bits of outcome o, site 1 = most
     # significant

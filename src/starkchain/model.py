@@ -26,14 +26,6 @@ from .errors import DomainError
 
 DENSE_DIM_CAP = 4096
 
-# local two-level operators, |0> = (1, 0), |1> = (0, 1)
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_PLUS = SIGMA_MINUS.conj().T
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-NUMBER_OP = SIGMA_PLUS @ SIGMA_MINUS
-
 
 def full_tag(n_sites):
     return f"full:n={n_sites}"
@@ -89,15 +81,12 @@ def build_sector_basis(n_sites, n_excitations):
         raise DomainError(f"n_sites must be >= 1, got {n_sites}")
     if not 0 <= k <= n:
         raise DomainError(f"n_excitations must lie in [0, {n}], got {n_excitations}")
-    states = []
-    for occupied in combinations(range(n), k):
-        occ = [0] * n
-        for j in occupied:
-            occ[j] = 1
-        states.append(tuple(occ))
-    states.sort(reverse=True)
+    # combinations of the occupied sites come in lexicographic order, which
+    # is descending order of the occupation tuples
+    states = tuple(tuple(int(j in occupied) for j in range(n))
+                   for occupied in combinations(range(n), k))
     index = {s: i for i, s in enumerate(states)}
-    return SectorBasis(n_sites=n, n_excitations=k, states=tuple(states), index=index)
+    return SectorBasis(n_sites=n, n_excitations=k, states=states, index=index)
 
 
 @dataclass(frozen=True)
@@ -118,12 +107,6 @@ class OperatorMatrix:
     @property
     def dim(self):
         return self.matrix.shape[0]
-
-    def entries(self):
-        """Canonical coordinate list (rows, cols, values), row-major sorted."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.row[order], coo.col[order], coo.data[order]
 
     def todense(self):
         if self.dim > DENSE_DIM_CAP:
@@ -152,6 +135,43 @@ def _check_chain(params, potential):
         raise DomainError("potential must be a PotentialSpec")
 
 
+def _basis_states(basis, n_sites):
+    """(states, occupations, tag) of a basis: its full-space integers in
+    basis order, their (dim, n) 0/1 occupations with site 1 in column 0, and
+    its tag. basis None is the full space in full_index order."""
+    shifts = np.arange(n_sites - 1, -1, -1)
+    if basis is None:
+        states = np.arange(1 << n_sites)
+        return states, (states[:, None] >> shifts) & 1, full_tag(n_sites)
+    if basis.n_sites != n_sites:
+        raise DomainError(
+            f"basis has {basis.n_sites} sites but device has {n_sites} qubits")
+    occupations = np.array(basis.states).reshape(basis.dim, n_sites)
+    return occupations @ (1 << shifts), occupations, basis.tag
+
+
+def _bit_operator(states, terms):
+    """Sparse matrix over an ordered list of full-space integer states: a
+    sector, all 2^n states in full_index order or any support. A term
+    (flip, amplitudes) maps states[i] to states[i] ^ flip with amplitudes[i],
+    flip 0 being the diagonal. Zero amplitudes and targets outside the list
+    are dropped: on a subset this is the restriction of the full operator."""
+    order = np.argsort(states)
+    ranked = states[order]
+    rows, cols, vals = [], [], []
+    for flip, amplitudes in terms:
+        amplitudes = np.broadcast_to(np.asarray(amplitudes, dtype=complex), states.shape)
+        target = states ^ flip
+        pos = np.minimum(np.searchsorted(ranked, target), states.size - 1)
+        hit = np.flatnonzero((ranked[pos] == target) & (amplitudes != 0))
+        rows.append(order[pos[hit]])
+        cols.append(hit)
+        vals.append(amplitudes[hit])
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(states.size, states.size))
+
+
 def build_xy_hamiltonian(params, potential, basis=None):
     """Exchange chain sum_j g_j (s+_j s-_{j+1} + h.c.) + sum_j h_j n_j.
 
@@ -162,29 +182,15 @@ def build_xy_hamiltonian(params, potential, basis=None):
     n = params.n_qubits
     g = params.coupling_rad_ns
     h = potential.offsets_rad_ns(n)
-    if basis is None:
-        ham = sp.csr_matrix((2 ** n, 2 ** n), dtype=complex)
-        for j in range(1, n):
-            hop = _site_operator(SIGMA_PLUS, j, n) @ _site_operator(SIGMA_MINUS, j + 1, n)
-            ham = ham + g[j - 1] * (hop + hop.getH())
-        for j in range(1, n + 1):
-            ham = ham + h[j - 1] * _site_operator(NUMBER_OP, j, n)
-        return OperatorMatrix(matrix=ham, basis_tag=full_tag(n))
-    if basis.n_sites != n:
-        raise DomainError(
-            f"basis has {basis.n_sites} sites but device has {n} qubits")
-    rows, cols, vals = [], [], []
-    for i, occ in enumerate(basis.states):
-        diag = sum(h[j] for j in range(n) if occ[j])
-        rows.append(i); cols.append(i); vals.append(diag)
-        for j in range(n - 1):
-            if occ[j] != occ[j + 1]:
-                target = list(occ)
-                target[j], target[j + 1] = occ[j + 1], occ[j]
-                t = basis.index[tuple(target)]
-                rows.append(t); cols.append(i); vals.append(g[j])
-    ham = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex)
-    return OperatorMatrix(matrix=ham.tocsr(), basis_tag=basis.tag)
+    states, occ, tag = _basis_states(basis, n)
+    diag = np.zeros(states.size)
+    for j in range(n):
+        diag = diag + h[j] * occ[:, j]
+    # a hop across bond j + 1 flips the bits of sites j + 1 and j + 2
+    terms = [(0, diag)] + [
+        (3 << (n - j - 2), np.where(occ[:, j] != occ[:, j + 1], g[j], 0.0))
+        for j in range(n - 1)]
+    return OperatorMatrix(matrix=_bit_operator(states, terms), basis_tag=tag)
 
 
 def build_bose_hubbard_hamiltonian(params, potential, fock_cutoff=2):
@@ -219,9 +225,6 @@ def build_bose_hubbard_hamiltonian(params, potential, fock_cutoff=2):
     return OperatorMatrix(matrix=ham, basis_tag=fock_tag(n, d))
 
 
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-
 def build_observable(kind, index, params, potential=None, basis=None,
                      axis=None, fock_cutoff=None):
     """Observable operators used by the transport experiments.
@@ -245,81 +248,47 @@ def build_observable(kind, index, params, potential=None, basis=None,
             raise DomainError("pass either basis or fock_cutoff, not both")
         if kind != "density":
             raise DomainError(f"{kind!r} is not available on the bosonic space")
-        d = int(fock_cutoff)
-        if not 1 <= j <= n:
-            raise DomainError(f"site index must lie in [1, {n}], got {index}")
-        lower = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
-        num = lower.conj().T @ lower
-        return OperatorMatrix(matrix=_site_operator(num, j, n, d),
-                              basis_tag=fock_tag(n, d))
-
-    if kind == "density":
-        if not 1 <= j <= n:
-            raise DomainError(f"site index must lie in [1, {n}], got {index}")
-    elif kind in ("kinetic", "potential", "spin_current", "pauli_pair"):
-        if not 1 <= j <= n - 1:
-            raise DomainError(f"bond index must lie in [1, {n - 1}], got {index}")
-    else:
+    on_bond = kind in ("kinetic", "potential", "spin_current", "pauli_pair")
+    if kind != "density" and not on_bond:
         raise DomainError(f"unknown observable kind {kind!r}")
+    last = n - 1 if on_bond else n
+    if not 1 <= j <= last:
+        raise DomainError(f"{'bond' if on_bond else 'site'} index must lie in "
+                          f"[1, {last}], got {index}")
+    if fock_cutoff is not None:
+        d = int(fock_cutoff)
+        lower = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
+        return OperatorMatrix(matrix=_site_operator(lower.conj().T @ lower, j, n, d),
+                              basis_tag=fock_tag(n, d))
     if kind == "potential" and potential is None:
         raise DomainError("potential observable needs a PotentialSpec")
-    if kind == "pauli_pair" and axis not in _PAULI:
+    if kind == "pauli_pair" and axis not in ("x", "y", "z"):
         raise DomainError(f"axis must be one of x, y, z, got {axis!r}")
-
-    g = params.coupling_rad_ns
-    h = potential.offsets_rad_ns(n) if potential is not None else None
-
-    if basis is None:
-        if kind == "density":
-            m = _site_operator(NUMBER_OP, j, n)
-        elif kind == "kinetic":
-            m = 0.5 * g[j - 1] * (
-                _site_operator(SIGMA_X, j, n) @ _site_operator(SIGMA_X, j + 1, n)
-                + _site_operator(SIGMA_Y, j, n) @ _site_operator(SIGMA_Y, j + 1, n))
-        elif kind == "potential":
-            m = (h[j - 1] * _site_operator(NUMBER_OP, j, n)
-                 + h[j] * _site_operator(NUMBER_OP, j + 1, n))
-        elif kind == "spin_current":
-            m = 0.5 * (
-                _site_operator(SIGMA_X, j, n) @ _site_operator(SIGMA_Y, j + 1, n)
-                - _site_operator(SIGMA_Y, j, n) @ _site_operator(SIGMA_X, j + 1, n))
-        else:
-            op = _PAULI[axis]
-            m = _site_operator(op, j, n) @ _site_operator(op, j + 1, n)
-        return OperatorMatrix(matrix=m, basis_tag=full_tag(n))
-
-    if basis.n_sites != n:
-        raise DomainError(
-            f"basis has {basis.n_sites} sites but device has {n} qubits")
-    if kind == "pauli_pair" and axis in ("x", "y"):
+    states, occ, tag = _basis_states(basis, n)
+    if basis is not None and kind == "pauli_pair" and axis in ("x", "y"):
         raise DomainError(
             "pauli_pair x/y does not conserve excitation number; "
             "build it on the full space")
-
-    rows, cols, vals = [], [], []
-    for i, occ in enumerate(basis.states):
-        if kind == "density":
-            if occ[j - 1]:
-                rows.append(i); cols.append(i); vals.append(1.0)
-        elif kind == "potential":
-            v = h[j - 1] * occ[j - 1] + h[j] * occ[j]
-            if v != 0.0:
-                rows.append(i); cols.append(i); vals.append(v)
-        elif kind == "pauli_pair":  # z axis
-            rows.append(i); cols.append(i)
-            vals.append((1.0 - 2.0 * occ[j - 1]) * (1.0 - 2.0 * occ[j]))
+    a = occ[:, j - 1]
+    b = occ[:, min(j, n - 1)]  # site j + 1 of bond j; unused for a density
+    if kind == "density":
+        terms = [(0, a)]
+    elif kind == "potential":
+        h = potential.offsets_rad_ns(n)
+        terms = [(0, h[j - 1] * a + h[j] * b)]
+    elif kind == "pauli_pair" and axis == "z":
+        terms = [(0, (1 - 2 * a) * (1 - 2 * b))]
+    else:
+        # flip both sites of bond j. kinetic and spin_current move an
+        # excitation across it: with weight g_j, and for the current with -i
+        # toward smaller site index and +i toward larger. sx sx is 1 on
+        # every state, sy sy is -1 where the two sites agree
+        moves = a != b
+        if kind == "kinetic":
+            amplitudes = np.where(moves, params.coupling_rad_ns[j - 1], 0.0)
+        elif kind == "spin_current":
+            amplitudes = np.where(moves, np.where(b == 1, -1.0j, 1.0j), 0.0)
         else:
-            # hop across bond j: kinetic has weight g_j; the Pauli-product
-            # current picks up -i when the excitation moves toward smaller
-            # site index and +i toward larger
-            if occ[j - 1] != occ[j]:
-                target = list(occ)
-                target[j - 1], target[j] = occ[j], occ[j - 1]
-                t = basis.index[tuple(target)]
-                if kind == "kinetic":
-                    rows.append(t); cols.append(i); vals.append(g[j - 1])
-                else:
-                    sign = -1.0j if occ[j] else 1.0j
-                    rows.append(t); cols.append(i); vals.append(sign)
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex)
-    return OperatorMatrix(matrix=m.tocsr(), basis_tag=basis.tag)
+            amplitudes = np.where(moves | (axis == "x"), 1.0, -1.0)
+        terms = [(3 << (n - j - 1), amplitudes)]
+    return OperatorMatrix(matrix=_bit_operator(states, terms), basis_tag=tag)

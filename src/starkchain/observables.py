@@ -8,7 +8,6 @@ from .dynamics import _checked_times, evolve_lindblad, evolve_unitary
 from .errors import DomainError, NumericalConsistencyError
 
 IMAG_ERROR_TOL = 1e-8
-IMAG_DISCARD_TOL = 1e-10
 
 
 @dataclass(frozen=True)

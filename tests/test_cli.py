@@ -108,6 +108,29 @@ class TestValidate:
         assert err.startswith(f"error: {field}: must be finite")
         assert err.count("\n") == 1
 
+    def test_too_many_time_points(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("experiment: spin_transport\nt_max: 1.0e+300\n")
+        out = tmp_path / "out"
+        assert main(["spin_transport", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_max: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["thermal_transport", "spin_current"])
+    def test_two_setting_shot_split(self, tmp_path, capsys, experiment):
+        # refused before the evolution, naming the field
+        p = tmp_path / "c.yaml"
+        p.write_text(f"experiment: {experiment}\nt_max: 20\n"
+                     "shots: {n_shots: 30, n_groups: 10}\n")
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: shots.n_shots: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_seed_flag_without_shots(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text("experiment: spin_transport\nt_max: 20\nshots: none\n")

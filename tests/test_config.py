@@ -147,6 +147,16 @@ class TestTimeGrid:
         with pytest.raises(ConfigError, match="t_max"):
             parse_config({"experiment": "spin_transport", "t_max": True})
 
+    def test_time_point_cap(self):
+        with pytest.raises(ConfigError, match=r"^t_max: .* more than 100000 time points"):
+            parse_config({"experiment": "spin_transport", "t_max": 1.0e300})
+        with pytest.raises(ConfigError, match="^t_max: "):
+            parse_config({"experiment": "spin_transport", "t_max": 300.0,
+                          "dt_sample": 1.0e-3})
+        cfg = parse_config({"experiment": "spin_transport", "t_max": 300.0,
+                            "dt_sample": 0.01})
+        assert cfg.t_max_ns / cfg.dt_sample_ns == pytest.approx(30000)
+
 
 @settings(max_examples=200, deadline=None)
 @given(field=st.sampled_from(["F", "F[1]", "t_max", "dt_sample"]),
@@ -181,6 +191,21 @@ class TestShots:
         with pytest.raises(ConfigError, match="divisible"):
             parse_config({"experiment": "spin_transport",
                           "shots": {"n_shots": 100, "n_groups": 7}})
+
+    @pytest.mark.parametrize("experiment", ["thermal_transport", "spin_current"])
+    @pytest.mark.parametrize("n_shots, n_groups", [(30, 10), (1, 1), (3, 1)])
+    def test_two_setting_split(self, experiment, n_shots, n_groups):
+        # each measurement setting takes n_shots // 2 shots in n_groups groups
+        plan = {"n_shots": n_shots, "n_groups": n_groups}
+        if n_shots // 2 and (n_shots // 2) % n_groups == 0:
+            assert parse_config({"experiment": experiment, "shots": plan}).shots \
+                == ShotPlan(n_shots, n_groups, 0)
+            return
+        with pytest.raises(ConfigError, match=r"^shots\.n_shots: "):
+            parse_config({"experiment": experiment, "shots": plan})
+        # one setting takes every shot, so the same plan is valid there
+        assert parse_config({"experiment": "spin_transport", "shots": plan}).shots \
+            == ShotPlan(n_shots, n_groups, 0)
 
     def test_decoherence_check_rejects_shots(self):
         with pytest.raises(ConfigError, match="decoherence_check"):

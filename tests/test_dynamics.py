@@ -32,7 +32,10 @@ from starkchain import (
 )
 from starkchain import dynamics
 from starkchain.dynamics import _generator_blocks, _liouvillian, _reachable_states
-from starkchain.model import DENSE_DIM_CAP, SIGMA_PLUS, SIGMA_X, _site_operator
+from starkchain.model import DENSE_DIM_CAP, _site_operator
+
+SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |0> = (1, 0)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def _random_hermitian_op(dim, rng, tag):
@@ -432,3 +435,37 @@ def test_lindblad_matches_dense_expm_random_chains(chain):
     state = prepare_initial_state(spec, n)
     got = evolve_lindblad(h, state, times, col)
     assert np.max(np.abs(got - _dense_lindblad(h, col, state, times))) <= 1e-10
+
+
+def _kron_liouvillian(h, jumps):
+    """Reference: the generator summed term by term from sparse Kronecker
+    products, -i(H (x) 1 - 1 (x) H^T) + sum_k [C_k (x) conj(C_k)
+    - (C_k+ C_k (x) 1 + 1 (x) (C_k+ C_k)^T) / 2]."""
+    ident = sp.identity(h.shape[0], format="csr", dtype=complex)
+    gen = -1j * (sp.kron(h, ident) - sp.kron(ident, h.T))
+    for cm in jumps:
+        cdc = cm.getH() @ cm
+        gen = gen + sp.kron(cm, cm.conj())
+        gen = gen - 0.5 * (sp.kron(cdc, ident) + sp.kron(ident, cdc.T))
+    return gen.tocsr()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("jumps", ["none", "device", "flip"])
+def test_generator_matches_kron_formula(n, jumps):
+    h, col = _noisy_chain(n, "device" if jumps == "none" else jumps)
+    if jumps == "none":
+        col = CollapseOperatorSet(operators=(), basis_tag=full_tag(n))
+    mats = [op.matrix for op in col.operators]
+    ref = _kron_liouvillian(h.matrix, mats)
+    got = _liouvillian(h.matrix, mats)
+    assert got.shape == ref.shape == (4 ** n, 4 ** n)
+    assert got.dtype == np.complex128
+    assert abs(got - ref).max() <= 1e-15
+    # on a reachable support, as evolve_lindblad builds it
+    rho = prepare_initial_state("X+1" + "0" * (n - 2), n).to_density().data
+    keep = _reachable_states(rho, h, col)
+    block = np.ix_(keep, keep)
+    sub = [m[block] for m in mats]
+    assert abs(_liouvillian(h.matrix[block], sub)
+               - _kron_liouvillian(h.matrix[block], sub)).max() <= 1e-15

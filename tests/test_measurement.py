@@ -164,6 +164,14 @@ class TestSampling:
         with pytest.raises(DomainError, match="one seed per state"):
             sample_shots([], conf, "ZZ", 10, seed=[])
 
+    def test_groups_must_divide_the_shots_of_each_state(self):
+        # the message gives the per-state counts, not the batch totals
+        st = prepare_initial_state("00", 2)
+        conf = [ConfusionMatrix.perfect()] * 2
+        with pytest.raises(DomainError,
+                           match="^15 shots per state not divisible into 10 groups$"):
+            sample_shots([st, st, st], conf, "ZZ", 15, seed=[1, 2, 3], n_groups=10)
+
 
 class TestEstimators:
     def test_site_density(self):

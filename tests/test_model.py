@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from starkchain import (
     ANGULAR_PER_MHZ,
@@ -16,21 +17,21 @@ from starkchain import (
     build_xy_hamiltonian,
     full_index,
     full_tag,
+    make_collapse_ops,
     occupations_of_index,
     paper_device,
     sector_tag,
     single_particle_matrix,
 )
-from starkchain.model import (
-    NUMBER_OP,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    _site_operator,
-    fock_tag,
-)
+from starkchain.model import _bit_operator, _site_operator, fock_tag
+
+# local two-level operators, |0> = (1, 0), |1> = (0, 1)
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+SIGMA_PLUS = SIGMA_MINUS.conj().T
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+NUMBER_OP = SIGMA_PLUS @ SIGMA_MINUS
 
 
 class TestIndexing:
@@ -122,6 +123,147 @@ class TestSiteOperator:
                     for site in range(1, n + 1):
                         self._assert_same(_site_operator(op, site, n, d),
                                           _chained_site_operator(op, site, n, d))
+
+
+# Kronecker-product references for the bit-rule builder: each term is a
+# product of site operators, summed with sparse additions as written.
+
+def _kron_xy(params, potential):
+    n = params.n_qubits
+    g = params.coupling_rad_ns
+    h = potential.offsets_rad_ns(n)
+    ham = sp.csr_matrix((2 ** n, 2 ** n), dtype=complex)
+    for j in range(1, n):
+        hop = _site_operator(SIGMA_PLUS, j, n) @ _site_operator(SIGMA_MINUS, j + 1, n)
+        ham = ham + g[j - 1] * (hop + hop.getH())
+    for j in range(1, n + 1):
+        ham = ham + h[j - 1] * _site_operator(NUMBER_OP, j, n)
+    return ham
+
+
+def _kron_observable(kind, j, params, potential, axis=None):
+    n = params.n_qubits
+    g = params.coupling_rad_ns
+    h = potential.offsets_rad_ns(n)
+
+    def pair(a, b):
+        return _site_operator(a, j, n) @ _site_operator(b, j + 1, n)
+
+    if kind == "density":
+        return _site_operator(NUMBER_OP, j, n)
+    if kind == "kinetic":
+        return 0.5 * g[j - 1] * (pair(SIGMA_X, SIGMA_X) + pair(SIGMA_Y, SIGMA_Y))
+    if kind == "potential":
+        return (h[j - 1] * _site_operator(NUMBER_OP, j, n)
+                + h[j] * _site_operator(NUMBER_OP, j + 1, n))
+    if kind == "spin_current":
+        return 0.5 * (pair(SIGMA_X, SIGMA_Y) - pair(SIGMA_Y, SIGMA_X))
+    op = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}[axis]
+    return pair(op, op)
+
+
+def _kron_collapse(params, dephasing):
+    n = params.n_qubits
+    ops = []
+    for q in range(1, n + 1):
+        gamma1 = 1.0 / params.t1_ns[q - 1]
+        ops.append(np.sqrt(gamma1) * _site_operator(SIGMA_MINUS, q, n))
+        rate = 1.0 / params.t2star_ns[q - 1]
+        if dephasing == "pure":
+            rate = max(rate - 0.5 * gamma1, 0.0)
+        if rate > 0.0:
+            ops.append(np.sqrt(rate) * _site_operator(NUMBER_OP, q, n))
+    return ops
+
+
+def _assert_same_entries(got, ref):
+    """Equal entry for entry, dtype and nnz; ref's explicit zeros excluded."""
+    ref = sp.csr_matrix(ref)
+    ref.eliminate_zeros()
+    assert got.format == "csr"
+    assert got.dtype == ref.dtype == np.complex128
+    assert got.shape == ref.shape
+    assert got.nnz == ref.nnz
+    assert (got != ref).nnz == 0
+
+
+# zeros and values whose sums cancel are drawn often, so that dropped
+# entries are exercised
+_MHZ = st.one_of(st.sampled_from([0.0, 2.5, -2.5, 5.0, -7.5]),
+                 st.floats(-40.0, 40.0, allow_subnormal=False))
+
+
+@st.composite
+def _chains(draw):
+    n = draw(st.integers(2, 8))
+    dev = DeviceParams.uniform(n).replace(
+        coupling_mhz=draw(st.lists(_MHZ, min_size=n - 1, max_size=n - 1)),
+        t1_us=draw(st.lists(st.floats(0.1, 100.0), min_size=n, max_size=n)),
+        t2star_us=draw(st.lists(st.floats(0.1, 100.0), min_size=n, max_size=n)))
+    pot = PotentialSpec(gradient_mhz=draw(_MHZ), shift_mhz=draw(_MHZ))
+    return dev, pot, draw(st.integers(1, n)), draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chains())
+def test_bit_rule_builder_matches_kron(chain):
+    dev, pot, site, bond = chain
+    n = dev.n_qubits
+    refs = {"H": _kron_xy(dev, pot),
+            "density": _kron_observable("density", site, dev, pot)}
+    for kind in ("kinetic", "potential", "spin_current"):
+        refs[kind] = _kron_observable(kind, bond, dev, pot)
+    for axis in "xyz":
+        refs["pauli_" + axis] = _kron_observable("pauli_pair", bond, dev, pot, axis)
+
+    def built(name, basis):
+        if name == "H":
+            return build_xy_hamiltonian(dev, pot, basis=basis).matrix
+        if name.startswith("pauli_"):
+            return build_observable("pauli_pair", bond, dev, basis=basis,
+                                    axis=name[-1]).matrix
+        j = site if name == "density" else bond
+        return build_observable(name, j, dev, potential=pot, basis=basis).matrix
+
+    for name, ref in refs.items():
+        _assert_same_entries(built(name, None), ref)
+    for k in range(n + 1):
+        b = build_sector_basis(n, k)
+        rows = [full_index(s) for s in b.states]
+        assert rows == sorted(rows, reverse=True)
+        for name, ref in refs.items():
+            if name not in ("pauli_x", "pauli_y"):
+                _assert_same_entries(built(name, b), ref[np.ix_(rows, rows)])
+    for dephasing in ("as-given", "pure"):
+        got = make_collapse_ops(dev, dephasing=dephasing).operators
+        ref = _kron_collapse(dev, dephasing)
+        assert len(got) == len(ref)
+        for op, r in zip(got, ref):
+            assert op.basis_tag == full_tag(n)
+            _assert_same_entries(op.matrix, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_bit_operator_on_any_state_list(n, data):
+    """Over any ordered list of states the builder gives the restriction of
+    the full-space matrix to it, as a reachable support needs."""
+    full = np.arange(2 ** n)
+    amplitude = st.sampled_from([0.0, 1.0, -0.5, 2.0j, 0.3 - 0.7j])
+    terms = [(flip, np.array(data.draw(st.lists(amplitude, min_size=2 ** n,
+                                                 max_size=2 ** n))))
+             for flip in data.draw(st.lists(st.integers(0, 2 ** n - 1),
+                                            min_size=1, max_size=4, unique=True))]
+    support = np.array(data.draw(st.permutations(full)))
+    support = support[:data.draw(st.integers(1, 2 ** n))]
+    got = _bit_operator(support, [(flip, amps[support]) for flip, amps in terms])
+    ref = _bit_operator(full, terms)
+    _assert_same_entries(got, ref[np.ix_(support, support)])
+    # the full-space matrix itself: one entry per nonzero amplitude
+    assert ref.nnz == sum(np.count_nonzero(amps) for _, amps in terms)
+    for flip, amps in terms:
+        for s in np.flatnonzero(amps):
+            assert ref[s ^ flip, s] == amps[s]
 
 
 class TestXYHamiltonian:
