@@ -136,9 +136,11 @@ def _check_hermitian(h):
 
 
 def _checked_times(times):
-    """Requested times as a 1-d float array; DomainError unless every one is
-    finite and non-negative."""
+    """Requested times as a 1-d float array; DomainError unless they form a
+    scalar or a 1-d sequence and every one is finite and non-negative."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim > 1:
+        raise DomainError(f"times must be a scalar or 1-d, got shape {times.shape}")
     if not np.all(np.isfinite(times)) or np.any(times < 0):
         raise DomainError("times must be finite and non-negative")
     return times

@@ -56,6 +56,20 @@ class TrajectoryTable:
         return self.columns[name]
 
 
+def _expectations(snapshots, matrices):
+    """(T, K) complex <O_k> on T stacked state vectors (T, d) or density
+    matrices (T, d, d), gathered at each operator's stored entries (r, c, v):
+    <psi|O|psi> = sum v psi*[r] psi[c] and tr(O rho) = sum v rho[c, r]."""
+    out = np.empty((len(snapshots), len(matrices)), dtype=complex)
+    for k, m in enumerate(matrices):
+        m = m.tocoo()
+        if snapshots.ndim == 3:
+            out[:, k] = snapshots[:, m.col, m.row] @ m.data
+        else:
+            out[:, k] = (snapshots[:, m.row].conj() * snapshots[:, m.col]) @ m.data
+    return out
+
+
 def expectation(state, obs):
     """<psi|O|psi> or tr(rho O); the imaginary residue must be numerical noise.
 
@@ -67,24 +81,12 @@ def expectation(state, obs):
         )
     if not obs.is_hermitian():
         raise DomainError("observable is not Hermitian")
-    m = obs.matrix
-    if state.is_density:
-        val = complex(m.multiply(state.data.T).sum())
-    else:
-        val = complex(np.vdot(state.data, m @ state.data))
+    val = _expectations(state.data[None], [obs.matrix])[0, 0]
     if abs(val.imag) >= IMAG_ERROR_TOL:
         raise NumericalConsistencyError(
             f"expectation has imaginary part {val.imag:.3e} (tol {IMAG_ERROR_TOL:g})"
         )
     return val.real
-
-
-def _expect_vec(vec, matrices):
-    return [complex(np.vdot(vec, m @ vec)) for m in matrices]
-
-
-def _expect_rho(rho, matrices):
-    return [complex(m.multiply(rho.T).sum()) for m in matrices]
 
 
 def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
@@ -95,9 +97,7 @@ def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
     one it evolves under the master equation and pays the density-matrix
     cost.
     """
-    names = list(observables)
-    ops = [observables[n] for n in names]
-    for n, o in zip(names, ops):
+    for n, o in observables.items():
         if o.basis_tag != state.basis_tag:
             raise DomainError(
                 f"observable {n!r} basis {o.basis_tag!r} does not match state"
@@ -105,15 +105,13 @@ def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
         if not o.is_hermitian():
             raise DomainError(f"observable {n!r} is not Hermitian")
     times_ns = _checked_times(times_ns)
-    mats = [o.matrix for o in ops]
     if collapse is None:
-        amps = evolve_unitary(hamiltonian, state, times_ns)
-        data = np.array([_expect_vec(v, mats) for v in amps])
+        snapshots = evolve_unitary(hamiltonian, state, times_ns)
     else:
-        rhos = evolve_lindblad(hamiltonian, state, times_ns, collapse)
-        data = np.array([_expect_rho(r, mats) for r in rhos])
-    imax = float(np.max(np.abs(data.imag)))
+        snapshots = evolve_lindblad(hamiltonian, state, times_ns, collapse)
+    data = _expectations(snapshots, [o.matrix for o in observables.values()])
+    imax = float(np.max(np.abs(data.imag), initial=0.0))
     if imax >= IMAG_ERROR_TOL:
         raise NumericalConsistencyError(f"trajectory imaginary residue {imax:.3e}")
-    cols = {n: data[:, k].real for k, n in enumerate(names)}
+    cols = dict(zip(observables, data.T.real))
     return TrajectoryTable(times_ns=times_ns, columns=cols)

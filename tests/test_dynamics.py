@@ -199,6 +199,12 @@ class TestUnitaryEvolution:
             with pytest.raises(DomainError):
                 evolve_unitary(h, st, [0.0, bad])
 
+    def test_times_must_be_one_dimensional(self):
+        h = build_xy_hamiltonian(paper_device(), PotentialSpec.linear(0.0))
+        st = prepare_initial_state("10000", 5)
+        with pytest.raises(DomainError, match="times"):
+            evolve_unitary(h, st, [[0.0, 1.0], [2.0, 3.0]])
+
 
 class TestCollapseOps:
     def test_as_given_counts(self):
@@ -282,6 +288,13 @@ class TestLindblad:
             evolve_lindblad(h, st, [-5.0], col)
         with pytest.raises(DomainError):
             evolve_lindblad(h, st, [0.0, np.inf], col)
+
+    def test_times_must_be_one_dimensional(self):
+        dev = paper_device()
+        h = build_xy_hamiltonian(dev, PotentialSpec.linear(0.0))
+        st = prepare_initial_state("10000", 5)
+        with pytest.raises(DomainError, match="times"):
+            evolve_lindblad(h, st, [[0.0, 1.0], [2.0, 3.0]], make_collapse_ops(dev))
 
     def test_non_positive_state_rejected(self):
         dev = DeviceParams.uniform(2, t1_us=17.0, t2star_us=2.0)

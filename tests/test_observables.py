@@ -17,12 +17,16 @@ from starkchain import (
     build_observable,
     build_sector_basis,
     build_xy_hamiltonian,
+    evolve_lindblad,
+    evolve_unitary,
     expectation,
+    full_tag,
     make_collapse_ops,
     paper_device,
     prepare_initial_state,
     trajectory,
 )
+from starkchain.observables import _expectations
 
 
 class TestExpectation:
@@ -150,6 +154,28 @@ class TestTrajectory:
                 with pytest.raises(DomainError):
                     trajectory(self.h, st, [0.0, bad], obs, collapse=collapse)
 
+    def test_times_must_be_one_dimensional(self):
+        st = prepare_initial_state("10000", 5)
+        obs = {"P1": build_observable("density", 1, self.dev)}
+        for collapse in (None, make_collapse_ops(self.dev)):
+            with pytest.raises(DomainError, match="times"):
+                trajectory(self.h, st, [[0.0, 1.0], [2.0, 3.0]], obs, collapse=collapse)
+
+    def test_empty_grid_gives_no_rows(self):
+        st = prepare_initial_state("10000", 5)
+        obs = {"P1": build_observable("density", 1, self.dev)}
+        for collapse in (None, make_collapse_ops(self.dev)):
+            tab = trajectory(self.h, st, [], obs, collapse=collapse)
+            assert tab.times_ns.shape == (0,)
+            assert tab.column("P1").shape == (0,)
+
+    def test_no_observables_gives_no_columns(self):
+        st = prepare_initial_state("10000", 5)
+        for collapse in (None, make_collapse_ops(self.dev)):
+            tab = trajectory(self.h, st, [0.0, 1.0], {}, collapse=collapse)
+            np.testing.assert_array_equal(tab.times_ns, [0.0, 1.0])
+            assert tab.names == []
+
     def test_scalar_time_gives_one_row(self):
         st = prepare_initial_state("10000", 5)
         obs = {"P1": build_observable("density", 1, self.dev)}
@@ -202,6 +228,106 @@ def test_sector_and_full_trajectories_agree(chain):
     for name, values in full.items():
         np.testing.assert_allclose(sector[name], values, rtol=0, atol=1e-10,
                                    err_msg=name)
+
+
+def _random_hermitian(dim, rng, tag):
+    """Sparse Hermitian operator with complex entries, diagonal ones included."""
+    mask = rng.random((dim, dim)) < rng.uniform(0.1, 0.6)
+    a = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * mask
+    return OperatorMatrix(matrix=sp.csr_matrix(a + a.conj().T), basis_tag=tag)
+
+
+def _operators(n, basis, rng):
+    """Random Hermitian operators plus every build_observable kind on the
+    space of basis (None: the full space)."""
+    tag = full_tag(n) if basis is None else basis.tag
+    dim = 2 ** n if basis is None else basis.dim
+    ops = [_random_hermitian(dim, rng, tag) for _ in range(3)]
+    if n < 2:
+        return ops
+    dev = DeviceParams.uniform(n).replace(coupling_mhz=rng.uniform(2.0, 25.0, n - 1))
+    pot = PotentialSpec.linear(rng.uniform(-30.0, 30.0))
+    ops += [build_observable("density", j, dev, basis=basis) for j in range(1, n + 1)]
+    # x and y pair operators leave an excitation sector
+    axes = "xyz" if basis is None else "z"
+    for b in range(1, n):
+        ops += [build_observable(kind, b, dev, potential=pot, basis=basis)
+                for kind in ("kinetic", "potential", "spin_current")]
+        ops += [build_observable("pauli_pair", b, dev, basis=basis, axis=a)
+                for a in axes]
+    return ops
+
+
+def _random_states(n_times, dim, rng):
+    """n_times random normalised vectors and random density matrices."""
+    shape = (n_times, dim)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    a = rng.normal(size=shape + (dim,)) + 1j * rng.normal(size=shape + (dim,))
+    rho = a @ a.conj().transpose(0, 2, 1)
+    rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    return psi, rho
+
+
+@st.composite
+def _spaces(draw, n_min=1, n_max=6):
+    """(n, basis or None, seed)."""
+    n = draw(st.integers(n_min, n_max))
+    k = draw(st.one_of(st.none(), st.integers(0, n)))
+    basis = None if k is None else build_sector_basis(n, k)
+    return n, basis, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spaces(), st.integers(0, 8))
+def test_kernel_matches_dense_reference(space, n_times):
+    n, basis, seed = space
+    rng = np.random.default_rng(seed)
+    ops = _operators(n, basis, rng)
+    psi, rho = _random_states(n_times, ops[0].dim, rng)
+    dense = [o.todense() for o in ops]
+    mats = [o.matrix for o in ops]
+    want_vec = np.array([[np.vdot(v, m @ v) for m in dense] for v in psi])
+    want_rho = np.array([[np.trace(m @ r) for m in dense] for r in rho])
+    for got, want in ((_expectations(psi, mats), want_vec),
+                      (_expectations(rho, mats), want_rho)):
+        assert got.shape == (n_times, len(ops))
+        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12)
+
+
+# a subnormal time step makes scipy's expm_multiply warn about 0/0
+_TIMES = st.lists(st.floats(0.0, 200.0, allow_subnormal=False), max_size=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_spaces(n_min=2), _TIMES, st.booleans())
+def test_trajectory_columns_equal_expectation(space, times, noisy):
+    n, basis, seed = space
+    if noisy:
+        # the collapse operators act on the full space; n <= 4 keeps the
+        # Liouville space small
+        n, basis = min(n, 4), None
+    rng = np.random.default_rng(seed)
+    ops = {f"O{k}": o for k, o in enumerate(_operators(n, basis, rng))}
+    dev = DeviceParams.uniform(n, t1_us=20.0, t2star_us=2.0).replace(
+        coupling_mhz=rng.uniform(2.0, 25.0, n - 1))
+    h = build_xy_hamiltonian(dev, PotentialSpec.linear(rng.uniform(-30.0, 30.0)),
+                             basis=basis)
+    psi, rho = _random_states(1, h.dim, rng)
+    if noisy:
+        collapse = make_collapse_ops(dev)
+        state = QuantumState(rho[0], h.basis_tag)
+        snapshots = evolve_lindblad(h, state, times, collapse)
+    else:
+        collapse = None
+        state = QuantumState(psi[0], h.basis_tag)
+        snapshots = evolve_unitary(h, state, times)
+    tab = trajectory(h, state, times, ops, collapse=collapse)
+    assert tab.names == list(ops)
+    for name, op in ops.items():
+        want = [expectation(QuantumState(s, h.basis_tag), op) for s in snapshots]
+        np.testing.assert_allclose(tab.column(name), np.reshape(want, -1),
+                                   rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestImaginaryResidue:
