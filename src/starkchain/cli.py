@@ -26,7 +26,7 @@ from .analysis import (
     linear_fit,
     wsl_length_from_boundary,
 )
-from .config import EXPERIMENTS, ShotPlan, parse_config, read_config
+from .config import EXPERIMENTS, parse_config, read_config
 from .device import ANGULAR_PER_MHZ, PotentialSpec
 from .dynamics import (
     evolve_lindblad,
@@ -76,17 +76,18 @@ def _write_atomic(path, text):
     os.replace(tmp, path)
 
 
-def _csv_text(times, columns, errors=None):
-    """Header 't_ns' + names; an error column directly follows its value."""
+def _csv_text(key, keys, columns, errors=None):
+    """Header key + names, one row per entry of keys; an error column
+    directly follows its value."""
     errors = errors or {}
-    header = ["t_ns"]
+    header = [key]
     for name in columns:
         header.append(name)
         if name in errors:
             header.append(name + "_err")
     lines = [",".join(header)]
-    for i, t in enumerate(times):
-        row = [CSV_FORMAT % t]
+    for i, k in enumerate(keys):
+        row = [CSV_FORMAT % k]
         for name in columns:
             row.append(CSV_FORMAT % columns[name][i])
             if name in errors:
@@ -142,14 +143,14 @@ def _exact(config, potential, noise, kind, indices):
 
 
 def _sampled(config, potential, f_index, settings):
-    """Group means (nt, n_groups) per estimator, one dict per setting.
+    """Group means (nt, n_groups) per estimator name, over every setting.
 
-    settings: (measurement basis, estimator names, shots) triples, sampled on
-    the same full-space snapshots; the shots of each snapshot are drawn from
-    a seed keyed by (seed, gradient, snapshot, setting). One sample_shots
-    call per setting covers every snapshot; its record's groups run
-    snapshot by snapshot, so each estimator's group means reshape to
-    (nt, n_groups).
+    settings: (measurement basis, estimator names) pairs, sampled on the
+    same full-space snapshots; each setting takes an equal share of the
+    plan's shots, and the shots of each snapshot are drawn from a seed keyed
+    by (seed, gradient, snapshot, setting). One sample_shots call per setting
+    covers every snapshot; its record's groups run snapshot by snapshot, so
+    each estimator's group means reshape to (nt, n_groups).
     """
     h, state, _, collapse = _route(config, potential, config.noise)
     times = _times(config)
@@ -161,16 +162,23 @@ def _sampled(config, potential, f_index, settings):
     confusion = _confusion_list(config)
     correct = confusion if config.readout_correction else None
     plan = config.shots
+    n_shots = plan.n_shots // len(settings)
     shape = (len(states), plan.n_groups)
-    out = []
-    for setting, (meas_basis, estimators, n_shots) in enumerate(settings):
+    out = {}
+    for setting, (meas_basis, estimators) in enumerate(settings):
         seeds = [_derive_seed(plan.seed, f_index, k, setting)
                  for k in range(len(states))]
         rec = sample_shots(states, confusion, meas_basis, n_shots, seeds,
                            n_groups=plan.n_groups)
-        out.append({name: group_means(rec, name, confusion=correct)
+        out.update({name: group_means(rec, name, confusion=correct)
                     .reshape(shape) for name in estimators})
     return out
+
+
+def _bond_setting(basis, bonds):
+    """A measurement basis and its bond estimators, each named by the basis
+    letters on the bond plus the bond index ('XY1', 'YX2', ...)."""
+    return basis, [basis[b - 1:b + 1] + str(b) for b in bonds]
 
 
 def _mean_err(per_group):
@@ -187,7 +195,8 @@ def _per_gradient(config, out_dir, columns):
     for i, f in enumerate(config.gradients_mhz):
         cols, errs = columns(config, i, _potential_for(f))
         name = f"{config.experiment}_F{_f_label(f)}.csv"
-        _write_atomic(os.path.join(out_dir, name), _csv_text(times, cols, errs))
+        _write_atomic(os.path.join(out_dir, name),
+                      _csv_text("t_ns", times, cols, errs))
         outputs.append(name)
     return outputs
 
@@ -197,9 +206,8 @@ def _densities(config, f_index, potential, sites):
     if config.shots is None:
         return _exact(config, potential, config.noise, "density", sites), {}
     n = config.device.n_qubits
-    (per_site,) = _sampled(config, potential, f_index,
-                           [("Z" * n, list(sites), config.shots.n_shots)])
-    return _mean_err(per_site)
+    return _mean_err(_sampled(config, potential, f_index,
+                              [("Z" * n, list(sites))]))
 
 
 def _all_sites(config):
@@ -218,14 +226,11 @@ def _thermal_transport(config, f_index, potential):
                      {f"K{b}": b for b in bonds})
         # rad/ns -> ordinary-frequency MHz units (value of K/2pi)
         return {k: v / ANGULAR_PER_MHZ for k, v in raw.items()}, {}
-    half = config.shots.n_shots // 2
-    xx, yy = _sampled(config, potential, f_index, [
-        ("X" * n, [f"XX{b}" for b in bonds], half),
-        ("Y" * n, [f"YY{b}" for b in bonds], half),
-    ])
+    got = _sampled(config, potential, f_index,
+                   [_bond_setting(axis * n, bonds) for axis in "XY"])
     g_mhz = config.device.coupling_mhz
     return _mean_err({
-        f"K{b}": 0.5 * g_mhz[b - 1] * (xx[f"XX{b}"] + yy[f"YY{b}"])
+        f"K{b}": 0.5 * g_mhz[b - 1] * (got[f"XX{b}"] + got[f"YY{b}"])
         for b in bonds
     })
 
@@ -236,22 +241,12 @@ def _spin_current(config, f_index, potential):
     if config.shots is None:
         return _exact(config, potential, config.noise, "spin_current",
                       {f"J{b}": b for b in bonds}), {}
-    half = config.shots.n_shots // 2
-    # setting A: XYXY...; setting B: YXYX...
-    basis_a = "".join("X" if q % 2 == 0 else "Y" for q in range(n))
-    basis_b = "".join("Y" if q % 2 == 0 else "X" for q in range(n))
-    est_a = [("XY" if b % 2 == 1 else "YX") + str(b) for b in bonds]
-    est_b = [("YX" if b % 2 == 1 else "XY") + str(b) for b in bonds]
-    got_a, got_b = _sampled(config, potential, f_index,
-                            [(basis_a, est_a, half), (basis_b, est_b, half)])
-    per_group = {}
-    for b in bonds:
-        if b % 2 == 1:
-            xy, yx = got_a[f"XY{b}"], got_b[f"YX{b}"]
-        else:
-            xy, yx = got_b[f"XY{b}"], got_a[f"YX{b}"]
-        per_group[f"J{b}"] = 0.5 * (xy - yx)
-    return _mean_err(per_group)
+    # the two settings XYXY... and YXYX... measure XY and YX on every bond
+    got = _sampled(config, potential, f_index, [
+        _bond_setting("".join(a if q % 2 == 0 else b for q in range(n)), bonds)
+        for a, b in ("XY", "YX")])
+    return _mean_err({f"J{b}": 0.5 * (got[f"XY{b}"] - got[f"YX{b}"])
+                      for b in bonds})
 
 
 def _decoherence_check(config, f_index, potential):
@@ -279,17 +274,14 @@ def _run_wsl_scan(config, out_dir):
         else:
             peak = gaussian_fit_wavefront(times, np.clip(p5, 0.0, 1.0)) \
                 .parameters["amplitude"]
-        xi_est = wsl_length_from_boundary(peak, n - 1)
-        rows.append((f, peak, np.log(peak), xi_est))
-    header = "F_mhz,p5max,ln_p5max,xi_boundary"
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(CSV_FORMAT % v for v in row))
+        rows.append((peak, np.log(peak), wsl_length_from_boundary(peak, n - 1)))
+    scan = dict(zip(("p5max", "ln_p5max", "xi_boundary"), zip(*rows)))
     name = "wsl_scan.csv"
-    _write_atomic(os.path.join(out_dir, name), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(out_dir, name),
+                  _csv_text("F_mhz", config.gradients_mhz, scan))
     fits = {}
     if len(rows) >= 2:
-        fit = linear_fit([r[0] for r in rows], [r[2] for r in rows])
+        fit = linear_fit(config.gradients_mhz, scan["ln_p5max"])
         fits["ln_p5max_vs_F"] = {
             "slope": fit.parameters["slope"],
             "intercept": fit.parameters["intercept"],
@@ -377,12 +369,7 @@ def _load(args, default_experiment):
         if config.shots is None:
             raise ConfigError("--seed: this run samples no shots (shots: none)")
         config = dataclasses.replace(
-            config, shots=ShotPlan(
-                n_shots=config.shots.n_shots,
-                n_groups=config.shots.n_groups,
-                seed=args.seed,
-            )
-        )
+            config, shots=dataclasses.replace(config.shots, seed=args.seed))
     return config
 
 

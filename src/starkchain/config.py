@@ -13,6 +13,7 @@ import yaml
 from .device import DeviceParams, device_preset
 from .dynamics import _tokenize_state_spec
 from .errors import ConfigError, DomainError, StateSpecError
+from .measurement import ConfusionMatrix
 
 EXPERIMENTS = (
     "spin_transport",
@@ -31,7 +32,11 @@ DEFAULT_SCAN_GRID_MHZ = (5.0, 7.5, 10.0, 12.5, 15.0)
 
 MAX_TIME_POINTS = 100_000  # cap on the time grid; the paper's has 151 points
 
+MAX_QUBITS = 62  # a chain state is held as the bits of one int64
+
 _TWO_SETTING = {"thermal_transport", "spin_current"}
+# experiments whose CSVs carry an _err column next to each sampled value
+_ERROR_BARS = _TWO_SETTING | {"spin_transport"}
 
 
 def _default_initial(experiment, n_qubits):
@@ -108,7 +113,7 @@ class ExperimentConfig:
 
 
 def _reject_unknown(mapping, allowed, path):
-    unknown = sorted(set(mapping) - set(allowed))
+    unknown = sorted(set(mapping) - set(allowed), key=str)
     if unknown:
         raise ConfigError(
             f"{path}: unknown keys {unknown}; allowed: {sorted(allowed)}"
@@ -134,14 +139,18 @@ def _as_number(value, path, positive=False):
     return v
 
 
+def _as_int(value, path):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def _parse_device(raw, path="device"):
+    """A preset or a uniform chain of n_qubits, then the listed overrides."""
     if raw is None:
-        return device_preset("paper-device"), "paper-device"
+        raw = "paper-device"
     if isinstance(raw, str):
-        try:
-            return device_preset(raw), raw
-        except DomainError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        raw = {"preset": raw}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a preset name or a mapping")
     allowed = {
@@ -149,26 +158,26 @@ def _parse_device(raw, path="device"):
         "t1_us", "t2star_us", "readout_f0", "readout_f1",
     }
     _reject_unknown(raw, allowed, path)
-    preset = raw.get("preset")
+    overrides = dict(raw)
+    preset = overrides.pop("preset", None)
     if preset is not None:
+        _require(isinstance(preset, str), f"{path}.preset",
+                 f"expected a preset name, got {preset!r}")
         try:
             base = device_preset(preset)
         except DomainError as exc:
             raise ConfigError(f"{path}.preset: {exc}") from None
-        overrides = {k: v for k, v in raw.items() if k != "preset"}
-        if "n_qubits" in overrides:
-            raise ConfigError(f"{path}.n_qubits: fixed by the preset")
-        try:
-            return base.replace(**overrides), preset
-        except Exception as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    _require("n_qubits" in raw, path, "needs n_qubits (or a preset)")
-    _require("coupling_mhz" in raw, path, "needs coupling_mhz (or a preset)")
-    n = raw["n_qubits"]
-    kwargs = {k: v for k, v in raw.items() if k != "n_qubits"}
-    base = DeviceParams.uniform(n)
+        _require("n_qubits" not in overrides, f"{path}.n_qubits",
+                 "fixed by the preset")
+    else:
+        _require("n_qubits" in raw, path, "needs n_qubits (or a preset)")
+        _require("coupling_mhz" in raw, path, "needs coupling_mhz (or a preset)")
+        n = _as_int(overrides.pop("n_qubits"), f"{path}.n_qubits")
+        _require(2 <= n <= MAX_QUBITS, f"{path}.n_qubits",
+                 f"must be in 2..{MAX_QUBITS}, got {n}")
+        base = DeviceParams.uniform(n)
     try:
-        return base.replace(**kwargs), None
+        return base.replace(**overrides), preset
     except Exception as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -177,37 +186,35 @@ def _parse_shots(raw, experiment, path="shots"):
     if raw is None or raw == "none":
         return None
     if raw == "paper":
-        n, groups = (PAPER_SHOTS_TWO_SETTING if experiment in _TWO_SETTING
-                     else PAPER_SHOTS_SINGLE)
-        return ShotPlan(n_shots=n, n_groups=groups, seed=0)
+        raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected 'none', 'paper', or a mapping")
     _reject_unknown(raw, {"n_shots", "n_groups", "seed"}, path)
     defaults = (PAPER_SHOTS_TWO_SETTING if experiment in _TWO_SETTING
-                else PAPER_SHOTS_SINGLE)
-    n = raw.get("n_shots", defaults[0])
-    groups = raw.get("n_groups", defaults[1])
-    seed = raw.get("seed", 0)
-    for name, v in (("n_shots", n), ("n_groups", groups), ("seed", seed)):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{path}.{name}: expected an integer, got {v!r}")
+                else PAPER_SHOTS_SINGLE) + (0,)
+    n, groups, seed = (_as_int(raw.get(name, v), f"{path}.{name}")
+                       for name, v in zip(("n_shots", "n_groups", "seed"), defaults))
     plan = ShotPlan(n_shots=n, n_groups=groups, seed=seed)
     # each of the two settings takes half the shots, grouped on its own
     half = n // 2
     _require(experiment not in _TWO_SETTING or (half and half % groups == 0),
              f"{path}.n_shots", f"{experiment} splits {n} shots into two "
              f"settings of {half}, which do not divide into {groups} groups")
+    # an error bar is the spread of the group means
+    _require(experiment not in _ERROR_BARS or groups >= 2, f"{path}.n_groups",
+             f"{experiment} writes error bars, which need >= 2 groups, "
+             f"got {groups}")
     return plan
 
 
-def _parse_readout(raw, device, path="readout"):
+def _parse_readout(raw, device, correction, path="readout"):
     if raw is None or raw == "perfect":
         return None
     if raw == "table-s1":
         _require(device.n_qubits == 5, path,
                  "the tabulated readout set is for the 5-qubit device")
-        return tuple(zip(device.readout_f0, device.readout_f1))
-    if isinstance(raw, list):
+        table = tuple(zip(device.readout_f0, device.readout_f1))
+    elif isinstance(raw, list):
         _require(len(raw) == device.n_qubits, path,
                  f"need {device.n_qubits} per-qubit entries")
         out = []
@@ -222,8 +229,14 @@ def _parse_readout(raw, device, path="readout"):
             for name, v in (("f0", f0), ("f1", f1)):
                 _require(0.0 <= v <= 1.0, f"{p}.{name}", f"must be in [0, 1], got {v}")
             out.append((f0, f1))
-        return tuple(out)
-    raise ConfigError(f"{path}: expected 'perfect', 'table-s1', or a list")
+        table = tuple(out)
+    else:
+        raise ConfigError(f"{path}: expected 'perfect', 'table-s1', or a list")
+    for q, (f0, f1) in enumerate(table):
+        _require(not (correction and ConfusionMatrix(f0=f0, f1=f1).is_singular),
+                 f"{path}[{q}]", f"f0 + f1 = 1 gives a singular confusion "
+                 f"matrix, which readout_correction cannot invert")
+    return table
 
 
 _TOP_KEYS = {
@@ -294,10 +307,10 @@ def parse_config(raw, default_experiment=None):
             "shots: decoherence_check compares exact expectations; set 'none'"
         )
 
-    readout = _parse_readout(raw.get("readout"), device)
     correction = raw.get("readout_correction", False)
     if not isinstance(correction, bool):
         raise ConfigError("readout_correction: expected true/false")
+    readout = _parse_readout(raw.get("readout"), device, correction)
     output_dir = raw.get("output_dir", "runs")
     _require(isinstance(output_dir, str) and output_dir, "output_dir",
              "expected a non-empty path")

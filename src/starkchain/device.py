@@ -9,7 +9,8 @@ Unit conventions used throughout the package:
 * times are in ns, relaxation times T1 and T2* are entered in us.
 """
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,20 +89,10 @@ class DeviceParams:
 
     def replace(self, **kwargs):
         """Copy with some fields overridden."""
-        fields = dict(
-            n_qubits=self.n_qubits,
-            coupling_mhz=self.coupling_mhz,
-            anharmonicity_mhz=self.anharmonicity_mhz,
-            t1_us=self.t1_us,
-            t2star_us=self.t2star_us,
-            readout_f0=self.readout_f0,
-            readout_f1=self.readout_f1,
-        )
-        unknown = set(kwargs) - set(fields)
+        unknown = set(kwargs) - {f.name for f in dataclasses.fields(self)}
         if unknown:
             raise DomainError(f"unknown DeviceParams fields: {sorted(unknown)}")
-        fields.update(kwargs)
-        return DeviceParams(**fields)
+        return dataclasses.replace(self, **kwargs)
 
     @classmethod
     def uniform(cls, n_qubits, coupling_mhz=14.4, anharmonicity_mhz=-200.0,

@@ -1,5 +1,6 @@
 """Simulated noisy single-shot readout and grouped error-bar statistics."""
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -163,12 +164,10 @@ def load_shots(path, n_groups=1, seed=0):
     )
 
 
-def _basis_rotation(basis):
-    """The 2^n x 2^n pre-rotation of a basis string."""
-    u = _ROT[basis[0]]
-    for a in basis[1:]:
-        u = np.kron(u, _ROT[a])
-    return u
+def _tensor(maps):
+    """The 2^k x 2^k tensor product of k per-qubit 2x2 maps, the first
+    qubit most significant."""
+    return functools.reduce(np.kron, maps)
 
 
 def _rotated_probabilities(state, u, n):
@@ -223,7 +222,7 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
     if n_groups < 1 or n_shots % n_groups:
         raise DomainError(
             f"{n_shots} shots per state not divisible into {n_groups} groups")
-    rotation = _basis_rotation(basis)
+    rotation = _tensor([_ROT[a] for a in basis])  # the basis pre-rotation
     # row o of the table holds the bits of outcome o, site 1 = most
     # significant
     shifts = n_qubits - 1 - np.arange(n_qubits)
@@ -284,9 +283,7 @@ def _group_histograms(record, sites):
 def _correct_histograms(hist, mats):
     """Apply the tensored inverse confusion matrix to each group's histogram
     (one per row), clamp, and keep each group's shot count."""
-    inv = mats[0]
-    for m in mats[1:]:
-        inv = np.kron(inv, m)
+    inv = _tensor(mats)
     # batched matmul makes one matrix-vector product per group, summed in
     # the same order as inv @ h for a single group (hist @ inv.T is not)
     out = np.clip(np.matmul(inv, hist[:, :, None])[:, :, 0], 0.0, None)
@@ -348,9 +345,7 @@ def readout_correct(measured, confusion):
             out[q] = np.clip(corrected[1], 0.0, 1.0)
         return out
     if measured.shape == (2 ** n,):
-        inv = confusion[0].inverse()
-        for c in confusion[1:]:
-            inv = np.kron(inv, c.inverse())
+        inv = _tensor([c.inverse() for c in confusion])
         out = np.clip(inv @ measured, 0.0, None)
         total = out.sum()
         if total <= 0:

@@ -131,6 +131,35 @@ class TestValidate:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_one_shot_group(self, tmp_path, capsys):
+        # one group has no spread: every _err column would be nan
+        p = tmp_path / "c.yaml"
+        p.write_text("experiment: spin_transport\nnoise: ideal\nt_max: 20\n"
+                     "shots: {n_shots: 100, n_groups: 1}\n")
+        out = tmp_path / "out"
+        assert main(["spin_transport", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: shots.n_groups: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_singular_readout_with_correction(self, tmp_path, capsys):
+        # refused before the evolution, naming the entry; without correction
+        # the same table is valid
+        p = tmp_path / "c.yaml"
+        p.write_text("experiment: spin_transport\nnoise: lindblad\nt_max: 20\n"
+                     "readout: [{f0: 0.6, f1: 0.4}, {f0: 0.6, f1: 0.4},"
+                     " {f0: 0.6, f1: 0.4}, {f0: 0.6, f1: 0.4}, {f0: 0.6, f1: 0.4}]\n")
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(p), "--out", str(out)]) == 0
+        capsys.readouterr()
+        p.write_text(p.read_text() + "readout_correction: true\n")
+        assert main(["validate", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: readout[0]: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_seed_flag_without_shots(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text("experiment: spin_transport\nt_max: 20\nshots: none\n")
@@ -288,6 +317,18 @@ class TestGoldenShots:
         (name,) = summary["outputs"]
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == self.GOLDEN[(experiment, correction)]
+
+
+class TestGoldenScan:
+    """SHA-256 of the ideal scan at paper settings: the wavefront peaks, the
+    boundary lengths and the scan table's format, to the bit."""
+
+    GOLDEN = "48931b24204c7cfbf31c7a4aea8d9d85f7c70d2f36c37fec78d5844f25809a77"
+
+    def test_csv_hash(self, tmp_path):
+        run(parse_config({"experiment": "wsl_scan"}), out_dir=str(tmp_path))
+        digest = hashlib.sha256((tmp_path / "wsl_scan.csv").read_bytes()).hexdigest()
+        assert digest == self.GOLDEN
 
 
 class TestWslScan:

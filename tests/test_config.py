@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starkchain import ConfigError, ShotPlan, load_config, parse_config
+from starkchain import (
+    ConfigError,
+    ExperimentConfig,
+    ShotPlan,
+    load_config,
+    parse_config,
+)
+from starkchain.config import EXPERIMENTS
 
 
 class TestDefaults:
@@ -116,6 +123,18 @@ class TestDevice:
         with pytest.raises(ConfigError, match="coupling_mhz"):
             parse_config({"experiment": "spin_transport", "device": {"n_qubits": 3}})
 
+    @pytest.mark.parametrize("n_qubits", [2.5, "5", [], 1, True, 63, 2**63])
+    def test_chain_length_is_a_yaml_integer(self, n_qubits):
+        device = {"n_qubits": n_qubits, "coupling_mhz": [5.0]}
+        with pytest.raises(ConfigError, match=r"^device\.n_qubits: "):
+            parse_config({"experiment": "spin_transport", "device": device})
+
+    @pytest.mark.parametrize("preset", [[], 5, {"a": 1}])
+    def test_preset_name_is_a_string(self, preset):
+        with pytest.raises(ConfigError, match=r"^device\.preset: "):
+            parse_config({"experiment": "spin_transport",
+                          "device": {"preset": preset}})
+
     def test_default_initial_state_follows_chain_length(self):
         device = {"n_qubits": 3, "coupling_mhz": [5.0, 5.0]}
         cfg = parse_config({"experiment": "spin_transport", "device": device})
@@ -177,6 +196,103 @@ def test_numbers_are_finite_or_refused(field, value):
     assert all(math.isfinite(v) for v in numbers)
 
 
+# any value a YAML document can hold; mapping keys are YAML scalars. Integers
+# are small or far beyond any array size: mid-sized ones add no case, and an
+# unchecked chain length of 1e9 would build gigabytes of device arrays
+_INTEGERS = st.integers(-2**20, 2**20) | st.sampled_from([2**63, -2**63, 10**400])
+_YAML_KEYS = st.one_of(st.none(), st.booleans(), _INTEGERS,
+                       st.floats(allow_nan=False), st.text(max_size=8))
+_YAML = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTEGERS, st.floats(),
+              st.text(max_size=8)),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(_YAML_KEYS, inner, max_size=4),
+    max_leaves=12)
+
+
+def _mapping(fields, required=()):
+    """Mappings over the known keys: the required ones always, with a
+    plausible value; the others now and then, with a plausible value or any
+    YAML value; one in four also has a stray key."""
+    def value(v):
+        return st.one_of(v, v, v, _YAML)
+    known = st.fixed_dictionaries(
+        {k: fields[k] for k in required},
+        optional={k: value(v) for k, v in fields.items() if k not in required})
+    stray = st.one_of(st.just({}), st.just({}), st.just({}),
+                      st.dictionaries(_YAML_KEYS, _YAML, min_size=1, max_size=1))
+    return st.builds(lambda a, b: {**b, **a}, known, stray)
+
+
+def _floats(lo, hi, size=8):
+    return st.lists(st.floats(lo, hi) | st.integers(-2, 2), max_size=size)
+
+
+_DEVICE = _mapping({
+    "preset": st.sampled_from(["paper-device", "other"]),
+    "n_qubits": st.integers(-1, 8),
+    "coupling_mhz": _floats(-50, 50),
+    "anharmonicity_mhz": _floats(-300, 0),
+    "t1_us": _floats(-1, 50),
+    "t2star_us": _floats(-1, 5),
+    "readout_f0": _floats(-0.5, 1.5),
+    "readout_f1": _floats(-0.5, 1.5),
+}) | st.sampled_from(["paper-device", "other"])
+_SHOTS = _mapping({
+    "n_shots": st.integers(-2, 3000),
+    "n_groups": st.integers(-1, 12),
+    "seed": st.integers(-2, 10),
+}) | st.sampled_from(["none", "paper"])
+_READOUT = st.lists(_mapping({"f0": st.floats(-0.5, 1.5),
+                              "f1": st.floats(-0.5, 1.5)}), max_size=6) \
+    | st.sampled_from(["perfect", "table-s1"])
+_CONFIG = _mapping({
+    "experiment": st.sampled_from(EXPERIMENTS),
+    "device": _DEVICE,
+    "F": st.floats(-5, 20) | _floats(-5, 20, size=4),
+    "initial_state": st.sampled_from(["10000", "X+X+000", "100", "X+X+0", "1002"]),
+    "t_max": st.floats(-10, 400),
+    "dt_sample": st.floats(-1, 50),
+    "noise": st.sampled_from(["ideal", "lindblad"]),
+    "dephasing": st.sampled_from(["as-given", "pure"]),
+    "shots": _SHOTS,
+    "readout": _READOUT,
+    "readout_correction": st.booleans(),
+    "output_dir": st.text(max_size=8),
+}, required=("experiment",))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_CONFIG | _YAML)
+@example(raw={"experiment": "spin_transport",
+              "device": {"n_qubits": 2.5, "coupling_mhz": [5.0]}})
+@example(raw={"experiment": "spin_transport",
+              "device": {"n_qubits": "5", "coupling_mhz": [5.0] * 4}})
+@example(raw={"experiment": "spin_transport",
+              "device": {"n_qubits": [], "coupling_mhz": [5.0]}})
+@example(raw={"experiment": "spin_transport",
+              "device": {"n_qubits": 1, "coupling_mhz": []}})
+@example(raw={"experiment": "spin_transport",
+              "device": {"n_qubits": True, "coupling_mhz": []}})
+@example(raw={"experiment": "spin_transport", "device": {"preset": []}})
+@example(raw={"experiment": "spin_transport", 1: 2, "a": 3})
+def test_any_mapping_parses_or_is_refused(raw):
+    """A raw mapping either gives a config or a ConfigError, never another
+    exception; an accepted integer field is the integer given."""
+    try:
+        cfg = parse_config(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    device, shots = raw.get("device"), raw.get("shots")
+    if isinstance(device, dict) and "n_qubits" in device:
+        assert type(device["n_qubits"]) is int
+        assert cfg.device.n_qubits == device["n_qubits"]
+    if isinstance(shots, dict):
+        for name, value in shots.items():
+            assert type(value) is int and getattr(cfg.shots, name) == value
+
+
 class TestShots:
     def test_explicit_plan(self):
         cfg = parse_config({"experiment": "spin_transport",
@@ -195,17 +311,38 @@ class TestShots:
     @pytest.mark.parametrize("experiment", ["thermal_transport", "spin_current"])
     @pytest.mark.parametrize("n_shots, n_groups", [(30, 10), (1, 1), (3, 1)])
     def test_two_setting_split(self, experiment, n_shots, n_groups):
-        # each measurement setting takes n_shots // 2 shots in n_groups groups
+        # each measurement setting takes n_shots // 2 shots in n_groups
+        # groups; the split is checked first, then the two groups an error
+        # bar needs
         plan = {"n_shots": n_shots, "n_groups": n_groups}
-        if n_shots // 2 and (n_shots // 2) % n_groups == 0:
-            assert parse_config({"experiment": experiment, "shots": plan}).shots \
-                == ShotPlan(n_shots, n_groups, 0)
-            return
-        with pytest.raises(ConfigError, match=r"^shots\.n_shots: "):
+        half = n_shots // 2
+        field = "n_shots" if not half or half % n_groups else "n_groups"
+        with pytest.raises(ConfigError, match=rf"^shots\.{field}: "):
             parse_config({"experiment": experiment, "shots": plan})
-        # one setting takes every shot, so the same plan is valid there
-        assert parse_config({"experiment": "spin_transport", "shots": plan}).shots \
-            == ShotPlan(n_shots, n_groups, 0)
+        # one setting takes every shot, so only the group count can fail there
+        single = {"experiment": "spin_transport", "shots": plan}
+        if n_groups >= 2:
+            assert parse_config(single).shots == ShotPlan(n_shots, n_groups, 0)
+        else:
+            with pytest.raises(ConfigError, match=r"^shots\.n_groups: "):
+                parse_config(single)
+
+    @pytest.mark.parametrize("experiment",
+                             ["spin_transport", "thermal_transport", "spin_current"])
+    def test_error_bars_need_two_groups(self, experiment):
+        # one group has no spread, so every _err column would be nan
+        with pytest.raises(ConfigError, match=r"^shots\.n_groups: .*>= 2 groups"):
+            parse_config({"experiment": experiment,
+                          "shots": {"n_shots": 100, "n_groups": 1}})
+        plan = {"n_shots": 100, "n_groups": 2}
+        assert parse_config({"experiment": experiment, "shots": plan}).shots \
+            == ShotPlan(100, 2, 0)
+
+    def test_scan_keeps_one_group(self):
+        # wsl_scan reads only the mean of its boundary density
+        cfg = parse_config({"experiment": "wsl_scan",
+                            "shots": {"n_shots": 100, "n_groups": 1}})
+        assert cfg.shots == ShotPlan(100, 1, 0)
 
     def test_decoherence_check_rejects_shots(self):
         with pytest.raises(ConfigError, match="decoherence_check"):
@@ -246,6 +383,22 @@ class TestReadout:
         entries = [{"f0": 1.5, "f1": 0.9}] * 5
         with pytest.raises(ConfigError, match=r"readout\[0\].f0"):
             parse_config({"experiment": "spin_transport", "readout": entries})
+
+    def test_correction_needs_invertible_entries(self):
+        entries = [{"f0": 0.95, "f1": 0.9}] * 4 + [{"f0": 0.6, "f1": 0.4}]
+        raw = {"experiment": "spin_transport", "readout": entries}
+        assert parse_config(raw).readout[4] == (0.6, 0.4)
+        with pytest.raises(ConfigError, match=r"^readout\[4\]: .*singular"):
+            parse_config(dict(raw, readout_correction=True))
+
+    def test_correction_checks_the_device_table(self):
+        # table-s1 reads the device's own fidelities
+        device = {"n_qubits": 5, "coupling_mhz": [10.0] * 4,
+                  "readout_f0": [0.5] * 5, "readout_f1": [0.5] * 5}
+        raw = {"experiment": "spin_transport", "device": device,
+               "readout": "table-s1", "readout_correction": True}
+        with pytest.raises(ConfigError, match=r"^readout\[0\]: .*singular"):
+            parse_config(raw)
 
 
 class TestNormalizedEcho:
