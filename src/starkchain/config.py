@@ -54,13 +54,14 @@ class ShotPlan:
     seed: int
 
     def __post_init__(self):
-        if self.n_shots < 1 or self.n_groups < 1:
-            raise ConfigError("shots: counts must be positive")
+        # checked here so a --seed override is held to them too
+        if self.n_shots < 1:
+            raise ConfigError(f"shots.n_shots: must be >= 1, got {self.n_shots}")
+        if self.n_groups < 1:
+            raise ConfigError(f"shots.n_groups: must be >= 1, got {self.n_groups}")
         if self.n_shots % self.n_groups != 0:
-            raise ConfigError(
-                f"shots: {self.n_shots} not divisible by {self.n_groups} groups"
-            )
-        # checked here so a --seed override is held to it too
+            raise ConfigError(f"shots.n_shots: {self.n_shots} not divisible "
+                              f"by n_groups {self.n_groups}")
         if self.seed < 0:
             raise ConfigError(f"shots.seed: must be >= 0, got {self.seed}")
 

@@ -4,8 +4,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
-import scipy.sparse as sp
 
 from .device import DeviceParams
 from .errors import DomainError, NumericalConsistencyError, StateSpecError
@@ -169,6 +167,8 @@ def evolve_unitary(hamiltonian, state, times):
         c0 = evecs.conj().T @ state.data
         phases = np.exp(-1j * np.outer(times, evals))
         return (phases * c0) @ evecs.T
+    import scipy.sparse.linalg
+
     gen = -1j * hamiltonian.matrix
     out = np.empty((times.size, state.dim), dtype=complex)
     vec = state.data
@@ -176,7 +176,7 @@ def evolve_unitary(hamiltonian, state, times):
     for pos in np.argsort(times, kind="stable"):
         t = times[pos]
         if t != t_prev:
-            vec = sp.linalg.expm_multiply((t - t_prev) * gen, vec)
+            vec = scipy.sparse.linalg.expm_multiply((t - t_prev) * gen, vec)
             t_prev = t
         out[pos] = vec
     return out
@@ -215,21 +215,20 @@ def make_collapse_ops(params, dephasing="as-given"):
     ops = []
     for q, occupied in enumerate(occ.T):  # q counts sites from 0
         gamma1 = 1.0 / params.t1_ns[q]
-        ops.append(OperatorMatrix(
-            matrix=_bit_operator(states, [(1 << (n - 1 - q), np.sqrt(gamma1) * occupied)]),
-            basis_tag=tag))
+        ops.append(_bit_operator(
+            states, [(1 << (n - 1 - q), np.sqrt(gamma1) * occupied)], tag))
         rate = 1.0 / params.t2star_ns[q]
         if dephasing == "pure":
             rate = max(rate - 0.5 * gamma1, 0.0)
         if rate > 0.0:
-            ops.append(OperatorMatrix(
-                matrix=_bit_operator(states, [(0, np.sqrt(rate) * occupied)]),
-                basis_tag=tag))
+            ops.append(_bit_operator(states, [(0, np.sqrt(rate) * occupied)], tag))
     return CollapseOperatorSet(operators=tuple(ops), basis_tag=tag)
 
 
 def _jump_sum(jumps, dim):
     """K = sum_k C_k+ C_k as one product of the stacked C_k."""
+    import scipy.sparse as sp
+
     stacked = sp.vstack([*jumps, sp.csr_matrix((0, dim))], format="csr")
     return stacked.getH() @ stacked
 
@@ -249,6 +248,8 @@ def _liouvillian(h, jumps):
     rate-weighted collapse operators C_k. It is assembled in one pass as
     A (x) 1 + 1 (x) conj(A) + sum_k C_k (x) conj(C_k), A = -iH - K/2.
     """
+    import scipy.sparse as sp
+
     dim = h.shape[0]
     a = (-1j * h - 0.5 * _jump_sum(jumps, dim)).tocoo()
     eye = sp.identity(dim, format="coo")
@@ -270,6 +271,8 @@ def _reachable_states(rho, hamiltonian, collapse):
     closed under those patterns therefore holds rho(t) at all times, whatever
     the jump operators are. One stacked link matrix holds every pattern.
     """
+    import scipy.sparse as sp
+
     dim = hamiltonian.dim
     jumps = [op.matrix for op in collapse.operators]
     links = abs(sp.vstack([hamiltonian.matrix, *jumps, _jump_sum(jumps, dim)],
@@ -310,7 +313,10 @@ def _generator_blocks(gen):
     evolves on its own. The split is read from the sparsity, not from a
     conservation law, and so holds for any set of jump operators.
     """
-    _, labels = sp.csgraph.connected_components(gen != 0, connection="weak")
+    import scipy.sparse.csgraph
+
+    _, labels = scipy.sparse.csgraph.connected_components(gen != 0,
+                                                          connection="weak")
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
@@ -335,6 +341,9 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     embedded in the full basis. Returns an (n_times, dim, dim) array of
     density matrices in the order of times.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     _check_hermitian(hamiltonian)
     if hamiltonian.dim > LINDBLAD_DIM_CAP:
         raise DomainError(
@@ -378,9 +387,10 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
                 for (idx, _), prop in zip(dense, propagators[dt]):
                     new[idx] = prop @ vec[idx]
                 if large.size:
-                    new[large] = sp.linalg.expm_multiply(dt * large_gen, vec[large])
+                    new[large] = scipy.sparse.linalg.expm_multiply(
+                        dt * large_gen, vec[large])
             else:
-                new = sp.linalg.expm_multiply(dt * gen, vec)
+                new = scipy.sparse.linalg.expm_multiply(dt * gen, vec)
             if last_use[dt] == i:
                 propagators.pop(dt, None)
             mat = _checked_snapshot(new.reshape(keep.size, keep.size), times[pos])

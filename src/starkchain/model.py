@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .device import DeviceParams, PotentialSpec
 from .errors import DomainError
@@ -89,39 +88,109 @@ def build_sector_basis(n_sites, n_excitations):
     return SectorBasis(n_sites=n, n_excitations=k, states=states, index=index)
 
 
-@dataclass(frozen=True)
+def _hermitian_residue(dim, rows, cols, vals):
+    """Frobenius ||M - M+|| / max(1, ||M||) from canonical entries.
+
+    The entries of M - M+ are formed and ordered as scipy's sparse
+    subtraction forms them (row-major over the union of both patterns, exact
+    zeros dropped), so the norms, and the figure, are bit-equal to
+    scipy.sparse.linalg.norm on the CSR matrices.
+    """
+    key = rows * dim + cols
+    tkey = cols * dim + rows
+    union, where = np.unique(np.concatenate([key, tkey]), return_inverse=True)
+    a = np.zeros(union.size, dtype=complex)
+    b = np.zeros(union.size, dtype=complex)
+    a[where[:key.size]] = vals
+    b[where[key.size:]] = vals.conj()
+    diff = a - b
+    diff = diff[diff != 0]
+    return float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(vals)))
+
+
 class OperatorMatrix:
-    """Sparse Hermitian-checkable operator tied to a basis tag."""
+    """Square operator tied to a basis tag, held as its nonzero entries.
 
-    matrix: sp.csr_matrix = field(repr=False)
-    basis_tag: str
+    ``rows``, ``cols`` and ``vals`` list the entries in row-major order (rows
+    ascending, columns ascending within a row), one entry per coordinate:
+    duplicates are summed and exact zeros kept. This is the coordinate form
+    of a canonical scipy CSR matrix, read-only. ``dim`` is the side of the
+    matrix. ``hermitian_residue`` is the Frobenius ||M - M+|| / max(1, ||M||),
+    computed once here. A ``matrix`` argument is anything
+    ``scipy.sparse.csr_matrix`` accepts and is converted through scipy;
+    ``from_entries`` takes coordinates in any order, on numpy alone.
+    ``.matrix`` is the scipy CSR form, built on first use.
+    """
 
-    def __post_init__(self):
-        m = sp.csr_matrix(self.matrix, dtype=complex)
+    __slots__ = ("dim", "rows", "cols", "vals", "basis_tag",
+                 "hermitian_residue", "_csr")
+
+    def __init__(self, matrix, basis_tag):
+        import scipy.sparse as sp
+
+        m = sp.csr_matrix(matrix, dtype=complex)
         m.sum_duplicates()
         m.sort_indices()
         if m.shape[0] != m.shape[1]:
             raise DomainError(f"operator must be square, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        self._set(m.shape[0], rows, m.indices.astype(np.intp),
+                  m.data.copy(), basis_tag)
+
+    @classmethod
+    def from_entries(cls, dim, rows, cols, vals, basis_tag):
+        """Operator of side dim from coordinates in any order; entries at
+        one coordinate are summed in the order given."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=complex)
+        key = rows * dim + cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        if first.size < key.size:
+            key, vals = key[first], np.add.reduceat(vals, first)
+        op = cls.__new__(cls)
+        op._set(int(dim), key // dim, key % dim, vals, basis_tag)
+        return op
+
+    def _set(self, dim, rows, cols, vals, basis_tag):
+        for a in (rows, cols, vals):
+            a.flags.writeable = False
+        self.dim, self.rows, self.cols, self.vals = dim, rows, cols, vals
+        self.basis_tag = basis_tag
+        self.hermitian_residue = _hermitian_residue(dim, rows, cols, vals)
+        self._csr = None
+
+    def __repr__(self):
+        return (f"OperatorMatrix(dim={self.dim}, nnz={self.vals.size}, "
+                f"basis_tag={self.basis_tag!r})")
 
     @property
-    def dim(self):
-        return self.matrix.shape[0]
+    def matrix(self):
+        if self._csr is None:
+            import scipy.sparse as sp
+
+            self._csr = sp.csr_matrix((self.vals, (self.rows, self.cols)),
+                                      shape=(self.dim, self.dim))
+        return self._csr
 
     def todense(self):
         if self.dim > DENSE_DIM_CAP:
             raise DomainError(
                 f"dense conversion capped at dim {DENSE_DIM_CAP}, got {self.dim}")
-        return np.asarray(self.matrix.todense())
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        # added to zeros, as scipy densifies: a -0.0 part becomes +0.0
+        out[self.rows, self.cols] += self.vals
+        return out
 
     def is_hermitian(self, tol=1e-12):
-        diff = (self.matrix - self.matrix.getH())
-        scale = max(1.0, sp.linalg.norm(self.matrix))
-        return sp.linalg.norm(diff) <= tol * scale
+        return self.hermitian_residue <= tol
 
 
 def _site_operator(local_ops, site, n_sites, local_dim=2):
     """Sparse I_{d^(site-1)} (x) local_ops (x) I_{d^(n_sites-site)}, site 1-based."""
+    import scipy.sparse as sp
+
     left = sp.identity(local_dim ** (site - 1), format="csr")
     right = sp.identity(local_dim ** (n_sites - site), format="csr")
     return sp.kron(sp.kron(left, sp.csr_matrix(local_ops), format="csr"),
@@ -150,8 +219,8 @@ def _basis_states(basis, n_sites):
     return occupations @ (1 << shifts), occupations, basis.tag
 
 
-def _bit_operator(states, terms):
-    """Sparse matrix over an ordered list of full-space integer states: a
+def _bit_operator(states, terms, basis_tag):
+    """Operator over an ordered list of full-space integer states: a
     sector, all 2^n states in full_index order or any support. A term
     (flip, amplitudes) maps states[i] to states[i] ^ flip with amplitudes[i],
     flip 0 being the diagonal. Zero amplitudes and targets outside the list
@@ -167,9 +236,9 @@ def _bit_operator(states, terms):
         rows.append(order[pos[hit]])
         cols.append(hit)
         vals.append(amplitudes[hit])
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(states.size, states.size))
+    return OperatorMatrix.from_entries(
+        states.size, np.concatenate(rows), np.concatenate(cols),
+        np.concatenate(vals), basis_tag)
 
 
 def build_xy_hamiltonian(params, potential, basis=None):
@@ -190,7 +259,7 @@ def build_xy_hamiltonian(params, potential, basis=None):
     terms = [(0, diag)] + [
         (3 << (n - j - 2), np.where(occ[:, j] != occ[:, j + 1], g[j], 0.0))
         for j in range(n - 1)]
-    return OperatorMatrix(matrix=_bit_operator(states, terms), basis_tag=tag)
+    return _bit_operator(states, terms, tag)
 
 
 def build_bose_hubbard_hamiltonian(params, potential, fock_cutoff=2):
@@ -200,6 +269,8 @@ def build_bose_hubbard_hamiltonian(params, potential, fock_cutoff=2):
     fock_cutoff = 2 is the hard-core limit and reproduces the exchange chain
     matrix entry for entry (the interaction term vanishes on 0/1 occupations).
     """
+    import scipy.sparse as sp
+
     _check_chain(params, potential)
     d = int(fock_cutoff)
     if d < 2:
@@ -291,4 +362,4 @@ def build_observable(kind, index, params, potential=None, basis=None,
         else:
             amplitudes = np.where(moves | (axis == "x"), 1.0, -1.0)
         terms = [(3 << (n - j - 1), amplitudes)]
-    return OperatorMatrix(matrix=_bit_operator(states, terms), basis_tag=tag)
+    return _bit_operator(states, terms, tag)

@@ -56,17 +56,17 @@ class TrajectoryTable:
         return self.columns[name]
 
 
-def _expectations(snapshots, matrices):
+def _expectations(snapshots, operators):
     """(T, K) complex <O_k> on T stacked state vectors (T, d) or density
-    matrices (T, d, d), gathered at each operator's stored entries (r, c, v):
-    <psi|O|psi> = sum v psi*[r] psi[c] and tr(O rho) = sum v rho[c, r]."""
-    out = np.empty((len(snapshots), len(matrices)), dtype=complex)
-    for k, m in enumerate(matrices):
-        m = m.tocoo()
+    matrices (T, d, d), gathered at each OperatorMatrix's stored entries
+    (r, c, v): <psi|O|psi> = sum v psi*[r] psi[c] and
+    tr(O rho) = sum v rho[c, r]."""
+    out = np.empty((len(snapshots), len(operators)), dtype=complex)
+    for k, o in enumerate(operators):
         if snapshots.ndim == 3:
-            out[:, k] = snapshots[:, m.col, m.row] @ m.data
+            out[:, k] = snapshots[:, o.cols, o.rows] @ o.vals
         else:
-            out[:, k] = (snapshots[:, m.row].conj() * snapshots[:, m.col]) @ m.data
+            out[:, k] = (snapshots[:, o.rows].conj() * snapshots[:, o.cols]) @ o.vals
     return out
 
 
@@ -81,7 +81,7 @@ def expectation(state, obs):
         )
     if not obs.is_hermitian():
         raise DomainError("observable is not Hermitian")
-    val = _expectations(state.data[None], [obs.matrix])[0, 0]
+    val = _expectations(state.data[None], [obs])[0, 0]
     if abs(val.imag) >= IMAG_ERROR_TOL:
         raise NumericalConsistencyError(
             f"expectation has imaginary part {val.imag:.3e} (tol {IMAG_ERROR_TOL:g})"
@@ -109,7 +109,7 @@ def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
         snapshots = evolve_unitary(hamiltonian, state, times_ns)
     else:
         snapshots = evolve_lindblad(hamiltonian, state, times_ns, collapse)
-    data = _expectations(snapshots, [o.matrix for o in observables.values()])
+    data = _expectations(snapshots, list(observables.values()))
     imax = float(np.max(np.abs(data.imag), initial=0.0))
     if imax >= IMAG_ERROR_TOL:
         raise NumericalConsistencyError(f"trajectory imaginary residue {imax:.3e}")

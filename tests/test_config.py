@@ -308,6 +308,21 @@ class TestShots:
             parse_config({"experiment": "spin_transport",
                           "shots": {"n_shots": 100, "n_groups": 7}})
 
+    @pytest.mark.parametrize("plan, message", [
+        ({"n_groups": 0}, r"^shots\.n_groups: must be >= 1, got 0$"),
+        ({"n_groups": -3}, r"^shots\.n_groups: must be >= 1, got -3$"),
+        ({"n_shots": 0}, r"^shots\.n_shots: must be >= 1, got 0$"),
+        ({"n_shots": -5, "n_groups": 0}, r"^shots\.n_shots: must be >= 1, got -5$"),
+        ({"n_shots": 601, "n_groups": 6},
+         r"^shots\.n_shots: 601 not divisible by n_groups 6$"),
+    ], ids=["no_groups", "negative_groups", "no_shots", "shots_first", "indivisible"])
+    def test_refusal_names_the_field(self, plan, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config({"experiment": "spin_transport", "shots": plan})
+        # the plan checks itself, so a --seed override is held to it too
+        with pytest.raises(ConfigError, match=message):
+            ShotPlan(**dict({"n_shots": 600, "n_groups": 6, "seed": 0}, **plan))
+
     @pytest.mark.parametrize("experiment", ["thermal_transport", "spin_current"])
     @pytest.mark.parametrize("n_shots, n_groups", [(30, 10), (1, 1), (3, 1)])
     def test_two_setting_split(self, experiment, n_shots, n_groups):

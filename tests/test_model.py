@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from starkchain import (
@@ -256,8 +257,9 @@ def test_bit_operator_on_any_state_list(n, data):
                                             min_size=1, max_size=4, unique=True))]
     support = np.array(data.draw(st.permutations(full)))
     support = support[:data.draw(st.integers(1, 2 ** n))]
-    got = _bit_operator(support, [(flip, amps[support]) for flip, amps in terms])
-    ref = _bit_operator(full, terms)
+    got = _bit_operator(support, [(flip, amps[support]) for flip, amps in terms],
+                        "support").matrix
+    ref = _bit_operator(full, terms, full_tag(n)).matrix
     _assert_same_entries(got, ref[np.ix_(support, support)])
     # the full-space matrix itself: one entry per nonzero amplitude
     assert ref.nnz == sum(np.count_nonzero(amps) for _, amps in terms)
@@ -441,3 +443,87 @@ class TestOperatorMatrix:
         big = OperatorMatrix(matrix=sp.identity(8192, format="csr"), basis_tag="full:n=13")
         with pytest.raises(DomainError):
             big.todense()
+
+
+# OperatorMatrix holds the entries of the canonical scipy CSR matrix it held
+# as its storage before: the same arrays, the same dense form, the same
+# Hermiticity residue.
+
+def _old_canonical(matrix):
+    m = sp.csr_matrix(matrix, dtype=complex)
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
+
+
+def _assert_matches_csr(op, old):
+    coo = old.tocoo()
+    assert op.dim == old.shape[0] == old.shape[1]
+    for got, want in ((op.rows, coo.row), (op.cols, coo.col), (op.vals, coo.data)):
+        assert np.array_equal(got, want)
+    assert op.todense().tobytes() == np.asarray(old.todense()).tobytes()
+    # the parent's is_hermitian formula
+    diff, scale = spla.norm(old - old.getH()), max(1.0, spla.norm(old))
+    assert op.hermitian_residue == pytest.approx(diff / scale, rel=1e-15, abs=0)
+    assert op.is_hermitian() == (diff <= 1e-12 * scale)
+
+
+@st.composite
+def _raw_entries(draw):
+    """(dim, rows, cols, vals) of a random complex operator, Hermitian or not,
+    in shuffled order. Some coordinates appear twice, some of those summing
+    to an exact zero. A sum of two is exact in either order; scipy's order
+    for three or more at one coordinate is unspecified, so none has three."""
+    dim = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (dim, dim)
+    a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        * (rng.random(shape) < rng.uniform(0.0, 0.5))
+    if draw(st.booleans()):
+        a = a + a.conj().T
+    rows, cols = np.nonzero(a)
+    vals = a[rows, cols]
+    twice = np.flatnonzero(rng.random(rows.size) < draw(st.sampled_from([0.0, 0.2, 1.0])))
+    extra = np.where(rng.random(twice.size) < 0.3, -vals[twice],
+                     rng.normal(size=twice.size) + 1j * rng.normal(size=twice.size))
+    order = rng.permutation(rows.size + twice.size)
+    return (dim, np.concatenate([rows, rows[twice]])[order],
+            np.concatenate([cols, cols[twice]])[order],
+            np.concatenate([vals, extra])[order])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_entries())
+def test_entries_match_the_canonical_csr(raw):
+    dim, rows, cols, vals = raw
+    coo = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
+    old = _old_canonical(coo)
+    _assert_matches_csr(OperatorMatrix.from_entries(dim, rows, cols, vals, "t"), old)
+    _assert_matches_csr(OperatorMatrix(matrix=coo, basis_tag="t"), old)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_chains(), st.data())
+def test_built_operators_match_the_canonical_csr(chain, data):
+    dev, pot, site, bond = chain
+    n = dev.n_qubits
+    sector = build_sector_basis(n, data.draw(st.integers(0, n)))
+    keep = np.ix_(*2 * [[full_index(s) for s in sector.states]])
+    cases = []
+    for basis, cut in ((None, lambda r: r), (sector, lambda r: r[keep])):
+        cases.append((build_xy_hamiltonian(dev, pot, basis=basis),
+                      cut(_kron_xy(dev, pot))))
+        for kind in ("density", "kinetic", "potential", "spin_current"):
+            j = site if kind == "density" else bond
+            cases.append((build_observable(kind, j, dev, potential=pot, basis=basis),
+                          cut(_kron_observable(kind, j, dev, pot))))
+        # x and y pair operators leave an excitation sector
+        for axis in "xyz" if basis is None else "z":
+            cases.append((build_observable("pauli_pair", bond, dev, basis=basis,
+                                           axis=axis),
+                          cut(_kron_observable("pauli_pair", bond, dev, pot, axis))))
+    cases += zip(make_collapse_ops(dev).operators, _kron_collapse(dev, "as-given"))
+    for op, ref in cases:
+        old = _old_canonical(ref)
+        old.eliminate_zeros()  # the builder drops zero amplitudes
+        _assert_matches_csr(op, old)

@@ -286,11 +286,10 @@ def test_kernel_matches_dense_reference(space, n_times):
     ops = _operators(n, basis, rng)
     psi, rho = _random_states(n_times, ops[0].dim, rng)
     dense = [o.todense() for o in ops]
-    mats = [o.matrix for o in ops]
     want_vec = np.array([[np.vdot(v, m @ v) for m in dense] for v in psi])
     want_rho = np.array([[np.trace(m @ r) for m in dense] for r in rho])
-    for got, want in ((_expectations(psi, mats), want_vec),
-                      (_expectations(rho, mats), want_rho)):
+    for got, want in ((_expectations(psi, ops), want_vec),
+                      (_expectations(rho, ops), want_rho)):
         assert got.shape == (n_times, len(ops))
         np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12)
 
