@@ -301,7 +301,8 @@ def parse_config(raw, default_experiment=None):
     _require(dephasing in ("as-given", "pure"), "dephasing",
              f"expected 'as-given' or 'pure', got {dephasing!r}")
 
-    shots_raw = raw.get("shots", "none" if noise == "ideal" else "paper")
+    paper = noise == "lindblad" and experiment != "decoherence_check"
+    shots_raw = raw.get("shots", "paper" if paper else "none")
     shots = _parse_shots(shots_raw, experiment)
     if experiment == "decoherence_check" and shots is not None:
         raise ConfigError(

@@ -8,13 +8,14 @@ import numpy as np
 from .device import DeviceParams
 from .errors import DomainError, NumericalConsistencyError, StateSpecError
 from .model import (DENSE_DIM_CAP, OperatorMatrix, SectorBasis, _basis_states,
-                    _bit_operator, full_tag)
+                    _operator, full_tag)
 
 LINDBLAD_DIM_CAP = 1024  # ten qubits
 DENSE_BLOCK_CAP = 256  # largest generator block given a dense propagator
 TRACE_TOL = 1e-6
 POSITIVITY_TOL = 1e-6
 HERMITICITY_TOL = 1e-8
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 # single-site kets used by the product-state parser
 _LOCAL_KETS = {
@@ -144,6 +145,18 @@ def _checked_times(times):
     return times
 
 
+def _pruned(gen):
+    """The CSR generator gen with its entries below _UNIT_ROUNDOFF times its
+    1-norm dropped in place, and that norm. Neither those entries nor a step
+    dt with dt times the norm below _UNIT_ROUNDOFF move a state beyond
+    rounding, and on either scipy's expm_multiply can divide by zero or
+    overflow."""
+    norm = np.bincount(gen.indices, np.abs(gen.data), gen.shape[1]).max()
+    gen.data[np.abs(gen.data) < norm * _UNIT_ROUNDOFF] = 0.0
+    gen.eliminate_zeros()
+    return gen, norm
+
+
 def evolve_unitary(hamiltonian, state, times):
     """Pure-state evolution psi(t) = expm(-i H t) psi(0) on a time grid.
 
@@ -169,13 +182,13 @@ def evolve_unitary(hamiltonian, state, times):
         return (phases * c0) @ evecs.T
     import scipy.sparse.linalg
 
-    gen = -1j * hamiltonian.matrix
+    gen, norm = _pruned(-1j * hamiltonian.matrix)
     out = np.empty((times.size, state.dim), dtype=complex)
     vec = state.data
     t_prev = 0.0
     for pos in np.argsort(times, kind="stable"):
         t = times[pos]
-        if t != t_prev:
+        if (t - t_prev) * norm >= _UNIT_ROUNDOFF:
             vec = scipy.sparse.linalg.expm_multiply((t - t_prev) * gen, vec)
             t_prev = t
         out[pos] = vec
@@ -215,22 +228,14 @@ def make_collapse_ops(params, dephasing="as-given"):
     ops = []
     for q, occupied in enumerate(occ.T):  # q counts sites from 0
         gamma1 = 1.0 / params.t1_ns[q]
-        ops.append(_bit_operator(
-            states, [(1 << (n - 1 - q), np.sqrt(gamma1) * occupied)], tag))
+        ops.append(_operator(
+            states, [(states ^ (1 << (n - 1 - q)), np.sqrt(gamma1) * occupied)], tag))
         rate = 1.0 / params.t2star_ns[q]
         if dephasing == "pure":
             rate = max(rate - 0.5 * gamma1, 0.0)
         if rate > 0.0:
-            ops.append(_bit_operator(states, [(0, np.sqrt(rate) * occupied)], tag))
+            ops.append(_operator(states, [(states, np.sqrt(rate) * occupied)], tag))
     return CollapseOperatorSet(operators=tuple(ops), basis_tag=tag)
-
-
-def _jump_sum(jumps, dim):
-    """K = sum_k C_k+ C_k as one product of the stacked C_k."""
-    import scipy.sparse as sp
-
-    stacked = sp.vstack([*jumps, sp.csr_matrix((0, dim))], format="csr")
-    return stacked.getH() @ stacked
 
 
 def _kron_entries(x, y):
@@ -251,14 +256,13 @@ def _liouvillian(h, jumps):
     import scipy.sparse as sp
 
     dim = h.shape[0]
-    a = (-1j * h - 0.5 * _jump_sum(jumps, dim)).tocoo()
+    stacked = sp.vstack([*jumps, sp.csr_matrix((0, dim))], format="csr")
+    a = (-1j * h - 0.5 * (stacked.getH() @ stacked)).tocoo()
     eye = sp.identity(dim, format="coo")
     parts = [_kron_entries(a, eye), _kron_entries(eye, a.conj())]
     parts += [_kron_entries(c, c.conj()) for c in map(sp.coo_matrix, jumps)]
     rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    gen = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
-    gen.eliminate_zeros()
-    return gen
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
 
 
 def _reachable_states(rho, hamiltonian, collapse):
@@ -269,20 +273,32 @@ def _reachable_states(rho, hamiltonian, collapse):
     column index along the transposed pattern of H and K, which is the same
     since both are Hermitian, and along C_k itself (C_k rho C_k+). The set
     closed under those patterns therefore holds rho(t) at all times, whatever
-    the jump operators are. One stacked link matrix holds every pattern.
+    the jump operators are. The closure walks the stored nonzero entries: a
+    step along C_k and back along its transpose covers K, and adds nothing
+    for H. A K entry that cancels exactly still links, which only adds states.
     """
-    import scipy.sparse as sp
-
-    dim = hamiltonian.dim
-    jumps = [op.matrix for op in collapse.operators]
-    links = abs(sp.vstack([hamiltonian.matrix, *jumps, _jump_sum(jumps, dim)],
-                          format="csr"))
+    links = [(op.cols[op.vals != 0], op.rows[op.vals != 0])
+             for op in (hamiltonian, *collapse.operators)]
     reached = (rho != 0).any(axis=0) | (rho != 0).any(axis=1)
     while True:
-        grown = reached | (links @ reached).reshape(-1, dim).any(axis=0)
-        if np.array_equal(grown, reached):
+        size = np.count_nonzero(reached)
+        for src, dst in links:
+            via = np.zeros_like(reached)
+            via[dst[reached[src]]] = True
+            reached |= via
+            reached[src[via[dst]]] = True
+        if np.count_nonzero(reached) == size:
             return np.flatnonzero(reached)
-        reached = grown
+
+
+def _restrict(op, keep):
+    """CSR matrix of op's entries between the sorted states keep, indexed by
+    position in keep: op restricted to them, stored zeros included."""
+    import scipy.sparse as sp
+
+    inside = np.isin(op.rows, keep) & np.isin(op.cols, keep)
+    rows, cols = (np.searchsorted(keep, a[inside]) for a in (op.rows, op.cols))
+    return sp.csr_matrix((op.vals[inside], (rows, cols)), shape=(keep.size, keep.size))
 
 
 def _checked_snapshot(mat, t):
@@ -357,8 +373,8 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     rho = state.to_density().data
     keep = _reachable_states(rho, hamiltonian, collapse)
     block = np.ix_(keep, keep)
-    gen = _liouvillian(hamiltonian.matrix[block],
-                       [op.matrix[block] for op in collapse.operators])
+    gen, norm = _pruned(_liouvillian(_restrict(hamiltonian, keep),
+                                     [_restrict(op, keep) for op in collapse.operators]))
     dense, large = [], []
     for idx in _generator_blocks(gen):
         if idx.size <= DENSE_BLOCK_CAP:
@@ -377,7 +393,7 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     mat = _checked_snapshot(rho[block], 0.0)
     out = np.zeros((times.size, dim, dim), dtype=complex)
     for i, (pos, dt) in enumerate(zip(order, steps)):
-        if dt != 0.0:
+        if dt * norm >= _UNIT_ROUNDOFF:
             vec = mat.reshape(-1)
             if uses[dt] > 1:
                 if dt not in propagators:

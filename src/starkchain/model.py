@@ -187,52 +187,42 @@ class OperatorMatrix:
         return self.hermitian_residue <= tol
 
 
-def _site_operator(local_ops, site, n_sites, local_dim=2):
-    """Sparse I_{d^(site-1)} (x) local_ops (x) I_{d^(n_sites-site)}, site 1-based."""
-    import scipy.sparse as sp
-
-    left = sp.identity(local_dim ** (site - 1), format="csr")
-    right = sp.identity(local_dim ** (n_sites - site), format="csr")
-    return sp.kron(sp.kron(left, sp.csr_matrix(local_ops), format="csr"),
-                   right, format="csr")
-
-
-def _check_chain(params, potential):
-    if not isinstance(params, DeviceParams):
-        raise DomainError("params must be a DeviceParams")
-    if not isinstance(potential, PotentialSpec):
-        raise DomainError("potential must be a PotentialSpec")
-
-
-def _basis_states(basis, n_sites):
-    """(states, occupations, tag) of a basis: its full-space integers in
-    basis order, their (dim, n) 0/1 occupations with site 1 in column 0, and
-    its tag. basis None is the full space in full_index order."""
-    shifts = np.arange(n_sites - 1, -1, -1)
+def _basis_states(basis, n_sites, fock_cutoff=None):
+    """(states, occupations, tag) of a basis: its product-space integers in
+    basis order, their (dim, n) occupations with site 1 in column 0, and its
+    tag. basis None is a whole product space in index order: the two-level
+    one, or with fock_cutoff levels per site the truncated bosonic one."""
+    d = 2 if fock_cutoff is None else int(fock_cutoff)
+    if d < 2:
+        raise DomainError(f"fock_cutoff must be >= 2, got {fock_cutoff}")
+    if fock_cutoff is not None and d ** n_sites > 2 ** 20:
+        raise DomainError(f"fock space dim {d}^{n_sites} exceeds the supported size")
+    place = d ** np.arange(n_sites - 1, -1, -1)
     if basis is None:
-        states = np.arange(1 << n_sites)
-        return states, (states[:, None] >> shifts) & 1, full_tag(n_sites)
+        states = np.arange(d ** n_sites)
+        tag = full_tag(n_sites) if fock_cutoff is None else fock_tag(n_sites, d)
+        return states, states[:, None] // place % d, tag
     if basis.n_sites != n_sites:
         raise DomainError(
             f"basis has {basis.n_sites} sites but device has {n_sites} qubits")
     occupations = np.array(basis.states).reshape(basis.dim, n_sites)
-    return occupations @ (1 << shifts), occupations, basis.tag
+    return occupations @ place, occupations, basis.tag
 
 
-def _bit_operator(states, terms, basis_tag):
-    """Operator over an ordered list of full-space integer states: a
-    sector, all 2^n states in full_index order or any support. A term
-    (flip, amplitudes) maps states[i] to states[i] ^ flip with amplitudes[i],
-    flip 0 being the diagonal. Zero amplitudes and targets outside the list
-    are dropped: on a subset this is the restriction of the full operator."""
+def _operator(states, terms, basis_tag):
+    """Operator over an ordered list of integer states: a sector, a whole
+    product space in index order or any support. A term (targets,
+    amplitudes) maps states[i] to targets[i] with amplitudes[i]: states ^ mask
+    flips bits, states +- step moves a boson, states itself is diagonal. Zero
+    amplitudes and targets outside the list are dropped: on a subset this is
+    the restriction of the full operator."""
     order = np.argsort(states)
     ranked = states[order]
     rows, cols, vals = [], [], []
-    for flip, amplitudes in terms:
+    for targets, amplitudes in terms:
         amplitudes = np.broadcast_to(np.asarray(amplitudes, dtype=complex), states.shape)
-        target = states ^ flip
-        pos = np.minimum(np.searchsorted(ranked, target), states.size - 1)
-        hit = np.flatnonzero((ranked[pos] == target) & (amplitudes != 0))
+        pos = np.minimum(np.searchsorted(ranked, targets), states.size - 1)
+        hit = np.flatnonzero((ranked[pos] == targets) & (amplitudes != 0))
         rows.append(order[pos[hit]])
         cols.append(hit)
         vals.append(amplitudes[hit])
@@ -241,25 +231,44 @@ def _bit_operator(states, terms, basis_tag):
         np.concatenate(vals), basis_tag)
 
 
+def _chain_hamiltonian(params, potential, basis, fock_cutoff):
+    """sum_j g_j (a+_j a_{j+1} + h.c.) + sum_j (U_j/2) n_j (n_j - 1) + sum_j h_j n_j
+    on a basis of the two-level space (fock_cutoff None) or on the bosonic
+    space with fock_cutoff levels per site. On two levels the interaction
+    vanishes and a+, a act as s+, s-: the exchange chain."""
+    if not isinstance(params, DeviceParams):
+        raise DomainError("params must be a DeviceParams")
+    if not isinstance(potential, PotentialSpec):
+        raise DomainError("potential must be a PotentialSpec")
+    n = params.n_qubits
+    d = 2 if fock_cutoff is None else int(fock_cutoff)
+    g = params.coupling_rad_ns
+    u = params.anharmonicity_rad_ns
+    h = potential.offsets_rad_ns(n)
+    states, occ, tag = _basis_states(basis, n, fock_cutoff)
+    diag = np.zeros(states.size)
+    for j in range(n):
+        diag = diag + 0.5 * u[j] * (occ[:, j] * (occ[:, j] - 1)) + h[j] * occ[:, j]
+    terms = [(states, diag)]
+    for j in range(n - 1):
+        # a+_j a_{j+1} moves a boson from site j + 2 to site j + 1 (1-based),
+        # its conjugate moves it back; neither may fill a site past d - 1
+        step = d ** (n - j - 1) - d ** (n - j - 2)
+        left, right = occ[:, j], occ[:, j + 1]
+        terms.append((states + step, np.where(
+            left < d - 1, g[j] * (np.sqrt(left + 1) * np.sqrt(right)), 0.0)))
+        terms.append((states - step, np.where(
+            right < d - 1, g[j] * (np.sqrt(right + 1) * np.sqrt(left)), 0.0)))
+    return _operator(states, terms, tag)
+
+
 def build_xy_hamiltonian(params, potential, basis=None):
     """Exchange chain sum_j g_j (s+_j s-_{j+1} + h.c.) + sum_j h_j n_j.
 
     basis None builds on the full 2^L space; a SectorBasis restricts to one
     excitation sector (the Hamiltonian conserves total excitation number).
     """
-    _check_chain(params, potential)
-    n = params.n_qubits
-    g = params.coupling_rad_ns
-    h = potential.offsets_rad_ns(n)
-    states, occ, tag = _basis_states(basis, n)
-    diag = np.zeros(states.size)
-    for j in range(n):
-        diag = diag + h[j] * occ[:, j]
-    # a hop across bond j + 1 flips the bits of sites j + 1 and j + 2
-    terms = [(0, diag)] + [
-        (3 << (n - j - 2), np.where(occ[:, j] != occ[:, j + 1], g[j], 0.0))
-        for j in range(n - 1)]
-    return _bit_operator(states, terms, tag)
+    return _chain_hamiltonian(params, potential, basis, None)
 
 
 def build_bose_hubbard_hamiltonian(params, potential, fock_cutoff=2):
@@ -269,31 +278,7 @@ def build_bose_hubbard_hamiltonian(params, potential, fock_cutoff=2):
     fock_cutoff = 2 is the hard-core limit and reproduces the exchange chain
     matrix entry for entry (the interaction term vanishes on 0/1 occupations).
     """
-    import scipy.sparse as sp
-
-    _check_chain(params, potential)
-    d = int(fock_cutoff)
-    if d < 2:
-        raise DomainError(f"fock_cutoff must be >= 2, got {fock_cutoff}")
-    n = params.n_qubits
-    if d ** n > 2 ** 20:
-        raise DomainError(f"fock space dim {d}^{n} exceeds the supported size")
-    g = params.coupling_rad_ns
-    u = params.anharmonicity_rad_ns
-    h = potential.offsets_rad_ns(n)
-    lower = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)  # annihilation
-    raise_op = lower.conj().T
-    num = raise_op @ lower
-    num2 = num @ (num - np.eye(d))
-    dim = d ** n
-    ham = sp.csr_matrix((dim, dim), dtype=complex)
-    for j in range(1, n):
-        hop = (_site_operator(raise_op, j, n, d) @ _site_operator(lower, j + 1, n, d))
-        ham = ham + g[j - 1] * (hop + hop.getH())
-    for j in range(1, n + 1):
-        ham = ham + 0.5 * u[j - 1] * _site_operator(num2, j, n, d)
-        ham = ham + h[j - 1] * _site_operator(num, j, n, d)
-    return OperatorMatrix(matrix=ham, basis_tag=fock_tag(n, d))
+    return _chain_hamiltonian(params, potential, None, fock_cutoff)
 
 
 def build_observable(kind, index, params, potential=None, basis=None,
@@ -326,16 +311,11 @@ def build_observable(kind, index, params, potential=None, basis=None,
     if not 1 <= j <= last:
         raise DomainError(f"{'bond' if on_bond else 'site'} index must lie in "
                           f"[1, {last}], got {index}")
-    if fock_cutoff is not None:
-        d = int(fock_cutoff)
-        lower = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
-        return OperatorMatrix(matrix=_site_operator(lower.conj().T @ lower, j, n, d),
-                              basis_tag=fock_tag(n, d))
     if kind == "potential" and potential is None:
         raise DomainError("potential observable needs a PotentialSpec")
     if kind == "pauli_pair" and axis not in ("x", "y", "z"):
         raise DomainError(f"axis must be one of x, y, z, got {axis!r}")
-    states, occ, tag = _basis_states(basis, n)
+    states, occ, tag = _basis_states(basis, n, fock_cutoff)
     if basis is not None and kind == "pauli_pair" and axis in ("x", "y"):
         raise DomainError(
             "pauli_pair x/y does not conserve excitation number; "
@@ -343,12 +323,12 @@ def build_observable(kind, index, params, potential=None, basis=None,
     a = occ[:, j - 1]
     b = occ[:, min(j, n - 1)]  # site j + 1 of bond j; unused for a density
     if kind == "density":
-        terms = [(0, a)]
+        terms = [(states, a)]
     elif kind == "potential":
         h = potential.offsets_rad_ns(n)
-        terms = [(0, h[j - 1] * a + h[j] * b)]
+        terms = [(states, h[j - 1] * a + h[j] * b)]
     elif kind == "pauli_pair" and axis == "z":
-        terms = [(0, (1 - 2 * a) * (1 - 2 * b))]
+        terms = [(states, (1 - 2 * a) * (1 - 2 * b))]
     else:
         # flip both sites of bond j. kinetic and spin_current move an
         # excitation across it: with weight g_j, and for the current with -i
@@ -361,5 +341,5 @@ def build_observable(kind, index, params, potential=None, basis=None,
             amplitudes = np.where(moves, np.where(b == 1, -1.0j, 1.0j), 0.0)
         else:
             amplitudes = np.where(moves | (axis == "x"), 1.0, -1.0)
-        terms = [(3 << (n - j - 1), amplitudes)]
-    return _bit_operator(states, terms, tag)
+        terms = [(states ^ (3 << (n - j - 1)), amplitudes)]
+    return _operator(states, terms, tag)

@@ -362,8 +362,10 @@ class TestShots:
     def test_decoherence_check_rejects_shots(self):
         with pytest.raises(ConfigError, match="decoherence_check"):
             parse_config({"experiment": "decoherence_check", "shots": "paper"})
-        cfg = parse_config({"experiment": "decoherence_check"})
-        assert cfg.shots is None
+        # the default is no shots under either noise model
+        for noise in ("ideal", "lindblad"):
+            cfg = parse_config({"experiment": "decoherence_check", "noise": noise})
+            assert cfg.shots is None
 
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match=r"shots\.seed: must be >= 0"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starkchain import (
     ANGULAR_PER_MHZ,
@@ -31,11 +31,18 @@ from starkchain import (
     single_particle_matrix,
 )
 from starkchain import dynamics
-from starkchain.dynamics import _generator_blocks, _liouvillian, _reachable_states
-from starkchain.model import DENSE_DIM_CAP, _site_operator
+from starkchain.dynamics import (_generator_blocks, _liouvillian, _reachable_states,
+                                 _restrict)
+from starkchain.model import DENSE_DIM_CAP
 
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |0> = (1, 0)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def _site_operator(local_ops, site, n_sites):
+    # Kronecker reference: 1 (x) local_ops (x) 1 with site 1 leftmost
+    return np.kron(np.kron(np.eye(2 ** (site - 1)), local_ops),
+                   np.eye(2 ** (n_sites - site)))
 
 
 def _random_hermitian_op(dim, rng, tag):
@@ -163,6 +170,19 @@ class TestUnitaryEvolution:
         dens = propagate_single_particle(single_particle_matrix(dev, pot), 1,
                                          _REFERENCE_TIMES)
         assert np.max(np.abs(np.abs(amps[:, sites]) ** 2 - dens)) <= 1e-10
+
+    def test_negligible_steps_and_couplings(self, monkeypatch):
+        # above the cap a step whose dt H underflows leaves the state as it
+        # is, where expm_multiply would pick zero scaling steps and divide by
+        # zero; a subnormal coupling would make its norm estimate overflow
+        dev = DeviceParams.uniform(4).replace(coupling_mhz=[0.0, 0.0, 2.2250738585e-313])
+        h = build_xy_hamiltonian(dev, PotentialSpec.linear(28.0))
+        st = prepare_initial_state("0001", 4)
+        monkeypatch.setattr(dynamics, "DENSE_DIM_CAP", 4)
+        got = evolve_unitary(h, st, [5e-324, 0.0, 1e-300, 300.0])
+        np.testing.assert_array_equal(got[:3], np.tile(st.data, (3, 1)))
+        ref = scipy.linalg.expm(-300.0j * h.todense()) @ st.data
+        assert np.max(np.abs(got[3] - ref)) <= 1e-10
 
     def test_two_site_swap(self):
         # P2(t) = sin^2(g t), full population transfer at t = pi / 2g
@@ -344,8 +364,7 @@ def _noisy_chain(n, jumps):
 
 def _block_sizes(h, col, rho):
     keep = _reachable_states(rho, h, col)
-    block = np.ix_(keep, keep)
-    gen = _liouvillian(h.matrix[block], [op.matrix[block] for op in col.operators])
+    gen = _liouvillian(_restrict(h, keep), [_restrict(op, keep) for op in col.operators])
     blocks = _generator_blocks(gen)
     np.testing.assert_array_equal(np.sort(np.concatenate(blocks)),
                                   np.arange(keep.size ** 2))
@@ -439,6 +458,13 @@ def _noisy_chains(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(_noisy_chains())
+# a step so short that dt G underflows, where expm_multiply would pick zero
+# scaling steps and divide by zero, and a subnormal coupling, which would
+# make its norm estimate overflow
+@example((4, [0.0] * 3, -30.0, [0.5] * 4, [0.3] * 4, "0001", "as-given",
+          np.array([5e-324])))
+@example((4, [0.0, 0.0, 2.2250738585e-313], 28.0, [1.0] * 4, [1.0] * 4, "0001",
+          "as-given", np.array([91.0])))
 def test_lindblad_matches_dense_expm_random_chains(chain):
     n, couplings, tilt, t1, t2, spec, dephasing, times = chain
     dev = DeviceParams.uniform(n).replace(coupling_mhz=couplings, t1_us=t1,
@@ -446,6 +472,73 @@ def test_lindblad_matches_dense_expm_random_chains(chain):
     h = build_xy_hamiltonian(dev, PotentialSpec.linear(tilt))
     col = make_collapse_ops(dev, dephasing=dephasing)
     state = prepare_initial_state(spec, n)
+    got = evolve_lindblad(h, state, times, col)
+    assert np.max(np.abs(got - _dense_lindblad(h, col, state, times))) <= 1e-10
+
+
+def _link_matrix_closure(rho, h, collapse):
+    """Reference: the reachable states grown by one sparse product per step
+    with a link matrix stacking the patterns of H, of every C_k and of
+    K = sum_k C_k+ C_k, read from their values (a stored zero links
+    nothing)."""
+    dim = h.dim
+    jumps = [op.matrix for op in collapse.operators]
+    stacked = sp.vstack([*jumps, sp.csr_matrix((0, dim))], format="csr")
+    links = abs(sp.vstack([h.matrix, *jumps, stacked.getH() @ stacked], format="csr"))
+    reached = (rho != 0).any(axis=0) | (rho != 0).any(axis=1)
+    while True:
+        grown = reached | (links @ reached).reshape(-1, dim).any(axis=0)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+@st.composite
+def _random_jump_chains(draw):
+    """An XY chain, some with cut bonds, and random sparse jump operators:
+    rows with one or two nonzeros (two give K entries off the diagonal) and
+    stored exact zeros, in H as well. The values are continuous, so no
+    entry of K cancels to an exact zero."""
+    n = draw(st.integers(2, 4))
+    dim = 2 ** n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    couplings = draw(st.lists(st.sampled_from([0.0, 9.0, 14.4]),
+                              min_size=n - 1, max_size=n - 1))
+    h = build_xy_hamiltonian(DeviceParams.uniform(n).replace(coupling_mhz=couplings),
+                             PotentialSpec.linear(draw(st.floats(-30.0, 30.0))))
+    zeros = rng.integers(0, dim, size=(2, draw(st.integers(0, 3))))
+    h = OperatorMatrix.from_entries(
+        dim, np.concatenate([h.rows, zeros[0], zeros[1]]),
+        np.concatenate([h.cols, zeros[1], zeros[0]]),
+        np.concatenate([h.vals, np.zeros(2 * zeros.shape[1])]), full_tag(n))
+    jumps = []
+    for _ in range(draw(st.integers(0, 3))):
+        rows, cols = [], []
+        for r in rng.choice(dim, size=draw(st.integers(1, 4)), replace=False):
+            width = draw(st.integers(1, 2))
+            rows += [r] * width
+            cols += list(rng.choice(dim, size=width, replace=False))
+        vals = 0.05 * (rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows)))
+        vals[rng.random(len(rows)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        jumps.append(OperatorMatrix.from_entries(dim, rows, cols, vals, full_tag(n)))
+    spec = "".join(draw(st.lists(st.sampled_from(["0", "1", "X+"]),
+                                 min_size=n, max_size=n)))
+    return h, CollapseOperatorSet(operators=tuple(jumps), basis_tag=full_tag(n)), \
+        prepare_initial_state(spec, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_jump_chains())
+def test_reachable_states_match_the_link_matrix(chain):
+    h, col, state = chain
+    rho = state.to_density().data
+    keep = _reachable_states(rho, h, col)
+    np.testing.assert_array_equal(keep, _link_matrix_closure(rho, h, col))
+    for op in (h, *col.operators):
+        got, ref = _restrict(op, keep), op.matrix[np.ix_(keep, keep)]
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(ref, part))
+    times = np.array([45.0, 0.0, 15.0, 7.5, 30.0])
     got = evolve_lindblad(h, state, times, col)
     assert np.max(np.abs(got - _dense_lindblad(h, col, state, times))) <= 1e-10
 

@@ -59,6 +59,17 @@ def test_start_up_loads_no_scipy(code):
     assert _scipy_modules_after(code) == []
 
 
+def test_fock_space_builders_load_no_scipy():
+    # the bosonic chain and its densities come from the same entry builder
+    # as every other operator
+    code = ("from starkchain import (PotentialSpec, build_bose_hubbard_hamiltonian,\n"
+            "                        build_observable, paper_device)\n"
+            "dev = paper_device()\n"
+            "build_bose_hubbard_hamiltonian(dev, PotentialSpec.linear(-15.0), fock_cutoff=3)\n"
+            "build_observable('density', 2, dev, fock_cutoff=3)")
+    assert _scipy_modules_after(code) == []
+
+
 @pytest.mark.parametrize("command", ["validate", "spin_transport",
                                      "thermal_transport", "spin_current",
                                      "wsl_scan"])

@@ -24,7 +24,7 @@ from starkchain import (
     sector_tag,
     single_particle_matrix,
 )
-from starkchain.model import _bit_operator, _site_operator, fock_tag
+from starkchain.model import _operator, fock_tag
 
 # local two-level operators, |0> = (1, 0), |1> = (0, 1)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -91,6 +91,15 @@ def _dense(op):
     return op.todense()
 
 
+def _site_operator(local_ops, site, n_sites, local_dim=2):
+    # Kronecker reference for the builders: sparse
+    # I_{d^(site-1)} (x) local_ops (x) I_{d^(n_sites-site)}, site 1-based
+    left = sp.identity(local_dim ** (site - 1), format="csr")
+    right = sp.identity(local_dim ** (n_sites - site), format="csr")
+    return sp.kron(sp.kron(left, sp.csr_matrix(local_ops), format="csr"),
+                   right, format="csr")
+
+
 def _chained_site_operator(local_ops, site, n_sites, local_dim=2):
     # reference: one Kronecker product per site, left to right
     out = None
@@ -100,6 +109,7 @@ def _chained_site_operator(local_ops, site, n_sites, local_dim=2):
     return out
 
 
+# the two Kronecker references agree entry for entry
 class TestSiteOperator:
     def _assert_same(self, got, ref):
         assert got.format == "csr"
@@ -257,9 +267,10 @@ def test_bit_operator_on_any_state_list(n, data):
                                             min_size=1, max_size=4, unique=True))]
     support = np.array(data.draw(st.permutations(full)))
     support = support[:data.draw(st.integers(1, 2 ** n))]
-    got = _bit_operator(support, [(flip, amps[support]) for flip, amps in terms],
-                        "support").matrix
-    ref = _bit_operator(full, terms, full_tag(n)).matrix
+    got = _operator(support, [(support ^ flip, amps[support]) for flip, amps in terms],
+                    "support").matrix
+    ref = _operator(full, [(full ^ flip, amps) for flip, amps in terms],
+                    full_tag(n)).matrix
     _assert_same_entries(got, ref[np.ix_(support, support)])
     # the full-space matrix itself: one entry per nonzero amplitude
     assert ref.nnz == sum(np.count_nonzero(amps) for _, amps in terms)
@@ -356,6 +367,43 @@ class TestBoseHubbard:
             build_bose_hubbard_hamiltonian(paper_device(), PotentialSpec.linear(0.0), fock_cutoff=1)
 
 
+def _kron_bose_hubbard(params, potential, d):
+    """Reference: the truncated bosonic chain and its site densities from
+    sparse Kronecker products of the local ladder operators."""
+    n = params.n_qubits
+    g, u = params.coupling_rad_ns, params.anharmonicity_rad_ns
+    h = potential.offsets_rad_ns(n)
+    lower = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
+    num = lower.conj().T @ lower
+    ham = sp.csr_matrix((d ** n, d ** n), dtype=complex)
+    for j in range(1, n):
+        hop = _site_operator(lower.conj().T, j, n, d) @ _site_operator(lower, j + 1, n, d)
+        ham = ham + g[j - 1] * (hop + hop.getH())
+    for j in range(1, n + 1):
+        ham = ham + 0.5 * u[j - 1] * _site_operator(num @ (num - np.eye(d)), j, n, d)
+        ham = ham + h[j - 1] * _site_operator(num, j, n, d)
+    return ham, [_site_operator(num, j, n, d) for j in range(1, n + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 5), d=st.integers(2, 4), data=st.data())
+def test_bose_hubbard_builder_matches_kron(n, d, data):
+    # the reference's number operator is sqrt(m) sqrt(m), a few ulp off m,
+    # so the two agree to rounding rather than bit for bit
+    dev = DeviceParams.uniform(n).replace(
+        coupling_mhz=data.draw(st.lists(_MHZ, min_size=n - 1, max_size=n - 1)),
+        anharmonicity_mhz=data.draw(st.lists(_MHZ, min_size=n, max_size=n)))
+    pot = PotentialSpec(gradient_mhz=data.draw(_MHZ), shift_mhz=data.draw(_MHZ))
+    ham, densities = _kron_bose_hubbard(dev, pot, d)
+    got = build_bose_hubbard_hamiltonian(dev, pot, fock_cutoff=d)
+    assert got.basis_tag == fock_tag(n, d)
+    np.testing.assert_allclose(got.todense(), ham.toarray(), rtol=0, atol=1e-14)
+    for j, ref in enumerate(densities, start=1):
+        op = build_observable("density", j, dev, fock_cutoff=d)
+        assert op.basis_tag == fock_tag(n, d)
+        np.testing.assert_allclose(op.todense(), ref.toarray(), rtol=0, atol=1e-14)
+
+
 class TestObservables:
     def setup_method(self):
         self.dev = paper_device()
@@ -424,6 +472,10 @@ class TestObservables:
         b = build_sector_basis(5, 1)
         with pytest.raises(DomainError):
             build_observable("pauli_pair", 1, self.dev, axis="x", basis=b)
+        # the Fock space takes the Bose-Hubbard builder's cutoff and size checks
+        for cutoff in (1, 17):
+            with pytest.raises(DomainError, match="fock"):
+                build_observable("density", 1, self.dev, fock_cutoff=cutoff)
 
 
 class TestOperatorMatrix:
