@@ -9,6 +9,7 @@ arrival into a localization length.
 
 from .analysis import (
     FitResult,
+    boundary_peak,
     detect_first_wavefront,
     first_wavefront_peak,
     gaussian_fit_wavefront,
@@ -61,12 +62,14 @@ from .freefermion import (
 )
 from .measurement import (
     ConfusionMatrix,
+    CountRecord,
     ShotRecord,
     confusion_from_device,
     group_means,
     grouped_statistics,
     load_shots,
     readout_correct,
+    sample_counts,
     sample_shots,
     save_shots,
 )
@@ -91,6 +94,7 @@ __all__ = [
     "CollapseOperatorSet",
     "ConfigError",
     "ConfusionMatrix",
+    "CountRecord",
     "DeviceParams",
     "DomainError",
     "ExperimentConfig",
@@ -108,6 +112,7 @@ __all__ = [
     "StarkchainError",
     "StateSpecError",
     "TrajectoryTable",
+    "boundary_peak",
     "build_bose_hubbard_hamiltonian",
     "build_observable",
     "build_sector_basis",
@@ -139,6 +144,7 @@ __all__ = [
     "prepare_initial_state",
     "propagate_single_particle",
     "readout_correct",
+    "sample_counts",
     "sample_shots",
     "save_shots",
     "sector_tag",

@@ -10,7 +10,7 @@ from .freefermion import propagate_single_particle, single_particle_matrix
 
 GN_MAX_ITERATIONS = 200
 GN_REL_TOL = 1e-8
-WAVEFRONT_THRESHOLD = 0.1  # fraction of the smoothed global max
+WAVEFRONT_THRESHOLD = 0.1  # fraction of the smoothed rise from t = 0
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,16 @@ def moving_average3(values):
 def detect_first_wavefront(values):
     """Index of the first arrival peak of a boundary-site series.
 
-    Rule: on the 3-point-smoothed series, the first index k from which the
+    Rule: on the 3-point-smoothed series s, the first index k from which the
     series decreases for 2 consecutive samples, considered only once the
-    series has exceeded 10% of its smoothed global maximum.
+    series has reached s[0] + 10% of its rise (max s - s[0]). Arming above
+    the t = 0 value keeps a noisy series' readout floor from counting as
+    the front.
     """
     s = moving_average3(values)
     if s.shape[0] < 3:
         raise NoWavefrontError("series too short for wavefront detection")
-    threshold = WAVEFRONT_THRESHOLD * s.max()
+    threshold = s[0] + WAVEFRONT_THRESHOLD * (s.max() - s[0])
     armed = False
     for k in range(s.shape[0] - 2):
         if s[k] >= threshold:
@@ -196,13 +198,29 @@ def linear_fit(x, y):
     )
 
 
+def boundary_peak(times_ns, values, mode="wavefront"):
+    """P5max of one boundary-site series.
+
+    mode 'wavefront' takes the raw first-wavefront peak (theory-point
+    convention). 'gaussian' fits the Gaussian to the series less its floor,
+    the smoothed value at t = 0 (the readout floor of a noisy series, about 0
+    for an exact one), clipped to [0, 1], and takes the fitted amplitude.
+    """
+    if mode == "wavefront":
+        return first_wavefront_peak(values)
+    if mode != "gaussian":
+        raise DomainError(f"unknown extraction mode {mode!r}")
+    floor = moving_average3(values)[0]
+    above = np.clip(np.asarray(values, dtype=float) - floor, 0.0, 1.0)
+    return gaussian_fit_wavefront(times_ns, above).parameters["amplitude"]
+
+
 def p5max_scan(gradients_mhz, params=None, mode="wavefront", t_max_ns=300.0,
                dt_sample_ns=2.0):
     """Boundary-arrival maxima per gradient from the free-fermion solver.
 
-    mode 'wavefront' takes the raw first-wavefront peak (theory-point
-    convention); 'gaussian' takes the fitted amplitude. The ramp descends
-    along the chain, the experiment convention.
+    mode is boundary_peak's, the extraction the CLI's scan uses. The ramp
+    descends along the chain, the experiment convention.
     """
     if params is None:
         from .device import paper_device
@@ -216,13 +234,7 @@ def p5max_scan(gradients_mhz, params=None, mode="wavefront", t_max_ns=300.0,
         pot = PotentialSpec.linear(-float(f))
         h = single_particle_matrix(params, pot)
         p5 = propagate_single_particle(h, 1, times)[:, params.n_qubits - 1]
-        if mode == "wavefront":
-            peak = first_wavefront_peak(p5)
-        elif mode == "gaussian":
-            peak = gaussian_fit_wavefront(times, p5).parameters["amplitude"]
-        else:
-            raise DomainError(f"unknown extraction mode {mode!r}")
-        rows.append((float(f), float(peak)))
+        rows.append((float(f), float(boundary_peak(times, p5, mode))))
     return rows
 
 

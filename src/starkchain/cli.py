@@ -20,12 +20,7 @@ from importlib import metadata
 
 import numpy as np
 
-from .analysis import (
-    first_wavefront_peak,
-    gaussian_fit_wavefront,
-    linear_fit,
-    wsl_length_from_boundary,
-)
+from .analysis import boundary_peak, linear_fit, wsl_length_from_boundary
 from .config import EXPERIMENTS, parse_config, read_config
 from .device import ANGULAR_PER_MHZ, PotentialSpec
 from .dynamics import (
@@ -33,10 +28,9 @@ from .dynamics import (
     evolve_unitary,
     make_collapse_ops,
     prepare_initial_state,
-    QuantumState,
 )
 from .errors import ConfigError, StarkchainError
-from .measurement import ConfusionMatrix, group_means, sample_shots
+from .measurement import ConfusionMatrix, group_means, sample_counts
 from .model import build_observable, build_sector_basis, build_xy_hamiltonian
 from .observables import trajectory
 
@@ -147,8 +141,8 @@ def _sampled(config, potential, f_index, settings):
 
     settings: (measurement basis, estimator names) pairs, sampled on the
     same full-space snapshots; each setting takes an equal share of the
-    plan's shots, and the shots of each snapshot are drawn from a seed keyed
-    by (seed, gradient, snapshot, setting). One sample_shots call per setting
+    plan's shots, and the groups of each snapshot are drawn from a seed keyed
+    by (seed, gradient, snapshot, setting). One sample_counts call per setting
     covers every snapshot; its record's groups run snapshot by snapshot, so
     each estimator's group means reshape to (nt, n_groups).
     """
@@ -158,18 +152,17 @@ def _sampled(config, potential, f_index, settings):
         data = evolve_unitary(h, state, times)
     else:
         data = evolve_lindblad(h, state, times, collapse)
-    states = [QuantumState(d, h.basis_tag) for d in data]
     confusion = _confusion_list(config)
     correct = confusion if config.readout_correction else None
     plan = config.shots
     n_shots = plan.n_shots // len(settings)
-    shape = (len(states), plan.n_groups)
+    shape = (len(data), plan.n_groups)
     out = {}
     for setting, (meas_basis, estimators) in enumerate(settings):
         seeds = [_derive_seed(plan.seed, f_index, k, setting)
-                 for k in range(len(states))]
-        rec = sample_shots(states, confusion, meas_basis, n_shots, seeds,
-                           n_groups=plan.n_groups)
+                 for k in range(len(data))]
+        rec = sample_counts(data, confusion, meas_basis, n_shots, seeds,
+                            n_groups=plan.n_groups)
         out.update({name: group_means(rec, name, confusion=correct)
                     .reshape(shape) for name in estimators})
     return out
@@ -268,12 +261,8 @@ def _run_wsl_scan(config, out_dir):
     for f_index, f in enumerate(config.gradients_mhz):
         # the boundary column of spin_transport: same seeds, same values
         cols, _ = _densities(config, f_index, _potential_for(f), {f"P{n}": n})
-        p5 = cols[f"P{n}"]
-        if theory_mode:
-            peak = first_wavefront_peak(p5)
-        else:
-            peak = gaussian_fit_wavefront(times, np.clip(p5, 0.0, 1.0)) \
-                .parameters["amplitude"]
+        peak = boundary_peak(times, cols[f"P{n}"],
+                             "wavefront" if theory_mode else "gaussian")
         rows.append((peak, np.log(peak), wsl_length_from_boundary(peak, n - 1)))
     scan = dict(zip(("p5max", "ln_p5max", "xi_boundary"), zip(*rows)))
     name = "wsl_scan.csv"

@@ -34,6 +34,10 @@ MAX_TIME_POINTS = 100_000  # cap on the time grid; the paper's has 151 points
 
 MAX_QUBITS = 62  # a chain state is held as the bits of one int64
 
+# cap on shots.n_shots: far above the paper's 600 and 2000, and low enough
+# that every count and every sum of counts stays an exact int64 and float64
+MAX_SHOTS = 10 ** 9
+
 _TWO_SETTING = {"thermal_transport", "spin_current"}
 # experiments whose CSVs carry an _err column next to each sampled value
 _ERROR_BARS = _TWO_SETTING | {"spin_transport"}
@@ -57,6 +61,9 @@ class ShotPlan:
         # checked here so a --seed override is held to them too
         if self.n_shots < 1:
             raise ConfigError(f"shots.n_shots: must be >= 1, got {self.n_shots}")
+        if self.n_shots > MAX_SHOTS:
+            raise ConfigError(f"shots.n_shots: must be <= {MAX_SHOTS}, "
+                              f"got {self.n_shots}")
         if self.n_groups < 1:
             raise ConfigError(f"shots.n_groups: must be >= 1, got {self.n_groups}")
         if self.n_shots % self.n_groups != 0:

@@ -37,15 +37,15 @@ class QuantumState:
         a = np.asarray(self.data, dtype=complex)
         if a.ndim == 1:
             norm = np.linalg.norm(a)
-            if abs(norm - 1.0) > 1e-6:
+            if abs(norm - 1.0) > TRACE_TOL:
                 raise DomainError(f"state vector norm {norm} is not 1")
         elif a.ndim == 2:
             if a.shape[0] != a.shape[1]:
                 raise DomainError(f"density matrix must be square, got {a.shape}")
             tr = np.trace(a)
-            if abs(tr - 1.0) > 1e-6:
+            if abs(tr - 1.0) > TRACE_TOL:
                 raise DomainError(f"density matrix trace {tr} is not 1")
-            if np.max(np.abs(a - a.conj().T)) > 1e-8:
+            if np.max(np.abs(a - a.conj().T)) > HERMITICITY_TOL:
                 raise DomainError("density matrix is not Hermitian")
         else:
             raise DomainError("state data must be a vector or a square matrix")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import QuantumState
+from .dynamics import HERMITICITY_TOL, TRACE_TOL, QuantumState
 from .errors import DomainError, StateSpecError
 from .model import full_tag
 
@@ -67,6 +67,13 @@ def confusion_from_device(params):
     ]
 
 
+def _checked_basis(basis):
+    basis = str(basis).upper()
+    if not basis or any(a not in VALID_AXES for a in basis):
+        raise DomainError(f"basis must be over {{Z,X,Y}}, got {basis!r}")
+    return basis
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class ShotRecord:
     """The shots of one joint readout, held as bits.
@@ -85,9 +92,7 @@ class ShotRecord:
 
     def __init__(self, bitstrings=None, n_groups=1, seed=0, basis="", *,
                  bits=None):
-        basis = str(basis).upper()
-        if not basis or any(a not in VALID_AXES for a in basis):
-            raise DomainError(f"basis must be over {{Z,X,Y}}, got {basis!r}")
+        basis = _checked_basis(basis)
         n_qubits = len(basis)
         if (bitstrings is None) == (bits is None):
             raise DomainError("give exactly one of bitstrings and bits")
@@ -124,6 +129,62 @@ class ShotRecord:
 
     def bit_array(self):
         return self.bits
+
+    def site_counts(self, sites):
+        """Counts (n_groups, 2^k) over the joint outcomes of the k listed
+        sites (ascending, site 1 first) in each group, from one bincount: the
+        group index sits in the bits above the k outcome bits."""
+        k = len(sites)
+        group_size = self.n_shots // self.n_groups
+        idx = np.repeat(np.arange(self.n_groups, dtype=np.int64) << k,
+                        group_size)
+        for i, s in enumerate(sites):
+            idx |= self.bits[:, s - 1].astype(np.int64) << (k - 1 - i)
+        counts = np.bincount(idx, minlength=self.n_groups << k)
+        return counts.reshape(self.n_groups, 1 << k)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class CountRecord:
+    """The outcome histograms of the groups of one joint readout.
+
+    counts is a read-only (n_groups, 2^n_qubits) int64 array: row g counts
+    each reported outcome of group g, its index read as bits with site 1 the
+    most significant. sample_counts returns one; group_means accepts it
+    wherever it accepts a ShotRecord.
+    """
+
+    counts: np.ndarray
+    basis: str
+
+    def __init__(self, counts, basis):
+        basis = _checked_basis(basis)
+        counts = np.array(counts, dtype=np.int64)
+        if counts.ndim != 2 or counts.shape[1] != 1 << len(basis):
+            raise DomainError(
+                f"counts of shape {counts.shape} for {len(basis)} qubits")
+        if np.any(counts < 0):
+            raise DomainError("counts must be non-negative")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "basis", basis)
+
+    @property
+    def n_groups(self):
+        return self.counts.shape[0]
+
+    @property
+    def n_qubits(self):
+        return len(self.basis)
+
+    def site_counts(self, sites):
+        """Counts (n_groups, 2^k) over the joint outcomes of the k listed
+        sites (ascending, site 1 first): each group's histogram summed over
+        the other sites."""
+        n = self.n_qubits
+        per_site = self.counts.reshape((self.n_groups,) + (2,) * n)
+        others = tuple(q for q in range(1, n + 1) if q not in sites)
+        return per_site.sum(axis=others).reshape(self.n_groups, 1 << len(sites))
 
 
 _BITSTRING_RE = re.compile(r"[01]+")
@@ -185,6 +246,29 @@ def _rotated_probabilities(state, u, n):
     return probs / probs.sum()
 
 
+def _sampling_args(basis, confusion, n_shots, n_states, seeds, n_groups):
+    """The checked basis, per-state shot count and seed list of a sampler
+    call over n_states states."""
+    basis = _checked_basis(basis)
+    if len(confusion) != len(basis):
+        raise DomainError(
+            f"need {len(basis)} confusion matrices, got {len(confusion)}"
+        )
+    if n_shots < 1:
+        raise DomainError("n_shots must be positive")
+    seeds = [seeds] if np.ndim(seeds) == 0 else list(seeds)
+    if not n_states or len(seeds) != n_states:
+        raise DomainError(
+            f"need one seed per state, got {len(seeds)} seeds for "
+            f"{n_states} states"
+        )
+    n_shots = int(n_shots)
+    if n_groups < 1 or n_shots % n_groups:
+        raise DomainError(
+            f"{n_shots} shots per state not divisible into {n_groups} groups")
+    return basis, n_shots, seeds
+
+
 def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
     """Draw noisy shots: basis pre-rotation, Born draw, per-qubit bit flips.
 
@@ -201,27 +285,10 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
     K * n_groups groups in state-major order (group g of state k is group
     k * n_groups + g), and its seed is the first state's seed.
     """
-    basis = str(basis).upper()
-    if any(a not in VALID_AXES for a in basis):
-        raise DomainError(f"invalid basis axis in {basis!r}")
-    n_qubits = len(basis)
-    if len(confusion) != n_qubits:
-        raise DomainError(
-            f"need {n_qubits} confusion matrices, got {len(confusion)}"
-        )
-    if n_shots < 1:
-        raise DomainError("n_shots must be positive")
     states = [state] if isinstance(state, QuantumState) else list(state)
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
-    if not states or len(seeds) != len(states):
-        raise DomainError(
-            f"need one seed per state, got {len(seeds)} seeds for "
-            f"{len(states)} states"
-        )
-    n_shots = int(n_shots)
-    if n_groups < 1 or n_shots % n_groups:
-        raise DomainError(
-            f"{n_shots} shots per state not divisible into {n_groups} groups")
+    basis, n_shots, seeds = _sampling_args(basis, confusion, n_shots,
+                                           len(states), seed, n_groups)
+    n_qubits = len(basis)
     rotation = _tensor([_ROT[a] for a in basis])  # the basis pre-rotation
     # row o of the table holds the bits of outcome o, site 1 = most
     # significant
@@ -240,6 +307,75 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
         np.bitwise_xor(bits, flips, out=reported[k * n_shots:(k + 1) * n_shots])
     return ShotRecord(bits=reported, n_groups=len(states) * int(n_groups),
                       seed=int(seeds[0]), basis=basis)
+
+
+def _checked_stack(states, n_qubits):
+    """A (T, 2^n) stack of state vectors or a (T, 2^n, 2^n) stack of density
+    matrices on the full space of n qubits, held to QuantumState's checks,
+    all snapshots at once."""
+    a = np.asarray(states, dtype=complex)
+    dim = 1 << n_qubits
+    if a.ndim not in (2, 3) or a.shape[1:] not in ((dim,), (dim, dim)):
+        raise StateSpecError(
+            f"sampling needs full-space states on {n_qubits} qubits, got a "
+            f"stack of shape {a.shape}")
+    if a.ndim == 2:
+        norm = np.linalg.norm(a, axis=1)
+        bad = np.flatnonzero(np.abs(norm - 1.0) > TRACE_TOL)
+        if bad.size:
+            raise DomainError(
+                f"snapshot {bad[0]}: state vector norm {norm[bad[0]]} is not 1")
+        return a
+    tr = np.trace(a, axis1=1, axis2=2)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
+    if bad.size:
+        raise DomainError(
+            f"snapshot {bad[0]}: density matrix trace {tr[bad[0]]} is not 1")
+    # a contiguous adjoint: subtracting the transposed view itself is 3x slower
+    adjoint = np.ascontiguousarray(a.transpose(0, 2, 1)).conj()
+    residue = np.abs(a - adjoint).max(axis=(1, 2))
+    bad = np.flatnonzero(residue > HERMITICITY_TOL)
+    if bad.size:
+        raise DomainError(f"snapshot {bad[0]}: density matrix is not Hermitian")
+    return a
+
+
+def sample_counts(states, confusion, basis, n_shots, seeds, n_groups=1):
+    """Per-group outcome histograms of noisy readouts of a snapshot stack.
+
+    states is a (T, 2^n) stack of state vectors or a (T, 2^n, 2^n) stack of
+    density matrices on the full space, with one seed per snapshot. Each
+    snapshot's n_shots split into n_groups groups. With independent
+    per-qubit flips, the reported outcome of one shot has the distribution
+    q = (C_1 x ... x C_n) p, p the Born probabilities after the basis
+    pre-rotation, so each group's histogram is one multinomial draw of
+    n_shots // n_groups from q. Snapshot k draws its n_groups histograms
+    from Philox keyed by its seed alone, so any snapshot can be regenerated
+    on its own.
+
+    Returns a CountRecord of T * n_groups groups in state-major order (group
+    g of snapshot k is row k * n_groups + g). Its group means have the
+    distribution of sample_shots', but not its draws.
+    """
+    basis, n_shots, seeds = _sampling_args(basis, confusion, n_shots,
+                                           len(states), seeds, n_groups)
+    n_qubits = len(basis)
+    stack = _checked_stack(states, n_qubits)
+    rotation = _tensor([_ROT[a] for a in basis])
+    if stack.ndim == 2:
+        probs = np.abs(stack @ rotation.T) ** 2
+    else:
+        # diag(U rho U^dag)_i = sum_j (U rho)_ij conj(U_ij)
+        probs = np.real((np.matmul(rotation, stack) * rotation.conj())
+                        .sum(axis=2))
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+    reported = probs @ _tensor([c.matrix for c in confusion]).T
+    counts = np.empty((len(seeds), n_groups, 1 << n_qubits), dtype=np.int64)
+    for k, key in enumerate(seeds):
+        counts[k] = np.random.Generator(np.random.Philox(key=int(key))) \
+            .multinomial(n_shots // n_groups, reported[k], size=n_groups)
+    return CountRecord(counts.reshape(-1, 1 << n_qubits), basis)
 
 
 _ESTIMATOR_RE = re.compile(r"^(P|XX|YY|XY|YX|ZZ)([1-9][0-9]*)$")
@@ -267,19 +403,6 @@ def _parse_estimator(name, record):
     return kind, (idx, idx + 1)
 
 
-def _group_histograms(record, sites):
-    """Counts (n_groups, 2^k) over the joint outcomes of the k listed sites
-    (site 1 first) in each group, from one bincount: the group index sits in
-    the bits above the k outcome bits."""
-    k = len(sites)
-    group_size = record.n_shots // record.n_groups
-    idx = np.repeat(np.arange(record.n_groups, dtype=np.int64) << k, group_size)
-    for i, s in enumerate(sites):
-        idx |= record.bits[:, s - 1].astype(np.int64) << (k - 1 - i)
-    counts = np.bincount(idx, minlength=record.n_groups << k)
-    return counts.reshape(record.n_groups, 1 << k).astype(float)
-
-
 def _correct_histograms(hist, mats):
     """Apply the tensored inverse confusion matrix to each group's histogram
     (one per row), clamp, and keep each group's shot count."""
@@ -296,15 +419,16 @@ def _correct_histograms(hist, mats):
 def group_means(record, estimator, confusion=None):
     """Per-group estimates of one estimator, in group order.
 
-    estimator: 'P{j}' for a site density, or a two-letter Pauli pair plus the
-    bond index ('XX2', 'XY1', ...) evaluated as (1-2b_i)(1-2b_j). With
-    confusion matrices given, each group's joint histogram is inverse-corrected
-    before the estimate.
+    record: a ShotRecord or a CountRecord; only the source of each group's
+    histogram differs. estimator: 'P{j}' for a site density, or a two-letter
+    Pauli pair plus the bond index ('XX2', 'XY1', ...) evaluated as
+    (1-2b_i)(1-2b_j). With confusion matrices given, each group's joint
+    histogram is inverse-corrected before the estimate.
     """
     kind, sites = _parse_estimator(str(estimator), record)
-    if record.n_shots < record.n_groups:
+    hist = record.site_counts(sites).astype(float)
+    if not hist.sum(axis=1).all():
         raise DomainError("empty groups")
-    hist = _group_histograms(record, sites)
     if confusion is not None:
         hist = _correct_histograms(
             hist, [confusion[s - 1].inverse() for s in sites])

@@ -7,6 +7,7 @@ from starkchain import (
     DomainError,
     FitDomainError,
     NoWavefrontError,
+    boundary_peak,
     detect_first_wavefront,
     first_wavefront_peak,
     gaussian_fit_wavefront,
@@ -55,6 +56,31 @@ class TestWavefrontDetection:
         y[:20] += 0.02 * np.sin(t[:20])  # noise well below 10% of the max
         k = detect_first_wavefront(y)
         assert abs(t[k] - 150) <= 4
+
+    def test_arms_above_the_floor(self):
+        # a readout floor of 0.03 with a dip-and-rise before the front: 10%
+        # of the maximum lies below the floor, so only arming at 10% of the
+        # rise above t = 0 skips the wiggle
+        t = np.arange(0, 200, 2.0)
+        y = 0.03 + _gauss(t, 0.3, 120, 12)
+        y[3:9] += [0.01, 0.02, 0.03, 0.02, 0.01, 0.0]
+        k = detect_first_wavefront(y)
+        assert abs(t[k] - 120) <= 4
+
+
+class TestBoundaryPeak:
+    def test_gaussian_mode_subtracts_the_floor(self):
+        t = np.arange(0, 200, 2.0)
+        floor = 0.04
+        y = floor + _gauss(t, 0.2, 100, 15)
+        assert boundary_peak(t, y, "gaussian") == pytest.approx(0.2, abs=1e-3)
+        # the wavefront mode keeps the raw sample, floor included
+        assert boundary_peak(t, y) == pytest.approx(0.2 + floor, abs=1e-3)
+
+    def test_unknown_mode(self):
+        t = np.arange(0, 200, 2.0)
+        with pytest.raises(DomainError, match="unknown extraction mode"):
+            boundary_peak(t, _gauss(t, 0.2, 100, 15), "spline")
 
 
 class TestGaussianFit:

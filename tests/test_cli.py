@@ -10,10 +10,16 @@ import pytest
 from starkchain import (
     NoWavefrontError,
     PotentialSpec,
+    QuantumState,
+    full_tag,
+    linear_fit,
+    p5max_scan,
     parse_config,
     propagate_single_particle,
+    sample_shots,
     single_particle_matrix,
 )
+from starkchain import cli
 from starkchain.cli import main, run
 
 
@@ -117,6 +123,21 @@ class TestValidate:
         assert err.startswith("error: t_max: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_too_many_shots(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("experiment: spin_transport\nt_max: 2\ndt_sample: 2\n"
+                     "shots: {n_shots: 4611686018427387904, n_groups: 2}\n")
+        out = tmp_path / "out"
+        assert main(["spin_transport", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: shots.n_shots: must be <= ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        # the cap itself is a valid plan
+        cfg = parse_config({"experiment": "spin_transport",
+                            "shots": {"n_shots": 10 ** 9, "n_groups": 10}})
+        assert cfg.shots.n_shots == 10 ** 9
 
     @pytest.mark.parametrize("experiment", ["thermal_transport", "spin_current"])
     def test_two_setting_shot_split(self, tmp_path, capsys, experiment):
@@ -286,12 +307,36 @@ class TestReproducibility:
         assert fa != fb
 
 
+def _per_shot_counts(states, confusion, basis, n_shots, seeds, n_groups=1):
+    """sample_counts' call over the per-shot sampler: the same snapshots and
+    seeds through sample_shots, one QuantumState per snapshot."""
+    tag = full_tag(len(basis))
+    return sample_shots([QuantumState(d, tag) for d in states], confusion,
+                        basis, n_shots, seeds, n_groups=n_groups)
+
+
 class TestGoldenShots:
     """SHA-256 of the CSVs of short noisy shot runs (paper shots, seed 0,
     table-s1 readout), with and without readout correction. They pin the
     sampler and the estimators, the correction path included, to the bit."""
 
     GOLDEN = {
+        ("spin_transport", False):
+            "3193fe8bd5aa37c4d4fb273515d45dce4b6367b71ca772756157f3679112b98b",
+        ("spin_transport", True):
+            "e09d896777b85c5b48505aae9c57f379db70161f0792b193a8b1591d1275274a",
+        ("thermal_transport", False):
+            "21f24e9e8aee6d228e567650e077c455d30cef805bcca64c061722db627dd1c2",
+        ("thermal_transport", True):
+            "5336c461680c8c61539f765bbf2706f7585746943ab9c9c232eb6a3999f4168e",
+        ("spin_current", False):
+            "46cb60019e99020277109381e6ddd367f1719d08120860d84a9c44e59e737132",
+        ("spin_current", True):
+            "0c08e39b92394d37a2230efd5743c1c62aa2467026f3ef07a2bc27cc44bc96e2",
+    }
+    # the same runs with each setting sampled shot by shot (sample_shots +
+    # group_means), as the CLI did before it sampled per-group counts
+    PER_SHOT = {
         ("spin_transport", False):
             "5d3b752c0774d5259d03ae6f9aa7483e3632c230db0702799b9dbc2404f0aaef",
         ("spin_transport", True):
@@ -306,8 +351,8 @@ class TestGoldenShots:
             "56716615113d699f705ee2ac600499cef676c4761a7d9ec5de6caf1ddd30cbdd",
     }
 
-    @pytest.mark.parametrize("experiment, correction", sorted(GOLDEN))
-    def test_csv_hash(self, tmp_path, experiment, correction):
+    @staticmethod
+    def _digest(tmp_path, experiment, correction):
         cfg = parse_config({
             "experiment": experiment, "noise": "lindblad",
             "readout": "table-s1", "readout_correction": correction,
@@ -315,8 +360,19 @@ class TestGoldenShots:
         })
         summary = run(cfg, out_dir=str(tmp_path))
         (name,) = summary["outputs"]
-        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert digest == self.GOLDEN[(experiment, correction)]
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("experiment, correction", sorted(GOLDEN))
+    def test_csv_hash(self, tmp_path, experiment, correction):
+        assert self._digest(tmp_path, experiment, correction) \
+            == self.GOLDEN[(experiment, correction)]
+
+    @pytest.mark.parametrize("experiment, correction", sorted(PER_SHOT))
+    def test_per_shot_csv_hash(self, tmp_path, monkeypatch, experiment,
+                               correction):
+        monkeypatch.setattr(cli, "sample_counts", _per_shot_counts)
+        assert self._digest(tmp_path, experiment, correction) \
+            == self.PER_SHOT[(experiment, correction)]
 
 
 class TestGoldenScan:
@@ -373,6 +429,28 @@ class TestWslScan:
         # the output directory is made with the first file written
         assert not (tmp_path / "run").exists()
         assert not (tmp_path / "main").exists()
+
+
+class TestNoisyWslScan:
+    # the benchmark's noisy scan: paper device and grid, Lindblad noise,
+    # uncorrected table-s1 readout, 600 shots in 6 groups. Seeds 0-9 all
+    # finish, and each slope of ln P5max vs F lies within 0.15 of the ideal
+    # scan's (about -0.270); seeds 10-19 gave -0.235 to -0.368 as well.
+    BAND = 0.15
+
+    def test_seeds_finish_within_the_band(self, tmp_path):
+        grid = [5.0, 7.5, 10.0, 12.5, 15.0]
+        ideal = linear_fit(grid, np.log([p for _, p in p5max_scan(grid)]))
+        ideal_slope = ideal.parameters["slope"]
+        assert ideal_slope == pytest.approx(-0.270, abs=0.005)
+        for seed in range(10):
+            cfg = parse_config({
+                "experiment": "wsl_scan", "device": "paper-device",
+                "t_max": 300.0, "dt_sample": 2.0, "noise": "lindblad",
+                "readout": "table-s1", "shots": {"seed": seed}})
+            fit = run(cfg, out_dir=str(tmp_path / str(seed)))["fits"]
+            slope = fit["ln_p5max_vs_F"]["slope"]
+            assert abs(slope - ideal_slope) <= self.BAND, (seed, slope)
 
 
 class TestThermalTransport:

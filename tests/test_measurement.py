@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from starkchain import (
     ConfusionMatrix,
+    CountRecord,
     DomainError,
     QuantumState,
     ShotRecord,
@@ -24,6 +25,7 @@ from starkchain import (
     paper_device,
     prepare_initial_state,
     readout_correct,
+    sample_counts,
     sample_shots,
     save_shots,
 )
@@ -406,3 +408,144 @@ def test_batch_equals_its_parts(case):
             want = np.vstack([group_means(p, est, confusion=correct)
                               for p in parts])
             assert np.array_equal(got.reshape(len(states), n_groups), want)
+
+
+def _counts_of(record):
+    """The per-group outcome histograms of a ShotRecord, as a CountRecord."""
+    n = record.n_qubits
+    weights = 1 << np.arange(n - 1, -1, -1)  # site 1 most significant
+    outcome = record.bits.astype(np.int64) @ weights
+    group = np.arange(record.n_shots) // (record.n_shots // record.n_groups)
+    counts = np.bincount((group << n) + outcome,
+                         minlength=record.n_groups << n)
+    return CountRecord(counts.reshape(record.n_groups, 1 << n), record.basis)
+
+
+def _estimators(basis):
+    n = len(basis)
+    names = [f"P{j}" for j in range(1, n + 1)]
+    return names + [basis[b - 1:b + 1] + str(b) for b in range(1, n)
+                    if basis[b - 1:b + 1] in ("XX", "YY", "XY", "YX", "ZZ")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_records())
+def test_counts_of_a_record_give_its_means(case):
+    # a ShotRecord and its histograms give the same means to the last bit,
+    # with and without readout correction
+    bits, n_groups, basis, _, confusion = case
+    rec = ShotRecord(bits=bits, n_groups=n_groups, seed=0, basis=basis)
+    counts = _counts_of(rec)
+    assert counts.n_groups == n_groups
+    for est in _estimators(basis):
+        for correct in (None, confusion_from_device(paper_device())[:len(basis)]):
+            np.testing.assert_array_equal(
+                group_means(counts, est, confusion=correct),
+                group_means(rec, est, confusion=correct))
+
+
+def _random_stack(n, k, seed, pure=False):
+    """k random states on n qubits: unit vectors, or density matrices each
+    mixing three of them."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(k, 3, 2 ** n)) + 1j * rng.normal(size=(k, 3, 2 ** n))
+    vecs /= np.linalg.norm(vecs, axis=2)[:, :, None]
+    if pure:
+        return vecs[:, 0]
+    weights = rng.dirichlet(np.ones(3), size=k)
+    return np.einsum("km,kmi,kmj->kij", weights, vecs, vecs.conj())
+
+
+class TestCounts:
+    def test_pure_z_state_with_perfect_readout_is_deterministic(self):
+        stack = np.array([prepare_initial_state(s, 5).data
+                          for s in ("10011", "00000", "11111")])
+        rec = sample_counts(stack, PERFECT, "ZZZZZ", 60, [4, 5, 6], n_groups=3)
+        want = np.zeros((9, 32), dtype=np.int64)
+        for k, outcome in enumerate((0b10011, 0, 0b11111)):
+            want[3 * k:3 * k + 3, outcome] = 20
+        np.testing.assert_array_equal(rec.counts, want)
+        np.testing.assert_array_equal(
+            group_means(rec, "P1").reshape(3, 3), [[1] * 3, [0] * 3, [1] * 3])
+
+    def test_counts_sum_to_the_group_size(self):
+        stack = _random_stack(3, 4, seed=2)
+        conf = confusion_from_device(paper_device())[:3]
+        rec = sample_counts(stack, conf, "XYZ", 90, [1, 2, 3, 4], n_groups=3)
+        assert rec.counts.shape == (12, 8) and rec.n_groups == 12
+        np.testing.assert_array_equal(rec.counts.sum(axis=1), 30)
+        assert rec.basis == "XYZ"
+
+    def test_each_snapshot_regenerates_on_its_own(self):
+        # snapshot k's groups depend on its state and seed alone
+        conf = confusion_from_device(paper_device())[:3]
+        seeds = [11, 12, 13, 14]
+        for pure in (False, True):
+            stack = _random_stack(3, 4, seed=5, pure=pure)
+            batch = sample_counts(stack, conf, "XZY", 40, seeds, n_groups=2)
+            for k, seed in enumerate(seeds):
+                one = sample_counts(stack[k:k + 1], conf, "XZY", 40, [seed],
+                                    n_groups=2)
+                np.testing.assert_array_equal(one.counts,
+                                              batch.counts[2 * k:2 * k + 2])
+
+    @pytest.mark.parametrize("basis, pure", [
+        ("XYZX", True), ("YXXY", False), ("ZZZZ", False)])
+    def test_same_distribution_as_the_shot_sampler(self, basis, pure):
+        # 400 snapshots of one state, each with its own seed, through both
+        # samplers: 2400 group means of 100 shots each. Their averages agree
+        # within 4 standard errors of the difference, and their spreads
+        # within 10% (the standard error of a spread over 2400 groups is
+        # about 1.4%).
+        n, k = 4, 400
+        data = _random_stack(n, 1, seed=8, pure=pure)[0]
+        state = QuantumState(data, full_tag(n))
+        conf = confusion_from_device(paper_device())[:n]
+        seeds = list(range(1000, 1000 + k))
+        counts = sample_counts(np.array([data] * k), conf, basis, 600, seeds,
+                               n_groups=6)
+        shots = sample_shots([state] * k, conf, basis, 600,
+                             [s + 10 ** 6 for s in seeds], n_groups=6)
+        for est in _estimators(basis):
+            for correct in (None, conf):
+                a = group_means(counts, est, confusion=correct)
+                b = group_means(shots, est, confusion=correct)
+                se = np.sqrt((a.var() + b.var()) / a.size)
+                assert abs(a.mean() - b.mean()) < 4 * se, est
+                assert abs(a.std() / b.std() - 1.0) < 0.10, est
+
+    def test_stack_checks(self):
+        conf = [ConfusionMatrix.perfect()] * 2
+        good = np.array([prepare_initial_state("01", 2).data] * 2)
+        with pytest.raises(StateSpecError, match="full-space"):
+            sample_counts(good[:, :3], conf, "ZZ", 10, [1, 2])
+        with pytest.raises(DomainError, match="^snapshot 1: state vector norm"):
+            sample_counts(good * [[1], [2]], conf, "ZZ", 10, [1, 2])
+        rho = np.array([np.outer(v, v.conj()) for v in good])
+        with pytest.raises(DomainError, match="^snapshot 0: density matrix trace"):
+            sample_counts(rho * 1.1, conf, "ZZ", 10, [1, 2])
+        skew = rho.copy()
+        skew[1, 0, 1] = 1e-6
+        with pytest.raises(DomainError, match="^snapshot 1: .* not Hermitian"):
+            sample_counts(skew, conf, "ZZ", 10, [1, 2])
+        with pytest.raises(DomainError, match="one seed per state"):
+            sample_counts(good, conf, "ZZ", 10, [1])
+        with pytest.raises(DomainError, match="not divisible into 3 groups"):
+            sample_counts(good, conf, "ZZ", 10, [1, 2], n_groups=3)
+        # both samplers share the argument checks; an empty basis is refused
+        with pytest.raises(DomainError, match="^basis must be over"):
+            sample_counts(good, [], "", 10, [1, 2])
+        with pytest.raises(DomainError, match="^basis must be over"):
+            sample_shots(QuantumState(good[0], full_tag(2)), [], "", 10, 1)
+
+    def test_record_checks(self):
+        with pytest.raises(DomainError, match="for 2 qubits"):
+            CountRecord(np.zeros((2, 8), dtype=int), "ZZ")
+        with pytest.raises(DomainError, match="non-negative"):
+            CountRecord([[1, -1, 0, 0]], "ZZ")
+        with pytest.raises(DomainError):
+            CountRecord([[1, 0, 0, 0]], "ZQ")
+        rec = CountRecord([[1, 0, 0, 0], [0, 0, 0, 0]], "ZZ")
+        assert not rec.counts.flags.writeable
+        with pytest.raises(DomainError, match="empty groups"):
+            group_means(rec, "P1")
