@@ -21,14 +21,11 @@ from importlib import metadata
 import numpy as np
 
 from .analysis import boundary_peak, linear_fit, wsl_length_from_boundary
-from .config import EXPERIMENTS, parse_config, read_config
+from .config import EXPERIMENTS, _f_label, parse_config, read_config
 from .device import ANGULAR_PER_MHZ, PotentialSpec
-from .dynamics import (
-    evolve_lindblad,
-    evolve_unitary,
-    make_collapse_ops,
-    prepare_initial_state,
-)
+# evolve_unitary is bound here, unused, for perfbench's tracer test
+from .dynamics import (_evolve, evolve_unitary,  # noqa: F401
+                       make_collapse_ops, prepare_initial_state)
 from .errors import ConfigError, StarkchainError
 from .measurement import ConfusionMatrix, group_means, sample_counts
 from .model import build_observable, build_sector_basis, build_xy_hamiltonian
@@ -54,10 +51,6 @@ def _derive_seed(base, *key):
         entropy=int(base), spawn_key=tuple(int(k) for k in key)
     )
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _f_label(f):
-    return ("%g" % float(f)).replace(".", "p").replace("-", "m")
 
 
 def _write_atomic(path, text):
@@ -147,11 +140,7 @@ def _sampled(config, potential, f_index, settings):
     each estimator's group means reshape to (nt, n_groups).
     """
     h, state, _, collapse = _route(config, potential, config.noise)
-    times = _times(config)
-    if collapse is None:
-        data = evolve_unitary(h, state, times)
-    else:
-        data = evolve_lindblad(h, state, times, collapse)
+    data = _evolve(h, state, _times(config), collapse)
     confusion = _confusion_list(config)
     correct = confusion if config.readout_correction else None
     plan = config.shots
@@ -175,9 +164,11 @@ def _bond_setting(basis, bonds):
 
 
 def _mean_err(per_group):
-    """Columns and error bars from per-group estimates (nt, n_groups)."""
+    """Columns and error bars from per-group estimates (nt, n_groups); one
+    group has no spread, so no error bars (only wsl_scan accepts one)."""
     cols = {k: v.mean(axis=1) for k, v in per_group.items()}
-    errs = {k: v.std(axis=1, ddof=1) for k, v in per_group.items()}
+    errs = {k: v.std(axis=1, ddof=1) for k, v in per_group.items()
+            if v.shape[1] > 1}
     return cols, errs
 
 
@@ -293,6 +284,13 @@ _COLUMNS = {
 def run(config, out_dir=None):
     """Execute one experiment; returns the summary dict it also writes."""
     out_dir = out_dir or config.output_dir
+    # the directory is made with the first file; its nearest existing
+    # ancestor must be a directory, checked before anything is computed
+    base = os.path.abspath(out_dir)
+    while not os.path.lexists(base):
+        base = os.path.dirname(base)
+    if not os.path.isdir(base):
+        raise ConfigError(f"output_dir: {base} exists and is not a directory")
     if config.experiment == "wsl_scan":
         outputs, fits = _run_wsl_scan(config, out_dir)
     else:

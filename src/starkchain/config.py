@@ -43,6 +43,11 @@ _TWO_SETTING = {"thermal_transport", "spin_current"}
 _ERROR_BARS = _TWO_SETTING | {"spin_transport"}
 
 
+def _f_label(f):
+    """A gradient's tag in the name of its CSV: 15 -> '15', 7.5 -> '7p5'."""
+    return ("%g" % float(f)).replace(".", "p").replace("-", "m")
+
+
 def _default_initial(experiment, n_qubits):
     """One excitation on site 1 ("10000"); the thermal run starts from the
     edge-coherent state ("X+X+000")."""
@@ -277,11 +282,16 @@ def parse_config(raw, default_experiment=None):
         gradients = tuple(_as_number(v, f"F[{i}]") for i, v in enumerate(f_raw))
     else:
         raise ConfigError("F: expected a number or a non-empty list of MHz values")
-    for i, f in enumerate(gradients):
+    labels = [_f_label(f) for f in gradients]
+    for i, (f, label) in enumerate(zip(gradients, labels)):
         _require(f >= 0, f"F[{i}]", "gradient magnitudes must be >= 0")
         # the scan fits ln(P5max) against F and reads a length off each F
         _require(f > 0 or experiment != "wsl_scan", f"F[{i}]",
                  "wsl_scan needs gradient magnitudes > 0")
+        # each other experiment writes one CSV per gradient, named by label
+        _require(experiment == "wsl_scan" or label not in labels[:i],
+                 f"F[{i}]", f"{f!r} shares the file label F{label} with "
+                 f"F[{labels.index(label)}]")
 
     initial = raw.get("initial_state",
                       _default_initial(experiment, device.n_qubits))
@@ -344,10 +354,13 @@ def parse_config(raw, default_experiment=None):
 def read_config(path):
     """The raw YAML mapping of a config file, before validation."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file {path}: {reason}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
 

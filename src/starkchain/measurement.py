@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HERMITICITY_TOL, TRACE_TOL, QuantumState
+from .dynamics import QuantumState, _checked_stack
 from .errors import DomainError, StateSpecError
 from .model import full_tag
 
@@ -231,19 +231,18 @@ def _tensor(maps):
     return functools.reduce(np.kron, maps)
 
 
-def _rotated_probabilities(state, u, n):
-    """Outcome probabilities of an n-qubit state after the pre-rotation u."""
-    if state.basis_tag != full_tag(n):
-        raise StateSpecError(
-            f"sampling needs a full-space state on {n} qubits, got {state.basis_tag!r}"
-        )
-    if state.is_density:
-        rho = u @ state.data @ u.conj().T
-        probs = np.real(np.diag(rho)).copy()
+def _born_probabilities(stack, rotation):
+    """(T, 2^n) outcome probabilities of a (T, 2^n) stack of state vectors or
+    a (T, 2^n, 2^n) stack of density matrices after the pre-rotation U."""
+    if stack.ndim == 2:
+        probs = np.abs(stack @ rotation.T) ** 2
     else:
-        probs = np.abs(u @ state.data) ** 2
+        # diag(U rho U^dag)_i = sum_j (U rho)_ij conj(U_ij)
+        probs = np.real((np.matmul(rotation, stack) * rotation.conj())
+                        .sum(axis=2))
     probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def _sampling_args(basis, confusion, n_shots, n_states, seeds, n_groups):
@@ -299,7 +298,11 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
     u = np.empty((n_shots, n_qubits + 1))
     reported = np.empty((len(states) * n_shots, n_qubits), dtype=np.uint8)
     for k, (snapshot, key) in enumerate(zip(states, seeds)):
-        cdf = np.cumsum(_rotated_probabilities(snapshot, rotation, n_qubits))
+        if snapshot.basis_tag != full_tag(n_qubits):
+            raise StateSpecError(
+                f"sampling needs a full-space state on {n_qubits} qubits, got "
+                f"{snapshot.basis_tag!r}")
+        cdf = np.cumsum(_born_probabilities(snapshot.data[None], rotation)[0])
         cdf[-1] = 1.0
         np.random.Generator(np.random.Philox(key=int(key))).random(out=u)
         bits = table[np.searchsorted(cdf, u[:, 0], side="right")]
@@ -307,37 +310,6 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
         np.bitwise_xor(bits, flips, out=reported[k * n_shots:(k + 1) * n_shots])
     return ShotRecord(bits=reported, n_groups=len(states) * int(n_groups),
                       seed=int(seeds[0]), basis=basis)
-
-
-def _checked_stack(states, n_qubits):
-    """A (T, 2^n) stack of state vectors or a (T, 2^n, 2^n) stack of density
-    matrices on the full space of n qubits, held to QuantumState's checks,
-    all snapshots at once."""
-    a = np.asarray(states, dtype=complex)
-    dim = 1 << n_qubits
-    if a.ndim not in (2, 3) or a.shape[1:] not in ((dim,), (dim, dim)):
-        raise StateSpecError(
-            f"sampling needs full-space states on {n_qubits} qubits, got a "
-            f"stack of shape {a.shape}")
-    if a.ndim == 2:
-        norm = np.linalg.norm(a, axis=1)
-        bad = np.flatnonzero(np.abs(norm - 1.0) > TRACE_TOL)
-        if bad.size:
-            raise DomainError(
-                f"snapshot {bad[0]}: state vector norm {norm[bad[0]]} is not 1")
-        return a
-    tr = np.trace(a, axis1=1, axis2=2)
-    bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
-    if bad.size:
-        raise DomainError(
-            f"snapshot {bad[0]}: density matrix trace {tr[bad[0]]} is not 1")
-    # a contiguous adjoint: subtracting the transposed view itself is 3x slower
-    adjoint = np.ascontiguousarray(a.transpose(0, 2, 1)).conj()
-    residue = np.abs(a - adjoint).max(axis=(1, 2))
-    bad = np.flatnonzero(residue > HERMITICITY_TOL)
-    if bad.size:
-        raise DomainError(f"snapshot {bad[0]}: density matrix is not Hermitian")
-    return a
 
 
 def sample_counts(states, confusion, basis, n_shots, seeds, n_groups=1):
@@ -360,16 +332,14 @@ def sample_counts(states, confusion, basis, n_shots, seeds, n_groups=1):
     basis, n_shots, seeds = _sampling_args(basis, confusion, n_shots,
                                            len(states), seeds, n_groups)
     n_qubits = len(basis)
-    stack = _checked_stack(states, n_qubits)
-    rotation = _tensor([_ROT[a] for a in basis])
-    if stack.ndim == 2:
-        probs = np.abs(stack @ rotation.T) ** 2
-    else:
-        # diag(U rho U^dag)_i = sum_j (U rho)_ij conj(U_ij)
-        probs = np.real((np.matmul(rotation, stack) * rotation.conj())
-                        .sum(axis=2))
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum(axis=1, keepdims=True)
+    stack = np.asarray(states, dtype=complex)
+    dim = 1 << n_qubits
+    if stack.ndim not in (2, 3) or stack.shape[1:] not in ((dim,), (dim, dim)):
+        raise StateSpecError(
+            f"sampling needs full-space states on {n_qubits} qubits, got a "
+            f"stack of shape {stack.shape}")
+    probs = _born_probabilities(_checked_stack(stack),
+                                _tensor([_ROT[a] for a in basis]))
     reported = probs @ _tensor([c.matrix for c in confusion]).T
     counts = np.empty((len(seeds), n_groups, 1 << n_qubits), dtype=np.int64)
     for k, key in enumerate(seeds):
@@ -462,19 +432,16 @@ def readout_correct(measured, confusion):
     measured = np.asarray(measured, dtype=float)
     n = len(confusion)
     if measured.shape == (n,):  # 2^n > n always, so the dispatch is unambiguous
-        out = np.empty(n)
-        for q, c in enumerate(confusion):
-            vec = np.array([1.0 - measured[q], measured[q]])
-            corrected = c.inverse() @ vec
-            out[q] = np.clip(corrected[1], 0.0, 1.0)
-        return out
+        # each marginal is the one-site histogram (1 - p, p)
+        return np.array([
+            _correct_histograms(np.array([[1.0 - p, p]]), [c.inverse()])[0, 1]
+            for p, c in zip(measured, confusion)])
     if measured.shape == (2 ** n,):
-        inv = _tensor([c.inverse() for c in confusion])
-        out = np.clip(inv @ measured, 0.0, None)
-        total = out.sum()
-        if total <= 0:
-            raise DomainError("correction produced an empty distribution")
-        return out / total
+        if measured.sum() <= 0:
+            raise DomainError("the histogram must have a positive total")
+        out = _correct_histograms(measured[None],
+                                  [c.inverse() for c in confusion])[0]
+        return out / out.sum()
     raise DomainError(
         f"expected {n} marginals or a {2 ** n}-entry histogram, got shape "
         f"{measured.shape}"

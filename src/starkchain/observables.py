@@ -4,7 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _checked_times, evolve_lindblad, evolve_unitary
+# evolve_unitary is bound here, unused, for perfbench's tracer test
+from .dynamics import _checked_times, _evolve, evolve_unitary  # noqa: F401
 from .errors import DomainError, NumericalConsistencyError
 
 IMAG_ERROR_TOL = 1e-8
@@ -105,10 +106,7 @@ def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
         if not o.is_hermitian():
             raise DomainError(f"observable {n!r} is not Hermitian")
     times_ns = _checked_times(times_ns)
-    if collapse is None:
-        snapshots = evolve_unitary(hamiltonian, state, times_ns)
-    else:
-        snapshots = evolve_lindblad(hamiltonian, state, times_ns, collapse)
+    snapshots = _evolve(hamiltonian, state, times_ns, collapse)
     data = _expectations(snapshots, list(observables.values()))
     imax = float(np.max(np.abs(data.imag), initial=0.0))
     if imax >= IMAG_ERROR_TOL:

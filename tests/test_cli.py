@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from starkchain import (
+    ConfigError,
     NoWavefrontError,
     PotentialSpec,
     QuantumState,
@@ -197,6 +198,45 @@ class TestValidate:
         p.write_text("experiment: wsl_scan\n")
         assert main(["spin_transport", "--config", str(p)]) == 2
         assert "subcommand" in capsys.readouterr().err
+
+
+class TestFileBoundary:
+    """A config or output path the CLI cannot use ends in one error line
+    naming it and exit status 2, before anything is computed."""
+
+    @staticmethod
+    def _refused(capsys, argv, names):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert names in captured.err
+        assert captured.out == ""
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self._refused(capsys, ["validate", "--config", str(tmp_path)],
+                      str(tmp_path))
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_bytes(b"experiment: spin_transport\n# \xff\xfe latin-1\n")
+        self._refused(capsys, ["validate", "--config", str(p)], str(p))
+
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["existing_file", "path_under_a_file"])
+    def test_out_is_a_file(self, tmp_path, capsys, monkeypatch, under):
+        def unreachable(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "_per_gradient", unreachable)
+        p = tmp_path / "c.yaml"
+        p.write_text("experiment: spin_transport\nt_max: 20\n")
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if under else blocker
+        self._refused(capsys, ["spin_transport", "--config", str(p),
+                               "--out", str(out)], "output_dir: ")
+        assert blocker.read_text() == "not a directory\n"
 
 
 class TestSpinTransport:
@@ -452,6 +492,18 @@ class TestNoisyWslScan:
             slope = fit["ln_p5max_vs_F"]["slope"]
             assert abs(slope - ideal_slope) <= self.BAND, (seed, slope)
 
+    def test_one_group(self, tmp_path):
+        # the scan reads only the group means, so one group takes no spread
+        # (a std with ddof=1 over one group warns, an error in this suite)
+        cfg = parse_config({
+            "experiment": "wsl_scan", "device": "paper-device",
+            "t_max": 300.0, "dt_sample": 2.0, "noise": "lindblad",
+            "readout": "table-s1", "shots": {"n_shots": 600, "n_groups": 1}})
+        run(cfg, out_dir=str(tmp_path))
+        header, data = _read_csv(tmp_path / "wsl_scan.csv")
+        assert header == ["F_mhz", "p5max", "ln_p5max", "xi_boundary"]
+        assert np.all((data[:, 1] > 0) & (data[:, 1] < 1))
+
 
 class TestThermalTransport:
     def test_no_crossing_lindblad_shots(self, tmp_path):
@@ -531,6 +583,18 @@ class TestOutputHygiene:
         run(cfg, out_dir=str(tmp_path))
         names = sorted(os.listdir(tmp_path))
         assert names == ["spin_transport_F15.csv", "summary.json"]
+
+    @pytest.mark.parametrize("grid", [[15, 15.0], [15.0000001, 15.0000002]])
+    def test_one_file_per_gradient(self, grid):
+        # both gradients format as F15; the second CSV would overwrite the
+        # first
+        raw = {"experiment": "spin_transport", "t_max": 20, "dt_sample": 10,
+               "F": grid}
+        with pytest.raises(ConfigError, match=r"^F\[1\]: .* F15 with F\[0\]$"):
+            parse_config(raw)
+        # the scan writes one table, whatever the gradients
+        cfg = parse_config(dict(raw, experiment="wsl_scan"))
+        assert cfg.gradients_mhz == tuple(grid)
 
     def test_fractional_gradient_label(self, tmp_path):
         cfg = parse_config({"experiment": "spin_transport", "F": 7.5,

@@ -111,6 +111,18 @@ class TestQuantumState:
         with pytest.raises(DomainError):
             QuantumState(bad, "full:n=1")  # not Hermitian
 
+    def test_messages_name_no_snapshot(self):
+        # the stack check sample_counts uses, on a stack of one
+        with pytest.raises(DomainError, match="^state vector norm 2.0 is not 1$"):
+            QuantumState(np.array([2.0, 0.0]), "full:n=1")
+        with pytest.raises(DomainError, match="^density matrix trace"):
+            QuantumState(np.eye(2), "full:n=1")
+        with pytest.raises(DomainError, match="^density matrix is not Hermitian$"):
+            QuantumState(np.array([[0.5, 0.5j], [0.5j, 0.5]]), "full:n=1")
+        with pytest.raises(DomainError, match="^state data must be a vector or "
+                           "a square matrix, got shape"):
+            QuantumState(np.ones((2, 3)) / 6.0, "full:n=1")
+
     def test_to_density(self):
         st = prepare_initial_state("X+0", 2)
         rho = st.to_density()

@@ -29,6 +29,7 @@ from starkchain import (
     sample_shots,
     save_shots,
 )
+from starkchain import measurement
 
 PERFECT = [ConfusionMatrix.perfect()] * 5
 
@@ -249,6 +250,18 @@ class TestReadoutCorrection:
         conf = [ConfusionMatrix(f0=0.9, f1=0.9)]
         # reported marginal below the achievable floor maps to a clamped 0
         assert readout_correct(np.array([0.0]), conf)[0] == 0.0
+
+    def test_clamping_both_ways(self):
+        # marginals past either end of the correctable range clamp to 0 or 1
+        conf = [ConfusionMatrix(f0=0.9, f1=0.8)] * 2
+        assert list(readout_correct(np.array([0.05, 0.95]), conf)) == \
+            pytest.approx([0.0, 1.0], abs=1e-15)
+
+    def test_histogram_without_positive_total(self):
+        conf = [ConfusionMatrix(f0=0.9, f1=0.9)] * 2
+        for hist in ([0.0] * 4, [0.5, -0.5, 0.0, 0.0]):
+            with pytest.raises(DomainError, match="positive total"):
+                readout_correct(np.array(hist), conf)
 
     def test_shape_error(self):
         conf = confusion_from_device(paper_device())
@@ -513,6 +526,20 @@ class TestCounts:
                 se = np.sqrt((a.var() + b.var()) / a.size)
                 assert abs(a.mean() - b.mean()) < 4 * se, est
                 assert abs(a.std() / b.std() - 1.0) < 0.10, est
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_born_kernel_matches_the_per_state_rotation(self, pure):
+        # the batched kernel both samplers use, against diag(U rho U^dag)
+        # computed one state at a time
+        basis = "XYZ"
+        stack = _random_stack(3, 5, seed=12, pure=pure)
+        u = measurement._tensor([measurement._ROT[a] for a in basis])
+        got = measurement._born_probabilities(stack, u)
+        for k, data in enumerate(stack):
+            rho = np.outer(data, data.conj()) if pure else data
+            want = np.real(np.diag(u @ rho @ u.conj().T))
+            np.testing.assert_allclose(got[k], want / want.sum(), rtol=0,
+                                       atol=1e-14)
 
     def test_stack_checks(self):
         conf = [ConfusionMatrix.perfect()] * 2
