@@ -26,7 +26,8 @@ from .device import ANGULAR_PER_MHZ, PotentialSpec
 # evolve_unitary is bound here, unused, for perfbench's tracer test
 from .dynamics import (_evolve, evolve_unitary,  # noqa: F401
                        make_collapse_ops, prepare_initial_state)
-from .errors import ConfigError, StarkchainError
+from .errors import (ConfigError, DomainError, NoWavefrontError,
+                     StarkchainError)
 from .measurement import ConfusionMatrix, group_means, sample_counts
 from .model import build_observable, build_sector_basis, build_xy_hamiltonian
 from .observables import trajectory
@@ -46,11 +47,76 @@ def _potential_for(f_mhz):
     return PotentialSpec.linear(-abs(float(f_mhz)))
 
 
-def _derive_seed(base, *key):
-    seq = np.random.SeedSequence(
-        entropy=int(base), spawn_key=tuple(int(k) for k in key)
-    )
-    return int(seq.generate_state(1, np.uint64)[0])
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool size and
+# the hashmix, mix and generate_state constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _seed_pool(words):
+    """SeedSequence's entropy pool (mix_entropy) of at least _POOL_SIZE
+    entropy words, each a Python int or a uint32 array. Every product and
+    difference is masked to 32 bits, so ints and arrays wrap alike."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return pool
+
+
+def _derive_seeds(base, f_index, snapshots, setting):
+    """The shot seed of each snapshot of one gradient and setting: entry k is
+    SeedSequence(entropy=base, spawn_key=(f_index, snapshots[k], setting))
+    .generate_state(1, np.uint64)[0], computed for all snapshots at once.
+
+    Each spawn-key index must fit one 32-bit word (below 2**32); the base
+    seed is any non-negative integer. Returns a uint64 array.
+    """
+    base = int(base)
+    if base < 0:
+        raise DomainError(f"seed must be >= 0, got {base}")
+    snapshots = np.asarray(snapshots).reshape(-1)
+    indices = [f_index, setting]
+    if snapshots.size:
+        indices += [snapshots.min(), snapshots.max()]
+    for index in indices:
+        if not (isinstance(index, (int, np.integer)) and 0 <= index <= _M32):
+            raise DomainError(
+                f"spawn-key index {index} is not an integer in 0..2**32 - 1")
+    # the base seed's 32-bit words, lowest first, padded to the pool size
+    # as numpy pads them when a spawn key follows
+    words = [base >> shift & _M32
+             for shift in range(0, max(base.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    words += [int(f_index), snapshots.astype(np.uint32), int(setting)]
+    const = _INIT_B
+    halves = []
+    for word in _seed_pool(words)[:2]:
+        word = word ^ const
+        const = const * _MULT_B & _M32
+        word = word * const & _M32
+        halves.append(np.asarray(word ^ word >> 16, dtype=np.uint64))
+    return halves[0] | halves[1] << 32
 
 
 def _write_atomic(path, text):
@@ -148,8 +214,8 @@ def _sampled(config, potential, f_index, settings):
     shape = (len(data), plan.n_groups)
     out = {}
     for setting, (meas_basis, estimators) in enumerate(settings):
-        seeds = [_derive_seed(plan.seed, f_index, k, setting)
-                 for k in range(len(data))]
+        seeds = _derive_seeds(plan.seed, f_index, np.arange(len(data)),
+                              setting)
         rec = sample_counts(data, confusion, meas_basis, n_shots, seeds,
                             n_groups=plan.n_groups)
         out.update({name: group_means(rec, name, confusion=correct)
@@ -252,8 +318,13 @@ def _run_wsl_scan(config, out_dir):
     for f_index, f in enumerate(config.gradients_mhz):
         # the boundary column of spin_transport: same seeds, same values
         cols, _ = _densities(config, f_index, _potential_for(f), {f"P{n}": n})
-        peak = boundary_peak(times, cols[f"P{n}"],
-                             "wavefront" if theory_mode else "gaussian")
+        try:
+            peak = boundary_peak(times, cols[f"P{n}"],
+                                 "wavefront" if theory_mode else "gaussian")
+        except NoWavefrontError as exc:
+            raise NoWavefrontError(
+                f"{exc} at F[{f_index}] = {f:g} MHz; t_max = "
+                f"{config.t_max_ns:g} ns may be too short for it") from exc
         rows.append((peak, np.log(peak), wsl_length_from_boundary(peak, n - 1)))
     scan = dict(zip(("p5max", "ln_p5max", "xi_boundary"), zip(*rows)))
     name = "wsl_scan.csv"

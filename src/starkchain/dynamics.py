@@ -12,6 +12,7 @@ from .model import (DENSE_DIM_CAP, OperatorMatrix, SectorBasis, _basis_states,
 
 LINDBLAD_DIM_CAP = 1024  # ten qubits
 DENSE_BLOCK_CAP = 256  # largest generator block given a dense propagator
+CHECK_STACK_ENTRIES = 1 << 12  # most snapshot entries checked in one stack
 TRACE_TOL = 1e-6
 POSITIVITY_TOL = 1e-6
 HERMITICITY_TOL = 1e-8
@@ -314,25 +315,39 @@ def _restrict(op, keep):
     return sp.csr_matrix((op.vals[inside], (rows, cols)), shape=(keep.size, keep.size))
 
 
-def _checked_snapshot(mat, t):
-    """Hermitian part of a propagated density matrix, after the sanity checks.
+def _check_blocks(stack, times):
+    """Sanity checks of a (m, b, b) stack of propagated density-matrix
+    blocks taken at the ascending times.
 
-    An anti-Hermitian residue beyond 1e-8, trace drift beyond 1e-6 or an
-    eigenvalue below -1e-6 raises NumericalConsistencyError.
+    An anti-Hermitian residue beyond 1e-8, then a trace of the Hermitian
+    part drifting beyond 1e-6, then an eigenvalue of it below -1e-6 raises
+    NumericalConsistencyError for the earliest failing block, as checking
+    one block at a time would. A block with a non-finite entry fails on its
+    residue, so eigvalsh sees only blocks before the first residue or trace
+    failure.
     """
-    residue = np.max(np.abs(mat - mat.conj().T), initial=0.0)
-    if residue > HERMITICITY_TOL:
+    adjoint = stack.conj().transpose(0, 2, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        residue = np.abs(stack - adjoint).max(axis=(1, 2))
+        herm = 0.5 * (stack + adjoint)
+        trace = np.trace(herm, axis1=1, axis2=2).real
+    bad = ~(residue <= HERMITICITY_TOL) | (np.abs(trace - 1.0) > TRACE_TOL)
+    stop = np.argmax(bad) if bad.any() else len(stack)
+    if stop:
+        low = np.linalg.eigvalsh(herm[:stop])[:, 0]
+        negative = np.flatnonzero(low < -POSITIVITY_TOL)
+        if negative.size:
+            k = negative[0]
+            raise NumericalConsistencyError(
+                f"density matrix eigenvalue {low[k]} at t = {times[k]:g} ns")
+    if stop < len(stack):
+        t = times[stop]
+        if not residue[stop] <= HERMITICITY_TOL:
+            raise NumericalConsistencyError(
+                f"density matrix anti-Hermitian residue {residue[stop]:.3e} "
+                f"at t = {t:g} ns")
         raise NumericalConsistencyError(
-            f"density matrix anti-Hermitian residue {residue:.3e} at t = {t:g} ns")
-    mat = 0.5 * (mat + mat.conj().T)
-    tr = np.trace(mat).real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NumericalConsistencyError(f"trace drifted to {tr} at t = {t:g} ns")
-    low = np.linalg.eigvalsh(mat)[0]
-    if low < -POSITIVITY_TOL:
-        raise NumericalConsistencyError(
-            f"density matrix eigenvalue {low} at t = {t:g} ns")
-    return mat
+            f"trace drifted to {trace[stop]} at t = {t:g} ns")
 
 
 def _generator_blocks(gen):
@@ -365,10 +380,11 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     computed once per distinct dt, and the larger blocks are propagated
     together with scipy's expm_multiply (Al-Mohy & Higham 2011). An interval
     taken once is propagated with expm_multiply on the whole generator. Both
-    are accurate to double precision. Every snapshot is checked for
-    Hermiticity, trace and positivity (NumericalConsistencyError) and
-    embedded in the full basis. Returns an (n_times, dim, dim) array of
-    density matrices in the order of times.
+    are accurate to double precision. Each step's Hermitian part is carried
+    on and embedded in the full basis. The snapshots are checked for
+    Hermiticity, trace and positivity as stacks, not one by one, and a
+    NumericalConsistencyError names the earliest that fails. Returns an
+    (n_times, dim, dim) array of density matrices in the order of times.
     """
     import scipy.linalg
     import scipy.sparse.linalg
@@ -403,9 +419,18 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     uses = Counter(steps)
     last_use = {dt: i for i, dt in enumerate(steps)}
     propagators = {}
-    mat = _checked_snapshot(rho[block], 0.0)
+    size = keep.size
+    # the checks run on stacks of up to CHECK_STACK_ENTRIES entries: every
+    # snapshot of a small block at once, chunks of them for a large one
+    per_check = max(1, CHECK_STACK_ENTRIES // size ** 2)
+    pending = np.empty((min(per_check, times.size), size, size), dtype=complex)
+    raw = rho[block]
+    _check_blocks(raw[None], [0.0])
+    mat = 0.5 * (raw + raw.conj().T)
     out = np.zeros((times.size, dim, dim), dtype=complex)
+    first = 0  # the step whose block is pending[0]
     for i, (pos, dt) in enumerate(zip(order, steps)):
+        raw = mat
         if dt * norm >= _UNIT_ROUNDOFF:
             vec = mat.reshape(-1)
             if uses[dt] > 1:
@@ -422,8 +447,13 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
                 new = scipy.sparse.linalg.expm_multiply(dt * gen, vec)
             if last_use[dt] == i:
                 propagators.pop(dt, None)
-            mat = _checked_snapshot(new.reshape(keep.size, keep.size), times[pos])
+            raw = new.reshape(size, size)
+            mat = 0.5 * (raw + raw.conj().T)
+        pending[i - first] = raw
         out[pos][block] = mat
+        if i + 1 - first == len(pending) or i + 1 == times.size:
+            _check_blocks(pending[:i + 1 - first], times[order[first:i + 1]])
+            first = i + 1
     return out
 
 

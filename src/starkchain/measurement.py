@@ -11,6 +11,7 @@ from .errors import DomainError, StateSpecError
 from .model import full_tag
 
 VALID_AXES = frozenset("ZXY")
+_M64 = (1 << 64) - 1
 
 # Basis pre-rotations: measuring axis A in the computational basis after U
 # with U A U^dag = Z, so reported bit 0 is the +1 eigenvalue.
@@ -268,6 +269,24 @@ def _sampling_args(basis, confusion, n_shots, n_states, seeds, n_groups):
     return basis, n_shots, seeds
 
 
+def _keyed_generators(seeds):
+    """For each seed, a Generator that draws what a fresh
+    Generator(Philox(key=seed)) draws. One Philox serves the whole call: its
+    state is reset to counter 0, an empty buffer and the key's two 64-bit
+    words (low first) before each yield. Philox(key=...) itself would first
+    seed a throw-away SeedSequence from OS entropy."""
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0, an empty buffer
+    for seed in seeds:
+        seed = int(seed)
+        if not 0 <= seed < 1 << 128:
+            raise DomainError(f"seed must be in 0..2**128 - 1, got {seed}")
+        state["state"]["key"] = (seed & _M64, seed >> 64)
+        bitgen.state = state
+        yield gen
+
+
 def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
     """Draw noisy shots: basis pre-rotation, Born draw, per-qubit bit flips.
 
@@ -297,14 +316,15 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
     flip1 = np.array([1.0 - c.f1 for c in confusion])  # P(report 0 | true 1)
     u = np.empty((n_shots, n_qubits + 1))
     reported = np.empty((len(states) * n_shots, n_qubits), dtype=np.uint8)
-    for k, (snapshot, key) in enumerate(zip(states, seeds)):
+    for k, (snapshot, gen) in enumerate(zip(states,
+                                            _keyed_generators(seeds))):
         if snapshot.basis_tag != full_tag(n_qubits):
             raise StateSpecError(
                 f"sampling needs a full-space state on {n_qubits} qubits, got "
                 f"{snapshot.basis_tag!r}")
         cdf = np.cumsum(_born_probabilities(snapshot.data[None], rotation)[0])
         cdf[-1] = 1.0
-        np.random.Generator(np.random.Philox(key=int(key))).random(out=u)
+        gen.random(out=u)
         bits = table[np.searchsorted(cdf, u[:, 0], side="right")]
         flips = u[:, 1:] < np.where(bits, flip1, flip0)
         np.bitwise_xor(bits, flips, out=reported[k * n_shots:(k + 1) * n_shots])
@@ -342,9 +362,9 @@ def sample_counts(states, confusion, basis, n_shots, seeds, n_groups=1):
                                 _tensor([_ROT[a] for a in basis]))
     reported = probs @ _tensor([c.matrix for c in confusion]).T
     counts = np.empty((len(seeds), n_groups, 1 << n_qubits), dtype=np.int64)
-    for k, key in enumerate(seeds):
-        counts[k] = np.random.Generator(np.random.Philox(key=int(key))) \
-            .multinomial(n_shots // n_groups, reported[k], size=n_groups)
+    for k, gen in enumerate(_keyed_generators(seeds)):
+        counts[k] = gen.multinomial(n_shots // n_groups, reported[k],
+                                    size=n_groups)
     return CountRecord(counts.reshape(-1, 1 << n_qubits), basis)
 
 

@@ -6,9 +6,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starkchain import (
     ConfigError,
+    DomainError,
     NoWavefrontError,
     PotentialSpec,
     QuantumState,
@@ -347,6 +350,38 @@ class TestReproducibility:
         assert fa != fb
 
 
+# base seeds of one to nine 32-bit words, the word edges among them
+_BASE_SEEDS = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7]),
+                        st.integers(0, 2 ** 256))
+_KEY_INDICES = st.one_of(st.just(0), st.integers(0, 2 ** 32 - 1))
+
+
+def _seed_sequence_key(base, *key):
+    seq = np.random.SeedSequence(entropy=base, spawn_key=key)
+    return seq.generate_state(1, np.uint64)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(base=_BASE_SEEDS, f_index=_KEY_INDICES, setting=_KEY_INDICES,
+       snapshots=st.lists(_KEY_INDICES, min_size=1, max_size=6))
+def test_derived_seeds_are_seed_sequence_keys(base, f_index, setting,
+                                              snapshots):
+    got = cli._derive_seeds(base, f_index, snapshots, setting)
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(
+        got, [_seed_sequence_key(base, f_index, k, setting) for k in snapshots])
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=_BASE_SEEDS, wide=st.integers(2 ** 32, 2 ** 80),
+       where=st.sampled_from(["f_index", "snapshot", "setting"]))
+def test_spawn_key_index_of_two_words_refused(base, wide, where):
+    key = {"f_index": 0, "snapshot": 0, "setting": 0, where: wide}
+    with pytest.raises(DomainError, match="spawn-key index"):
+        cli._derive_seeds(base, key["f_index"], [1, key["snapshot"]],
+                          key["setting"])
+
+
 def _per_shot_counts(states, confusion, basis, n_shots, seeds, n_groups=1):
     """sample_counts' call over the per-shot sampler: the same snapshots and
     seeds through sample_shots, one QuantumState per snapshot."""
@@ -469,6 +504,18 @@ class TestWslScan:
         # the output directory is made with the first file written
         assert not (tmp_path / "run").exists()
         assert not (tmp_path / "main").exists()
+
+
+    def test_short_scan_names_t_max_and_the_gradient(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("experiment: wsl_scan\nt_max: 10\n")
+        assert main(["wsl_scan", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.count("error:") == 1
+        assert err.startswith("error: no first-wavefront peak")
+        assert "F[0] = 5 MHz" in err and "t_max = 10 ns" in err
+        assert "Traceback" not in err
 
 
 class TestNoisyWslScan:

@@ -336,6 +336,87 @@ class TestLindblad:
         with pytest.raises(NumericalConsistencyError):
             evolve_lindblad(h, st, [0.0, 10.0], col)
 
+    @pytest.mark.parametrize("entries", [1, 40, 1 << 20])
+    def test_chunked_checks_change_nothing(self, entries, monkeypatch):
+        # one snapshot, a few, or the whole grid per checked stack
+        h, col = _noisy_chain(3, "device")
+        st = prepare_initial_state("X+10", 3)
+        times = np.arange(0.0, 60.0, 4.0)
+        want = evolve_lindblad(h, st, times, col)
+        monkeypatch.setattr(dynamics, "CHECK_STACK_ENTRIES", entries)
+        np.testing.assert_array_equal(evolve_lindblad(h, st, times, col), want)
+
+
+# a valid 2x2 block, and one failure of each check, with the text that
+# checking one snapshot at a time gave for it at the time t below
+_GOOD = np.diag([0.75, 0.25]).astype(complex)
+_RESIDUE = _GOOD + np.array([[0.0, 3e-7], [0.0, 0.0]])
+_TRACE = np.diag([0.75, 0.25 + 2e-5]).astype(complex)
+_NEGATIVE = np.diag([1.25, -0.25]).astype(complex)
+_NEGATIVE_AND_TRACE = np.diag([1.5, -0.25]).astype(complex)
+_MESSAGES = {
+    "residue": "density matrix anti-Hermitian residue 3.000e-07 at t = {:g} ns",
+    "trace": "trace drifted to 1.0000200000000001 at t = {:g} ns",
+    "negative": "density matrix eigenvalue -0.25 at t = {:g} ns",
+}
+_BLOCK_TIMES = np.arange(0.0, 14.0, 2.0)
+
+
+def _stack_failing(**at):
+    """Seven valid blocks at _BLOCK_TIMES, with the named bad blocks put in
+    at the given snapshots."""
+    stack = np.array([_GOOD] * _BLOCK_TIMES.size)
+    for name, k in at.items():
+        stack[k] = {"residue": _RESIDUE, "trace": _TRACE, "negative": _NEGATIVE,
+                    "both": _NEGATIVE_AND_TRACE, "nan": np.nan}[name]
+    return stack
+
+
+class TestStackChecks:
+    def test_valid_stack_passes(self):
+        assert dynamics._check_blocks(_stack_failing(), _BLOCK_TIMES) is None
+
+    @pytest.mark.parametrize("name", sorted(_MESSAGES))
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_one_failure(self, name, k):
+        with pytest.raises(NumericalConsistencyError) as info:
+            dynamics._check_blocks(_stack_failing(**{name: k}), _BLOCK_TIMES)
+        assert str(info.value) == _MESSAGES[name].format(_BLOCK_TIMES[k])
+
+    @pytest.mark.parametrize("first, second", [
+        ("residue", "negative"), ("negative", "residue"), ("trace", "residue"),
+        ("negative", "trace"), ("residue", "trace"), ("trace", "negative")])
+    def test_earliest_of_two_failures(self, first, second):
+        stack = _stack_failing(**{first: 2, second: 5})
+        with pytest.raises(NumericalConsistencyError) as info:
+            dynamics._check_blocks(stack, _BLOCK_TIMES)
+        assert str(info.value) == _MESSAGES[first].format(4.0)
+
+    def test_trace_before_positivity_in_one_block(self):
+        with pytest.raises(NumericalConsistencyError,
+                           match=r"^trace drifted to 1\.25 at t = 8 ns$"):
+            dynamics._check_blocks(_stack_failing(both=4), _BLOCK_TIMES)
+
+    @pytest.mark.parametrize("negative", [1, 5])
+    def test_non_finite_block_never_reaches_eigvalsh(self, negative,
+                                                     monkeypatch):
+        seen = []
+
+        def eigvalsh(a):
+            seen.append(np.all(np.isfinite(a)))
+            return np.linalg.eigh(a)[0]
+
+        monkeypatch.setattr(dynamics.np.linalg, "eigvalsh", eigvalsh)
+        with pytest.raises(NumericalConsistencyError) as info:
+            dynamics._check_blocks(_stack_failing(nan=3, negative=negative),
+                                   _BLOCK_TIMES)
+        if negative < 3:
+            assert str(info.value) == _MESSAGES["negative"].format(2.0)
+        else:
+            assert str(info.value) == \
+                "density matrix anti-Hermitian residue nan at t = 6 ns"
+        assert seen and all(seen)
+
 
 def _dense_lindblad(h, collapse, state, times):
     """Reference: dense expm of the full-space Liouvillian, column-stacked."""

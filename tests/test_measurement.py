@@ -576,3 +576,39 @@ class TestCounts:
         assert not rec.counts.flags.writeable
         with pytest.raises(DomainError, match="empty groups"):
             group_means(rec, "P1")
+
+
+class TestKeyedStreams:
+    """One Philox, reset per key, draws each key's stream exactly as a
+    fresh Generator(Philox(key=seed)) does."""
+
+    # consecutive keys, the edges of the two key words among them
+    SEEDS = [0, 1, 2, 3, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 7,
+             2 ** 128 - 1, 41]
+
+    @staticmethod
+    def _draws(gen, lead):
+        # lead doubles, then one 32-bit integer, leave a partly used buffer
+        # and a held half-word behind for the next key
+        return (gen.random(lead),
+                gen.integers(0, 1 << 32, size=1, dtype=np.uint32),
+                gen.multinomial(600, [0.1, 0.2, 0.3, 0.4], size=6),
+                gen.random(3))
+
+    @pytest.mark.parametrize("lead", [0, 1, 3, 5])
+    def test_matches_a_fresh_generator(self, lead):
+        streams = measurement._keyed_generators(self.SEEDS)
+        for seed, gen in zip(self.SEEDS, streams):
+            fresh = np.random.Generator(np.random.Philox(key=seed))
+            for got, want in zip(self._draws(gen, lead),
+                                 self._draws(fresh, lead)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_one_generator_per_call(self):
+        gens = list(measurement._keyed_generators([5, 6, 7]))
+        assert gens[0] is gens[1] is gens[2]
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_key_out_of_range(self, seed):
+        with pytest.raises(DomainError, match="seed must be in"):
+            next(measurement._keyed_generators([seed]))
