@@ -29,7 +29,8 @@ from .dynamics import (_evolve, evolve_unitary,  # noqa: F401
 from .errors import (ConfigError, DomainError, NoWavefrontError,
                      StarkchainError)
 from .measurement import ConfusionMatrix, group_means, sample_counts
-from .model import build_observable, build_sector_basis, build_xy_hamiltonian
+from .model import (_basis_states, build_observable, build_sector_basis,
+                    build_xy_hamiltonian)
 from .observables import trajectory
 
 CSV_FORMAT = "%.9g"
@@ -162,11 +163,11 @@ def _times(config):
 def _route(config, potential, noise):
     """The one place that picks a solver space for a run.
 
-    Ideal, shot-free runs from a 0/1 product state evolve in that state's
-    excitation sector: the XY chain conserves excitation number, and for one
-    excitation the block is the single-particle matrix. Everything else
-    (Lindblad runs, shot runs, whose sampler reads full-space states, and
-    X+/X- product states) uses the full 2^n space.
+    Ideal runs from a 0/1 product state, with or without shots, evolve in
+    that state's excitation sector: the XY chain conserves excitation
+    number, and for one excitation the block is the single-particle matrix.
+    Everything else (Lindblad runs and X+/X- product states) uses the full
+    2^n space.
     Returns (hamiltonian, initial state, sector basis or None, collapse set or
     None).
     """
@@ -174,7 +175,7 @@ def _route(config, potential, noise):
     n = params.n_qubits
     spec = config.initial_state
     basis = None
-    if noise == "ideal" and config.shots is None and set(spec) <= {"0", "1"}:
+    if noise == "ideal" and set(spec) <= {"0", "1"}:
         basis = build_sector_basis(n, spec.count("1"))
     h = build_xy_hamiltonian(params, potential, basis=basis)
     state = prepare_initial_state(spec, n, basis=basis)
@@ -199,14 +200,19 @@ def _sampled(config, potential, f_index, settings):
     """Group means (nt, n_groups) per estimator name, over every setting.
 
     settings: (measurement basis, estimator names) pairs, sampled on the
-    same full-space snapshots; each setting takes an equal share of the
-    plan's shots, and the groups of each snapshot are drawn from a seed keyed
-    by (seed, gradient, snapshot, setting). One sample_counts call per setting
+    same snapshots, passed to the sampler with the ascending full-space
+    indices they live on; each setting takes an equal share of the plan's
+    shots, and the groups of each snapshot are drawn from a seed keyed by
+    (seed, gradient, snapshot, setting). One sample_counts call per setting
     covers every snapshot; its record's groups run snapshot by snapshot, so
     each estimator's group means reshape to (nt, n_groups).
     """
-    h, state, _, collapse = _route(config, potential, config.noise)
-    data = _evolve(h, state, _times(config), collapse)
+    h, state, basis, collapse = _route(config, potential, config.noise)
+    support, data = _evolve(h, state, _times(config), collapse)
+    if basis is not None:  # sector positions to ascending full-space indices
+        full = _basis_states(basis, basis.n_sites)[0][support]
+        order = np.argsort(full)
+        support, data = full[order], data[:, order]
     confusion = _confusion_list(config)
     correct = confusion if config.readout_correction else None
     plan = config.shots
@@ -217,7 +223,7 @@ def _sampled(config, potential, f_index, settings):
         seeds = _derive_seeds(plan.seed, f_index, np.arange(len(data)),
                               setting)
         rec = sample_counts(data, confusion, meas_basis, n_shots, seeds,
-                            n_groups=plan.n_groups)
+                            n_groups=plan.n_groups, support=support)
         out.update({name: group_means(rec, name, confusion=correct)
                     .reshape(shape) for name in estimators})
     return out

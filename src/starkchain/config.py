@@ -38,6 +38,11 @@ MAX_QUBITS = 62  # a chain state is held as the bits of one int64
 # that every count and every sum of counts stays an exact int64 and float64
 MAX_SHOTS = 10 ** 9
 
+# cap on the outcome counts a shot run holds at once (_count_entries): 2^26
+# int64 entries are 512 MiB. The paper's runs hold 151 x 10 x 2^5; an ideal
+# spin_transport with paper shots fits up to 16 qubits on the paper grid.
+MAX_COUNT_ENTRIES = 1 << 26
+
 _TWO_SETTING = {"thermal_transport", "spin_current"}
 # experiments whose CSVs carry an _err column next to each sampled value
 _ERROR_BARS = _TWO_SETTING | {"spin_transport"}
@@ -123,6 +128,13 @@ class ExperimentConfig:
             "readout_correction": self.readout_correction,
             "output_dir": self.output_dir,
         }
+
+
+def _count_entries(n_qubits, t_max_ns, dt_sample_ns, n_groups):
+    """Outcome counts one measurement setting of a shot run holds: one per
+    snapshot of the 0..t_max grid, group and outcome of n_qubits qubits."""
+    snapshots = math.ceil((t_max_ns + 1e-9) / dt_sample_ns)
+    return snapshots * n_groups << n_qubits
 
 
 def _reject_unknown(mapping, allowed, path):
@@ -292,6 +304,9 @@ def parse_config(raw, default_experiment=None):
         _require(experiment == "wsl_scan" or label not in labels[:i],
                  f"F[{i}]", f"{f!r} shares the file label F{label} with "
                  f"F[{labels.index(label)}]")
+        _require(experiment != "wsl_scan" or f not in gradients[:i], f"F[{i}]",
+                 f"{f!r} repeats F[{gradients.index(f)}]; wsl_scan fits "
+                 f"ln(P5max) against distinct gradients")
 
     initial = raw.get("initial_state",
                       _default_initial(experiment, device.n_qubits))
@@ -325,6 +340,12 @@ def parse_config(raw, default_experiment=None):
         raise ConfigError(
             "shots: decoherence_check compares exact expectations; set 'none'"
         )
+    if shots is not None:
+        entries = _count_entries(device.n_qubits, t_max, dt, shots.n_groups)
+        _require(entries <= MAX_COUNT_ENTRIES, "device.n_qubits",
+                 f"a shot run on {device.n_qubits} qubits holds {entries} "
+                 f"outcome counts (snapshots x n_groups x 2^n), above the "
+                 f"budget of {MAX_COUNT_ENTRIES}")
 
     correction = raw.get("readout_correction", False)
     if not isinstance(correction, bool):

@@ -8,9 +8,9 @@ import numpy as np
 from .device import DeviceParams
 from .errors import DomainError, NumericalConsistencyError, StateSpecError
 from .model import (DENSE_DIM_CAP, OperatorMatrix, SectorBasis, _basis_states,
-                    _operator, full_tag)
+                    _operator, _restricted, _summed, full_tag)
 
-LINDBLAD_DIM_CAP = 1024  # ten qubits
+LINDBLAD_SUPPORT_CAP = 1024  # reachable basis states, ten qubits' worth
 DENSE_BLOCK_CAP = 256  # largest generator block given a dense propagator
 CHECK_STACK_ENTRIES = 1 << 12  # most snapshot entries checked in one stack
 TRACE_TOL = 1e-6
@@ -159,16 +159,21 @@ def _checked_times(times):
     return times
 
 
-def _pruned(gen):
-    """The CSR generator gen with its entries below _UNIT_ROUNDOFF times its
-    1-norm dropped in place, and that norm. Neither those entries nor a step
-    dt with dt times the norm below _UNIT_ROUNDOFF move a state beyond
-    rounding, and on either scipy's expm_multiply can divide by zero or
-    overflow."""
-    norm = np.bincount(gen.indices, np.abs(gen.data), gen.shape[1]).max()
-    gen.data[np.abs(gen.data) < norm * _UNIT_ROUNDOFF] = 0.0
-    gen.eliminate_zeros()
-    return gen, norm
+def _pruned(size, rows, cols, vals):
+    """The entries of a size x size generator, row-major, less those below
+    _UNIT_ROUNDOFF times its 1-norm and exact zeros, and that norm. Neither
+    those entries nor a step dt with dt times the norm below _UNIT_ROUNDOFF
+    move a state beyond rounding, and on either scipy's expm_multiply can
+    divide by zero or overflow."""
+    norm = np.bincount(cols, np.abs(vals), size).max(initial=0.0)
+    keep = ~(np.abs(vals) < norm * _UNIT_ROUNDOFF) & (vals != 0)
+    return rows[keep], cols[keep], vals[keep], norm
+
+
+def _csr(size, rows, cols, vals):
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 
 def evolve_unitary(hamiltonian, state, times):
@@ -196,7 +201,9 @@ def evolve_unitary(hamiltonian, state, times):
         return (phases * c0) @ evecs.T
     import scipy.sparse.linalg
 
-    gen, norm = _pruned(-1j * hamiltonian.matrix)
+    rows, cols, vals, norm = _pruned(hamiltonian.dim, hamiltonian.rows,
+                                     hamiltonian.cols, -1j * hamiltonian.vals)
+    gen = _csr(hamiltonian.dim, rows, cols, vals)
     out = np.empty((times.size, state.dim), dtype=complex)
     vec = state.data
     t_prev = 0.0
@@ -252,35 +259,52 @@ def make_collapse_ops(params, dephasing="as-given"):
     return CollapseOperatorSet(operators=tuple(ops), basis_tag=tag)
 
 
-def _kron_entries(x, y):
-    """Coordinates and values of the Kronecker product of two COO matrices."""
-    d = y.shape[0]
-    return ((x.row[:, None] * d + y.row).ravel(),
-            (x.col[:, None] * d + y.col).ravel(),
-            (x.data[:, None] * y.data).ravel())
+def _kron_conj(x, y, d):
+    """Entries of x (x) conj(y) for two matrices given as entries (rows,
+    cols, vals), y of side d."""
+    return ((x[0][:, None] * d + y[0]).ravel(),
+            (x[1][:, None] * d + y[1]).ravel(),
+            (x[2][:, None] * y[2].conj()).ravel())
 
 
-def _liouvillian(h, jumps):
-    """Sparse generator acting on the row-major vectorized density matrix.
+def _gram_entries(r, c, v):
+    """The products conj(C_ia) C_ib, at (a, b), of every pair of entries in
+    one row i of C given row-major: the terms of C+ C, rows i ascending."""
+    first = np.flatnonzero(np.diff(r, prepend=-1))
+    width = np.diff(np.append(first, r.size))  # entries in each row
+    partners = np.repeat(width, width)  # entries in the row of each entry
+    a = np.repeat(np.arange(r.size), partners)
+    b = (np.repeat(np.repeat(first, width), partners) + np.arange(a.size)
+         - np.repeat(np.cumsum(partners) - partners, partners))
+    return c[a], c[b], v[a].conj() * v[b]
 
-    h and jumps are sparse matrices on one basis: the Hamiltonian and the
-    rate-weighted collapse operators C_k. It is assembled in one pass as
-    A (x) 1 + 1 (x) conj(A) + sum_k C_k (x) conj(C_k), A = -iH - K/2.
+
+def _liouvillian(h, jumps, size):
+    """Entries (rows, cols, vals), row-major, of the generator acting on the
+    row-major vectorized density matrix.
+
+    h and jumps are entry lists on one basis of size states: the Hamiltonian
+    and the rate-weighted collapse operators C_k. The generator is assembled
+    in one pass as A (x) 1 + 1 (x) conj(A) + sum_k C_k (x) conj(C_k), with
+    A = -iH - K/2 and K = sum_k C_k+ C_k summed first. Exact zeros of A are
+    dropped, and entries at one coordinate are summed in the order of those
+    terms.
     """
-    import scipy.sparse as sp
+    none = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=complex),)
+    k = _summed(size, *map(np.concatenate,
+                           zip(none, *[_gram_entries(*c) for c in jumps])))
+    a = _summed(size, *map(np.concatenate, zip(
+        (h[0], h[1], -1j * h[2]), (k[0], k[1], -(0.5 * k[2])))))
+    a = tuple(x[a[2] != 0] for x in a)
+    eye = (np.arange(size), np.arange(size), np.ones(size))
+    parts = [_kron_conj(a, eye, size), _kron_conj(eye, a, size)]
+    parts += [_kron_conj(c, c, size) for c in jumps]
+    return _summed(size * size, *map(np.concatenate, zip(*parts)))
 
-    dim = h.shape[0]
-    stacked = sp.vstack([*jumps, sp.csr_matrix((0, dim))], format="csr")
-    a = (-1j * h - 0.5 * (stacked.getH() @ stacked)).tocoo()
-    eye = sp.identity(dim, format="coo")
-    parts = [_kron_entries(a, eye), _kron_entries(eye, a.conj())]
-    parts += [_kron_entries(c, c.conj()) for c in map(sp.coo_matrix, jumps)]
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
 
-
-def _reachable_states(rho, hamiltonian, collapse):
-    """Indices of the basis states reachable from the support of rho.
+def _reachable_states(data, hamiltonian, collapse):
+    """Sorted indices of the basis states reachable from the support of a
+    state vector's or a density matrix's data.
 
     Every term of the master equation moves the row index of rho along a
     nonzero entry of H, of a C_k or of K = sum_k C_k+ C_k. It moves the
@@ -293,7 +317,8 @@ def _reachable_states(rho, hamiltonian, collapse):
     """
     links = [(op.cols[op.vals != 0], op.rows[op.vals != 0])
              for op in (hamiltonian, *collapse.operators)]
-    reached = (rho != 0).any(axis=0) | (rho != 0).any(axis=1)
+    nonzero = data != 0
+    reached = nonzero if data.ndim == 1 else nonzero.any(axis=0) | nonzero.any(axis=1)
     while True:
         size = np.count_nonzero(reached)
         for src, dst in links:
@@ -303,16 +328,6 @@ def _reachable_states(rho, hamiltonian, collapse):
             reached[src[via[dst]]] = True
         if np.count_nonzero(reached) == size:
             return np.flatnonzero(reached)
-
-
-def _restrict(op, keep):
-    """CSR matrix of op's entries between the sorted states keep, indexed by
-    position in keep: op restricted to them, stored zeros included."""
-    import scipy.sparse as sp
-
-    inside = np.isin(op.rows, keep) & np.isin(op.cols, keep)
-    rows, cols = (np.searchsorted(keep, a[inside]) for a in (op.rows, op.cols))
-    return sp.csr_matrix((op.vals[inside], (rows, cols)), shape=(keep.size, keep.size))
 
 
 def _check_blocks(stack, times):
@@ -350,68 +365,89 @@ def _check_blocks(stack, times):
             f"trace drifted to {trace[stop]} at t = {t:g} ns")
 
 
-def _generator_blocks(gen):
-    """Index arrays of the weakly connected components of gen's pattern.
+def _generator_blocks(rows, cols, size):
+    """Index arrays of the weakly connected components of the pattern
+    (rows, cols) on size nodes, each ascending, in the order of their
+    smallest index.
 
     The generator maps no entry of one block into another, so each block
     evolves on its own. The split is read from the sparsity, not from a
-    conservation law, and so holds for any set of jump operators.
+    conservation law, and so holds for any set of jump operators. Each node
+    is labelled with the smallest index of its block: every round lowers the
+    label at both ends of each link to the smaller one, then follows labels
+    to their own labels, until no label changes.
     """
-    import scipy.sparse.csgraph
+    label = np.arange(size)
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
-    _, labels = scipy.sparse.csgraph.connected_components(gen != 0,
-                                                          connection="weak")
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
+def _lindblad(hamiltonian, state, times, collapse):
+    """Master-equation evolution with an exact propagator between snapshots,
+    drho/dt = -i[H, rho] + sum_k (C_k rho C_k+ - {C_k+ C_k, rho}/2), as
+    (support, stack): the sorted basis indices reachable from the state (6
+    of 32 for "10000", 16 for "X+X+000") and the (n_times, s, s) density
+    matrices on them, in the order of times.
 
-def evolve_lindblad(hamiltonian, state, times, collapse):
-    """Master-equation evolution with an exact propagator between snapshots.
-
-    drho/dt = -i[H, rho] + sum_k (C_k rho C_k+ - {C_k+ C_k, rho}/2)
-
-    rho(t) stays on the basis states reachable from the support of rho(0)
-    (6 of 32 for "10000", 16 for "X+X+000"), so the generator is built on
-    that block alone. It splits further into independent blocks (26/5/5
-    entries for "10000"; amplitude damping and dephasing keep the ket-bra
-    excitation difference). The requested times are visited in ascending
-    order. Over an interval dt that recurs, as on a uniform grid, a block of
-    up to DENSE_BLOCK_CAP entries is multiplied by its dense expm(dt G_b),
-    computed once per distinct dt, and the larger blocks are propagated
-    together with scipy's expm_multiply (Al-Mohy & Higham 2011). An interval
-    taken once is propagated with expm_multiply on the whole generator. Both
-    are accurate to double precision. Each step's Hermitian part is carried
-    on and embedded in the full basis. The snapshots are checked for
-    Hermiticity, trace and positivity as stacks, not one by one, and a
-    NumericalConsistencyError names the earliest that fails. Returns an
-    (n_times, dim, dim) array of density matrices in the order of times.
+    A support above LINDBLAD_SUPPORT_CAP states is refused before the
+    generator is assembled on it, with numpy, from the operators' entries.
+    The generator splits into independent blocks (26/5/5 entries for
+    "10000"). The times are visited in ascending order. Over an interval dt
+    that recurs, as on a uniform grid, a block of up to DENSE_BLOCK_CAP
+    entries is multiplied by its dense expm(dt G_b), computed once per
+    distinct dt, and the larger blocks are propagated together with scipy's
+    expm_multiply (Al-Mohy & Higham 2011); an interval taken once, with
+    expm_multiply on the whole generator. Each step's Hermitian part is
+    carried on. The snapshots are checked for Hermiticity, trace and
+    positivity as stacks, and a NumericalConsistencyError names the
+    earliest that fails.
     """
     import scipy.linalg
     import scipy.sparse.linalg
 
     _check_hermitian(hamiltonian)
-    if hamiltonian.dim > LINDBLAD_DIM_CAP:
-        raise DomainError(
-            f"lindblad solver is capped at dim {LINDBLAD_DIM_CAP} (ten qubits)")
     if collapse.basis_tag != hamiltonian.basis_tag:
         raise DomainError("collapse operators and hamiltonian bases differ")
     if state.basis_tag != hamiltonian.basis_tag:
         raise DomainError("state and hamiltonian bases differ")
     times = _checked_times(times)
-    dim = hamiltonian.dim
-    rho = state.to_density().data
-    keep = _reachable_states(rho, hamiltonian, collapse)
-    block = np.ix_(keep, keep)
-    gen, norm = _pruned(_liouvillian(_restrict(hamiltonian, keep),
-                                     [_restrict(op, keep) for op in collapse.operators]))
+    support = _reachable_states(state.data, hamiltonian, collapse)
+    size = support.size
+    if size > LINDBLAD_SUPPORT_CAP:
+        raise DomainError(
+            f"lindblad solver is capped at {LINDBLAD_SUPPORT_CAP} reachable "
+            f"basis states, got {size}")
+    if state.is_density:
+        raw = state.data[np.ix_(support, support)]
+    else:
+        raw = np.outer(state.data[support], state.data[support].conj())
+    side = size * size
+    h, *jumps = (_restricted(support, op.rows, op.cols, op.vals)
+                 for op in (hamiltonian, *collapse.operators))
+    rows, cols, vals, norm = _pruned(side, *_liouvillian(h, jumps, size))
     dense, large = [], []
-    for idx in _generator_blocks(gen):
+    for idx in _generator_blocks(rows, cols, side):
         if idx.size <= DENSE_BLOCK_CAP:
-            dense.append((idx, gen[idx][:, idx].toarray()))
+            gen_b = np.zeros((idx.size, idx.size), dtype=complex)
+            r, c, v = _restricted(idx, rows, cols, vals)
+            gen_b[r, c] = v
+            dense.append((idx, gen_b))
         else:
             large.append(idx)
-    large = np.concatenate(large) if large else np.empty(0, dtype=int)
-    large_gen = gen[large][:, large]
+    large_gen = None  # the large blocks together, as one CSR matrix
+    if large:
+        large = np.sort(np.concatenate(large))
+        large_gen = _csr(large.size, *_restricted(large, rows, cols, vals))
+    whole = None  # the CSR generator, built for a step taken once
     order = np.argsort(times, kind="stable")
     steps = np.diff(times[order], prepend=0.0).tolist()
     # a dense expm pays off only for a step that recurs, as on a uniform
@@ -419,15 +455,13 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     uses = Counter(steps)
     last_use = {dt: i for i, dt in enumerate(steps)}
     propagators = {}
-    size = keep.size
     # the checks run on stacks of up to CHECK_STACK_ENTRIES entries: every
     # snapshot of a small block at once, chunks of them for a large one
-    per_check = max(1, CHECK_STACK_ENTRIES // size ** 2)
+    per_check = max(1, CHECK_STACK_ENTRIES // side)
     pending = np.empty((min(per_check, times.size), size, size), dtype=complex)
-    raw = rho[block]
     _check_blocks(raw[None], [0.0])
     mat = 0.5 * (raw + raw.conj().T)
-    out = np.zeros((times.size, dim, dim), dtype=complex)
+    out = np.empty((times.size, size, size), dtype=complex)
     first = 0  # the step whose block is pending[0]
     for i, (pos, dt) in enumerate(zip(order, steps)):
         raw = mat
@@ -440,26 +474,39 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
                 new = np.empty_like(vec)
                 for (idx, _), prop in zip(dense, propagators[dt]):
                     new[idx] = prop @ vec[idx]
-                if large.size:
+                if large_gen is not None:
                     new[large] = scipy.sparse.linalg.expm_multiply(
                         dt * large_gen, vec[large])
             else:
-                new = scipy.sparse.linalg.expm_multiply(dt * gen, vec)
+                if whole is None:
+                    whole = _csr(side, rows, cols, vals)
+                new = scipy.sparse.linalg.expm_multiply(dt * whole, vec)
             if last_use[dt] == i:
                 propagators.pop(dt, None)
             raw = new.reshape(size, size)
             mat = 0.5 * (raw + raw.conj().T)
         pending[i - first] = raw
-        out[pos][block] = mat
+        out[pos] = mat
         if i + 1 - first == len(pending) or i + 1 == times.size:
             _check_blocks(pending[:i + 1 - first], times[order[first:i + 1]])
             first = i + 1
+    return support, out
+
+
+def evolve_lindblad(hamiltonian, state, times, collapse):
+    """_lindblad's snapshots scattered into the full basis: an (n_times,
+    dim, dim) array of density matrices, zero outside the reachable block."""
+    support, stack = _lindblad(hamiltonian, state, times, collapse)
+    out = np.zeros((len(stack), hamiltonian.dim, hamiltonian.dim), dtype=complex)
+    out[:, support[:, None], support] = stack
     return out
 
 
 def _evolve(hamiltonian, state, times, collapse=None):
-    """Snapshots of state at times: pure states under evolve_unitary without
-    a collapse set, density matrices under evolve_lindblad with one."""
+    """(support, snapshots) of state at times: every basis index and
+    evolve_unitary's pure states without a collapse set, _lindblad's with
+    one."""
     if collapse is None:
-        return evolve_unitary(hamiltonian, state, times)
-    return evolve_lindblad(hamiltonian, state, times, collapse)
+        return (np.arange(hamiltonian.dim),
+                evolve_unitary(hamiltonian, state, times))
+    return _lindblad(hamiltonian, state, times, collapse)

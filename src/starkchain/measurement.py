@@ -226,23 +226,41 @@ def load_shots(path, n_groups=1, seed=0):
     )
 
 
-def _tensor(maps):
-    """The 2^k x 2^k tensor product of k per-qubit 2x2 maps, the first
-    qubit most significant."""
-    return functools.reduce(np.kron, maps)
+def _outcome_probabilities(support, stack, basis, confusion=None):
+    """(T, 2^n) outcome probabilities of a (T, s) stack of state vectors or a
+    (T, s, s) stack of density matrices on the s ascending full-space
+    indices support, measured in basis.
 
-
-def _born_probabilities(stack, rotation):
-    """(T, 2^n) outcome probabilities of a (T, 2^n) stack of state vectors or
-    a (T, 2^n, 2^n) stack of density matrices after the pre-rotation U."""
-    if stack.ndim == 2:
-        probs = np.abs(stack @ rotation.T) ** 2
+    In Z on every qubit these are |amp|^2 or the diagonal, scattered onto
+    the support. Otherwise they are diag(W rho W^dag), W = U[:, support] of
+    the basis pre-rotation U, built one qubit at a time (2^n x s entries).
+    With confusion matrices given, the Born probabilities are mapped to the
+    reported outcome's, (C_1 x ... x C_n) p, one qubit at a time.
+    """
+    n = len(basis)
+    if set(basis) == {"Z"}:
+        if stack.ndim == 2:
+            born = np.abs(stack) ** 2
+        else:
+            born = np.diagonal(stack, axis1=1, axis2=2).real
+        probs = np.zeros((len(stack), 1 << n))
+        probs[:, support] = born
     else:
-        # diag(U rho U^dag)_i = sum_j (U rho)_ij conj(U_ij)
-        probs = np.real((np.matmul(rotation, stack) * rotation.conj())
-                        .sum(axis=2))
+        w = np.ones((1, support.size), dtype=complex)
+        for q, axis in enumerate(basis):
+            bit = support >> (n - 1 - q) & 1
+            w = (w[:, None] * _ROT[axis][:, bit]).reshape(-1, support.size)
+        if stack.ndim == 2:
+            probs = np.abs(stack @ w.T) ** 2
+        else:
+            # diag(W rho W^dag)_i = sum_j (W rho)_ij conj(W_ij)
+            probs = np.real((np.matmul(w, stack) * w.conj()).sum(axis=2))
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
+    if confusion is not None:  # one qubit at a time on the (T, 2, ..., 2) view
+        for q, c in enumerate(confusion):
+            probs = np.matmul(c.matrix, probs.reshape(len(stack) << q, 2, -1))
+        probs = probs.reshape(len(stack), -1)
     return probs
 
 
@@ -307,11 +325,11 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
     basis, n_shots, seeds = _sampling_args(basis, confusion, n_shots,
                                            len(states), seed, n_groups)
     n_qubits = len(basis)
-    rotation = _tensor([_ROT[a] for a in basis])  # the basis pre-rotation
+    full = np.arange(1 << n_qubits)
     # row o of the table holds the bits of outcome o, site 1 = most
     # significant
     shifts = n_qubits - 1 - np.arange(n_qubits)
-    table = ((np.arange(1 << n_qubits)[:, None] >> shifts) & 1).astype(np.uint8)
+    table = ((full[:, None] >> shifts) & 1).astype(np.uint8)
     flip0 = np.array([1.0 - c.f0 for c in confusion])  # P(report 1 | true 0)
     flip1 = np.array([1.0 - c.f1 for c in confusion])  # P(report 0 | true 1)
     u = np.empty((n_shots, n_qubits + 1))
@@ -322,7 +340,8 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
             raise StateSpecError(
                 f"sampling needs a full-space state on {n_qubits} qubits, got "
                 f"{snapshot.basis_tag!r}")
-        cdf = np.cumsum(_born_probabilities(snapshot.data[None], rotation)[0])
+        cdf = np.cumsum(_outcome_probabilities(full, snapshot.data[None],
+                                               basis)[0])
         cdf[-1] = 1.0
         gen.random(out=u)
         bits = table[np.searchsorted(cdf, u[:, 0], side="right")]
@@ -332,18 +351,20 @@ def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
                       seed=int(seeds[0]), basis=basis)
 
 
-def sample_counts(states, confusion, basis, n_shots, seeds, n_groups=1):
+def sample_counts(states, confusion, basis, n_shots, seeds, n_groups=1,
+                  support=None):
     """Per-group outcome histograms of noisy readouts of a snapshot stack.
 
-    states is a (T, 2^n) stack of state vectors or a (T, 2^n, 2^n) stack of
-    density matrices on the full space, with one seed per snapshot. Each
-    snapshot's n_shots split into n_groups groups. With independent
-    per-qubit flips, the reported outcome of one shot has the distribution
-    q = (C_1 x ... x C_n) p, p the Born probabilities after the basis
-    pre-rotation, so each group's histogram is one multinomial draw of
-    n_shots // n_groups from q. Snapshot k draws its n_groups histograms
-    from Philox keyed by its seed alone, so any snapshot can be regenerated
-    on its own.
+    states is a (T, s) stack of state vectors or a (T, s, s) stack of
+    density matrices on support, the s ascending full-space indices of n
+    qubits the snapshots live on (None, the default, is the whole 2^n
+    space), with one seed per snapshot. Each snapshot's n_shots split into
+    n_groups groups. With independent per-qubit flips, the reported outcome
+    of one shot has the distribution q = (C_1 x ... x C_n) p, p the Born
+    probabilities after the basis pre-rotation, so each group's histogram is
+    one multinomial draw of n_shots // n_groups from q. Snapshot k draws its
+    n_groups histograms from Philox keyed by its seed alone, so any snapshot
+    can be regenerated on its own.
 
     Returns a CountRecord of T * n_groups groups in state-major order (group
     g of snapshot k is row k * n_groups + g). Its group means have the
@@ -352,15 +373,20 @@ def sample_counts(states, confusion, basis, n_shots, seeds, n_groups=1):
     basis, n_shots, seeds = _sampling_args(basis, confusion, n_shots,
                                            len(states), seeds, n_groups)
     n_qubits = len(basis)
+    support = np.arange(1 << n_qubits) if support is None else np.asarray(support)
+    if (support.ndim != 1 or not support.size
+            or not np.issubdtype(support.dtype, np.integer) or support[0] < 0
+            or support[-1] >= 1 << n_qubits or np.any(np.diff(support) <= 0)):
+        raise DomainError(
+            f"support must be ascending full-space indices of {n_qubits} qubits")
     stack = np.asarray(states, dtype=complex)
-    dim = 1 << n_qubits
-    if stack.ndim not in (2, 3) or stack.shape[1:] not in ((dim,), (dim, dim)):
+    size = support.size
+    if stack.ndim not in (2, 3) or stack.shape[1:] not in ((size,), (size, size)):
         raise StateSpecError(
-            f"sampling needs full-space states on {n_qubits} qubits, got a "
-            f"stack of shape {stack.shape}")
-    probs = _born_probabilities(_checked_stack(stack),
-                                _tensor([_ROT[a] for a in basis]))
-    reported = probs @ _tensor([c.matrix for c in confusion]).T
+            f"sampling needs states on {size} of the full-space states of "
+            f"{n_qubits} qubits, got a stack of shape {stack.shape}")
+    reported = _outcome_probabilities(support, _checked_stack(stack), basis,
+                                      confusion)
     counts = np.empty((len(seeds), n_groups, 1 << n_qubits), dtype=np.int64)
     for k, gen in enumerate(_keyed_generators(seeds)):
         counts[k] = gen.multinomial(n_shots // n_groups, reported[k],
@@ -395,8 +421,9 @@ def _parse_estimator(name, record):
 
 def _correct_histograms(hist, mats):
     """Apply the tensored inverse confusion matrix to each group's histogram
-    (one per row), clamp, and keep each group's shot count."""
-    inv = _tensor(mats)
+    (one per row), clamp, and keep each group's shot count. mats holds one
+    2x2 inverse per site, the first site most significant."""
+    inv = functools.reduce(np.kron, mats)
     # batched matmul makes one matrix-vector product per group, summed in
     # the same order as inv @ h for a single group (hist @ inv.T is not)
     out = np.clip(np.matmul(inv, hist[:, :, None])[:, :, 0], 0.0, None)

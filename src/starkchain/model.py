@@ -108,6 +108,28 @@ def _hermitian_residue(dim, rows, cols, vals):
     return float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(vals)))
 
 
+def _summed(dim, rows, cols, vals):
+    """Entries (rows, cols, vals) of a dim x dim matrix given as coordinates
+    in any order: row-major, entries at one coordinate summed in the order
+    given."""
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    vals = np.asarray(vals, dtype=complex)
+    key = rows * dim + cols
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    if first.size < key.size:
+        # one pass per duplicate, so each sum runs left to right as scipy's
+        # sum_duplicates adds; np.add.reduceat would add a0 + (a1 + a2)
+        count = np.diff(np.append(first, key.size))
+        key, total = key[first], vals[first]
+        for j in range(1, count.max()):
+            more = np.flatnonzero(count > j)
+            total[more] += vals[first[more] + j]
+        vals = total
+    return key // dim, key % dim, vals
+
+
 class OperatorMatrix:
     """Square operator tied to a basis tag, held as its nonzero entries.
 
@@ -141,16 +163,8 @@ class OperatorMatrix:
     def from_entries(cls, dim, rows, cols, vals, basis_tag):
         """Operator of side dim from coordinates in any order; entries at
         one coordinate are summed in the order given."""
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        vals = np.asarray(vals, dtype=complex)
-        key = rows * dim + cols
-        order = np.argsort(key, kind="stable")
-        key, vals = key[order], vals[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        if first.size < key.size:
-            key, vals = key[first], np.add.reduceat(vals, first)
         op = cls.__new__(cls)
-        op._set(int(dim), key // dim, key % dim, vals, basis_tag)
+        op._set(int(dim), *_summed(dim, rows, cols, vals), basis_tag)
         return op
 
     def _set(self, dim, rows, cols, vals, basis_tag):
@@ -229,6 +243,16 @@ def _operator(states, terms, basis_tag):
     return OperatorMatrix.from_entries(
         states.size, np.concatenate(rows), np.concatenate(cols),
         np.concatenate(vals), basis_tag)
+
+
+def _restricted(support, rows, cols, vals):
+    """Entries (rows, cols, vals) between the ascending indices support,
+    indexed by position in support and kept in their order: the matrix
+    restricted to those indices, stored zeros included."""
+    r, c = np.searchsorted(support, rows), np.searchsorted(support, cols)
+    inside = ((support.take(r, mode="clip") == rows)
+              & (support.take(c, mode="clip") == cols))
+    return r[inside], c[inside], vals[inside]
 
 
 def _chain_hamiltonian(params, potential, basis, fock_cutoff):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,77 @@ class TestFileBoundary:
         assert blocker.read_text() == "not a directory\n"
 
 
+def _uniform(n, **raw):
+    return dict({"device": {"n_qubits": n, "coupling_mhz": [14.4] * (n - 1)},
+                 "initial_state": "1" + "0" * (n - 1)}, **raw)
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("raw, dim", [
+        ({"experiment": "spin_transport"}, 5),
+        ({"experiment": "spin_transport", "shots": "paper"}, 5),
+        ({"experiment": "spin_current", "shots": "paper",
+          "initial_state": "10100"}, 10),
+        ({"experiment": "thermal_transport", "shots": "paper"}, 32),
+        ({"experiment": "spin_transport", "noise": "lindblad"}, 32),
+    ])
+    def test_one_rule(self, raw, dim):
+        # an ideal run from a 0/1 string takes its sector, shots or not;
+        # X+ starts and Lindblad runs take the full space
+        cfg = parse_config(raw)
+        h, state, basis, collapse = cli._route(cfg, PotentialSpec.linear(-15.0),
+                                               cfg.noise)
+        assert h.dim == state.dim == dim
+        assert (basis is None) == (dim == 32)
+        assert (collapse is None) == (cfg.noise == "ideal")
+
+    def test_noisy_eleven_qubits(self, tmp_path):
+        # 2048 dimensions, 12 reachable states: the solver's cap is on the
+        # support, so the run goes through
+        cfg = parse_config(_uniform(11, experiment="spin_transport",
+                                    noise="lindblad", t_max=8.0, dt_sample=2.0))
+        run(cfg, out_dir=str(tmp_path))
+        header, data = _read_csv(tmp_path / "spin_transport_F15.csv")
+        p = np.column_stack([_cols(header, data)[f"P{j}"] for j in range(1, 12)])
+        assert p.shape == (5, 11)
+        assert np.all((p >= 0) & (p <= 1))
+        assert np.all(p.sum(axis=1) <= 1 + 1e-9)
+        assert p[0, 0] == 1 and p[-1, 0] < 1
+
+    def test_noisy_run_memory_follows_the_support(self, tmp_path):
+        # from one excitation the support is n + 1 states: going from 8 to
+        # 10 qubits multiplies a full-space density matrix by 16, and the
+        # run's peak by less than 4
+        peaks = []
+        for n in (8, 10):
+            cfg = parse_config(_uniform(n, experiment="spin_transport",
+                                        noise="lindblad", t_max=4.0, dt_sample=2.0,
+                                        shots={"n_shots": 60, "n_groups": 2}))
+            run(cfg, out_dir=str(tmp_path))  # imports and first-call set-up
+            tracemalloc.start()
+            try:
+                run(cfg, out_dir=str(tmp_path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 4 * peaks[0]
+        # and below a quarter of one 2^10 x 2^10 complex density matrix
+        assert peaks[1] < 4 ** 10 * 16 / 4
+
+    def test_forty_qubit_shot_run_refused(self, tmp_path, capsys):
+        # one excitation on 40 qubits: the sector is small, but the sampler
+        # would count 2^40 outcomes per snapshot and group
+        p = tmp_path / "c.yaml"
+        p.write_text(json.dumps(_uniform(40, experiment="spin_transport",
+                                         shots="paper")))
+        assert main(["spin_transport", "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: device.n_qubits: a shot run on 40 qubits")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestSpinTransport:
     def test_ideal_run(self, tmp_path):
         cfg = parse_config({"experiment": "spin_transport", "t_max": 100,
@@ -382,11 +454,22 @@ def test_spawn_key_index_of_two_words_refused(base, wide, where):
                           key["setting"])
 
 
-def _per_shot_counts(states, confusion, basis, n_shots, seeds, n_groups=1):
+def _per_shot_counts(states, confusion, basis, n_shots, seeds, n_groups=1,
+                     support=None):
     """sample_counts' call over the per-shot sampler: the same snapshots and
-    seeds through sample_shots, one QuantumState per snapshot."""
-    tag = full_tag(len(basis))
-    return sample_shots([QuantumState(d, tag) for d in states], confusion,
+    seeds through sample_shots, one full-space QuantumState per snapshot,
+    scattered from the stack on its support."""
+    n = len(basis)
+    states = np.asarray(states)
+    full = np.zeros((len(states),) + (2 ** n,) * (states.ndim - 1), dtype=complex)
+    if support is None:
+        full[:] = states
+    elif states.ndim == 2:
+        full[:, support] = states
+    else:
+        full[:, support[:, None], support] = states
+    tag = full_tag(n)
+    return sample_shots([QuantumState(d, tag) for d in full], confusion,
                         basis, n_shots, seeds, n_groups=n_groups)
 
 
@@ -639,9 +722,14 @@ class TestOutputHygiene:
                "F": grid}
         with pytest.raises(ConfigError, match=r"^F\[1\]: .* F15 with F\[0\]$"):
             parse_config(raw)
-        # the scan writes one table, whatever the gradients
-        cfg = parse_config(dict(raw, experiment="wsl_scan"))
-        assert cfg.gradients_mhz == tuple(grid)
+        # the scan writes one table: it takes distinct gradients that share
+        # a label, and refuses a repeated one, which adds no point to its fit
+        scan = dict(raw, experiment="wsl_scan")
+        if grid[0] == grid[1]:
+            with pytest.raises(ConfigError, match=r"^F\[1\]: .* repeats F\[0\]"):
+                parse_config(scan)
+        else:
+            assert parse_config(scan).gradients_mhz == tuple(grid)
 
     def test_fractional_gradient_label(self, tmp_path):
         cfg = parse_config({"experiment": "spin_transport", "F": 7.5,

@@ -14,7 +14,7 @@ from starkchain import (
     load_config,
     parse_config,
 )
-from starkchain.config import EXPERIMENTS
+from starkchain.config import EXPERIMENTS, MAX_COUNT_ENTRIES, _count_entries
 
 
 class TestDefaults:
@@ -71,6 +71,18 @@ class TestGradients:
             parse_config({"experiment": "spin_transport", "F": []})
         with pytest.raises(ConfigError, match=r"F\[1\]"):
             parse_config({"experiment": "spin_transport", "F": [5, "x"]})
+
+    @pytest.mark.parametrize("grid, index", [
+        ([15, 15.0], 1), ([5, 10, 5], 2), ([7.5, 10, 12.5, 10.0], 3)])
+    def test_scan_refuses_a_repeated_gradient(self, grid, index):
+        # the scan fits ln(P5max) against F: a repeat adds no point, and two
+        # equal gradients alone leave no slope to fit
+        with pytest.raises(ConfigError,
+                           match=rf"^F\[{index}\]: .* repeats F\[\d\]; wsl_scan"):
+            parse_config({"experiment": "wsl_scan", "F": grid})
+        assert parse_config({"experiment": "wsl_scan",
+                             "F": [5, 15.0000001, 15]}).gradients_mhz[1:] \
+            == (15.0000001, 15.0)
 
 
 class TestUnknownKeys:
@@ -375,6 +387,49 @@ class TestShots:
         assert parse_config({"experiment": "spin_transport", "shots": "none"}).shots is None
         cfg = parse_config({"experiment": "spin_transport", "shots": "paper"})
         assert cfg.shots == ShotPlan(600, 6, 0)
+
+
+class TestCountBudget:
+    @staticmethod
+    def _chain(n, **raw):
+        return dict({"experiment": "spin_transport", "shots": "paper",
+                     "device": {"n_qubits": n, "coupling_mhz": [14.4] * (n - 1)},
+                     "initial_state": "1" + "0" * (n - 1)}, **raw)
+
+    def test_forty_qubit_shot_run_refused(self):
+        # 151 snapshots x 6 groups x 2^40 outcomes; the sampler would
+        # scatter every snapshot onto 2^40 outcomes
+        with pytest.raises(ConfigError, match=r"^device\.n_qubits: a shot run on "
+                           r"40 qubits holds 996157534765056 outcome counts"):
+            parse_config(self._chain(40))
+        # without shots the run holds no counts
+        assert parse_config(self._chain(40, shots="none")).shots is None
+
+    def test_budget_edge(self):
+        # 2 snapshots x 1 group x 2^25 outcomes is the budget exactly
+        edge = self._chain(25, experiment="wsl_scan", t_max=2.0, dt_sample=2.0,
+                           shots={"n_shots": 10, "n_groups": 1})
+        assert _count_entries(25, 2.0, 2.0, 1) == MAX_COUNT_ENTRIES
+        assert parse_config(edge).device.n_qubits == 25
+        with pytest.raises(ConfigError, match=r"^device\.n_qubits: "):
+            parse_config(dict(edge, shots={"n_shots": 10, "n_groups": 2}))
+
+    @pytest.mark.parametrize("t_max, dt", [(300.0, 2.0), (20.0, 10.0),
+                                           (7.0, 0.1), (300.0, 3.0)])
+    def test_snapshots_match_the_time_grid(self, t_max, dt):
+        grid = np.arange(0.0, t_max + 1e-9, dt)
+        assert _count_entries(0, t_max, dt, 1) == grid.size
+
+    def test_paper_and_sweep_runs_fit(self):
+        # the paper's shot runs, and an ideal spin_transport with paper
+        # shots up to 16 qubits on the paper grid
+        for experiment in ("spin_transport", "wsl_scan", "thermal_transport",
+                           "spin_current"):
+            parse_config({"experiment": experiment, "noise": "lindblad",
+                          "readout": "table-s1"})
+        assert parse_config(self._chain(16)).device.n_qubits == 16
+        with pytest.raises(ConfigError, match=r"^device\.n_qubits: "):
+            parse_config(self._chain(17))
 
 
 class TestReadout:

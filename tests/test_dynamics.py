@@ -31,12 +31,16 @@ from starkchain import (
     single_particle_matrix,
 )
 from starkchain import dynamics
-from starkchain.dynamics import (_generator_blocks, _liouvillian, _reachable_states,
-                                 _restrict)
-from starkchain.model import DENSE_DIM_CAP
+from starkchain.dynamics import _generator_blocks, _liouvillian, _reachable_states
+from starkchain.model import DENSE_DIM_CAP, _restricted
 
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |0> = (1, 0)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def _on(op, keep):
+    """op's entries restricted to the ascending states keep."""
+    return _restricted(keep, op.rows, op.cols, op.vals)
 
 
 def _site_operator(local_ops, site, n_sites):
@@ -457,8 +461,11 @@ def _noisy_chain(n, jumps):
 
 def _block_sizes(h, col, rho):
     keep = _reachable_states(rho, h, col)
-    gen = _liouvillian(_restrict(h, keep), [_restrict(op, keep) for op in col.operators])
-    blocks = _generator_blocks(gen)
+    rows, cols, vals = _liouvillian(_on(h, keep),
+                                    [_on(op, keep) for op in col.operators],
+                                    keep.size)
+    nonzero = vals != 0
+    blocks = _generator_blocks(rows[nonzero], cols[nonzero], keep.size ** 2)
     np.testing.assert_array_equal(np.sort(np.concatenate(blocks)),
                                   np.arange(keep.size ** 2))
     return sorted((b.size for b in blocks), reverse=True)
@@ -569,6 +576,64 @@ def test_lindblad_matches_dense_expm_random_chains(chain):
     assert np.max(np.abs(got - _dense_lindblad(h, col, state, times))) <= 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(_noisy_chains())
+def test_support_stack_scatters_to_evolve_lindblad(chain):
+    # the solver's (support, stack), scattered to the full space, is what
+    # evolve_lindblad returns, and the support holds the whole state
+    n, couplings, tilt, t1, t2, spec, dephasing, times = chain
+    dev = DeviceParams.uniform(n).replace(coupling_mhz=couplings, t1_us=t1,
+                                          t2star_us=t2)
+    h = build_xy_hamiltonian(dev, PotentialSpec.linear(tilt))
+    col = make_collapse_ops(dev, dephasing=dephasing)
+    state = prepare_initial_state(spec, n)
+    support, stack = dynamics._evolve(h, state, times, col)
+    np.testing.assert_array_equal(
+        support, _reachable_states(state.to_density().data, h, col))
+    assert stack.shape == (times.size, support.size, support.size)
+    full = np.zeros((times.size, 2 ** n, 2 ** n), dtype=complex)
+    full[:, support[:, None], support] = stack
+    np.testing.assert_array_equal(full, evolve_lindblad(h, state, times, col))
+    assert np.max(np.abs(full - _dense_lindblad(h, col, state, times))) <= 1e-10
+    # without a collapse set every basis index is the support
+    support, stack = dynamics._evolve(h, state, times)
+    np.testing.assert_array_equal(support, np.arange(2 ** n))
+    np.testing.assert_array_equal(stack, evolve_unitary(h, state, times))
+
+
+class TestSupportCap:
+    @staticmethod
+    def _chain(n):
+        dev = DeviceParams.uniform(n, t1_us=20.0, t2star_us=2.0)
+        return build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0)), \
+            make_collapse_ops(dev)
+
+    def test_eleven_qubits_from_one_excitation(self):
+        # 2048 basis states, of which one excitation reaches 12: its sector
+        # and the vacuum
+        h, col = self._chain(11)
+        support, stack = dynamics._evolve(
+            h, prepare_initial_state("1" + "0" * 10, 11), [0.0, 10.0, 20.0], col)
+        np.testing.assert_array_equal(support, [0] + [1 << k for k in range(11)])
+        assert stack.shape == (3, 12, 12)
+        np.testing.assert_allclose(np.trace(stack, axis1=1, axis2=2), 1.0,
+                                   atol=1e-12)
+
+    def test_refused_before_the_generator_is_built(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("generator built")
+
+        monkeypatch.setattr(dynamics, "_liouvillian", unbuilt)
+        h, col = self._chain(11)
+        with pytest.raises(DomainError, match="^lindblad solver is capped at 1024 "
+                           "reachable basis states, got 2048$"):
+            dynamics._evolve(h, prepare_initial_state("X+" * 11, 11), [0.0], col)
+        monkeypatch.setattr(dynamics, "LINDBLAD_SUPPORT_CAP", 11)
+        with pytest.raises(DomainError, match="capped at 11 reachable basis "
+                           "states, got 12$"):
+            evolve_lindblad(h, prepare_initial_state("1" + "0" * 10, 11), [0.0], col)
+
+
 def _link_matrix_closure(rho, h, collapse):
     """Reference: the reachable states grown by one sparse product per step
     with a link matrix stacking the patterns of H, of every C_k and of
@@ -628,9 +693,10 @@ def test_reachable_states_match_the_link_matrix(chain):
     keep = _reachable_states(rho, h, col)
     np.testing.assert_array_equal(keep, _link_matrix_closure(rho, h, col))
     for op in (h, *col.operators):
-        got, ref = _restrict(op, keep), op.matrix[np.ix_(keep, keep)]
-        for part in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(got, part), getattr(ref, part))
+        ref = op.matrix[np.ix_(keep, keep)]
+        ref_rows = np.repeat(np.arange(keep.size), np.diff(ref.indptr))
+        for got, want in zip(_on(op, keep), (ref_rows, ref.indices, ref.data)):
+            np.testing.assert_array_equal(got, want)
     times = np.array([45.0, 0.0, 15.0, 7.5, 30.0])
     got = evolve_lindblad(h, state, times, col)
     assert np.max(np.abs(got - _dense_lindblad(h, col, state, times))) <= 1e-10
@@ -657,14 +723,20 @@ def test_generator_matches_kron_formula(n, jumps):
         col = CollapseOperatorSet(operators=(), basis_tag=full_tag(n))
     mats = [op.matrix for op in col.operators]
     ref = _kron_liouvillian(h.matrix, mats)
-    got = _liouvillian(h.matrix, mats)
+    rows, cols, vals = _liouvillian((h.rows, h.cols, h.vals),
+                                    [(op.rows, op.cols, op.vals) for op in col.operators],
+                                    2 ** n)
+    got = sp.csr_matrix((vals, (rows, cols)), shape=(4 ** n, 4 ** n))
     assert got.shape == ref.shape == (4 ** n, 4 ** n)
     assert got.dtype == np.complex128
     assert abs(got - ref).max() <= 1e-15
-    # on a reachable support, as evolve_lindblad builds it
+    # on a reachable support, as the Lindblad solver builds it
     rho = prepare_initial_state("X+1" + "0" * (n - 2), n).to_density().data
     keep = _reachable_states(rho, h, col)
     block = np.ix_(keep, keep)
     sub = [m[block] for m in mats]
-    assert abs(_liouvillian(h.matrix[block], sub)
-               - _kron_liouvillian(h.matrix[block], sub)).max() <= 1e-15
+    rows, cols, vals = _liouvillian(_on(h, keep),
+                                    [_on(op, keep) for op in col.operators],
+                                    keep.size)
+    got = sp.csr_matrix((vals, (rows, cols)), shape=(keep.size ** 2,) * 2)
+    assert abs(got - _kron_liouvillian(h.matrix[block], sub)).max() <= 1e-15

@@ -1,5 +1,6 @@
 """Confusion matrices, shot sampling and grouped statistics."""
 
+import functools
 import os
 import re
 import tempfile
@@ -533,8 +534,8 @@ class TestCounts:
         # computed one state at a time
         basis = "XYZ"
         stack = _random_stack(3, 5, seed=12, pure=pure)
-        u = measurement._tensor([measurement._ROT[a] for a in basis])
-        got = measurement._born_probabilities(stack, u)
+        u = functools.reduce(np.kron, [measurement._ROT[a] for a in basis])
+        got = measurement._outcome_probabilities(np.arange(8), stack, basis)
         for k, data in enumerate(stack):
             rho = np.outer(data, data.conj()) if pure else data
             want = np.real(np.diag(u @ rho @ u.conj().T))
@@ -576,6 +577,97 @@ class TestCounts:
         assert not rec.counts.flags.writeable
         with pytest.raises(DomainError, match="empty groups"):
             group_means(rec, "P1")
+
+
+@st.composite
+def _support_stacks(draw):
+    """(support, stack, basis, confusion): two unit vectors or two density
+    matrices on a random ascending support of n <= 6 qubits, a basis over
+    the three axis letters and one random confusion matrix per qubit."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(1, 2 ** n))
+    support = np.sort(rng.choice(2 ** n, size=size, replace=False))
+    vecs = rng.normal(size=(2, 3, size)) + 1j * rng.normal(size=(2, 3, size))
+    vecs /= np.linalg.norm(vecs, axis=2)[:, :, None]
+    if draw(st.booleans()):
+        stack = vecs[:, 0]
+    else:
+        weights = rng.dirichlet(np.ones(3), size=2)
+        stack = np.einsum("km,kmi,kmj->kij", weights, vecs, vecs.conj())
+    basis = "".join(draw(st.lists(st.sampled_from("ZXY"), min_size=n,
+                                  max_size=n)))
+    fidelity = st.floats(0.5, 1.0)
+    confusion = [ConfusionMatrix(f0=draw(fidelity), f1=draw(fidelity))
+                 for _ in range(n)]
+    return support, stack, basis, confusion
+
+
+@settings(max_examples=80, deadline=None)
+@given(_support_stacks())
+def test_support_kernel_matches_the_dense_rotation(case):
+    # Born probabilities diag(U rho U^dag) of the stack scattered to the
+    # full space, then (C_1 x ... x C_n) p, against the kernel on the support
+    support, stack, basis, confusion = case
+    dim = 2 ** len(basis)
+    u = functools.reduce(np.kron, [measurement._ROT[a] for a in basis])
+    c = functools.reduce(np.kron, [m.matrix for m in confusion])
+    born = []
+    for data in stack:
+        if stack.ndim == 2:
+            full = np.zeros(dim, dtype=complex)
+            full[support] = data
+            rho = np.outer(full, full.conj())
+        else:
+            rho = np.zeros((dim, dim), dtype=complex)
+            rho[np.ix_(support, support)] = data
+        p = np.clip(np.real(np.diag(u @ rho @ u.conj().T)), 0.0, None)
+        born.append(p / p.sum())
+    born = np.array(born)
+    np.testing.assert_allclose(
+        measurement._outcome_probabilities(support, stack, basis), born,
+        rtol=0, atol=1e-13)
+    np.testing.assert_allclose(
+        measurement._outcome_probabilities(support, stack, basis, confusion),
+        born @ c.T, rtol=0, atol=1e-13)
+
+
+class TestSupportArgument:
+    @pytest.mark.parametrize("basis", ["ZZZZ", "XYZX"])
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_counts_match_the_full_space_stack(self, basis, pure):
+        # the same snapshots on their support and scattered onto the whole
+        # space draw the same counts
+        rng = np.random.default_rng(3)
+        support = np.array([1, 2, 4, 8, 9])
+        vecs = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        if pure:
+            stack, full = vecs, np.zeros((6, 16), dtype=complex)
+            full[:, support] = vecs
+        else:
+            stack = np.einsum("ki,kj->kij", vecs, vecs.conj())
+            full = np.zeros((6, 16, 16), dtype=complex)
+            full[:, support[:, None], support] = stack
+        conf = confusion_from_device(paper_device())[:4]
+        seeds = list(range(20, 26))
+        got = sample_counts(stack, conf, basis, 600, seeds, n_groups=6,
+                            support=support)
+        want = sample_counts(full, conf, basis, 600, seeds, n_groups=6)
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+    @pytest.mark.parametrize("support", [[2, 1], [1, 1], [-1, 2], [3, 16],
+                                         [], [[1, 2]], [0.0, 1.0]])
+    def test_bad_support_refused(self, support):
+        good = np.array([prepare_initial_state("0001", 4).data[:2]])
+        with pytest.raises(DomainError, match="^support must be ascending"):
+            sample_counts(good, PERFECT[:4], "ZZZZ", 10, [1], support=support)
+
+    def test_stack_must_fit_the_support(self):
+        vec = np.array([[1.0, 0.0, 0.0]])
+        with pytest.raises(StateSpecError, match="on 2 of the full-space "
+                           "states of 4 qubits, got a stack of shape"):
+            sample_counts(vec, PERFECT[:4], "ZZZZ", 10, [1], support=[0, 5])
 
 
 class TestKeyedStreams:
