@@ -73,16 +73,12 @@ def _gaussian(params, t):
     return a * np.exp(-((t - t0) ** 2) / (2.0 * sigma ** 2))
 
 
-def _numeric_jacobian(params, t):
-    jac = np.empty((t.shape[0], 3))
-    for i in range(3):
-        h = max(1e-6 * abs(params[i]), 1e-8)
-        hi = params.copy()
-        lo = params.copy()
-        hi[i] += h
-        lo[i] -= h
-        jac[:, i] = (_gaussian(hi, t) - _gaussian(lo, t)) / (2.0 * h)
-    return jac
+def _jacobian(params, t):
+    """(len(t), 3) derivatives of _gaussian by amplitude, center and width."""
+    a, t0, sigma = params
+    u = (t - t0) / sigma
+    e = np.exp(-0.5 * u ** 2)
+    return np.column_stack([e, a * e * u / sigma, a * e * u ** 2 / sigma])
 
 
 def _fit_window(times, values):
@@ -95,14 +91,15 @@ def _fit_window(times, values):
     margin = times[k] - times[left]  # left half-width of the peak
     t_end = times[k] + margin
     stop = int(np.searchsorted(times, t_end, side="right"))
-    return max(stop, k + 1)
+    return min(max(stop, k + 1, 5), len(times))
 
 
 def gaussian_fit_wavefront(times_ns, values, window_stop=None):
     """Gauss-Newton fit of A exp(-(t-t0)^2 / 2 sigma^2) to the first wavefront.
 
     The window runs from t = 0 to the first smoothed local maximum plus one
-    left-half-width margin (override with window_stop, an exclusive index).
+    left-half-width margin, and holds at least 5 samples where the series
+    has them (override with window_stop, an exclusive index).
     Damped step halving; non-convergence is flagged on the result rather than
     raised.
     """
@@ -125,7 +122,7 @@ def gaussian_fit_wavefront(times_ns, values, window_stop=None):
     converged = False
     iters = 0
     for iters in range(1, GN_MAX_ITERATIONS + 1):
-        jac = _numeric_jacobian(params, tw)
+        jac = _jacobian(params, tw)
         resid = _gaussian(params, tw) - yw
         try:
             step = np.linalg.solve(jac.T @ jac, jac.T @ resid)
@@ -149,7 +146,7 @@ def gaussian_fit_wavefront(times_ns, values, window_stop=None):
             break
     a, t0, sigma = params
     sigma = abs(sigma)
-    jac = _numeric_jacobian(np.array([a, t0, sigma]), tw)
+    jac = _jacobian(np.array([a, t0, sigma]), tw)
     dof = max(tw.shape[0] - 3, 1)
     try:
         cov = rss / dof * np.linalg.inv(jac.T @ jac)

@@ -21,13 +21,13 @@ from importlib import metadata
 import numpy as np
 
 from .analysis import boundary_peak, linear_fit, wsl_length_from_boundary
-from .config import EXPERIMENTS, _f_label, parse_config, read_config
+from .config import (EXPERIMENTS, _f_label, _sector_route, parse_config,
+                     read_config)
 from .device import ANGULAR_PER_MHZ, PotentialSpec
 # evolve_unitary is bound here, unused, for perfbench's tracer test
 from .dynamics import (_evolve, evolve_unitary,  # noqa: F401
                        make_collapse_ops, prepare_initial_state)
-from .errors import (ConfigError, DomainError, NoWavefrontError,
-                     StarkchainError)
+from .errors import ConfigError, NoWavefrontError, StarkchainError
 from .measurement import ConfusionMatrix, group_means, sample_counts
 from .model import (_basis_states, build_observable, build_sector_basis,
                     build_xy_hamiltonian)
@@ -48,76 +48,13 @@ def _potential_for(f_mhz):
     return PotentialSpec.linear(-abs(float(f_mhz)))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool size and
-# the hashmix, mix and generate_state constants
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_M32 = 0xFFFFFFFF
-
-
-def _seed_pool(words):
-    """SeedSequence's entropy pool (mix_entropy) of at least _POOL_SIZE
-    entropy words, each a Python int or a uint32 array. Every product and
-    difference is masked to 32 bits, so ints and arrays wrap alike."""
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    return pool
-
-
-def _derive_seeds(base, f_index, snapshots, setting):
-    """The shot seed of each snapshot of one gradient and setting: entry k is
-    SeedSequence(entropy=base, spawn_key=(f_index, snapshots[k], setting))
-    .generate_state(1, np.uint64)[0], computed for all snapshots at once.
-
-    Each spawn-key index must fit one 32-bit word (below 2**32); the base
-    seed is any non-negative integer. Returns a uint64 array.
-    """
-    base = int(base)
-    if base < 0:
-        raise DomainError(f"seed must be >= 0, got {base}")
-    snapshots = np.asarray(snapshots).reshape(-1)
-    indices = [f_index, setting]
-    if snapshots.size:
-        indices += [snapshots.min(), snapshots.max()]
-    for index in indices:
-        if not (isinstance(index, (int, np.integer)) and 0 <= index <= _M32):
-            raise DomainError(
-                f"spawn-key index {index} is not an integer in 0..2**32 - 1")
-    # the base seed's 32-bit words, lowest first, padded to the pool size
-    # as numpy pads them when a spawn key follows
-    words = [base >> shift & _M32
-             for shift in range(0, max(base.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    words += [int(f_index), snapshots.astype(np.uint32), int(setting)]
-    const = _INIT_B
-    halves = []
-    for word in _seed_pool(words)[:2]:
-        word = word ^ const
-        const = const * _MULT_B & _M32
-        word = word * const & _M32
-        halves.append(np.asarray(word ^ word >> 16, dtype=np.uint64))
-    return halves[0] | halves[1] << 32
+def _derive_seeds(base, f_index, n_snapshots, setting):
+    """The Philox key of each snapshot of one gradient and setting: key k is
+    word k of SeedSequence(entropy=base, spawn_key=(f_index, setting))
+    .generate_state(n_snapshots, np.uint64), a word that does not depend on
+    n_snapshots. Returns a uint64 array."""
+    seq = np.random.SeedSequence(base, spawn_key=(f_index, setting))
+    return seq.generate_state(n_snapshots, np.uint64)
 
 
 def _write_atomic(path, text):
@@ -175,7 +112,7 @@ def _route(config, potential, noise):
     n = params.n_qubits
     spec = config.initial_state
     basis = None
-    if noise == "ideal" and set(spec) <= {"0", "1"}:
+    if _sector_route(noise, spec):
         basis = build_sector_basis(n, spec.count("1"))
     h = build_xy_hamiltonian(params, potential, basis=basis)
     state = prepare_initial_state(spec, n, basis=basis)
@@ -202,8 +139,8 @@ def _sampled(config, potential, f_index, settings):
     settings: (measurement basis, estimator names) pairs, sampled on the
     same snapshots, passed to the sampler with the ascending full-space
     indices they live on; each setting takes an equal share of the plan's
-    shots, and the groups of each snapshot are drawn from a seed keyed by
-    (seed, gradient, snapshot, setting). One sample_counts call per setting
+    shots, and the groups of snapshot k are drawn from key k of the
+    (seed, gradient, setting) sequence. One sample_counts call per setting
     covers every snapshot; its record's groups run snapshot by snapshot, so
     each estimator's group means reshape to (nt, n_groups).
     """
@@ -220,8 +157,7 @@ def _sampled(config, potential, f_index, settings):
     shape = (len(data), plan.n_groups)
     out = {}
     for setting, (meas_basis, estimators) in enumerate(settings):
-        seeds = _derive_seeds(plan.seed, f_index, np.arange(len(data)),
-                              setting)
+        seeds = _derive_seeds(plan.seed, f_index, len(data), setting)
         rec = sample_counts(data, confusion, meas_basis, n_shots, seeds,
                             n_groups=plan.n_groups, support=support)
         out.update({name: group_means(rec, name, confusion=correct)

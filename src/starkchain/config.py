@@ -41,6 +41,8 @@ MAX_SHOTS = 10 ** 9
 # cap on the outcome counts a shot run holds at once (_count_entries): 2^26
 # int64 entries are 512 MiB. The paper's runs hold 151 x 10 x 2^5; an ideal
 # spin_transport with paper shots fits up to 16 qubits on the paper grid.
+# A run on the full 2^n space is held to it per snapshot: up to 18 qubits
+# on the paper grid.
 MAX_COUNT_ENTRIES = 1 << 26
 
 _TWO_SETTING = {"thermal_transport", "spin_current"}
@@ -128,6 +130,11 @@ class ExperimentConfig:
             "readout_correction": self.readout_correction,
             "output_dir": self.output_dir,
         }
+
+
+def _sector_route(noise, spec):
+    """An ideal run from a 0/1 string evolves in its excitation sector."""
+    return noise == "ideal" and set(spec) <= {"0", "1"}
 
 
 def _count_entries(n_qubits, t_max_ns, dt_sample_ns, n_groups):
@@ -346,6 +353,14 @@ def parse_config(raw, default_experiment=None):
                  f"a shot run on {device.n_qubits} qubits holds {entries} "
                  f"outcome counts (snapshots x n_groups x 2^n), above the "
                  f"budget of {MAX_COUNT_ENTRIES}")
+    # a full-space run, decoherence_check's Lindblad half included, is held
+    # to the same budget per snapshot
+    if experiment == "decoherence_check" or not _sector_route(noise, initial):
+        entries = _count_entries(device.n_qubits, t_max, dt, 1)
+        _require(entries <= MAX_COUNT_ENTRIES, "device.n_qubits",
+                 f"a full-space run on {device.n_qubits} qubits holds "
+                 f"{entries} entries (snapshots x 2^n), above the budget of "
+                 f"{MAX_COUNT_ENTRIES}")
 
     correction = raw.get("readout_correction", False)
     if not isinstance(correction, bool):

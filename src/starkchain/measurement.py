@@ -158,9 +158,10 @@ class CountRecord:
     counts: np.ndarray
     basis: str
 
-    def __init__(self, counts, basis):
+    def __init__(self, counts, basis, _owned=False):
         basis = _checked_basis(basis)
-        counts = np.array(counts, dtype=np.int64)
+        # a caller's array is copied; sample_counts hands over its own
+        counts = (np.asarray if _owned else np.array)(counts, dtype=np.int64)
         if counts.ndim != 2 or counts.shape[1] != 1 << len(basis):
             raise DomainError(
                 f"counts of shape {counts.shape} for {len(basis)} qubits")
@@ -391,7 +392,7 @@ def sample_counts(states, confusion, basis, n_shots, seeds, n_groups=1,
     for k, gen in enumerate(_keyed_generators(seeds)):
         counts[k] = gen.multinomial(n_shots // n_groups, reported[k],
                                     size=n_groups)
-    return CountRecord(counts.reshape(-1, 1 << n_qubits), basis)
+    return CountRecord(counts.reshape(-1, 1 << n_qubits), basis, _owned=True)
 
 
 _ESTIMATOR_RE = re.compile(r"^(P|XX|YY|XY|YX|ZZ)([1-9][0-9]*)$")

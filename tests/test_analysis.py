@@ -16,6 +16,7 @@ from starkchain import (
     p5max_scan,
     wsl_length_from_boundary,
 )
+from starkchain.analysis import _jacobian
 
 
 def _gauss(t, a, t0, sigma):
@@ -130,6 +131,37 @@ class TestGaussianFit:
         y = _gauss(t, 0.3, 80, 15) + _gauss(t, 0.9, 250, 10)
         res = gaussian_fit_wavefront(t, y)
         assert res.parameters["amplitude"] == pytest.approx(0.3, abs=0.02)
+
+    @pytest.mark.parametrize("t0, sigma", [(2.0, 3.0), (2.5, 2.5)])
+    def test_early_front_gets_five_points(self, t0, sigma):
+        # a front detected at k <= 2 ends its margin before the fifth sample;
+        # the window is floored at 5, as a noisy scan can need
+        t = np.arange(0, 40, 2.0)
+        y = _gauss(t, 0.5, t0, sigma)
+        assert detect_first_wavefront(y) <= 2
+        res = gaussian_fit_wavefront(t, y)
+        assert res.converged
+        assert res.parameters["amplitude"] == pytest.approx(0.5, abs=1e-9)
+        assert res.parameters["center"] == pytest.approx(t0, abs=1e-9)
+        # the floor is capped at the series: four samples still refuse
+        with pytest.raises(FitDomainError, match="window has 4 points"):
+            gaussian_fit_wavefront(t[:4], y[:4])
+
+    @pytest.mark.parametrize("params", [(0.7, 120.0, 30.0), (0.05, 3.0, 0.4),
+                                        (0.3, -5.0, 12.0), (1.0, 80.0, -15.0)])
+    def test_jacobian_matches_central_differences(self, params):
+        t = np.arange(0, 241, 1.0)
+        p = np.array(params)
+        num = np.empty((t.shape[0], 3))
+        for i in range(3):
+            h = 1e-6 * abs(p[i])
+            hi, lo = p.copy(), p.copy()
+            hi[i] += h
+            lo[i] -= h
+            num[:, i] = (_gauss(t, *hi) - _gauss(t, *lo)) / (2 * h)
+        jac = _jacobian(p, t)
+        scale = np.abs(num).max(axis=0)
+        assert np.all(np.abs(jac - num) <= 1e-7 * scale)
 
     def test_validation(self):
         t = np.arange(0, 100, 2.0)

@@ -420,6 +420,26 @@ class TestCountBudget:
         grid = np.arange(0.0, t_max + 1e-9, dt)
         assert _count_entries(0, t_max, dt, 1) == grid.size
 
+    @pytest.mark.parametrize("raw", [
+        {"experiment": "thermal_transport", "shots": "none"},
+        {"experiment": "spin_transport", "noise": "lindblad", "shots": "none"},
+        {"experiment": "decoherence_check", "shots": "none"},
+    ], ids=["x_plus_start", "lindblad", "decoherence_check"])
+    def test_full_space_runs_held_to_the_budget(self, raw):
+        # 151 snapshots x 2^n on the full space: 18 qubits fit, 19 do not
+        def chain(n):
+            cfg = self._chain(n, **raw)
+            if raw["experiment"] == "thermal_transport":
+                cfg["initial_state"] = "X+X+" + "0" * (n - 2)
+            return cfg
+
+        assert parse_config(chain(18)).device.n_qubits == 18
+        with pytest.raises(ConfigError, match=r"^device\.n_qubits: a full-space "
+                           r"run on 19 qubits holds 79167488 entries"):
+            parse_config(chain(19))
+        # an ideal run from a 0/1 string takes its sector and is not held
+        assert parse_config(self._chain(40, shots="none")).device.n_qubits == 40
+
     def test_paper_and_sweep_runs_fit(self):
         # the paper's shot runs, and an ideal spin_transport with paper
         # shots up to 16 qubits on the paper grid

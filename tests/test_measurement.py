@@ -4,6 +4,7 @@ import functools
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -577,6 +578,32 @@ class TestCounts:
         assert not rec.counts.flags.writeable
         with pytest.raises(DomainError, match="empty groups"):
             group_means(rec, "P1")
+        # a caller's array is copied: writing to it leaves the record be
+        mine = np.array([[1, 0, 0, 0]], dtype=np.int64)
+        rec = CountRecord(mine, "ZZ")
+        mine[0, 0] = 7
+        assert rec.counts[0, 0] == 1
+
+    def test_counts_held_once(self):
+        # an ideal shot run on 12 qubits from one excitation: 12 states on
+        # the support, 20 snapshots x 10 groups x 4096 counts. The sampler
+        # hands its counts to the record, so the call peaks near one array
+        n, snapshots = 12, 20
+        support = 1 << np.arange(n)
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(snapshots, n)) + 1j * rng.normal(size=(snapshots, n))
+        stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+        conf = [ConfusionMatrix(f0=0.97, f1=0.92)] * n
+        args = (stack, conf, "Z" * n, 100, np.arange(snapshots))
+        sample_counts(*args, n_groups=10, support=support)  # first-call set-up
+        tracemalloc.start()
+        try:
+            rec = sample_counts(*args, n_groups=10, support=support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.counts.nbytes == snapshots * 10 * 4096 * 8
+        assert peak < 1.5 * rec.counts.nbytes
 
 
 @st.composite
