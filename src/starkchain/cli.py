@@ -69,22 +69,19 @@ def _write_atomic(path, text):
 
 def _csv_text(key, keys, columns, errors=None):
     """Header key + names, one row per entry of keys; an error column
-    directly follows its value."""
+    directly follows its value. The whole table is formatted in one
+    operation, as CSV_FORMAT % v of each value would format it."""
     errors = errors or {}
-    header = [key]
+    header, table = [key], [keys]
     for name in columns:
         header.append(name)
+        table.append(columns[name])
         if name in errors:
             header.append(name + "_err")
-    lines = [",".join(header)]
-    for i, k in enumerate(keys):
-        row = [CSV_FORMAT % k]
-        for name in columns:
-            row.append(CSV_FORMAT % columns[name][i])
-            if name in errors:
-                row.append(CSV_FORMAT % errors[name][i])
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            table.append(errors[name])
+    row = ",".join([CSV_FORMAT] * len(table)) + "\n"
+    values = np.column_stack(table).ravel().tolist()
+    return ",".join(header) + "\n" + (row * len(keys)) % tuple(values)
 
 
 def _confusion_list(config):
@@ -141,8 +138,9 @@ def _sampled(config, potential, f_index, settings):
     indices they live on; each setting takes an equal share of the plan's
     shots, and the groups of snapshot k are drawn from key k of the
     (seed, gradient, setting) sequence. One sample_counts call per setting
-    covers every snapshot; its record's groups run snapshot by snapshot, so
-    each estimator's group means reshape to (nt, n_groups).
+    covers every snapshot, and one group_means call estimates all its
+    names; the record's groups run snapshot by snapshot, so each
+    estimator's group means reshape to (nt, n_groups).
     """
     h, state, basis, collapse = _route(config, potential, config.noise)
     support, data = _evolve(h, state, _times(config), collapse)
@@ -160,8 +158,9 @@ def _sampled(config, potential, f_index, settings):
         seeds = _derive_seeds(plan.seed, f_index, len(data), setting)
         rec = sample_counts(data, confusion, meas_basis, n_shots, seeds,
                             n_groups=plan.n_groups, support=support)
-        out.update({name: group_means(rec, name, confusion=correct)
-                    .reshape(shape) for name in estimators})
+        means = group_means(rec, estimators, confusion=correct)
+        out.update({name: means[:, k].reshape(shape)
+                    for k, name in enumerate(estimators)})
     return out
 
 

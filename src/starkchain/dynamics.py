@@ -338,8 +338,10 @@ def _check_blocks(stack, times):
     part drifting beyond 1e-6, then an eigenvalue of it below -1e-6 raises
     NumericalConsistencyError for the earliest failing block, as checking
     one block at a time would. A block with a non-finite entry fails on its
-    residue, so eigvalsh sees only blocks before the first residue or trace
-    failure.
+    residue, so only blocks before the first residue or trace failure are
+    screened by one batched Cholesky factorisation of herm + POSITIVITY_TOL/2
+    * I. It fails wherever eigvalsh would find an eigenvalue below
+    -POSITIVITY_TOL, and only then does eigvalsh run, and decide.
     """
     adjoint = stack.conj().transpose(0, 2, 1)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -348,7 +350,10 @@ def _check_blocks(stack, times):
         trace = np.trace(herm, axis1=1, axis2=2).real
     bad = ~(residue <= HERMITICITY_TOL) | (np.abs(trace - 1.0) > TRACE_TOL)
     stop = np.argmax(bad) if bad.any() else len(stack)
-    if stop:
+    try:  # the blocks are finite, and trace 1 bounds a positive one's norm
+        np.linalg.cholesky(herm[:stop]
+                           + 0.5 * POSITIVITY_TOL * np.eye(stack.shape[1]))
+    except np.linalg.LinAlgError:
         low = np.linalg.eigvalsh(herm[:stop])[:, 0]
         negative = np.flatnonzero(low < -POSITIVITY_TOL)
         if negative.size:

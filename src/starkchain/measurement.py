@@ -131,18 +131,22 @@ class ShotRecord:
     def bit_array(self):
         return self.bits
 
-    def site_counts(self, sites):
-        """Counts (n_groups, 2^k) over the joint outcomes of the k listed
-        sites (ascending, site 1 first) in each group, from one bincount: the
-        group index sits in the bits above the k outcome bits."""
-        k = len(sites)
+    def site_histograms(self, site_tuples):
+        """Float counts (n_groups, 2^k) over the joint outcomes of each
+        listed tuple of k sites (ascending, site 1 first) in each group, one
+        bincount per tuple: the group index sits in the bits above the k
+        outcome bits."""
         group_size = self.n_shots // self.n_groups
-        idx = np.repeat(np.arange(self.n_groups, dtype=np.int64) << k,
-                        group_size)
-        for i, s in enumerate(sites):
-            idx |= self.bits[:, s - 1].astype(np.int64) << (k - 1 - i)
-        counts = np.bincount(idx, minlength=self.n_groups << k)
-        return counts.reshape(self.n_groups, 1 << k)
+        hists = []
+        for sites in site_tuples:
+            k = len(sites)
+            idx = np.repeat(np.arange(self.n_groups, dtype=np.int64) << k,
+                            group_size)
+            for i, s in enumerate(sites):
+                idx |= self.bits[:, s - 1].astype(np.int64) << (k - 1 - i)
+            counts = np.bincount(idx, minlength=self.n_groups << k)
+            hists.append(counts.reshape(self.n_groups, 1 << k).astype(float))
+        return hists
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -179,14 +183,22 @@ class CountRecord:
     def n_qubits(self):
         return len(self.basis)
 
-    def site_counts(self, sites):
-        """Counts (n_groups, 2^k) over the joint outcomes of the k listed
-        sites (ascending, site 1 first): each group's histogram summed over
-        the other sites."""
+    def site_histograms(self, site_tuples):
+        """Float counts (n_groups, 2^k) over the joint outcomes of each
+        listed tuple of k sites (ascending, site 1 first), summed over the
+        other sites by one product with a 0/1 matrix, a block of columns per
+        tuple. Its sums are of integers below 2^53, so they are exact."""
         n = self.n_qubits
-        per_site = self.counts.reshape((self.n_groups,) + (2,) * n)
-        others = tuple(q for q in range(1, n + 1) if q not in sites)
-        return per_site.sum(axis=others).reshape(self.n_groups, 1 << len(sites))
+        bits = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+        widths = [1 << len(sites) for sites in site_tuples]
+        marginal = np.zeros((1 << n, sum(widths)))
+        for off, sites in zip(np.cumsum([0] + widths), site_tuples):
+            picked = bits[:, np.subtract(sites, 1)]  # site 1 most significant
+            joint = picked @ (1 << np.arange(len(sites)))[::-1]
+            marginal[np.arange(1 << n), off + joint] = 1.0
+        hists = np.split(self.counts.astype(float) @ marginal,
+                         np.cumsum(widths)[:-1], axis=1)
+        return [np.ascontiguousarray(h) for h in hists]
 
 
 _BITSTRING_RE = re.compile(r"[01]+")
@@ -435,29 +447,33 @@ def _correct_histograms(hist, mats):
 
 
 def group_means(record, estimator, confusion=None):
-    """Per-group estimates of one estimator, in group order.
+    """Per-group estimates of one estimator, in group order, or of a
+    sequence of K estimators as (n_groups, K), column k for name k.
 
     record: a ShotRecord or a CountRecord; only the source of each group's
-    histogram differs. estimator: 'P{j}' for a site density, or a two-letter
-    Pauli pair plus the bond index ('XX2', 'XY1', ...) evaluated as
-    (1-2b_i)(1-2b_j). With confusion matrices given, each group's joint
+    histogram differs, and a CountRecord gives every estimator's from one
+    pass over its counts. estimator: 'P{j}' for a site density, or a
+    two-letter Pauli pair plus the bond index ('XX2', 'XY1', ...) evaluated
+    as (1-2b_i)(1-2b_j). With confusion matrices given, each group's joint
     histogram is inverse-corrected before the estimate.
     """
-    kind, sites = _parse_estimator(str(estimator), record)
-    hist = record.site_counts(sites).astype(float)
-    if not hist.sum(axis=1).all():
-        raise DomainError("empty groups")
-    if confusion is not None:
-        hist = _correct_histograms(
-            hist, [confusion[s - 1].inverse() for s in sites])
-    # outcome values over (b_i) or (b_i b_j): the bit itself for P, the
-    # product of (1-2b) for a Pauli pair
-    if kind == "P":
-        vals = np.array([0.0, 1.0])
-    else:
-        vals = np.array([1.0, -1.0, -1.0, 1.0])
-    # one dot product per group, as np.dot(vals, h) for a single group
-    return np.matmul(hist[:, None, :], vals)[:, 0] / hist.sum(axis=1)
+    single = isinstance(estimator, str) or not np.iterable(estimator)
+    parsed = [_parse_estimator(str(name), record)
+              for name in ([estimator] if single else estimator)]
+    hists = record.site_histograms([sites for _, sites in parsed])
+    out = np.empty((len(parsed), record.n_groups))
+    for k, ((kind, sites), hist) in enumerate(zip(parsed, hists)):
+        if not hist.sum(axis=1).all():
+            raise DomainError("empty groups")
+        if confusion is not None:
+            hist = _correct_histograms(
+                hist, [confusion[s - 1].inverse() for s in sites])
+        # outcome values over (b_i) or (b_i b_j): the bit itself for P, the
+        # product of (1-2b) for a Pauli pair
+        vals = np.array([0.0, 1.0] if kind == "P" else [1.0, -1.0, -1.0, 1.0])
+        # one dot product per group, as np.dot(vals, h) for a single group
+        out[k] = np.matmul(hist[:, None, :], vals)[:, 0] / hist.sum(axis=1)
+    return out[0] if single else out.T
 
 
 def grouped_statistics(record, estimator, confusion=None):

@@ -138,14 +138,14 @@ class OperatorMatrix:
     duplicates are summed and exact zeros kept. This is the coordinate form
     of a canonical scipy CSR matrix, read-only. ``dim`` is the side of the
     matrix. ``hermitian_residue`` is the Frobenius ||M - M+|| / max(1, ||M||),
-    computed once here. A ``matrix`` argument is anything
+    computed on first read and kept. A ``matrix`` argument is anything
     ``scipy.sparse.csr_matrix`` accepts and is converted through scipy;
     ``from_entries`` takes coordinates in any order, on numpy alone.
     ``.matrix`` is the scipy CSR form, built on first use.
     """
 
     __slots__ = ("dim", "rows", "cols", "vals", "basis_tag",
-                 "hermitian_residue", "_csr")
+                 "_residue", "_csr")
 
     def __init__(self, matrix, basis_tag):
         import scipy.sparse as sp
@@ -172,12 +172,18 @@ class OperatorMatrix:
             a.flags.writeable = False
         self.dim, self.rows, self.cols, self.vals = dim, rows, cols, vals
         self.basis_tag = basis_tag
-        self.hermitian_residue = _hermitian_residue(dim, rows, cols, vals)
-        self._csr = None
+        self._residue = self._csr = None
 
     def __repr__(self):
         return (f"OperatorMatrix(dim={self.dim}, nnz={self.vals.size}, "
                 f"basis_tag={self.basis_tag!r})")
+
+    @property
+    def hermitian_residue(self):
+        if self._residue is None:
+            self._residue = _hermitian_residue(self.dim, self.rows, self.cols,
+                                               self.vals)
+        return self._residue
 
     @property
     def matrix(self):
@@ -232,17 +238,15 @@ def _operator(states, terms, basis_tag):
     the restriction of the full operator."""
     order = np.argsort(states)
     ranked = states[order]
-    rows, cols, vals = [], [], []
-    for targets, amplitudes in terms:
-        amplitudes = np.broadcast_to(np.asarray(amplitudes, dtype=complex), states.shape)
-        pos = np.minimum(np.searchsorted(ranked, targets), states.size - 1)
-        hit = np.flatnonzero((ranked[pos] == targets) & (amplitudes != 0))
-        rows.append(order[pos[hit]])
-        cols.append(hit)
-        vals.append(amplitudes[hit])
+    targets = np.array([t for t, _ in terms])
+    amplitudes = np.array([np.broadcast_to(np.asarray(a, dtype=complex),
+                                           states.shape) for _, a in terms])
+    pos = np.minimum(np.searchsorted(ranked, targets), states.size - 1)
+    # term-major, as one term after another
+    term, hit = np.nonzero((ranked[pos] == targets) & (amplitudes != 0))
     return OperatorMatrix.from_entries(
-        states.size, np.concatenate(rows), np.concatenate(cols),
-        np.concatenate(vals), basis_tag)
+        states.size, order[pos[term, hit]], hit, amplitudes[term, hit],
+        basis_tag)
 
 
 def _restricted(support, rows, cols, vals):

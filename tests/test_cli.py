@@ -827,3 +827,61 @@ class TestOutputHygiene:
                             "t_max": 20, "dt_sample": 10})
         summary = run(cfg, out_dir=str(tmp_path))
         assert summary["outputs"] == ["spin_transport_F7p5.csv"]
+
+
+def _per_value_csv(key, keys, columns, errors=None):
+    """Reference: every value formatted on its own with CSV_FORMAT."""
+    errors = errors or {}
+    header = [key]
+    for name in columns:
+        header += [name, name + "_err"] if name in errors else [name]
+    lines = [",".join(header)]
+    for i, k in enumerate(keys):
+        row = [cli.CSV_FORMAT % k]
+        for name in columns:
+            row.append(cli.CSV_FORMAT % columns[name][i])
+            if name in errors:
+                row.append(cli.CSV_FORMAT % errors[name][i])
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+_CSV_VALUES = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+                     2.2e-308, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_rows=st.integers(0, 6), n_cols=st.integers(0, 4), data=st.data())
+def test_csv_table_formats_as_each_value(n_rows, n_cols, data):
+    def column():
+        return data.draw(st.lists(_CSV_VALUES, min_size=n_rows,
+                                  max_size=n_rows))
+
+    keys = column()
+    columns = {f"c{j}": np.array(column(), dtype=float) for j in range(n_cols)}
+    errors = {name: np.array(column(), dtype=float) for name in columns
+              if data.draw(st.booleans())}
+    assert cli._csv_text("t_ns", keys, columns, errors) \
+        == _per_value_csv("t_ns", keys, columns, errors)
+
+
+@pytest.mark.parametrize("experiment, settings_", [
+    ("spin_transport", 1), ("thermal_transport", 2), ("spin_current", 2)])
+def test_one_estimate_pass_per_setting(tmp_path, monkeypatch, experiment,
+                                       settings_):
+    # one group_means call estimates every name of a readout setting
+    calls, group_means = [], cli.group_means
+
+    def counted(record, estimator, confusion=None):
+        calls.append(estimator)
+        return group_means(record, estimator, confusion)
+
+    monkeypatch.setattr(cli, "group_means", counted)
+    run(parse_config({"experiment": experiment, "noise": "lindblad",
+                      "readout_correction": True, "t_max": 20,
+                      "dt_sample": 10}), out_dir=str(tmp_path))
+    assert len(calls) == settings_
+    assert all(not isinstance(names, str) for names in calls)

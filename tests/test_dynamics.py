@@ -404,13 +404,18 @@ class TestStackChecks:
     @pytest.mark.parametrize("negative", [1, 5])
     def test_non_finite_block_never_reaches_eigvalsh(self, negative,
                                                      monkeypatch):
+        # neither the Cholesky screen nor eigvalsh sees a non-finite block
         seen = []
 
-        def eigvalsh(a):
-            seen.append(np.all(np.isfinite(a)))
-            return np.linalg.eigh(a)[0]
+        def finite_only(fn):
+            def checked(a):
+                seen.append(np.all(np.isfinite(a)))
+                return fn(a)
+            return checked
 
-        monkeypatch.setattr(dynamics.np.linalg, "eigvalsh", eigvalsh)
+        for name in ("cholesky", "eigvalsh"):
+            monkeypatch.setattr(dynamics.np.linalg, name,
+                                finite_only(getattr(np.linalg, name)))
         with pytest.raises(NumericalConsistencyError) as info:
             dynamics._check_blocks(_stack_failing(nan=3, negative=negative),
                                    _BLOCK_TIMES)
@@ -420,6 +425,92 @@ class TestStackChecks:
             assert str(info.value) == \
                 "density matrix anti-Hermitian residue nan at t = 6 ns"
         assert seen and all(seen)
+
+
+def _block_with_lowest(low, size=4, seed=0):
+    """A Hermitian size x size block of trace 1 whose smallest eigenvalue
+    is low, in a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    rest = rng.dirichlet(np.ones(size - 1)) * (1.0 - low)
+    u, _ = np.linalg.qr(rng.normal(size=(size, size))
+                        + 1j * rng.normal(size=(size, size)))
+    block = (u * np.append(low, rest)) @ u.conj().T
+    return 0.5 * (block + block.conj().T)
+
+
+def _stack_with_lowest(at, low):
+    stack = np.array([_block_with_lowest(0.0, seed=k)
+                      for k in range(_BLOCK_TIMES.size)])
+    for k in at:
+        stack[k] = _block_with_lowest(low, seed=100 + k)
+    return stack
+
+
+class TestPositivityScreen:
+    """The Cholesky screen in front of eigvalsh: eigvalsh runs only when
+    the screen fails, and the rule and its message stay eigvalsh's."""
+
+    @staticmethod
+    def _count_eigvalsh(monkeypatch):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(dynamics.np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_small_negative_eigenvalue_passes(self, monkeypatch):
+        # -0.7e-6 is within POSITIVITY_TOL but beyond the screen's half of
+        # it, so eigvalsh decides, and passes it
+        calls = self._count_eigvalsh(monkeypatch)
+        stack = _stack_with_lowest([4], -0.7e-6)
+        assert dynamics._check_blocks(stack, _BLOCK_TIMES) is None
+        assert calls == [_BLOCK_TIMES.size]
+
+    @pytest.mark.parametrize("at", [[0], [4], [2, 5], [6]])
+    def test_negative_eigenvalue_names_its_snapshot(self, at):
+        stack = _stack_with_lowest(at, -1.5e-6)
+        low = np.linalg.eigvalsh(stack[at[0]])[0]
+        assert low < -dynamics.POSITIVITY_TOL
+        with pytest.raises(NumericalConsistencyError) as info:
+            dynamics._check_blocks(stack, _BLOCK_TIMES)
+        assert str(info.value) == (f"density matrix eigenvalue {low} at "
+                                   f"t = {_BLOCK_TIMES[at[0]]:g} ns")
+
+    def test_healthy_stacks_never_call_eigvalsh(self, monkeypatch):
+        calls = self._count_eigvalsh(monkeypatch)
+        # pure and rank-deficient blocks sit at eigenvalue 0 exactly
+        stack = _stack_with_lowest([1, 3], 0.0)
+        stack[5] = np.diag([1.0, 0.0, 0.0, 0.0])
+        assert dynamics._check_blocks(stack, _BLOCK_TIMES) is None
+        h, col = _noisy_chain(3, "device")
+        evolve_lindblad(h, prepare_initial_state("X+10", 3),
+                        np.arange(0.0, 60.0, 4.0), col)
+        assert calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(size=st.integers(2, 8), m=st.integers(1, 6),
+           low=st.floats(-3e-6, 1e-6), data=st.data())
+    def test_same_verdict_as_eigvalsh_alone(self, size, m, low, data):
+        # the former rule: eigvalsh on every block, the earliest below
+        # -POSITIVITY_TOL named
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        stack = np.array([_block_with_lowest(
+            low if data.draw(st.booleans()) else 0.0, size, seed + k)
+            for k in range(m)])
+        times = _BLOCK_TIMES[:m]
+        lows = np.linalg.eigvalsh(stack)[:, 0]
+        bad = np.flatnonzero(lows < -dynamics.POSITIVITY_TOL)
+        if bad.size:
+            with pytest.raises(NumericalConsistencyError) as info:
+                dynamics._check_blocks(stack, times)
+            assert str(info.value) == (f"density matrix eigenvalue "
+                                       f"{lows[bad[0]]} at t = "
+                                       f"{times[bad[0]]:g} ns")
+        else:
+            assert dynamics._check_blocks(stack, times) is None
 
 
 def _dense_lindblad(h, collapse, state, times):

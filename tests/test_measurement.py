@@ -459,6 +459,61 @@ def test_counts_of_a_record_give_its_means(case):
                 group_means(rec, est, confusion=correct))
 
 
+def _axis_sum_counts(record, sites):
+    """Reference: a CountRecord's histogram over the listed sites as an
+    axis sum of its (n_groups, 2, ..., 2) view over the other sites."""
+    n = record.n_qubits
+    per_site = record.counts.reshape((record.n_groups,) + (2,) * n)
+    others = tuple(q for q in range(1, n + 1) if q not in sites)
+    return per_site.sum(axis=others).reshape(record.n_groups, 1 << len(sites))
+
+
+@st.composite
+def _count_records(draw):
+    """A CountRecord drawn directly, its counts up to 2^47 (sums of up to
+    32 of them stay below 2^53), some rows empty, and its estimators."""
+    n = draw(st.integers(1, 5))
+    basis = draw(st.text(alphabet="ZXY", min_size=n, max_size=n))
+    top = draw(st.sampled_from([1, 50, 2 ** 47]))
+    counts = draw(hnp.arrays(np.int64, (draw(st.integers(1, 6)), 1 << n),
+                             elements=st.integers(0, top)))
+    return CountRecord(counts, basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_records(), _count_records(), st.data())
+def test_one_pass_equals_the_per_name_calls(case, drawn, data):
+    # group_means over a list of names gives, column by column, each name's
+    # own call to the last bit, for both record kinds and with and without
+    # readout correction
+    bits, n_groups, basis, _, confusion = case
+    shots = ShotRecord(bits=bits, n_groups=n_groups, seed=0, basis=basis)
+    for rec in (shots, _counts_of(shots), drawn):
+        n = rec.n_qubits
+        names = data.draw(st.lists(st.sampled_from(_estimators(rec.basis)),
+                                   min_size=1, max_size=6))
+        for correct in (None, confusion_from_device(paper_device())[:n]):
+            try:
+                got = group_means(rec, names, confusion=correct)
+            except DomainError as exc:  # an empty group, or one corrected
+                with pytest.raises(DomainError, match=re.escape(str(exc))):
+                    for name in names:
+                        group_means(rec, name, confusion=correct)
+                continue
+            assert got.shape == (rec.n_groups, len(names))
+            for k, name in enumerate(names):
+                np.testing.assert_array_equal(
+                    got[:, k], group_means(rec, name, confusion=correct))
+        if isinstance(rec, CountRecord):
+            # the one product gives the former axis sums, exactly
+            tuples = [(j,) for j in range(1, n + 1)]
+            tuples += [(b, b + 1) for b in range(1, n)]
+            for sites, hist in zip(tuples, rec.site_histograms(tuples)):
+                assert hist.dtype == float and hist.flags.c_contiguous
+                np.testing.assert_array_equal(hist,
+                                              _axis_sum_counts(rec, sites))
+
+
 def _random_stack(n, k, seed, pure=False):
     """k random states on n qubits: unit vectors, or density matrices each
     mixing three of them."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starkchain import (
     ANGULAR_PER_MHZ,
@@ -24,6 +24,7 @@ from starkchain import (
     sector_tag,
     single_particle_matrix,
 )
+from starkchain import model
 from starkchain.model import _operator, fock_tag
 
 # local two-level operators, |0> = (1, 0), |1> = (0, 1)
@@ -163,7 +164,9 @@ def _kron_observable(kind, j, params, potential, axis=None):
     if kind == "density":
         return _site_operator(NUMBER_OP, j, n)
     if kind == "kinetic":
-        return 0.5 * g[j - 1] * (pair(SIGMA_X, SIGMA_X) + pair(SIGMA_Y, SIGMA_Y))
+        # g (0.5 (XX + YY)), not 0.5 g (XX + YY): halving a subnormal g
+        # rounds it, and the builder's entry is g itself
+        return g[j - 1] * (0.5 * (pair(SIGMA_X, SIGMA_X) + pair(SIGMA_Y, SIGMA_Y)))
     if kind == "potential":
         return (h[j - 1] * _site_operator(NUMBER_OP, j, n)
                 + h[j] * _site_operator(NUMBER_OP, j + 1, n))
@@ -217,6 +220,9 @@ def _chains(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_chains())
+# a coupling subnormal in rad/ns (1.26e-308)
+@example((DeviceParams.uniform(2).replace(coupling_mhz=[2.00709114e-306]),
+          PotentialSpec(gradient_mhz=0.0, shift_mhz=0.0), 1, 1))
 def test_bit_rule_builder_matches_kron(chain):
     dev, pot, site, bond = chain
     n = dev.n_qubits
@@ -277,6 +283,75 @@ def test_bit_operator_on_any_state_list(n, data):
     for flip, amps in terms:
         for s in np.flatnonzero(amps):
             assert ref[s ^ flip, s] == amps[s]
+
+
+def _per_term_operator(states, terms, basis_tag):
+    """Reference: the builder as one searchsorted per term, the terms'
+    entries concatenated one term after another."""
+    order = np.argsort(states)
+    ranked = states[order]
+    rows, cols, vals = [], [], []
+    for targets, amplitudes in terms:
+        amplitudes = np.broadcast_to(np.asarray(amplitudes, dtype=complex),
+                                     states.shape)
+        pos = np.minimum(np.searchsorted(ranked, targets), states.size - 1)
+        hit = np.flatnonzero((ranked[pos] == targets) & (amplitudes != 0))
+        rows.append(order[pos[hit]])
+        cols.append(hit)
+        vals.append(amplitudes[hit])
+    return OperatorMatrix.from_entries(
+        states.size, np.concatenate(rows), np.concatenate(cols),
+        np.concatenate(vals), basis_tag)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_pass_builder_matches_the_per_term_loop(data):
+    # any list of distinct states, targets inside and outside it, zero
+    # amplitudes and scalar ones; the entries agree to the bit and in order
+    top = data.draw(st.integers(1, 200))
+    states = np.array(data.draw(st.lists(st.integers(0, top), min_size=1,
+                                         max_size=40, unique=True)))
+    # sums of three or more of these depend on their order
+    amplitude = st.one_of(st.sampled_from([0.0, 1.0, -0.5j, 0.1, 0.2, 0.3]),
+                          st.complex_numbers(max_magnitude=1e3,
+                                             allow_nan=False))
+    target = st.one_of(st.sampled_from(states.tolist()),
+                       st.integers(-5, top + 5))
+    terms = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        targets = np.array(data.draw(st.lists(
+            target, min_size=states.size, max_size=states.size)))
+        if data.draw(st.booleans()):
+            amps = data.draw(amplitude)
+        else:
+            amps = np.array(data.draw(st.lists(
+                amplitude, min_size=states.size, max_size=states.size)))
+        terms.append((targets, amps))
+    got = _operator(states, terms, "t")
+    want = _per_term_operator(states, terms, "t")
+    assert got.dim == want.dim and got.basis_tag == want.basis_tag
+    for a, b in ((got.rows, want.rows), (got.cols, want.cols),
+                 (got.vals, want.vals)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_hermitian_residue_is_computed_on_first_read(monkeypatch):
+    calls = []
+    residue = model._hermitian_residue
+
+    def counted(*args):
+        calls.append(args[0])
+        return residue(*args)
+
+    monkeypatch.setattr(model, "_hermitian_residue", counted)
+    ops = make_collapse_ops(paper_device()).operators
+    assert len(ops) == 10 and calls == []
+    first = [op.hermitian_residue for op in ops]
+    assert len(calls) == len(ops)
+    assert [op.hermitian_residue for op in ops] == first
+    assert not any(op.is_hermitian() for op in ops[::2])  # sigma- is not
+    assert len(calls) == len(ops)
 
 
 class TestXYHamiltonian:
