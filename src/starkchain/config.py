@@ -8,12 +8,8 @@ default.
 import math
 from dataclasses import dataclass, field
 
-import yaml
-
-from .device import DeviceParams, device_preset
-from .dynamics import _tokenize_state_spec
+from .device import ConfusionMatrix, DeviceParams, device_preset
 from .errors import ConfigError, DomainError, StateSpecError
-from .measurement import ConfusionMatrix
 
 EXPERIMENTS = (
     "spin_transport",
@@ -61,6 +57,26 @@ def _default_initial(experiment, n_qubits):
     if experiment == "thermal_transport":
         return "X+X+" + "0" * (n_qubits - 2)
     return "1" + "0" * (n_qubits - 1)
+
+
+def _tokenize_state_spec(spec):
+    """The per-site tokens of a product-state spec ('0', '1', 'X+', 'X-'):
+    the one grammar of parse_config and prepare_initial_state."""
+    tokens = []
+    i = 0
+    while i < len(spec):
+        ch = spec[i]
+        if ch in "01":
+            tokens.append(ch)
+            i += 1
+        elif ch == "X":
+            if i + 1 >= len(spec) or spec[i + 1] not in "+-":
+                raise StateSpecError(f"dangling 'X' at position {i} in {spec!r}")
+            tokens.append(spec[i:i + 2])
+            i += 2
+        else:
+            raise StateSpecError(f"unknown token {ch!r} at position {i} in {spec!r}")
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -387,18 +403,67 @@ def parse_config(raw, default_experiment=None):
     )
 
 
+def _refuse_repeated_keys(node, path="", seen=None):
+    """ConfigError naming the first key a YAML mapping gives twice, at any
+    depth of the composed node tree, with the lines of both."""
+    seen = set() if seen is None else seen
+    if id(node) in seen:  # an alias of a node already walked
+        return
+    seen.add(id(node))
+    if node.id == "sequence":
+        for i, item in enumerate(node.value):
+            _refuse_repeated_keys(item, f"{path}[{i}]", seen)
+    elif node.id == "mapping":
+        lines = {}
+        for key, value in node.value:
+            if key.id != "scalar":  # the constructor refuses it as unhashable
+                continue
+            field_path = f"{path}.{key.value}" if path else key.value
+            line = key.start_mark.line + 1
+            if (key.tag, key.value) in lines:
+                raise ConfigError(f"{field_path}: repeated key (lines "
+                                  f"{lines[key.tag, key.value]} and {line})")
+            lines[key.tag, key.value] = line
+            _refuse_repeated_keys(value, field_path, seen)
+
+
 def read_config(path):
     """The raw YAML mapping of a config file, before validation."""
+    import yaml  # only a file read needs the parser
+
+    class Loader(yaml.SafeLoader):
+        def construct_document(self, node):
+            _refuse_repeated_keys(node)
+            return super().construct_document(node)
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=Loader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot read config file {path}: {reason}") from None
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config parse error in {path}: {exc}") from exc
+        # one line: yaml's own text spreads the problem, its context and
+        # their marks over several
+        def at(mark):
+            return f"line {mark.line + 1}, column {mark.column + 1}"
+
+        mark = getattr(exc, "problem_mark", None)
+        where = "" if mark is None else f" at {at(mark)}"
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        context = getattr(exc, "context", None)
+        if context:
+            opened = getattr(exc, "context_mark", None)
+            if opened is not None and (mark is None or at(opened) != at(mark)):
+                context += f" ({at(opened)})"
+            problem = f"{context}: {problem}"
+        raise ConfigError(
+            f"config parse error in {path}{where}: {problem}") from exc
+    except RecursionError:  # yaml composes one nesting level per call
+        raise ConfigError(
+            f"config parse error in {path}: nested too deeply") from None
 
 
 def load_config(path, default_experiment=None):

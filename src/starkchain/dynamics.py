@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _tokenize_state_spec
 from .device import DeviceParams
 from .errors import DomainError, NumericalConsistencyError, StateSpecError
 from .model import (DENSE_DIM_CAP, OperatorMatrix, SectorBasis, _basis_states,
@@ -77,24 +78,6 @@ class QuantumState:
         if self.is_density:
             return self
         return QuantumState(np.outer(self.data, self.data.conj()), self.basis_tag)
-
-
-def _tokenize_state_spec(spec):
-    tokens = []
-    i = 0
-    while i < len(spec):
-        ch = spec[i]
-        if ch in "01":
-            tokens.append(ch)
-            i += 1
-        elif ch == "X":
-            if i + 1 >= len(spec) or spec[i + 1] not in "+-":
-                raise StateSpecError(f"dangling 'X' at position {i} in {spec!r}")
-            tokens.append(spec[i:i + 2])
-            i += 2
-        else:
-            raise StateSpecError(f"unknown token {ch!r} at position {i} in {spec!r}")
-    return tokens
 
 
 def prepare_initial_state(spec, n_sites, basis=None):

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .device import ConfusionMatrix
 from .dynamics import QuantumState, _checked_stack
 from .errors import DomainError, StateSpecError
 from .model import full_tag
@@ -23,41 +24,6 @@ _ROT = {
     # R_x(+pi/2)
     "Y": np.array([[_SQ2, -1j * _SQ2], [-1j * _SQ2, _SQ2]], dtype=complex),
 }
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Column-stochastic 2x2 readout map [[F0, 1-F1], [1-F0, F1]]."""
-
-    f0: float
-    f1: float
-
-    def __post_init__(self):
-        for name in ("f0", "f1"):
-            v = float(getattr(self, name))
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must be in [0, 1], got {v}")
-            object.__setattr__(self, name, v)
-
-    @property
-    def matrix(self):
-        return np.array([[self.f0, 1.0 - self.f1], [1.0 - self.f0, self.f1]])
-
-    @property
-    def is_singular(self):
-        # det = F0 + F1 - 1
-        return abs(self.f0 + self.f1 - 1.0) < 1e-12
-
-    def inverse(self):
-        if self.is_singular:
-            raise DomainError(
-                "confusion matrix is singular (F0 + F1 = 1), cannot invert"
-            )
-        return np.linalg.inv(self.matrix)
-
-    @classmethod
-    def perfect(cls):
-        return cls(f0=1.0, f1=1.0)
 
 
 def confusion_from_device(params):

@@ -519,7 +519,57 @@ class TestLoadConfig:
             load_config(tmp_path / "nope.yaml")
 
     def test_parse_error(self, tmp_path):
+        # one line: the file, where yaml found the problem, what it was
+        # parsing and where that opened, and the problem
         p = tmp_path / "bad.yaml"
-        p.write_text("experiment: [unclosed\n")
-        with pytest.raises(ConfigError, match="parse error"):
+        for text, where in [
+            ("experiment: [unclosed\n", "line 2, column 1: while parsing a "
+             "flow sequence (line 1, column 13): expected ',' or ']'"),
+            ("experiment: [\n", "line 2, column 1: while parsing a flow node: "
+             "expected the node content"),
+            ("device: {n_qubits: 3\n", "line 2, column 1: while parsing a "
+             "flow mapping (line 1, column 9): expected ',' or '}'"),
+            ("experiment: spin_transport\n  t_max: 20\n",
+             "line 2, column 8: mapping values are not allowed here"),
+        ]:
+            p.write_text(text)
+            with pytest.raises(ConfigError) as info:
+                load_config(p)
+            message = str(info.value)
+            assert message.startswith(f"config parse error in {p} at {where}")
+            assert "\n" not in message
+
+    def test_deep_nesting_refused(self, tmp_path):
+        p = tmp_path / "deep.yaml"
+        p.write_text("experiment: " + "[" * 1000 + "]" * 1000 + "\n")
+        with pytest.raises(ConfigError,
+                           match=r"^config parse error in .*: nested too deeply$"):
             load_config(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("experiment: spin_transport\nt_max: 20\nexperiment: wsl_scan\n",
+         "experiment: repeated key (lines 1 and 3)"),
+        ("experiment: spin_transport\ndevice:\n  n_qubits: 3\n"
+         "  coupling_mhz: [14.4, 14.4]\n  n_qubits: 4\n",
+         "device.n_qubits: repeated key (lines 3 and 5)"),
+        ("experiment: spin_transport\nshots:\n  n_shots: 600\n"
+         "  seed: 1\n  'n_shots': 60\n",
+         "shots.n_shots: repeated key (lines 3 and 5)"),
+        ("experiment: spin_transport\nreadout:\n- {f0: 0.9, f1: 0.9}\n"
+         "- {f0: 0.9, f1: 0.9, f1: 0.8}\n",
+         "readout[1].f1: repeated key (lines 4 and 4)"),
+    ], ids=["top", "device", "shots", "readout"])
+    def test_repeated_key_refused(self, tmp_path, text, message):
+        # yaml keeps the last of two equal keys; a config names the field
+        p = tmp_path / "twice.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(p)
+        assert str(info.value) == message
+
+    def test_alias_is_not_a_repeat(self, tmp_path):
+        # a node reached twice through an anchor is one mapping, not two keys
+        p = tmp_path / "alias.yaml"
+        p.write_text("experiment: spin_transport\n"
+                     "readout: [&q {f0: 0.9, f1: 0.9}, *q, *q, *q, *q]\n")
+        assert load_config(p).readout == ((0.9, 0.9),) * 5

@@ -1,5 +1,8 @@
-"""Import cost: the package and the config parser load no heavy scipy parts."""
+"""Import cost and public surface: the package loads its submodules on first
+use, the config parser needs neither the numerics modules nor PyYAML, and
+nothing loads the heavy scipy parts before it needs them."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -32,18 +35,26 @@ def test_import_leaves_sparse_linalg_and_optimize_unloaded():
     assert out.strip() == ""
 
 
-def _scipy_modules_after(code, *argv):
-    """scipy modules loaded by a fresh interpreter once code has run."""
+def _modules_after(code, *argv):
+    """Modules a fresh interpreter holds once code has run, sorted."""
     src = os.path.dirname(os.path.dirname(starkchain.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = ("import sys\n" + code + "\nprint('scipy:', *sorted(m for m in "
-             "sys.modules if m.split('.')[0] == 'scipy'))\n")
+    probe = ("import sys\n" + code + "\nprint('modules:', *sorted(sys.modules))\n")
     done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1].split()[1:]
+
+
+def _scipy_modules_after(code, *argv):
+    """scipy modules loaded by a fresh interpreter once code has run."""
+    return [m for m in _modules_after(code, *argv) if m.split(".")[0] == "scipy"]
+
+
+def _starkchain_modules(loaded):
+    return [m for m in loaded if m.split(".")[0] == "starkchain"]
 
 
 _CLI = "from starkchain.cli import main\nassert main(sys.argv[1:]) == 0"
@@ -95,3 +106,104 @@ def test_lindblad_run_loads_scipy_on_first_use(tmp_path):
     loaded = _scipy_modules_after(_CLI, "decoherence_check", "--config",
                                   str(config), "--out", str(tmp_path / "out"))
     assert {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} <= set(loaded)
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    # each public name loads its submodule on first use; dir() lists them all
+    loaded = _modules_after(
+        "import starkchain\n"
+        "assert set(starkchain.__all__) <= set(dir(starkchain))")
+    assert "numpy" not in loaded
+    assert _starkchain_modules(loaded) == ["starkchain"]
+
+
+def test_parse_config_loads_no_numerics_module_and_no_yaml():
+    # a noisy thermal run with corrected table-s1 readout on a custom device
+    # touches every branch of the parser that once needed dynamics (the
+    # state grammar) or measurement (the confusion matrix)
+    loaded = _modules_after(
+        "from starkchain.config import parse_config\n"
+        "parse_config({'experiment': 'thermal_transport', 'noise': 'lindblad',\n"
+        "              'readout': 'table-s1', 'readout_correction': True,\n"
+        "              'initial_state': 'X+0000',\n"
+        "              'device': {'n_qubits': 5, 'coupling_mhz': [14.4] * 4,\n"
+        "                         'readout_f0': [0.95] * 5}})")
+    assert _starkchain_modules(loaded) == [
+        "starkchain", "starkchain.config", "starkchain.device",
+        "starkchain.errors"]
+    assert "yaml" not in loaded
+
+
+def test_load_config_loads_yaml_on_first_read(tmp_path):
+    config = tmp_path / "c.yaml"
+    config.write_text("experiment: spin_transport\n")
+    loaded = _modules_after(
+        "from starkchain.config import load_config\n"
+        "assert 'yaml' not in sys.modules\n"
+        "assert load_config(sys.argv[1]).experiment == 'spin_transport'",
+        str(config))
+    assert "yaml" in loaded
+
+
+# the package's 65 public names, as before lazy loading, by defining module
+_PUBLIC = {
+    "analysis": [
+        "FitResult", "boundary_peak", "detect_first_wavefront",
+        "first_wavefront_peak", "gaussian_fit_wavefront", "linear_fit",
+        "moving_average3", "p5max_scan", "wsl_length_from_boundary"],
+    "config": ["ExperimentConfig", "ShotPlan", "load_config", "parse_config"],
+    "device": [
+        "ANGULAR_PER_MHZ", "ConfusionMatrix", "DeviceParams", "PotentialSpec",
+        "device_preset", "paper_device"],
+    "dynamics": [
+        "CollapseOperatorSet", "QuantumState", "embed_in_full",
+        "evolve_lindblad", "evolve_unitary", "make_collapse_ops",
+        "prepare_initial_state"],
+    "errors": [
+        "ConfigError", "DomainError", "FitDomainError", "NoWavefrontError",
+        "NumericalConsistencyError", "StarkchainError", "StateSpecError"],
+    "freefermion": [
+        "SingleParticleHamiltonian", "fit_localization_length",
+        "max_density_profile", "propagate_single_particle",
+        "single_particle_matrix", "time_averaged_profile",
+        "two_excitation_slater", "wsl_length_analytic", "wsl_profile_ansatz"],
+    "measurement": [
+        "CountRecord", "ShotRecord", "confusion_from_device", "group_means",
+        "grouped_statistics", "load_shots", "readout_correct",
+        "sample_counts", "sample_shots", "save_shots"],
+    "model": [
+        "OperatorMatrix", "SectorBasis", "build_bose_hubbard_hamiltonian",
+        "build_observable", "build_sector_basis", "build_xy_hamiltonian",
+        "full_index", "full_tag", "occupations_of_index", "sector_tag"],
+    "observables": ["TrajectoryTable", "expectation", "trajectory"],
+}
+
+
+class TestPublicSurface:
+    def test_all_is_unchanged(self):
+        assert len(starkchain.__all__) == 65
+        assert starkchain.__all__ == sorted(
+            name for names in _PUBLIC.values() for name in names)
+
+    @pytest.mark.parametrize("module, name", [
+        (module, name) for module, names in _PUBLIC.items() for name in names])
+    def test_name_is_the_defining_modules_object(self, module, name):
+        defining = importlib.import_module(f"starkchain.{module}")
+        value = getattr(starkchain, name)
+        assert value is getattr(defining, name)
+        assert getattr(value, "__module__", defining.__name__) == defining.__name__
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from starkchain import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(starkchain.__all__)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            starkchain.no_such_name
+
+    def test_confusion_matrix_has_one_class(self):
+        import starkchain.device
+        import starkchain.measurement
+        assert (starkchain.measurement.ConfusionMatrix
+                is starkchain.device.ConfusionMatrix)
