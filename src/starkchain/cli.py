@@ -21,7 +21,7 @@ from importlib import metadata
 import numpy as np
 
 from .analysis import boundary_peak, linear_fit, wsl_length_from_boundary
-from .config import (EXPERIMENTS, _f_label, _sector_route, parse_config,
+from .config import (EXPERIMENTS, _excitation_range, _f_label, parse_config,
                      read_config)
 from .device import ANGULAR_PER_MHZ, PotentialSpec
 # evolve_unitary is bound here, unused, for perfbench's tracer test
@@ -95,27 +95,21 @@ def _times(config):
 
 
 def _route(config, potential, noise):
-    """The one place that picks a solver space for a run.
-
-    Ideal runs from a 0/1 product state, with or without shots, evolve in
-    that state's excitation sector: the XY chain conserves excitation
-    number, and for one excitation the block is the single-particle matrix.
-    Everything else (Lindblad runs and X+/X- product states) uses the full
-    2^n space.
-    Returns (hamiltonian, initial state, sector basis or None, collapse set or
-    None).
+    """The one place that picks a solver space for a run: the product states
+    whose excitation count lies in the range its start reaches
+    (config._excitation_range), which holds the exact dynamics. For one
+    excitation, ideal, the block is the single-particle matrix.
+    Returns (hamiltonian, initial state, basis, collapse set or None).
     """
     params = config.device
     n = params.n_qubits
     spec = config.initial_state
-    basis = None
-    if _sector_route(noise, spec):
-        basis = build_sector_basis(n, spec.count("1"))
+    basis = build_sector_basis(n, _excitation_range(spec, noise))
     h = build_xy_hamiltonian(params, potential, basis=basis)
     state = prepare_initial_state(spec, n, basis=basis)
     collapse = None
     if noise == "lindblad":
-        collapse = make_collapse_ops(params, dephasing=config.dephasing)
+        collapse = make_collapse_ops(params, config.dephasing, basis)
     return h, state, basis, collapse
 
 
@@ -144,10 +138,10 @@ def _sampled(config, potential, f_index, settings):
     """
     h, state, basis, collapse = _route(config, potential, config.noise)
     support, data = _evolve(h, state, _times(config), collapse)
-    if basis is not None:  # sector positions to ascending full-space indices
-        full = _basis_states(basis, basis.n_sites)[0][support]
-        order = np.argsort(full)
-        support, data = full[order], data[:, order]
+    # full-space indices descend as basis positions ascend: reverse the
+    # support and both axes of a density stack
+    support = _basis_states(basis, basis.n_sites)[0][support[::-1]]
+    data = data[:, ::-1, ::-1] if data.ndim == 3 else data[:, ::-1]
     confusion = _confusion_list(config)
     correct = confusion if config.readout_correction else None
     plan = config.shots

@@ -37,9 +37,10 @@ MAX_SHOTS = 10 ** 9
 # cap on the outcome counts a shot run holds at once (_count_entries): 2^26
 # int64 entries are 512 MiB. The paper's runs hold 151 x 10 x 2^5; an ideal
 # spin_transport with paper shots fits up to 16 qubits on the paper grid.
-# A run on the full 2^n space is held to it per snapshot: up to 18 qubits
+# An ideal run's basis is held to it per snapshot: "X+" on up to 18 qubits
 # on the paper grid.
 MAX_COUNT_ENTRIES = 1 << 26
+LINDBLAD_SUPPORT_CAP = 1024  # basis states of a Lindblad run, ten qubits' worth
 
 _TWO_SETTING = {"thermal_transport", "spin_current"}
 # experiments whose CSVs carry an _err column next to each sampled value
@@ -148,9 +149,15 @@ class ExperimentConfig:
         }
 
 
-def _sector_route(noise, spec):
-    """An ideal run from a 0/1 string evolves in its excitation sector."""
-    return noise == "ideal" and set(spec) <= {"0", "1"}
+def _excitation_range(spec, noise):
+    """The excitation counts (lo, hi) a run from spec reaches: the XY chain
+    keeps the count, the Lindblad jumps (s-, n) only lower or keep it."""
+    ones = spec.count("1")
+    return 0 if noise == "lindblad" else ones, ones + spec.count("X")
+
+
+def _basis_size(n_qubits, counts):
+    return sum(math.comb(n_qubits, k) for k in range(counts[0], counts[1] + 1))
 
 
 def _count_entries(n_qubits, t_max_ns, dt_sample_ns, n_groups):
@@ -369,14 +376,17 @@ def parse_config(raw, default_experiment=None):
                  f"a shot run on {device.n_qubits} qubits holds {entries} "
                  f"outcome counts (snapshots x n_groups x 2^n), above the "
                  f"budget of {MAX_COUNT_ENTRIES}")
-    # a full-space run, decoherence_check's Lindblad half included, is held
-    # to the same budget per snapshot
-    if experiment == "decoherence_check" or not _sector_route(noise, initial):
-        entries = _count_entries(device.n_qubits, t_max, dt, 1)
-        _require(entries <= MAX_COUNT_ENTRIES, "device.n_qubits",
-                 f"a full-space run on {device.n_qubits} qubits holds "
-                 f"{entries} entries (snapshots x 2^n), above the budget of "
-                 f"{MAX_COUNT_ENTRIES}")
+    # the basis of each noise model the run evolves under
+    for model in (("ideal", "lindblad") if experiment == "decoherence_check"
+                  else (noise,)):
+        size = _basis_size(device.n_qubits, _excitation_range(initial, model))
+        held, what, budget = (
+            (size, "basis states", LINDBLAD_SUPPORT_CAP) if model == "lindblad"
+            else (_count_entries(0, t_max, dt, 1) * size,
+                  "entries (snapshots x basis states)", MAX_COUNT_ENTRIES))
+        _require(held <= budget, "device.n_qubits", f"the {model} run on "
+                 f"{device.n_qubits} qubits from this initial_state holds "
+                 f"{held} {what}, above the budget of {budget}")
 
     correction = raw.get("readout_correction", False)
     if not isinstance(correction, bool):

@@ -5,13 +5,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import _tokenize_state_spec
+from .config import LINDBLAD_SUPPORT_CAP, _tokenize_state_spec
 from .device import DeviceParams
 from .errors import DomainError, NumericalConsistencyError, StateSpecError
-from .model import (DENSE_DIM_CAP, OperatorMatrix, SectorBasis, _basis_states,
-                    _operator, _restricted, _summed, full_tag)
+from .model import (DENSE_DIM_CAP, OperatorMatrix, _basis_states, _operator,
+                    _restricted, _summed, full_tag)
 
-LINDBLAD_SUPPORT_CAP = 1024  # reachable basis states, ten qubits' worth
 DENSE_BLOCK_CAP = 256  # largest generator block given a dense propagator
 CHECK_STACK_ENTRIES = 1 << 12  # most snapshot entries checked in one stack
 TRACE_TOL = 1e-6
@@ -84,32 +83,21 @@ def prepare_initial_state(spec, n_sites, basis=None):
     """Product state from a per-site token string.
 
     Tokens: '0', '1', 'X+' (equal superposition), 'X-'.  Examples: "10000",
-    "X+X+000".  With basis None the state lives on the full 2^L space; with a
-    SectorBasis the spec must be a 0/1 string whose excitation count matches
-    the sector.
+    "X+X+000". On the full 2^L space (basis None) or a SectorBasis, each
+    state's amplitude is the product, site 1 first, of its token's ket entry
+    at its occupation; the basis must hold every state the spec weighs.
     """
     tokens = _tokenize_state_spec(spec)
     if len(tokens) != n_sites:
         raise StateSpecError(
             f"{spec!r} describes {len(tokens)} sites, expected {n_sites}")
-    if basis is not None:
-        if not isinstance(basis, SectorBasis) or basis.n_sites != n_sites:
-            raise DomainError("basis must be a SectorBasis over the same sites")
-        if any(t not in "01" for t in tokens):
-            raise StateSpecError(
-                f"{spec!r} is not a computational state; it spans several sectors")
-        occ = tuple(int(t) for t in tokens)
-        if sum(occ) != basis.n_excitations:
-            raise StateSpecError(
-                f"{spec!r} has {sum(occ)} excitations, sector holds "
-                f"{basis.n_excitations}")
-        vec = np.zeros(basis.dim, dtype=complex)
-        vec[basis.index[occ]] = 1.0
-        return QuantumState(vec, basis.tag)
-    vec = np.array([1.0], dtype=complex)
-    for t in tokens:
-        vec = np.kron(vec, _LOCAL_KETS[t])
-    return QuantumState(vec, full_tag(n_sites))
+    _, occ, tag = _basis_states(basis, n_sites)
+    vec = np.ones(len(occ), dtype=complex)
+    for t, occupied in zip(tokens, occ.T):
+        vec = vec * _LOCAL_KETS[t][occupied]
+    if np.count_nonzero(vec) != 2 ** sum(t[0] == "X" for t in tokens):
+        raise StateSpecError(f"{spec!r} has weight outside the basis {tag}")
+    return QuantumState(vec, tag)
 
 
 def embed_in_full(state, basis):
@@ -216,19 +204,20 @@ class CollapseOperatorSet:
                     f"{self.basis_tag!r}")
 
 
-def make_collapse_ops(params, dephasing="as-given"):
+def make_collapse_ops(params, dephasing="as-given", basis=None):
     """Per-qubit relaxation sqrt(1/T1) s- and dephasing sqrt(rate) n.
 
     dephasing "as-given" uses rate 1/T2* directly (coherences then decay at
     1/(2 T2*)); "pure" uses the relaxation-corrected rate
-    max(1/T2* - 1/(2 T1), 0).
+    max(1/T2* - 1/(2 T1), 0). On a SectorBasis the jumps are restricted to
+    its states.
     """
     if not isinstance(params, DeviceParams):
         raise DomainError("params must be a DeviceParams")
     if dephasing not in ("as-given", "pure"):
         raise DomainError(f"dephasing must be 'as-given' or 'pure', got {dephasing!r}")
     n = params.n_qubits
-    states, occ, tag = _basis_states(None, n)
+    states, occ, tag = _basis_states(basis, n)
     ops = []
     for q, occupied in enumerate(occ.T):  # q counts sites from 0
         gamma1 = 1.0 / params.t1_ns[q]
@@ -383,8 +372,8 @@ def _lindblad(hamiltonian, state, times, collapse):
     """Master-equation evolution with an exact propagator between snapshots,
     drho/dt = -i[H, rho] + sum_k (C_k rho C_k+ - {C_k+ C_k, rho}/2), as
     (support, stack): the sorted basis indices reachable from the state (6
-    of 32 for "10000", 16 for "X+X+000") and the (n_times, s, s) density
-    matrices on them, in the order of times.
+    of 32 on the full space for "10000", all 6 on its counts 0..1) and the
+    (n_times, s, s) density matrices on them, in the order of times.
 
     A support above LINDBLAD_SUPPORT_CAP states is refused before the
     generator is assembled on it, with numpy, from the operators' entries.

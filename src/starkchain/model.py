@@ -9,7 +9,8 @@ Basis conventions (fixed, relied on by every other module):
   excitations, in descending lexicographic order (site 1 most significant).
   For K = 1 this puts the excitation on site k+1 at basis index k, so the
   sector block of the hopping Hamiltonian is literally the tridiagonal
-  single-particle matrix.
+  single-particle matrix. A range of counts, tag ``sector:n=L,k=lo..hi``,
+  holds the tuples of every count in it, in the same order.
 * truncated bosonic space, tag ``fock:n=L,d=D``: occupations 0..D-1 per site,
   indexed by the base-D integer with site 1 as the most significant digit.
   For D = 2 the indexing coincides with the full two-level space.
@@ -31,7 +32,8 @@ def full_tag(n_sites):
 
 
 def sector_tag(n_sites, n_excitations):
-    return f"sector:n={n_sites},k={n_excitations}"
+    k = "%d..%d" % n_excitations if isinstance(n_excitations, tuple) else n_excitations
+    return f"sector:n={n_sites},k={k}"
 
 
 def fock_tag(n_sites, cutoff):
@@ -53,10 +55,10 @@ def occupations_of_index(index, n_sites):
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Canonically ordered basis of a fixed-excitation-number sector."""
+    """Canonically ordered basis of one excitation number or a range (lo, hi)."""
 
     n_sites: int
-    n_excitations: int
+    n_excitations: int | tuple
     states: tuple = field(repr=False)
     index: dict = field(repr=False, compare=False)
 
@@ -70,22 +72,26 @@ class SectorBasis:
 
 
 def build_sector_basis(n_sites, n_excitations):
-    """All occupation tuples with the given excitation number.
+    """All occupation tuples with the given excitation number, or with any
+    number of an inclusive range (lo, hi), which may hold one number.
 
     States are sorted in descending lexicographic order, site 1 most
     significant: (5, 1) gives 10000, 01000, 00100, 00010, 00001.
     """
-    n, k = int(n_sites), int(n_excitations)
+    n = int(n_sites)
     if n < 1:
         raise DomainError(f"n_sites must be >= 1, got {n_sites}")
-    if not 0 <= k <= n:
+    lo, hi = (map(int, n_excitations) if isinstance(n_excitations, tuple)
+              else (int(n_excitations),) * 2)
+    if not 0 <= lo <= hi <= n:
         raise DomainError(f"n_excitations must lie in [0, {n}], got {n_excitations}")
-    # combinations of the occupied sites come in lexicographic order, which
-    # is descending order of the occupation tuples
-    states = tuple(tuple(int(j in occupied) for j in range(n))
-                   for occupied in combinations(range(n), k))
+    states = tuple(sorted((tuple(int(j in occupied) for j in range(n))
+                           for k in range(lo, hi + 1)
+                           for occupied in combinations(range(n), k)),
+                          reverse=True))
     index = {s: i for i, s in enumerate(states)}
-    return SectorBasis(n_sites=n, n_excitations=k, states=states, index=index)
+    return SectorBasis(n_sites=n, n_excitations=lo if lo == hi else (lo, hi),
+                       states=states, index=index)
 
 
 def _hermitian_residue(dim, rows, cols, vals):
@@ -222,9 +228,9 @@ def _basis_states(basis, n_sites, fock_cutoff=None):
         states = np.arange(d ** n_sites)
         tag = full_tag(n_sites) if fock_cutoff is None else fock_tag(n_sites, d)
         return states, states[:, None] // place % d, tag
-    if basis.n_sites != n_sites:
+    if not isinstance(basis, SectorBasis) or basis.n_sites != n_sites:
         raise DomainError(
-            f"basis has {basis.n_sites} sites but device has {n_sites} qubits")
+            f"basis must be a SectorBasis over {n_sites} sites, got {basis!r}")
     occupations = np.array(basis.states).reshape(basis.dim, n_sites)
     return occupations @ place, occupations, basis.tag
 
@@ -293,8 +299,8 @@ def _chain_hamiltonian(params, potential, basis, fock_cutoff):
 def build_xy_hamiltonian(params, potential, basis=None):
     """Exchange chain sum_j g_j (s+_j s-_{j+1} + h.c.) + sum_j h_j n_j.
 
-    basis None builds on the full 2^L space; a SectorBasis restricts to one
-    excitation sector (the Hamiltonian conserves total excitation number).
+    basis None builds on the full 2^L space; a SectorBasis restricts to its
+    excitation numbers (the Hamiltonian conserves total excitation number).
     """
     return _chain_hamiltonian(params, potential, basis, None)
 

@@ -3,11 +3,12 @@
 import hashlib
 import json
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from starkchain import (
@@ -15,16 +16,24 @@ from starkchain import (
     NoWavefrontError,
     PotentialSpec,
     QuantumState,
+    StarkchainError,
+    build_observable,
+    build_xy_hamiltonian,
     full_tag,
     linear_fit,
+    make_collapse_ops,
     p5max_scan,
     parse_config,
+    prepare_initial_state,
     propagate_single_particle,
     sample_shots,
     single_particle_matrix,
+    trajectory,
 )
 from starkchain import cli
 from starkchain.cli import main, run
+from starkchain.config import EXPERIMENTS
+from starkchain.model import _basis_states
 
 
 def _read_csv(path):
@@ -253,18 +262,20 @@ class TestRoutes:
         ({"experiment": "spin_transport", "shots": "paper"}, 5),
         ({"experiment": "spin_current", "shots": "paper",
           "initial_state": "10100"}, 10),
-        ({"experiment": "thermal_transport", "shots": "paper"}, 32),
-        ({"experiment": "spin_transport", "noise": "lindblad"}, 32),
+        ({"experiment": "thermal_transport", "shots": "paper"}, 16),
+        ({"experiment": "spin_transport", "noise": "lindblad"}, 6),
     ])
     def test_one_rule(self, raw, dim):
-        # an ideal run from a 0/1 string takes its sector, shots or not;
-        # X+ starts and Lindblad runs take the full space
+        # every run takes the states whose excitation count lies between the
+        # start's '1' tokens (0 under Lindblad noise) and its '1' and X
+        # tokens: 1, 1, 2, 0..2 (1 + 5 + 10) and 0..1 (1 + 5)
         cfg = parse_config(raw)
         h, state, basis, collapse = cli._route(cfg, PotentialSpec.linear(-15.0),
                                                cfg.noise)
-        assert h.dim == state.dim == dim
-        assert (basis is None) == (dim == 32)
+        assert h.dim == state.dim == basis.dim == dim
+        assert h.basis_tag == state.basis_tag == basis.tag
         assert (collapse is None) == (cfg.noise == "ideal")
+        assert collapse is None or collapse.basis_tag == basis.tag
 
     def test_noisy_eleven_qubits(self, tmp_path):
         # 2048 dimensions, 12 reachable states: the solver's cap is on the
@@ -312,19 +323,124 @@ class TestRoutes:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    def test_full_space_run_on_62_qubits_refused(self, tmp_path, capsys):
-        # an X+X+0... start takes the full 2^62 space, which no array holds
+    def test_thermal_transport_on_62_qubits_validates(self, tmp_path, capsys):
+        # X+X+0... spans counts 0..2: 1 + 62 + 1891 = 1954 states
         p = tmp_path / "c.yaml"
         p.write_text(json.dumps({
             "experiment": "thermal_transport",
             "device": {"n_qubits": 62, "coupling_mhz": [14.4] * 61}}))
-        assert main(["thermal_transport", "--config", str(p), "--out",
+        assert main(["validate", "--config", str(p)]) == 0
+        assert json.loads(capsys.readouterr().out)["device"]["n_qubits"] == 62
+        cfg = parse_config(json.loads(p.read_text()))
+        basis = cli._route(cfg, PotentialSpec.linear(-15.0), cfg.noise)[2]
+        assert basis.dim == 1954
+
+    def test_ideal_x_plus_on_30_qubits_refused(self, tmp_path, capsys):
+        # X+ on every site spans every count: 2^30 states per snapshot
+        p = tmp_path / "c.yaml"
+        p.write_text(json.dumps(_uniform(30, experiment="spin_transport",
+                                         initial_state="X+" * 30)))
+        assert main(["spin_transport", "--config", str(p), "--out",
                      str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(
-            "error: device.n_qubits: a full-space run on 62 qubits")
+        assert err.startswith("error: device.n_qubits: the ideal run on 30 "
+                              "qubits from this initial_state holds ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+_TOKENS = st.sampled_from(["0", "1", "X+", "X-"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), noise=st.sampled_from(["ideal", "lindblad"]),
+       dephasing=st.sampled_from(["as-given", "pure"]),
+       f=st.sampled_from([0.0, 7.5, 15.0]), t_max=st.sampled_from([4.0, 20.0]),
+       data=st.data())
+def test_sector_range_route_matches_the_full_space(n, noise, dephasing, f,
+                                                   t_max, data):
+    # the route's basis against the full 2^n space, with strong decay so
+    # that a wrong jump shows; and its jumps are the full-space jumps
+    # restricted to its states, entry for entry
+    spec = "".join(data.draw(st.lists(_TOKENS, min_size=n, max_size=n)))
+    cfg = parse_config({
+        "experiment": "spin_transport", "noise": noise, "shots": "none",
+        "dephasing": dephasing, "initial_state": spec, "t_max": t_max,
+        "dt_sample": 2.0,
+        "device": {"n_qubits": n, "coupling_mhz": [14.4] * (n - 1),
+                   "t1_us": [0.5] * n, "t2star_us": [0.2] * n}})
+    potential = PotentialSpec.linear(-f)
+    h, state, basis, collapse = cli._route(cfg, potential, noise)
+    full = (build_xy_hamiltonian(cfg.device, potential),
+            prepare_initial_state(spec, n),
+            None if collapse is None else make_collapse_ops(cfg.device, dephasing))
+    kinds = [("density", j, f"P{j}") for j in range(1, n + 1)]
+    kinds += [(kind, b, f"{kind}{b}") for b in range(1, n)
+              for kind in ("kinetic", "spin_current")]
+    columns = []
+    for where, (hm, st0, col) in ((basis, (h, state, collapse)), (None, full)):
+        ops = {name: build_observable(kind, j, cfg.device, basis=where)
+               for kind, j, name in kinds}
+        columns.append(trajectory(hm, st0, cli._times(cfg), ops,
+                                  collapse=col).columns)
+    for name in columns[1]:
+        np.testing.assert_allclose(columns[0][name], columns[1][name],
+                                   rtol=0, atol=1e-10, err_msg=name)
+    states = _basis_states(basis, n)[0]
+    for op, ref in zip(make_collapse_ops(cfg.device, dephasing, basis=basis)
+                       .operators, make_collapse_ops(cfg.device, dephasing)
+                       .operators):
+        np.testing.assert_array_equal(op.todense(),
+                                      ref.todense()[np.ix_(states, states)])
+
+
+_F_VALUES = st.sampled_from([0.0, 2.5, 5.0, 7.5, 15.0, 30.0])
+_READOUT_ENTRY = st.fixed_dictionaries({
+    "f0": st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),
+    "f1": st.sampled_from([0.0, 0.05, 0.5, 0.9, 1.0])})
+
+
+@settings(max_examples=60, deadline=None)
+@given(experiment=st.sampled_from(EXPERIMENTS), n=st.integers(2, 5),
+       data=st.data())
+def test_accepted_configs_run_or_raise_a_starkchain_error(experiment, n, data):
+    # every small config that validates finishes, or ends in one of the
+    # package's own errors, which the CLI turns into one error line
+    raw = {
+        "experiment": experiment,
+        "device": {"n_qubits": n, "coupling_mhz": [14.4] * (n - 1),
+                   "t1_us": [data.draw(st.sampled_from([0.5, 20.0]))] * n,
+                   "t2star_us": [data.draw(st.sampled_from([0.2, 5.0]))] * n},
+        "F": data.draw(st.lists(_F_VALUES, min_size=1, max_size=3, unique=True)),
+        "t_max": data.draw(st.sampled_from([1.0, 4.0, 10.0, 20.0])),
+        "dt_sample": data.draw(st.sampled_from([0.5, 2.0, 5.0])),
+        "noise": data.draw(st.sampled_from(["ideal", "lindblad"])),
+        "dephasing": data.draw(st.sampled_from(["as-given", "pure"])),
+        "readout_correction": data.draw(st.booleans()),
+    }
+    if data.draw(st.booleans()):
+        raw["initial_state"] = "".join(
+            data.draw(st.lists(_TOKENS, min_size=n, max_size=n)))
+    if data.draw(st.booleans()):
+        groups = data.draw(st.integers(1, 3))
+        raw["shots"] = {"n_shots": 2 * groups * data.draw(st.integers(1, 10)),
+                        "n_groups": groups, "seed": data.draw(st.integers(0, 99))}
+    else:
+        raw["shots"] = "none"
+    if data.draw(st.booleans()):
+        raw["readout"] = data.draw(st.lists(_READOUT_ENTRY, min_size=n,
+                                            max_size=n))
+    try:
+        cfg = parse_config(raw)
+    except ConfigError as exc:
+        event(f"refused: {str(exc).split(':')[0]}")
+        return
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run(cfg, out_dir=out)
+            event("finished")
+        except StarkchainError as exc:
+            event(f"raised {type(exc).__name__}")
 
 
 class TestSpinTransport:

@@ -420,25 +420,34 @@ class TestCountBudget:
         grid = np.arange(0.0, t_max + 1e-9, dt)
         assert _count_entries(0, t_max, dt, 1) == grid.size
 
-    @pytest.mark.parametrize("raw", [
-        {"experiment": "thermal_transport", "shots": "none"},
-        {"experiment": "spin_transport", "noise": "lindblad", "shots": "none"},
-        {"experiment": "decoherence_check", "shots": "none"},
-    ], ids=["x_plus_start", "lindblad", "decoherence_check"])
-    def test_full_space_runs_held_to_the_budget(self, raw):
-        # 151 snapshots x 2^n on the full space: 18 qubits fit, 19 do not
-        def chain(n):
-            cfg = self._chain(n, **raw)
-            if raw["experiment"] == "thermal_transport":
-                cfg["initial_state"] = "X+X+" + "0" * (n - 2)
-            return cfg
+    @pytest.mark.parametrize("experiment", [
+        "x_plus_start", "lindblad", "decoherence_check"])
+    def test_full_space_runs_held_to_the_budget(self, experiment):
+        # a run's basis is the states of the counts its start reaches
+        def chain(n, initial, **raw):
+            return dict(self._chain(n, shots="none", **raw),
+                        initial_state=initial)
 
-        assert parse_config(chain(18)).device.n_qubits == 18
-        with pytest.raises(ConfigError, match=r"^device\.n_qubits: a full-space "
-                           r"run on 19 qubits holds 79167488 entries"):
-            parse_config(chain(19))
-        # an ideal run from a 0/1 string takes its sector and is not held
-        assert parse_config(self._chain(40, shots="none")).device.n_qubits == 40
+        if experiment == "x_plus_start":
+            # ideal X+ on every site spans the full 2^n: 151 snapshots x 2^18
+            # fit the budget, x 2^19 do not
+            assert parse_config(chain(18, "X+" * 18)).device.n_qubits == 18
+            with pytest.raises(ConfigError, match=r"^device\.n_qubits: the ideal "
+                               r"run on 19 qubits from this initial_state holds "
+                               r"79167488 entries"):
+                parse_config(chain(19, "X+" * 19))
+            # an ideal run from a 0/1 string takes its sector
+            assert parse_config(self._chain(40, shots="none")).shots is None
+            return
+        # a Lindblad run, decoherence_check's half included, is capped on
+        # its states: counts 0..1 of 11 qubits are 12, 0..10 are 2047
+        raw = ({"experiment": "spin_transport", "noise": "lindblad"}
+               if experiment == "lindblad" else {"experiment": experiment})
+        assert parse_config(chain(11, "1" + "0" * 10, **raw)).device.n_qubits == 11
+        with pytest.raises(ConfigError, match=r"^device\.n_qubits: the lindblad "
+                           r"run on 11 qubits from this initial_state holds 2047 "
+                           r"basis states, above the budget of 1024$"):
+            parse_config(chain(11, "X+" * 10 + "0", **raw))
 
     def test_paper_and_sweep_runs_fit(self):
         # the paper's shot runs, and an ideal spin_transport with paper

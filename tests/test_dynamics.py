@@ -91,6 +91,37 @@ class TestStatePrep:
             prepare_initial_state("X+00", 3, basis=b)
         with pytest.raises(StateSpecError):
             prepare_initial_state("110", 3, basis=b)  # sector holds 1 excitation
+        # "X+1X-" spans counts 1..3
+        with pytest.raises(StateSpecError, match="weight outside the basis "
+                           "sector:n=3,k=0..2$"):
+            prepare_initial_state("X+1X-", 3, basis=build_sector_basis(3, (0, 2)))
+        for basis in (build_sector_basis(3, 1), "sector:n=2,k=1"):
+            with pytest.raises(DomainError, match="basis must be a SectorBasis"):
+                prepare_initial_state("10", 2, basis=basis)
+            with pytest.raises(DomainError, match="basis must be a SectorBasis"):
+                make_collapse_ops(DeviceParams.uniform(2), basis=basis)
+
+    def test_one_formula_is_the_kronecker_product(self):
+        # every five-site spec, bit for bit, signs of zero included
+        tokens = ["0", "1", "X+", "X-"]
+        for code in range(4 ** 5):
+            spec = [tokens[code >> (2 * j) & 3] for j in range(5)]
+            ref = np.array([1.0], dtype=complex)
+            for t in spec:
+                ref = np.kron(ref, dynamics._LOCAL_KETS[t])
+            got = prepare_initial_state("".join(spec), 5).data
+            assert got.tobytes() == ref.tobytes(), spec
+
+    @pytest.mark.parametrize("spec, counts", [
+        ("X+X+000", (0, 2)), ("X+X+000", (0, 5)), ("1X-0X+0", (1, 3)),
+        ("01000", (0, 1)), ("01000", (1, 1))])
+    def test_count_range_state_is_the_full_state_on_it(self, spec, counts):
+        b = build_sector_basis(5, counts)
+        st = prepare_initial_state(spec, 5, basis=b)
+        assert st.basis_tag == b.tag
+        rows = [full_index(s) for s in b.states]
+        np.testing.assert_array_equal(st.data,
+                                      prepare_initial_state(spec, 5).data[rows])
 
     def test_embed_in_full(self):
         b = build_sector_basis(4, 2)

@@ -86,6 +86,27 @@ class TestSectorBasis:
             build_sector_basis(4, 5)
         with pytest.raises(DomainError):
             build_sector_basis(0, 0)
+        for counts in ((2, 1), (-1, 2), (0, 5)):
+            with pytest.raises(DomainError):
+                build_sector_basis(4, counts)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_one_count_range_is_the_count(self, k):
+        assert build_sector_basis(5, (k, k)) == build_sector_basis(5, k)
+        assert build_sector_basis(5, (k, k)).tag == sector_tag(5, k)
+
+    def test_count_range_order_and_tag(self):
+        b = build_sector_basis(5, (0, 2))
+        assert b.tag == sector_tag(5, (0, 2)) == "sector:n=5,k=0..2"
+        assert b.n_excitations == (0, 2)
+        assert b.dim == 1 + 5 + 10
+        ints = [full_index(s) for s in b.states]
+        assert ints == sorted(ints, reverse=True)
+        assert {sum(s) for s in b.states} == {0, 1, 2}
+        assert all(b.index[s] == i for i, s in enumerate(b.states))
+        # the whole space in descending index order
+        full = build_sector_basis(3, (0, 3))
+        assert [full_index(s) for s in full.states] == list(range(7, -1, -1))
 
 
 def _dense(op):
@@ -380,6 +401,21 @@ class TestXYHamiltonian:
         hs = _dense(build_xy_hamiltonian(self.dev, self.pot, basis=b))
         h1 = single_particle_matrix(self.dev, self.pot)
         np.testing.assert_allclose(hs, h1.matrix, atol=1e-13)
+
+    @pytest.mark.parametrize("counts", [(0, 1), (0, 2), (1, 3), (0, 5)])
+    def test_count_range_block_matches_full(self, counts):
+        # entry for entry the full-space matrix on the range's states; its
+        # one-excitation states keep the single-particle order
+        b = build_sector_basis(5, counts)
+        hs = _dense(build_xy_hamiltonian(self.dev, self.pot, basis=b))
+        rows = [full_index(s) for s in b.states]
+        hf = _dense(build_xy_hamiltonian(self.dev, self.pot))
+        np.testing.assert_array_equal(hs, hf[np.ix_(rows, rows)])
+        one = [i for i, s in enumerate(b.states) if sum(s) == 1]
+        if one:
+            h1 = single_particle_matrix(self.dev, self.pot)
+            np.testing.assert_allclose(hs[np.ix_(one, one)], h1.matrix,
+                                       atol=1e-13)
 
     def test_coupling_units(self):
         # 2-site chain, no potential: off-diagonal element is g in rad/ns
