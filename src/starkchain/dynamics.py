@@ -1,7 +1,7 @@
 """State preparation and time evolution (unitary and dissipative)."""
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from .errors import DomainError, NumericalConsistencyError, StateSpecError
 from .model import (DENSE_DIM_CAP, OperatorMatrix, _basis_states, _operator,
                     _restricted, _summed, full_tag)
 
-DENSE_BLOCK_CAP = 256  # largest generator block given a dense propagator
+DENSE_BLOCK_CAP = 512  # largest real block given a dense propagator
 CHECK_STACK_ENTRIES = 1 << 12  # most snapshot entries checked in one stack
 TRACE_TOL = 1e-6
 POSITIVITY_TOL = 1e-6
@@ -368,6 +368,49 @@ def _generator_blocks(rows, cols, size):
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
+def _hermitian_slots(size):
+    """The real Hermitian coordinates x of a size x size Hermitian rho: as
+    many slots as rho has entries, x[a*size+b] = Re rho_ab for a <= b and
+    x[b*size+a] = Im rho_ab for a < b. Returns, for each entry rho_cd
+    row-major, (re, im, sign) with rho_cd = x[re] + i sign x[im]: re =
+    min(c,d)*size + max(c,d), im = max(c,d)*size + min(c,d), sign +1 for
+    c < d and -1 for c > d. On the diagonal im is size * size, a slot that
+    holds 0."""
+    c, d = np.divmod(np.arange(size * size), size)
+    lo, hi = np.minimum(c, d), np.maximum(c, d)
+    im = np.where(c == d, size * size, hi * size + lo)
+    return lo * size + hi, im, np.where(c > d, -1.0, 1.0)
+
+
+def _hermitian_coordinates(size, rows, cols, vals):
+    """The entries (rows, cols, vals), row-major, of the real generator on
+    the Hermitian coordinates of rho (_hermitian_slots), given the complex
+    generator's entries on the row-major vectorized rho.
+
+    A Lindblad generator maps Hermitian matrices to Hermitian ones, so the
+    rows of d(rho)/dt for rho_ab with a <= b determine the rest. Each of
+    them, with every rho_cd written through the coordinates, splits into
+    its real part, the row of Re rho_ab, and its imaginary part, the row of
+    Im rho_ab. This is exact for any Hermitian H and any jump set. Entries
+    at one coordinate are summed in the order: real-part terms of rho_cd,
+    then imaginary-part terms.
+    """
+    side = size * size
+    re, im, sign = _hermitian_slots(size)
+    upper = re[rows] == rows
+    rows, cols, vals = rows[upper], cols[upper], vals[upper]
+    # a term per coordinate each rho_cd is read from: rho_ab's row, the
+    # coordinate, and its complex weight
+    off = im[cols] < side
+    term_row = np.concatenate([rows, rows[off]])
+    term_col = np.concatenate([re[cols], im[cols[off]]])
+    term_val = np.concatenate([vals, 1j * sign[cols[off]] * vals[off]])
+    mirror = im[term_row] < side
+    return _summed(side, np.concatenate([term_row, im[term_row[mirror]]]),
+                   np.concatenate([term_col, term_col[mirror]]),
+                   np.concatenate([term_val.real, term_val.imag[mirror]]))
+
+
 def _lindblad(hamiltonian, state, times, collapse):
     """Master-equation evolution with an exact propagator between snapshots,
     drho/dt = -i[H, rho] + sum_k (C_k rho C_k+ - {C_k+ C_k, rho}/2), as
@@ -377,16 +420,21 @@ def _lindblad(hamiltonian, state, times, collapse):
 
     A support above LINDBLAD_SUPPORT_CAP states is refused before the
     generator is assembled on it, with numpy, from the operators' entries.
-    The generator splits into independent blocks (26/5/5 entries for
-    "10000"). The times are visited in ascending order. Over an interval dt
-    that recurs, as on a uniform grid, a block of up to DENSE_BLOCK_CAP
-    entries is multiplied by its dense expm(dt G_b), computed once per
-    distinct dt, and the larger blocks are propagated together with scipy's
+    rho is evolved in its real Hermitian coordinates (_hermitian_slots), on
+    which the generator is real (_hermitian_coordinates), and each snapshot
+    is built from them, so it is Hermitian by construction; no step takes a
+    Hermitian part. The generator splits into independent real blocks
+    (26/10 coordinates for "10000", 126/110/20 for "X+X+000"), and a block
+    whose start is all zero stays zero and is not stepped. The times are
+    visited in ascending order. Over an interval dt that recurs, as on a
+    uniform grid, a block of up to DENSE_BLOCK_CAP coordinates is
+    multiplied by its dense real expm(dt G_b), computed once per distinct
+    dt, and the larger blocks are propagated together with scipy's
     expm_multiply (Al-Mohy & Higham 2011); an interval taken once, with
-    expm_multiply on the whole generator. Each step's Hermitian part is
-    carried on. The snapshots are checked for Hermiticity, trace and
-    positivity as stacks, and a NumericalConsistencyError names the
-    earliest that fails.
+    expm_multiply on the whole generator. The snapshots are built, and
+    checked for Hermiticity, trace and positivity, a stack of up to
+    CHECK_STACK_ENTRIES entries at a time, and a NumericalConsistencyError
+    names the earliest that fails.
     """
     import scipy.linalg
     import scipy.sparse.linalg
@@ -407,23 +455,40 @@ def _lindblad(hamiltonian, state, times, collapse):
         raw = state.data[np.ix_(support, support)]
     else:
         raw = np.outer(state.data[support], state.data[support].conj())
+    _check_blocks(raw[None], [0.0])
     side = size * size
+    upper = np.triu(np.ones((size, size), dtype=bool))
+    start = np.where(upper, raw.real, raw.imag.T).reshape(-1)
     h, *jumps = (_restricted(support, op.rows, op.cols, op.vals)
                  for op in (hamiltonian, *collapse.operators))
-    rows, cols, vals, norm = _pruned(side, *_liouvillian(h, jumps, size))
-    dense, large = [], []
-    for idx in _generator_blocks(rows, cols, side):
-        if idx.size <= DENSE_BLOCK_CAP:
-            gen_b = np.zeros((idx.size, idx.size), dtype=complex)
-            r, c, v = _restricted(idx, rows, cols, vals)
-            gen_b[r, c] = v
-            dense.append((idx, gen_b))
-        else:
-            large.append(idx)
+    rows, cols, vals, norm = _pruned(
+        side, *_hermitian_coordinates(size, *_liouvillian(h, jumps, size)))
+    # the blocks whose start is not all zero, the dense ones first, laid
+    # out one after another: x[bounds[j]:bounds[j + 1]] is block j
+    live = [idx for idx in _generator_blocks(rows, cols, side)
+            if start[idx].any()]
+    live.sort(key=lambda idx: idx.size > DENSE_BLOCK_CAP)
+    n_dense = sum(idx.size <= DENSE_BLOCK_CAP for idx in live)
+    perm = np.concatenate(live)
+    bounds = np.cumsum([0] + [idx.size for idx in live])
+    # place[k]: where coordinate k is held, perm.size for a dead one or
+    # for k = side, a slot that holds 0
+    place = np.full(side + 1, perm.size)
+    place[perm] = np.arange(perm.size)
+    inside = place[rows] < perm.size  # nothing flows between blocks
+    rows, cols, vals = place[rows[inside]], place[cols[inside]], vals[inside]
+    dense = []
+    for lo, hi in zip(bounds[:n_dense], bounds[1:n_dense + 1]):
+        held = (rows >= lo) & (rows < hi)
+        gen_b = np.zeros((hi - lo, hi - lo))
+        gen_b[rows[held] - lo, cols[held] - lo] = vals[held]
+        dense.append(gen_b)
+    split = bounds[n_dense]  # x[split:] holds the large blocks
     large_gen = None  # the large blocks together, as one CSR matrix
-    if large:
-        large = np.sort(np.concatenate(large))
-        large_gen = _csr(large.size, *_restricted(large, rows, cols, vals))
+    if split < perm.size:
+        held = rows >= split
+        large_gen = _csr(perm.size - split, rows[held] - split,
+                         cols[held] - split, vals[held])
     whole = None  # the CSR generator, built for a step taken once
     order = np.argsort(times, kind="stable")
     steps = np.diff(times[order], prepend=0.0).tolist()
@@ -432,40 +497,49 @@ def _lindblad(hamiltonian, state, times, collapse):
     uses = Counter(steps)
     last_use = {dt: i for i, dt in enumerate(steps)}
     propagators = {}
-    # the checks run on stacks of up to CHECK_STACK_ENTRIES entries: every
-    # snapshot of a small block at once, chunks of them for a large one
+    # the snapshots are built and checked in stacks of up to
+    # CHECK_STACK_ENTRIES entries: every snapshot of a small block at once,
+    # chunks of them for a large one
     per_check = max(1, CHECK_STACK_ENTRIES // side)
-    pending = np.empty((min(per_check, times.size), size, size), dtype=complex)
-    _check_blocks(raw[None], [0.0])
-    mat = 0.5 * (raw + raw.conj().T)
+    pending = np.zeros((min(per_check, times.size), perm.size + 1))
+    chunk = np.empty((len(pending), size, size), dtype=complex)
+    re, im, sign = _hermitian_slots(size)
+    re, im = place[re], place[im]
+    # a step maps the coordinates in one buffer into the other, block by
+    # block through views made once: each is (vector, views of its blocks)
+    cur, nxt = [(vec, [vec[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
+                for vec in np.empty((2, perm.size))]
+    cur[0][:] = start[perm]
     out = np.empty((times.size, size, size), dtype=complex)
-    first = 0  # the step whose block is pending[0]
-    for i, (pos, dt) in enumerate(zip(order, steps)):
-        raw = mat
+    first = 0  # the step whose coordinates are pending[0]
+    for i, dt in enumerate(steps):
         if dt * norm >= _UNIT_ROUNDOFF:
-            vec = mat.reshape(-1)
             if uses[dt] > 1:
                 if dt not in propagators:
                     propagators[dt] = [scipy.linalg.expm(dt * gen_b)
-                                       for _, gen_b in dense]
-                new = np.empty_like(vec)
-                for (idx, _), prop in zip(dense, propagators[dt]):
-                    new[idx] = prop @ vec[idx]
+                                       for gen_b in dense]
+                for prop, src, dst in zip(propagators[dt], cur[1], nxt[1]):
+                    np.matmul(prop, src, out=dst)
                 if large_gen is not None:
-                    new[large] = scipy.sparse.linalg.expm_multiply(
-                        dt * large_gen, vec[large])
+                    nxt[0][split:] = scipy.sparse.linalg.expm_multiply(
+                        dt * large_gen, cur[0][split:])
             else:
                 if whole is None:
-                    whole = _csr(side, rows, cols, vals)
-                new = scipy.sparse.linalg.expm_multiply(dt * whole, vec)
+                    whole = _csr(perm.size, rows, cols, vals)
+                nxt[0][:] = scipy.sparse.linalg.expm_multiply(dt * whole,
+                                                             cur[0])
             if last_use[dt] == i:
                 propagators.pop(dt, None)
-            raw = new.reshape(size, size)
-            mat = 0.5 * (raw + raw.conj().T)
-        pending[i - first] = raw
-        out[pos] = mat
+            cur, nxt = nxt, cur
+        pending[i - first, :-1] = cur[0]
         if i + 1 - first == len(pending) or i + 1 == times.size:
-            _check_blocks(pending[:i + 1 - first], times[order[first:i + 1]])
+            at = order[first:i + 1]
+            stack = chunk[:at.size]
+            entries = stack.reshape(at.size, side)
+            entries.real = pending[:at.size, re]
+            entries.imag = pending[:at.size, im] * sign
+            _check_blocks(stack, times[at])
+            out[at] = stack
             first = i + 1
     return support, out
 

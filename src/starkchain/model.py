@@ -117,9 +117,9 @@ def _hermitian_residue(dim, rows, cols, vals):
 def _summed(dim, rows, cols, vals):
     """Entries (rows, cols, vals) of a dim x dim matrix given as coordinates
     in any order: row-major, entries at one coordinate summed in the order
-    given."""
+    given. The values keep their dtype."""
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    vals = np.asarray(vals, dtype=complex)
+    vals = np.asarray(vals)
     key = rows * dim + cols
     order = np.argsort(key, kind="stable")
     key, vals = key[order], vals[order]
@@ -170,7 +170,8 @@ class OperatorMatrix:
         """Operator of side dim from coordinates in any order; entries at
         one coordinate are summed in the order given."""
         op = cls.__new__(cls)
-        op._set(int(dim), *_summed(dim, rows, cols, vals), basis_tag)
+        op._set(int(dim), *_summed(dim, rows, cols,
+                                   np.asarray(vals, dtype=complex)), basis_tag)
         return op
 
     def _set(self, dim, rows, cols, vals, basis_tag):

@@ -394,6 +394,34 @@ def test_sector_range_route_matches_the_full_space(n, noise, dephasing, f,
                                       ref.todense()[np.ix_(states, states)])
 
 
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 5), dephasing=st.sampled_from(["as-given", "pure"]),
+       f=st.sampled_from([0.0, 7.5, 15.0]), t_max=st.sampled_from([4.0, 20.0]),
+       data=st.data())
+def test_noise_free_lindblad_equals_unitary(n, dephasing, f, t_max, data):
+    # T1 = T2* = 1e9 us: over t_max the Lindblad run may differ from the
+    # ideal one by about t_max / T1 ~ 2e-14. The columns are compared as
+    # the experiments return them, before CSV formatting, each against its
+    # scale: the largest magnitude its observable takes, 1 for P and J and
+    # the bond's coupling in MHz for K
+    spec = "".join(data.draw(st.lists(_TOKENS, min_size=n, max_size=n)))
+    raw = {"shots": "none", "dephasing": dephasing, "initial_state": spec,
+           "t_max": t_max, "dt_sample": 2.0,
+           "device": {"n_qubits": n, "coupling_mhz": [14.4] * (n - 1),
+                      "t1_us": [1e9] * n, "t2star_us": [1e9] * n}}
+    potential = PotentialSpec.linear(-f)
+    for experiment in ("spin_transport", "thermal_transport", "spin_current"):
+        ideal, lindblad = (
+            cli._COLUMNS[experiment](parse_config(dict(
+                raw, experiment=experiment, noise=noise)), 0, potential)[0]
+            for noise in ("ideal", "lindblad"))
+        assert sorted(lindblad) == sorted(ideal)
+        for name, want in ideal.items():
+            scale = 14.4 if name[0] == "K" else 1.0
+            np.testing.assert_allclose(lindblad[name], want, rtol=0,
+                                       atol=1e-9 * scale, err_msg=name)
+
+
 _F_VALUES = st.sampled_from([0.0, 2.5, 5.0, 7.5, 15.0, 30.0])
 _READOUT_ENTRY = st.fixed_dictionaries({
     "f0": st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),

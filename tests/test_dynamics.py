@@ -1,5 +1,7 @@
 """State preparation, unitary propagation and the Lindblad propagator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -581,11 +583,16 @@ def _noisy_chain(n, jumps):
     return h, col
 
 
-def _block_sizes(h, col, rho):
+def _block_sizes(h, col, rho, real=False):
+    """Sizes of the generator's blocks on the states reachable from rho:
+    on vec rho, or with real on its Hermitian coordinates."""
     keep = _reachable_states(rho, h, col)
     rows, cols, vals = _liouvillian(_on(h, keep),
                                     [_on(op, keep) for op in col.operators],
                                     keep.size)
+    if real:
+        rows, cols, vals = dynamics._hermitian_coordinates(keep.size, rows,
+                                                           cols, vals)
     nonzero = vals != 0
     blocks = _generator_blocks(rows[nonzero], cols[nonzero], keep.size ** 2)
     np.testing.assert_array_equal(np.sort(np.concatenate(blocks)),
@@ -658,6 +665,14 @@ class TestLindbladReference:
                             ("X+" * 5, [252, 210, 210, 120, 120, 45, 45, 10, 10, 1, 1])):
             rho = prepare_initial_state(spec, 5).to_density().data
             assert _block_sizes(h, col, rho) == sizes
+        # on the Hermitian coordinates each block of entries rho_ab and the
+        # block of their mirrors rho_ba become one real block; a block that
+        # is its own mirror keeps its size
+        for spec, sizes in (("10000", [26, 10]),
+                            ("X+X+000", [126, 110, 20]),
+                            ("X+" * 5, [420, 252, 240, 90, 20, 2])):
+            rho = prepare_initial_state(spec, 5).to_density().data
+            assert _block_sizes(h, col, rho, real=True) == sizes
         dev6 = DeviceParams.uniform(6, t1_us=20.0, t2star_us=2.0)
         h6 = build_xy_hamiltonian(dev6, PotentialSpec.linear(-15.0))
         rho6 = prepare_initial_state("100000", 6).to_density().data
@@ -822,6 +837,56 @@ def test_reachable_states_match_the_link_matrix(chain):
     times = np.array([45.0, 0.0, 15.0, 7.5, 30.0])
     got = evolve_lindblad(h, state, times, col)
     assert np.max(np.abs(got - _dense_lindblad(h, col, state, times))) <= 1e-10
+
+
+_TIME_GRIDS = st.lists(st.floats(0.0, 200.0), min_size=1, max_size=5).map(np.array)
+
+
+def _built(chain):
+    """(H, jumps, start, times) of a _noisy_chains draw."""
+    n, couplings, tilt, t1, t2, spec, dephasing, times = chain
+    dev = DeviceParams.uniform(n).replace(coupling_mhz=couplings, t1_us=t1,
+                                          t2star_us=t2)
+    return (build_xy_hamiltonian(dev, PotentialSpec.linear(tilt)),
+            make_collapse_ops(dev, dephasing=dephasing),
+            prepare_initial_state(spec, n), times)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_noisy_chains().map(_built),
+                 st.tuples(_random_jump_chains(), _TIME_GRIDS)
+                 .map(lambda drawn: (*drawn[0], drawn[1]))))
+def test_snapshots_are_hermitian_by_construction(chain):
+    # each entry below the diagonal is read from the same real coordinate
+    # as its mirror, so no snapshot needs a Hermitian part taken
+    h, col, state, times = chain
+    support, stack = dynamics._lindblad(h, state, times, col)
+    np.testing.assert_array_equal(stack, stack.conj().transpose(0, 2, 1))
+
+
+def test_peak_memory_is_the_output_and_the_generator():
+    # X+X+000 over 2000 snapshots: out is 2000 x 16 x 16 complex, 8.2 MB,
+    # the generator's entries 45 kB. Besides them the solver holds one check
+    # stack at a time, and the propagators and expm's work arrays fit in
+    # the quarter of out allowed; a second full-size stack of the real
+    # coordinates would take half of out
+    dev = paper_device()
+    h = build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0))
+    col = make_collapse_ops(dev)
+    state = prepare_initial_state("X+X+000", 5)
+    times = 0.125 * np.arange(2000)  # one exact step
+    dynamics._lindblad(h, state, times[:3], col)  # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        support, out = dynamics._lindblad(h, state, times, col)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    generator = _liouvillian(_on(h, support),
+                             [_on(op, support) for op in col.operators],
+                             support.size)
+    assert out.shape == (2000, 16, 16)
+    assert peak < 1.25 * out.nbytes + sum(a.nbytes for a in generator)
 
 
 def _kron_liouvillian(h, jumps):
