@@ -27,9 +27,8 @@ _EXPORTS = {
         "device_preset", "paper_device",
     ),
     "dynamics": (
-        "CollapseOperatorSet", "QuantumState", "embed_in_full",
-        "evolve_lindblad", "evolve_unitary", "make_collapse_ops",
-        "prepare_initial_state",
+        "CollapseOperatorSet", "QuantumState", "evolve_lindblad",
+        "evolve_unitary", "make_collapse_ops", "prepare_initial_state",
     ),
     "errors": (
         "ConfigError", "DomainError", "FitDomainError", "NoWavefrontError",
@@ -42,9 +41,7 @@ _EXPORTS = {
         "two_excitation_slater", "wsl_length_analytic", "wsl_profile_ansatz",
     ),
     "measurement": (
-        "CountRecord", "ShotRecord", "confusion_from_device", "group_means",
-        "grouped_statistics", "load_shots", "readout_correct", "sample_counts",
-        "sample_shots", "save_shots",
+        "CountRecord", "confusion_from_device", "group_means", "sample_shots",
     ),
     "model": (
         "OperatorMatrix", "SectorBasis", "build_bose_hubbard_hamiltonian",

@@ -28,7 +28,7 @@ from .device import ANGULAR_PER_MHZ, PotentialSpec
 from .dynamics import (_evolve, evolve_unitary,  # noqa: F401
                        make_collapse_ops, prepare_initial_state)
 from .errors import ConfigError, NoWavefrontError, StarkchainError
-from .measurement import ConfusionMatrix, group_means, sample_counts
+from .measurement import ConfusionMatrix, group_means, sample_shots
 from .model import (_basis_states, build_observable, build_sector_basis,
                     build_xy_hamiltonian)
 from .observables import trajectory
@@ -131,7 +131,7 @@ def _sampled(config, potential, f_index, settings):
     same snapshots, passed to the sampler with the ascending full-space
     indices they live on; each setting takes an equal share of the plan's
     shots, and the groups of snapshot k are drawn from key k of the
-    (seed, gradient, setting) sequence. One sample_counts call per setting
+    (seed, gradient, setting) sequence. One sample_shots call per setting
     covers every snapshot, and one group_means call estimates all its
     names; the record's groups run snapshot by snapshot, so each
     estimator's group means reshape to (nt, n_groups).
@@ -150,8 +150,8 @@ def _sampled(config, potential, f_index, settings):
     out = {}
     for setting, (meas_basis, estimators) in enumerate(settings):
         seeds = _derive_seeds(plan.seed, f_index, len(data), setting)
-        rec = sample_counts(data, confusion, meas_basis, n_shots, seeds,
-                            n_groups=plan.n_groups, support=support)
+        rec = sample_shots(data, confusion, meas_basis, n_shots, seeds,
+                           n_groups=plan.n_groups, support=support)
         means = group_means(rec, estimators, confusion=correct)
         out.update({name: means[:, k].reshape(shape)
                     for k, name in enumerate(estimators)})

@@ -9,7 +9,7 @@ from .config import LINDBLAD_SUPPORT_CAP, _tokenize_state_spec
 from .device import DeviceParams
 from .errors import DomainError, NumericalConsistencyError, StateSpecError
 from .model import (DENSE_DIM_CAP, OperatorMatrix, _basis_states, _operator,
-                    _restricted, _summed, full_tag)
+                    _restricted, _summed)
 
 DENSE_BLOCK_CAP = 512  # largest real block given a dense propagator
 CHECK_STACK_ENTRIES = 1 << 12  # most snapshot entries checked in one stack
@@ -100,18 +100,6 @@ def prepare_initial_state(spec, n_sites, basis=None):
     return QuantumState(vec, tag)
 
 
-def embed_in_full(state, basis):
-    """Lift a sector state vector to the full 2^L space."""
-    if state.basis_tag != basis.tag:
-        raise DomainError(
-            f"state tag {state.basis_tag!r} does not match basis {basis.tag!r}")
-    if state.is_density:
-        raise DomainError("embedding is implemented for state vectors")
-    vec = np.zeros(2 ** basis.n_sites, dtype=complex)
-    vec[_basis_states(basis, basis.n_sites)[0]] = state.data
-    return QuantumState(vec, full_tag(basis.n_sites))
-
-
 def _check_hermitian(h):
     if not isinstance(h, OperatorMatrix):
         raise DomainError("hamiltonian must be an OperatorMatrix")
@@ -147,6 +135,22 @@ def _csr(size, rows, cols, vals):
     return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 
+def _expm_multiply(gen, vec):
+    """scipy's expm_multiply(gen, vec) with the same result on every call.
+    Its norm estimates (onenormest) draw random start vectors from numpy's
+    global random state, and a different draw can pick a different number
+    of steps, which moves the result by rounding; they are drawn from a
+    fixed seed, and the caller's global random state is restored."""
+    import scipy.sparse.linalg
+
+    saved = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return scipy.sparse.linalg.expm_multiply(gen, vec)
+    finally:
+        np.random.set_state(saved)
+
+
 def evolve_unitary(hamiltonian, state, times):
     """Pure-state evolution psi(t) = expm(-i H t) psi(0) on a time grid.
 
@@ -170,8 +174,6 @@ def evolve_unitary(hamiltonian, state, times):
         c0 = evecs.conj().T @ state.data
         phases = np.exp(-1j * np.outer(times, evals))
         return (phases * c0) @ evecs.T
-    import scipy.sparse.linalg
-
     rows, cols, vals, norm = _pruned(hamiltonian.dim, hamiltonian.rows,
                                      hamiltonian.cols, -1j * hamiltonian.vals)
     gen = _csr(hamiltonian.dim, rows, cols, vals)
@@ -181,7 +183,7 @@ def evolve_unitary(hamiltonian, state, times):
     for pos in np.argsort(times, kind="stable"):
         t = times[pos]
         if (t - t_prev) * norm >= _UNIT_ROUNDOFF:
-            vec = scipy.sparse.linalg.expm_multiply((t - t_prev) * gen, vec)
+            vec = _expm_multiply((t - t_prev) * gen, vec)
             t_prev = t
         out[pos] = vec
     return out
@@ -521,13 +523,12 @@ def _lindblad(hamiltonian, state, times, collapse):
                 for prop, src, dst in zip(propagators[dt], cur[1], nxt[1]):
                     np.matmul(prop, src, out=dst)
                 if large_gen is not None:
-                    nxt[0][split:] = scipy.sparse.linalg.expm_multiply(
+                    nxt[0][split:] = _expm_multiply(
                         dt * large_gen, cur[0][split:])
             else:
                 if whole is None:
                     whole = _csr(perm.size, rows, cols, vals)
-                nxt[0][:] = scipy.sparse.linalg.expm_multiply(dt * whole,
-                                                             cur[0])
+                nxt[0][:] = _expm_multiply(dt * whole, cur[0])
             if last_use[dt] == i:
                 propagators.pop(dt, None)
             cur, nxt = nxt, cur

@@ -1,4 +1,5 @@
-"""Simulated noisy single-shot readout and grouped error-bar statistics."""
+"""Simulated noisy single-shot readout, held as per-group outcome histograms,
+and the estimators read from them."""
 
 import functools
 import re
@@ -7,9 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import ConfusionMatrix
-from .dynamics import QuantumState, _checked_stack
+from .dynamics import _checked_stack
 from .errors import DomainError, StateSpecError
-from .model import full_tag
 
 VALID_AXES = frozenset("ZXY")
 _M64 = (1 << 64) - 1
@@ -42,87 +42,13 @@ def _checked_basis(basis):
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class ShotRecord:
-    """The shots of one joint readout, held as bits.
-
-    bits is a read-only (n_shots, n_qubits) uint8 array with site 1 in
-    column 0; the shots split into n_groups equal consecutive groups. Build a
-    record from bits=..., or from bitstrings=... (text such as '10011', site
-    1 leftmost), which is parsed once here. Text is formatted again only on
-    request, by .bitstrings and save_shots.
-    """
-
-    bits: np.ndarray
-    n_groups: int
-    seed: int
-    basis: str
-
-    def __init__(self, bitstrings=None, n_groups=1, seed=0, basis="", *,
-                 bits=None):
-        basis = _checked_basis(basis)
-        n_qubits = len(basis)
-        if (bitstrings is None) == (bits is None):
-            raise DomainError("give exactly one of bitstrings and bits")
-        if bits is None:
-            bits = _parse_bitstrings(bitstrings, n_qubits)
-        else:
-            bits = np.asarray(bits)
-            if bits.ndim != 2 or bits.shape[1] != n_qubits:
-                raise DomainError(
-                    f"bits of shape {bits.shape} for {n_qubits} qubits")
-            if not ((bits == 0) | (bits == 1)).all():
-                raise DomainError("bits must be 0 or 1")
-            bits = bits.astype(np.uint8)
-        bits.flags.writeable = False
-        if n_groups < 1 or bits.shape[0] % n_groups != 0:
-            raise DomainError(
-                f"{bits.shape[0]} shots not divisible into {n_groups} groups"
-            )
-        for name, value in (("bits", bits), ("n_groups", n_groups),
-                            ("seed", seed), ("basis", basis)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def n_shots(self):
-        return self.bits.shape[0]
-
-    @property
-    def n_qubits(self):
-        return len(self.basis)
-
-    @property
-    def bitstrings(self):
-        return tuple(_shot_lines(self.bits).splitlines())
-
-    def bit_array(self):
-        return self.bits
-
-    def site_histograms(self, site_tuples):
-        """Float counts (n_groups, 2^k) over the joint outcomes of each
-        listed tuple of k sites (ascending, site 1 first) in each group, one
-        bincount per tuple: the group index sits in the bits above the k
-        outcome bits."""
-        group_size = self.n_shots // self.n_groups
-        hists = []
-        for sites in site_tuples:
-            k = len(sites)
-            idx = np.repeat(np.arange(self.n_groups, dtype=np.int64) << k,
-                            group_size)
-            for i, s in enumerate(sites):
-                idx |= self.bits[:, s - 1].astype(np.int64) << (k - 1 - i)
-            counts = np.bincount(idx, minlength=self.n_groups << k)
-            hists.append(counts.reshape(self.n_groups, 1 << k).astype(float))
-        return hists
-
-
-@dataclass(frozen=True, eq=False, init=False)
 class CountRecord:
     """The outcome histograms of the groups of one joint readout.
 
     counts is a read-only (n_groups, 2^n_qubits) int64 array: row g counts
     each reported outcome of group g, its index read as bits with site 1 the
-    most significant. sample_counts returns one; group_means accepts it
-    wherever it accepts a ShotRecord.
+    most significant. sample_shots returns one; group_means reads its
+    estimators from it.
     """
 
     counts: np.ndarray
@@ -130,7 +56,7 @@ class CountRecord:
 
     def __init__(self, counts, basis, _owned=False):
         basis = _checked_basis(basis)
-        # a caller's array is copied; sample_counts hands over its own
+        # a caller's array is copied; sample_shots hands over its own
         counts = (np.asarray if _owned else np.array)(counts, dtype=np.int64)
         if counts.ndim != 2 or counts.shape[1] != 1 << len(basis):
             raise DomainError(
@@ -165,44 +91,6 @@ class CountRecord:
         hists = np.split(self.counts.astype(float) @ marginal,
                          np.cumsum(widths)[:-1], axis=1)
         return [np.ascontiguousarray(h) for h in hists]
-
-
-_BITSTRING_RE = re.compile(r"[01]+")
-
-
-def _parse_bitstrings(bitstrings, n_qubits):
-    rows = [str(b) for b in bitstrings]
-    for b in rows:
-        if len(b) != n_qubits or not _BITSTRING_RE.fullmatch(b):
-            raise DomainError(f"bad bitstring {b!r} for {n_qubits} qubits")
-    flat = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
-    return (flat - ord("0")).reshape(len(rows), n_qubits)
-
-
-def _shot_lines(bits):
-    """One line of '0'/'1' characters per shot, each ending in a newline."""
-    text = np.full((bits.shape[0], bits.shape[1] + 1), ord("\n"), np.uint8)
-    text[:, :-1] = bits + ord("0")
-    return text.tobytes().decode("ascii")
-
-
-def save_shots(record, path):
-    """Line-per-shot text format: basis header, then one bitstring per line."""
-    with open(path, "w") as fh:
-        fh.write(record.basis + "\n")
-        fh.write(_shot_lines(record.bits))
-
-
-def load_shots(path, n_groups=1, seed=0):
-    """Inverse of save_shots; group count and seed are not part of the wire
-    format, so they are supplied by the caller (defaults documented here)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise DomainError(f"empty shot file {path}")
-    return ShotRecord(
-        bitstrings=tuple(lines[1:]), n_groups=n_groups, seed=seed, basis=lines[0]
-    )
 
 
 def _outcome_probabilities(support, stack, basis, confusion=None):
@@ -243,29 +131,6 @@ def _outcome_probabilities(support, stack, basis, confusion=None):
     return probs
 
 
-def _sampling_args(basis, confusion, n_shots, n_states, seeds, n_groups):
-    """The checked basis, per-state shot count and seed list of a sampler
-    call over n_states states."""
-    basis = _checked_basis(basis)
-    if len(confusion) != len(basis):
-        raise DomainError(
-            f"need {len(basis)} confusion matrices, got {len(confusion)}"
-        )
-    if n_shots < 1:
-        raise DomainError("n_shots must be positive")
-    seeds = [seeds] if np.ndim(seeds) == 0 else list(seeds)
-    if not n_states or len(seeds) != n_states:
-        raise DomainError(
-            f"need one seed per state, got {len(seeds)} seeds for "
-            f"{n_states} states"
-        )
-    n_shots = int(n_shots)
-    if n_groups < 1 or n_shots % n_groups:
-        raise DomainError(
-            f"{n_shots} shots per state not divisible into {n_groups} groups")
-    return basis, n_shots, seeds
-
-
 def _keyed_generators(seeds):
     """For each seed, a Generator that draws what a fresh
     Generator(Philox(key=seed)) draws. One Philox serves the whole call: its
@@ -284,54 +149,8 @@ def _keyed_generators(seeds):
         yield gen
 
 
-def sample_shots(state, confusion, basis, n_shots, seed, n_groups=1):
-    """Draw noisy shots: basis pre-rotation, Born draw, per-qubit bit flips.
-
-    The RNG is counter-based (Philox keyed by the seed) and all uniforms come
-    from a single (n_shots, n_qubits + 1) block: column 0 drives each shot's
-    Born draw, column q+1 the readout flip of qubit q. Any row can therefore
-    be regenerated independently of the others, which is what makes the
-    sampler deterministic under parallel evaluation as well.
-
-    state may also be a sequence of K states, with seed a sequence of K
-    seeds: the batch draws each state's shots from its own seed, exactly as
-    K single calls would, and returns one record holding them one state
-    after another. n_shots and n_groups stay per state, so the record has
-    K * n_groups groups in state-major order (group g of state k is group
-    k * n_groups + g), and its seed is the first state's seed.
-    """
-    states = [state] if isinstance(state, QuantumState) else list(state)
-    basis, n_shots, seeds = _sampling_args(basis, confusion, n_shots,
-                                           len(states), seed, n_groups)
-    n_qubits = len(basis)
-    full = np.arange(1 << n_qubits)
-    # row o of the table holds the bits of outcome o, site 1 = most
-    # significant
-    shifts = n_qubits - 1 - np.arange(n_qubits)
-    table = ((full[:, None] >> shifts) & 1).astype(np.uint8)
-    flip0 = np.array([1.0 - c.f0 for c in confusion])  # P(report 1 | true 0)
-    flip1 = np.array([1.0 - c.f1 for c in confusion])  # P(report 0 | true 1)
-    u = np.empty((n_shots, n_qubits + 1))
-    reported = np.empty((len(states) * n_shots, n_qubits), dtype=np.uint8)
-    for k, (snapshot, gen) in enumerate(zip(states,
-                                            _keyed_generators(seeds))):
-        if snapshot.basis_tag != full_tag(n_qubits):
-            raise StateSpecError(
-                f"sampling needs a full-space state on {n_qubits} qubits, got "
-                f"{snapshot.basis_tag!r}")
-        cdf = np.cumsum(_outcome_probabilities(full, snapshot.data[None],
-                                               basis)[0])
-        cdf[-1] = 1.0
-        gen.random(out=u)
-        bits = table[np.searchsorted(cdf, u[:, 0], side="right")]
-        flips = u[:, 1:] < np.where(bits, flip1, flip0)
-        np.bitwise_xor(bits, flips, out=reported[k * n_shots:(k + 1) * n_shots])
-    return ShotRecord(bits=reported, n_groups=len(states) * int(n_groups),
-                      seed=int(seeds[0]), basis=basis)
-
-
-def sample_counts(states, confusion, basis, n_shots, seeds, n_groups=1,
-                  support=None):
+def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
+                 support=None):
     """Per-group outcome histograms of noisy readouts of a snapshot stack.
 
     states is a (T, s) stack of state vectors or a (T, s, s) stack of
@@ -346,12 +165,23 @@ def sample_counts(states, confusion, basis, n_shots, seeds, n_groups=1,
     can be regenerated on its own.
 
     Returns a CountRecord of T * n_groups groups in state-major order (group
-    g of snapshot k is row k * n_groups + g). Its group means have the
-    distribution of sample_shots', but not its draws.
+    g of snapshot k is row k * n_groups + g).
     """
-    basis, n_shots, seeds = _sampling_args(basis, confusion, n_shots,
-                                           len(states), seeds, n_groups)
+    basis = _checked_basis(basis)
     n_qubits = len(basis)
+    if len(confusion) != n_qubits:
+        raise DomainError(
+            f"need {n_qubits} confusion matrices, got {len(confusion)}")
+    if n_shots < 1:
+        raise DomainError("n_shots must be positive")
+    if np.ndim(seeds) != 1 or not len(states) or len(seeds) != len(states):
+        raise DomainError(
+            f"need one seed per state, got {np.size(seeds)} seeds for "
+            f"{len(states)} states")
+    n_shots = int(n_shots)
+    if n_groups < 1 or n_shots % n_groups:
+        raise DomainError(
+            f"{n_shots} shots per state not divisible into {n_groups} groups")
     support = np.arange(1 << n_qubits) if support is None else np.asarray(support)
     if (support.ndim != 1 or not support.size
             or not np.issubdtype(support.dtype, np.integer) or support[0] < 0
@@ -416,9 +246,8 @@ def group_means(record, estimator, confusion=None):
     """Per-group estimates of one estimator, in group order, or of a
     sequence of K estimators as (n_groups, K), column k for name k.
 
-    record: a ShotRecord or a CountRecord; only the source of each group's
-    histogram differs, and a CountRecord gives every estimator's from one
-    pass over its counts. estimator: 'P{j}' for a site density, or a
+    record: a CountRecord, which gives every estimator's histogram from
+    one pass over its counts. estimator: 'P{j}' for a site density, or a
     two-letter Pauli pair plus the bond index ('XX2', 'XY1', ...) evaluated
     as (1-2b_i)(1-2b_j). With confusion matrices given, each group's joint
     histogram is inverse-corrected before the estimate.
@@ -440,39 +269,3 @@ def group_means(record, estimator, confusion=None):
         # one dot product per group, as np.dot(vals, h) for a single group
         out[k] = np.matmul(hist[:, None, :], vals)[:, 0] / hist.sum(axis=1)
     return out[0] if single else out.T
-
-
-def grouped_statistics(record, estimator, confusion=None):
-    """Grand mean and the std across group means (the convention used for all
-    quoted error bars here: the spread of group estimates, not SEM)."""
-    means = group_means(record, estimator, confusion=confusion)
-    grand = float(means.mean())
-    spread = float(means.std(ddof=1)) if means.shape[0] > 1 else 0.0
-    return grand, spread
-
-
-def readout_correct(measured, confusion):
-    """Apply inverse confusion matrices to probabilities.
-
-    measured of length n_qubits: per-qubit P(report 1) marginals, corrected
-    qubit by qubit and clamped to [0, 1]. measured of length 2^n_qubits: a
-    full histogram, corrected with the tensor-product inverse and
-    renormalized.
-    """
-    measured = np.asarray(measured, dtype=float)
-    n = len(confusion)
-    if measured.shape == (n,):  # 2^n > n always, so the dispatch is unambiguous
-        # each marginal is the one-site histogram (1 - p, p)
-        return np.array([
-            _correct_histograms(np.array([[1.0 - p, p]]), [c.inverse()])[0, 1]
-            for p, c in zip(measured, confusion)])
-    if measured.shape == (2 ** n,):
-        if measured.sum() <= 0:
-            raise DomainError("the histogram must have a positive total")
-        out = _correct_histograms(measured[None],
-                                  [c.inverse() for c in confusion])[0]
-        return out / out.sum()
-    raise DomainError(
-        f"expected {n} marginals or a {2 ** n}-entry histogram, got shape "
-        f"{measured.shape}"
-    )

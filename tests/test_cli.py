@@ -15,18 +15,15 @@ from starkchain import (
     ConfigError,
     NoWavefrontError,
     PotentialSpec,
-    QuantumState,
     StarkchainError,
     build_observable,
     build_xy_hamiltonian,
-    full_tag,
     linear_fit,
     make_collapse_ops,
     p5max_scan,
     parse_config,
     prepare_initial_state,
     propagate_single_particle,
-    sample_shots,
     single_particle_matrix,
     trajectory,
 )
@@ -625,34 +622,15 @@ def _former_keys(base, f_index, n_snapshots, setting):
         .generate_state(1, np.uint64)[0] for k in range(n_snapshots)])
 
 
-def _per_shot_counts(states, confusion, basis, n_shots, seeds, n_groups=1,
-                     support=None):
-    """sample_counts' call over the per-shot sampler: the same snapshots and
-    seeds through sample_shots, one full-space QuantumState per snapshot,
-    scattered from the stack on its support."""
-    n = len(basis)
-    states = np.asarray(states)
-    full = np.zeros((len(states),) + (2 ** n,) * (states.ndim - 1), dtype=complex)
-    if support is None:
-        full[:] = states
-    elif states.ndim == 2:
-        full[:, support] = states
-    else:
-        full[:, support[:, None], support] = states
-    tag = full_tag(n)
-    return sample_shots([QuantumState(d, tag) for d in full], confusion,
-                        basis, n_shots, seeds, n_groups=n_groups)
-
-
 class TestGoldenShots:
     """SHA-256 of the CSVs of short noisy shot runs (paper shots, seed 0,
     table-s1 readout), with and without readout correction. They pin the
     sampler and the estimators, the correction path included, to the bit.
 
-    GOLDEN and PER_SHOT were pinned under the former key rule
-    (_former_keys) and still hold with it patched in, so nothing but the
-    key changed when the keys became words of one SeedSequence per
-    gradient and setting; KEYED and KEYED_PER_SHOT pin the current keys."""
+    GOLDEN was pinned under the former key rule (_former_keys) and still
+    holds with it patched in, so nothing but the key changed when the keys
+    became words of one SeedSequence per gradient and setting; KEYED pins
+    the current keys."""
 
     GOLDEN = {
         ("spin_transport", False):
@@ -668,23 +646,6 @@ class TestGoldenShots:
         ("spin_current", True):
             "0c08e39b92394d37a2230efd5743c1c62aa2467026f3ef07a2bc27cc44bc96e2",
     }
-    # the same runs with each setting sampled shot by shot (sample_shots +
-    # group_means), as the CLI did before it sampled per-group counts
-    PER_SHOT = {
-        ("spin_transport", False):
-            "5d3b752c0774d5259d03ae6f9aa7483e3632c230db0702799b9dbc2404f0aaef",
-        ("spin_transport", True):
-            "51e4962f9486f6c569a2c7b6c210872c043d19dcf8897e30055ee9c7eb28290f",
-        ("thermal_transport", False):
-            "bfdadf809a11d23a7ab17d5c6c89635bc4f69d32ce4f89f38226167d5cc72f85",
-        ("thermal_transport", True):
-            "58502fa8516d47f5eadd6fa898fb9a232fd2d465d1c1e91c852c07e0b735b3ab",
-        ("spin_current", False):
-            "86de7de5bc31103519fc8eb8f31158deb9f9a7a356c9eaf279880950a6f81f51",
-        ("spin_current", True):
-            "56716615113d699f705ee2ac600499cef676c4761a7d9ec5de6caf1ddd30cbdd",
-    }
-
     # the same runs under the current keys
     KEYED = {
         ("spin_current", False):
@@ -699,21 +660,6 @@ class TestGoldenShots:
             "a28dae843ce749440e42509694b61738c8db9f34c86a1768a3f67010cfa02804",
         ("thermal_transport", True):
             "516e7226575720e9f6fa3f5735ca11db6d95a8fab8aa448ddcc09332275aac7f",
-    }
-    # and through the per-shot sampler
-    KEYED_PER_SHOT = {
-        ("spin_current", False):
-            "b5940de5fd24448ed3764e45a10653be9469205ad0c4f7d61e449afdd5acc31a",
-        ("spin_current", True):
-            "b25acb51c48e514f691e07a538af853a464d85cb2ebf81a8573f46a254d37113",
-        ("spin_transport", False):
-            "c40b3c06e5c3bdbfd30ce46281b64f5f372f63292aa26ef1b39545a8e7b07dac",
-        ("spin_transport", True):
-            "64f285a9b2b3ef7de6984a55c38ba9dcd1970226790de6063d11407e20bc7934",
-        ("thermal_transport", False):
-            "fd06955f98c323c4970eeb46e8dea3b0e0e21566cda8b5a572794b799fe346ee",
-        ("thermal_transport", True):
-            "0b3fc367cdbe8d9346e326f62d3a784164fb72948a78ca79703375722b9d7f6c",
     }
 
     @staticmethod
@@ -733,25 +679,10 @@ class TestGoldenShots:
         assert self._digest(tmp_path, experiment, correction) \
             == self.GOLDEN[(experiment, correction)]
 
-    @pytest.mark.parametrize("experiment, correction", sorted(PER_SHOT))
-    def test_per_shot_csv_hash(self, tmp_path, monkeypatch, experiment,
-                               correction):
-        monkeypatch.setattr(cli, "_derive_seeds", _former_keys)
-        monkeypatch.setattr(cli, "sample_counts", _per_shot_counts)
-        assert self._digest(tmp_path, experiment, correction) \
-            == self.PER_SHOT[(experiment, correction)]
-
     @pytest.mark.parametrize("experiment, correction", sorted(KEYED))
     def test_keyed_csv_hash(self, tmp_path, experiment, correction):
         assert self._digest(tmp_path, experiment, correction) \
             == self.KEYED[(experiment, correction)]
-
-    @pytest.mark.parametrize("experiment, correction", sorted(KEYED_PER_SHOT))
-    def test_keyed_per_shot_csv_hash(self, tmp_path, monkeypatch, experiment,
-                                     correction):
-        monkeypatch.setattr(cli, "sample_counts", _per_shot_counts)
-        assert self._digest(tmp_path, experiment, correction) \
-            == self.KEYED_PER_SHOT[(experiment, correction)]
 
 
 class TestGoldenScan:
@@ -1029,3 +960,25 @@ def test_one_estimate_pass_per_setting(tmp_path, monkeypatch, experiment,
                       "dt_sample": 10}), out_dir=str(tmp_path))
     assert len(calls) == settings_
     assert all(not isinstance(names, str) for names in calls)
+
+
+def test_runner_samples_through_the_traced_name(tmp_path, monkeypatch):
+    # the runner draws its shots through the name cli.sample_shots, the
+    # binding perfbench's tracer wraps for measurement.sample_shots: one
+    # call per (gradient, setting), and a wrapper there leaves the CSVs be
+    cfg = parse_config({"experiment": "thermal_transport", "noise": "lindblad",
+                        "F": [10, 15], "t_max": 20})
+    plain = run(cfg, out_dir=str(tmp_path / "plain"))
+    calls, sample_shots = [], cli.sample_shots
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])  # the measurement basis
+        return sample_shots(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_shots", counted)
+    wrapped = run(cfg, out_dir=str(tmp_path / "wrapped"))
+    assert len(calls) == 4 and len(set(calls)) == 2
+    assert wrapped["outputs"] == plain["outputs"] and len(plain["outputs"]) == 2
+    for name in plain["outputs"]:
+        assert (tmp_path / "wrapped" / name).read_bytes() \
+            == (tmp_path / "plain" / name).read_bytes()

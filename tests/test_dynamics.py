@@ -21,7 +21,6 @@ from starkchain import (
     build_observable,
     build_sector_basis,
     build_xy_hamiltonian,
-    embed_in_full,
     evolve_lindblad,
     evolve_unitary,
     full_index,
@@ -125,16 +124,6 @@ class TestStatePrep:
         np.testing.assert_array_equal(st.data,
                                       prepare_initial_state(spec, 5).data[rows])
 
-    def test_embed_in_full(self):
-        b = build_sector_basis(4, 2)
-        rng = np.random.default_rng(3)
-        st = _random_state(b.dim, rng, b.tag)
-        full = embed_in_full(st, b)
-        assert full.dim == 16
-        for i, occ in enumerate(b.states):
-            assert full.data[full_index(occ)] == st.data[i]
-        assert np.linalg.norm(full.data) == pytest.approx(1.0)
-
 
 class TestQuantumState:
     def test_norm_validation(self):
@@ -149,7 +138,7 @@ class TestQuantumState:
             QuantumState(bad, "full:n=1")  # not Hermitian
 
     def test_messages_name_no_snapshot(self):
-        # the stack check sample_counts uses, on a stack of one
+        # the stack check sample_shots uses, on a stack of one
         with pytest.raises(DomainError, match="^state vector norm 2.0 is not 1$"):
             QuantumState(np.array([2.0, 0.0]), "full:n=1")
         with pytest.raises(DomainError, match="^density matrix trace"):
@@ -209,8 +198,7 @@ class TestUnitaryEvolution:
             part = evolve_unitary(build_xy_hamiltonian(dev, pot, basis=b),
                                   prepare_initial_state(head + zeros, n, basis=b),
                                   _REFERENCE_TIMES)
-            for k, vec in enumerate(part):
-                ref[k] += 0.5 * embed_in_full(QuantumState(vec, b.tag), b).data
+            ref[:, [full_index(s) for s in b.states]] += 0.5 * part
         assert np.max(np.abs(got - ref)) <= 1e-10
         amps = evolve_unitary(h, prepare_initial_state("1" + "0" * (n - 1), n),
                               _REFERENCE_TIMES)
@@ -715,6 +703,10 @@ def test_lindblad_matches_dense_expm_random_chains(chain):
 
 @settings(max_examples=30, deadline=None)
 @given(_noisy_chains())
+# a single step taken with expm_multiply, whose norm estimates draw from
+# numpy's global random state: two calls must still agree bit for bit
+@example((4, [0.0, 20.0, 1.0], -19.0, [1.0] * 4, [1.0] * 4, "00X+X+",
+          "as-given", np.array([66.0])))
 def test_support_stack_scatters_to_evolve_lindblad(chain):
     # the solver's (support, stack), scattered to the full space, is what
     # evolve_lindblad returns, and the support holds the whole state
@@ -736,6 +728,24 @@ def test_support_stack_scatters_to_evolve_lindblad(chain):
     support, stack = dynamics._evolve(h, state, times)
     np.testing.assert_array_equal(support, np.arange(2 ** n))
     np.testing.assert_array_equal(stack, evolve_unitary(h, state, times))
+
+
+def test_expm_multiply_steps_ignore_global_random_state():
+    # the same single-step evolution under different global random states,
+    # which the solver leaves as it found them
+    dev = DeviceParams.uniform(4).replace(coupling_mhz=[0.0, 20.0, 1.0],
+                                          t1_us=[1.0] * 4, t2star_us=[1.0] * 4)
+    h = build_xy_hamiltonian(dev, PotentialSpec.linear(-19.0))
+    col = make_collapse_ops(dev)
+    state = prepare_initial_state("00X+X+", 4)
+    runs = []
+    for seed in range(6):
+        np.random.seed(seed)
+        runs.append(evolve_lindblad(h, state, [66.0], col))
+        assert np.random.randint(1 << 30) == \
+            np.random.RandomState(seed).randint(1 << 30)
+    for got in runs[1:]:
+        np.testing.assert_array_equal(got, runs[0])
 
 
 class TestSupportCap:

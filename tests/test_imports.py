@@ -145,7 +145,7 @@ def test_load_config_loads_yaml_on_first_read(tmp_path):
     assert "yaml" in loaded
 
 
-# the package's 65 public names, as before lazy loading, by defining module
+# the package's 58 public names, by defining module
 _PUBLIC = {
     "analysis": [
         "FitResult", "boundary_peak", "detect_first_wavefront",
@@ -156,9 +156,8 @@ _PUBLIC = {
         "ANGULAR_PER_MHZ", "ConfusionMatrix", "DeviceParams", "PotentialSpec",
         "device_preset", "paper_device"],
     "dynamics": [
-        "CollapseOperatorSet", "QuantumState", "embed_in_full",
-        "evolve_lindblad", "evolve_unitary", "make_collapse_ops",
-        "prepare_initial_state"],
+        "CollapseOperatorSet", "QuantumState", "evolve_lindblad",
+        "evolve_unitary", "make_collapse_ops", "prepare_initial_state"],
     "errors": [
         "ConfigError", "DomainError", "FitDomainError", "NoWavefrontError",
         "NumericalConsistencyError", "StarkchainError", "StateSpecError"],
@@ -168,9 +167,7 @@ _PUBLIC = {
         "single_particle_matrix", "time_averaged_profile",
         "two_excitation_slater", "wsl_length_analytic", "wsl_profile_ansatz"],
     "measurement": [
-        "CountRecord", "ShotRecord", "confusion_from_device", "group_means",
-        "grouped_statistics", "load_shots", "readout_correct",
-        "sample_counts", "sample_shots", "save_shots"],
+        "CountRecord", "confusion_from_device", "group_means", "sample_shots"],
     "model": [
         "OperatorMatrix", "SectorBasis", "build_bose_hubbard_hamiltonian",
         "build_observable", "build_sector_basis", "build_xy_hamiltonian",
@@ -181,7 +178,7 @@ _PUBLIC = {
 
 class TestPublicSurface:
     def test_all_is_unchanged(self):
-        assert len(starkchain.__all__) == 65
+        assert len(starkchain.__all__) == 58
         assert starkchain.__all__ == sorted(
             name for names in _PUBLIC.values() for name in names)
 

@@ -1,9 +1,7 @@
-"""Confusion matrices, shot sampling and grouped statistics."""
+"""Confusion matrices, shot sampling and per-group estimators."""
 
 import functools
-import os
 import re
-import tempfile
 import tracemalloc
 
 import numpy as np
@@ -11,29 +9,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import chi2
 
 from starkchain import (
     ConfusionMatrix,
     CountRecord,
     DomainError,
-    QuantumState,
-    ShotRecord,
     StateSpecError,
     confusion_from_device,
-    full_tag,
     group_means,
-    grouped_statistics,
-    load_shots,
     paper_device,
     prepare_initial_state,
-    readout_correct,
-    sample_counts,
     sample_shots,
-    save_shots,
 )
-from starkchain import measurement
+from starkchain import cli, measurement
 
 PERFECT = [ConfusionMatrix.perfect()] * 5
+
+# the basis pre-rotations, stated here apart from the module's table:
+# R_y(-pi/2) measures X and R_x(+pi/2) measures Y, bit 0 the +1 eigenvalue
+_AXIS_ROT = {
+    "Z": np.eye(2),
+    "X": np.array([[1, 1], [-1, 1]]) / np.sqrt(2),
+    "Y": np.array([[1, -1j], [-1j, 1]]) / np.sqrt(2),
+}
 
 
 class TestConfusionMatrix:
@@ -67,143 +66,127 @@ class TestConfusionMatrix:
         assert cs[3].f1 == pytest.approx(0.859)
 
 
-class TestShotRecord:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ShotRecord(bitstrings=("00", "01"), n_groups=1, seed=0, basis="ZQ")
-        with pytest.raises(DomainError):
-            ShotRecord(bitstrings=("001",), n_groups=1, seed=0, basis="ZZ")
-        with pytest.raises(DomainError):
-            ShotRecord(bitstrings=("0x",), n_groups=1, seed=0, basis="ZZ")
-        with pytest.raises(DomainError):
-            ShotRecord(bitstrings=("00",) * 5, n_groups=2, seed=0, basis="ZZ")
+def _counts_of(bits, n_groups, basis):
+    """The per-group outcome histograms of shots given as bits, (n_shots,
+    n_qubits) with site 1 in column 0, as a CountRecord of n_groups equal
+    consecutive groups."""
+    bits = np.asarray(bits, dtype=np.int64)
+    n_shots, n = bits.shape
+    outcome = bits @ (1 << np.arange(n - 1, -1, -1))  # site 1 most significant
+    group = np.arange(n_shots) // (n_shots // n_groups)
+    counts = np.bincount((group << n) + outcome, minlength=n_groups << n)
+    return CountRecord(counts.reshape(n_groups, 1 << n), basis)
 
-    def test_properties(self):
-        r = ShotRecord(bitstrings=("010", "110", "000", "111"), n_groups=2,
-                       seed=7, basis="ZXY")
-        assert r.n_shots == 4
-        assert r.n_qubits == 3
-        np.testing.assert_array_equal(
-            r.bit_array(), [[0, 1, 0], [1, 1, 0], [0, 0, 0], [1, 1, 1]])
 
-    def test_save_load_roundtrip(self, tmp_path):
-        r = ShotRecord(bitstrings=("01", "10", "11", "00"), n_groups=2,
-                       seed=3, basis="XY")
-        p = tmp_path / "shots.txt"
-        save_shots(r, p)
-        r2 = load_shots(p, n_groups=2, seed=3)
-        assert r2.bitstrings == r.bitstrings
-        assert r2.basis == "XY"
-        assert r2.n_groups == 2
-
-    def test_load_empty(self, tmp_path):
-        p = tmp_path / "empty.txt"
-        p.write_text("")
-        with pytest.raises(DomainError):
-            load_shots(p)
+def _strings_to_bits(strings):
+    return [[int(c) for c in b] for b in strings]
 
 
 class TestSampling:
+    """One state sampled as a stack of one snapshot."""
+
     def test_bit_exact_reproducibility(self):
-        st = prepare_initial_state("X+10X-", 4)
+        data = prepare_initial_state("X+10X-", 4).data[None]
         conf = confusion_from_device(paper_device())[:4]
-        a = sample_shots(st, conf, "ZXZY", 200, seed=42, n_groups=2)
-        b = sample_shots(st, conf, "ZXZY", 200, seed=42, n_groups=2)
-        assert a.bitstrings == b.bitstrings
-        c = sample_shots(st, conf, "ZXZY", 200, seed=43, n_groups=2)
-        assert c.bitstrings != a.bitstrings
+        a = sample_shots(data, conf, "ZXZY", 200, [42], n_groups=2)
+        b = sample_shots(data, conf, "ZXZY", 200, [42], n_groups=2)
+        np.testing.assert_array_equal(a.counts, b.counts)
+        c = sample_shots(data, conf, "ZXZY", 200, [43], n_groups=2)
+        assert not np.array_equal(c.counts, a.counts)
 
     def test_eigenstate_is_noiseless(self):
         # X+ measured along X reports the +1 outcome, bit 0, every shot
-        st = prepare_initial_state("X+X+", 2)
-        rec = sample_shots(st, [ConfusionMatrix.perfect()] * 2, "XX", 500, seed=1)
-        assert set(rec.bitstrings) == {"00"}
+        data = prepare_initial_state("X+X+", 2).data[None]
+        rec = sample_shots(data, [ConfusionMatrix.perfect()] * 2, "XX", 500,
+                           [1])
+        np.testing.assert_array_equal(rec.counts, [[500, 0, 0, 0]])
 
     def test_computational_state(self):
-        st = prepare_initial_state("10011", 5)
-        rec = sample_shots(st, PERFECT, "ZZZZZ", 300, seed=5)
-        assert set(rec.bitstrings) == {"10011"}
+        data = prepare_initial_state("10011", 5).data[None]
+        rec = sample_shots(data, PERFECT, "ZZZZZ", 300, [5])
+        want = np.zeros((1, 32), dtype=np.int64)
+        want[0, 0b10011] = 300
+        np.testing.assert_array_equal(rec.counts, want)
 
     def test_readout_infidelity_rate(self):
-        # all-ones state: P(report 1 on qubit 1) = F1 = 0.853
-        st = prepare_initial_state("11111", 5)
+        # all-ones state: P(report 1 on qubit q) = F1 of qubit q
+        data = prepare_initial_state("11111", 5).data[None]
         conf = confusion_from_device(paper_device())
         n = 100_000
-        rec = sample_shots(st, conf, "ZZZZZ", n, seed=11)
-        bits = rec.bit_array()
-        f1 = paper_device().readout_f1
-        for q in range(5):
-            p_hat = bits[:, q].mean()
-            sigma = np.sqrt(f1[q] * (1 - f1[q]) / n)
-            assert abs(p_hat - f1[q]) < 3 * sigma
+        rec = sample_shots(data, conf, "ZZZZZ", n, [11])
+        p_hat = group_means(rec, [f"P{q}" for q in range(1, 6)])[0]
+        for q, f1 in enumerate(paper_device().readout_f1):
+            sigma = np.sqrt(f1 * (1 - f1) / n)
+            assert abs(p_hat[q] - f1) < 3 * sigma
 
     def test_born_rule_marginal(self):
-        st = prepare_initial_state("X+0", 2)
-        rec = sample_shots(st, [ConfusionMatrix.perfect()] * 2, "ZZ", 50_000, seed=9)
-        p1 = rec.bit_array()[:, 0].mean()
+        data = prepare_initial_state("X+0", 2).data[None]
+        rec = sample_shots(data, [ConfusionMatrix.perfect()] * 2, "ZZ",
+                           50_000, [9])
+        p1 = group_means(rec, "P1")[0]
         assert abs(p1 - 0.5) < 3 * np.sqrt(0.25 / 50_000)
 
     def test_state_tag_check(self):
+        # a sector state's amplitudes are refused without the support they
+        # live on
         from starkchain import build_sector_basis
         b = build_sector_basis(3, 1)
         st = prepare_initial_state("100", 3, basis=b)
         with pytest.raises(StateSpecError):
-            sample_shots(st, [ConfusionMatrix.perfect()] * 3, "ZZZ", 10, seed=0)
+            sample_shots(st.data[None], [ConfusionMatrix.perfect()] * 3, "ZZZ",
+                         10, [0])
 
     def test_argument_checks(self):
-        st = prepare_initial_state("00", 2)
+        data = prepare_initial_state("00", 2).data[None]
         with pytest.raises(DomainError):
-            sample_shots(st, [ConfusionMatrix.perfect()] * 2, "ZW", 10, seed=0)
+            sample_shots(data, [ConfusionMatrix.perfect()] * 2, "ZW", 10, [0])
         with pytest.raises(DomainError):
-            sample_shots(st, [ConfusionMatrix.perfect()], "ZZ", 10, seed=0)
+            sample_shots(data, [ConfusionMatrix.perfect()], "ZZ", 10, [0])
         with pytest.raises(DomainError):
-            sample_shots(st, [ConfusionMatrix.perfect()] * 2, "ZZ", 0, seed=0)
+            sample_shots(data, [ConfusionMatrix.perfect()] * 2, "ZZ", 0, [0])
 
     def test_batch_argument_checks(self):
-        st = prepare_initial_state("00", 2)
+        # seeds are one per snapshot, never a single scalar
+        data = prepare_initial_state("00", 2).data
         conf = [ConfusionMatrix.perfect()] * 2
         with pytest.raises(DomainError, match="one seed per state"):
-            sample_shots([st, st], conf, "ZZ", 10, seed=[1])
+            sample_shots([data, data], conf, "ZZ", 10, [1])
         with pytest.raises(DomainError, match="one seed per state"):
-            sample_shots([st, st], conf, "ZZ", 10, seed=1)
+            sample_shots([data, data], conf, "ZZ", 10, 1)
         with pytest.raises(DomainError, match="one seed per state"):
-            sample_shots([], conf, "ZZ", 10, seed=[])
+            sample_shots([], conf, "ZZ", 10, [])
 
     def test_groups_must_divide_the_shots_of_each_state(self):
         # the message gives the per-state counts, not the batch totals
-        st = prepare_initial_state("00", 2)
+        data = prepare_initial_state("00", 2).data
         conf = [ConfusionMatrix.perfect()] * 2
         with pytest.raises(DomainError,
                            match="^15 shots per state not divisible into 10 groups$"):
-            sample_shots([st, st, st], conf, "ZZ", 15, seed=[1, 2, 3], n_groups=10)
+            sample_shots([data] * 3, conf, "ZZ", 15, [1, 2, 3], n_groups=10)
 
 
 class TestEstimators:
     def test_site_density(self):
-        r = ShotRecord(bitstrings=("10", "10", "00", "10"), n_groups=2,
-                       seed=0, basis="ZZ")
+        r = _counts_of(_strings_to_bits(("10", "10", "00", "10")), 2, "ZZ")
         means = group_means(r, "P1")
         np.testing.assert_allclose(means, [1.0, 0.5])
-        grand, spread = grouped_statistics(r, "P1")
-        assert grand == pytest.approx(0.75)
-        assert spread == pytest.approx(np.std([1.0, 0.5], ddof=1))
+        assert means.mean() == pytest.approx(0.75)
 
     def test_pauli_pair_values(self):
         # (1-2b_i)(1-2b_j) per shot
-        r = ShotRecord(bitstrings=("10", "01", "00", "11"), n_groups=1,
-                       seed=0, basis="XX")
+        r = _counts_of(_strings_to_bits(("10", "01", "00", "11")), 1, "XX")
         means = group_means(r, "XX1")
         np.testing.assert_allclose(means, [(-1 - 1 + 1 + 1) / 4.0])
 
     def test_basis_mismatch(self):
-        r = ShotRecord(bitstrings=("00",), n_groups=1, seed=0, basis="XY")
+        r = CountRecord([[1, 0, 0, 0]], "XY")
         with pytest.raises(DomainError):
             group_means(r, "XX1")
         # matching mixed-basis estimator works
         assert group_means(r, "XY1")[0] == pytest.approx(1.0)
 
     def test_unknown_estimator(self):
-        r = ShotRecord(bitstrings=("00",), n_groups=1, seed=0, basis="ZZ")
+        r = CountRecord([[1, 0, 0, 0]], "ZZ")
         with pytest.raises(DomainError):
             group_means(r, "Q1")
         with pytest.raises(DomainError):
@@ -212,70 +195,99 @@ class TestEstimators:
             group_means(r, "ZZ2")
 
     def test_single_group_spread_is_zero(self):
-        r = ShotRecord(bitstrings=("10", "00"), n_groups=1, seed=0, basis="ZZ")
-        _, spread = grouped_statistics(r, "P1")
-        assert spread == 0.0
+        # one group per snapshot has no spread: the runner reports the means
+        # and no error bars
+        r = _counts_of(_strings_to_bits(("10", "00")), 1, "ZZ")
+        cols, errs = cli._mean_err({"P1": group_means(r, "P1")[None]})
+        np.testing.assert_array_equal(cols["P1"], [0.5])
+        assert errs == {}
 
     def test_group_spread_binomial_scale(self):
         """6 groups x 100 shots of a fair coin: the group spread statistic
         averages to sqrt(p(1-p)/100) ~ 0.05 over many seeds."""
-        st = prepare_initial_state("X+0", 2)
+        data = prepare_initial_state("X+0", 2).data
         conf = [ConfusionMatrix.perfect()] * 2
-        spreads = []
-        for seed in range(100):
-            rec = sample_shots(st, conf, "ZZ", 600, seed=seed, n_groups=6)
-            spreads.append(grouped_statistics(rec, "P1")[1])
-        mean_spread = np.mean(spreads)
-        assert 0.025 < mean_spread < 0.1
+        rec = sample_shots([data] * 100, conf, "ZZ", 600, np.arange(100),
+                           n_groups=6)
+        spreads = group_means(rec, "P1").reshape(100, 6).std(axis=1, ddof=1)
+        assert 0.025 < spreads.mean() < 0.1
 
 
 class TestReadoutCorrection:
+    """Inverse-confusion correction of each group's histogram, through
+    group_means(..., confusion=)."""
+
     def test_marginal_roundtrip(self):
-        conf = confusion_from_device(paper_device())
+        # reported one-site counts C (a, b), integers because every fidelity
+        # has three decimals, correct back to the density b / (a + b)
         rng = np.random.default_rng(31)
-        p_true = rng.uniform(0, 1, size=5)
-        p_rep = np.array([
-            (1 - c.f0) * (1 - p) + c.f1 * p for c, p in zip(conf, p_true)
-        ])
-        np.testing.assert_allclose(readout_correct(p_rep, conf), p_true, atol=1e-12)
+        for c in confusion_from_device(paper_device()):
+            true = 1000 * rng.integers(1, 1000, size=2)
+            rec = CountRecord(np.rint(c.matrix @ true)[None], "Z")
+            np.testing.assert_allclose(group_means(rec, "P1", confusion=[c]),
+                                       [true[1] / true.sum()], rtol=0,
+                                       atol=1e-12)
 
     def test_histogram_roundtrip(self):
         conf = confusion_from_device(paper_device())[:2]
         rng = np.random.default_rng(37)
-        h_true = rng.uniform(0, 1, size=4)
-        h_true /= h_true.sum()
-        fwd = np.kron(conf[0].matrix, conf[1].matrix)
-        h_rep = fwd @ h_true
-        np.testing.assert_allclose(readout_correct(h_rep, conf), h_true, atol=1e-12)
+        h_true = 10 ** 6 * rng.integers(1, 1000, size=4)
+        h_rep = np.rint(np.kron(conf[0].matrix, conf[1].matrix) @ h_true)
+        rec = CountRecord(h_rep[None], "ZZ")
+        want = np.array([h_true[2:].sum(), h_true[1::2].sum(),
+                         h_true @ [1, -1, -1, 1]]) / h_true.sum()
+        np.testing.assert_allclose(
+            group_means(rec, ["P1", "P2", "ZZ1"], confusion=conf)[0], want,
+            rtol=0, atol=1e-12)
+        # the corrected histogram itself, with the group's shot count
+        np.testing.assert_allclose(
+            measurement._correct_histograms(h_rep[None],
+                                            [c.inverse() for c in conf])[0],
+            h_true, rtol=1e-12)
 
     def test_clamping(self):
         conf = [ConfusionMatrix(f0=0.9, f1=0.9)]
-        # reported marginal below the achievable floor maps to a clamped 0
-        assert readout_correct(np.array([0.0]), conf)[0] == 0.0
+        # a reported density below the achievable floor maps to a clamped 0
+        rec = CountRecord([[100, 0]], "Z")
+        assert group_means(rec, "P1", confusion=conf)[0] == 0.0
 
     def test_clamping_both_ways(self):
-        # marginals past either end of the correctable range clamp to 0 or 1
+        # densities past either end of the correctable range clamp to 0 or
+        # 1, and each clamped histogram keeps the group's 100 shots
         conf = [ConfusionMatrix(f0=0.9, f1=0.8)] * 2
-        assert list(readout_correct(np.array([0.05, 0.95]), conf)) == \
+        rec = CountRecord([[0, 95, 5, 0]], "ZZ")  # P1 = 0.05, P2 = 0.95
+        assert list(group_means(rec, ["P1", "P2"], confusion=conf)[0]) == \
             pytest.approx([0.0, 1.0], abs=1e-15)
+        inv = [conf[0].inverse()]
+        for hist, want in (([95.0, 5.0], [100.0, 0.0]),
+                           ([5.0, 95.0], [0.0, 100.0])):
+            np.testing.assert_allclose(
+                measurement._correct_histograms(np.array([hist]), inv)[0],
+                want, rtol=1e-15)
 
     def test_histogram_without_positive_total(self):
         conf = [ConfusionMatrix(f0=0.9, f1=0.9)] * 2
-        for hist in ([0.0] * 4, [0.5, -0.5, 0.0, 0.0]):
-            with pytest.raises(DomainError, match="positive total"):
-                readout_correct(np.array(hist), conf)
+        rec = CountRecord([[3, 0, 1, 0], [0, 0, 0, 0]], "ZZ")
+        for correct in (None, conf):
+            with pytest.raises(DomainError, match="empty groups"):
+                group_means(rec, ["P1", "ZZ1"], confusion=correct)
+        # a product that clamps to nothing is refused, not divided by 0;
+        # each column of a true inverse sums to 1, so only rounding near a
+        # singular confusion gets there, and this stand-in inverse does
+        with pytest.raises(DomainError, match="empty histogram"):
+            measurement._correct_histograms(np.array([[3.0, 1.0]]),
+                                            [-np.eye(2)])
 
     def test_shape_error(self):
-        conf = confusion_from_device(paper_device())
-        with pytest.raises(DomainError):
-            readout_correct(np.zeros(7), conf)
+        with pytest.raises(DomainError, match="for 5 qubits"):
+            CountRecord(np.zeros((1, 7), dtype=int), "ZZZZZ")
 
     def test_corrected_group_means(self):
         # noisy sampling + histogram inversion recovers the ideal density
-        st = prepare_initial_state("11111", 5)
+        data = prepare_initial_state("11111", 5).data[None]
         conf = confusion_from_device(paper_device())
-        rec = sample_shots(st, conf, "ZZZZZ", 60_000, seed=13, n_groups=6)
-        grand, _ = grouped_statistics(rec, "P4", confusion=conf)
+        rec = sample_shots(data, conf, "ZZZZZ", 60_000, [13], n_groups=6)
+        grand = group_means(rec, "P4", confusion=conf).mean()
         assert abs(grand - 1.0) < 0.01
 
 
@@ -339,54 +351,21 @@ def test_group_means_match_string_reference(case):
     bits, n_groups, basis, estimator, confusion = case
     strings = tuple("".join(str(b) for b in row) for row in bits)
     want = _reference_group_means(strings, n_groups, estimator, confusion)
-    for rec in (ShotRecord(bits=bits, n_groups=n_groups, seed=0, basis=basis),
-                ShotRecord(bitstrings=strings, n_groups=n_groups, seed=0,
-                           basis=basis)):
-        np.testing.assert_array_equal(rec.bit_array(), bits)
-        assert rec.bitstrings == strings
-        got = group_means(rec, estimator, confusion=confusion)
-        # same arithmetic as the reference, so equal to the last bit
-        np.testing.assert_array_equal(got, want)
-
-
-@settings(max_examples=60, deadline=None)
-@given(spec=st.lists(st.sampled_from(["0", "1", "X+", "X-"]), min_size=2,
-                     max_size=5),
-       axes=st.data(), n_groups=st.integers(1, 5), size=st.integers(1, 50),
-       seed=st.integers(0, 2 ** 32))
-def test_save_load_roundtrip_of_sampled_record(spec, axes, n_groups, size,
-                                               seed):
-    n = len(spec)
-    basis = axes.draw(st.text(alphabet="ZXY", min_size=n, max_size=n))
-    state = prepare_initial_state("".join(spec), n)
-    conf = confusion_from_device(paper_device())[:n]
-    rec = sample_shots(state, conf, basis, n_groups * size, seed=seed,
-                       n_groups=n_groups)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "shots.txt")
-        save_shots(rec, path)
-        back = load_shots(path, n_groups=n_groups, seed=seed)
-    assert back.basis == rec.basis
-    assert back.n_groups == rec.n_groups and back.seed == rec.seed
-    assert back.bits.dtype == np.uint8
-    np.testing.assert_array_equal(back.bits, rec.bits)
+    got = group_means(_counts_of(bits, n_groups, basis), estimator,
+                      confusion=confusion)
+    # same arithmetic as the reference, so equal to the last bit
+    np.testing.assert_array_equal(got, want)
 
 
 @st.composite
 def _batches(draw):
+    """K random states on n qubits as one stack, all unit vectors or all
+    density matrices each mixing three of them, with a basis, K seeds and a
+    confusion list."""
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
-    states = []
-    for _ in range(k):
-        vecs = rng.normal(size=(3, 2 ** n)) + 1j * rng.normal(size=(3, 2 ** n))
-        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        if draw(st.booleans()):
-            states.append(QuantumState(vecs[0], full_tag(n)))
-        else:
-            weights = rng.dirichlet(np.ones(3))
-            rho = np.einsum("m,mi,mj->ij", weights, vecs, vecs.conj())
-            states.append(QuantumState(rho, full_tag(n)))
+    stack = _random_stack(n, k, seed=draw(st.integers(0, 2 ** 32)),
+                          pure=draw(st.booleans()))
     basis = draw(st.text(alphabet="ZXY", min_size=n, max_size=n))
     seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=k,
                           max_size=k))
@@ -396,44 +375,29 @@ def _batches(draw):
         confusion = confusion_from_device(paper_device())[:n]
     else:
         confusion = [ConfusionMatrix.perfect()] * n
-    return states, basis, seeds, n_shots, n_groups, confusion
+    return stack, basis, seeds, n_shots, n_groups, confusion
 
 
 @settings(max_examples=100, deadline=None)
 @given(_batches())
 def test_batch_equals_its_parts(case):
-    states, basis, seeds, n_shots, n_groups, confusion = case
-    parts = [sample_shots(s, confusion, basis, n_shots, seed,
+    # a stack's counts, and every estimate from them, are its snapshots'
+    # one-snapshot calls, one after another
+    stack, basis, seeds, n_shots, n_groups, confusion = case
+    parts = [sample_shots(stack[k:k + 1], confusion, basis, n_shots, [seed],
                           n_groups=n_groups)
-             for s, seed in zip(states, seeds)]
-    batch = sample_shots(states, confusion, basis, n_shots, seeds,
+             for k, seed in enumerate(seeds)]
+    batch = sample_shots(stack, confusion, basis, n_shots, seeds,
                          n_groups=n_groups)
-    assert batch.bits.dtype == np.uint8
-    np.testing.assert_array_equal(batch.bits,
-                                  np.vstack([p.bits for p in parts]))
-    assert batch.n_groups == len(states) * n_groups
-    assert batch.seed == seeds[0] and batch.basis == basis
-    n = len(basis)
-    estimators = [f"P{j}" for j in range(1, n + 1)]
-    estimators += [basis[b - 1:b + 1] + str(b) for b in range(1, n)
-                   if basis[b - 1:b + 1] in ("XX", "YY", "XY", "YX", "ZZ")]
-    for est in estimators:
+    np.testing.assert_array_equal(batch.counts,
+                                  np.vstack([p.counts for p in parts]))
+    assert batch.n_groups == len(stack) * n_groups and batch.basis == basis
+    for est in _estimators(basis):
         for correct in (None, confusion):
             got = group_means(batch, est, confusion=correct)
             want = np.vstack([group_means(p, est, confusion=correct)
                               for p in parts])
-            assert np.array_equal(got.reshape(len(states), n_groups), want)
-
-
-def _counts_of(record):
-    """The per-group outcome histograms of a ShotRecord, as a CountRecord."""
-    n = record.n_qubits
-    weights = 1 << np.arange(n - 1, -1, -1)  # site 1 most significant
-    outcome = record.bits.astype(np.int64) @ weights
-    group = np.arange(record.n_shots) // (record.n_shots // record.n_groups)
-    counts = np.bincount((group << n) + outcome,
-                         minlength=record.n_groups << n)
-    return CountRecord(counts.reshape(record.n_groups, 1 << n), record.basis)
+            assert np.array_equal(got.reshape(len(stack), n_groups), want)
 
 
 def _estimators(basis):
@@ -446,17 +410,20 @@ def _estimators(basis):
 @settings(max_examples=200, deadline=None)
 @given(_records())
 def test_counts_of_a_record_give_its_means(case):
-    # a ShotRecord and its histograms give the same means to the last bit,
-    # with and without readout correction
-    bits, n_groups, basis, _, confusion = case
-    rec = ShotRecord(bits=bits, n_groups=n_groups, seed=0, basis=basis)
-    counts = _counts_of(rec)
+    # the histograms of drawn shots give every estimator of their basis as
+    # the string reference does, to the last bit, with and without readout
+    # correction
+    bits, n_groups, basis, _, _ = case
+    counts = _counts_of(bits, n_groups, basis)
     assert counts.n_groups == n_groups
+    np.testing.assert_array_equal(counts.counts.sum(axis=1),
+                                  len(bits) // n_groups)
+    strings = tuple("".join(str(b) for b in row) for row in bits)
     for est in _estimators(basis):
         for correct in (None, confusion_from_device(paper_device())[:len(basis)]):
             np.testing.assert_array_equal(
                 group_means(counts, est, confusion=correct),
-                group_means(rec, est, confusion=correct))
+                _reference_group_means(strings, n_groups, est, correct))
 
 
 def _axis_sum_counts(record, sites):
@@ -484,11 +451,10 @@ def _count_records(draw):
 @given(_records(), _count_records(), st.data())
 def test_one_pass_equals_the_per_name_calls(case, drawn, data):
     # group_means over a list of names gives, column by column, each name's
-    # own call to the last bit, for both record kinds and with and without
-    # readout correction
-    bits, n_groups, basis, _, confusion = case
-    shots = ShotRecord(bits=bits, n_groups=n_groups, seed=0, basis=basis)
-    for rec in (shots, _counts_of(shots), drawn):
+    # own call to the last bit, for counts of drawn bits and for a drawn
+    # CountRecord, with and without readout correction
+    bits, n_groups, basis, _, _ = case
+    for rec in (_counts_of(bits, n_groups, basis), drawn):
         n = rec.n_qubits
         names = data.draw(st.lists(st.sampled_from(_estimators(rec.basis)),
                                    min_size=1, max_size=6))
@@ -530,7 +496,7 @@ class TestCounts:
     def test_pure_z_state_with_perfect_readout_is_deterministic(self):
         stack = np.array([prepare_initial_state(s, 5).data
                           for s in ("10011", "00000", "11111")])
-        rec = sample_counts(stack, PERFECT, "ZZZZZ", 60, [4, 5, 6], n_groups=3)
+        rec = sample_shots(stack, PERFECT, "ZZZZZ", 60, [4, 5, 6], n_groups=3)
         want = np.zeros((9, 32), dtype=np.int64)
         for k, outcome in enumerate((0b10011, 0, 0b11111)):
             want[3 * k:3 * k + 3, outcome] = 20
@@ -541,7 +507,7 @@ class TestCounts:
     def test_counts_sum_to_the_group_size(self):
         stack = _random_stack(3, 4, seed=2)
         conf = confusion_from_device(paper_device())[:3]
-        rec = sample_counts(stack, conf, "XYZ", 90, [1, 2, 3, 4], n_groups=3)
+        rec = sample_shots(stack, conf, "XYZ", 90, [1, 2, 3, 4], n_groups=3)
         assert rec.counts.shape == (12, 8) and rec.n_groups == 12
         np.testing.assert_array_equal(rec.counts.sum(axis=1), 30)
         assert rec.basis == "XYZ"
@@ -552,41 +518,64 @@ class TestCounts:
         seeds = [11, 12, 13, 14]
         for pure in (False, True):
             stack = _random_stack(3, 4, seed=5, pure=pure)
-            batch = sample_counts(stack, conf, "XZY", 40, seeds, n_groups=2)
+            batch = sample_shots(stack, conf, "XZY", 40, seeds, n_groups=2)
             for k, seed in enumerate(seeds):
-                one = sample_counts(stack[k:k + 1], conf, "XZY", 40, [seed],
+                one = sample_shots(stack[k:k + 1], conf, "XZY", 40, [seed],
                                     n_groups=2)
                 np.testing.assert_array_equal(one.counts,
                                               batch.counts[2 * k:2 * k + 2])
 
-    @pytest.mark.parametrize("basis, pure", [
-        ("XYZX", True), ("YXXY", False), ("ZZZZ", False)])
-    def test_same_distribution_as_the_shot_sampler(self, basis, pure):
-        # 400 snapshots of one state, each with its own seed, through both
-        # samplers: 2400 group means of 100 shots each. Their averages agree
-        # within 4 standard errors of the difference, and their spreads
-        # within 10% (the standard error of a spread over 2400 groups is
-        # about 1.4%).
-        n, k = 4, 400
-        data = _random_stack(n, 1, seed=8, pure=pure)[0]
-        state = QuantumState(data, full_tag(n))
+    @pytest.mark.parametrize("basis, pure, on_support", [
+        ("ZZZZ", True, True), ("ZZZZ", False, False), ("XYZX", True, False),
+        ("YXXY", False, True)])
+    def test_pooled_counts_follow_the_confused_born_law(self, basis, pure,
+                                                        on_support):
+        # 200 snapshots of one state on 4 qubits, each drawn from its own
+        # seed, pool to one multinomial of 120 000 shots from the exact law
+        # q = (C_1 x ... x C_4) p of table-s1 readout, p = diag(U rho U^dag)
+        # after the basis pre-rotation U. Pearson's statistic against q stays
+        # below the chi-square quantile at p = 1e-6 (15 degrees of freedom);
+        # against p, the law with the confusion dropped, it does not. The
+        # state lives on the 10 states of one or two excitations, passed as
+        # the support, or on the whole space.
+        n, k, n_shots = 4, 200, 600
+        full = np.arange(16)
+        support = full[[bin(i).count("1") in (1, 2) for i in full]] \
+            if on_support else full
+        rng = np.random.default_rng(8)
+        vecs = rng.normal(size=(3, support.size)) \
+            + 1j * rng.normal(size=(3, support.size))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        rho = np.zeros((16, 16), dtype=complex)
+        if pure:
+            data = vecs[0]
+            rho[np.ix_(support, support)] = np.outer(data, data.conj())
+        else:
+            weights = rng.dirichlet(np.ones(3))
+            data = np.einsum("m,mi,mj->ij", weights, vecs, vecs.conj())
+            rho[np.ix_(support, support)] = data
+        u = functools.reduce(np.kron, [_AXIS_ROT[a] for a in basis])
+        born = np.real(np.diag(u @ rho @ u.conj().T))
         conf = confusion_from_device(paper_device())[:n]
-        seeds = list(range(1000, 1000 + k))
-        counts = sample_counts(np.array([data] * k), conf, basis, 600, seeds,
-                               n_groups=6)
-        shots = sample_shots([state] * k, conf, basis, 600,
-                             [s + 10 ** 6 for s in seeds], n_groups=6)
-        for est in _estimators(basis):
-            for correct in (None, conf):
-                a = group_means(counts, est, confusion=correct)
-                b = group_means(shots, est, confusion=correct)
-                se = np.sqrt((a.var() + b.var()) / a.size)
-                assert abs(a.mean() - b.mean()) < 4 * se, est
-                assert abs(a.std() / b.std() - 1.0) < 0.10, est
+        law = functools.reduce(np.kron, [c.matrix for c in conf]) @ born
+        rec = sample_shots(np.array([data] * k), conf, basis, n_shots,
+                           np.arange(5000, 5000 + k), n_groups=6,
+                           support=support if on_support else None)
+        pooled = rec.counts.sum(axis=0)
+        total = k * n_shots
+        assert pooled.sum() == total and (total * law).min() >= 5
+
+        def pearson(p):
+            with np.errstate(divide="ignore"):
+                return np.sum((pooled - total * p) ** 2 / (total * p))
+
+        bound = chi2.isf(1e-6, df=15)
+        assert pearson(law) < bound
+        assert pearson(born) > bound
 
     @pytest.mark.parametrize("pure", [True, False])
     def test_born_kernel_matches_the_per_state_rotation(self, pure):
-        # the batched kernel both samplers use, against diag(U rho U^dag)
+        # the sampler's batched kernel, against diag(U rho U^dag)
         # computed one state at a time
         basis = "XYZ"
         stack = _random_stack(3, 5, seed=12, pure=pure)
@@ -602,25 +591,23 @@ class TestCounts:
         conf = [ConfusionMatrix.perfect()] * 2
         good = np.array([prepare_initial_state("01", 2).data] * 2)
         with pytest.raises(StateSpecError, match="full-space"):
-            sample_counts(good[:, :3], conf, "ZZ", 10, [1, 2])
+            sample_shots(good[:, :3], conf, "ZZ", 10, [1, 2])
         with pytest.raises(DomainError, match="^snapshot 1: state vector norm"):
-            sample_counts(good * [[1], [2]], conf, "ZZ", 10, [1, 2])
+            sample_shots(good * [[1], [2]], conf, "ZZ", 10, [1, 2])
         rho = np.array([np.outer(v, v.conj()) for v in good])
         with pytest.raises(DomainError, match="^snapshot 0: density matrix trace"):
-            sample_counts(rho * 1.1, conf, "ZZ", 10, [1, 2])
+            sample_shots(rho * 1.1, conf, "ZZ", 10, [1, 2])
         skew = rho.copy()
         skew[1, 0, 1] = 1e-6
         with pytest.raises(DomainError, match="^snapshot 1: .* not Hermitian"):
-            sample_counts(skew, conf, "ZZ", 10, [1, 2])
+            sample_shots(skew, conf, "ZZ", 10, [1, 2])
         with pytest.raises(DomainError, match="one seed per state"):
-            sample_counts(good, conf, "ZZ", 10, [1])
+            sample_shots(good, conf, "ZZ", 10, [1])
         with pytest.raises(DomainError, match="not divisible into 3 groups"):
-            sample_counts(good, conf, "ZZ", 10, [1, 2], n_groups=3)
-        # both samplers share the argument checks; an empty basis is refused
+            sample_shots(good, conf, "ZZ", 10, [1, 2], n_groups=3)
+        # an empty basis is refused
         with pytest.raises(DomainError, match="^basis must be over"):
-            sample_counts(good, [], "", 10, [1, 2])
-        with pytest.raises(DomainError, match="^basis must be over"):
-            sample_shots(QuantumState(good[0], full_tag(2)), [], "", 10, 1)
+            sample_shots(good, [], "", 10, [1, 2])
 
     def test_record_checks(self):
         with pytest.raises(DomainError, match="for 2 qubits"):
@@ -650,10 +637,10 @@ class TestCounts:
         stack /= np.linalg.norm(stack, axis=1, keepdims=True)
         conf = [ConfusionMatrix(f0=0.97, f1=0.92)] * n
         args = (stack, conf, "Z" * n, 100, np.arange(snapshots))
-        sample_counts(*args, n_groups=10, support=support)  # first-call set-up
+        sample_shots(*args, n_groups=10, support=support)  # first-call set-up
         tracemalloc.start()
         try:
-            rec = sample_counts(*args, n_groups=10, support=support)
+            rec = sample_shots(*args, n_groups=10, support=support)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -733,9 +720,9 @@ class TestSupportArgument:
             full[:, support[:, None], support] = stack
         conf = confusion_from_device(paper_device())[:4]
         seeds = list(range(20, 26))
-        got = sample_counts(stack, conf, basis, 600, seeds, n_groups=6,
+        got = sample_shots(stack, conf, basis, 600, seeds, n_groups=6,
                             support=support)
-        want = sample_counts(full, conf, basis, 600, seeds, n_groups=6)
+        want = sample_shots(full, conf, basis, 600, seeds, n_groups=6)
         np.testing.assert_array_equal(got.counts, want.counts)
 
     @pytest.mark.parametrize("support", [[2, 1], [1, 1], [-1, 2], [3, 16],
@@ -743,13 +730,13 @@ class TestSupportArgument:
     def test_bad_support_refused(self, support):
         good = np.array([prepare_initial_state("0001", 4).data[:2]])
         with pytest.raises(DomainError, match="^support must be ascending"):
-            sample_counts(good, PERFECT[:4], "ZZZZ", 10, [1], support=support)
+            sample_shots(good, PERFECT[:4], "ZZZZ", 10, [1], support=support)
 
     def test_stack_must_fit_the_support(self):
         vec = np.array([[1.0, 0.0, 0.0]])
         with pytest.raises(StateSpecError, match="on 2 of the full-space "
                            "states of 4 qubits, got a stack of shape"):
-            sample_counts(vec, PERFECT[:4], "ZZZZ", 10, [1], support=[0, 5])
+            sample_shots(vec, PERFECT[:4], "ZZZZ", 10, [1], support=[0, 5])
 
 
 class TestKeyedStreams:
