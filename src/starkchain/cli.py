@@ -24,9 +24,8 @@ from .analysis import boundary_peak, linear_fit, wsl_length_from_boundary
 from .config import (EXPERIMENTS, _excitation_range, _f_label, parse_config,
                      read_config)
 from .device import ANGULAR_PER_MHZ, PotentialSpec
-# evolve_unitary is bound here, unused, for perfbench's tracer test
-from .dynamics import (_evolve, evolve_unitary,  # noqa: F401
-                       make_collapse_ops, prepare_initial_state)
+from .dynamics import (evolve_lindblad, evolve_unitary, make_collapse_ops,
+                       prepare_initial_state)
 from .errors import ConfigError, NoWavefrontError, StarkchainError
 from .measurement import ConfusionMatrix, group_means, sample_shots
 from .model import (_basis_states, build_observable, build_sector_basis,
@@ -137,10 +136,13 @@ def _sampled(config, potential, f_index, settings):
     estimator's group means reshape to (nt, n_groups).
     """
     h, state, basis, collapse = _route(config, potential, config.noise)
-    support, data = _evolve(h, state, _times(config), collapse)
+    if collapse is None:
+        data = evolve_unitary(h, state, _times(config))
+    else:
+        data = evolve_lindblad(h, state, _times(config), collapse)
     # full-space indices descend as basis positions ascend: reverse the
-    # support and both axes of a density stack
-    support = _basis_states(basis, basis.n_sites)[0][support[::-1]]
+    # basis states and both axes of a density stack
+    support = _basis_states(basis, basis.n_sites)[0][::-1]
     data = data[:, ::-1, ::-1] if data.ndim == 3 else data[:, ::-1]
     confusion = _confusion_list(config)
     correct = confusion if config.readout_correction else None

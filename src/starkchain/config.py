@@ -37,10 +37,13 @@ MAX_SHOTS = 10 ** 9
 # cap on the outcome counts a shot run holds at once (_count_entries): 2^26
 # int64 entries are 512 MiB. The paper's runs hold 151 x 10 x 2^5; an ideal
 # spin_transport with paper shots fits up to 16 qubits on the paper grid.
-# An ideal run's basis is held to it per snapshot: "X+" on up to 18 qubits
-# on the paper grid.
+# A run's snapshot stack is held to it too, 2^26 complex entries being
+# 1 GiB: snapshots x s for an ideal run on s basis states, "X+" on up to 18
+# qubits on the paper grid, and snapshots x s^2 for a Lindblad run, up to
+# 666 states on the paper grid.
 MAX_COUNT_ENTRIES = 1 << 26
-LINDBLAD_SUPPORT_CAP = 1024  # basis states of a Lindblad run, ten qubits' worth
+# basis states of a Lindblad run, ten qubits' worth: the bound on its generator
+LINDBLAD_SUPPORT_CAP = 1024
 
 _TWO_SETTING = {"thermal_transport", "spin_current"}
 # experiments whose CSVs carry an _err column next to each sampled value
@@ -376,17 +379,23 @@ def parse_config(raw, default_experiment=None):
                  f"a shot run on {device.n_qubits} qubits holds {entries} "
                  f"outcome counts (snapshots x n_groups x 2^n), above the "
                  f"budget of {MAX_COUNT_ENTRIES}")
-    # the basis of each noise model the run evolves under
+    # the basis and the snapshot stack of each noise model the run evolves
+    # under: state vectors, or density matrices, whose generator is capped
+    # on the basis
     for model in (("ideal", "lindblad") if experiment == "decoherence_check"
                   else (noise,)):
         size = _basis_size(device.n_qubits, _excitation_range(initial, model))
-        held, what, budget = (
-            (size, "basis states", LINDBLAD_SUPPORT_CAP) if model == "lindblad"
-            else (_count_entries(0, t_max, dt, 1) * size,
-                  "entries (snapshots x basis states)", MAX_COUNT_ENTRIES))
-        _require(held <= budget, "device.n_qubits", f"the {model} run on "
-                 f"{device.n_qubits} qubits from this initial_state holds "
-                 f"{held} {what}, above the budget of {budget}")
+        holds = (f"the {model} run on {device.n_qubits} qubits from this "
+                 f"initial_state holds")
+        lindblad = model == "lindblad"
+        _require(not lindblad or size <= LINDBLAD_SUPPORT_CAP, "device.n_qubits",
+                 f"{holds} {size} basis states, above the budget of "
+                 f"{LINDBLAD_SUPPORT_CAP}")
+        held = _count_entries(0, t_max, dt, 1) * size ** (1 + lindblad)
+        _require(held <= MAX_COUNT_ENTRIES, "device.n_qubits",
+                 f"{holds} {held} entries (snapshots x basis states"
+                 f"{'^2' if lindblad else ''}), above the budget of "
+                 f"{MAX_COUNT_ENTRIES}")
 
     correction = raw.get("readout_correction", False)
     if not isinstance(correction, bool):

@@ -413,12 +413,12 @@ def _hermitian_coordinates(size, rows, cols, vals):
                    np.concatenate([term_val.real, term_val.imag[mirror]]))
 
 
-def _lindblad(hamiltonian, state, times, collapse):
+def evolve_lindblad(hamiltonian, state, times, collapse):
     """Master-equation evolution with an exact propagator between snapshots,
-    drho/dt = -i[H, rho] + sum_k (C_k rho C_k+ - {C_k+ C_k, rho}/2), as
-    (support, stack): the sorted basis indices reachable from the state (6
-    of 32 on the full space for "10000", all 6 on its counts 0..1) and the
-    (n_times, s, s) density matrices on them, in the order of times.
+    drho/dt = -i[H, rho] + sum_k (C_k rho C_k+ - {C_k+ C_k, rho}/2), as the
+    (n_times, dim, dim) density matrices on the state's basis, in the order
+    of times, zero outside the sorted basis indices reachable from the state
+    (6 of 32 on the full space for "10000", all 6 on its counts 0..1).
 
     A support above LINDBLAD_SUPPORT_CAP states is refused before the
     generator is assembled on it, with numpy, from the operators' entries.
@@ -436,7 +436,8 @@ def _lindblad(hamiltonian, state, times, collapse):
     expm_multiply on the whole generator. The snapshots are built, and
     checked for Hermiticity, trace and positivity, a stack of up to
     CHECK_STACK_ENTRIES entries at a time, and a NumericalConsistencyError
-    names the earliest that fails.
+    names the earliest that fails. Each checked stack goes straight into
+    the output.
     """
     import scipy.linalg
     import scipy.sparse.linalg
@@ -512,7 +513,9 @@ def _lindblad(hamiltonian, state, times, collapse):
     cur, nxt = [(vec, [vec[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
                 for vec in np.empty((2, perm.size))]
     cur[0][:] = start[perm]
-    out = np.empty((times.size, size, size), dtype=complex)
+    whole_basis = size == hamiltonian.dim
+    out = (np.empty if whole_basis else np.zeros)(
+        (times.size, hamiltonian.dim, hamiltonian.dim), dtype=complex)
     first = 0  # the step whose coordinates are pending[0]
     for i, dt in enumerate(steps):
         if dt * norm >= _UNIT_ROUNDOFF:
@@ -540,25 +543,9 @@ def _lindblad(hamiltonian, state, times, collapse):
             entries.real = pending[:at.size, re]
             entries.imag = pending[:at.size, im] * sign
             _check_blocks(stack, times[at])
-            out[at] = stack
+            if whole_basis:
+                out[at] = stack
+            else:
+                out[np.ix_(at, support, support)] = stack
             first = i + 1
-    return support, out
-
-
-def evolve_lindblad(hamiltonian, state, times, collapse):
-    """_lindblad's snapshots scattered into the full basis: an (n_times,
-    dim, dim) array of density matrices, zero outside the reachable block."""
-    support, stack = _lindblad(hamiltonian, state, times, collapse)
-    out = np.zeros((len(stack), hamiltonian.dim, hamiltonian.dim), dtype=complex)
-    out[:, support[:, None], support] = stack
     return out
-
-
-def _evolve(hamiltonian, state, times, collapse=None):
-    """(support, snapshots) of state at times: every basis index and
-    evolve_unitary's pure states without a collapse set, _lindblad's with
-    one."""
-    if collapse is None:
-        return (np.arange(hamiltonian.dim),
-                evolve_unitary(hamiltonian, state, times))
-    return _lindblad(hamiltonian, state, times, collapse)

@@ -4,10 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# evolve_unitary is bound here, unused, for perfbench's tracer test
-from .dynamics import _checked_times, _evolve, evolve_unitary  # noqa: F401
+from .dynamics import _checked_times, evolve_lindblad, evolve_unitary
 from .errors import DomainError, NumericalConsistencyError
-from .model import _restricted
 
 IMAG_ERROR_TOL = 1e-8
 
@@ -58,21 +56,17 @@ class TrajectoryTable:
         return self.columns[name]
 
 
-def _expectations(snapshots, operators, support=None):
-    """(T, K) complex <O_k> on T stacked state vectors (T, s) or density
-    matrices (T, s, s) on support, the s ascending basis indices they live
-    on (None: the whole basis), gathered at each OperatorMatrix's stored
-    entries (r, c, v) inside the support: <psi|O|psi> = sum v psi*[r] psi[c]
-    and tr(O rho) = sum v rho[c, r]."""
-    if support is None:
-        support = np.arange(snapshots.shape[1])
+def _expectations(snapshots, operators):
+    """(T, K) complex <O_k> on T stacked state vectors (T, d) or density
+    matrices (T, d, d), gathered at each OperatorMatrix's stored entries
+    (r, c, v): <psi|O|psi> = sum v psi*[r] psi[c] and tr(O rho) = sum v
+    rho[c, r]."""
     out = np.empty((len(snapshots), len(operators)), dtype=complex)
     for k, o in enumerate(operators):
-        rows, cols, vals = _restricted(support, o.rows, o.cols, o.vals)
         if snapshots.ndim == 3:
-            out[:, k] = snapshots[:, cols, rows] @ vals
+            out[:, k] = snapshots[:, o.cols, o.rows] @ o.vals
         else:
-            out[:, k] = (snapshots[:, rows].conj() * snapshots[:, cols]) @ vals
+            out[:, k] = (snapshots[:, o.rows].conj() * snapshots[:, o.cols]) @ o.vals
     return out
 
 
@@ -111,8 +105,11 @@ def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
         if not o.is_hermitian():
             raise DomainError(f"observable {n!r} is not Hermitian")
     times_ns = _checked_times(times_ns)
-    support, snapshots = _evolve(hamiltonian, state, times_ns, collapse)
-    data = _expectations(snapshots, list(observables.values()), support)
+    if collapse is None:
+        snapshots = evolve_unitary(hamiltonian, state, times_ns)
+    else:
+        snapshots = evolve_lindblad(hamiltonian, state, times_ns, collapse)
+    data = _expectations(snapshots, list(observables.values()))
     imax = float(np.max(np.abs(data.imag), initial=0.0))
     if imax >= IMAG_ERROR_TOL:
         raise NumericalConsistencyError(f"trajectory imaginary residue {imax:.3e}")

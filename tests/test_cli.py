@@ -27,7 +27,7 @@ from starkchain import (
     single_particle_matrix,
     trajectory,
 )
-from starkchain import cli
+from starkchain import cli, observables
 from starkchain.cli import main, run
 from starkchain.config import EXPERIMENTS
 from starkchain.model import _basis_states
@@ -275,8 +275,8 @@ class TestRoutes:
         assert collapse is None or collapse.basis_tag == basis.tag
 
     def test_noisy_eleven_qubits(self, tmp_path):
-        # 2048 dimensions, 12 reachable states: the solver's cap is on the
-        # support, so the run goes through
+        # 2048 dimensions, of which the run takes the 12 states of counts
+        # 0..1, under the cap on a Lindblad basis
         cfg = parse_config(_uniform(11, experiment="spin_transport",
                                     noise="lindblad", t_max=8.0, dt_sample=2.0))
         run(cfg, out_dir=str(tmp_path))
@@ -982,3 +982,30 @@ def test_runner_samples_through_the_traced_name(tmp_path, monkeypatch):
     for name in plain["outputs"]:
         assert (tmp_path / "wrapped" / name).read_bytes() \
             == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_runs_evolve_through_the_traced_names(tmp_path, monkeypatch):
+    # the runner and trajectory call the solvers through the names cli and
+    # observables bind, the bindings perfbench's tracer wraps for
+    # dynamics.evolve_unitary and dynamics.evolve_lindblad: one call per
+    # gradient and noise model
+    calls = []
+    for module in (cli, observables):
+        for name in ("evolve_unitary", "evolve_lindblad"):
+            def counted(*args, _solver=getattr(module, name),
+                        _key=f"{module.__name__.split('.')[-1]}.{name}"):
+                calls.append(_key)
+                return _solver(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    base = {"F": [10, 15], "t_max": 20}
+    for raw, want in (
+            ({"experiment": "spin_current", "noise": "lindblad"},
+             ["cli.evolve_lindblad"] * 2),
+            ({"experiment": "spin_transport", "shots": "paper"},
+             ["cli.evolve_unitary"] * 2),
+            ({"experiment": "decoherence_check"},
+             ["observables.evolve_unitary", "observables.evolve_lindblad"] * 2)):
+        calls.clear()
+        run(parse_config(dict(base, **raw)), out_dir=str(tmp_path))
+        assert calls == want

@@ -449,6 +449,23 @@ class TestCountBudget:
                            r"basis states, above the budget of 1024$"):
             parse_config(chain(11, "X+" * 10 + "0", **raw))
 
+    @pytest.mark.parametrize("experiment", ["spin_transport", "decoherence_check"])
+    def test_lindblad_snapshot_stack_held_to_the_budget(self, experiment):
+        # X+ on all 10 qubits reaches the 1024 states the generator is capped
+        # at; 151 snapshots of 1024^2 complex entries would take 2.5 GB, and
+        # 64 of them are the budget exactly
+        raw = dict(self._chain(10, experiment=experiment, noise="lindblad",
+                               shots="none"), initial_state="X+" * 10)
+        with pytest.raises(ConfigError, match=r"^device\.n_qubits: the lindblad "
+                           r"run on 10 qubits from this initial_state holds "
+                           r"158334976 entries \(snapshots x basis states\^2\), "
+                           r"above the budget of 67108864$"):
+            parse_config(raw)
+        assert _count_entries(0, 126.0, 2.0, 1) << 20 == MAX_COUNT_ENTRIES
+        assert parse_config(dict(raw, t_max=126.0)).device.n_qubits == 10
+        with pytest.raises(ConfigError, match=r"^device\.n_qubits: "):
+            parse_config(dict(raw, t_max=128.0))
+
     def test_paper_and_sweep_runs_fit(self):
         # the paper's shot runs, and an ideal spin_transport with paper
         # shots up to 16 qubits on the paper grid

@@ -32,6 +32,7 @@ from starkchain import (
     single_particle_matrix,
 )
 from starkchain import dynamics
+from starkchain.config import _excitation_range
 from starkchain.dynamics import _generator_blocks, _liouvillian, _reachable_states
 from starkchain.model import DENSE_DIM_CAP, _restricted
 
@@ -707,27 +708,32 @@ def test_lindblad_matches_dense_expm_random_chains(chain):
 # numpy's global random state: two calls must still agree bit for bit
 @example((4, [0.0, 20.0, 1.0], -19.0, [1.0] * 4, [1.0] * 4, "00X+X+",
           "as-given", np.array([66.0])))
-def test_support_stack_scatters_to_evolve_lindblad(chain):
-    # the solver's (support, stack), scattered to the full space, is what
-    # evolve_lindblad returns, and the support holds the whole state
+def test_full_space_run_equals_the_sector_range_run(chain):
+    # on the full space the solver's snapshots are its run on the states of
+    # the counts the start reaches, as on that basis, and zero elsewhere
     n, couplings, tilt, t1, t2, spec, dephasing, times = chain
     dev = DeviceParams.uniform(n).replace(coupling_mhz=couplings, t1_us=t1,
                                           t2star_us=t2)
+
+    def run(basis):
+        return evolve_lindblad(
+            build_xy_hamiltonian(dev, PotentialSpec.linear(tilt), basis=basis),
+            prepare_initial_state(spec, n, basis=basis), times,
+            make_collapse_ops(dev, dephasing=dephasing, basis=basis))
+
+    full = run(None)
+    assert full.shape == (times.size, 2 ** n, 2 ** n)
+    np.testing.assert_array_equal(full, run(None))
     h = build_xy_hamiltonian(dev, PotentialSpec.linear(tilt))
     col = make_collapse_ops(dev, dephasing=dephasing)
     state = prepare_initial_state(spec, n)
-    support, stack = dynamics._evolve(h, state, times, col)
-    np.testing.assert_array_equal(
-        support, _reachable_states(state.to_density().data, h, col))
-    assert stack.shape == (times.size, support.size, support.size)
-    full = np.zeros((times.size, 2 ** n, 2 ** n), dtype=complex)
-    full[:, support[:, None], support] = stack
-    np.testing.assert_array_equal(full, evolve_lindblad(h, state, times, col))
     assert np.max(np.abs(full - _dense_lindblad(h, col, state, times))) <= 1e-10
-    # without a collapse set every basis index is the support
-    support, stack = dynamics._evolve(h, state, times)
-    np.testing.assert_array_equal(support, np.arange(2 ** n))
-    np.testing.assert_array_equal(stack, evolve_unitary(h, state, times))
+    basis = build_sector_basis(n, _excitation_range(spec, "lindblad"))
+    keep = np.array([full_index(s) for s in basis.states])
+    block = (slice(None), keep[:, None], keep)
+    assert np.max(np.abs(full[block] - run(basis))) <= 1e-12
+    full[block] = 0.0
+    assert not full.any()
 
 
 def test_expm_multiply_steps_ignore_global_random_state():
@@ -750,21 +756,25 @@ def test_expm_multiply_steps_ignore_global_random_state():
 
 class TestSupportCap:
     @staticmethod
-    def _chain(n):
+    def _chain(n, basis=None):
         dev = DeviceParams.uniform(n, t1_us=20.0, t2star_us=2.0)
-        return build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0)), \
-            make_collapse_ops(dev)
+        return build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0), basis=basis), \
+            make_collapse_ops(dev, basis=basis)
 
     def test_eleven_qubits_from_one_excitation(self):
-        # 2048 basis states, of which one excitation reaches 12: its sector
-        # and the vacuum
-        h, col = self._chain(11)
-        support, stack = dynamics._evolve(
-            h, prepare_initial_state("1" + "0" * 10, 11), [0.0, 10.0, 20.0], col)
-        np.testing.assert_array_equal(support, [0] + [1 << k for k in range(11)])
-        assert stack.shape == (3, 12, 12)
-        np.testing.assert_allclose(np.trace(stack, axis1=1, axis2=2), 1.0,
+        # counts 0..2 of 11 qubits are 67 states, of which one excitation
+        # reaches 12: its sector and the vacuum
+        basis = build_sector_basis(11, (0, 2))
+        h, col = self._chain(11, basis)
+        state = prepare_initial_state("1" + "0" * 10, 11, basis=basis)
+        keep = [i for i, s in enumerate(basis.states) if sum(s) <= 1]
+        np.testing.assert_array_equal(_reachable_states(state.data, h, col), keep)
+        got = evolve_lindblad(h, state, [0.0, 10.0, 20.0], col)
+        assert got.shape == (3, 67, 67)
+        np.testing.assert_allclose(np.trace(got, axis1=1, axis2=2), 1.0,
                                    atol=1e-12)
+        got[:, np.array(keep)[:, None], keep] = 0.0
+        assert not got.any()
 
     def test_refused_before_the_generator_is_built(self, monkeypatch):
         def unbuilt(*args):
@@ -774,7 +784,7 @@ class TestSupportCap:
         h, col = self._chain(11)
         with pytest.raises(DomainError, match="^lindblad solver is capped at 1024 "
                            "reachable basis states, got 2048$"):
-            dynamics._evolve(h, prepare_initial_state("X+" * 11, 11), [0.0], col)
+            evolve_lindblad(h, prepare_initial_state("X+" * 11, 11), [0.0], col)
         monkeypatch.setattr(dynamics, "LINDBLAD_SUPPORT_CAP", 11)
         with pytest.raises(DomainError, match="capped at 11 reachable basis "
                            "states, got 12$"):
@@ -870,31 +880,34 @@ def test_snapshots_are_hermitian_by_construction(chain):
     # each entry below the diagonal is read from the same real coordinate
     # as its mirror, so no snapshot needs a Hermitian part taken
     h, col, state, times = chain
-    support, stack = dynamics._lindblad(h, state, times, col)
+    stack = evolve_lindblad(h, state, times, col)
     np.testing.assert_array_equal(stack, stack.conj().transpose(0, 2, 1))
 
 
 def test_peak_memory_is_the_output_and_the_generator():
-    # X+X+000 over 2000 snapshots: out is 2000 x 16 x 16 complex, 8.2 MB,
-    # the generator's entries 45 kB. Besides them the solver holds one check
+    # X+X+000 over 2000 snapshots on its counts 0..2, every one of the 16
+    # states reached: out is 2000 x 16 x 16 complex, 8.2 MB, the
+    # generator's entries 45 kB. Besides them the solver holds one check
     # stack at a time, and the propagators and expm's work arrays fit in
     # the quarter of out allowed; a second full-size stack of the real
     # coordinates would take half of out
     dev = paper_device()
-    h = build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0))
-    col = make_collapse_ops(dev)
-    state = prepare_initial_state("X+X+000", 5)
+    basis = build_sector_basis(5, (0, 2))
+    h = build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0), basis=basis)
+    col = make_collapse_ops(dev, basis=basis)
+    state = prepare_initial_state("X+X+000", 5, basis=basis)
+    assert _reachable_states(state.data, h, col).size == h.dim == 16
     times = 0.125 * np.arange(2000)  # one exact step
-    dynamics._lindblad(h, state, times[:3], col)  # imports and first-call set-up
+    evolve_lindblad(h, state, times[:3], col)  # imports and first-call set-up
     tracemalloc.start()
     try:
-        support, out = dynamics._lindblad(h, state, times, col)
+        out = evolve_lindblad(h, state, times, col)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    generator = _liouvillian(_on(h, support),
-                             [_on(op, support) for op in col.operators],
-                             support.size)
+    generator = _liouvillian((h.rows, h.cols, h.vals),
+                             [(op.rows, op.cols, op.vals) for op in col.operators],
+                             h.dim)
     assert out.shape == (2000, 16, 16)
     assert peak < 1.25 * out.nbytes + sum(a.nbytes for a in generator)
 

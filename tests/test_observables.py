@@ -292,19 +292,6 @@ def test_kernel_matches_dense_reference(space, n_times):
                       (_expectations(rho, ops), want_rho)):
         assert got.shape == (n_times, len(ops))
         np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12)
-    # the same snapshots zeroed off a random support, given on it alone
-    dim = ops[0].dim
-    support = np.sort(rng.choice(dim, size=rng.integers(1, dim + 1), replace=False))
-    off = np.setdiff1d(np.arange(dim), support)
-    psi[:, off] = 0.0
-    rho[:, off] = 0.0
-    rho[:, :, off] = 0.0
-    want_vec = np.array([[np.vdot(v, m @ v) for m in dense] for v in psi])
-    want_rho = np.array([[np.trace(m @ r) for m in dense] for r in rho])
-    for got, want in ((_expectations(psi[:, support], ops, support), want_vec),
-                      (_expectations(rho[:, support][:, :, support], ops, support),
-                       want_rho)):
-        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12)
 
 
 # a subnormal time step makes scipy's expm_multiply warn about 0/0
