@@ -436,8 +436,8 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     expm_multiply on the whole generator. The snapshots are built, and
     checked for Hermiticity, trace and positivity, a stack of up to
     CHECK_STACK_ENTRIES entries at a time, and a NumericalConsistencyError
-    names the earliest that fails. Each checked stack goes straight into
-    the output.
+    names the earliest that fails. Each checked stack is scattered straight
+    into the zeroed output.
     """
     import scipy.linalg
     import scipy.sparse.linalg
@@ -513,9 +513,8 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     cur, nxt = [(vec, [vec[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
                 for vec in np.empty((2, perm.size))]
     cur[0][:] = start[perm]
-    whole_basis = size == hamiltonian.dim
-    out = (np.empty if whole_basis else np.zeros)(
-        (times.size, hamiltonian.dim, hamiltonian.dim), dtype=complex)
+    out = np.zeros((times.size, hamiltonian.dim, hamiltonian.dim),
+                   dtype=complex)
     first = 0  # the step whose coordinates are pending[0]
     for i, dt in enumerate(steps):
         if dt * norm >= _UNIT_ROUNDOFF:
@@ -543,9 +542,6 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
             entries.real = pending[:at.size, re]
             entries.imag = pending[:at.size, im] * sign
             _check_blocks(stack, times[at])
-            if whole_basis:
-                out[at] = stack
-            else:
-                out[np.ix_(at, support, support)] = stack
+            out[np.ix_(at, support, support)] = stack
             first = i + 1
     return out
