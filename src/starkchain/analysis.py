@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _time_points
 from .device import PotentialSpec
 from .errors import DomainError, FitDomainError, NoWavefrontError
 from .freefermion import propagate_single_particle, single_particle_matrix
@@ -224,7 +225,8 @@ def p5max_scan(gradients_mhz, params=None, mode="wavefront", t_max_ns=300.0,
 
         params = paper_device()
     rows = []
-    times = np.arange(0.0, float(t_max_ns) + 1e-9, float(dt_sample_ns))
+    dt = float(dt_sample_ns)
+    times = dt * np.arange(_time_points(float(t_max_ns), dt))
     for f in gradients_mhz:
         if f < 0:
             raise DomainError("scan gradients are magnitudes, must be >= 0")

@@ -21,8 +21,8 @@ from importlib import metadata
 import numpy as np
 
 from .analysis import boundary_peak, linear_fit, wsl_length_from_boundary
-from .config import (EXPERIMENTS, _excitation_range, _f_label, parse_config,
-                     read_config)
+from .config import (EXPERIMENTS, _excitation_range, _f_label, _time_points,
+                     parse_config, read_config)
 from .device import ANGULAR_PER_MHZ, PotentialSpec
 from .dynamics import (evolve_lindblad, evolve_unitary, make_collapse_ops,
                        prepare_initial_state)
@@ -90,7 +90,8 @@ def _confusion_list(config):
 
 
 def _times(config):
-    return np.arange(0.0, config.t_max_ns + 1e-9, config.dt_sample_ns)
+    dt = config.dt_sample_ns
+    return dt * np.arange(_time_points(config.t_max_ns, dt))
 
 
 def _route(config, potential, noise):

@@ -163,11 +163,17 @@ def _basis_size(n_qubits, counts):
     return sum(math.comb(n_qubits, k) for k in range(counts[0], counts[1] + 1))
 
 
+def _time_points(t_max_ns, dt_sample_ns):
+    """Points of the time grid dt_sample * arange(points) up to t_max, and
+    past it by at most 1e-9 dt_sample, a rounding; inf past the float range."""
+    ratio = t_max_ns / dt_sample_ns + 1e-9
+    return math.floor(ratio) + 1 if ratio < math.inf else math.inf
+
+
 def _count_entries(n_qubits, t_max_ns, dt_sample_ns, n_groups):
     """Outcome counts one measurement setting of a shot run holds: one per
-    snapshot of the 0..t_max grid, group and outcome of n_qubits qubits."""
-    snapshots = math.ceil((t_max_ns + 1e-9) / dt_sample_ns)
-    return snapshots * n_groups << n_qubits
+    point of the time grid, group and outcome of n_qubits qubits."""
+    return _time_points(t_max_ns, dt_sample_ns) * n_groups << n_qubits
 
 
 def _reject_unknown(mapping, allowed, path):
@@ -355,7 +361,7 @@ def parse_config(raw, default_experiment=None):
     t_max = _as_number(raw.get("t_max", 300.0), "t_max", positive=True)
     dt = _as_number(raw.get("dt_sample", 2.0), "dt_sample", positive=True)
     _require(dt <= t_max, "dt_sample", "must not exceed t_max")
-    _require(t_max / dt < MAX_TIME_POINTS, "t_max",
+    _require(_time_points(t_max, dt) <= MAX_TIME_POINTS, "t_max",
              f"{t_max:g} ns at dt_sample {dt:g} ns gives more than "
              f"{MAX_TIME_POINTS} time points")
 

@@ -27,26 +27,51 @@ _LOCAL_KETS = {
 }
 
 
-def _checked_stack(a, where="snapshot {}: "):
+def _checked_stack(a, where=lambda k, message: f"snapshot {k}: {message}",
+                   error=DomainError):
     """a, a (T, d) stack of state vectors or a (T, d, d) stack of density
-    matrices, after the checks every state is held to: unit norm or trace
-    and, for density matrices, Hermiticity, all snapshots at once. A
-    DomainError names the first snapshot that fails, as where.format(k)."""
+    matrices, after the one rule every state is held to: a norm within
+    TRACE_TOL of 1, or, in this order, an anti-Hermitian residue within
+    HERMITICITY_TOL (a non-finite entry fails it), the real trace of the
+    Hermitian part within TRACE_TOL of 1 and no eigenvalue of it below
+    -POSITIVITY_TOL. The earliest failing snapshot k raises
+    error(where(k, message)). Density matrices go CHECK_STACK_ENTRIES
+    entries at a time, and eigvalsh runs only where one batched Cholesky
+    factorisation of herm + POSITIVITY_TOL/2 * I fails, as it does wherever
+    eigvalsh would find an eigenvalue below -POSITIVITY_TOL."""
     if a.ndim == 2:
-        what, size = "state vector norm", np.linalg.norm(a, axis=1)
-    else:
-        what, size = "density matrix trace", np.trace(a, axis1=1, axis2=2)
-    bad = np.flatnonzero(np.abs(size - 1.0) > TRACE_TOL)
-    if bad.size:
-        raise DomainError(f"{where.format(bad[0])}{what} {size[bad[0]]} is not 1")
-    if a.ndim == 2:
+        norm = np.linalg.norm(a, axis=1)
+        bad = np.flatnonzero(~(np.abs(norm - 1.0) <= TRACE_TOL))
+        if bad.size:
+            k = bad[0]
+            raise error(where(k, f"state vector norm {norm[k]} is not 1"))
         return a
-    # a contiguous adjoint: subtracting the transposed view itself is 3x slower
-    adjoint = np.ascontiguousarray(a.transpose(0, 2, 1)).conj()
-    residue = np.abs(a - adjoint).max(axis=(1, 2))
-    bad = np.flatnonzero(residue > HERMITICITY_TOL)
-    if bad.size:
-        raise DomainError(f"{where.format(bad[0])}density matrix is not Hermitian")
+    per = max(1, CHECK_STACK_ENTRIES // max(1, a.shape[1] ** 2))
+    shift = 0.5 * POSITIVITY_TOL * np.eye(a.shape[1])
+    for first in range(0, len(a), per):
+        stack = a[first:first + per]
+        # a contiguous adjoint: subtracting the transposed view is 3x slower
+        adjoint = np.ascontiguousarray(stack.transpose(0, 2, 1)).conj()
+        with np.errstate(invalid="ignore", over="ignore"):
+            residue = np.abs(stack - adjoint).max(axis=(1, 2))
+            herm = 0.5 * (stack + adjoint)
+            trace = np.trace(herm, axis1=1, axis2=2).real
+        bad = ~(residue <= HERMITICITY_TOL) | (np.abs(trace - 1.0) > TRACE_TOL)
+        stop = np.argmax(bad) if bad.any() else len(stack)
+        if stop < len(stack):
+            message = (f"density matrix trace {trace[stop]} is not 1"
+                       if residue[stop] <= HERMITICITY_TOL else
+                       f"density matrix anti-Hermitian residue {residue[stop]:.3e}")
+        try:  # these are finite, and trace 1 bounds a positive one's norm
+            np.linalg.cholesky(herm[:stop] + shift)
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(herm[:stop])[:, 0]
+            negative = np.flatnonzero(low < -POSITIVITY_TOL)
+            if negative.size:
+                stop = negative[0]
+                message = f"density matrix eigenvalue {low[stop]}"
+        if stop < len(stack):
+            raise error(where(first + stop, message))
     return a
 
 
@@ -62,7 +87,7 @@ class QuantumState:
         if a.ndim not in (1, 2) or a.shape != a.shape[:1] * a.ndim:
             raise DomainError(
                 f"state data must be a vector or a square matrix, got shape {a.shape}")
-        _checked_stack(a[None], "")
+        _checked_stack(a[None], lambda k, message: message)
         self.data = a
 
     @property
@@ -304,46 +329,6 @@ def _reachable_states(data, hamiltonian, collapse):
             return np.flatnonzero(reached)
 
 
-def _check_blocks(stack, times):
-    """Sanity checks of a (m, b, b) stack of propagated density-matrix
-    blocks taken at the ascending times.
-
-    An anti-Hermitian residue beyond 1e-8, then a trace of the Hermitian
-    part drifting beyond 1e-6, then an eigenvalue of it below -1e-6 raises
-    NumericalConsistencyError for the earliest failing block, as checking
-    one block at a time would. A block with a non-finite entry fails on its
-    residue, so only blocks before the first residue or trace failure are
-    screened by one batched Cholesky factorisation of herm + POSITIVITY_TOL/2
-    * I. It fails wherever eigvalsh would find an eigenvalue below
-    -POSITIVITY_TOL, and only then does eigvalsh run, and decide.
-    """
-    adjoint = stack.conj().transpose(0, 2, 1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        residue = np.abs(stack - adjoint).max(axis=(1, 2))
-        herm = 0.5 * (stack + adjoint)
-        trace = np.trace(herm, axis1=1, axis2=2).real
-    bad = ~(residue <= HERMITICITY_TOL) | (np.abs(trace - 1.0) > TRACE_TOL)
-    stop = np.argmax(bad) if bad.any() else len(stack)
-    try:  # the blocks are finite, and trace 1 bounds a positive one's norm
-        np.linalg.cholesky(herm[:stop]
-                           + 0.5 * POSITIVITY_TOL * np.eye(stack.shape[1]))
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(herm[:stop])[:, 0]
-        negative = np.flatnonzero(low < -POSITIVITY_TOL)
-        if negative.size:
-            k = negative[0]
-            raise NumericalConsistencyError(
-                f"density matrix eigenvalue {low[k]} at t = {times[k]:g} ns")
-    if stop < len(stack):
-        t = times[stop]
-        if not residue[stop] <= HERMITICITY_TOL:
-            raise NumericalConsistencyError(
-                f"density matrix anti-Hermitian residue {residue[stop]:.3e} "
-                f"at t = {t:g} ns")
-        raise NumericalConsistencyError(
-            f"trace drifted to {trace[stop]} at t = {t:g} ns")
-
-
 def _generator_blocks(rows, cols, size):
     """Index arrays of the weakly connected components of the pattern
     (rows, cols) on size nodes, each ascending, in the order of their
@@ -434,10 +419,11 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     dt, and the larger blocks are propagated together with scipy's
     expm_multiply (Al-Mohy & Higham 2011); an interval taken once, with
     expm_multiply on the whole generator. The snapshots are built, and
-    checked for Hermiticity, trace and positivity, a stack of up to
+    held to the state rule (_checked_stack), a stack of up to
     CHECK_STACK_ENTRIES entries at a time, and a NumericalConsistencyError
-    names the earliest that fails. Each checked stack is scattered straight
-    into the zeroed output.
+    names the earliest that fails, at its time; the start, a principal
+    block of a checked QuantumState, needs none. Each checked stack is
+    scattered straight into the zeroed output.
     """
     import scipy.linalg
     import scipy.sparse.linalg
@@ -458,7 +444,6 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
         raw = state.data[np.ix_(support, support)]
     else:
         raw = np.outer(state.data[support], state.data[support].conj())
-    _check_blocks(raw[None], [0.0])
     side = size * size
     upper = np.triu(np.ones((size, size), dtype=bool))
     start = np.where(upper, raw.real, raw.imag.T).reshape(-1)
@@ -541,7 +526,9 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
             entries = stack.reshape(at.size, side)
             entries.real = pending[:at.size, re]
             entries.imag = pending[:at.size, im] * sign
-            _check_blocks(stack, times[at])
+            _checked_stack(
+                stack, lambda k, message: f"{message} at t = {times[at[k]]:g} ns",
+                NumericalConsistencyError)
             out[np.ix_(at, support, support)] = stack
             first = i + 1
     return out

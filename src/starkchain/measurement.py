@@ -128,7 +128,9 @@ def _outcome_probabilities(support, stack, basis, confusion=None):
         for q, c in enumerate(confusion):
             probs = np.matmul(c.matrix, probs.reshape(len(stack) << q, 2, -1))
         probs = probs.reshape(len(stack), -1)
-    return probs
+    # no entry above 1: a readout that reports every outcome as one sums
+    # its products to 1 + eps there
+    return np.minimum(probs, 1.0, out=probs)
 
 
 def _keyed_generators(seeds):

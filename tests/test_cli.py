@@ -536,6 +536,27 @@ class TestSpinTransport:
         assert np.all((cols["P3"] >= 0) & (cols["P3"] <= 1))
 
 
+    @pytest.mark.parametrize("experiment, raw", [
+        ("spin_transport", {"noise": "lindblad"}),
+        ("spin_transport", {"shots": "paper", "t_max": 20}),
+        ("thermal_transport", {"noise": "lindblad", "t_max": 20})])
+    def test_readout_reporting_every_shot_as_zero(self, tmp_path, experiment,
+                                                  raw):
+        # f1 = 0 reports every qubit as 0; outcome 0...0 sums its confusion
+        # products to 1 + 4.4e-16, a probability above 1 for the sampler
+        cfg = parse_config(dict(raw, experiment=experiment,
+                                readout=[{"f0": 1.0, "f1": 0.0}] * 5))
+        summary = run(cfg, out_dir=str(tmp_path))
+        assert (tmp_path / "summary.json").exists()
+        if experiment == "spin_transport":
+            header, data = _read_csv(tmp_path / summary["outputs"][0])
+            cols = _cols(header, data)
+            assert cols["t_ns"].size == cli._times(cfg).size
+            for j in range(1, 6):
+                assert np.all(cols[f"P{j}"] == 0.0)
+                assert np.all(cols[f"P{j}_err"] == 0.0)
+
+
 class TestReproducibility:
     CFG = {
         "experiment": "spin_transport", "t_max": 60, "dt_sample": 12,

@@ -14,7 +14,9 @@ from starkchain import (
     load_config,
     parse_config,
 )
-from starkchain.config import EXPERIMENTS, MAX_COUNT_ENTRIES, _count_entries
+from starkchain import cli
+from starkchain.config import (EXPERIMENTS, MAX_COUNT_ENTRIES, _count_entries,
+                               _time_points)
 
 
 class TestDefaults:
@@ -187,6 +189,33 @@ class TestTimeGrid:
         cfg = parse_config({"experiment": "spin_transport", "t_max": 300.0,
                             "dt_sample": 0.01})
         assert cfg.t_max_ns / cfg.dt_sample_ns == pytest.approx(30000)
+
+    def test_cap_counts_the_grid(self):
+        # 99999 ns at 1 ns is 100000 points, the cap exactly; one ulp short
+        # of 100000 ns rounds up to a point at 100000 ns, one past the cap
+        base = {"experiment": "spin_transport", "dt_sample": 1.0}
+        assert parse_config(dict(base, t_max=99999.0)).t_max_ns == 99999.0
+        assert _time_points(99999.99999999999, 1.0) == 100001
+        with pytest.raises(ConfigError, match=r"^t_max: 100000 ns at dt_sample "
+                           r"1 ns gives more than 100000 time points$"):
+            parse_config(dict(base, t_max=99999.99999999999))
+        # a ratio beyond the float range
+        assert _time_points(1.0e300, 1.0e-10) == math.inf
+        with pytest.raises(ConfigError, match=r"^t_max: "):
+            parse_config(dict(base, t_max=1.0e300, dt_sample=1.0e-10))
+
+    @pytest.mark.parametrize("t_max, dt, points", [
+        (1.0e-10, 1.0e-12, 101), (1.0e-10, 1.0e-14, 10001),
+        (1.0e-300, 1.0e-300, 2), (300.0, 2.0, 151), (7.0, 0.1, 71)])
+    def test_tolerance_is_relative_to_the_step(self, t_max, dt, points):
+        # the grid never runs past t_max by more than a rounding of it
+        cfg = parse_config({"experiment": "spin_transport", "t_max": t_max,
+                            "dt_sample": dt, "noise": "lindblad"})
+        assert _time_points(t_max, dt) == points
+        grid = cli._times(cfg)
+        assert grid.size == points
+        assert grid[-1] == pytest.approx(t_max, rel=1e-9)
+        np.testing.assert_array_equal(grid, dt * np.arange(points))
 
 
 @settings(max_examples=200, deadline=None)

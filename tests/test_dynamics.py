@@ -1,6 +1,8 @@
 """State preparation, unitary propagation and the Lindblad propagator."""
 
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from starkchain import (
     ANGULAR_PER_MHZ,
     CollapseOperatorSet,
+    ConfusionMatrix,
     DeviceParams,
     DomainError,
     NumericalConsistencyError,
@@ -29,6 +32,7 @@ from starkchain import (
     paper_device,
     prepare_initial_state,
     propagate_single_particle,
+    sample_shots,
     single_particle_matrix,
 )
 from starkchain import dynamics
@@ -142,10 +146,15 @@ class TestQuantumState:
         # the stack check sample_shots uses, on a stack of one
         with pytest.raises(DomainError, match="^state vector norm 2.0 is not 1$"):
             QuantumState(np.array([2.0, 0.0]), "full:n=1")
-        with pytest.raises(DomainError, match="^density matrix trace"):
+        with pytest.raises(DomainError, match="^state vector norm nan is not 1$"):
+            QuantumState(np.array([np.nan, 0.0]), "full:n=1")
+        with pytest.raises(DomainError, match="^density matrix trace 2.0 is not 1$"):
             QuantumState(np.eye(2), "full:n=1")
-        with pytest.raises(DomainError, match="^density matrix is not Hermitian$"):
+        with pytest.raises(DomainError, match="^density matrix anti-Hermitian "
+                           "residue 1.000e[+]00$"):
             QuantumState(np.array([[0.5, 0.5j], [0.5j, 0.5]]), "full:n=1")
+        with pytest.raises(DomainError, match="^density matrix eigenvalue -0.25$"):
+            QuantumState(np.diag([1.25, -0.25]), "full:n=1")
         with pytest.raises(DomainError, match="^state data must be a vector or "
                            "a square matrix, got shape"):
             QuantumState(np.ones((2, 3)) / 6.0, "full:n=1")
@@ -355,12 +364,9 @@ class TestLindblad:
             evolve_lindblad(h, st, [[0.0, 1.0], [2.0, 3.0]], make_collapse_ops(dev))
 
     def test_non_positive_state_rejected(self):
-        dev = DeviceParams.uniform(2, t1_us=17.0, t2star_us=2.0)
-        h = build_xy_hamiltonian(dev, PotentialSpec.linear(0.0))
-        col = make_collapse_ops(dev)
-        st = QuantumState(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), full_tag(2))
-        with pytest.raises(NumericalConsistencyError):
-            evolve_lindblad(h, st, [0.0, 10.0], col)
+        # a non-positive start never reaches the solver: the state refuses it
+        with pytest.raises(DomainError, match="^density matrix eigenvalue -0.5$"):
+            QuantumState(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), full_tag(2))
 
     @pytest.mark.parametrize("entries", [1, 40, 1 << 20])
     def test_chunked_checks_change_nothing(self, entries, monkeypatch):
@@ -382,10 +388,17 @@ _NEGATIVE = np.diag([1.25, -0.25]).astype(complex)
 _NEGATIVE_AND_TRACE = np.diag([1.5, -0.25]).astype(complex)
 _MESSAGES = {
     "residue": "density matrix anti-Hermitian residue 3.000e-07 at t = {:g} ns",
-    "trace": "trace drifted to 1.0000200000000001 at t = {:g} ns",
+    "trace": "density matrix trace 1.0000200000000001 is not 1 at t = {:g} ns",
     "negative": "density matrix eigenvalue -0.25 at t = {:g} ns",
 }
 _BLOCK_TIMES = np.arange(0.0, 14.0, 2.0)
+
+
+def _solver_check(stack, times):
+    """The state rule as the Lindblad solver names its failures."""
+    return dynamics._checked_stack(
+        stack, lambda k, message: f"{message} at t = {times[k]:g} ns",
+        NumericalConsistencyError)
 
 
 def _stack_failing(**at):
@@ -400,13 +413,14 @@ def _stack_failing(**at):
 
 class TestStackChecks:
     def test_valid_stack_passes(self):
-        assert dynamics._check_blocks(_stack_failing(), _BLOCK_TIMES) is None
+        stack = _stack_failing()
+        assert _solver_check(stack, _BLOCK_TIMES) is stack
 
     @pytest.mark.parametrize("name", sorted(_MESSAGES))
     @pytest.mark.parametrize("k", [0, 3, 6])
     def test_one_failure(self, name, k):
         with pytest.raises(NumericalConsistencyError) as info:
-            dynamics._check_blocks(_stack_failing(**{name: k}), _BLOCK_TIMES)
+            _solver_check(_stack_failing(**{name: k}), _BLOCK_TIMES)
         assert str(info.value) == _MESSAGES[name].format(_BLOCK_TIMES[k])
 
     @pytest.mark.parametrize("first, second", [
@@ -415,13 +429,14 @@ class TestStackChecks:
     def test_earliest_of_two_failures(self, first, second):
         stack = _stack_failing(**{first: 2, second: 5})
         with pytest.raises(NumericalConsistencyError) as info:
-            dynamics._check_blocks(stack, _BLOCK_TIMES)
+            _solver_check(stack, _BLOCK_TIMES)
         assert str(info.value) == _MESSAGES[first].format(4.0)
 
     def test_trace_before_positivity_in_one_block(self):
         with pytest.raises(NumericalConsistencyError,
-                           match=r"^trace drifted to 1\.25 at t = 8 ns$"):
-            dynamics._check_blocks(_stack_failing(both=4), _BLOCK_TIMES)
+                           match=r"^density matrix trace 1\.25 is not 1 at "
+                           r"t = 8 ns$"):
+            _solver_check(_stack_failing(both=4), _BLOCK_TIMES)
 
     @pytest.mark.parametrize("negative", [1, 5])
     def test_non_finite_block_never_reaches_eigvalsh(self, negative,
@@ -439,8 +454,8 @@ class TestStackChecks:
             monkeypatch.setattr(dynamics.np.linalg, name,
                                 finite_only(getattr(np.linalg, name)))
         with pytest.raises(NumericalConsistencyError) as info:
-            dynamics._check_blocks(_stack_failing(nan=3, negative=negative),
-                                   _BLOCK_TIMES)
+            _solver_check(_stack_failing(nan=3, negative=negative),
+                          _BLOCK_TIMES)
         if negative < 3:
             assert str(info.value) == _MESSAGES["negative"].format(2.0)
         else:
@@ -488,7 +503,7 @@ class TestPositivityScreen:
         # it, so eigvalsh decides, and passes it
         calls = self._count_eigvalsh(monkeypatch)
         stack = _stack_with_lowest([4], -0.7e-6)
-        assert dynamics._check_blocks(stack, _BLOCK_TIMES) is None
+        assert _solver_check(stack, _BLOCK_TIMES) is stack
         assert calls == [_BLOCK_TIMES.size]
 
     @pytest.mark.parametrize("at", [[0], [4], [2, 5], [6]])
@@ -497,7 +512,7 @@ class TestPositivityScreen:
         low = np.linalg.eigvalsh(stack[at[0]])[0]
         assert low < -dynamics.POSITIVITY_TOL
         with pytest.raises(NumericalConsistencyError) as info:
-            dynamics._check_blocks(stack, _BLOCK_TIMES)
+            _solver_check(stack, _BLOCK_TIMES)
         assert str(info.value) == (f"density matrix eigenvalue {low} at "
                                    f"t = {_BLOCK_TIMES[at[0]]:g} ns")
 
@@ -506,7 +521,7 @@ class TestPositivityScreen:
         # pure and rank-deficient blocks sit at eigenvalue 0 exactly
         stack = _stack_with_lowest([1, 3], 0.0)
         stack[5] = np.diag([1.0, 0.0, 0.0, 0.0])
-        assert dynamics._check_blocks(stack, _BLOCK_TIMES) is None
+        assert _solver_check(stack, _BLOCK_TIMES) is stack
         h, col = _noisy_chain(3, "device")
         evolve_lindblad(h, prepare_initial_state("X+10", 3),
                         np.arange(0.0, 60.0, 4.0), col)
@@ -527,12 +542,108 @@ class TestPositivityScreen:
         bad = np.flatnonzero(lows < -dynamics.POSITIVITY_TOL)
         if bad.size:
             with pytest.raises(NumericalConsistencyError) as info:
-                dynamics._check_blocks(stack, times)
+                _solver_check(stack, times)
             assert str(info.value) == (f"density matrix eigenvalue "
                                        f"{lows[bad[0]]} at t = "
                                        f"{times[bad[0]]:g} ns")
         else:
-            assert dynamics._check_blocks(stack, times) is None
+            assert _solver_check(stack, times) is stack
+
+
+# the reason each message names, and a failure of each kind for a snapshot
+_REASONS = {"state vector norm": "norm", "density matrix anti-Hermitian": "residue",
+            "density matrix trace": "trace", "density matrix eigenvalue": "negative"}
+
+
+def _snapshot(kind, side, density, rng):
+    """A valid state vector or density matrix of the side, or one that
+    carries the named failure."""
+    if not density:
+        v = rng.normal(size=side) + 1j * rng.normal(size=side)
+        v /= np.linalg.norm(v)
+        if kind == "norm":
+            v *= 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5, -0.5)
+        elif kind == "nan":
+            v[rng.integers(side)] = np.nan
+        return v
+    if kind == "negative":
+        low = -(10.0 ** rng.uniform(-5.5, -0.5))
+        weights = np.append(low, rng.dirichlet(np.ones(side - 1)) * (1.0 - low))
+    else:
+        weights = rng.dirichlet(np.ones(side))
+    u, _ = np.linalg.qr(rng.normal(size=(side, side))
+                        + 1j * rng.normal(size=(side, side)))
+    rho = (u * weights) @ u.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    if kind == "residue":
+        rho[0, side - 1] += 10.0 ** rng.uniform(-7.5, -1) * 1j
+    elif kind == "trace":
+        rho *= 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.5, -1)
+    elif kind == "nan":
+        rho[rng.integers(side), rng.integers(side)] = np.nan
+    return rho
+
+
+def _first_failure_one_at_a_time(stack):
+    """(snapshot, reason) of the first snapshot that fails, checked one at a
+    time, with eigvalsh for positivity; None if every one passes."""
+    for k, x in enumerate(stack):
+        if x.ndim == 1:
+            if not abs(np.linalg.norm(x) - 1.0) <= dynamics.TRACE_TOL:
+                return k, "norm"
+            continue
+        if not np.abs(x - x.conj().T).max() <= dynamics.HERMITICITY_TOL:
+            return k, "residue"
+        herm = 0.5 * (x + x.conj().T)
+        if abs(np.trace(herm).real - 1.0) > dynamics.TRACE_TOL:
+            return k, "trace"
+        if np.linalg.eigvalsh(herm)[0] < -dynamics.POSITIVITY_TOL:
+            return k, "negative"
+    return None
+
+
+class TestStateRule:
+    """One rule for every state: QuantumState, sample_shots and the
+    Lindblad solver's snapshots."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(density=st.booleans(), side=st.integers(1, 6),
+           entries=st.sampled_from([1, 20, dynamics.CHECK_STACK_ENTRIES]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_same_verdict_as_one_snapshot_at_a_time(self, density, side,
+                                                    entries, seed, data):
+        kinds = (["valid", "residue", "trace", "nan"]
+                 + ["negative"] * (side > 1)) if density else \
+            ["valid", "norm", "nan"]
+        picked = data.draw(st.lists(st.sampled_from(kinds), min_size=1,
+                                    max_size=8))
+        rng = np.random.default_rng(seed)
+        stack = np.array([_snapshot(kind, side, density, rng)
+                          for kind in picked])
+        want = _first_failure_one_at_a_time(stack)
+        # stacks of one snapshot or a few at a time, or all at once
+        with mock.patch.object(dynamics, "CHECK_STACK_ENTRIES", entries):
+            if want is None:
+                assert dynamics._checked_stack(stack) is stack
+                return
+            with pytest.raises(DomainError) as info:
+                dynamics._checked_stack(stack)
+        k, message = re.fullmatch(r"snapshot (\d+): (.*)", str(info.value)).groups()
+        reason = [r for prefix, r in _REASONS.items() if message.startswith(prefix)]
+        assert (int(k), reason) == (want[0], [want[1]])
+
+    def test_every_caller_names_the_earliest_snapshot(self):
+        # an anti-Hermitian residue at snapshot 1 and a trace off 1 at 3
+        stack = np.array([_GOOD] * 4)
+        stack[1] = _RESIDUE
+        stack[3] = _TRACE
+        with pytest.raises(DomainError, match=r"^snapshot 1: density matrix "
+                           r"anti-Hermitian residue 3\.000e-07$"):
+            sample_shots(stack, [ConfusionMatrix.perfect()], "Z", 10,
+                         [1, 2, 3, 4])
+        with pytest.raises(NumericalConsistencyError, match=r"^density matrix "
+                           r"anti-Hermitian residue 3\.000e-07 at t = 2 ns$"):
+            _solver_check(stack, _BLOCK_TIMES)
 
 
 def _dense_lindblad(h, collapse, state, times):

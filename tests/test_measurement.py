@@ -599,8 +599,14 @@ class TestCounts:
             sample_shots(rho * 1.1, conf, "ZZ", 10, [1, 2])
         skew = rho.copy()
         skew[1, 0, 1] = 1e-6
-        with pytest.raises(DomainError, match="^snapshot 1: .* not Hermitian"):
+        with pytest.raises(DomainError, match="^snapshot 1: density matrix "
+                           "anti-Hermitian residue 1.000e-06$"):
             sample_shots(skew, conf, "ZZ", 10, [1, 2])
+        negative = rho.copy()
+        negative[1] = np.diag([1.25, -0.25, 0.0, 0.0])
+        with pytest.raises(DomainError, match="^snapshot 1: density matrix "
+                           "eigenvalue -0.25$"):
+            sample_shots(negative, conf, "ZZ", 10, [1, 2])
         with pytest.raises(DomainError, match="one seed per state"):
             sample_shots(good, conf, "ZZ", 10, [1])
         with pytest.raises(DomainError, match="not divisible into 3 groups"):
