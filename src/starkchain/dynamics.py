@@ -9,7 +9,7 @@ from .config import LINDBLAD_SUPPORT_CAP, _tokenize_state_spec
 from .device import DeviceParams
 from .errors import DomainError, NumericalConsistencyError, StateSpecError
 from .model import (DENSE_DIM_CAP, OperatorMatrix, _basis_states, _operator,
-                    _restricted, _summed)
+                    _restricted, _run_starts, _summed)
 
 DENSE_BLOCK_CAP = 512  # largest real block given a dense propagator
 CHECK_STACK_ENTRIES = 1 << 12  # most snapshot entries checked in one stack
@@ -258,75 +258,106 @@ def make_collapse_ops(params, dephasing="as-given", basis=None):
     return CollapseOperatorSet(operators=tuple(ops), basis_tag=tag)
 
 
-def _kron_conj(x, y, d):
-    """Entries of x (x) conj(y) for two matrices given as entries (rows,
-    cols, vals), y of side d."""
-    return ((x[0][:, None] * d + y[0]).ravel(),
-            (x[1][:, None] * d + y[1]).ravel(),
-            (x[2][:, None] * y[2].conj()).ravel())
+def _entry_table(hamiltonian, collapse):
+    """H and every jump operator C_k stacked once as one entry table (rows,
+    cols, vals, op): op is 0 on the entries of H and k on those of C_k, H
+    first and the jumps in order, each operator's entries row-major."""
+    ops = (hamiltonian, *collapse.operators)
+    rows, cols, vals = (np.concatenate(x) for x in
+                        zip(*((o.rows, o.cols, o.vals) for o in ops)))
+    return rows, cols, vals, np.repeat(np.arange(len(ops)),
+                                       [o.vals.size for o in ops])
 
 
-def _gram_entries(r, c, v):
-    """The products conj(C_ia) C_ib, at (a, b), of every pair of entries in
-    one row i of C given row-major: the terms of C+ C, rows i ascending."""
-    first = np.flatnonzero(np.diff(r, prepend=-1))
-    width = np.diff(np.append(first, r.size))  # entries in each row
-    partners = np.repeat(width, width)  # entries in the row of each entry
-    a = np.repeat(np.arange(r.size), partners)
-    b = (np.repeat(np.repeat(first, width), partners) + np.arange(a.size)
-         - np.repeat(np.cumsum(partners) - partners, partners))
-    return c[a], c[b], v[a].conj() * v[b]
+def _pairs(key):
+    """Index pairs (a, b) of every two entries in one run of equal
+    neighbours in key: a ascending, and for each a, b ascending over its
+    run."""
+    first = _run_starts(key)
+    width = np.diff(np.append(first, key.size))  # entries in each run
+    partners = np.repeat(width, width)  # entries in the run of each entry
+    a = np.repeat(np.arange(key.size), partners)
+    # pair p pairs a with the entry of a's run at p's offset in a's block
+    # of pairs: the run's first entry plus p less where that block starts
+    shift = np.repeat(first, width) - (np.cumsum(partners) - partners)
+    return a, np.arange(a.size) + np.repeat(shift, partners)
 
 
-def _liouvillian(h, jumps, size):
+def _liouvillian(table, size):
     """Entries (rows, cols, vals), row-major, of the generator acting on the
     row-major vectorized density matrix.
 
-    h and jumps are entry lists on one basis of size states: the Hamiltonian
-    and the rate-weighted collapse operators C_k. The generator is assembled
-    in one pass as A (x) 1 + 1 (x) conj(A) + sum_k C_k (x) conj(C_k), with
-    A = -iH - K/2 and K = sum_k C_k+ C_k summed first. Exact zeros of A are
-    dropped, and entries at one coordinate are summed in the order of those
-    terms.
+    table is the entry table (_entry_table) of the Hamiltonian and the
+    rate-weighted collapse operators C_k on one basis of size states. The
+    generator is assembled in one pass as A (x) 1 + 1 (x) conj(A) + sum_k
+    C_k (x) conj(C_k), with A = -iH - K/2 and K = sum_k C_k+ C_k summed
+    first. Both sums are read from index pairs (_pairs) of the table's jump
+    entries: K from every two entries in one row of one C_k, conj(C_ia)
+    C_ib at (a, b), and sum_k C_k (x) conj(C_k) from every two entries of
+    one C_k, the C_k in order. Exact zeros of A are dropped, and entries at
+    one coordinate are summed in the order of those terms, the order of a
+    jump-by-jump assembly.
     """
-    none = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=complex),)
-    k = _summed(size, *map(np.concatenate,
-                           zip(none, *[_gram_entries(*c) for c in jumps])))
-    a = _summed(size, *map(np.concatenate, zip(
-        (h[0], h[1], -1j * h[2]), (k[0], k[1], -(0.5 * k[2])))))
-    a = tuple(x[a[2] != 0] for x in a)
-    eye = (np.arange(size), np.arange(size), np.ones(size))
-    parts = [_kron_conj(a, eye, size), _kron_conj(eye, a, size)]
-    parts += [_kron_conj(c, c, size) for c in jumps]
-    return _summed(size * size, *map(np.concatenate, zip(*parts)))
+    rows, cols, vals, op = table
+    jump = op > 0
+    r, c, v, o = rows[jump], cols[jump], vals[jump], op[jump]
+    a, b = _pairs(o * size + r)
+    k = _summed(size, c[a], c[b], v[a].conj() * v[b])
+    h = ~jump
+    ar, ac, av = _summed(size, np.concatenate([rows[h], k[0]]),
+                         np.concatenate([cols[h], k[1]]),
+                         np.concatenate([-1j * vals[h], -(0.5 * k[2])]))
+    ar, ac, av = (x[av != 0] for x in (ar, ac, av))
+    eye, one = np.arange(size), np.ones(size)
+    a, b = _pairs(o)
+    terms = [  # A (x) 1, 1 (x) conj(A), sum_k C_k (x) conj(C_k)
+        ((ar[:, None] * size + eye).ravel(), (ac[:, None] * size + eye).ravel(),
+         (av[:, None] * one).ravel()),
+        ((eye[:, None] * size + ar).ravel(), (eye[:, None] * size + ac).ravel(),
+         (one[:, None] * av.conj()).ravel()),
+        (r[a] * size + r[b], c[a] * size + c[b], v[a] * v[b].conj())]
+    return _summed(size * size, *map(np.concatenate, zip(*terms)))
 
 
-def _reachable_states(data, hamiltonian, collapse):
+def _reachable(data, table, dim):
     """Sorted indices of the basis states reachable from the support of a
-    state vector's or a density matrix's data.
+    state vector's or a density matrix's data, over the entry table
+    (_entry_table) of H and the C_k on a basis of dim states.
 
     Every term of the master equation moves the row index of rho along a
     nonzero entry of H, of a C_k or of K = sum_k C_k+ C_k. It moves the
     column index along the transposed pattern of H and K, which is the same
     since both are Hermitian, and along C_k itself (C_k rho C_k+). The set
     closed under those patterns therefore holds rho(t) at all times, whatever
-    the jump operators are. The closure walks the stored nonzero entries: a
-    step along C_k and back along its transpose covers K, and adds nothing
-    for H. A K entry that cancels exactly still links, which only adds states.
+    the jump operators are. The closure walks the stored nonzero entries,
+    every operator at once: each round scatters the states reached one step
+    along each operator, keyed by that operator, then steps back from them
+    along the transpose of the same operator, and so covers K; a back-step
+    that mixed operators could reach states K does not. A K entry that
+    cancels exactly still links, which only adds states.
     """
-    links = [(op.cols[op.vals != 0], op.rows[op.vals != 0])
-             for op in (hamiltonian, *collapse.operators)]
+    rows, cols, vals, op = table
+    nonzero = vals != 0
+    # each link leads from a column state to a row state of one operator
+    src, end = cols[nonzero], op[nonzero] * dim + rows[nonzero]
+    keys = (op.max(initial=0) + 1) * dim
     nonzero = data != 0
     reached = nonzero if data.ndim == 1 else nonzero.any(axis=0) | nonzero.any(axis=1)
     while True:
         size = np.count_nonzero(reached)
-        for src, dst in links:
-            via = np.zeros_like(reached)
-            via[dst[reached[src]]] = True
-            reached |= via
-            reached[src[via[dst]]] = True
+        via = np.zeros(keys, dtype=bool)
+        via[end[reached[src]]] = True
+        reached[src[via[end]]] = True
+        reached |= via.reshape(-1, dim).any(axis=0)
         if np.count_nonzero(reached) == size:
             return np.flatnonzero(reached)
+
+
+def _reachable_states(data, hamiltonian, collapse):
+    """_reachable of data over the entry table of hamiltonian and the
+    operators of collapse."""
+    return _reachable(data, _entry_table(hamiltonian, collapse),
+                      hamiltonian.dim)
 
 
 def _generator_blocks(rows, cols, size):
@@ -405,8 +436,10 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     of times, zero outside the sorted basis indices reachable from the state
     (6 of 32 on the full space for "10000", all 6 on its counts 0..1).
 
-    A support above LINDBLAD_SUPPORT_CAP states is refused before the
-    generator is assembled on it, with numpy, from the operators' entries.
+    H and the C_k are stacked once into one entry table (_entry_table),
+    the reachable states are closed over it (_reachable), and a support
+    above LINDBLAD_SUPPORT_CAP states is refused before the generator is
+    assembled on it, with numpy, from the table restricted to it.
     rho is evolved in its real Hermitian coordinates (_hermitian_slots), on
     which the generator is real (_hermitian_coordinates), and each snapshot
     is built from them, so it is Hermitian by construction; no step takes a
@@ -434,7 +467,8 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     if state.basis_tag != hamiltonian.basis_tag:
         raise DomainError("state and hamiltonian bases differ")
     times = _checked_times(times)
-    support = _reachable_states(state.data, hamiltonian, collapse)
+    table = _entry_table(hamiltonian, collapse)
+    support = _reachable(state.data, table, hamiltonian.dim)
     size = support.size
     if size > LINDBLAD_SUPPORT_CAP:
         raise DomainError(
@@ -447,10 +481,8 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     side = size * size
     upper = np.triu(np.ones((size, size), dtype=bool))
     start = np.where(upper, raw.real, raw.imag.T).reshape(-1)
-    h, *jumps = (_restricted(support, op.rows, op.cols, op.vals)
-                 for op in (hamiltonian, *collapse.operators))
-    rows, cols, vals, norm = _pruned(
-        side, *_hermitian_coordinates(size, *_liouvillian(h, jumps, size)))
+    rows, cols, vals, norm = _pruned(side, *_hermitian_coordinates(
+        size, *_liouvillian(_restricted(support, *table), size)))
     # the blocks whose start is not all zero, the dense ones first, laid
     # out one after another: x[bounds[j]:bounds[j + 1]] is block j
     live = [idx for idx in _generator_blocks(rows, cols, side)

@@ -12,6 +12,7 @@ from .dynamics import _checked_stack
 from .errors import DomainError, StateSpecError
 
 VALID_AXES = frozenset("ZXY")
+BORN_MAP_ENTRIES = 1 << 16  # most Born-map entries made for one product
 _M64 = (1 << 64) - 1
 
 # Basis pre-rotations: measuring axis A in the computational basis after U
@@ -99,9 +100,13 @@ def _outcome_probabilities(support, stack, basis, confusion=None):
     indices support, measured in basis.
 
     In Z on every qubit these are |amp|^2 or the diagonal, scattered onto
-    the support. Otherwise they are diag(W rho W^dag), W = U[:, support] of
-    the basis pre-rotation U, built one qubit at a time (2^n x s entries).
-    With confusion matrices given, the Born probabilities are mapped to the
+    the support. Otherwise W = U[:, support] of the basis pre-rotation U is
+    built one qubit at a time (2^n x s entries), and they are |W psi|^2 or
+    diag(W rho W^dag). The latter is one product of the (T, s^2) stack with
+    the Born map B[i, j*s + k] = W_ij conj(W_ik), Re(rho B^T), made for
+    BORN_MAP_ENTRIES entries of B at a time: every outcome at once on the
+    paper's 5 qubits, blocks of outcomes on a larger support. With
+    confusion matrices given, the Born probabilities are mapped to the
     reported outcome's, (C_1 x ... x C_n) p, one qubit at a time.
     """
     n = len(basis)
@@ -120,8 +125,15 @@ def _outcome_probabilities(support, stack, basis, confusion=None):
         if stack.ndim == 2:
             probs = np.abs(stack @ w.T) ** 2
         else:
-            # diag(W rho W^dag)_i = sum_j (W rho)_ij conj(W_ij)
-            probs = np.real((np.matmul(w, stack) * w.conj()).sum(axis=2))
+            size = support.size
+            flat = stack.reshape(len(stack), size * size)
+            probs = np.empty((len(stack), 1 << n))
+            per = max(1, BORN_MAP_ENTRIES // (size * size))
+            for lo in range(0, 1 << n, per):
+                block = w[lo:lo + per]
+                born_map = block[:, :, None] * block[:, None, :].conj()
+                probs[:, lo:lo + per] = (
+                    flat @ born_map.reshape(len(block), -1).T).real
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
     if confusion is not None:  # one qubit at a time on the (T, 2, ..., 2) view

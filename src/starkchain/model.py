@@ -114,6 +114,14 @@ def _hermitian_residue(dim, rows, cols, vals):
     return float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(vals)))
 
 
+def _run_starts(key):
+    """Indices where a run of equal neighbours in key begins."""
+    starts = np.empty(key.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 def _summed(dim, rows, cols, vals):
     """Entries (rows, cols, vals) of a dim x dim matrix given as coordinates
     in any order: row-major, entries at one coordinate summed in the order
@@ -123,7 +131,7 @@ def _summed(dim, rows, cols, vals):
     key = rows * dim + cols
     order = np.argsort(key, kind="stable")
     key, vals = key[order], vals[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
+    first = _run_starts(key)
     if first.size < key.size:
         # one pass per duplicate, so each sum runs left to right as scipy's
         # sum_duplicates adds; np.add.reduceat would add a0 + (a1 + a2)
@@ -242,12 +250,14 @@ def _operator(states, terms, basis_tag):
     amplitudes) maps states[i] to targets[i] with amplitudes[i]: states ^ mask
     flips bits, states +- step moves a boson, states itself is diagonal. Zero
     amplitudes and targets outside the list are dropped: on a subset this is
-    the restriction of the full operator."""
+    the restriction of the full operator. The amplitudes, arrays or scalars,
+    are assigned row by row into one (terms, states) table."""
     order = np.argsort(states)
     ranked = states[order]
     targets = np.array([t for t, _ in terms])
-    amplitudes = np.array([np.broadcast_to(np.asarray(a, dtype=complex),
-                                           states.shape) for _, a in terms])
+    amplitudes = np.empty(targets.shape, dtype=complex)
+    for row, (_, a) in zip(amplitudes, terms):
+        row[...] = a
     pos = np.minimum(np.searchsorted(ranked, targets), states.size - 1)
     # term-major, as one term after another
     term, hit = np.nonzero((ranked[pos] == targets) & (amplitudes != 0))
@@ -256,14 +266,15 @@ def _operator(states, terms, basis_tag):
         basis_tag)
 
 
-def _restricted(support, rows, cols, vals):
-    """Entries (rows, cols, vals) between the ascending indices support,
+def _restricted(support, rows, cols, *carried):
+    """Entries (rows, cols, *carried) between the ascending indices support,
     indexed by position in support and kept in their order: the matrix
-    restricted to those indices, stored zeros included."""
+    restricted to those indices, stored zeros included. carried are arrays
+    with one item per entry, such as its values."""
     r, c = np.searchsorted(support, rows), np.searchsorted(support, cols)
     inside = ((support.take(r, mode="clip") == rows)
               & (support.take(c, mode="clip") == cols))
-    return r[inside], c[inside], vals[inside]
+    return (r[inside], c[inside], *(x[inside] for x in carried))
 
 
 def _chain_hamiltonian(params, potential, basis, fock_cutoff):

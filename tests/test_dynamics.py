@@ -38,7 +38,7 @@ from starkchain import (
 from starkchain import dynamics
 from starkchain.config import _excitation_range
 from starkchain.dynamics import _generator_blocks, _liouvillian, _reachable_states
-from starkchain.model import DENSE_DIM_CAP, _restricted
+from starkchain.model import DENSE_DIM_CAP, _restricted, _summed
 
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |0> = (1, 0)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -47,6 +47,13 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 def _on(op, keep):
     """op's entries restricted to the ascending states keep."""
     return _restricted(keep, op.rows, op.cols, op.vals)
+
+
+def _table(h, col, keep=None):
+    """The entry table of h and col's operators, as the Lindblad solver
+    stacks it, restricted to the ascending states keep if given."""
+    table = dynamics._entry_table(h, col)
+    return table if keep is None else _restricted(keep, *table)
 
 
 def _site_operator(local_ops, site, n_sites):
@@ -687,9 +694,7 @@ def _block_sizes(h, col, rho, real=False):
     """Sizes of the generator's blocks on the states reachable from rho:
     on vec rho, or with real on its Hermitian coordinates."""
     keep = _reachable_states(rho, h, col)
-    rows, cols, vals = _liouvillian(_on(h, keep),
-                                    [_on(op, keep) for op in col.operators],
-                                    keep.size)
+    rows, cols, vals = _liouvillian(_table(h, col, keep), keep.size)
     if real:
         rows, cols, vals = dynamics._hermitian_coordinates(keep.size, rows,
                                                            cols, vals)
@@ -1018,9 +1023,7 @@ def test_peak_memory_is_the_output_and_the_generator():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    generator = _liouvillian((h.rows, h.cols, h.vals),
-                             [(op.rows, op.cols, op.vals) for op in col.operators],
-                             h.dim)
+    generator = _liouvillian(_table(h, col), h.dim)
     assert out.shape == (2000, 16, 16)
     assert peak < 1.25 * out.nbytes + sum(a.nbytes for a in generator)
 
@@ -1046,9 +1049,7 @@ def test_generator_matches_kron_formula(n, jumps):
         col = CollapseOperatorSet(operators=(), basis_tag=full_tag(n))
     mats = [op.matrix for op in col.operators]
     ref = _kron_liouvillian(h.matrix, mats)
-    rows, cols, vals = _liouvillian((h.rows, h.cols, h.vals),
-                                    [(op.rows, op.cols, op.vals) for op in col.operators],
-                                    2 ** n)
+    rows, cols, vals = _liouvillian(_table(h, col), 2 ** n)
     got = sp.csr_matrix((vals, (rows, cols)), shape=(4 ** n, 4 ** n))
     assert got.shape == ref.shape == (4 ** n, 4 ** n)
     assert got.dtype == np.complex128
@@ -1058,8 +1059,69 @@ def test_generator_matches_kron_formula(n, jumps):
     keep = _reachable_states(rho, h, col)
     block = np.ix_(keep, keep)
     sub = [m[block] for m in mats]
-    rows, cols, vals = _liouvillian(_on(h, keep),
-                                    [_on(op, keep) for op in col.operators],
-                                    keep.size)
+    rows, cols, vals = _liouvillian(_table(h, col, keep), keep.size)
     got = sp.csr_matrix((vals, (rows, cols)), shape=(keep.size ** 2,) * 2)
     assert abs(got - _kron_liouvillian(h.matrix[block], sub)).max() <= 1e-15
+
+
+def _kron_conj(x, y, d):
+    """Entries of x (x) conj(y) for two matrices given as entries (rows,
+    cols, vals), y of side d. The values are products over flat index
+    pairs, as the solver makes them: numpy multiplies a 1 x 1 outer product
+    of complex values without the fused multiply-add of its other complex
+    products, so an outer product would differ in the last bit for a C_k
+    of one entry with a complex value."""
+    a = np.repeat(np.arange(x[2].size), y[2].size)
+    b = np.tile(np.arange(y[2].size), x[2].size)
+    return x[0][a] * d + y[0][b], x[1][a] * d + y[1][b], x[2][a] * y[2].conj()[b]
+
+
+def _gram_entries(r, c, v):
+    """The products conj(C_ia) C_ib, at (a, b), of every pair of entries in
+    one row i of C given row-major: the terms of C+ C, rows i ascending."""
+    first = np.flatnonzero(np.diff(r, prepend=-1))
+    width = np.diff(np.append(first, r.size))  # entries in each row
+    partners = np.repeat(width, width)  # entries in the row of each entry
+    a = np.repeat(np.arange(r.size), partners)
+    b = (np.repeat(np.repeat(first, width), partners) + np.arange(a.size)
+         - np.repeat(np.cumsum(partners) - partners, partners))
+    return c[a], c[b], v[a].conj() * v[b]
+
+
+def _per_jump_liouvillian(h, jumps, size):
+    """Reference: the generator assembled one jump operator at a time, K
+    from each C_k's row pairs and a Kronecker product per C_k, with the
+    terms in the order the solver sums them."""
+    none = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=complex),)
+    k = _summed(size, *map(np.concatenate,
+                           zip(none, *[_gram_entries(*c) for c in jumps])))
+    a = _summed(size, *map(np.concatenate, zip(
+        (h[0], h[1], -1j * h[2]), (k[0], k[1], -(0.5 * k[2])))))
+    a = tuple(x[a[2] != 0] for x in a)
+    eye = (np.arange(size), np.arange(size), np.ones(size))
+    parts = [_kron_conj(a, eye, size), _kron_conj(eye, a, size)]
+    parts += [_kron_conj(c, c, size) for c in jumps]
+    return _summed(size * size, *map(np.concatenate, zip(*parts)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_noisy_chains().map(lambda chain: _built(chain)[:3]),
+                 _random_jump_chains()),
+       st.booleans(), st.booleans())
+def test_generator_equals_the_per_jump_assembly(chain, no_jumps, reachable):
+    # bit for bit, on the full space and on the reachable states: the
+    # stacked table sums every coordinate's terms in the same order
+    h, col, state = chain
+    if no_jumps:
+        col = CollapseOperatorSet(operators=(), basis_tag=col.basis_tag)
+    keep = np.arange(h.dim)
+    if reachable:
+        keep = _reachable_states(state.to_density().data, h, col)
+    want = _per_jump_liouvillian(_on(h, keep),
+                                 [_on(op, keep) for op in col.operators],
+                                 keep.size)
+    got = _liouvillian(_table(h, col, keep), keep.size)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+        assert g.tobytes() == w.tobytes()

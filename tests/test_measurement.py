@@ -3,6 +3,7 @@
 import functools
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -653,6 +654,31 @@ class TestCounts:
         assert rec.counts.nbytes == snapshots * 10 * 4096 * 8
         assert peak < 1.5 * rec.counts.nbytes
 
+    def test_born_map_made_in_blocks(self):
+        # a noisy thermal_transport snapshot stack on 10 qubits measured in
+        # X: 151 snapshots on the 56 states of counts 0..2. Its whole Born
+        # map would be 1024 x 56^2 complex entries, 51 MB, and the two
+        # (151, 1024, 56) products of W rho W^dag 139 MB each; made
+        # BORN_MAP_ENTRIES entries at a time the call peaks near its
+        # probabilities, 1.2 MB
+        n = 10
+        support = np.array([i for i in range(1 << n) if bin(i).count("1") <= 2])
+        rng = np.random.default_rng(5)
+        vecs = (rng.normal(size=(151, support.size))
+                + 1j * rng.normal(size=(151, support.size)))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        stack = np.einsum("ki,kj->kij", vecs, vecs.conj())
+        assert stack.shape == (151, 56, 56)
+        measurement._outcome_probabilities(support, stack[:2], "X" * n)
+        tracemalloc.start()
+        try:
+            probs = measurement._outcome_probabilities(support, stack, "X" * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (151, 1024)
+        assert peak < 8e6
+
 
 @st.composite
 def _support_stacks(draw):
@@ -679,10 +705,13 @@ def _support_stacks(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_support_stacks())
-def test_support_kernel_matches_the_dense_rotation(case):
+@given(_support_stacks(),
+       st.sampled_from([1, 20, measurement.BORN_MAP_ENTRIES]))
+def test_support_kernel_matches_the_dense_rotation(case, entries):
     # Born probabilities diag(U rho U^dag) of the stack scattered to the
-    # full space, then (C_1 x ... x C_n) p, against the kernel on the support
+    # full space, then (C_1 x ... x C_n) p, against the kernel on the
+    # support, its Born map made one outcome, a few entries or every
+    # outcome of the paper's 5 qubits at a time
     support, stack, basis, confusion = case
     dim = 2 ** len(basis)
     u = functools.reduce(np.kron, [measurement._ROT[a] for a in basis])
@@ -699,12 +728,14 @@ def test_support_kernel_matches_the_dense_rotation(case):
         p = np.clip(np.real(np.diag(u @ rho @ u.conj().T)), 0.0, None)
         born.append(p / p.sum())
     born = np.array(born)
-    np.testing.assert_allclose(
-        measurement._outcome_probabilities(support, stack, basis), born,
-        rtol=0, atol=1e-13)
-    np.testing.assert_allclose(
-        measurement._outcome_probabilities(support, stack, basis, confusion),
-        born @ c.T, rtol=0, atol=1e-13)
+    with mock.patch.object(measurement, "BORN_MAP_ENTRIES", entries):
+        np.testing.assert_allclose(
+            measurement._outcome_probabilities(support, stack, basis), born,
+            rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            measurement._outcome_probabilities(support, stack, basis,
+                                               confusion),
+            born @ c.T, rtol=0, atol=1e-13)
 
 
 class TestSupportArgument:
