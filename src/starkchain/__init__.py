@@ -36,9 +36,8 @@ _EXPORTS = {
     ),
     "freefermion": (
         "SingleParticleHamiltonian", "fit_localization_length",
-        "max_density_profile", "propagate_single_particle",
-        "single_particle_matrix", "time_averaged_profile",
-        "two_excitation_slater", "wsl_length_analytic", "wsl_profile_ansatz",
+        "propagate_single_particle", "single_particle_matrix",
+        "time_averaged_profile", "two_excitation_slater",
     ),
     "measurement": (
         "CountRecord", "confusion_from_device", "group_means", "sample_shots",
@@ -46,7 +45,7 @@ _EXPORTS = {
     "model": (
         "OperatorMatrix", "SectorBasis", "build_bose_hubbard_hamiltonian",
         "build_observable", "build_sector_basis", "build_xy_hamiltonian",
-        "full_index", "full_tag", "occupations_of_index", "sector_tag",
+        "full_index", "full_tag", "sector_tag",
     ),
     "observables": ("TrajectoryTable", "expectation", "trajectory"),
 }

@@ -128,8 +128,9 @@ def _sampled(config, potential, f_index, settings):
     """Group means (nt, n_groups) per estimator name, over every setting.
 
     settings: (measurement basis, estimator names) pairs, sampled on the
-    same snapshots, passed to the sampler with the ascending full-space
-    indices they live on; each setting takes an equal share of the plan's
+    same snapshots, passed to the sampler with the full-space index of
+    each basis state, ascending for state vectors and in basis order for
+    Lindblad snapshots; each setting takes an equal share of the plan's
     shots, and the groups of snapshot k are drawn from key k of the
     (seed, gradient, setting) sequence. One sample_shots call per setting
     covers every snapshot, and one group_means call estimates all its
@@ -137,14 +138,14 @@ def _sampled(config, potential, f_index, settings):
     estimator's group means reshape to (nt, n_groups).
     """
     h, state, basis, collapse = _route(config, potential, config.noise)
+    support = _basis_states(basis, basis.n_sites)[0]
     if collapse is None:
-        data = evolve_unitary(h, state, _times(config))
+        # full-space indices descend as basis positions ascend: reverse
+        # the basis states and the state vectors
+        support = support[::-1]
+        data = evolve_unitary(h, state, _times(config))[:, ::-1]
     else:
         data = evolve_lindblad(h, state, _times(config), collapse)
-    # full-space indices descend as basis positions ascend: reverse the
-    # basis states and both axes of a density stack
-    support = _basis_states(basis, basis.n_sites)[0][::-1]
-    data = data[:, ::-1, ::-1] if data.ndim == 3 else data[:, ::-1]
     confusion = _confusion_list(config)
     correct = confusion if config.readout_correction else None
     plan = config.shots

@@ -12,7 +12,7 @@ from .model import (DENSE_DIM_CAP, OperatorMatrix, _basis_states, _operator,
                     _restricted, _run_starts, _summed)
 
 DENSE_BLOCK_CAP = 512  # largest real block given a dense propagator
-CHECK_STACK_ENTRIES = 1 << 12  # most snapshot entries checked in one stack
+CHECK_STACK_ENTRIES = 1 << 14  # most snapshot entries checked in one stack
 TRACE_TOL = 1e-6
 POSITIVITY_TOL = 1e-6
 HERMITICITY_TOL = 1e-8
@@ -34,20 +34,21 @@ def _checked_stack(a, where=lambda k, message: f"snapshot {k}: {message}",
     TRACE_TOL of 1, or, in this order, an anti-Hermitian residue within
     HERMITICITY_TOL (a non-finite entry fails it), the real trace of the
     Hermitian part within TRACE_TOL of 1 and no eigenvalue of it below
-    -POSITIVITY_TOL. The earliest failing snapshot k raises
-    error(where(k, message)). Density matrices go CHECK_STACK_ENTRIES
-    entries at a time, and eigvalsh runs only where one batched Cholesky
-    factorisation of herm + POSITIVITY_TOL/2 * I fails, as it does wherever
-    eigvalsh would find an eigenvalue below -POSITIVITY_TOL."""
+    -POSITIVITY_TOL (_failure). The earliest failing snapshot k raises
+    error(where(k, message)); density matrices go CHECK_STACK_ENTRIES
+    entries at a time."""
     if a.ndim == 2:
-        norm = np.linalg.norm(a, axis=1)
-        bad = np.flatnonzero(~(np.abs(norm - 1.0) <= TRACE_TOL))
-        if bad.size:
+        if len(a) == 1:  # one vector, as QuantumState checks it: scalar work
+            norm = [float(np.sqrt(np.vdot(a[0], a[0]).real))]
+            bad = [0] if not abs(norm[0] - 1.0) <= TRACE_TOL else []
+        else:
+            norm = np.linalg.norm(a, axis=1)
+            bad = np.flatnonzero(~(np.abs(norm - 1.0) <= TRACE_TOL))
+        if len(bad):
             k = bad[0]
             raise error(where(k, f"state vector norm {norm[k]} is not 1"))
         return a
     per = max(1, CHECK_STACK_ENTRIES // max(1, a.shape[1] ** 2))
-    shift = 0.5 * POSITIVITY_TOL * np.eye(a.shape[1])
     for first in range(0, len(a), per):
         stack = a[first:first + per]
         # a contiguous adjoint: subtracting the transposed view is 3x slower
@@ -55,24 +56,36 @@ def _checked_stack(a, where=lambda k, message: f"snapshot {k}: {message}",
         with np.errstate(invalid="ignore", over="ignore"):
             residue = np.abs(stack - adjoint).max(axis=(1, 2))
             herm = 0.5 * (stack + adjoint)
-            trace = np.trace(herm, axis1=1, axis2=2).real
-        bad = ~(residue <= HERMITICITY_TOL) | (np.abs(trace - 1.0) > TRACE_TOL)
-        stop = np.argmax(bad) if bad.any() else len(stack)
-        if stop < len(stack):
-            message = (f"density matrix trace {trace[stop]} is not 1"
-                       if residue[stop] <= HERMITICITY_TOL else
-                       f"density matrix anti-Hermitian residue {residue[stop]:.3e}")
-        try:  # these are finite, and trace 1 bounds a positive one's norm
-            np.linalg.cholesky(herm[:stop] + shift)
-        except np.linalg.LinAlgError:
-            low = np.linalg.eigvalsh(herm[:stop])[:, 0]
-            negative = np.flatnonzero(low < -POSITIVITY_TOL)
-            if negative.size:
-                stop = negative[0]
-                message = f"density matrix eigenvalue {low[stop]}"
+        stop, message = _failure(herm, residue)
         if stop < len(stack):
             raise error(where(first + stop, message))
     return a
+
+
+def _failure(herm, residue):
+    """(k, message) of the earliest of the Hermitian parts herm of a stack
+    that breaks the state rule, given each one's anti-Hermitian residue:
+    (len(herm), None) if none does. Positivity is screened by one batched
+    Cholesky factorisation of herm + POSITIVITY_TOL/2 * I, and eigvalsh
+    runs only where it fails, as it does wherever eigvalsh would find an
+    eigenvalue below -POSITIVITY_TOL."""
+    with np.errstate(invalid="ignore"):
+        trace = np.trace(herm, axis1=1, axis2=2).real
+    bad = ~(residue <= HERMITICITY_TOL) | (np.abs(trace - 1.0) > TRACE_TOL)
+    stop = np.argmax(bad) if bad.any() else len(herm)
+    message = None if stop == len(herm) else (
+        f"density matrix trace {trace[stop]} is not 1"
+        if residue[stop] <= HERMITICITY_TOL else
+        f"density matrix anti-Hermitian residue {residue[stop]:.3e}")
+    try:  # these are finite, and trace 1 bounds a positive one's norm
+        np.linalg.cholesky(herm[:stop] + 0.5 * POSITIVITY_TOL * np.eye(herm.shape[1]))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(herm[:stop])[:, 0]
+        negative = np.flatnonzero(low < -POSITIVITY_TOL)
+        if negative.size:
+            stop = negative[0]
+            message = f"density matrix eigenvalue {low[stop]}"
+    return stop, message
 
 
 @dataclass
@@ -400,6 +413,87 @@ def _hermitian_slots(size):
     return lo * size + hi, im, np.where(c > d, -1.0, 1.0)
 
 
+def _coordinates(stack):
+    """The (T, s*s) real Hermitian coordinates of a (T, s, s) stack of
+    Hermitian matrices, read from the entries on and above the diagonal."""
+    upper = np.triu(np.ones(stack.shape[1:], dtype=bool))
+    return np.where(upper, stack.real, stack.imag.transpose(0, 2, 1)).reshape(
+        len(stack), upper.size)
+
+
+def _matrices(x, size):
+    """The (T, size, size) Hermitian matrices of the coordinates x."""
+    re, im, sign = _hermitian_slots(size)
+    x = np.concatenate([x, np.zeros((len(x), 1))], axis=1)  # the 0 of im
+    out = np.empty((len(x), size, size), dtype=complex)
+    flat = out.reshape(len(x), size * size)
+    flat.real = x[:, re]
+    flat.imag = x[:, im] * sign
+    return out
+
+
+def _coordinate_map(coef):
+    """(K, s*s) real R with R[k] @ x = Re sum_jl coef[k, j, l] rho_jl for
+    every Hermitian rho of coordinates x: Re(C + C^T) above the diagonal,
+    Im(C - C^T) below it and Re C on it, C = coef[k]."""
+    swapped = coef.transpose(0, 2, 1)
+    upper = np.triu(np.ones(coef.shape[1:], dtype=bool), 1)
+    out = np.where(upper, (coef + swapped).real, (coef - swapped).imag)
+    out += np.eye(coef.shape[1]) * coef.real
+    return out.reshape(len(coef), upper.size)
+
+
+def _checked_coordinates(x, size, order, where, error):
+    """_checked_stack's rule on (T, size*size) coordinates x, rows visited
+    in the order of the indices order, CHECK_STACK_ENTRIES entries at a
+    time: the earliest failing row k raises error(where(k, message)). A
+    matrix read from x is Hermitian exactly, so only a non-finite entry
+    fails the residue check, with residue nan."""
+    per = max(1, CHECK_STACK_ENTRIES // max(1, size * size))
+    for first in range(0, len(order), per):
+        at = order[first:first + per]
+        stack = x[at]
+        residue = np.where(np.isfinite(stack).all(axis=1), 0.0, np.nan)
+        stop, message = _failure(_matrices(stack, size), residue)
+        if stop < len(stack):
+            raise error(where(at[stop], message))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class LindbladSnapshots:
+    """Density matrices in their real Hermitian coordinates: coords, a
+    read-only (T, s*s) array taken over from the caller, row k at times[k],
+    on the s reached states at the ascending positions support of a basis
+    of dim states; shape is (T, dim, dim). Making one is the state check
+    (_checked_coordinates), so it is read without a second one."""
+
+    coords: np.ndarray
+    support: np.ndarray
+    shape: tuple
+
+    def __init__(self, coords, support, dim, times):
+        coords, support = np.asarray(coords, dtype=float), np.asarray(support)
+        _checked_coordinates(
+            coords, support.size, np.argsort(times, kind="stable"),
+            lambda k, message: f"{message} at t = {times[k]:g} ns",
+            NumericalConsistencyError)
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "shape", (len(coords), dim, dim))
+
+    def __len__(self):
+        return self.shape[0]
+
+    def matrices(self):
+        """The (T, dim, dim) complex density matrices on the run's basis,
+        zero outside the reached states."""
+        out = np.zeros(self.shape, dtype=complex)
+        out[:, self.support[:, None], self.support] = _matrices(
+            self.coords, self.support.size)
+        return out
+
+
 def _hermitian_coordinates(size, rows, cols, vals):
     """The entries (rows, cols, vals), row-major, of the real generator on
     the Hermitian coordinates of rho (_hermitian_slots), given the complex
@@ -432,31 +526,26 @@ def _hermitian_coordinates(size, rows, cols, vals):
 def evolve_lindblad(hamiltonian, state, times, collapse):
     """Master-equation evolution with an exact propagator between snapshots,
     drho/dt = -i[H, rho] + sum_k (C_k rho C_k+ - {C_k+ C_k, rho}/2), as the
-    (n_times, dim, dim) density matrices on the state's basis, in the order
-    of times, zero outside the sorted basis indices reachable from the state
-    (6 of 32 on the full space for "10000", all 6 on its counts 0..1).
+    LindbladSnapshots of rho in its real Hermitian coordinates, in the order
+    of times, on the basis states reachable from the state (6 of 32 on the
+    full space for "10000", all 6 on its counts 0..1).
 
     H and the C_k are stacked once into one entry table (_entry_table),
     the reachable states are closed over it (_reachable), and a support
     above LINDBLAD_SUPPORT_CAP states is refused before the generator is
-    assembled on it, with numpy, from the table restricted to it.
-    rho is evolved in its real Hermitian coordinates (_hermitian_slots), on
-    which the generator is real (_hermitian_coordinates), and each snapshot
-    is built from them, so it is Hermitian by construction; no step takes a
-    Hermitian part. The generator splits into independent real blocks
-    (26/10 coordinates for "10000", 126/110/20 for "X+X+000"), and a block
-    whose start is all zero stays zero and is not stepped. The times are
-    visited in ascending order. Over an interval dt that recurs, as on a
-    uniform grid, a block of up to DENSE_BLOCK_CAP coordinates is
+    assembled on it. On the coordinates the generator is real
+    (_hermitian_coordinates), so every snapshot is Hermitian by
+    construction. It splits into independent real blocks (26/10 for
+    "10000", 126/110/20 for "X+X+000"); a block whose start is all zero is
+    not stepped. The times are visited in ascending order. Over an interval
+    dt that recurs, a block of up to DENSE_BLOCK_CAP coordinates is
     multiplied by its dense real expm(dt G_b), computed once per distinct
     dt, and the larger blocks are propagated together with scipy's
     expm_multiply (Al-Mohy & Higham 2011); an interval taken once, with
-    expm_multiply on the whole generator. The snapshots are built, and
-    held to the state rule (_checked_stack), a stack of up to
-    CHECK_STACK_ENTRIES entries at a time, and a NumericalConsistencyError
-    names the earliest that fails, at its time; the start, a principal
-    block of a checked QuantumState, needs none. Each checked stack is
-    scattered straight into the zeroed output.
+    expm_multiply on the whole generator. Making the LindbladSnapshots is
+    the state check, and a NumericalConsistencyError names the earliest
+    failure, at its time; the start, a principal block of a checked
+    QuantumState, needs none.
     """
     import scipy.linalg
     import scipy.sparse.linalg
@@ -479,21 +568,20 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     else:
         raw = np.outer(state.data[support], state.data[support].conj())
     side = size * size
-    upper = np.triu(np.ones((size, size), dtype=bool))
-    start = np.where(upper, raw.real, raw.imag.T).reshape(-1)
+    start = _coordinates(raw[None])[0]
     rows, cols, vals, norm = _pruned(side, *_hermitian_coordinates(
         size, *_liouvillian(_restricted(support, *table), size)))
     # the blocks whose start is not all zero, the dense ones first, laid
-    # out one after another: x[bounds[j]:bounds[j + 1]] is block j
+    # out one after another: held[bounds[j]:bounds[j + 1]] is block j
     live = [idx for idx in _generator_blocks(rows, cols, side)
             if start[idx].any()]
     live.sort(key=lambda idx: idx.size > DENSE_BLOCK_CAP)
     n_dense = sum(idx.size <= DENSE_BLOCK_CAP for idx in live)
     perm = np.concatenate(live)
     bounds = np.cumsum([0] + [idx.size for idx in live])
-    # place[k]: where coordinate k is held, perm.size for a dead one or
-    # for k = side, a slot that holds 0
-    place = np.full(side + 1, perm.size)
+    # place[k]: where coordinate k is held, perm.size for a dead one, a
+    # slot that holds 0
+    place = np.full(side, perm.size)
     place[perm] = np.arange(perm.size)
     inside = place[rows] < perm.size  # nothing flows between blocks
     rows, cols, vals = place[rows[inside]], place[cols[inside]], vals[inside]
@@ -503,7 +591,7 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
         gen_b = np.zeros((hi - lo, hi - lo))
         gen_b[rows[held] - lo, cols[held] - lo] = vals[held]
         dense.append(gen_b)
-    split = bounds[n_dense]  # x[split:] holds the large blocks
+    split = bounds[n_dense]  # held[split:] holds the large blocks
     large_gen = None  # the large blocks together, as one CSR matrix
     if split < perm.size:
         held = rows >= split
@@ -517,50 +605,31 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     uses = Counter(steps)
     last_use = {dt: i for i, dt in enumerate(steps)}
     propagators = {}
-    # the snapshots are built and checked in stacks of up to
-    # CHECK_STACK_ENTRIES entries: every snapshot of a small block at once,
-    # chunks of them for a large one
-    per_check = max(1, CHECK_STACK_ENTRIES // side)
-    pending = np.zeros((min(per_check, times.size), perm.size + 1))
-    chunk = np.empty((len(pending), size, size), dtype=complex)
-    re, im, sign = _hermitian_slots(size)
-    re, im = place[re], place[im]
-    # a step maps the coordinates in one buffer into the other, block by
-    # block through views made once: each is (vector, views of its blocks)
-    cur, nxt = [(vec, [vec[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
-                for vec in np.empty((2, perm.size))]
-    cur[0][:] = start[perm]
-    out = np.zeros((times.size, hamiltonian.dim, hamiltonian.dim),
-                   dtype=complex)
-    first = 0  # the step whose coordinates are pending[0]
+    # a step maps the coordinates held in one buffer into the other, block
+    # by block through views made once: each is (buffer, held coordinates,
+    # views of its blocks), the buffer's last slot the 0 of dead ones
+    cur, nxt = [(vec, vec[:-1], [vec[lo:hi] for lo, hi in zip(bounds[:-1],
+                                                               bounds[1:])])
+                for vec in np.zeros((2, perm.size + 1))]
+    cur[1][:] = start[perm]
+    coords = np.empty((times.size, side))
     for i, dt in enumerate(steps):
         if dt * norm >= _UNIT_ROUNDOFF:
             if uses[dt] > 1:
                 if dt not in propagators:
                     propagators[dt] = [scipy.linalg.expm(dt * gen_b)
                                        for gen_b in dense]
-                for prop, src, dst in zip(propagators[dt], cur[1], nxt[1]):
+                for prop, src, dst in zip(propagators[dt], cur[2], nxt[2]):
                     np.matmul(prop, src, out=dst)
                 if large_gen is not None:
-                    nxt[0][split:] = _expm_multiply(
-                        dt * large_gen, cur[0][split:])
+                    nxt[1][split:] = _expm_multiply(
+                        dt * large_gen, cur[1][split:])
             else:
                 if whole is None:
                     whole = _csr(perm.size, rows, cols, vals)
-                nxt[0][:] = _expm_multiply(dt * whole, cur[0])
+                nxt[1][:] = _expm_multiply(dt * whole, cur[1])
             if last_use[dt] == i:
                 propagators.pop(dt, None)
             cur, nxt = nxt, cur
-        pending[i - first, :-1] = cur[0]
-        if i + 1 - first == len(pending) or i + 1 == times.size:
-            at = order[first:i + 1]
-            stack = chunk[:at.size]
-            entries = stack.reshape(at.size, side)
-            entries.real = pending[:at.size, re]
-            entries.imag = pending[:at.size, im] * sign
-            _checked_stack(
-                stack, lambda k, message: f"{message} at t = {times[at[k]]:g} ns",
-                NumericalConsistencyError)
-            out[np.ix_(at, support, support)] = stack
-            first = i + 1
-    return out
+        coords[order[i]] = cur[0][place]
+    return LindbladSnapshots(coords, support, hamiltonian.dim, times)

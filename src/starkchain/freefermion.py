@@ -91,26 +91,6 @@ def two_excitation_slater(h, sites0, times_ns):
     return dens.T, np.transpose(pair, (2, 0, 1))
 
 
-def wsl_length_analytic(g_mhz, f_mhz):
-    """2g/F in sites."""
-    if not g_mhz > 0:
-        raise DomainError("coupling must be positive")
-    if not f_mhz > 0:
-        raise DomainError("gradient must be positive (length diverges at F = 0)")
-    return 2.0 * g_mhz / f_mhz
-
-
-def wsl_profile_ansatz(center, xi, length):
-    """Normalized amplitude profile e^(-|j - center|/xi), unit 2-norm."""
-    if not 1 <= center <= length:
-        raise DomainError("center outside the chain")
-    if not xi > 0:
-        raise DomainError("xi must be positive")
-    d = np.abs(np.arange(1, length + 1) - center)
-    amps = np.exp(-d / float(xi))
-    return amps / np.linalg.norm(amps)
-
-
 def time_averaged_profile(h, site0, gradient_mhz, n_samples=1500):
     """Mean of P_j(t) over t in [5 T_B, 10 T_B]; averages out the BO phase."""
     f = abs(float(gradient_mhz))
@@ -119,12 +99,6 @@ def time_averaged_profile(h, site0, gradient_mhz, n_samples=1500):
     t_b = 1e3 / f
     t = np.linspace(5 * t_b, 10 * t_b, int(n_samples))
     return propagate_single_particle(h, site0, t).mean(axis=0)
-
-
-def max_density_profile(h, site0, t_max_ns, n_samples=3000):
-    """max_t P_j(t) over a dense grid on [0, t_max]."""
-    t = np.linspace(0.0, float(t_max_ns), int(n_samples))
-    return propagate_single_particle(h, site0, t).max(axis=0)
 
 
 def fit_localization_length(profile, center, xi_guess=None,

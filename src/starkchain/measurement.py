@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import ConfusionMatrix
-from .dynamics import _checked_stack
+from .dynamics import LindbladSnapshots, _checked_stack, _coordinate_map
 from .errors import DomainError, StateSpecError
 
 VALID_AXES = frozenset("ZXY")
@@ -95,43 +95,50 @@ class CountRecord:
 
 
 def _outcome_probabilities(support, stack, basis, confusion=None):
-    """(T, 2^n) outcome probabilities of a (T, s) stack of state vectors or a
-    (T, s, s) stack of density matrices on the s ascending full-space
-    indices support, measured in basis.
+    """(T, 2^n) outcome probabilities of a (T, s) stack of state vectors, a
+    (T, s, s) stack of density matrices or LindbladSnapshots on the s
+    states with full-space indices support, measured in basis.
 
     In Z on every qubit these are |amp|^2 or the diagonal, scattered onto
     the support. Otherwise W = U[:, support] of the basis pre-rotation U is
     built one qubit at a time (2^n x s entries), and they are |W psi|^2 or
-    diag(W rho W^dag). The latter is one product of the (T, s^2) stack with
-    the Born map B[i, j*s + k] = W_ij conj(W_ik), Re(rho B^T), made for
-    BORN_MAP_ENTRIES entries of B at a time: every outcome at once on the
+    diag(W rho W^dag), one product of the (T, s^2) stack with the Born map
+    B[i, j*s + k] = W_ij conj(W_ik), Re(rho B^T), or of the snapshots' real
+    coordinates with B's real map (dynamics._coordinate_map). B is made for
+    BORN_MAP_ENTRIES entries at a time: every outcome at once on the
     paper's 5 qubits, blocks of outcomes on a larger support. With
     confusion matrices given, the Born probabilities are mapped to the
     reported outcome's, (C_1 x ... x C_n) p, one qubit at a time.
     """
     n = len(basis)
+    size = support.size
+    real = isinstance(stack, LindbladSnapshots)
+    stack = stack.coords if real else stack  # real coordinates (T, s^2)
     if set(basis) == {"Z"}:
-        if stack.ndim == 2:
+        if real:
+            born = stack[:, ::size + 1]
+        elif stack.ndim == 2:
             born = np.abs(stack) ** 2
         else:
             born = np.diagonal(stack, axis1=1, axis2=2).real
         probs = np.zeros((len(stack), 1 << n))
         probs[:, support] = born
     else:
-        w = np.ones((1, support.size), dtype=complex)
+        w = np.ones((1, size), dtype=complex)
         for q, axis in enumerate(basis):
             bit = support >> (n - 1 - q) & 1
-            w = (w[:, None] * _ROT[axis][:, bit]).reshape(-1, support.size)
-        if stack.ndim == 2:
+            w = (w[:, None] * _ROT[axis][:, bit]).reshape(-1, size)
+        if stack.ndim == 2 and not real:
             probs = np.abs(stack @ w.T) ** 2
         else:
-            size = support.size
             flat = stack.reshape(len(stack), size * size)
             probs = np.empty((len(stack), 1 << n))
             per = max(1, BORN_MAP_ENTRIES // (size * size))
             for lo in range(0, 1 << n, per):
                 block = w[lo:lo + per]
                 born_map = block[:, :, None] * block[:, None, :].conj()
+                if real:
+                    born_map = _coordinate_map(born_map)
                 probs[:, lo:lo + per] = (
                     flat @ born_map.reshape(len(block), -1).T).real
     probs = np.clip(probs, 0.0, None)
@@ -167,16 +174,19 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
                  support=None):
     """Per-group outcome histograms of noisy readouts of a snapshot stack.
 
-    states is a (T, s) stack of state vectors or a (T, s, s) stack of
-    density matrices on support, the s ascending full-space indices of n
-    qubits the snapshots live on (None, the default, is the whole 2^n
-    space), with one seed per snapshot. Each snapshot's n_shots split into
-    n_groups groups. With independent per-qubit flips, the reported outcome
-    of one shot has the distribution q = (C_1 x ... x C_n) p, p the Born
-    probabilities after the basis pre-rotation, so each group's histogram is
-    one multinomial draw of n_shots // n_groups from q. Snapshot k draws its
-    n_groups histograms from Philox keyed by its seed alone, so any snapshot
-    can be regenerated on its own.
+    states is a (T, s) stack of state vectors, a (T, s, s) stack of density
+    matrices, held to the state rule (dynamics._checked_stack), or the
+    LindbladSnapshots of evolve_lindblad, checked when made, with one seed
+    per snapshot. support gives the full-space index of each of the s
+    states of n qubits: ascending for an array, in the run's basis order
+    for LindbladSnapshots; None, the default, is the whole 2^n space. Each
+    snapshot's n_shots split into n_groups groups. With independent
+    per-qubit flips, the reported outcome of one shot has the distribution
+    q = (C_1 x ... x C_n) p, p the Born probabilities after the basis
+    pre-rotation, so each group's histogram is one multinomial draw of
+    n_shots // n_groups from q. Snapshot k draws its n_groups histograms
+    from Philox keyed by its seed alone, so any snapshot can be regenerated
+    on its own.
 
     Returns a CountRecord of T * n_groups groups in state-major order (group
     g of snapshot k is row k * n_groups + g).
@@ -196,20 +206,26 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
     if n_groups < 1 or n_shots % n_groups:
         raise DomainError(
             f"{n_shots} shots per state not divisible into {n_groups} groups")
+    checked = isinstance(states, LindbladSnapshots)
     support = np.arange(1 << n_qubits) if support is None else np.asarray(support)
+    ordered = np.sort(support) if checked else support
     if (support.ndim != 1 or not support.size
-            or not np.issubdtype(support.dtype, np.integer) or support[0] < 0
-            or support[-1] >= 1 << n_qubits or np.any(np.diff(support) <= 0)):
+            or not np.issubdtype(support.dtype, np.integer) or ordered[0] < 0
+            or ordered[-1] >= 1 << n_qubits or np.any(np.diff(ordered) <= 0)):
         raise DomainError(
-            f"support must be ascending full-space indices of {n_qubits} qubits")
-    stack = np.asarray(states, dtype=complex)
+            f"support must be {'distinct' if checked else 'ascending'} "
+            f"full-space indices of {n_qubits} qubits")
+    stack = states if checked else np.asarray(states, dtype=complex)
     size = support.size
-    if stack.ndim not in (2, 3) or stack.shape[1:] not in ((size,), (size, size)):
+    if len(stack.shape) not in (2, 3) or stack.shape[1:] not in ((size,), (size, size)):
         raise StateSpecError(
             f"sampling needs states on {size} of the full-space states of "
             f"{n_qubits} qubits, got a stack of shape {stack.shape}")
-    reported = _outcome_probabilities(support, _checked_stack(stack), basis,
-                                      confusion)
+    if checked:
+        support = support[states.support]
+    else:
+        stack = _checked_stack(stack)
+    reported = _outcome_probabilities(support, stack, basis, confusion)
     counts = np.empty((len(seeds), n_groups, 1 << n_qubits), dtype=np.int64)
     for k, gen in enumerate(_keyed_generators(seeds)):
         counts[k] = gen.multinomial(n_shots // n_groups, reported[k],

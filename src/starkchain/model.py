@@ -48,11 +48,6 @@ def full_index(occupations):
     return idx
 
 
-def occupations_of_index(index, n_sites):
-    """Inverse of full_index."""
-    return tuple((index >> (n_sites - 1 - j)) & 1 for j in range(n_sites))
-
-
 @dataclass(frozen=True)
 class SectorBasis:
     """Canonically ordered basis of one excitation number or a range (lo, hi)."""

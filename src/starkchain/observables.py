@@ -4,7 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _checked_times, evolve_lindblad, evolve_unitary
+from .dynamics import (LindbladSnapshots, _checked_times, _coordinate_map,
+                       evolve_lindblad, evolve_unitary)
 from .errors import DomainError, NumericalConsistencyError
 
 IMAG_ERROR_TOL = 1e-8
@@ -60,7 +61,18 @@ def _expectations(snapshots, operators):
     """(T, K) complex <O_k> on T stacked state vectors (T, d) or density
     matrices (T, d, d), gathered at each OperatorMatrix's stored entries
     (r, c, v): <psi|O|psi> = sum v psi*[r] psi[c] and tr(O rho) = sum v
-    rho[c, r]."""
+    rho[c, r]. On LindbladSnapshots, the real Re tr(O rho), one product of
+    their coordinates with the (K, s^2) real map (dynamics._coordinate_map)
+    of the operators' entries among the reached states."""
+    if isinstance(snapshots, LindbladSnapshots):
+        size = snapshots.support.size
+        at = np.full(snapshots.shape[1], -1)  # reached position of a state
+        at[snapshots.support] = np.arange(size)
+        coef = np.zeros((len(operators), size, size), dtype=complex)
+        for k, o in enumerate(operators):
+            keep = (at[o.rows] >= 0) & (at[o.cols] >= 0)
+            coef[k, at[o.cols[keep]], at[o.rows[keep]]] = o.vals[keep]
+        return snapshots.coords @ _coordinate_map(coef).T
     out = np.empty((len(snapshots), len(operators)), dtype=complex)
     for k, o in enumerate(operators):
         if snapshots.ndim == 3:

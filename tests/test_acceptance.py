@@ -123,7 +123,7 @@ def test_criterion_03_conservation_suite():
 
     col = make_collapse_ops(dev)
     st2 = prepare_initial_state("10000", 5)
-    rhos = evolve_lindblad(h, st2, np.linspace(0, 300, 11), col)
+    rhos = evolve_lindblad(h, st2, np.linspace(0, 300, 11), col).matrices()
     tr_drift = float(max(abs(np.trace(r).real - 1.0) for r in rhos))
     herm_drift = float(max(np.max(np.abs(r - r.conj().T)) for r in rhos))
     assert tr_drift <= 1e-8
@@ -141,7 +141,7 @@ def test_criterion_04_amplitude_damping():
     st = prepare_initial_state("10", 2)
     col = make_collapse_ops(dev)
     t1_ns = 17000.0
-    rho = evolve_lindblad(h, st, [t1_ns], col)[0]
+    rho = evolve_lindblad(h, st, [t1_ns], col).matrices()[0]
     n1 = build_observable("density", 1, dev).todense()
     got = float(np.trace(rho @ n1).real)
     assert got == pytest.approx(np.exp(-1.0), abs=1e-6)

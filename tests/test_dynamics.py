@@ -312,7 +312,7 @@ class TestLindblad:
         st = prepare_initial_state("10", 2)
         col = make_collapse_ops(dev)
         times = np.array([0.0, 1000.0, 5000.0, 17000.0])
-        rhos = evolve_lindblad(h, st, times, col)
+        rhos = evolve_lindblad(h, st, times, col).matrices()
         n1 = build_observable("density", 1, dev).todense()
         got = [np.trace(r @ n1).real for r in rhos]
         np.testing.assert_allclose(got, np.exp(-times / 17000.0), atol=1e-8)
@@ -324,7 +324,7 @@ class TestLindblad:
         st = prepare_initial_state("X+0", 2)
         col = make_collapse_ops(dev)
         t = 800.0
-        rho = evolve_lindblad(h, st, [t], col)[0]
+        rho = evolve_lindblad(h, st, [t], col).matrices()[0]
         # read the coherence entry rho_{10,00} directly
         i10, i00 = full_index((1, 0)), full_index((0, 0))
         rate = 0.5 / 17000.0 + 0.5 / 2000.0
@@ -336,7 +336,7 @@ class TestLindblad:
         st = prepare_initial_state("10000", 5)
         col = make_collapse_ops(dev)
         times = np.linspace(0, 300, 7)
-        rhos = evolve_lindblad(h, st, times, col)
+        rhos = evolve_lindblad(h, st, times, col).matrices()
         for r in rhos:
             assert abs(np.trace(r).real - 1.0) < 1e-8
             assert np.max(np.abs(r - r.conj().T)) < 1e-10
@@ -348,7 +348,7 @@ class TestLindblad:
         st = prepare_initial_state("10000", 5)
         col = make_collapse_ops(dev)
         times = np.array([0.0, 40.0, 80.0])
-        rhos = evolve_lindblad(h, st, times, col)
+        rhos = evolve_lindblad(h, st, times, col).matrices()
         amps = evolve_unitary(h, st, times)
         for r, v in zip(rhos, amps):
             np.testing.assert_allclose(r, np.outer(v, v.conj()), atol=1e-7)
@@ -381,9 +381,10 @@ class TestLindblad:
         h, col = _noisy_chain(3, "device")
         st = prepare_initial_state("X+10", 3)
         times = np.arange(0.0, 60.0, 4.0)
-        want = evolve_lindblad(h, st, times, col)
+        want = evolve_lindblad(h, st, times, col).coords
         monkeypatch.setattr(dynamics, "CHECK_STACK_ENTRIES", entries)
-        np.testing.assert_array_equal(evolve_lindblad(h, st, times, col), want)
+        np.testing.assert_array_equal(evolve_lindblad(h, st, times, col).coords,
+                                      want)
 
 
 # a valid 2x2 block, and one failure of each check, with the text that
@@ -402,7 +403,8 @@ _BLOCK_TIMES = np.arange(0.0, 14.0, 2.0)
 
 
 def _solver_check(stack, times):
-    """The state rule as the Lindblad solver names its failures."""
+    """The state rule on matrices (_checked_stack), its failures named as
+    the Lindblad solver names them."""
     return dynamics._checked_stack(
         stack, lambda k, message: f"{message} at t = {times[k]:g} ns",
         NumericalConsistencyError)
@@ -653,6 +655,72 @@ class TestStateRule:
             _solver_check(stack, _BLOCK_TIMES)
 
 
+class TestLindbladSnapshots:
+    """The solver's snapshots in real coordinates: making them is the
+    state check, with the rule and the messages of the matrix check."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(side=st.integers(1, 6),
+           entries=st.sampled_from([1, 20, dynamics.CHECK_STACK_ENTRIES]),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_same_verdict_as_the_matrix_rule(self, side, entries, seed, data):
+        # Hermitian stacks, so their coordinates hold them exactly, at
+        # unsorted times: the earliest failure in time is named
+        kinds = ["valid", "trace", "nan"] + ["negative"] * (side > 1)
+        picked = data.draw(st.lists(st.sampled_from(kinds), min_size=1,
+                                    max_size=8))
+        rng = np.random.default_rng(seed)
+        stack = np.array([_snapshot(kind, side, True, rng) for kind in picked])
+        stack = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
+        times = rng.permutation(len(stack)) * 2.0
+        order = np.argsort(times, kind="stable")
+        x = dynamics._coordinates(stack)
+        with mock.patch.object(dynamics, "CHECK_STACK_ENTRIES", entries):
+            try:
+                _solver_check(stack[order], times[order])
+            except NumericalConsistencyError as exc:
+                with pytest.raises(NumericalConsistencyError) as info:
+                    dynamics.LindbladSnapshots(x, np.arange(side), side, times)
+                assert str(info.value) == str(exc)
+            else:
+                got = dynamics.LindbladSnapshots(x, np.arange(side), side, times)
+                np.testing.assert_array_equal(got.matrices(), stack)
+
+    def test_made_only_from_checked_coordinates(self):
+        # the type is its own check: code outside the solver cannot make
+        # one from coordinates that fail the rule, or change one it holds
+        stack = np.array([_GOOD, _NEGATIVE, _GOOD])
+        with pytest.raises(NumericalConsistencyError,
+                           match=r"^density matrix eigenvalue -0\.25 at "
+                           r"t = 2 ns$"):
+            dynamics.LindbladSnapshots(dynamics._coordinates(stack), [0, 1],
+                                       2, [0.0, 2.0, 4.0])
+        snaps = dynamics.LindbladSnapshots(
+            dynamics._coordinates(stack[[0, 2]]), [1, 3], 4, [0.0, 2.0])
+        assert snaps.shape == (2, 4, 4) and len(snaps) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            snaps.coords[0, 0] = 0.5
+        with pytest.raises(AttributeError):
+            snaps.coords = np.zeros((2, 4))
+        want = np.zeros((2, 4, 4), dtype=complex)
+        want[:, 1::2, 1::2] = _GOOD
+        np.testing.assert_array_equal(snaps.matrices(), want)
+
+    def test_solver_checks_its_snapshots_once(self, monkeypatch):
+        # one check of the coordinates per run, none of matrices
+        h, col = _noisy_chain(3, "device")
+        state = prepare_initial_state("X+10", 3)
+        calls = []
+        for name in ("_checked_stack", "_checked_coordinates"):
+            def counted(*args, fn=getattr(dynamics, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(dynamics, name, counted)
+        snaps = evolve_lindblad(h, state, np.arange(0.0, 60.0, 4.0), col)
+        assert calls == ["_checked_coordinates"]
+        assert isinstance(snaps, dynamics.LindbladSnapshots)
+
+
 def _dense_lindblad(h, collapse, state, times):
     """Reference: dense expm of the full-space Liouvillian, column-stacked."""
     hd = h.todense()
@@ -717,13 +785,13 @@ class TestLindbladReference:
             h, col = _noisy_chain(n, jumps)
             for times in (_REFERENCE_TIMES, _GRID_TIMES):
                 ref = _dense_lindblad(h, col, st, times)
-                got = evolve_lindblad(h, st, times, col)
+                got = evolve_lindblad(h, st, times, col).matrices()
                 assert np.max(np.abs(got - ref)) <= 1e-10
                 # blocks of up to 8 entries dense, every larger one in a
                 # single expm_multiply call
                 with monkeypatch.context() as m:
                     m.setattr(dynamics, "DENSE_BLOCK_CAP", 8)
-                    got = evolve_lindblad(h, st, times, col)
+                    got = evolve_lindblad(h, st, times, col).matrices()
                 assert np.max(np.abs(got - ref)) <= 1e-10
 
     @pytest.mark.parametrize("cap", [dynamics.DENSE_BLOCK_CAP, 8])
@@ -735,7 +803,7 @@ class TestLindbladReference:
         h, col = _noisy_chain(3, "flip")
         st = prepare_initial_state("X+10", 3)
         monkeypatch.setattr(dynamics, "DENSE_BLOCK_CAP", cap)
-        got = evolve_lindblad(h, st, times, col)
+        got = evolve_lindblad(h, st, times, col).matrices()
         assert np.max(np.abs(got - _dense_lindblad(h, col, st, times))) <= 1e-10
 
     def test_raising_jump_reaches_every_state(self):
@@ -750,7 +818,7 @@ class TestLindbladReference:
             basis_tag=full_tag(5))
         st = prepare_initial_state("10000", 5)
         times = np.array([0.0, 60.0])
-        got = evolve_lindblad(h, st, times, col)
+        got = evolve_lindblad(h, st, times, col).matrices()
         np.testing.assert_allclose(got, _dense_lindblad(h, col, st, times),
                                    rtol=0, atol=1e-10)
         two_up = [i for i in range(32) if bin(i).count("1") == 2]
@@ -814,7 +882,7 @@ def test_lindblad_matches_dense_expm_random_chains(chain):
     h = build_xy_hamiltonian(dev, PotentialSpec.linear(tilt))
     col = make_collapse_ops(dev, dephasing=dephasing)
     state = prepare_initial_state(spec, n)
-    got = evolve_lindblad(h, state, times, col)
+    got = evolve_lindblad(h, state, times, col).matrices()
     assert np.max(np.abs(got - _dense_lindblad(h, col, state, times))) <= 1e-10
 
 
@@ -835,7 +903,7 @@ def test_full_space_run_equals_the_sector_range_run(chain):
         return evolve_lindblad(
             build_xy_hamiltonian(dev, PotentialSpec.linear(tilt), basis=basis),
             prepare_initial_state(spec, n, basis=basis), times,
-            make_collapse_ops(dev, dephasing=dephasing, basis=basis))
+            make_collapse_ops(dev, dephasing=dephasing, basis=basis)).matrices()
 
     full = run(None)
     assert full.shape == (times.size, 2 ** n, 2 ** n)
@@ -863,7 +931,7 @@ def test_expm_multiply_steps_ignore_global_random_state():
     runs = []
     for seed in range(6):
         np.random.seed(seed)
-        runs.append(evolve_lindblad(h, state, [66.0], col))
+        runs.append(evolve_lindblad(h, state, [66.0], col).coords)
         assert np.random.randint(1 << 30) == \
             np.random.RandomState(seed).randint(1 << 30)
     for got in runs[1:]:
@@ -887,7 +955,7 @@ class TestSupportCap:
         state = prepare_initial_state("1" + "0" * 10, 11, basis=basis)
         keep = [i for i, s in enumerate(basis.states) if sum(s) <= 1]
         np.testing.assert_array_equal(_reachable_states(state.data, h, col), keep)
-        got = evolve_lindblad(h, state, [0.0, 10.0, 20.0], col)
+        got = evolve_lindblad(h, state, [0.0, 10.0, 20.0], col).matrices()
         assert got.shape == (3, 67, 67)
         np.testing.assert_allclose(np.trace(got, axis1=1, axis2=2), 1.0,
                                    atol=1e-12)
@@ -973,7 +1041,7 @@ def test_reachable_states_match_the_link_matrix(chain):
         for got, want in zip(_on(op, keep), (ref_rows, ref.indices, ref.data)):
             np.testing.assert_array_equal(got, want)
     times = np.array([45.0, 0.0, 15.0, 7.5, 30.0])
-    got = evolve_lindblad(h, state, times, col)
+    got = evolve_lindblad(h, state, times, col).matrices()
     assert np.max(np.abs(got - _dense_lindblad(h, col, state, times))) <= 1e-10
 
 
@@ -998,17 +1066,17 @@ def test_snapshots_are_hermitian_by_construction(chain):
     # each entry below the diagonal is read from the same real coordinate
     # as its mirror, so no snapshot needs a Hermitian part taken
     h, col, state, times = chain
-    stack = evolve_lindblad(h, state, times, col)
+    stack = evolve_lindblad(h, state, times, col).matrices()
     np.testing.assert_array_equal(stack, stack.conj().transpose(0, 2, 1))
 
 
 def test_peak_memory_is_the_output_and_the_generator():
     # X+X+000 over 2000 snapshots on its counts 0..2, every one of the 16
-    # states reached: out is 2000 x 16 x 16 complex, 8.2 MB, the
+    # states reached: out holds 2000 x 256 real coordinates, 4.1 MB, the
     # generator's entries 45 kB. Besides them the solver holds one check
-    # stack at a time, and the propagators and expm's work arrays fit in
-    # the quarter of out allowed; a second full-size stack of the real
-    # coordinates would take half of out
+    # stack at a time, and the propagators and expm's work arrays (about
+    # 1.4 MB) fit in the half of out allowed; the complex 2000 x 16 x 16
+    # stack of the matrices would take twice out on its own
     dev = paper_device()
     basis = build_sector_basis(5, (0, 2))
     h = build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0), basis=basis)
@@ -1025,7 +1093,8 @@ def test_peak_memory_is_the_output_and_the_generator():
         tracemalloc.stop()
     generator = _liouvillian(_table(h, col), h.dim)
     assert out.shape == (2000, 16, 16)
-    assert peak < 1.25 * out.nbytes + sum(a.nbytes for a in generator)
+    assert out.coords.nbytes == 2000 * 256 * 8
+    assert peak < 1.5 * out.coords.nbytes + sum(a.nbytes for a in generator)
 
 
 def _kron_liouvillian(h, jumps):

@@ -14,15 +14,12 @@ from starkchain import (
     build_xy_hamiltonian,
     evolve_unitary,
     fit_localization_length,
-    max_density_profile,
     paper_device,
     prepare_initial_state,
     propagate_single_particle,
     single_particle_matrix,
     time_averaged_profile,
     two_excitation_slater,
-    wsl_length_analytic,
-    wsl_profile_ansatz,
 )
 
 
@@ -133,28 +130,15 @@ class TestBlochOscillation:
         np.testing.assert_allclose(up, down, atol=1e-12)
 
 
+def _exponential_profile(center, xi, length):
+    """Amplitudes e^(-|j - center|/xi) on sites 1..length, unit 2-norm."""
+    amps = np.exp(-np.abs(np.arange(1, length + 1) - center) / xi)
+    return amps / np.linalg.norm(amps)
+
+
 class TestWSLFits:
-    def test_analytic_length(self):
-        assert wsl_length_analytic(14.4, 14.4) == pytest.approx(2.0)
-        assert wsl_length_analytic(10.0, 4.0) == pytest.approx(5.0)
-        # mean device coupling at the strongest studied tilt
-        assert wsl_length_analytic(14.4, 15.0) == pytest.approx(1.92)
-        with pytest.raises(DomainError):
-            wsl_length_analytic(-1.0, 5.0)
-        with pytest.raises(DomainError):
-            wsl_length_analytic(10.0, 0.0)
-
-    def test_ansatz_profile(self):
-        amps = wsl_profile_ansatz(center=21, xi=2.0, length=41)
-        assert np.linalg.norm(amps) == pytest.approx(1.0)
-        assert np.argmax(amps) == 20
-        with pytest.raises(DomainError):
-            wsl_profile_ansatz(center=0, xi=2.0, length=41)
-        with pytest.raises(DomainError):
-            wsl_profile_ansatz(center=5, xi=-1.0, length=41)
-
     def test_fit_recovers_exact_exponential(self):
-        amps = wsl_profile_ansatz(center=21, xi=2.0, length=41)
+        amps = _exponential_profile(center=21, xi=2.0, length=41)
         xi = fit_localization_length(amps ** 2, center=21)
         assert xi == pytest.approx(2.0, abs=1e-10)
 
@@ -162,7 +146,7 @@ class TestWSLFits:
         rng = np.random.default_rng(41)
         for _ in range(10):
             xi_true = float(rng.uniform(0.8, 4.0))
-            amps = wsl_profile_ansatz(center=21, xi=xi_true, length=41)
+            amps = _exponential_profile(center=21, xi=xi_true, length=41)
             xi = fit_localization_length(amps ** 2, center=21, xi_guess=xi_true)
             assert xi == pytest.approx(xi_true, rel=1e-8)
 
@@ -172,7 +156,7 @@ class TestWSLFits:
             fit_localization_length(flat, center=11)
 
     def test_too_few_points(self):
-        amps = wsl_profile_ansatz(center=3, xi=1.0, length=5)
+        amps = _exponential_profile(center=3, xi=1.0, length=5)
         with pytest.raises(FitDomainError):
             fit_localization_length(amps ** 2, center=3)
 
@@ -203,7 +187,8 @@ class TestWSLFits:
             f = fg * g
             xi_ws = 2.0 / fg
             m = single_particle_matrix(dev, PotentialSpec.linear(-f))
-            pmax = max_density_profile(m, 21, t_max_ns=10 * (1e3 / f))
+            grid = np.linspace(0.0, 10 * (1e3 / f), 3000)
+            pmax = propagate_single_particle(m, 21, grid).max(axis=0)
             xi_fit = fit_localization_length(pmax, 21, xi_guess=xi_ws)
             ratio = xi_ws / xi_fit
             assert 0.75 <= ratio <= 1.25

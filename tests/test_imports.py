@@ -145,7 +145,7 @@ def test_load_config_loads_yaml_on_first_read(tmp_path):
     assert "yaml" in loaded
 
 
-# the package's 58 public names, by defining module
+# the package's 54 public names, by defining module
 _PUBLIC = {
     "analysis": [
         "FitResult", "boundary_peak", "detect_first_wavefront",
@@ -163,22 +163,21 @@ _PUBLIC = {
         "NumericalConsistencyError", "StarkchainError", "StateSpecError"],
     "freefermion": [
         "SingleParticleHamiltonian", "fit_localization_length",
-        "max_density_profile", "propagate_single_particle",
-        "single_particle_matrix", "time_averaged_profile",
-        "two_excitation_slater", "wsl_length_analytic", "wsl_profile_ansatz"],
+        "propagate_single_particle", "single_particle_matrix",
+        "time_averaged_profile", "two_excitation_slater"],
     "measurement": [
         "CountRecord", "confusion_from_device", "group_means", "sample_shots"],
     "model": [
         "OperatorMatrix", "SectorBasis", "build_bose_hubbard_hamiltonian",
         "build_observable", "build_sector_basis", "build_xy_hamiltonian",
-        "full_index", "full_tag", "occupations_of_index", "sector_tag"],
+        "full_index", "full_tag", "sector_tag"],
     "observables": ["TrajectoryTable", "expectation", "trajectory"],
 }
 
 
 class TestPublicSurface:
     def test_all_is_unchanged(self):
-        assert len(starkchain.__all__) == 58
+        assert len(starkchain.__all__) == 54
         assert starkchain.__all__ == sorted(
             name for names in _PUBLIC.values() for name in names)
 

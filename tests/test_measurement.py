@@ -15,15 +15,21 @@ from scipy.stats import chi2
 from starkchain import (
     ConfusionMatrix,
     CountRecord,
+    DeviceParams,
     DomainError,
+    PotentialSpec,
     StateSpecError,
+    build_xy_hamiltonian,
     confusion_from_device,
+    evolve_lindblad,
     group_means,
+    make_collapse_ops,
     paper_device,
     prepare_initial_state,
     sample_shots,
 )
 from starkchain import cli, measurement
+from starkchain.dynamics import LindbladSnapshots, _coordinates
 
 PERFECT = [ConfusionMatrix.perfect()] * 5
 
@@ -774,6 +780,119 @@ class TestSupportArgument:
         with pytest.raises(StateSpecError, match="on 2 of the full-space "
                            "states of 4 qubits, got a stack of shape"):
             sample_shots(vec, PERFECT[:4], "ZZZZ", 10, [1], support=[0, 5])
+
+
+@st.composite
+def _snapshot_cases(draw):
+    """(full, snapshots, basis, confusion): two positive Hermitian matrices
+    on s reached states of a run's basis of d states of n <= 5 qubits, as
+    LindbladSnapshots, with full the full-space index of each basis state
+    in a random order, and a basis over the three axis letters."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 2 ** n))
+    full = rng.permutation(2 ** n)[:dim]
+    reached = np.sort(rng.choice(dim, size=draw(st.integers(1, dim)),
+                                 replace=False))
+    vecs = (rng.normal(size=(2, 3, reached.size))
+            + 1j * rng.normal(size=(2, 3, reached.size)))
+    vecs /= np.linalg.norm(vecs, axis=2)[:, :, None]
+    weights = rng.dirichlet(np.ones(3), size=2)
+    stack = np.einsum("km,kmi,kmj->kij", weights, vecs, vecs.conj())
+    stack = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
+    snapshots = LindbladSnapshots(_coordinates(stack), reached, dim, [0.0, 1.0])
+    basis = "".join(draw(st.lists(st.sampled_from("ZXY"), min_size=n,
+                                  max_size=n)))
+    fidelity = st.floats(0.5, 1.0)
+    confusion = [ConfusionMatrix(f0=draw(fidelity), f1=draw(fidelity))
+                 for _ in range(n)]
+    return full, snapshots, basis, confusion
+
+
+@settings(max_examples=100, deadline=None)
+@given(_snapshot_cases(),
+       st.sampled_from([1, 20, measurement.BORN_MAP_ENTRIES]))
+def test_real_born_map_matches_the_complex_product(case, entries):
+    # the real map on the coordinates against the complex product on the
+    # matrices they stand for, on the run's whole basis, its map made one
+    # outcome, a few entries or every outcome at a time; in Z on every
+    # qubit the two are the same diagonal, bit for bit
+    full, snapshots, basis, confusion = case
+    matrices = snapshots.matrices()
+    reached = full[snapshots.support]
+    with mock.patch.object(measurement, "BORN_MAP_ENTRIES", entries):
+        for conf in (None, confusion):
+            got = measurement._outcome_probabilities(reached, snapshots,
+                                                     basis, conf)
+            want = measurement._outcome_probabilities(full, matrices, basis,
+                                                      conf)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+            z = "Z" * len(basis)
+            np.testing.assert_array_equal(
+                measurement._outcome_probabilities(reached, snapshots, z, conf),
+                measurement._outcome_probabilities(full, matrices, z, conf))
+
+
+class TestLindbladSnapshotArgument:
+    @staticmethod
+    def _snapshots():
+        # a Lindblad run on the full space of 3 qubits from "X+10", which
+        # reaches 7 of the 8 states, all but 111
+        dev = DeviceParams.uniform(3, t1_us=1.0, t2star_us=0.5)
+        h = build_xy_hamiltonian(dev, PotentialSpec.linear(-9.0))
+        return evolve_lindblad(h, prepare_initial_state("X+10", 3),
+                               np.arange(0.0, 40.0, 4.0),
+                               make_collapse_ops(dev))
+
+    def test_checked_once(self, monkeypatch):
+        # the solver's snapshots reach the Born map without _checked_stack;
+        # their matrices, as a plain array, are checked, and in Z draw the
+        # same counts
+        snapshots = self._snapshots()
+        matrices = snapshots.matrices()
+        calls, checked = [], measurement._checked_stack
+
+        def counted(stack):
+            calls.append(len(stack))
+            return checked(stack)
+
+        monkeypatch.setattr(measurement, "_checked_stack", counted)
+        seeds = np.arange(len(snapshots))
+        got = sample_shots(snapshots, PERFECT[:3], "ZZZ", 100, seeds)
+        assert calls == []
+        want = sample_shots(matrices, PERFECT[:3], "ZZZ", 100, seeds)
+        assert calls == [len(snapshots)]
+        np.testing.assert_array_equal(got.counts, want.counts)
+        # a plain stack is still held to the whole rule
+        matrices[1] = np.diag([1.25, -0.25] + [0.0] * 6)
+        with pytest.raises(DomainError, match="^snapshot 1: density matrix "
+                           "eigenvalue -0.25$"):
+            sample_shots(matrices, PERFECT[:3], "ZZZ", 100, seeds)
+
+    @pytest.mark.parametrize("basis", ["ZZZ", "XYX"])
+    def test_support_in_basis_order(self, basis):
+        # read as a basis listed in descending full-space order, the
+        # snapshots draw what their matrices, reordered onto the ascending
+        # support, draw
+        snapshots = self._snapshots()
+        order = np.arange(8)[::-1]
+        seeds = np.arange(len(snapshots))
+        got = sample_shots(snapshots, PERFECT[:3], basis, 600, seeds,
+                           n_groups=6, support=order)
+        full = snapshots.matrices()
+        want = sample_shots(full[:, ::-1, ::-1], PERFECT[:3], basis, 600,
+                            seeds, n_groups=6)
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+    @pytest.mark.parametrize("support", [[1, 1, 2, 3, 4, 5, 6, 7],
+                                         [0, 1, 2, 3, 4, 5, 6, 8]])
+    def test_bad_support_refused(self, support):
+        with pytest.raises(DomainError, match="^support must be distinct"):
+            sample_shots(self._snapshots(), PERFECT[:3], "ZZZ", 10,
+                         np.arange(10), support=support)
+        with pytest.raises(StateSpecError, match="on 4 of the full-space"):
+            sample_shots(self._snapshots(), PERFECT[:3], "ZZZ", 10,
+                         np.arange(10), support=[0, 1, 2, 3])
 
 
 class TestKeyedStreams:

@@ -19,7 +19,6 @@ from starkchain import (
     full_index,
     full_tag,
     make_collapse_ops,
-    occupations_of_index,
     paper_device,
     sector_tag,
     single_particle_matrix,
@@ -47,7 +46,8 @@ class TestIndexing:
         for _ in range(50):
             n = int(rng.integers(1, 9))
             occ = tuple(int(b) for b in rng.integers(0, 2, size=n))
-            assert occupations_of_index(full_index(occ), n) == occ
+            idx = full_index(occ)
+            assert tuple(idx >> (n - 1 - j) & 1 for j in range(n)) == occ
 
     def test_tags(self):
         assert full_tag(5) == "full:n=5"
@@ -523,8 +523,7 @@ class TestObservables:
     def test_density_diagonal(self):
         n3 = _dense(build_observable("density", 3, self.dev))
         for idx in range(32):
-            occ = occupations_of_index(idx, 5)
-            assert n3[idx, idx] == occ[2]
+            assert n3[idx, idx] == idx >> 2 & 1  # site 3 of 5
 
     def test_kinetic_matches_sector_hop(self):
         # kinetic bond term restricted to k=1 equals g_j on the hop
@@ -561,8 +560,8 @@ class TestObservables:
     def test_pauli_pair_zz(self):
         zz = _dense(build_observable("pauli_pair", 1, self.dev, axis="z"))
         for idx in range(32):
-            occ = occupations_of_index(idx, 5)
-            assert zz[idx, idx] == (1 - 2 * occ[0]) * (1 - 2 * occ[1])
+            b1, b2 = idx >> 4 & 1, idx >> 3 & 1  # sites 1 and 2 of 5
+            assert zz[idx, idx] == (1 - 2 * b1) * (1 - 2 * b2)
 
     def test_bosonic_density(self):
         nb = _dense(build_observable("density", 1, self.dev, fock_cutoff=3))

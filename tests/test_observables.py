@@ -26,6 +26,7 @@ from starkchain import (
     prepare_initial_state,
     trajectory,
 )
+from starkchain.dynamics import LindbladSnapshots, _coordinates
 from starkchain.observables import _expectations
 
 
@@ -294,6 +295,30 @@ def test_kernel_matches_dense_reference(space, n_times):
         np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_spaces(), st.integers(0, 8), st.data())
+def test_coordinate_map_matches_the_matrix_kernel(space, n_times, data):
+    # expectations read from Lindblad snapshots' real coordinates, on a
+    # random set of reached states, against the gather on the matrices
+    # they stand for: within 1e-14 of each operator's largest entry
+    n, basis, seed = space
+    rng = np.random.default_rng(seed)
+    ops = _operators(n, basis, rng)
+    dim = ops[0].dim
+    reached = np.sort(rng.choice(dim, size=data.draw(st.integers(1, dim)),
+                                 replace=False))
+    _, rho = _random_states(n_times, reached.size, rng)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    snapshots = LindbladSnapshots(_coordinates(rho), reached, dim,
+                                  np.arange(n_times, dtype=float))
+    got = _expectations(snapshots, ops)
+    want = _expectations(snapshots.matrices(), ops)
+    assert got.shape == want.shape == (n_times, len(ops))
+    assert got.dtype == np.float64
+    scale = np.array([max(1.0, np.abs(o.vals).max(initial=0.0)) for o in ops])
+    assert np.all(np.abs(got - want.real) <= 1e-14 * scale)
+
+
 # a subnormal time step makes scipy's expm_multiply warn about 0/0
 _TIMES = st.lists(st.floats(0.0, 200.0, allow_subnormal=False), max_size=8)
 
@@ -316,7 +341,7 @@ def test_trajectory_columns_equal_expectation(space, times, noisy):
     if noisy:
         collapse = make_collapse_ops(dev)
         state = QuantumState(rho[0], h.basis_tag)
-        snapshots = evolve_lindblad(h, state, times, collapse)
+        snapshots = evolve_lindblad(h, state, times, collapse).matrices()
     else:
         collapse = None
         state = QuantumState(psi[0], h.basis_tag)
