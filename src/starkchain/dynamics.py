@@ -414,11 +414,14 @@ def _hermitian_slots(size):
 
 
 def _coordinates(stack):
-    """The (T, s*s) real Hermitian coordinates of a (T, s, s) stack of
-    Hermitian matrices, read from the entries on and above the diagonal."""
+    """The (T, s*s) real Hermitian coordinates of the Hermitian parts
+    (rho + rho^dag)/2 of a (T, s, s) stack: Re(rho + rho^T)/2 on and above
+    the diagonal, Im(rho^T - rho)/2 below it, so a Hermitian rho's own
+    entries, bit for bit."""
+    swapped = stack.transpose(0, 2, 1)
     upper = np.triu(np.ones(stack.shape[1:], dtype=bool))
-    return np.where(upper, stack.real, stack.imag.transpose(0, 2, 1)).reshape(
-        len(stack), upper.size)
+    return 0.5 * np.where(upper, (stack + swapped).real,
+                          (swapped - stack).imag).reshape(len(stack), upper.size)
 
 
 def _matrices(x, size):
@@ -462,22 +465,35 @@ def _checked_coordinates(x, size, order, where, error):
 @dataclass(frozen=True, eq=False, init=False)
 class LindbladSnapshots:
     """Density matrices in their real Hermitian coordinates: coords, a
-    read-only (T, s*s) array taken over from the caller, row k at times[k],
-    on the s reached states at the ascending positions support of a basis
-    of dim states; shape is (T, dim, dim). Making one is the state check
-    (_checked_coordinates), so it is read without a second one."""
+    read-only (T, s*s) array, row k at times[k], on the s reached states at
+    the ascending positions support of a basis of dim states; shape is (T,
+    dim, dim). Making one is the state check (_checked_coordinates), so it
+    is read without a second one. An array that owns its data is taken over
+    and made read-only; any other, a view among them, is copied, so nothing
+    the caller holds writes to the checked coordinates."""
 
     coords: np.ndarray
     support: np.ndarray
     shape: tuple
 
     def __init__(self, coords, support, dim, times):
-        coords, support = np.asarray(coords, dtype=float), np.asarray(support)
+        coords, support = np.asarray(coords, dtype=float), np.array(support)
+        if not coords.flags.owndata:
+            coords = coords.copy()
+        if (support.ndim != 1 or not np.issubdtype(support.dtype, np.integer)
+                or np.any(support < 0) or np.any(support >= dim)
+                or np.any(np.diff(support) <= 0)
+                or coords.shape != (len(times), support.size ** 2)):
+            raise DomainError(
+                f"need (T, s^2) coordinates at T = {len(times)} times on s "
+                f"ascending positions in 0..{dim - 1}, got coordinates of "
+                f"shape {coords.shape} and a support of shape {support.shape}")
         _checked_coordinates(
             coords, support.size, np.argsort(times, kind="stable"),
             lambda k, message: f"{message} at t = {times[k]:g} ns",
             NumericalConsistencyError)
         coords.flags.writeable = False
+        support.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "shape", (len(coords), dim, dim))

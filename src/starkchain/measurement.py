@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import ConfusionMatrix
-from .dynamics import LindbladSnapshots, _checked_stack, _coordinate_map
+from .dynamics import (LindbladSnapshots, _checked_stack, _coordinate_map,
+                       _coordinates)
 from .errors import DomainError, StateSpecError
 
 VALID_AXES = frozenset("ZXY")
@@ -95,52 +96,43 @@ class CountRecord:
 
 
 def _outcome_probabilities(support, stack, basis, confusion=None):
-    """(T, 2^n) outcome probabilities of a (T, s) stack of state vectors, a
-    (T, s, s) stack of density matrices or LindbladSnapshots on the s
-    states with full-space indices support, measured in basis.
+    """(T, 2^n) outcome probabilities of a complex (T, s) stack of state
+    vectors or the real (T, s^2) Hermitian coordinates of T density
+    matrices (dynamics._hermitian_slots), on the s states with full-space
+    indices support, measured in basis.
 
-    In Z on every qubit these are |amp|^2 or the diagonal, scattered onto
-    the support. Otherwise W = U[:, support] of the basis pre-rotation U is
-    built one qubit at a time (2^n x s entries), and they are |W psi|^2 or
-    diag(W rho W^dag), one product of the (T, s^2) stack with the Born map
-    B[i, j*s + k] = W_ij conj(W_ik), Re(rho B^T), or of the snapshots' real
-    coordinates with B's real map (dynamics._coordinate_map). B is made for
-    BORN_MAP_ENTRIES entries at a time: every outcome at once on the
-    paper's 5 qubits, blocks of outcomes on a larger support. With
-    confusion matrices given, the Born probabilities are mapped to the
-    reported outcome's, (C_1 x ... x C_n) p, one qubit at a time.
+    In Z on every qubit these are |amp|^2 or the diagonal slots, scattered
+    onto the support. Otherwise W = U[:, support] of the basis pre-rotation
+    U is built one qubit at a time (2^n x s entries), and they are |W psi|^2
+    or diag(W rho W^dag), one product of the coordinates with the real map
+    (dynamics._coordinate_map) of the Born map B[i, j*s + k] = W_ij
+    conj(W_ik). It is made for BORN_MAP_ENTRIES entries at a time: every
+    outcome at once on the paper's 5 qubits, blocks of outcomes on a larger
+    support. With confusion matrices given, the Born probabilities are
+    mapped to the reported outcome's, (C_1 x ... x C_n) p, one qubit at a
+    time.
     """
     n = len(basis)
     size = support.size
-    real = isinstance(stack, LindbladSnapshots)
-    stack = stack.coords if real else stack  # real coordinates (T, s^2)
+    vectors = np.iscomplexobj(stack)
     if set(basis) == {"Z"}:
-        if real:
-            born = stack[:, ::size + 1]
-        elif stack.ndim == 2:
-            born = np.abs(stack) ** 2
-        else:
-            born = np.diagonal(stack, axis1=1, axis2=2).real
         probs = np.zeros((len(stack), 1 << n))
-        probs[:, support] = born
+        probs[:, support] = (np.abs(stack) ** 2 if vectors
+                             else stack[:, ::size + 1])
     else:
         w = np.ones((1, size), dtype=complex)
         for q, axis in enumerate(basis):
             bit = support >> (n - 1 - q) & 1
             w = (w[:, None] * _ROT[axis][:, bit]).reshape(-1, size)
-        if stack.ndim == 2 and not real:
+        if vectors:
             probs = np.abs(stack @ w.T) ** 2
         else:
-            flat = stack.reshape(len(stack), size * size)
             probs = np.empty((len(stack), 1 << n))
             per = max(1, BORN_MAP_ENTRIES // (size * size))
             for lo in range(0, 1 << n, per):
                 block = w[lo:lo + per]
-                born_map = block[:, :, None] * block[:, None, :].conj()
-                if real:
-                    born_map = _coordinate_map(born_map)
-                probs[:, lo:lo + per] = (
-                    flat @ born_map.reshape(len(block), -1).T).real
+                probs[:, lo:lo + per] = stack @ _coordinate_map(
+                    block[:, :, None] * block[:, None, :].conj()).T
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
     if confusion is not None:  # one qubit at a time on the (T, 2, ..., 2) view
@@ -174,8 +166,9 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
                  support=None):
     """Per-group outcome histograms of noisy readouts of a snapshot stack.
 
-    states is a (T, s) stack of state vectors, a (T, s, s) stack of density
-    matrices, held to the state rule (dynamics._checked_stack), or the
+    states is a (T, s) stack of state vectors or a (T, s, s) stack of
+    density matrices, held to the state rule (dynamics._checked_stack) and
+    read through the coordinates of their Hermitian parts, or the
     LindbladSnapshots of evolve_lindblad, checked when made, with one seed
     per snapshot. support gives the full-space index of each of the s
     states of n qubits: ascending for an array, in the run's basis order
@@ -208,7 +201,7 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
             f"{n_shots} shots per state not divisible into {n_groups} groups")
     checked = isinstance(states, LindbladSnapshots)
     support = np.arange(1 << n_qubits) if support is None else np.asarray(support)
-    ordered = np.sort(support) if checked else support
+    ordered = np.sort(support, axis=None) if checked else support
     if (support.ndim != 1 or not support.size
             or not np.issubdtype(support.dtype, np.integer) or ordered[0] < 0
             or ordered[-1] >= 1 << n_qubits or np.any(np.diff(ordered) <= 0)):
@@ -222,9 +215,11 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
             f"sampling needs states on {size} of the full-space states of "
             f"{n_qubits} qubits, got a stack of shape {stack.shape}")
     if checked:
-        support = support[states.support]
+        support, stack = support[states.support], states.coords
     else:
         stack = _checked_stack(stack)
+        if stack.ndim == 3:
+            stack = _coordinates(stack)
     reported = _outcome_probabilities(support, stack, basis, confusion)
     counts = np.empty((len(seeds), n_groups, 1 << n_qubits), dtype=np.int64)
     for k, gen in enumerate(_keyed_generators(seeds)):

@@ -61,9 +61,11 @@ def _expectations(snapshots, operators):
     """(T, K) complex <O_k> on T stacked state vectors (T, d) or density
     matrices (T, d, d), gathered at each OperatorMatrix's stored entries
     (r, c, v): <psi|O|psi> = sum v psi*[r] psi[c] and tr(O rho) = sum v
-    rho[c, r]. On LindbladSnapshots, the real Re tr(O rho), one product of
-    their coordinates with the (K, s^2) real map (dynamics._coordinate_map)
-    of the operators' entries among the reached states."""
+    rho[c, r], whose imaginary part, left by a density array's
+    anti-Hermitian residue, expectation checks. On LindbladSnapshots, the
+    real Re tr(O rho), one product of their coordinates with the (K, s^2)
+    real map (dynamics._coordinate_map) of the operators' entries among the
+    reached states."""
     if isinstance(snapshots, LindbladSnapshots):
         size = snapshots.support.size
         at = np.full(snapshots.shape[1], -1)  # reached position of a state

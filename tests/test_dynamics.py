@@ -706,6 +706,27 @@ class TestLindbladSnapshots:
         want[:, 1::2, 1::2] = _GOOD
         np.testing.assert_array_equal(snaps.matrices(), want)
 
+    def test_a_view_is_copied(self):
+        # writing through the base of a view after the check leaves the
+        # snapshots as checked; an array of their own is taken over
+        base = dynamics._coordinates(np.array([_GOOD, _GOOD]))
+        owned = base.copy()
+        snaps = dynamics.LindbladSnapshots(base[:], [0, 1], 2, [0.0, 1.0])
+        base[1, 0] = -5.0
+        np.testing.assert_array_equal(snaps.matrices(), [_GOOD, _GOOD])
+        snaps = dynamics.LindbladSnapshots(owned, [0, 1], 2, [0.0, 1.0])
+        assert snaps.coords is owned and not owned.flags.writeable
+
+    @pytest.mark.parametrize("support, dim, width", [
+        ([0, 1], 2, 3), ([0, 2], 2, 4), ([-1, 0], 2, 4), ([1, 0], 2, 4),
+        ([0.0, 1.0], 2, 4), ([[0, 1]], 2, 4), (1, 2, 1)])
+    def test_shapes_refused(self, support, dim, width):
+        # coordinates that do not fit the support, or a support that is
+        # not ascending positions in the basis, are refused before the check
+        coords = np.zeros((2, width))
+        with pytest.raises(DomainError, match=r"^need \(T, s\^2\) coordinates"):
+            dynamics.LindbladSnapshots(coords, support, dim, [0.0, 1.0])
+
     def test_solver_checks_its_snapshots_once(self, monkeypatch):
         # one check of the coordinates per run, none of matrices
         h, col = _noisy_chain(3, "device")

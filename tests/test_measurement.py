@@ -587,7 +587,8 @@ class TestCounts:
         basis = "XYZ"
         stack = _random_stack(3, 5, seed=12, pure=pure)
         u = functools.reduce(np.kron, [measurement._ROT[a] for a in basis])
-        got = measurement._outcome_probabilities(np.arange(8), stack, basis)
+        got = measurement._outcome_probabilities(
+            np.arange(8), stack if pure else _coordinates(stack), basis)
         for k, data in enumerate(stack):
             rho = np.outer(data, data.conj()) if pure else data
             want = np.real(np.diag(u @ rho @ u.conj().T))
@@ -663,7 +664,7 @@ class TestCounts:
     def test_born_map_made_in_blocks(self):
         # a noisy thermal_transport snapshot stack on 10 qubits measured in
         # X: 151 snapshots on the 56 states of counts 0..2. Its whole Born
-        # map would be 1024 x 56^2 complex entries, 51 MB, and the two
+        # map would be 1024 x 56^2 real entries, 26 MB, and the two
         # (151, 1024, 56) products of W rho W^dag 139 MB each; made
         # BORN_MAP_ENTRIES entries at a time the call peaks near its
         # probabilities, 1.2 MB
@@ -673,8 +674,8 @@ class TestCounts:
         vecs = (rng.normal(size=(151, support.size))
                 + 1j * rng.normal(size=(151, support.size)))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        stack = np.einsum("ki,kj->kij", vecs, vecs.conj())
-        assert stack.shape == (151, 56, 56)
+        stack = _coordinates(np.einsum("ki,kj->kij", vecs, vecs.conj()))
+        assert stack.shape == (151, 56 * 56)
         measurement._outcome_probabilities(support, stack[:2], "X" * n)
         tracemalloc.start()
         try:
@@ -734,6 +735,8 @@ def test_support_kernel_matches_the_dense_rotation(case, entries):
         p = np.clip(np.real(np.diag(u @ rho @ u.conj().T)), 0.0, None)
         born.append(p / p.sum())
     born = np.array(born)
+    if stack.ndim == 3:
+        stack = _coordinates(stack)
     with mock.patch.object(measurement, "BORN_MAP_ENTRIES", entries):
         np.testing.assert_allclose(
             measurement._outcome_probabilities(support, stack, basis), born,
@@ -809,28 +812,49 @@ def _snapshot_cases(draw):
     return full, snapshots, basis, confusion
 
 
+def _complex_born(support, matrices, basis):
+    """Born probabilities Re(rho B^T), B[i, j*s + k] = W_ij conj(W_ik) of
+    W = U[:, support], of a complex (T, s, s) stack, clipped and
+    normalised: the complex product the real map stands in for."""
+    u = functools.reduce(np.kron, [measurement._ROT[a] for a in basis])
+    w = u[:, support]
+    born_map = (w[:, :, None] * w[:, None, :].conj()).reshape(len(w), -1)
+    p = np.clip((matrices.reshape(len(matrices), -1) @ born_map.T).real,
+                0.0, None)
+    return p / p.sum(axis=1, keepdims=True)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_snapshot_cases(),
        st.sampled_from([1, 20, measurement.BORN_MAP_ENTRIES]))
 def test_real_born_map_matches_the_complex_product(case, entries):
     # the real map on the coordinates against the complex product on the
     # matrices they stand for, on the run's whole basis, its map made one
-    # outcome, a few entries or every outcome at a time; in Z on every
-    # qubit the two are the same diagonal, bit for bit
+    # outcome, a few entries or every outcome at a time; the snapshots read
+    # on their support agree with their matrices read as a plain stack on
+    # the run's basis, in Z on every qubit bit for bit, as the diagonal
     full, snapshots, basis, confusion = case
     matrices = snapshots.matrices()
     reached = full[snapshots.support]
+    plain = _coordinates(matrices)
+    z = "Z" * len(basis)
+    assert np.array_equal(plain[:, ::full.size + 1],
+                          np.diagonal(matrices, axis1=1, axis2=2).real)
     with mock.patch.object(measurement, "BORN_MAP_ENTRIES", entries):
+        np.testing.assert_allclose(
+            measurement._outcome_probabilities(reached, snapshots.coords,
+                                               basis),
+            _complex_born(full, matrices, basis), rtol=0, atol=1e-14)
         for conf in (None, confusion):
-            got = measurement._outcome_probabilities(reached, snapshots,
-                                                     basis, conf)
-            want = measurement._outcome_probabilities(full, matrices, basis,
+            got = measurement._outcome_probabilities(
+                reached, snapshots.coords, basis, conf)
+            want = measurement._outcome_probabilities(full, plain, basis,
                                                       conf)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-            z = "Z" * len(basis)
             np.testing.assert_array_equal(
-                measurement._outcome_probabilities(reached, snapshots, z, conf),
-                measurement._outcome_probabilities(full, matrices, z, conf))
+                measurement._outcome_probabilities(reached, snapshots.coords,
+                                                   z, conf),
+                measurement._outcome_probabilities(full, plain, z, conf))
 
 
 class TestLindbladSnapshotArgument:
@@ -885,7 +909,7 @@ class TestLindbladSnapshotArgument:
         np.testing.assert_array_equal(got.counts, want.counts)
 
     @pytest.mark.parametrize("support", [[1, 1, 2, 3, 4, 5, 6, 7],
-                                         [0, 1, 2, 3, 4, 5, 6, 8]])
+                                         [0, 1, 2, 3, 4, 5, 6, 8], 3])
     def test_bad_support_refused(self, support):
         with pytest.raises(DomainError, match="^support must be distinct"):
             sample_shots(self._snapshots(), PERFECT[:3], "ZZZ", 10,
