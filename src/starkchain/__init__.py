@@ -8,7 +8,7 @@ arrival into a localization length.
 
 The public names load their submodule on first use (PEP 562), so
 ``import starkchain`` loads no submodule and ``starkchain.config`` alone
-loads only ``device``, ``errors`` and numpy.
+loads only ``device`` and ``errors``, and no numpy.
 """
 
 import importlib

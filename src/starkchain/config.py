@@ -7,8 +7,10 @@ default.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
-from .device import ConfusionMatrix, DeviceParams, device_preset
+from .device import (_FIDELITY, _POSITIVE, ConfusionMatrix, DeviceParams,
+                     _real, device_preset)
 from .errors import ConfigError, DomainError, StateSpecError
 
 EXPERIMENTS = (
@@ -128,10 +130,8 @@ class ExperimentConfig:
             "device": {
                 "preset": self.preset_name,
                 "n_qubits": self.device.n_qubits,
-                "coupling_mhz": list(self.device.coupling_mhz),
-                "anharmonicity_mhz": list(self.device.anharmonicity_mhz),
-                "t1_us": list(self.device.t1_us),
-                "t2star_us": list(self.device.t2star_us),
+                **{name: list(getattr(self.device, name)) for name in (
+                    "coupling_mhz", "anharmonicity_mhz", "t1_us", "t2star_us")},
             },
             "F": list(self.gradients_mhz),
             "initial_state": self.initial_state,
@@ -189,18 +189,8 @@ def _require(cond, path, msg):
         raise ConfigError(f"{path}: {msg}")
 
 
-def _as_number(value, path, positive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    try:
-        v = float(value)
-    except OverflowError:  # an int beyond the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise ConfigError(f"{path}: must be finite, got {v}")
-    if positive and v <= 0:
-        raise ConfigError(f"{path}: must be positive, got {v}")
-    return v
+# _as_number(value, path, rule=None): a float under the device's number rule
+_as_number = partial(_real, error=ConfigError)
 
 
 def _as_int(value, path):
@@ -242,8 +232,8 @@ def _parse_device(raw, path="device"):
         base = DeviceParams.uniform(n)
     try:
         return base.replace(**overrides), preset
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_shots(raw, experiment, path="shots"):
@@ -288,11 +278,8 @@ def _parse_readout(raw, device, correction, path="readout"):
                 raise ConfigError(f"{p}: expected a mapping with f0, f1")
             _reject_unknown(entry, {"f0", "f1"}, p)
             _require("f0" in entry and "f1" in entry, p, "needs f0 and f1")
-            f0 = _as_number(entry["f0"], f"{p}.f0")
-            f1 = _as_number(entry["f1"], f"{p}.f1")
-            for name, v in (("f0", f0), ("f1", f1)):
-                _require(0.0 <= v <= 1.0, f"{p}.{name}", f"must be in [0, 1], got {v}")
-            out.append((f0, f1))
+            out.append(tuple(_as_number(entry[name], f"{p}.{name}", _FIDELITY)
+                             for name in ("f0", "f1")))
         table = tuple(out)
     else:
         raise ConfigError(f"{path}: expected 'perfect', 'table-s1', or a list")
@@ -358,8 +345,8 @@ def parse_config(raw, default_experiment=None):
              f"{initial!r} describes {sites} sites, the device has "
              f"{device.n_qubits} qubits")
 
-    t_max = _as_number(raw.get("t_max", 300.0), "t_max", positive=True)
-    dt = _as_number(raw.get("dt_sample", 2.0), "dt_sample", positive=True)
+    t_max = _as_number(raw.get("t_max", 300.0), "t_max", _POSITIVE)
+    dt = _as_number(raw.get("dt_sample", 2.0), "dt_sample", _POSITIVE)
     _require(dt <= t_max, "dt_sample", "must not exceed t_max")
     _require(_time_points(t_max, dt) <= MAX_TIME_POINTS, "t_max",
              f"{t_max:g} ns at dt_sample {dt:g} ns gives more than "

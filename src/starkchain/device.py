@@ -10,24 +10,49 @@ Unit conventions used throughout the package:
 """
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
 # nu [MHz] -> omega [rad/ns]
-ANGULAR_PER_MHZ = 2.0 * np.pi * 1e-3
+ANGULAR_PER_MHZ = 2.0 * math.pi * 1e-3
 NS_PER_US = 1000.0
 
+# (test, text) rules a value keeps beyond being finite
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_FIDELITY = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 
-def _as_float_array(x, n, name):
-    a = np.atleast_1d(np.asarray(x, dtype=float))
-    if a.ndim != 1 or a.size != n:
-        raise DomainError(f"{name} must be a length-{n} sequence, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{name} must be finite")
-    return a
+
+def _real(value, name, rule=None, error=DomainError):
+    """value as a float: the one number rule for device and config values.
+    bool, str and other non-real values are refused, and so are values past
+    the float range and non-finite ones, each as an error naming the field."""
+    # float and int first: they skip the slower numbers.Real check
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise error(f"{name}: expected a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an int beyond the float range
+        v = math.inf if value > 0 else -math.inf
+    if not math.isfinite(v):
+        raise error(f"{name}: must be finite, got {v}")
+    if rule is not None and not rule[0](v):
+        raise error(f"{name}: {rule[1]}, got {v}")
+    return v
+
+
+# each per-qubit field of DeviceParams and the rule its values keep
+_FIELD_RULES = {"coupling_mhz": None, "anharmonicity_mhz": None,
+                "t1_us": _POSITIVE, "t2star_us": _POSITIVE,
+                "readout_f0": _FIDELITY, "readout_f1": _FIDELITY}
+
+
+def _np():
+    import numpy  # loaded by the first call that returns an array
+
+    return numpy
 
 
 @dataclass(frozen=True)
@@ -43,49 +68,51 @@ class DeviceParams:
     readout_f0, readout_f1
         per-qubit assignment fidelities P(read 0|prepared 0) and
         P(read 1|prepared 1), length n.
+
+    Each is given as a list, tuple or 1-d array and kept as a tuple of
+    floats, checked once, so a device compares with == and hashes; the
+    *_rad_ns and *_ns views are numpy arrays.
     """
 
     n_qubits: int
-    coupling_mhz: np.ndarray
-    anharmonicity_mhz: np.ndarray
-    t1_us: np.ndarray
-    t2star_us: np.ndarray
-    readout_f0: np.ndarray
-    readout_f1: np.ndarray
+    coupling_mhz: tuple
+    anharmonicity_mhz: tuple
+    t1_us: tuple
+    t2star_us: tuple
+    readout_f0: tuple
+    readout_f1: tuple
 
     def __post_init__(self):
         n = self.n_qubits
-        if not isinstance(n, (int, np.integer)) or n < 2:
+        if not isinstance(n, numbers.Integral) or n < 2:
             raise DomainError(f"n_qubits must be an integer >= 2, got {n!r}")
         object.__setattr__(self, "n_qubits", int(n))
-        object.__setattr__(self, "coupling_mhz",
-                           _as_float_array(self.coupling_mhz, n - 1, "coupling_mhz"))
-        for name in ("anharmonicity_mhz", "t1_us", "t2star_us",
-                     "readout_f0", "readout_f1"):
-            object.__setattr__(self, name, _as_float_array(getattr(self, name), n, name))
-        if np.any(self.t1_us <= 0) or np.any(self.t2star_us <= 0):
-            raise DomainError("t1_us and t2star_us must be positive")
-        for name in ("readout_f0", "readout_f1"):
-            a = getattr(self, name)
-            if np.any(a < 0) or np.any(a > 1):
-                raise DomainError(f"{name} entries must lie in [0, 1]")
+        for name, rule in _FIELD_RULES.items():
+            size = n - 1 if name == "coupling_mhz" else n
+            values = getattr(self, name)
+            items = values.tolist() if hasattr(values, "tolist") else values
+            if not isinstance(items, (list, tuple)) or len(items) != size:
+                raise DomainError(f"{name}: expected a list of {size} numbers, "
+                                  f"got {values!r}")
+            object.__setattr__(self, name, tuple(
+                _real(v, f"{name}[{i}]", rule) for i, v in enumerate(items)))
 
     # angular-frequency views used by Hamiltonian builders
     @property
     def coupling_rad_ns(self):
-        return self.coupling_mhz * ANGULAR_PER_MHZ
+        return _np().array(self.coupling_mhz) * ANGULAR_PER_MHZ
 
     @property
     def anharmonicity_rad_ns(self):
-        return self.anharmonicity_mhz * ANGULAR_PER_MHZ
+        return _np().array(self.anharmonicity_mhz) * ANGULAR_PER_MHZ
 
     @property
     def t1_ns(self):
-        return self.t1_us * NS_PER_US
+        return _np().array(self.t1_us) * NS_PER_US
 
     @property
     def t2star_ns(self):
-        return self.t2star_us * NS_PER_US
+        return _np().array(self.t2star_us) * NS_PER_US
 
     def replace(self, **kwargs):
         """Copy with some fields overridden."""
@@ -99,15 +126,8 @@ class DeviceParams:
                 t1_us=1e6, t2star_us=1e6, readout_f0=1.0, readout_f1=1.0):
         """Synthetic uniform chain, mainly for scaling studies."""
         n = int(n_qubits)
-        return cls(
-            n_qubits=n,
-            coupling_mhz=np.full(n - 1, float(coupling_mhz)),
-            anharmonicity_mhz=np.full(n, float(anharmonicity_mhz)),
-            t1_us=np.full(n, float(t1_us)),
-            t2star_us=np.full(n, float(t2star_us)),
-            readout_f0=np.full(n, float(readout_f0)),
-            readout_f1=np.full(n, float(readout_f1)),
-        )
+        return cls(n, (coupling_mhz,) * (n - 1), *((v,) * n for v in (
+            anharmonicity_mhz, t1_us, t2star_us, readout_f0, readout_f1)))
 
 
 @dataclass(frozen=True)
@@ -119,14 +139,11 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         for name in ("f0", "f1"):
-            v = float(getattr(self, name))
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must be in [0, 1], got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _real(getattr(self, name), name, _FIDELITY))
 
     @property
     def matrix(self):
-        return np.array([[self.f0, 1.0 - self.f1], [1.0 - self.f0, self.f1]])
+        return _np().array([[self.f0, 1.0 - self.f1], [1.0 - self.f0, self.f1]])
 
     @property
     def is_singular(self):
@@ -135,10 +152,9 @@ class ConfusionMatrix:
 
     def inverse(self):
         if self.is_singular:
-            raise DomainError(
-                "confusion matrix is singular (F0 + F1 = 1), cannot invert"
-            )
-        return np.linalg.inv(self.matrix)
+            raise DomainError("confusion matrix is singular (F0 + F1 = 1), "
+                              "cannot invert")
+        return _np().linalg.inv(self.matrix)
 
     @classmethod
     def perfect(cls):
@@ -184,17 +200,14 @@ class PotentialSpec:
 
     def __post_init__(self):
         for name in ("gradient_mhz", "shift_mhz"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise DomainError(f"{name} must be finite")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _real(getattr(self, name), name))
 
     @classmethod
     def linear(cls, gradient_mhz):
         return cls(gradient_mhz=gradient_mhz)
 
     def offsets_mhz(self, n_sites):
-        j = np.arange(1, n_sites + 1, dtype=float)
+        j = _np().arange(1, n_sites + 1, dtype=float)
         return self.gradient_mhz * j + self.shift_mhz
 
     def offsets_rad_ns(self, n_sites):

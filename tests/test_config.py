@@ -149,6 +149,28 @@ class TestDevice:
             parse_config({"experiment": "spin_transport",
                           "device": {"preset": preset}})
 
+    @pytest.mark.parametrize("override, message", [
+        ({"t1_us": [17, 30, "42", 17, 36]},
+         r"t1_us\[2\]: expected a number, got '42'"),
+        ({"readout_f0": [True] * 5}, r"readout_f0\[0\]: expected a number, got True"),
+        ({"coupling_mhz": "14.4"},
+         r"coupling_mhz: expected a list of 4 numbers, got '14.4'"),
+        ({"coupling_mhz": [14.4, {"g": 14.4}, 14.4, 14.4]},
+         r"coupling_mhz\[1\]: expected a number, got \{'g': 14.4\}"),
+        ({"t2star_us": [1.0, 1.0, 1.0, 1.0, 10 ** 400]},
+         r"t2star_us\[4\]: must be finite, got inf"),
+        ({"t1_us": [17.0, 0, 42.0, 17.0, 36.0]},
+         r"t1_us\[1\]: must be positive, got 0.0"),
+        ({"readout_f1": [0.9, 0.9, 0.9, 1.5, 0.9]},
+         r"readout_f1\[3\]: must be in \[0, 1\], got 1.5"),
+    ])
+    def test_device_values_keep_the_number_rule(self, override, message):
+        # one line under device naming the field and index, by the rule
+        # every scalar field keeps: no strings, bools or mappings for numbers
+        device = dict({"preset": "paper-device"}, **override)
+        with pytest.raises(ConfigError, match=r"^device: " + message + "$"):
+            parse_config({"experiment": "spin_transport", "device": device})
+
     def test_default_initial_state_follows_chain_length(self):
         device = {"n_qubits": 3, "coupling_mhz": [5.0, 5.0]}
         cfg = parse_config({"experiment": "spin_transport", "device": device})

@@ -1,6 +1,6 @@
 """Import cost and public surface: the package loads its submodules on first
-use, the config parser needs neither the numerics modules nor PyYAML, and
-nothing loads the heavy scipy parts before it needs them."""
+use, the config parser needs neither numpy nor PyYAML, and nothing loads
+the heavy scipy parts before it needs them."""
 
 import importlib
 import os
@@ -132,6 +132,7 @@ def test_parse_config_loads_no_numerics_module_and_no_yaml():
         "starkchain", "starkchain.config", "starkchain.device",
         "starkchain.errors"]
     assert "yaml" not in loaded
+    assert "numpy" not in loaded
 
 
 def test_load_config_loads_yaml_on_first_read(tmp_path):
@@ -143,6 +144,7 @@ def test_load_config_loads_yaml_on_first_read(tmp_path):
         "assert load_config(sys.argv[1]).experiment == 'spin_transport'",
         str(config))
     assert "yaml" in loaded
+    assert "numpy" not in loaded
 
 
 # the package's 54 public names, by defining module
