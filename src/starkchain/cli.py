@@ -12,6 +12,7 @@ that reproduces the observed edge localization.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -35,6 +36,7 @@ from .observables import trajectory
 CSV_FORMAT = "%.9g"
 
 
+@functools.cache
 def _version():
     try:
         return metadata.version("starkchain")

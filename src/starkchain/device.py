@@ -49,6 +49,13 @@ _FIELD_RULES = {"coupling_mhz": None, "anharmonicity_mhz": None,
                 "readout_f0": _FIDELITY, "readout_f1": _FIDELITY}
 
 
+def _qubit_count(n):
+    """n as a chain's qubit count: an integer >= 2, or DomainError."""
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise DomainError(f"n_qubits must be an integer >= 2, got {n!r}")
+    return int(n)
+
+
 def _np():
     import numpy  # loaded by the first call that returns an array
 
@@ -83,10 +90,8 @@ class DeviceParams:
     readout_f1: tuple
 
     def __post_init__(self):
-        n = self.n_qubits
-        if not isinstance(n, numbers.Integral) or n < 2:
-            raise DomainError(f"n_qubits must be an integer >= 2, got {n!r}")
-        object.__setattr__(self, "n_qubits", int(n))
+        n = _qubit_count(self.n_qubits)
+        object.__setattr__(self, "n_qubits", n)
         for name, rule in _FIELD_RULES.items():
             size = n - 1 if name == "coupling_mhz" else n
             values = getattr(self, name)
@@ -125,7 +130,7 @@ class DeviceParams:
     def uniform(cls, n_qubits, coupling_mhz=14.4, anharmonicity_mhz=-200.0,
                 t1_us=1e6, t2star_us=1e6, readout_f0=1.0, readout_f1=1.0):
         """Synthetic uniform chain, mainly for scaling studies."""
-        n = int(n_qubits)
+        n = _qubit_count(n_qubits)
         return cls(n, (coupling_mhz,) * (n - 1), *((v,) * n for v in (
             anharmonicity_mhz, t1_us, t2star_us, readout_f0, readout_f1)))
 

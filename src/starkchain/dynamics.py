@@ -8,8 +8,8 @@ import numpy as np
 from .config import LINDBLAD_SUPPORT_CAP, _tokenize_state_spec
 from .device import DeviceParams
 from .errors import DomainError, NumericalConsistencyError, StateSpecError
-from .model import (DENSE_DIM_CAP, OperatorMatrix, _basis_states, _operator,
-                    _restricted, _run_starts, _summed)
+from .model import (DENSE_DIM_CAP, OperatorMatrix, _basis_states, _diagonal,
+                    _operator, _restricted, _run_starts, _summed)
 
 DENSE_BLOCK_CAP = 512  # largest real block given a dense propagator
 CHECK_STACK_ENTRIES = 1 << 14  # most snapshot entries checked in one stack
@@ -258,16 +258,16 @@ def make_collapse_ops(params, dephasing="as-given", basis=None):
         raise DomainError(f"dephasing must be 'as-given' or 'pure', got {dephasing!r}")
     n = params.n_qubits
     states, occ, tag = _basis_states(basis, n)
+    gamma1 = 1.0 / params.t1_ns
+    rate = 1.0 / params.t2star_ns
+    if dephasing == "pure":
+        rate = np.maximum(rate - 0.5 * gamma1, 0.0)
     ops = []
     for q, occupied in enumerate(occ.T):  # q counts sites from 0
-        gamma1 = 1.0 / params.t1_ns[q]
-        ops.append(_operator(
-            states, [(states ^ (1 << (n - 1 - q)), np.sqrt(gamma1) * occupied)], tag))
-        rate = 1.0 / params.t2star_ns[q]
-        if dephasing == "pure":
-            rate = max(rate - 0.5 * gamma1, 0.0)
-        if rate > 0.0:
-            ops.append(_operator(states, [(states, np.sqrt(rate) * occupied)], tag))
+        ops.append(_operator(states, [(states ^ (1 << (n - 1 - q)),
+                                       np.sqrt(gamma1[q]) * occupied)], tag))
+        if rate[q] > 0.0:
+            ops.append(_diagonal(np.sqrt(rate[q]) * occupied, tag))
     return CollapseOperatorSet(operators=tuple(ops), basis_tag=tag)
 
 

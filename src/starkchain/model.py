@@ -95,16 +95,23 @@ def _hermitian_residue(dim, rows, cols, vals):
     The entries of M - M+ are formed and ordered as scipy's sparse
     subtraction forms them (row-major over the union of both patterns, exact
     zeros dropped), so the norms, and the figure, are bit-equal to
-    scipy.sparse.linalg.norm on the CSR matrices.
+    scipy.sparse.linalg.norm on the CSR matrices. When the transposed
+    pattern is the pattern itself, as on every Hamiltonian and observable the
+    builders make, that union is M's own entries and M+ is read through one
+    permutation of them.
     """
     key = rows * dim + cols
     tkey = cols * dim + rows
-    union, where = np.unique(np.concatenate([key, tkey]), return_inverse=True)
-    a = np.zeros(union.size, dtype=complex)
-    b = np.zeros(union.size, dtype=complex)
-    a[where[:key.size]] = vals
-    b[where[key.size:]] = vals.conj()
-    diff = a - b
+    mirror = np.argsort(tkey)
+    if np.array_equal(tkey[mirror], key):
+        diff = vals - vals[mirror].conj()
+    else:
+        union, where = np.unique(np.concatenate([key, tkey]), return_inverse=True)
+        a = np.zeros(union.size, dtype=complex)
+        b = np.zeros(union.size, dtype=complex)
+        a[where[:key.size]] = vals
+        b[where[key.size:]] = vals.conj()
+        diff = a - b
     diff = diff[diff != 0]
     return float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(vals)))
 
@@ -172,9 +179,15 @@ class OperatorMatrix:
     def from_entries(cls, dim, rows, cols, vals, basis_tag):
         """Operator of side dim from coordinates in any order; entries at
         one coordinate are summed in the order given."""
+        return cls._canonical(dim, *_summed(dim, rows, cols,
+                                            np.asarray(vals, dtype=complex)),
+                              basis_tag)
+
+    @classmethod
+    def _canonical(cls, dim, rows, cols, vals, basis_tag):
+        """Operator of side dim from entries already in canonical form."""
         op = cls.__new__(cls)
-        op._set(int(dim), *_summed(dim, rows, cols,
-                                   np.asarray(vals, dtype=complex)), basis_tag)
+        op._set(int(dim), rows, cols, vals, basis_tag)
         return op
 
     def _set(self, dim, rows, cols, vals, basis_tag):
@@ -247,18 +260,33 @@ def _operator(states, terms, basis_tag):
     amplitudes and targets outside the list are dropped: on a subset this is
     the restriction of the full operator. The amplitudes, arrays or scalars,
     are assigned row by row into one (terms, states) table."""
-    order = np.argsort(states)
-    ranked = states[order]
     targets = np.array([t for t, _ in terms])
     amplitudes = np.empty(targets.shape, dtype=complex)
     for row, (_, a) in zip(amplitudes, terms):
         row[...] = a
+    return _table_operator(states, targets, amplitudes, basis_tag)
+
+
+def _table_operator(states, targets, amplitudes, basis_tag):
+    """_operator's terms given as one (terms, states) table of targets and
+    one of amplitudes, real or complex."""
+    order = np.argsort(states)
+    ranked = states[order]
     pos = np.minimum(np.searchsorted(ranked, targets), states.size - 1)
     # term-major, as one term after another
     term, hit = np.nonzero((ranked[pos] == targets) & (amplitudes != 0))
     return OperatorMatrix.from_entries(
         states.size, order[pos[term, hit]], hit, amplitudes[term, hit],
         basis_tag)
+
+
+def _diagonal(amplitudes, basis_tag):
+    """Diagonal operator with amplitudes[i] at (i, i), zeros dropped. Its
+    canonical entries are the ascending positions of the nonzero
+    amplitudes, so nothing is sorted or summed."""
+    at = np.flatnonzero(amplitudes)
+    return OperatorMatrix._canonical(len(amplitudes), at, at,
+                                     amplitudes[at].astype(complex), basis_tag)
 
 
 def _restricted(support, rows, cols, *carried):
@@ -287,20 +315,28 @@ def _chain_hamiltonian(params, potential, basis, fock_cutoff):
     u = params.anharmonicity_rad_ns
     h = potential.offsets_rad_ns(n)
     states, occ, tag = _basis_states(basis, n, fock_cutoff)
-    diag = np.zeros(states.size)
-    for j in range(n):
-        diag = diag + 0.5 * u[j] * (occ[:, j] * (occ[:, j] - 1)) + h[j] * occ[:, j]
-    terms = [(states, diag)]
-    for j in range(n - 1):
-        # a+_j a_{j+1} moves a boson from site j + 2 to site j + 1 (1-based),
-        # its conjugate moves it back; neither may fill a site past d - 1
-        step = d ** (n - j - 1) - d ** (n - j - 2)
-        left, right = occ[:, j], occ[:, j + 1]
-        terms.append((states + step, np.where(
-            left < d - 1, g[j] * (np.sqrt(left + 1) * np.sqrt(right)), 0.0)))
-        terms.append((states - step, np.where(
-            right < d - 1, g[j] * (np.sqrt(right + 1) * np.sqrt(left)), 0.0)))
-    return _operator(states, terms, tag)
+    # per state, 0 + interaction_1 + potential_1 + interaction_2 + ..., added
+    # left to right in site order: accumulate keeps that order, a sum would
+    # pair the terms up
+    site_terms = np.zeros((states.size, 2 * n + 1))
+    site_terms[:, 1::2] = 0.5 * u * (occ * (occ - 1))
+    site_terms[:, 2::2] = h * occ
+    diag = np.add.accumulate(site_terms, axis=1)[:, -1]
+    # hops: row b is a+ a on bond b + 1, which fills site b + 1 and empties
+    # site b + 2 (1-based), and row n - 1 + b its conjugate; neither may fill
+    # a site past d - 1. From one state every hop reaches a different state,
+    # so no two rows share an entry and their order does not matter
+    sites = occ.T
+    filled = np.concatenate([sites[:-1], sites[1:]])
+    emptied = np.concatenate([sites[1:], sites[:-1]])
+    step = d ** np.arange(n - 2, -1, -1) * (d - 1)
+    targets = np.concatenate([states[None],
+                              states + np.concatenate([step, -step])[:, None]])
+    amplitudes = np.concatenate([diag[None], np.where(
+        filled < d - 1,
+        np.concatenate([g, g])[:, None] * (np.sqrt(filled + 1) * np.sqrt(emptied)),
+        0.0)])
+    return _table_operator(states, targets, amplitudes, tag)
 
 
 def build_xy_hamiltonian(params, potential, basis=None):
@@ -364,23 +400,21 @@ def build_observable(kind, index, params, potential=None, basis=None,
     a = occ[:, j - 1]
     b = occ[:, min(j, n - 1)]  # site j + 1 of bond j; unused for a density
     if kind == "density":
-        terms = [(states, a)]
-    elif kind == "potential":
+        return _diagonal(a, tag)
+    if kind == "potential":
         h = potential.offsets_rad_ns(n)
-        terms = [(states, h[j - 1] * a + h[j] * b)]
-    elif kind == "pauli_pair" and axis == "z":
-        terms = [(states, (1 - 2 * a) * (1 - 2 * b))]
+        return _diagonal(h[j - 1] * a + h[j] * b, tag)
+    if kind == "pauli_pair" and axis == "z":
+        return _diagonal((1 - 2 * a) * (1 - 2 * b), tag)
+    # flip both sites of bond j. kinetic and spin_current move an excitation
+    # across it: with weight g_j, and for the current with -i toward smaller
+    # site index and +i toward larger. sx sx is 1 on every state, sy sy is -1
+    # where the two sites agree
+    moves = a != b
+    if kind == "kinetic":
+        amplitudes = np.where(moves, params.coupling_rad_ns[j - 1], 0.0)
+    elif kind == "spin_current":
+        amplitudes = np.where(moves, np.where(b == 1, -1.0j, 1.0j), 0.0)
     else:
-        # flip both sites of bond j. kinetic and spin_current move an
-        # excitation across it: with weight g_j, and for the current with -i
-        # toward smaller site index and +i toward larger. sx sx is 1 on
-        # every state, sy sy is -1 where the two sites agree
-        moves = a != b
-        if kind == "kinetic":
-            amplitudes = np.where(moves, params.coupling_rad_ns[j - 1], 0.0)
-        elif kind == "spin_current":
-            amplitudes = np.where(moves, np.where(b == 1, -1.0j, 1.0j), 0.0)
-        else:
-            amplitudes = np.where(moves | (axis == "x"), 1.0, -1.0)
-        terms = [(states ^ (3 << (n - j - 1)), amplitudes)]
-    return _operator(states, terms, tag)
+        amplitudes = np.where(moves | (axis == "x"), 1.0, -1.0)
+    return _operator(states, [(states ^ (3 << (n - j - 1)), amplitudes)], tag)

@@ -718,6 +718,70 @@ class TestGoldenScan:
         assert digest == self.GOLDEN
 
 
+class TestGoldenShotFree:
+    """SHA-256 of the CSVs of shot-free runs: the four per-gradient
+    experiments at paper settings, and two larger chains on the paper grid at
+    F = 15, an ideal 10-qubit spin_transport and a 6-qubit decoherence_check
+    with T1 = 20 us and T2* = 2 us. They pin the operator builders, both
+    solvers and the CSV format to the bit."""
+
+    GRID = {"t_max": 300.0, "dt_sample": 2.0, "F": 15.0}
+    CONFIGS = {
+        "spin_transport": {"experiment": "spin_transport"},
+        "thermal_transport": {"experiment": "thermal_transport"},
+        "spin_current": {"experiment": "spin_current"},
+        "decoherence_check": {"experiment": "decoherence_check"},
+        "spin_transport_n10": _uniform(10, experiment="spin_transport", **GRID),
+        "decoherence_check_n6": _uniform(
+            6, experiment="decoherence_check", **GRID,
+            device={"n_qubits": 6, "coupling_mhz": [14.4] * 5,
+                    "t1_us": [20.0] * 6, "t2star_us": [2.0] * 6}),
+    }
+    GOLDEN = {
+        "spin_transport":
+            "edaa06c5a93851b3289973afaf95709ac7047d62941f3f8bcba6a680e10f80a3",
+        "thermal_transport":
+            "fd78f106187dd680b994ed5c39b4d0de83f9fe3620cd92452ffc70810fd45686",
+        "spin_current":
+            "5abc78a8383703f5bc11b559967687b0d0778dd1962b73a607ac25a34f655b68",
+        "decoherence_check":
+            "7bb1818669b2306c679311dea27c090662b5bda2e32582dd8ca2bb577f4b435d",
+        "spin_transport_n10":
+            "045ffd19d909b08a43570125d48bbfd0259c8b4290c49126e47eb01264925172",
+        "decoherence_check_n6":
+            "20f5ac0c054cb4f3161e147a29fb9c85a9a067b189bef71f739e661968589331",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_csv_hash(self, tmp_path, name):
+        cfg = parse_config(self.CONFIGS[name])
+        assert cfg.noise == "ideal" and cfg.shots is None
+        summary = run(cfg, out_dir=str(tmp_path))
+        (output,) = summary["outputs"]
+        assert output == f"{cfg.experiment}_F15.csv"
+        digest = hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+        assert digest == self.GOLDEN[name]
+
+
+def test_version_is_looked_up_once_per_process(tmp_path, monkeypatch):
+    # importlib.metadata.version scans every sys.path entry, so a run reads
+    # the package version through a cache
+    lookups = []
+    version = cli.metadata.version
+
+    def counted(name):
+        lookups.append(name)
+        return version(name)
+
+    monkeypatch.setattr(cli.metadata, "version", counted)
+    cli._version.cache_clear()
+    cfg = parse_config({"experiment": "spin_transport", "t_max": 20})
+    first = run(cfg, out_dir=str(tmp_path / "a"))
+    second = run(cfg, out_dir=str(tmp_path / "b"))
+    assert lookups == ["starkchain"]
+    assert first["versions"] == second["versions"]
+
+
 class TestWslScan:
     def test_theory_route(self, tmp_path):
         cfg = parse_config({"experiment": "wsl_scan"})

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,15 @@ class TestDeviceParams:
         # uniform chain defaults to ideal readout
         np.testing.assert_allclose(dev.readout_f0, 1.0)
         np.testing.assert_allclose(dev.readout_f1, 1.0)
+
+    @pytest.mark.parametrize("n", [2.7, "5", 5.0, None, 1, True])
+    def test_uniform_refuses_what_the_constructor_refuses(self, n):
+        # a count is not rounded or parsed: 2.7 is not 2 qubits, "5" not 5
+        message = f"n_qubits must be an integer >= 2, got {n!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            DeviceParams.uniform(n)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(paper_device(), n_qubits=n)
 
     def test_frozen(self):
         dev = paper_device()

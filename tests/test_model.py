@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from starkchain import (
     ANGULAR_PER_MHZ,
@@ -662,6 +662,46 @@ def test_entries_match_the_canonical_csr(raw):
     old = _old_canonical(coo)
     _assert_matches_csr(OperatorMatrix.from_entries(dim, rows, cols, vals, "t"), old)
     _assert_matches_csr(OperatorMatrix(matrix=coo, basis_tag="t"), old)
+
+
+def _union_residue(dim, rows, cols, vals):
+    """The Hermitian residue formed over the union of M's and M+'s patterns
+    for every operator, as before the transpose permutation."""
+    key = rows * dim + cols
+    tkey = cols * dim + rows
+    union, where = np.unique(np.concatenate([key, tkey]), return_inverse=True)
+    a = np.zeros(union.size, dtype=complex)
+    b = np.zeros(union.size, dtype=complex)
+    a[where[:key.size]] = vals
+    b[where[key.size:]] = vals.conj()
+    diff = a - b
+    diff = diff[diff != 0]
+    return float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(vals)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_entries(), st.sampled_from(["as drawn", "mirrored", "conjugated"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_hermitian_residue_matches_the_union_formula(raw, pattern, seed):
+    # "mirrored" and "conjugated" add every entry at its transposed
+    # coordinate, so the pattern is symmetric, stored zeros included: with a
+    # new value, or with its conjugate, which may still differ in the last bit
+    # from the conjugate of its mirror where sums at a coordinate ran in
+    # another order
+    dim, rows, cols, vals = raw
+    if pattern != "as drawn":
+        rng = np.random.default_rng(seed)
+        mirrored = (vals.conj() if pattern == "conjugated" else
+                    rng.normal(size=vals.size) + 1j * rng.normal(size=vals.size))
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+        vals = np.concatenate([vals, mirrored])
+    op = OperatorMatrix.from_entries(dim, rows, cols, vals, "t")
+    symmetric = (np.sort(op.cols * dim + op.rows) == op.rows * dim + op.cols).all()
+    assert symmetric or pattern == "as drawn"
+    event(f"symmetric pattern: {symmetric}")
+    event(f"stored zeros: {bool((op.vals == 0).any())}")
+    got = model._hermitian_residue(op.dim, op.rows, op.cols, op.vals)
+    assert got == _union_residue(op.dim, op.rows, op.cols, op.vals)
 
 
 @settings(max_examples=30, deadline=None)
