@@ -31,12 +31,10 @@ def _checked_stack(a, where=lambda k, message: f"snapshot {k}: {message}",
                    error=DomainError):
     """a, a (T, d) stack of state vectors or a (T, d, d) stack of density
     matrices, after the one rule every state is held to: a norm within
-    TRACE_TOL of 1, or, in this order, an anti-Hermitian residue within
-    HERMITICITY_TOL (a non-finite entry fails it), the real trace of the
-    Hermitian part within TRACE_TOL of 1 and no eigenvalue of it below
-    -POSITIVITY_TOL (_failure). The earliest failing snapshot k raises
-    error(where(k, message)); density matrices go CHECK_STACK_ENTRIES
-    entries at a time."""
+    TRACE_TOL of 1, or _checked_coordinates on the coordinates of the
+    Hermitian parts (rho + rho^dag)/2 and the anti-Hermitian residues. The
+    earliest failing snapshot k raises error(where(k, message)); density
+    matrices go CHECK_STACK_ENTRIES entries at a time."""
     if a.ndim == 2:
         if len(a) == 1:  # one vector, as QuantumState checks it: scalar work
             norm = [float(np.sqrt(np.vdot(a[0], a[0]).real))]
@@ -55,53 +53,34 @@ def _checked_stack(a, where=lambda k, message: f"snapshot {k}: {message}",
         adjoint = np.ascontiguousarray(stack.transpose(0, 2, 1)).conj()
         with np.errstate(invalid="ignore", over="ignore"):
             residue = np.abs(stack - adjoint).max(axis=(1, 2))
-            herm = 0.5 * (stack + adjoint)
-        stop, message = _failure(herm, residue)
-        if stop < len(stack):
-            raise error(where(first + stop, message))
+            x = _coordinates(stack)
+        _checked_coordinates(
+            x, a.shape[1], np.arange(len(stack)),
+            lambda k, message: where(first + k, message), error, residue)
     return a
 
 
-def _failure(herm, residue):
-    """(k, message) of the earliest of the Hermitian parts herm of a stack
-    that breaks the state rule, given each one's anti-Hermitian residue:
-    (len(herm), None) if none does. Positivity is screened by one batched
-    Cholesky factorisation of herm + POSITIVITY_TOL/2 * I, and eigvalsh
-    runs only where it fails, as it does wherever eigvalsh would find an
-    eigenvalue below -POSITIVITY_TOL."""
-    with np.errstate(invalid="ignore"):
-        trace = np.trace(herm, axis1=1, axis2=2).real
-    bad = ~(residue <= HERMITICITY_TOL) | (np.abs(trace - 1.0) > TRACE_TOL)
-    stop = np.argmax(bad) if bad.any() else len(herm)
-    message = None if stop == len(herm) else (
-        f"density matrix trace {trace[stop]} is not 1"
-        if residue[stop] <= HERMITICITY_TOL else
-        f"density matrix anti-Hermitian residue {residue[stop]:.3e}")
-    try:  # these are finite, and trace 1 bounds a positive one's norm
-        np.linalg.cholesky(herm[:stop] + 0.5 * POSITIVITY_TOL * np.eye(herm.shape[1]))
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(herm[:stop])[:, 0]
-        negative = np.flatnonzero(low < -POSITIVITY_TOL)
-        if negative.size:
-            stop = negative[0]
-            message = f"density matrix eigenvalue {low[stop]}"
-    return stop, message
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuantumState:
-    """State vector or density matrix together with its basis tag."""
+    """State vector or density matrix together with its basis tag. Making
+    one is the state check (_checked_stack), and it cannot change: data is
+    a read-only complex array. A complex array that owns its data is taken
+    over; any other, a view among them, is copied, so nothing the caller
+    holds writes to the checked state."""
 
     data: np.ndarray
     basis_tag: str
 
     def __post_init__(self):
         a = np.asarray(self.data, dtype=complex)
+        if not a.flags.owndata:
+            a = a.copy()
         if a.ndim not in (1, 2) or a.shape != a.shape[:1] * a.ndim:
             raise DomainError(
                 f"state data must be a vector or a square matrix, got shape {a.shape}")
         _checked_stack(a[None], lambda k, message: message)
-        self.data = a
+        a.flags.writeable = False
+        object.__setattr__(self, "data", a)
 
     @property
     def is_density(self):
@@ -366,13 +345,6 @@ def _reachable(data, table, dim):
             return np.flatnonzero(reached)
 
 
-def _reachable_states(data, hamiltonian, collapse):
-    """_reachable of data over the entry table of hamiltonian and the
-    operators of collapse."""
-    return _reachable(data, _entry_table(hamiltonian, collapse),
-                      hamiltonian.dim)
-
-
 def _generator_blocks(rows, cols, size):
     """Index arrays of the weakly connected components of the pattern
     (rows, cols) on size nodes, each ascending, in the order of their
@@ -437,27 +409,48 @@ def _matrices(x, size):
 
 def _coordinate_map(coef):
     """(K, s*s) real R with R[k] @ x = Re sum_jl coef[k, j, l] rho_jl for
-    every Hermitian rho of coordinates x: Re(C + C^T) above the diagonal,
-    Im(C - C^T) below it and Re C on it, C = coef[k]."""
-    swapped = coef.transpose(0, 2, 1)
-    upper = np.triu(np.ones(coef.shape[1:], dtype=bool), 1)
-    out = np.where(upper, (coef + swapped).real, (coef - swapped).imag)
-    out += np.eye(coef.shape[1]) * coef.real
-    return out.reshape(len(coef), upper.size)
+    every Hermitian rho of coordinates x: the coordinates (_coordinates) of
+    C^T, C = coef[k], doubled off the diagonal, Re(C + C^T) above it, Im(C -
+    C^T) below it and Re C on it."""
+    return (_coordinates(coef.transpose(0, 2, 1))
+            * (2.0 - np.eye(coef.shape[1]).ravel()))
 
 
-def _checked_coordinates(x, size, order, where, error):
-    """_checked_stack's rule on (T, size*size) coordinates x, rows visited
-    in the order of the indices order, CHECK_STACK_ENTRIES entries at a
-    time: the earliest failing row k raises error(where(k, message)). A
-    matrix read from x is Hermitian exactly, so only a non-finite entry
-    fails the residue check, with residue nan."""
+def _checked_coordinates(x, size, order, where, error, residue=None):
+    """The state rule on density matrices, given the (T, size*size)
+    coordinates x of their Hermitian parts and their (T,) anti-Hermitian
+    residues; without residues, a matrix read from x is Hermitian exactly
+    and only a non-finite row fails, with residue nan. Rows are visited in
+    the order of the indices order, CHECK_STACK_ENTRIES entries at a time,
+    and the earliest failing row k raises error(where(k, message)): in this
+    order, a residue above HERMITICITY_TOL, a real trace off 1 by more than
+    TRACE_TOL, an eigenvalue below -POSITIVITY_TOL. Positivity is screened
+    by one batched Cholesky factorisation of rho + POSITIVITY_TOL/2 * I,
+    and eigvalsh runs only where it fails, as it does wherever eigvalsh
+    would find an eigenvalue below -POSITIVITY_TOL."""
     per = max(1, CHECK_STACK_ENTRIES // max(1, size * size))
     for first in range(0, len(order), per):
         at = order[first:first + per]
         stack = x[at]
-        residue = np.where(np.isfinite(stack).all(axis=1), 0.0, np.nan)
-        stop, message = _failure(_matrices(stack, size), residue)
+        res = (np.where(np.isfinite(stack).all(axis=1), 0.0, np.nan)
+               if residue is None else residue[at])
+        herm = _matrices(stack, size)
+        with np.errstate(invalid="ignore"):
+            trace = np.trace(herm, axis1=1, axis2=2).real
+        bad = ~(res <= HERMITICITY_TOL) | (np.abs(trace - 1.0) > TRACE_TOL)
+        stop = np.argmax(bad) if bad.any() else len(herm)
+        message = None if stop == len(herm) else (
+            f"density matrix trace {trace[stop]} is not 1"
+            if res[stop] <= HERMITICITY_TOL else
+            f"density matrix anti-Hermitian residue {res[stop]:.3e}")
+        try:  # these are finite, and trace 1 bounds a positive one's norm
+            np.linalg.cholesky(herm[:stop] + 0.5 * POSITIVITY_TOL * np.eye(size))
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(herm[:stop])[:, 0]
+            negative = np.flatnonzero(low < -POSITIVITY_TOL)
+            if negative.size:
+                stop = negative[0]
+                message = f"density matrix eigenvalue {low[stop]}"
         if stop < len(stack):
             raise error(where(at[stop], message))
 

@@ -55,7 +55,6 @@ class SectorBasis:
     n_sites: int
     n_excitations: int | tuple
     states: tuple = field(repr=False)
-    index: dict = field(repr=False, compare=False)
 
     @property
     def dim(self):
@@ -84,9 +83,8 @@ def build_sector_basis(n_sites, n_excitations):
                            for k in range(lo, hi + 1)
                            for occupied in combinations(range(n), k)),
                           reverse=True))
-    index = {s: i for i, s in enumerate(states)}
     return SectorBasis(n_sites=n, n_excitations=lo if lo == hi else (lo, hi),
-                       states=states, index=index)
+                       states=states)
 
 
 def _hermitian_residue(dim, rows, cols, vals):

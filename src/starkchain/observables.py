@@ -1,19 +1,20 @@
 """Expectation values and observable trajectories on state snapshots."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (LindbladSnapshots, _checked_times, _coordinate_map,
                        evolve_lindblad, evolve_unitary)
 from .errors import DomainError, NumericalConsistencyError
+from .model import _restricted
 
 IMAG_ERROR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class TrajectoryTable:
-    """Time series of named observables, optionally with per-point errors.
+    """Time series of named observables.
 
     Column names follow the fixed scheme P{j}, K{j}, V{j}, J{j} (site or bond
     index) so CSV headers stay stable; nothing enforces the scheme here, the
@@ -22,7 +23,6 @@ class TrajectoryTable:
 
     times_ns: np.ndarray
     columns: dict
-    errors: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times_ns, dtype=float)
@@ -37,17 +37,6 @@ class TrajectoryTable:
                 )
             cols[str(name)] = v
         object.__setattr__(self, "columns", cols)
-        errs = {}
-        for name, vals in self.errors.items():
-            if name not in cols:
-                raise DomainError(f"error column {name!r} has no value column")
-            v = np.asarray(vals, dtype=float)
-            if v.shape != (nt,):
-                raise DomainError(f"error column {name!r} length mismatch")
-            if np.any(v < 0):
-                raise DomainError(f"error column {name!r} has negative entries")
-            errs[str(name)] = v
-        object.__setattr__(self, "errors", errs)
 
     @property
     def names(self):
@@ -65,15 +54,13 @@ def _expectations(snapshots, operators):
     anti-Hermitian residue, expectation checks. On LindbladSnapshots, the
     real Re tr(O rho), one product of their coordinates with the (K, s^2)
     real map (dynamics._coordinate_map) of the operators' entries among the
-    reached states."""
+    reached states (model._restricted)."""
     if isinstance(snapshots, LindbladSnapshots):
         size = snapshots.support.size
-        at = np.full(snapshots.shape[1], -1)  # reached position of a state
-        at[snapshots.support] = np.arange(size)
         coef = np.zeros((len(operators), size, size), dtype=complex)
         for k, o in enumerate(operators):
-            keep = (at[o.rows] >= 0) & (at[o.cols] >= 0)
-            coef[k, at[o.cols[keep]], at[o.rows[keep]]] = o.vals[keep]
+            r, c, v = _restricted(snapshots.support, o.rows, o.cols, o.vals)
+            coef[k, c, r] = v
         return snapshots.coords @ _coordinate_map(coef).T
     out = np.empty((len(snapshots), len(operators)), dtype=complex)
     for k, o in enumerate(operators):

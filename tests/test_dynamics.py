@@ -37,8 +37,17 @@ from starkchain import (
 )
 from starkchain import dynamics
 from starkchain.config import _excitation_range
-from starkchain.dynamics import _generator_blocks, _liouvillian, _reachable_states
+from starkchain.dynamics import (_entry_table, _generator_blocks, _liouvillian,
+                                 _reachable)
 from starkchain.model import DENSE_DIM_CAP, _restricted, _summed
+
+
+def _reachable_states(data, hamiltonian, collapse):
+    """The basis states reachable from data (_reachable) over the entry
+    table of hamiltonian and the operators of collapse."""
+    return _reachable(data, _entry_table(hamiltonian, collapse),
+                      hamiltonian.dim)
+
 
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |0> = (1, 0)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -165,6 +174,23 @@ class TestQuantumState:
         with pytest.raises(DomainError, match="^state data must be a vector or "
                            "a square matrix, got shape"):
             QuantumState(np.ones((2, 3)) / 6.0, "full:n=1")
+
+    def test_cannot_change_once_checked(self):
+        # new data cannot be set, the data is read-only, an array of its own
+        # is taken over and made read-only, and a view is copied
+        e0 = np.array([1.0, 0.0], dtype=complex)
+        owned = e0.copy()
+        st = QuantumState(owned, "full:n=1")
+        assert st.data is owned
+        with pytest.raises(AttributeError):
+            st.data = 5 * e0
+        for data in (owned, st.data):
+            with pytest.raises(ValueError, match="read-only"):
+                data[0] = 5.0
+        base = np.array([e0, e0])
+        st = QuantumState(base[0], "full:n=1")
+        base[0, 0] = 5.0
+        np.testing.assert_array_equal(st.data, e0)
 
     def test_to_density(self):
         st = prepare_initial_state("X+0", 2)

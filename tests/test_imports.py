@@ -4,8 +4,11 @@ the heavy scipy parts before it needs them."""
 
 import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +208,28 @@ class TestPublicSurface:
         import starkchain.measurement
         assert (starkchain.measurement.ConfusionMatrix
                 is starkchain.device.ConfusionMatrix)
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+# backticked dotted names in the README that are config field paths
+_FIELD_PATHS = {"device.n_qubits"}
+
+
+def test_readme_cites_only_names_that_exist():
+    # every backticked `module.attr` of the package the README cites, and
+    # every `starkchain.attr`, is there to be found
+    modules = {m.name for m in pkgutil.iter_modules(starkchain.__path__)}
+    cited = set(re.findall(r"`((\w+)\.(\w+))`", _README.read_text()))
+    missing, checked = [], 0
+    for path, module, attr in sorted(cited):
+        if path in _FIELD_PATHS or module not in modules | {"starkchain"}:
+            continue
+        checked += 1
+        if module == "starkchain":
+            found = attr in modules or hasattr(starkchain, attr)
+        else:
+            found = hasattr(importlib.import_module(f"starkchain.{module}"), attr)
+        if not found:
+            missing.append(path)
+    assert checked >= 12  # the pattern still finds the citations
+    assert missing == []

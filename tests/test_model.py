@@ -76,11 +76,6 @@ class TestSectorBasis:
         ints = [full_index(s) for s in b.states]
         assert ints == sorted(ints, reverse=True)
 
-    def test_index_map(self):
-        b = build_sector_basis(6, 3)
-        for i, s in enumerate(b.states):
-            assert b.index[s] == i
-
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
             build_sector_basis(4, 5)
@@ -103,7 +98,6 @@ class TestSectorBasis:
         ints = [full_index(s) for s in b.states]
         assert ints == sorted(ints, reverse=True)
         assert {sum(s) for s in b.states} == {0, 1, 2}
-        assert all(b.index[s] == i for i, s in enumerate(b.states))
         # the whole space in descending index order
         full = build_sector_basis(3, (0, 3))
         assert [full_index(s) for s in full.states] == list(range(7, -1, -1))

@@ -68,15 +68,6 @@ class TestTrajectoryTable:
         with pytest.raises(DomainError):
             TrajectoryTable(times_ns=np.arange(3.0), columns={"P1": np.zeros(4)})
 
-    def test_error_columns(self):
-        t = np.arange(3.0)
-        with pytest.raises(DomainError):
-            TrajectoryTable(times_ns=t, columns={"P1": np.zeros(3)},
-                            errors={"P2": np.zeros(3)})
-        with pytest.raises(DomainError):
-            TrajectoryTable(times_ns=t, columns={"P1": np.zeros(3)},
-                            errors={"P1": np.array([0.1, -0.1, 0.0])})
-
     def test_accessors(self):
         t = np.arange(4.0)
         tab = TrajectoryTable(times_ns=t, columns={"P1": t * 0.1, "P2": t * 0.2})
