@@ -1,5 +1,7 @@
 """State preparation and time evolution (unitary and dissipative)."""
 
+import bisect
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,12 +31,14 @@ _LOCAL_KETS = {
 
 def _checked_stack(a, where=lambda k, message: f"snapshot {k}: {message}",
                    error=DomainError):
-    """a, a (T, d) stack of state vectors or a (T, d, d) stack of density
-    matrices, after the one rule every state is held to: a norm within
-    TRACE_TOL of 1, or _checked_coordinates on the coordinates of the
-    Hermitian parts (rho + rho^dag)/2 and the anti-Hermitian residues. The
-    earliest failing snapshot k raises error(where(k, message)); density
-    matrices go CHECK_STACK_ENTRIES entries at a time."""
+    """a, a (T, d) stack of state vectors, or the (T, d*d) real Hermitian
+    coordinates (_coordinates) of a (T, d, d) stack of density matrices,
+    after the one rule every state is held to: a norm within TRACE_TOL of
+    1, or _checked_coordinates on those coordinates of the Hermitian parts
+    (rho + rho^dag)/2 and the anti-Hermitian residues. The earliest failing
+    snapshot k raises error(where(k, message)); the residues and
+    coordinates of density matrices are made CHECK_STACK_ENTRIES entries
+    at a time."""
     if a.ndim == 2:
         if len(a) == 1:  # one vector, as QuantumState checks it: scalar work
             norm = [float(np.sqrt(np.vdot(a[0], a[0]).real))]
@@ -47,17 +51,18 @@ def _checked_stack(a, where=lambda k, message: f"snapshot {k}: {message}",
             raise error(where(k, f"state vector norm {norm[k]} is not 1"))
         return a
     per = max(1, CHECK_STACK_ENTRIES // max(1, a.shape[1] ** 2))
+    x = np.empty((len(a), a.shape[1] ** 2))
+    residue = np.empty(len(a))
     for first in range(0, len(a), per):
         stack = a[first:first + per]
         # a contiguous adjoint: subtracting the transposed view is 3x slower
         adjoint = np.ascontiguousarray(stack.transpose(0, 2, 1)).conj()
         with np.errstate(invalid="ignore", over="ignore"):
-            residue = np.abs(stack - adjoint).max(axis=(1, 2))
-            x = _coordinates(stack)
-        _checked_coordinates(
-            x, a.shape[1], np.arange(len(stack)),
-            lambda k, message: where(first + k, message), error, residue)
-    return a
+            residue[first:first + per] = np.abs(stack - adjoint).max(axis=(1, 2))
+            x[first:first + per] = _coordinates(stack)
+    _checked_coordinates(x, a.shape[1], np.arange(len(a)), where, error,
+                         residue)
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +149,69 @@ def _pruned(size, rows, cols, vals):
     norm = np.bincount(cols, np.abs(vals), size).max(initial=0.0)
     keep = ~(np.abs(vals) < norm * _UNIT_ROUNDOFF) & (vals != 0)
     return rows[keep], cols[keep], vals[keep], norm
+
+
+def _pade_rows(m):
+    """Rows of coefficients over the even powers I, A^2, A^4, ... of the
+    [m/m] Pade approximant p(A) / p(-A) of exp(A), p(x) = sum_k b_k x^k with
+    b_k = (2m-k)! / (k! (m-k)!), split as p(A) = V + U and p(-A) = V - U.
+    Below m = 13 the rows give U = A (row 0) and V = row 1; at m = 13, whose
+    powers end at A^6, U = A (A^6 (row 0) + row 2) and V = A^6 (row 1) + row
+    3."""
+    b = [math.factorial(2 * m - k) // (math.factorial(k) * math.factorial(m - k))
+         for k in range(m + 1)]
+    if m < 13:
+        return np.array([b[1::2], b[0::2]], dtype=float)
+    return np.array([[0, b[9], b[11], b[13]], [0, b[8], b[10], b[12]],
+                     b[1:8:2], b[0:7:2]], dtype=float)
+
+
+# the degrees m of Higham's algorithm, each with its theta_m, the largest
+# 1-norm of A at which r_m(A) meets double precision (Higham 2005, Table 2.3)
+_PADE_DEGREES = (3, 5, 7, 9, 13)
+_PADE_THETAS = (1.495585217958292e-2, 2.539398330063230e-1,
+                9.504178996162932e-1, 2.097847961257068, 5.371920351148152)
+_PADE_ROWS = tuple(_pade_rows(m) for m in _PADE_DEGREES)
+
+
+def _expm(a):
+    """exp(a) of a real square matrix by scaling and squaring (Higham, SIAM
+    J. Matrix Anal. Appl. 26(4), 2005, Algorithm 2.3): the Pade approximant
+    r_m(a) of the lowest degree m whose theta_m bounds the 1-norm of a, or
+    r_13(a / 2^s) squared s times, s the fewest halvings that bring the
+    1-norm to theta_13. r_m = (V - U)^-1 (V + U) takes one np.linalg.solve.
+    Where the 1-norm or the result is not finite, every entry is nan, with
+    no warning: the caller's state check names the failure."""
+    n = len(a)
+    norm = np.abs(a).sum(axis=0).max()
+    if not norm < math.inf:
+        return np.full(a.shape, np.nan)
+    j = min(bisect.bisect_left(_PADE_THETAS, norm), len(_PADE_THETAS) - 1)
+    m, rows = _PADE_DEGREES[j], _PADE_ROWS[j]
+    s = max(0, math.ceil(math.log2(norm / _PADE_THETAS[j]))) if m == 13 else 0
+    if s:
+        a = a * 0.5 ** s
+    powers = np.empty((rows.shape[1], n, n))  # I, A^2, A^4, ...
+    powers[0] = np.eye(n)
+    np.matmul(a, a, out=powers[1])
+    for k in range(2, len(powers)):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    w = (rows @ powers.reshape(len(powers), n * n)).reshape(len(rows), n, n)
+    if m == 13:
+        w = powers[3] @ w[:2] + w[2:]
+    # dropped before U and the solve allocate: held, it raised the heap's
+    # peak enough for glibc to return the memory after each call, and each
+    # call on a 126-coordinate block then took 280 page faults to regrow it
+    del powers
+    u, v = a @ w[0], w[1]
+    r = np.linalg.solve(v - u, v + u)
+    if s:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(s):
+                r = r @ r
+        if not np.isfinite(r).all():
+            r.fill(np.nan)  # a later product would warn on inf * 0
+    return r
 
 
 def _csr(size, rows, cols, vals):
@@ -548,17 +616,15 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     "10000", 126/110/20 for "X+X+000"); a block whose start is all zero is
     not stepped. The times are visited in ascending order. Over an interval
     dt that recurs, a block of up to DENSE_BLOCK_CAP coordinates is
-    multiplied by its dense real expm(dt G_b), computed once per distinct
-    dt, and the larger blocks are propagated together with scipy's
-    expm_multiply (Al-Mohy & Higham 2011); an interval taken once, with
-    expm_multiply on the whole generator. Making the LindbladSnapshots is
-    the state check, and a NumericalConsistencyError names the earliest
-    failure, at its time; the start, a principal block of a checked
-    QuantumState, needs none.
+    multiplied by its dense real expm(dt G_b) (_expm, numpy alone), computed
+    once per distinct dt, and the larger blocks are propagated together
+    with scipy's expm_multiply (Al-Mohy & Higham 2011); an interval taken
+    once, with expm_multiply on the whole generator. scipy is loaded only
+    for those two expm_multiply routes. Making the LindbladSnapshots is the
+    state check, and a NumericalConsistencyError names the earliest failure,
+    at its time; the start, a principal block of a checked QuantumState,
+    needs none.
     """
-    import scipy.linalg
-    import scipy.sparse.linalg
-
     _check_hermitian(hamiltonian)
     if collapse.basis_tag != hamiltonian.basis_tag:
         raise DomainError("collapse operators and hamiltonian bases differ")
@@ -626,8 +692,7 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
         if dt * norm >= _UNIT_ROUNDOFF:
             if uses[dt] > 1:
                 if dt not in propagators:
-                    propagators[dt] = [scipy.linalg.expm(dt * gen_b)
-                                       for gen_b in dense]
+                    propagators[dt] = [_expm(dt * gen_b) for gen_b in dense]
                 for prop, src, dst in zip(propagators[dt], cur[2], nxt[2]):
                     np.matmul(prop, src, out=dst)
                 if large_gen is not None:

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import ConfusionMatrix
-from .dynamics import (LindbladSnapshots, _checked_stack, _coordinate_map,
-                       _coordinates)
+from .dynamics import LindbladSnapshots, _checked_stack, _coordinate_map
 from .errors import DomainError, StateSpecError
 
 VALID_AXES = frozenset("ZXY")
@@ -218,8 +217,6 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
         support, stack = support[states.support], states.coords
     else:
         stack = _checked_stack(stack)
-        if stack.ndim == 3:
-            stack = _coordinates(stack)
     reported = _outcome_probabilities(support, stack, basis, confusion)
     counts = np.empty((len(seeds), n_groups, 1 << n_qubits), dtype=np.int64)
     for k, gen in enumerate(_keyed_generators(seeds)):

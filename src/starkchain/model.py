@@ -111,7 +111,10 @@ def _hermitian_residue(dim, rows, cols, vals):
         b[where[key.size:]] = vals.conj()
         diff = a - b
     diff = diff[diff != 0]
-    return float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(vals)))
+    # a norm that overflows is inf, and the figure then 0, or nan, which
+    # fails every tolerance
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(vals)))
 
 
 def _run_starts(key):

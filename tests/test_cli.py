@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -246,6 +248,27 @@ class TestFileBoundary:
         self._refused(capsys, ["spin_transport", "--config", str(p),
                                "--out", str(out)], "output_dir: ")
         assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("coupling", ["1.0e+306", "1.0e+150"])
+def test_overflowing_run_ends_in_one_error_line(tmp_path, coupling):
+    # couplings this large overflow the Lindblad propagator's squarings, and
+    # at 1e306 the Hamiltonian's norm; the run as a user starts it prints
+    # the snapshot check's error line and nothing else, no numpy warning
+    p = tmp_path / "c.yaml"
+    p.write_text("experiment: decoherence_check\ndevice:\n  n_qubits: 3\n"
+                 f"  coupling_mhz: [{coupling}, {coupling}]\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        x for x in (src, env.get("PYTHONPATH")) if x)
+    done = subprocess.run(
+        [sys.executable, "-m", "starkchain.cli", "decoherence_check",
+         "--config", str(p), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == ("error: density matrix anti-Hermitian residue nan "
+                           "at t = 2 ns\n")
 
 
 def _uniform(n, **raw):

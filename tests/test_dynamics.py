@@ -430,10 +430,12 @@ _BLOCK_TIMES = np.arange(0.0, 14.0, 2.0)
 
 def _solver_check(stack, times):
     """The state rule on matrices (_checked_stack), its failures named as
-    the Lindblad solver names them."""
-    return dynamics._checked_stack(
+    the Lindblad solver names them; a stack that passes comes back as the
+    coordinates it was checked in."""
+    x = dynamics._checked_stack(
         stack, lambda k, message: f"{message} at t = {times[k]:g} ns",
         NumericalConsistencyError)
+    np.testing.assert_array_equal(x, dynamics._coordinates(stack))
 
 
 def _stack_failing(**at):
@@ -449,7 +451,7 @@ def _stack_failing(**at):
 class TestStackChecks:
     def test_valid_stack_passes(self):
         stack = _stack_failing()
-        assert _solver_check(stack, _BLOCK_TIMES) is stack
+        _solver_check(stack, _BLOCK_TIMES)
 
     @pytest.mark.parametrize("name", sorted(_MESSAGES))
     @pytest.mark.parametrize("k", [0, 3, 6])
@@ -538,7 +540,7 @@ class TestPositivityScreen:
         # it, so eigvalsh decides, and passes it
         calls = self._count_eigvalsh(monkeypatch)
         stack = _stack_with_lowest([4], -0.7e-6)
-        assert _solver_check(stack, _BLOCK_TIMES) is stack
+        _solver_check(stack, _BLOCK_TIMES)
         assert calls == [_BLOCK_TIMES.size]
 
     @pytest.mark.parametrize("at", [[0], [4], [2, 5], [6]])
@@ -556,7 +558,7 @@ class TestPositivityScreen:
         # pure and rank-deficient blocks sit at eigenvalue 0 exactly
         stack = _stack_with_lowest([1, 3], 0.0)
         stack[5] = np.diag([1.0, 0.0, 0.0, 0.0])
-        assert _solver_check(stack, _BLOCK_TIMES) is stack
+        _solver_check(stack, _BLOCK_TIMES)
         h, col = _noisy_chain(3, "device")
         evolve_lindblad(h, prepare_initial_state("X+10", 3),
                         np.arange(0.0, 60.0, 4.0), col)
@@ -582,7 +584,7 @@ class TestPositivityScreen:
                                        f"{lows[bad[0]]} at t = "
                                        f"{times[bad[0]]:g} ns")
         else:
-            assert _solver_check(stack, times) is stack
+            _solver_check(stack, times)
 
 
 # the reason each message names, and a failure of each kind for a snapshot
@@ -659,7 +661,14 @@ class TestStateRule:
         # stacks of one snapshot or a few at a time, or all at once
         with mock.patch.object(dynamics, "CHECK_STACK_ENTRIES", entries):
             if want is None:
-                assert dynamics._checked_stack(stack) is stack
+                # vectors come back as given, density matrices as the
+                # coordinates they were checked in
+                got = dynamics._checked_stack(stack)
+                if density:
+                    np.testing.assert_array_equal(
+                        got, dynamics._coordinates(stack))
+                else:
+                    assert got is stack
                 return
             with pytest.raises(DomainError) as info:
                 dynamics._checked_stack(stack)
@@ -965,6 +974,76 @@ def test_full_space_run_equals_the_sector_range_run(chain):
     assert np.max(np.abs(full[block] - run(basis))) <= 1e-12
     full[block] = 0.0
     assert not full.any()
+
+
+def _expm_gap(got, want):
+    """The 1-norm of got - want relative to that of want."""
+    return np.abs(got - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max()
+
+
+class TestExpm:
+    """dynamics._expm, the dense propagator of every recurring Lindblad step,
+    against scipy.linalg.expm."""
+
+    # 1-norms 1e-3, 0.1, 0.6, 1.6, 4 and 1e3: degrees 3, 5, 7, 9, 13 and
+    # 13 after 8 halvings
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+           log_norm=st.floats(-6.0, 3.0))
+    @example(n=4, seed=0, log_norm=-3.0)
+    @example(n=4, seed=0, log_norm=-1.0)
+    @example(n=4, seed=0, log_norm=-0.2)
+    @example(n=4, seed=0, log_norm=0.2)
+    @example(n=4, seed=0, log_norm=0.6)
+    @example(n=4, seed=0, log_norm=3.0)
+    def test_random_matrices(self, n, seed, log_norm):
+        # a random real matrix, shifted to spectral abscissa 0 so that its
+        # exponential neither overflows nor underflows at any scale, then
+        # scaled to the 1-norm. Each side errs by up to about the condition
+        # number of exp at a (expm_cond) times the rounding unit: against a
+        # 50-digit reference, scipy's error on an X+X+000 block scaled to
+        # 1-norm 1e3 is 1.4e-12, about 40 times _expm's
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        a -= np.linalg.eigvals(a).real.max() * np.eye(n)
+        a *= 10.0 ** log_norm / np.abs(a).sum(axis=0).max()
+        gap = _expm_gap(dynamics._expm(a), scipy.linalg.expm(a))
+        assert gap <= 1e-13 * max(1.0, scipy.linalg.expm_cond(a))
+
+    @pytest.mark.parametrize("n, sizes", [(5, [126, 110, 20]),
+                                          (6, [262, 192, 30])])
+    def test_lindblad_blocks(self, monkeypatch, n, sizes):
+        # the dense blocks dt G_b of X+X+0... on counts 0..2 at dt = 2 ns
+        blocks, expm = [], dynamics._expm
+
+        def recorded(a):
+            blocks.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(dynamics, "_expm", recorded)
+        dev = (paper_device() if n == 5 else
+               DeviceParams.uniform(n, t1_us=20.0, t2star_us=2.0))
+        basis = build_sector_basis(n, (0, 2))
+        h = build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0), basis=basis)
+        state = prepare_initial_state("X+X+" + "0" * (n - 2), n, basis=basis)
+        evolve_lindblad(h, state, [0.0, 2.0, 4.0],
+                        make_collapse_ops(dev, basis=basis))
+        assert [len(a) for a in blocks] == sizes
+        for a in blocks:
+            assert _expm_gap(expm(a), scipy.linalg.expm(a)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_zero_gives_the_identity_exactly(self, n):
+        np.testing.assert_array_equal(dynamics._expm(np.zeros((n, n))),
+                                      np.eye(n))
+
+    @pytest.mark.parametrize("a", [
+        [[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 1.0], [0.0, -1.0]],
+        [[1e306, 1e306], [-1e306, 1e306]]],
+        ids=["nan", "inf", "overflowing"])
+    def test_non_finite_result_is_nan_without_a_warning(self, a):
+        # a RuntimeWarning fails the suite; the caller's state check names
+        # a nan propagator's snapshot
+        assert np.isnan(dynamics._expm(np.array(a))).all()
 
 
 def test_expm_multiply_steps_ignore_global_random_state():

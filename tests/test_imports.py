@@ -1,6 +1,7 @@
 """Import cost and public surface: the package loads its submodules on first
-use, the config parser needs neither numpy nor PyYAML, and nothing loads
-the heavy scipy parts before it needs them."""
+use, the config parser needs neither numpy nor PyYAML, the ideal and the
+noisy paper runs need no scipy, and nothing loads the heavy scipy parts
+before it needs them."""
 
 import importlib
 import os
@@ -27,8 +28,8 @@ print(" ".join(m for m in {_HEAVY!r} if m in sys.modules))
 
 def test_import_leaves_sparse_linalg_and_optimize_unloaded():
     # scipy.sparse.linalg and scipy.optimize add about 0.14 s and 0.27 s to a
-    # cold import; the propagators reach sparse.linalg, scipy.linalg and
-    # sparse.csgraph lazily, at call time
+    # cold import; the expm_multiply routes reach sparse.linalg lazily, at
+    # call time
     src = os.path.dirname(os.path.dirname(starkchain.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -101,14 +102,42 @@ def test_ideal_cli_runs_load_no_scipy(tmp_path, command):
     assert (out / "summary.json").is_file() == (command != "validate")
 
 
-def test_lindblad_run_loads_scipy_on_first_use(tmp_path):
-    # the probe sees a lazily loaded scipy: decoherence_check evolves the
-    # master equation
+@pytest.mark.parametrize("experiment", ["thermal_transport",
+                                        "decoherence_check"])
+def test_noisy_paper_runs_load_no_scipy(tmp_path, experiment):
+    # at paper settings every Lindblad step recurs and every block is dense:
+    # the propagators are dynamics._expm, numpy alone; thermal_transport
+    # samples the paper shots from X+X+000
     config = tmp_path / "c.yaml"
-    config.write_text("experiment: decoherence_check\nt_max: 20\ndt_sample: 2\n")
-    loaded = _scipy_modules_after(_CLI, "decoherence_check", "--config",
-                                  str(config), "--out", str(tmp_path / "out"))
-    assert {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} <= set(loaded)
+    config.write_text(f"experiment: {experiment}\nnoise: lindblad\n")
+    out = tmp_path / "out"
+    assert _scipy_modules_after(_CLI, experiment, "--config", str(config),
+                                "--out", str(out)) == []
+    assert (out / "summary.json").is_file()
+
+
+_EXPM_MULTIPLY_RUN = """
+from starkchain import dynamics
+from starkchain import (DeviceParams, PotentialSpec, build_xy_hamiltonian,
+                        evolve_lindblad, make_collapse_ops,
+                        prepare_initial_state)
+dev = DeviceParams.uniform(3, t1_us=20.0, t2star_us=2.0)
+h = build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0))
+state = prepare_initial_state("X+X+0", 3)
+dynamics.DENSE_BLOCK_CAP = int(sys.argv[1])
+assert 'scipy' not in sys.modules
+evolve_lindblad(h, state, [float(t) for t in sys.argv[2:]], make_collapse_ops(dev))
+"""
+
+
+@pytest.mark.parametrize("cap, times", [
+    (512, ["0", "1", "3"]), (4, ["0", "2", "4"])],
+    ids=["steps_taken_once", "block_above_the_cap"])
+def test_expm_multiply_routes_load_scipy_on_first_use(cap, times):
+    # a step taken once goes to expm_multiply on the whole generator, and a
+    # block above DENSE_BLOCK_CAP to expm_multiply on every recurring step
+    assert "scipy.sparse.linalg" in _scipy_modules_after(
+        _EXPM_MULTIPLY_RUN, str(cap), *times)
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():
