@@ -19,7 +19,7 @@ _EXPORTS = {
     "analysis": (
         "FitResult", "boundary_peak", "detect_first_wavefront",
         "first_wavefront_peak", "gaussian_fit_wavefront", "linear_fit",
-        "moving_average3", "p5max_scan", "wsl_length_from_boundary",
+        "moving_average3", "wsl_length_from_boundary",
     ),
     "config": ("ExperimentConfig", "ShotPlan", "load_config", "parse_config"),
     "device": (

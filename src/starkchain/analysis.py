@@ -1,13 +1,11 @@
-"""Post-processing: wavefront fits, the P5max scan, and length estimates."""
+"""Post-processing: wavefront fits, boundary peaks, line fits and length
+estimates, from which the CLI's wsl_scan builds its P5max scan."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import _time_points
-from .device import PotentialSpec
 from .errors import DomainError, FitDomainError, NoWavefrontError
-from .freefermion import propagate_single_particle, single_particle_matrix
 
 GN_MAX_ITERATIONS = 200
 GN_REL_TOL = 1e-8
@@ -211,30 +209,6 @@ def boundary_peak(times_ns, values, mode="wavefront"):
     floor = moving_average3(values)[0]
     above = np.clip(np.asarray(values, dtype=float) - floor, 0.0, 1.0)
     return gaussian_fit_wavefront(times_ns, above).parameters["amplitude"]
-
-
-def p5max_scan(gradients_mhz, params=None, mode="wavefront", t_max_ns=300.0,
-               dt_sample_ns=2.0):
-    """Boundary-arrival maxima per gradient from the free-fermion solver.
-
-    mode is boundary_peak's, the extraction the CLI's scan uses. The ramp
-    descends along the chain, the experiment convention.
-    """
-    if params is None:
-        from .device import paper_device
-
-        params = paper_device()
-    rows = []
-    dt = float(dt_sample_ns)
-    times = dt * np.arange(_time_points(float(t_max_ns), dt))
-    for f in gradients_mhz:
-        if f < 0:
-            raise DomainError("scan gradients are magnitudes, must be >= 0")
-        pot = PotentialSpec.linear(-float(f))
-        h = single_particle_matrix(params, pot)
-        p5 = propagate_single_particle(h, 1, times)[:, params.n_qubits - 1]
-        rows.append((float(f), float(boundary_peak(times, p5, mode))))
-    return rows
 
 
 def wsl_length_from_boundary(p5max, distance, alpha=1.0):

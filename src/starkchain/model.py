@@ -150,39 +150,27 @@ def _summed(dim, rows, cols, vals):
 class OperatorMatrix:
     """Square operator tied to a basis tag, held as its nonzero entries.
 
-    ``rows``, ``cols`` and ``vals`` list the entries in row-major order (rows
-    ascending, columns ascending within a row), one entry per coordinate:
-    duplicates are summed and exact zeros kept. This is the coordinate form
-    of a canonical scipy CSR matrix, read-only. ``dim`` is the side of the
-    matrix. ``hermitian_residue`` is the Frobenius ||M - M+|| / max(1, ||M||),
-    computed on first read and kept. A ``matrix`` argument is anything
-    ``scipy.sparse.csr_matrix`` accepts and is converted through scipy;
-    ``from_entries`` takes coordinates in any order, on numpy alone.
-    ``.matrix`` is the scipy CSR form, built on first use.
+    ``OperatorMatrix(dim, rows, cols, vals, basis_tag)`` takes coordinates
+    in any order, on numpy alone; entries at one coordinate are summed in
+    the order given, as scipy's ``sum_duplicates`` adds them. ``rows``,
+    ``cols`` and ``vals`` then list the entries in row-major order (rows
+    ascending, columns ascending within a row), one entry per coordinate,
+    exact zeros kept: the coordinate form of a canonical CSR matrix,
+    read-only. ``dim`` is the side of the matrix. ``hermitian_residue`` is
+    the Frobenius ||M - M+|| / max(1, ||M||), computed on first read and
+    kept.
     """
 
-    __slots__ = ("dim", "rows", "cols", "vals", "basis_tag",
-                 "_residue", "_csr")
+    __slots__ = ("dim", "rows", "cols", "vals", "basis_tag", "_residue")
 
-    def __init__(self, matrix, basis_tag):
-        import scipy.sparse as sp
-
-        m = sp.csr_matrix(matrix, dtype=complex)
-        m.sum_duplicates()
-        m.sort_indices()
-        if m.shape[0] != m.shape[1]:
-            raise DomainError(f"operator must be square, got shape {m.shape}")
-        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        self._set(m.shape[0], rows, m.indices.astype(np.intp),
-                  m.data.copy(), basis_tag)
-
-    @classmethod
-    def from_entries(cls, dim, rows, cols, vals, basis_tag):
-        """Operator of side dim from coordinates in any order; entries at
-        one coordinate are summed in the order given."""
-        return cls._canonical(dim, *_summed(dim, rows, cols,
-                                            np.asarray(vals, dtype=complex)),
-                              basis_tag)
+    def __init__(self, dim, rows, cols, vals, basis_tag):
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        # as unsigned words a negative index is past every side
+        if max(rows.view(np.uintp).max(initial=0),
+               cols.view(np.uintp).max(initial=0)) >= dim:
+            raise DomainError(f"operator entries must lie in the {dim} x {dim} square")
+        self._set(int(dim), *_summed(dim, rows, cols,
+                                     np.asarray(vals, dtype=complex)), basis_tag)
 
     @classmethod
     def _canonical(cls, dim, rows, cols, vals, basis_tag):
@@ -196,7 +184,7 @@ class OperatorMatrix:
             a.flags.writeable = False
         self.dim, self.rows, self.cols, self.vals = dim, rows, cols, vals
         self.basis_tag = basis_tag
-        self._residue = self._csr = None
+        self._residue = None
 
     def __repr__(self):
         return (f"OperatorMatrix(dim={self.dim}, nnz={self.vals.size}, "
@@ -208,15 +196,6 @@ class OperatorMatrix:
             self._residue = _hermitian_residue(self.dim, self.rows, self.cols,
                                                self.vals)
         return self._residue
-
-    @property
-    def matrix(self):
-        if self._csr is None:
-            import scipy.sparse as sp
-
-            self._csr = sp.csr_matrix((self.vals, (self.rows, self.cols)),
-                                      shape=(self.dim, self.dim))
-        return self._csr
 
     def todense(self):
         if self.dim > DENSE_DIM_CAP:
@@ -276,7 +255,7 @@ def _table_operator(states, targets, amplitudes, basis_tag):
     pos = np.minimum(np.searchsorted(ranked, targets), states.size - 1)
     # term-major, as one term after another
     term, hit = np.nonzero((ranked[pos] == targets) & (amplitudes != 0))
-    return OperatorMatrix.from_entries(
+    return OperatorMatrix(
         states.size, order[pos[term, hit]], hit, amplitudes[term, hit],
         basis_tag)
 

@@ -1,22 +1,29 @@
-"""Wavefront detection, Gaussian and linear fits, and the P5max scan."""
+"""Wavefront detection, Gaussian and linear fits, and the P5max scan the
+CLI runs."""
 
 import numpy as np
 import pytest
 
 from starkchain import (
+    ConfigError,
     DomainError,
     FitDomainError,
     NoWavefrontError,
+    PotentialSpec,
     boundary_peak,
     detect_first_wavefront,
     first_wavefront_peak,
     gaussian_fit_wavefront,
     linear_fit,
     moving_average3,
-    p5max_scan,
+    paper_device,
+    parse_config,
+    propagate_single_particle,
+    single_particle_matrix,
     wsl_length_from_boundary,
 )
 from starkchain.analysis import _jacobian
+from starkchain.cli import run
 
 
 def _gauss(t, a, t0, sigma):
@@ -209,43 +216,44 @@ class TestLinearFit:
 
 
 class TestP5maxScan:
-    def test_monotone_suppression(self):
-        rows = p5max_scan([5.0, 7.5, 10.0, 12.5, 15.0])
-        peaks = [p for _, p in rows]
-        assert all(0 < p < 1 for p in peaks)
-        assert all(a > b for a, b in zip(peaks, peaks[1:]))
+    """The P5max scan as the CLI's wsl_scan runs it, and boundary_peak on
+    exact P5 series of the paper device from 10000."""
 
-    def test_frozen_endpoint(self):
-        rows = p5max_scan([15.0])
-        assert rows[0][1] == pytest.approx(0.0409841906, abs=1e-7)
+    @staticmethod
+    def _p5(f, times):
+        h = single_particle_matrix(paper_device(), PotentialSpec.linear(-f))
+        return propagate_single_particle(h, 1, times)[:, 4]
+
+    def test_monotone_suppression(self, tmp_path):
+        # the theory-mode scan on a finer and wider grid than the paper's
+        run(parse_config({"experiment": "wsl_scan",
+                          "F": [2.5 * k for k in range(1, 9)]}), out_dir=tmp_path)
+        peaks = np.loadtxt(tmp_path / "wsl_scan.csv", delimiter=",",
+                           skiprows=1)[:, 1]
+        assert np.all((peaks > 0) & (peaks < 1))
+        assert np.all(np.diff(peaks) < 0)
 
     def test_gaussian_mode_close_to_wavefront(self):
-        wf = dict(p5max_scan([10.0], mode="wavefront"))
-        ga = dict(p5max_scan([10.0], mode="gaussian"))
-        assert abs(wf[10.0] - ga[10.0]) < 0.05 * wf[10.0]
+        times = np.arange(0.0, 301.0, 2.0)
+        p5 = self._p5(10.0, times)
+        wf = boundary_peak(times, p5, "wavefront")
+        assert abs(boundary_peak(times, p5, "gaussian") - wf) < 0.05 * wf
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            p5max_scan([-5.0])
-        with pytest.raises(DomainError):
-            p5max_scan([10.0], mode="spline")
+        # the scan fits ln P5max against F, so it refuses F = 0 too
+        with pytest.raises(ConfigError, match=r"^F\[0\]: .* must be >= 0"):
+            parse_config({"experiment": "wsl_scan", "F": [-5, 15]})
+        with pytest.raises(ConfigError, match=r"^F\[1\]: wsl_scan needs .* > 0"):
+            parse_config({"experiment": "wsl_scan", "F": [5, 0]})
 
     def test_untilted_chain(self):
-        # F = 0: the light cone reaches the boundary, and the fitted
-        # amplitude tracks the true dense-time maximum
-        from starkchain import (PotentialSpec, paper_device,
-                                propagate_single_particle,
-                                single_particle_matrix)
-        wf = p5max_scan([0.0])[0][1]
-        assert wf > 0.5
-        a = p5max_scan([0.0], mode="gaussian")[0][1]
-        h = single_particle_matrix(paper_device(), PotentialSpec.linear(0.0))
-        dense = propagate_single_particle(h, 1, np.linspace(0, 300, 30001))
-        assert abs(a - dense[:, 4].max()) < 0.05
-
-    def test_suppression_ordering(self):
-        rows = dict(p5max_scan([5.0, 15.0]))
-        assert rows[15.0] < rows[5.0]
+        # F = 0, off the scan's grid: the light cone reaches the boundary,
+        # and the fitted amplitude tracks the true dense-time maximum
+        times = np.arange(0.0, 301.0, 2.0)
+        p5 = self._p5(0.0, times)
+        assert boundary_peak(times, p5) > 0.5
+        dense = self._p5(0.0, np.linspace(0, 300, 30001))
+        assert abs(boundary_peak(times, p5, "gaussian") - dense.max()) < 0.05
 
 
 class TestBoundaryLength:

@@ -20,9 +20,7 @@ from starkchain import (
     StarkchainError,
     build_observable,
     build_xy_hamiltonian,
-    linear_fit,
     make_collapse_ops,
-    p5max_scan,
     parse_config,
     prepare_initial_state,
     propagate_single_particle,
@@ -865,13 +863,13 @@ class TestNoisyWslScan:
     # the benchmark's noisy scan: paper device and grid, Lindblad noise,
     # uncorrected table-s1 readout, 600 shots in 6 groups. Seeds 0-9 all
     # finish, and each slope of ln P5max vs F lies within 0.15 of the ideal
-    # scan's (about -0.270); seeds 10-19 gave -0.235 to -0.368 as well.
+    # shot-free scan's (about -0.270); seeds 10-19 gave -0.235 to -0.368 as well.
     BAND = 0.15
 
     def test_seeds_finish_within_the_band(self, tmp_path):
-        grid = [5.0, 7.5, 10.0, 12.5, 15.0]
-        ideal = linear_fit(grid, np.log([p for _, p in p5max_scan(grid)]))
-        ideal_slope = ideal.parameters["slope"]
+        ideal = run(parse_config({"experiment": "wsl_scan", "device": "paper-device"}),
+                    out_dir=str(tmp_path / "ideal"))["fits"]
+        ideal_slope = ideal["ln_p5max_vs_F"]["slope"]
         assert ideal_slope == pytest.approx(-0.270, abs=0.005)
         for seed in range(10):
             cfg = parse_config({

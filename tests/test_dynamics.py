@@ -41,6 +41,8 @@ from starkchain.dynamics import (_entry_table, _generator_blocks, _liouvillian,
                                  _reachable)
 from starkchain.model import DENSE_DIM_CAP, _restricted, _summed
 
+from scipy_forms import csr, operator
+
 
 def _reachable_states(data, hamiltonian, collapse):
     """The basis states reachable from data (_reachable) over the entry
@@ -74,7 +76,7 @@ def _site_operator(local_ops, site, n_sites):
 def _random_hermitian_op(dim, rng, tag):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = 0.5 * (a + a.conj().T)
-    return OperatorMatrix(matrix=sp.csr_matrix(h), basis_tag=tag)
+    return operator(h, tag)
 
 
 def _random_state(dim, rng, tag):
@@ -807,8 +809,8 @@ def _noisy_chain(n, jumps):
     h = build_xy_hamiltonian(dev, PotentialSpec.linear(-9.0))
     col = make_collapse_ops(dev)
     if jumps == "flip":
-        flip = OperatorMatrix(matrix=np.sqrt(1.0 / 800.0) * _site_operator(SIGMA_X, 2, n),
-                              basis_tag=full_tag(n))
+        flip = operator(np.sqrt(1.0 / 800.0) * _site_operator(SIGMA_X, 2, n),
+                        full_tag(n))
         col = CollapseOperatorSet(operators=col.operators + (flip,),
                                   basis_tag=full_tag(n))
     return h, col
@@ -867,8 +869,8 @@ class TestLindbladReference:
         # must spread over every sector, and still match the reference
         dev = paper_device()
         h = build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0))
-        pump = OperatorMatrix(matrix=np.sqrt(1.0 / 2000.0) * _site_operator(SIGMA_PLUS, 1, 5),
-                              basis_tag=full_tag(5))
+        pump = operator(np.sqrt(1.0 / 2000.0) * _site_operator(SIGMA_PLUS, 1, 5),
+                        full_tag(5))
         col = CollapseOperatorSet(
             operators=make_collapse_ops(dev).operators + (pump,),
             basis_tag=full_tag(5))
@@ -1109,9 +1111,9 @@ def _link_matrix_closure(rho, h, collapse):
     K = sum_k C_k+ C_k, read from their values (a stored zero links
     nothing)."""
     dim = h.dim
-    jumps = [op.matrix for op in collapse.operators]
+    jumps = [csr(op) for op in collapse.operators]
     stacked = sp.vstack([*jumps, sp.csr_matrix((0, dim))], format="csr")
-    links = abs(sp.vstack([h.matrix, *jumps, stacked.getH() @ stacked], format="csr"))
+    links = abs(sp.vstack([csr(h), *jumps, stacked.getH() @ stacked], format="csr"))
     reached = (rho != 0).any(axis=0) | (rho != 0).any(axis=1)
     while True:
         grown = reached | (links @ reached).reshape(-1, dim).any(axis=0)
@@ -1134,7 +1136,7 @@ def _random_jump_chains(draw):
     h = build_xy_hamiltonian(DeviceParams.uniform(n).replace(coupling_mhz=couplings),
                              PotentialSpec.linear(draw(st.floats(-30.0, 30.0))))
     zeros = rng.integers(0, dim, size=(2, draw(st.integers(0, 3))))
-    h = OperatorMatrix.from_entries(
+    h = OperatorMatrix(
         dim, np.concatenate([h.rows, zeros[0], zeros[1]]),
         np.concatenate([h.cols, zeros[1], zeros[0]]),
         np.concatenate([h.vals, np.zeros(2 * zeros.shape[1])]), full_tag(n))
@@ -1147,7 +1149,7 @@ def _random_jump_chains(draw):
             cols += list(rng.choice(dim, size=width, replace=False))
         vals = 0.05 * (rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows)))
         vals[rng.random(len(rows)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
-        jumps.append(OperatorMatrix.from_entries(dim, rows, cols, vals, full_tag(n)))
+        jumps.append(OperatorMatrix(dim, rows, cols, vals, full_tag(n)))
     spec = "".join(draw(st.lists(st.sampled_from(["0", "1", "X+"]),
                                  min_size=n, max_size=n)))
     return h, CollapseOperatorSet(operators=tuple(jumps), basis_tag=full_tag(n)), \
@@ -1162,7 +1164,7 @@ def test_reachable_states_match_the_link_matrix(chain):
     keep = _reachable_states(rho, h, col)
     np.testing.assert_array_equal(keep, _link_matrix_closure(rho, h, col))
     for op in (h, *col.operators):
-        ref = op.matrix[np.ix_(keep, keep)]
+        ref = csr(op)[np.ix_(keep, keep)]
         ref_rows = np.repeat(np.arange(keep.size), np.diff(ref.indptr))
         for got, want in zip(_on(op, keep), (ref_rows, ref.indices, ref.data)):
             np.testing.assert_array_equal(got, want)
@@ -1242,8 +1244,8 @@ def test_generator_matches_kron_formula(n, jumps):
     h, col = _noisy_chain(n, "device" if jumps == "none" else jumps)
     if jumps == "none":
         col = CollapseOperatorSet(operators=(), basis_tag=full_tag(n))
-    mats = [op.matrix for op in col.operators]
-    ref = _kron_liouvillian(h.matrix, mats)
+    mats = [csr(op) for op in col.operators]
+    ref = _kron_liouvillian(csr(h), mats)
     rows, cols, vals = _liouvillian(_table(h, col), 2 ** n)
     got = sp.csr_matrix((vals, (rows, cols)), shape=(4 ** n, 4 ** n))
     assert got.shape == ref.shape == (4 ** n, 4 ** n)
@@ -1256,7 +1258,7 @@ def test_generator_matches_kron_formula(n, jumps):
     sub = [m[block] for m in mats]
     rows, cols, vals = _liouvillian(_table(h, col, keep), keep.size)
     got = sp.csr_matrix((vals, (rows, cols)), shape=(keep.size ** 2,) * 2)
-    assert abs(got - _kron_liouvillian(h.matrix[block], sub)).max() <= 1e-15
+    assert abs(got - _kron_liouvillian(csr(h)[block], sub)).max() <= 1e-15
 
 
 def _kron_conj(x, y, d):

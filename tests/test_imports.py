@@ -102,6 +102,20 @@ def test_ideal_cli_runs_load_no_scipy(tmp_path, command):
     assert (out / "summary.json").is_file() == (command != "validate")
 
 
+@pytest.mark.parametrize("code", ["import starkchain.cli", _CLI],
+                         ids=["import", "wsl_scan"])
+def test_cli_loads_no_free_fermion_module(tmp_path, code):
+    # the CLI's wsl_scan is the one scan route: its theory mode reads P5 off
+    # the same evolution as spin_transport, and freefermion stays the tests'
+    # and the benchmark checker's oracle
+    config = tmp_path / "c.yaml"
+    config.write_text("experiment: wsl_scan\n")
+    loaded = _modules_after(code, "wsl_scan", "--config", str(config),
+                            "--out", str(tmp_path / "out"))
+    assert "starkchain.cli" in loaded
+    assert "starkchain.freefermion" not in loaded
+
+
 @pytest.mark.parametrize("experiment", ["thermal_transport",
                                         "decoherence_check"])
 def test_noisy_paper_runs_load_no_scipy(tmp_path, experiment):
@@ -179,12 +193,12 @@ def test_load_config_loads_yaml_on_first_read(tmp_path):
     assert "numpy" not in loaded
 
 
-# the package's 54 public names, by defining module
+# the package's 53 public names, by defining module
 _PUBLIC = {
     "analysis": [
         "FitResult", "boundary_peak", "detect_first_wavefront",
         "first_wavefront_peak", "gaussian_fit_wavefront", "linear_fit",
-        "moving_average3", "p5max_scan", "wsl_length_from_boundary"],
+        "moving_average3", "wsl_length_from_boundary"],
     "config": ["ExperimentConfig", "ShotPlan", "load_config", "parse_config"],
     "device": [
         "ANGULAR_PER_MHZ", "ConfusionMatrix", "DeviceParams", "PotentialSpec",
@@ -211,7 +225,7 @@ _PUBLIC = {
 
 class TestPublicSurface:
     def test_all_is_unchanged(self):
-        assert len(starkchain.__all__) == 54
+        assert len(starkchain.__all__) == 53
         assert starkchain.__all__ == sorted(
             name for names in _PUBLIC.values() for name in names)
 

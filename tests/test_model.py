@@ -26,6 +26,8 @@ from starkchain import (
 from starkchain import model
 from starkchain.model import _operator, fock_tag
 
+from scipy_forms import csr, operator
+
 # local two-level operators, |0> = (1, 0), |1> = (0, 1)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -250,12 +252,12 @@ def test_bit_rule_builder_matches_kron(chain):
 
     def built(name, basis):
         if name == "H":
-            return build_xy_hamiltonian(dev, pot, basis=basis).matrix
+            return csr(build_xy_hamiltonian(dev, pot, basis=basis))
         if name.startswith("pauli_"):
-            return build_observable("pauli_pair", bond, dev, basis=basis,
-                                    axis=name[-1]).matrix
+            return csr(build_observable("pauli_pair", bond, dev, basis=basis,
+                                        axis=name[-1]))
         j = site if name == "density" else bond
-        return build_observable(name, j, dev, potential=pot, basis=basis).matrix
+        return csr(build_observable(name, j, dev, potential=pot, basis=basis))
 
     for name, ref in refs.items():
         _assert_same_entries(built(name, None), ref)
@@ -272,7 +274,7 @@ def test_bit_rule_builder_matches_kron(chain):
         assert len(got) == len(ref)
         for op, r in zip(got, ref):
             assert op.basis_tag == full_tag(n)
-            _assert_same_entries(op.matrix, r)
+            _assert_same_entries(csr(op), r)
 
 
 @settings(max_examples=40, deadline=None)
@@ -288,10 +290,10 @@ def test_bit_operator_on_any_state_list(n, data):
                                             min_size=1, max_size=4, unique=True))]
     support = np.array(data.draw(st.permutations(full)))
     support = support[:data.draw(st.integers(1, 2 ** n))]
-    got = _operator(support, [(support ^ flip, amps[support]) for flip, amps in terms],
-                    "support").matrix
-    ref = _operator(full, [(full ^ flip, amps) for flip, amps in terms],
-                    full_tag(n)).matrix
+    got = csr(_operator(support, [(support ^ flip, amps[support]) for flip, amps in terms],
+                        "support"))
+    ref = csr(_operator(full, [(full ^ flip, amps) for flip, amps in terms],
+                        full_tag(n)))
     _assert_same_entries(got, ref[np.ix_(support, support)])
     # the full-space matrix itself: one entry per nonzero amplitude
     assert ref.nnz == sum(np.count_nonzero(amps) for _, amps in terms)
@@ -314,7 +316,7 @@ def _per_term_operator(states, terms, basis_tag):
         rows.append(order[pos[hit]])
         cols.append(hit)
         vals.append(amplitudes[hit])
-    return OperatorMatrix.from_entries(
+    return OperatorMatrix(
         states.size, np.concatenate(rows), np.concatenate(cols),
         np.concatenate(vals), basis_tag)
 
@@ -425,10 +427,10 @@ class TestXYHamiltonian:
 
     def test_excitation_conservation(self):
         # [H, N] = 0 with N the total number operator
-        h = build_xy_hamiltonian(self.dev, self.pot).matrix
+        h = csr(build_xy_hamiltonian(self.dev, self.pot))
         ntot = sp.csr_matrix((32, 32), dtype=complex)
         for j in range(1, 6):
-            ntot = ntot + build_observable("density", j, self.dev).matrix
+            ntot = ntot + csr(build_observable("density", j, self.dev))
         comm = (h @ ntot - ntot @ h)
         assert sp.linalg.norm(comm) < 1e-12
 
@@ -584,19 +586,20 @@ class TestObservables:
 
 class TestOperatorMatrix:
     def test_rejects_nonsquare(self):
-        with pytest.raises(DomainError):
-            OperatorMatrix(matrix=sp.csr_matrix(np.ones((2, 3))), basis_tag="full:n=1")
+        # an entry past the side, as a 2 x 3 matrix would have, or before it
+        for row, col in ((0, 2), (2, 0), (-1, 0), (0, -1)):
+            with pytest.raises(DomainError, match="in the 2 x 2 square"):
+                OperatorMatrix(2, [0, row], [0, col], [1.0, 1.0], "full:n=1")
+        assert OperatorMatrix(2, [], [], [], "full:n=1").vals.size == 0
 
     def test_hermiticity_check(self):
-        good = OperatorMatrix(matrix=sp.csr_matrix(np.array([[0, 1j], [-1j, 0]])),
-                              basis_tag="full:n=1")
-        bad = OperatorMatrix(matrix=sp.csr_matrix(np.array([[0, 1j], [1j, 0]])),
-                             basis_tag="full:n=1")
+        good = operator(np.array([[0, 1j], [-1j, 0]]), "full:n=1")
+        bad = operator(np.array([[0, 1j], [1j, 0]]), "full:n=1")
         assert good.is_hermitian()
         assert not bad.is_hermitian()
 
     def test_dense_cap(self):
-        big = OperatorMatrix(matrix=sp.identity(8192, format="csr"), basis_tag="full:n=13")
+        big = operator(sp.identity(8192), "full:n=13")
         with pytest.raises(DomainError):
             big.todense()
 
@@ -654,8 +657,7 @@ def test_entries_match_the_canonical_csr(raw):
     dim, rows, cols, vals = raw
     coo = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
     old = _old_canonical(coo)
-    _assert_matches_csr(OperatorMatrix.from_entries(dim, rows, cols, vals, "t"), old)
-    _assert_matches_csr(OperatorMatrix(matrix=coo, basis_tag="t"), old)
+    _assert_matches_csr(OperatorMatrix(dim, rows, cols, vals, "t"), old)
 
 
 def _union_residue(dim, rows, cols, vals):
@@ -689,7 +691,7 @@ def test_hermitian_residue_matches_the_union_formula(raw, pattern, seed):
                     rng.normal(size=vals.size) + 1j * rng.normal(size=vals.size))
         rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
         vals = np.concatenate([vals, mirrored])
-    op = OperatorMatrix.from_entries(dim, rows, cols, vals, "t")
+    op = OperatorMatrix(dim, rows, cols, vals, "t")
     symmetric = (np.sort(op.cols * dim + op.rows) == op.rows * dim + op.cols).all()
     assert symmetric or pattern == "as drawn"
     event(f"symmetric pattern: {symmetric}")

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from starkchain import (
@@ -10,7 +9,6 @@ from starkchain import (
     DeviceParams,
     DomainError,
     NumericalConsistencyError,
-    OperatorMatrix,
     PotentialSpec,
     QuantumState,
     TrajectoryTable,
@@ -29,6 +27,8 @@ from starkchain import (
 from starkchain.dynamics import LindbladSnapshots, _coordinates
 from starkchain.observables import _expectations
 
+from scipy_forms import operator
+
 
 class TestExpectation:
     def test_vector_and_density_routes_agree(self):
@@ -37,8 +37,7 @@ class TestExpectation:
             v = rng.normal(size=8) + 1j * rng.normal(size=8)
             v /= np.linalg.norm(v)
             a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            op = OperatorMatrix(matrix=sp.csr_matrix(0.5 * (a + a.conj().T)),
-                                basis_tag="full:n=3")
+            op = operator(0.5 * (a + a.conj().T), "full:n=3")
             psi = QuantumState(v, "full:n=3")
             rho = psi.to_density()
             assert expectation(psi, op) == pytest.approx(expectation(rho, op), abs=1e-12)
@@ -50,8 +49,7 @@ class TestExpectation:
             expectation(st, op)
 
     def test_rejects_non_hermitian(self):
-        m = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        op = OperatorMatrix(matrix=m, basis_tag="full:n=1")
+        op = operator(np.array([[0.0, 1.0], [0.0, 0.0]]), "full:n=1")
         st = QuantumState(np.array([1.0, 0.0]), "full:n=1")
         with pytest.raises(DomainError):
             expectation(st, op)
@@ -179,8 +177,7 @@ class TestTrajectory:
 
     def test_imaginary_residue_guard(self):
         # a non-Hermitian "observable" is rejected before evolution
-        bad = OperatorMatrix(matrix=sp.csr_matrix(np.triu(np.ones((32, 32)))),
-                             basis_tag="full:n=5")
+        bad = operator(np.triu(np.ones((32, 32))), "full:n=5")
         st = prepare_initial_state("10000", 5)
         with pytest.raises(DomainError):
             trajectory(self.h, st, [0.0], {"B": bad})
@@ -226,7 +223,7 @@ def _random_hermitian(dim, rng, tag):
     """Sparse Hermitian operator with complex entries, diagonal ones included."""
     mask = rng.random((dim, dim)) < rng.uniform(0.1, 0.6)
     a = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * mask
-    return OperatorMatrix(matrix=sp.csr_matrix(a + a.conj().T), basis_tag=tag)
+    return operator(a + a.conj().T, tag)
 
 
 def _operators(n, basis, rng):
@@ -352,7 +349,6 @@ class TestImaginaryResidue:
         # once amplified by a large-norm operator
         rho = np.array([[0.5, 0.4 + 4e-9j], [0.4 + 4e-9j, 0.5]])
         st = QuantumState(rho, "full:n=1")
-        op = OperatorMatrix(matrix=sp.csr_matrix(10.0 * np.array([[0.0, 1.0], [1.0, 0.0]])),
-                            basis_tag="full:n=1")
+        op = operator(10.0 * np.array([[0.0, 1.0], [1.0, 0.0]]), "full:n=1")
         with pytest.raises(NumericalConsistencyError):
             expectation(st, op)
