@@ -441,12 +441,19 @@ def _refuse_repeated_keys(node, path="", seen=None):
 
 def read_config(path):
     """The raw YAML mapping of a config file, before validation."""
+    import re
+
     import yaml  # only a file read needs the parser
 
     class Loader(yaml.SafeLoader):
         def construct_document(self, node):
             _refuse_repeated_keys(node)
             return super().construct_document(node)
+
+    # YAML 1.2's exponent floats (3e2, 1e-1): PyYAML's YAML 1.1 rule wants
+    # a dot and a signed exponent, and reads these as strings
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+        r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
     try:
         with open(path, encoding="utf-8") as fh:

@@ -2,7 +2,6 @@
 
 import bisect
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +143,8 @@ def _pruned(size, rows, cols, vals):
     """The entries of a size x size generator, row-major, less those below
     _UNIT_ROUNDOFF times its 1-norm and exact zeros, and that norm. Neither
     those entries nor a step dt with dt times the norm below _UNIT_ROUNDOFF
-    move a state beyond rounding, and on either scipy's expm_multiply can
-    divide by zero or overflow."""
+    move a state beyond rounding, and on either the expm_multiply of large
+    blocks and spaces (scipy) can divide by zero or overflow."""
     norm = np.bincount(cols, np.abs(vals), size).max(initial=0.0)
     keep = ~(np.abs(vals) < norm * _UNIT_ROUNDOFF) & (vals != 0)
     return rows[keep], cols[keep], vals[keep], norm
@@ -614,16 +613,15 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     (_hermitian_coordinates), so every snapshot is Hermitian by
     construction. It splits into independent real blocks (26/10 for
     "10000", 126/110/20 for "X+X+000"); a block whose start is all zero is
-    not stepped. The times are visited in ascending order. Over an interval
-    dt that recurs, a block of up to DENSE_BLOCK_CAP coordinates is
-    multiplied by its dense real expm(dt G_b) (_expm, numpy alone), computed
-    once per distinct dt, and the larger blocks are propagated together
-    with scipy's expm_multiply (Al-Mohy & Higham 2011); an interval taken
-    once, with expm_multiply on the whole generator. scipy is loaded only
-    for those two expm_multiply routes. Making the LindbladSnapshots is the
-    state check, and a NumericalConsistencyError names the earliest failure,
-    at its time; the start, a principal block of a checked QuantumState,
-    needs none.
+    not stepped. The times are visited in ascending order, and the block
+    size alone picks the propagator over each interval dt, on any grid: a
+    block of up to DENSE_BLOCK_CAP coordinates is multiplied in place by its
+    dense real expm(dt G_b) (_expm, numpy alone), made on dt's first use and
+    dropped after its last; the larger blocks are propagated together with
+    scipy's expm_multiply (Al-Mohy & Higham 2011). Making the
+    LindbladSnapshots is the state check, and a NumericalConsistencyError
+    names the earliest failure, at its time; the start, a principal block
+    of a checked QuantumState, needs none.
     """
     _check_hermitian(hamiltonian)
     if collapse.basis_tag != hamiltonian.basis_tag:
@@ -647,7 +645,8 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     rows, cols, vals, norm = _pruned(side, *_hermitian_coordinates(
         size, *_liouvillian(_restricted(support, *table), size)))
     # the blocks whose start is not all zero, the dense ones first, laid
-    # out one after another: held[bounds[j]:bounds[j + 1]] is block j
+    # out one after another: held[bounds[j]:bounds[j + 1]] is block j, and
+    # held's last slot is the 0 of dead coordinates
     live = [idx for idx in _generator_blocks(rows, cols, side)
             if start[idx].any()]
     live.sort(key=lambda idx: idx.size > DENSE_BLOCK_CAP)
@@ -662,48 +661,31 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     rows, cols, vals = place[rows[inside]], place[cols[inside]], vals[inside]
     dense = []
     for lo, hi in zip(bounds[:n_dense], bounds[1:n_dense + 1]):
-        held = (rows >= lo) & (rows < hi)
+        ours = (rows >= lo) & (rows < hi)
         gen_b = np.zeros((hi - lo, hi - lo))
-        gen_b[rows[held] - lo, cols[held] - lo] = vals[held]
+        gen_b[rows[ours] - lo, cols[ours] - lo] = vals[ours]
         dense.append(gen_b)
-    split = bounds[n_dense]  # held[split:] holds the large blocks
+    split = bounds[n_dense]  # held[split:-1] holds the large blocks
     large_gen = None  # the large blocks together, as one CSR matrix
     if split < perm.size:
-        held = rows >= split
-        large_gen = _csr(perm.size - split, rows[held] - split,
-                         cols[held] - split, vals[held])
-    whole = None  # the CSR generator, built for a step taken once
+        ours = rows >= split
+        large_gen = _csr(perm.size - split, rows[ours] - split,
+                         cols[ours] - split, vals[ours])
     order = np.argsort(times, kind="stable")
     steps = np.diff(times[order], prepend=0.0).tolist()
-    # a dense expm pays off only for a step that recurs, as on a uniform
-    # grid; each is dropped after its last use
-    uses = Counter(steps)
-    last_use = {dt: i for i, dt in enumerate(steps)}
+    last_use = {dt: i for i, dt in enumerate(steps)}  # propagators go after it
     propagators = {}
-    # a step maps the coordinates held in one buffer into the other, block
-    # by block through views made once: each is (buffer, held coordinates,
-    # views of its blocks), the buffer's last slot the 0 of dead ones
-    cur, nxt = [(vec, vec[:-1], [vec[lo:hi] for lo, hi in zip(bounds[:-1],
-                                                               bounds[1:])])
-                for vec in np.zeros((2, perm.size + 1))]
-    cur[1][:] = start[perm]
+    held = np.append(start[perm], 0.0)
     coords = np.empty((times.size, side))
     for i, dt in enumerate(steps):
         if dt * norm >= _UNIT_ROUNDOFF:
-            if uses[dt] > 1:
-                if dt not in propagators:
-                    propagators[dt] = [_expm(dt * gen_b) for gen_b in dense]
-                for prop, src, dst in zip(propagators[dt], cur[2], nxt[2]):
-                    np.matmul(prop, src, out=dst)
-                if large_gen is not None:
-                    nxt[1][split:] = _expm_multiply(
-                        dt * large_gen, cur[1][split:])
-            else:
-                if whole is None:
-                    whole = _csr(perm.size, rows, cols, vals)
-                nxt[1][:] = _expm_multiply(dt * whole, cur[1])
+            if dt not in propagators:
+                propagators[dt] = [_expm(dt * gen_b) for gen_b in dense]
+            for prop, lo, hi in zip(propagators[dt], bounds, bounds[1:]):
+                held[lo:hi] = prop @ held[lo:hi]
+            if large_gen is not None:
+                held[split:-1] = _expm_multiply(dt * large_gen, held[split:-1])
             if last_use[dt] == i:
-                propagators.pop(dt, None)
-            cur, nxt = nxt, cur
-        coords[order[i]] = cur[0][place]
+                del propagators[dt]
+        coords[order[i]] = held[place]
     return LindbladSnapshots(coords, support, hamiltonian.dim, times)

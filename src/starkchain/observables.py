@@ -74,7 +74,7 @@ def _expectations(snapshots, operators):
 def expectation(state, obs):
     """<psi|O|psi> or tr(rho O); the imaginary residue must be numerical noise.
 
-    |Im| >= 1e-8 raises, anything smaller is discarded after the check.
+    A non-finite value or |Im| >= 1e-8 raises; a smaller |Im| is discarded.
     """
     if state.basis_tag != obs.basis_tag:
         raise DomainError(
@@ -83,6 +83,8 @@ def expectation(state, obs):
     if not obs.is_hermitian():
         raise DomainError("observable is not Hermitian")
     val = _expectations(state.data[None], [obs])[0, 0]
+    if not np.isfinite(val):
+        raise NumericalConsistencyError(f"expectation {val} is not finite")
     if abs(val.imag) >= IMAG_ERROR_TOL:
         raise NumericalConsistencyError(
             f"expectation has imaginary part {val.imag:.3e} (tol {IMAG_ERROR_TOL:g})"
@@ -111,6 +113,10 @@ def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
     else:
         snapshots = evolve_lindblad(hamiltonian, state, times_ns, collapse)
     data = _expectations(snapshots, list(observables.values()))
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise NumericalConsistencyError("trajectory expectation is not finite at "
+                                        f"t = {times_ns[~finite].min():g} ns")
     imax = float(np.max(np.abs(data.imag), initial=0.0))
     if imax >= IMAG_ERROR_TOL:
         raise NumericalConsistencyError(f"trajectory imaginary residue {imax:.3e}")

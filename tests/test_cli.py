@@ -248,25 +248,40 @@ class TestFileBoundary:
         assert blocker.read_text() == "not a directory\n"
 
 
-@pytest.mark.parametrize("coupling", ["1.0e+306", "1.0e+150"])
-def test_overflowing_run_ends_in_one_error_line(tmp_path, coupling):
-    # couplings this large overflow the Lindblad propagator's squarings, and
-    # at 1e306 the Hamiltonian's norm; the run as a user starts it prints
-    # the snapshot check's error line and nothing else, no numpy warning
+def _run_on_huge_couplings(tmp_path, experiment, coupling):
+    """The CLI as a user starts it, on a 3-qubit chain at one coupling."""
     p = tmp_path / "c.yaml"
-    p.write_text("experiment: decoherence_check\ndevice:\n  n_qubits: 3\n"
+    p.write_text(f"experiment: {experiment}\ndevice:\n  n_qubits: 3\n"
                  f"  coupling_mhz: [{coupling}, {coupling}]\n")
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         x for x in (src, env.get("PYTHONPATH")) if x)
-    done = subprocess.run(
-        [sys.executable, "-m", "starkchain.cli", "decoherence_check",
+    return subprocess.run(
+        [sys.executable, "-m", "starkchain.cli", experiment,
          "--config", str(p), "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("coupling", ["1.0e+306", "1.0e+150"])
+def test_overflowing_run_ends_in_one_error_line(tmp_path, coupling):
+    # couplings this large overflow the Lindblad propagator's squarings, and
+    # at 1e306 the Hamiltonian's norm; the run as a user starts it prints
+    # the snapshot check's error line and nothing else, no numpy warning
+    done = _run_on_huge_couplings(tmp_path, "decoherence_check", coupling)
     assert done.returncode == 2
     assert done.stderr == ("error: density matrix anti-Hermitian residue nan "
                            "at t = 2 ns\n")
+
+
+@pytest.mark.parametrize("experiment", ["spin_transport", "spin_current"])
+def test_non_finite_trajectory_is_refused(tmp_path, experiment):
+    # at 1e308 MHz the ideal phases overflow to nan; the trajectory check
+    # refuses them before any CSV is written (numpy's warnings come first)
+    done = _run_on_huge_couplings(tmp_path, experiment, "1.0e+308")
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[-1].startswith("error: ")
+    assert not list(tmp_path.glob("out/*.csv"))
 
 
 def _uniform(n, **raw):

@@ -591,6 +591,28 @@ class TestLoadConfig:
         assert cfg.gradients_mhz == (12.5,)
         assert cfg.t_max_ns == 120.0
 
+    @pytest.mark.parametrize("text, read, value", [
+        ("t_max: 3e2\n", lambda c: c.t_max_ns, 300.0),
+        ("dt_sample: 1e-1\n", lambda c: c.dt_sample_ns, 0.1),
+        ("t_max: 1.0e5\n", lambda c: c.t_max_ns, 1.0e5),
+        ("device: {n_qubits: 3, coupling_mhz: [14.4, 14.4],\n"
+         "         anharmonicity_mhz: [-2e1, -2e1, -2e1]}\n",
+         lambda c: c.device.anharmonicity_mhz, (-20.0,) * 3),
+    ], ids=["3e2", "1e-1", "1.0e5", "-2e1"])
+    def test_exponent_numbers(self, tmp_path, text, read, value):
+        # YAML 1.2 floats: PyYAML's YAML 1.1 rule wants a dot and a signed
+        # exponent and reads these as strings, which the number rule refuses
+        p = tmp_path / "run.yaml"
+        p.write_text("experiment: spin_transport\n" + text)
+        assert read(load_config(p)) == value
+
+    def test_quoted_exponent_stays_a_string(self, tmp_path):
+        p = tmp_path / "run.yaml"
+        p.write_text("experiment: spin_transport\nt_max: '3e2'\n")
+        with pytest.raises(ConfigError,
+                           match=r"^t_max: expected a number, got '3e2'$"):
+            load_config(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.yaml")

@@ -946,8 +946,8 @@ def test_lindblad_matches_dense_expm_random_chains(chain):
 
 @settings(max_examples=30, deadline=None)
 @given(_noisy_chains())
-# a single step taken with expm_multiply, whose norm estimates draw from
-# numpy's global random state: two calls must still agree bit for bit
+# a single step, taken by every block's dense expm as any step is: two
+# calls must agree bit for bit
 @example((4, [0.0, 20.0, 1.0], -19.0, [1.0] * 4, [1.0] * 4, "00X+X+",
           "as-given", np.array([66.0])))
 def test_full_space_run_equals_the_sector_range_run(chain):
@@ -1048,9 +1048,11 @@ class TestExpm:
         assert np.isnan(dynamics._expm(np.array(a))).all()
 
 
-def test_expm_multiply_steps_ignore_global_random_state():
+def test_expm_multiply_steps_ignore_global_random_state(monkeypatch):
     # the same single-step evolution under different global random states,
-    # which the solver leaves as it found them
+    # which the solver leaves as it found them; every block above the cap
+    # steps with expm_multiply, whose norm estimates draw from that state
+    monkeypatch.setattr(dynamics, "DENSE_BLOCK_CAP", 0)
     dev = DeviceParams.uniform(4).replace(coupling_mhz=[0.0, 20.0, 1.0],
                                           t1_us=[1.0] * 4, t2star_us=[1.0] * 4)
     h = build_xy_hamiltonian(dev, PotentialSpec.linear(-19.0))

@@ -116,14 +116,17 @@ def test_cli_loads_no_free_fermion_module(tmp_path, code):
     assert "starkchain.freefermion" not in loaded
 
 
-@pytest.mark.parametrize("experiment", ["thermal_transport",
-                                        "decoherence_check"])
-def test_noisy_paper_runs_load_no_scipy(tmp_path, experiment):
-    # at paper settings every Lindblad step recurs and every block is dense:
-    # the propagators are dynamics._expm, numpy alone; thermal_transport
-    # samples the paper shots from X+X+000
+@pytest.mark.parametrize("experiment, grid", [
+    ("thermal_transport", ""), ("decoherence_check", ""),
+    ("thermal_transport", "dt_sample: 0.1\n")],
+    ids=["thermal_transport", "decoherence_check", "dt_sample_0.1"])
+def test_noisy_paper_runs_load_no_scipy(tmp_path, experiment, grid):
+    # at paper settings every Lindblad block is dense, so every propagator
+    # is dynamics._expm, numpy alone, on any grid: at dt_sample 0.1 the
+    # rounded steps take 13 distinct values, one of them once;
+    # thermal_transport samples the paper shots from X+X+000
     config = tmp_path / "c.yaml"
-    config.write_text(f"experiment: {experiment}\nnoise: lindblad\n")
+    config.write_text(f"experiment: {experiment}\nnoise: lindblad\n{grid}")
     out = tmp_path / "out"
     assert _scipy_modules_after(_CLI, experiment, "--config", str(config),
                                 "--out", str(out)) == []
@@ -144,14 +147,19 @@ evolve_lindblad(h, state, [float(t) for t in sys.argv[2:]], make_collapse_ops(de
 """
 
 
-@pytest.mark.parametrize("cap, times", [
-    (512, ["0", "1", "3"]), (4, ["0", "2", "4"])],
-    ids=["steps_taken_once", "block_above_the_cap"])
+@pytest.mark.parametrize("cap, times", [(4, ["0", "2", "4"])],
+                         ids=["block_above_the_cap"])
 def test_expm_multiply_routes_load_scipy_on_first_use(cap, times):
-    # a step taken once goes to expm_multiply on the whole generator, and a
-    # block above DENSE_BLOCK_CAP to expm_multiply on every recurring step
+    # a block above DENSE_BLOCK_CAP steps with expm_multiply, the one
+    # Lindblad route on scipy
     assert "scipy.sparse.linalg" in _scipy_modules_after(
         _EXPM_MULTIPLY_RUN, str(cap), *times)
+
+
+def test_steps_taken_once_load_no_scipy():
+    # the block size alone picks the propagator: steps of 1 and 2 ns, each
+    # taken once, take the dense expm of every block
+    assert _scipy_modules_after(_EXPM_MULTIPLY_RUN, "512", "0", "1", "3") == []
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():

@@ -54,6 +54,16 @@ class TestExpectation:
         with pytest.raises(DomainError):
             expectation(st, op)
 
+    def test_non_finite_value_raises(self):
+        # four entries of 1.5e308, each weighed by 1/2, sum to inf, whose
+        # imaginary part 0 passes the 1e-8 bound. The kernel's overflow
+        # warning is not what is tested here
+        op = operator(np.full((2, 2), 1.5e308), "full:n=1")
+        st = QuantumState(np.array([1.0, 1.0]) / np.sqrt(2.0), "full:n=1")
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalConsistencyError, match="not finite"):
+            expectation(st, op)
+
     def test_density_values(self):
         dev = paper_device()
         st = prepare_initial_state("10010", 5)
