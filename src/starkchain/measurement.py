@@ -8,23 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import ConfusionMatrix
-from .dynamics import LindbladSnapshots, _checked_stack, _coordinate_map
+from .dynamics import LindbladSnapshots, _checked_stack, _hermitian_slots
 from .errors import DomainError, StateSpecError
 
 VALID_AXES = frozenset("ZXY")
-BORN_MAP_ENTRIES = 1 << 16  # most Born-map entries made for one product
 _M64 = (1 << 64) - 1
-
-# Basis pre-rotations: measuring axis A in the computational basis after U
-# with U A U^dag = Z, so reported bit 0 is the +1 eigenvalue.
-_SQ2 = 1.0 / np.sqrt(2.0)
-_ROT = {
-    "Z": np.eye(2, dtype=complex),
-    # R_y(-pi/2)
-    "X": np.array([[_SQ2, _SQ2], [-_SQ2, _SQ2]], dtype=complex),
-    # R_x(+pi/2)
-    "Y": np.array([[_SQ2, -1j * _SQ2], [-1j * _SQ2, _SQ2]], dtype=complex),
-}
+_HALF_HADAMARD = np.array([[0.5, 0.5], [0.5, -0.5]])  # on each X or Y qubit
 
 
 def confusion_from_device(params):
@@ -94,50 +83,78 @@ class CountRecord:
         return [np.ascontiguousarray(h) for h in hists]
 
 
+def _per_qubit(cols, maps):
+    """(2^n, m) columns with maps[q], a 2x2 matrix or None, applied to qubit
+    q's axis, site 1 first; each batched product has at least m columns."""
+    for q, m in enumerate(maps):
+        if m is not None:
+            cols = np.matmul(m, cols.reshape(1 << q, 2, -1))
+    return cols.reshape(1 << len(maps), -1)
+
+
+def _pair_sums(support, coords, phases, basis):
+    """(2^n, T) pair sums c with diag(U rho U^dag) = H c, H the half-Hadamard
+    on each X and Y qubit: U_xi conj(U_xj) is 1 on a Z qubit with x_q = i_q
+    = j_q and phi_q (-1)^(x_q (i_q xor j_q)) / 2 on the others. c[k] sums
+    Re(phi rho_ij), phi = phases_i conj(phases_j), over the pairs i <= j
+    (doubled for i < j) that agree on the Z qubits, at k = (i xor j on the X
+    and Y qubits) | (i on the Z qubits); phi is a power of sqrt(-1), so each
+    pair reads one slot of the coordinates (dynamics._hermitian_slots)."""
+    n, size = len(basis), support.size
+    z = sum(1 << (n - 1 - q) for q, axis in enumerate(basis) if axis == "Z")
+    re, im, _ = _hermitian_slots(size)
+    a, b = np.divmod(np.arange(size * size), size)
+    pairs = np.flatnonzero((a <= b) & ((support[a] ^ support[b]) & z == 0))
+    a, b, i, j = a[pairs], b[pairs], support[a[pairs]], support[b[pairs]]
+    phi = phases[a] * phases[b].conj() * np.where(a == b, 1.0, 2.0)
+    key = (i ^ j) & ((1 << n) - 1 ^ z) | i & z
+    order = np.argsort(key, kind="stable")
+    keys, starts = np.unique(key[order], return_index=True)
+    terms = coords[:, np.where(phi.real != 0, re[pairs], im[pairs])[order]]
+    terms *= (phi.real - phi.imag)[order]
+    sums = np.zeros((1 << n, len(coords)))
+    sums[keys] = np.add.reduceat(terms, starts, axis=1).T
+    return sums
+
+
 def _outcome_probabilities(support, stack, basis, confusion=None):
     """(T, 2^n) outcome probabilities of a complex (T, s) stack of state
     vectors or the real (T, s^2) Hermitian coordinates of T density
     matrices (dynamics._hermitian_slots), on the s states with full-space
-    indices support, measured in basis.
+    indices support, measured in basis, bit 0 for the +1 eigenvector.
 
     In Z on every qubit these are |amp|^2 or the diagonal slots, scattered
-    onto the support. Otherwise W = U[:, support] of the basis pre-rotation
-    U is built one qubit at a time (2^n x s entries), and they are |W psi|^2
-    or diag(W rho W^dag), one product of the coordinates with the real map
-    (dynamics._coordinate_map) of the Born map B[i, j*s + k] = W_ij
-    conj(W_ik). It is made for BORN_MAP_ENTRIES entries at a time: every
-    outcome at once on the paper's 5 qubits, blocks of outcomes on a larger
-    support. With confusion matrices given, the Born probabilities are
-    mapped to the reported outcome's, (C_1 x ... x C_n) p, one qubit at a
-    time.
+    onto the support. Otherwise, up to phases and scales that |.|^2 and
+    normalising drop, the pre-rotation is diag(1, -i) on each Y qubit, then
+    the half-Hadamard on each X or Y qubit, one qubit at a time (a fast
+    Walsh-Hadamard transform), on the amplitudes scattered onto 2^n or on
+    the pair sums: T (s^2 + n 2^n) in all. The confusion (C_1 x ... x C_n)
+    p goes on the same way, but for the perfect matrices (f0 = f1 = 1).
     """
-    n = len(basis)
-    size = support.size
-    vectors = np.iscomplexobj(stack)
+    n, size, rows = len(basis), support.size, len(stack)
     if set(basis) == {"Z"}:
-        probs = np.zeros((len(stack), 1 << n))
-        probs[:, support] = (np.abs(stack) ** 2 if vectors
+        probs = np.zeros((rows, 1 << n))
+        probs[:, support] = (np.abs(stack) ** 2 if np.iscomplexobj(stack)
                              else stack[:, ::size + 1])
     else:
-        w = np.ones((1, size), dtype=complex)
-        for q, axis in enumerate(basis):
-            bit = support >> (n - 1 - q) & 1
-            w = (w[:, None] * _ROT[axis][:, bit]).reshape(-1, size)
-        if vectors:
-            probs = np.abs(stack @ w.T) ** 2
+        ys = sum((support >> (n - 1 - q) & 1 for q, axis in enumerate(basis)
+                  if axis == "Y"), np.zeros_like(support))
+        phases = np.array([1, -1j, -1, 1j])[ys % 4]  # (-i)^(Y qubits at 1)
+        hadamards = [None if axis == "Z" else _HALF_HADAMARD for axis in basis]
+        if np.iscomplexobj(stack):
+            amps = np.zeros((1 << n, rows), dtype=complex)
+            amps[support] = (stack * phases).T
+            parts = _per_qubit(amps.view(float), hadamards)
+            born = parts[:, ::2] ** 2 + parts[:, 1::2] ** 2
         else:
-            probs = np.empty((len(stack), 1 << n))
-            per = max(1, BORN_MAP_ENTRIES // (size * size))
-            for lo in range(0, 1 << n, per):
-                block = w[lo:lo + per]
-                probs[:, lo:lo + per] = stack @ _coordinate_map(
-                    block[:, :, None] * block[:, None, :].conj()).T
-    probs = np.clip(probs, 0.0, None)
+            born = _per_qubit(_pair_sums(support, stack, phases, basis),
+                              hadamards)
+        probs = born.T.copy()
+    np.clip(probs, 0.0, None, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
-    if confusion is not None:  # one qubit at a time on the (T, 2, ..., 2) view
-        for q, c in enumerate(confusion):
-            probs = np.matmul(c.matrix, probs.reshape(len(stack) << q, 2, -1))
-        probs = probs.reshape(len(stack), -1)
+    maps = [None if c.f0 == c.f1 == 1.0 else c.matrix for c in confusion or ()]
+    if any(m is not None for m in maps):
+        probs = _per_qubit(probs.T.copy(), maps).T.copy()
     # no entry above 1: a readout that reports every outcome as one sums
     # its products to 1 + eps there
     return np.minimum(probs, 1.0, out=probs)

@@ -3,7 +3,6 @@
 import functools
 import re
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from starkchain.dynamics import LindbladSnapshots, _coordinates
 
 PERFECT = [ConfusionMatrix.perfect()] * 5
 
-# the basis pre-rotations, stated here apart from the module's table:
+# the basis pre-rotations, stated here apart from the module's butterflies:
 # R_y(-pi/2) measures X and R_x(+pi/2) measures Y, bit 0 the +1 eigenvalue
 _AXIS_ROT = {
     "Z": np.eye(2),
@@ -586,7 +585,7 @@ class TestCounts:
         # computed one state at a time
         basis = "XYZ"
         stack = _random_stack(3, 5, seed=12, pure=pure)
-        u = functools.reduce(np.kron, [measurement._ROT[a] for a in basis])
+        u = functools.reduce(np.kron, [_AXIS_ROT[a] for a in basis])
         got = measurement._outcome_probabilities(
             np.arange(8), stack if pure else _coordinates(stack), basis)
         for k, data in enumerate(stack):
@@ -594,6 +593,30 @@ class TestCounts:
             want = np.real(np.diag(u @ rho @ u.conj().T))
             np.testing.assert_allclose(got[k], want / want.sum(), rtol=0,
                                        atol=1e-14)
+
+    @pytest.mark.parametrize("basis", ["ZZZZ", "XYZX", "YYXZ"])
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_perfect_readout_applies_no_product(self, monkeypatch, basis,
+                                                pure):
+        # perfect matrices map p to itself: the probabilities equal those
+        # without confusion bit for bit, and no per-qubit map runs but the
+        # basis butterflies
+        stack = _random_stack(4, 6, seed=21, pure=pure)
+        stack = stack if pure else _coordinates(stack)
+        support = np.arange(16)
+        want = measurement._outcome_probabilities(support, stack, basis)
+        maps, per_qubit = [], measurement._per_qubit
+
+        def counted(cols, qubit_maps):
+            maps.append([m is not None for m in qubit_maps])
+            return per_qubit(cols, qubit_maps)
+
+        monkeypatch.setattr(measurement, "_per_qubit", counted)
+        got = measurement._outcome_probabilities(support, stack, basis,
+                                                 PERFECT[:4])
+        np.testing.assert_array_equal(got, want)
+        assert maps == ([] if basis == "ZZZZ"
+                        else [[axis != "Z" for axis in basis]])
 
     def test_stack_checks(self):
         conf = [ConfusionMatrix.perfect()] * 2
@@ -661,21 +684,20 @@ class TestCounts:
         assert rec.counts.nbytes == snapshots * 10 * 4096 * 8
         assert peak < 1.5 * rec.counts.nbytes
 
-    def test_born_map_made_in_blocks(self):
-        # a noisy thermal_transport snapshot stack on 10 qubits measured in
-        # X: 151 snapshots on the 56 states of counts 0..2. Its whole Born
-        # map would be 1024 x 56^2 real entries, 26 MB, and the two
-        # (151, 1024, 56) products of W rho W^dag 139 MB each; made
-        # BORN_MAP_ENTRIES entries at a time the call peaks near its
-        # probabilities, 1.2 MB
-        n = 10
+    def test_no_born_map_is_made(self):
+        # a noisy thermal_transport snapshot stack on 12 qubits measured in
+        # X: 151 snapshots on the 79 states of counts 0..2. Its whole Born
+        # map would be 4096 x 79^2 real entries, 205 MB; the pair sums and
+        # butterflies peak within a small multiple of the (151, 4096)
+        # probabilities and the (151, 79^2) coordinates, 12.4 MB together
+        n = 12
         support = np.array([i for i in range(1 << n) if bin(i).count("1") <= 2])
         rng = np.random.default_rng(5)
         vecs = (rng.normal(size=(151, support.size))
                 + 1j * rng.normal(size=(151, support.size)))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         stack = _coordinates(np.einsum("ki,kj->kij", vecs, vecs.conj()))
-        assert stack.shape == (151, 56 * 56)
+        assert stack.shape == (151, 79 * 79)
         measurement._outcome_probabilities(support, stack[:2], "X" * n)
         tracemalloc.start()
         try:
@@ -683,8 +705,8 @@ class TestCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert probs.shape == (151, 1024)
-        assert peak < 8e6
+        assert probs.shape == (151, 4096)
+        assert peak < 1.5 * (probs.nbytes + stack.nbytes)
 
 
 @st.composite
@@ -712,16 +734,14 @@ def _support_stacks(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_support_stacks(),
-       st.sampled_from([1, 20, measurement.BORN_MAP_ENTRIES]))
-def test_support_kernel_matches_the_dense_rotation(case, entries):
+@given(_support_stacks())
+def test_support_kernel_matches_the_dense_rotation(case):
     # Born probabilities diag(U rho U^dag) of the stack scattered to the
-    # full space, then (C_1 x ... x C_n) p, against the kernel on the
-    # support, its Born map made one outcome, a few entries or every
-    # outcome of the paper's 5 qubits at a time
+    # full space, then (C_1 x ... x C_n) p, against the kernel's per-qubit
+    # butterflies on the support
     support, stack, basis, confusion = case
     dim = 2 ** len(basis)
-    u = functools.reduce(np.kron, [measurement._ROT[a] for a in basis])
+    u = functools.reduce(np.kron, [_AXIS_ROT[a] for a in basis])
     c = functools.reduce(np.kron, [m.matrix for m in confusion])
     born = []
     for data in stack:
@@ -737,14 +757,12 @@ def test_support_kernel_matches_the_dense_rotation(case, entries):
     born = np.array(born)
     if stack.ndim == 3:
         stack = _coordinates(stack)
-    with mock.patch.object(measurement, "BORN_MAP_ENTRIES", entries):
-        np.testing.assert_allclose(
-            measurement._outcome_probabilities(support, stack, basis), born,
-            rtol=0, atol=1e-13)
-        np.testing.assert_allclose(
-            measurement._outcome_probabilities(support, stack, basis,
-                                               confusion),
-            born @ c.T, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(
+        measurement._outcome_probabilities(support, stack, basis), born,
+        rtol=0, atol=1e-13)
+    np.testing.assert_allclose(
+        measurement._outcome_probabilities(support, stack, basis, confusion),
+        born @ c.T, rtol=0, atol=1e-13)
 
 
 class TestSupportArgument:
@@ -815,8 +833,8 @@ def _snapshot_cases(draw):
 def _complex_born(support, matrices, basis):
     """Born probabilities Re(rho B^T), B[i, j*s + k] = W_ij conj(W_ik) of
     W = U[:, support], of a complex (T, s, s) stack, clipped and
-    normalised: the complex product the real map stands in for."""
-    u = functools.reduce(np.kron, [measurement._ROT[a] for a in basis])
+    normalised: the complex product the pair sums stand in for."""
+    u = functools.reduce(np.kron, [_AXIS_ROT[a] for a in basis])
     w = u[:, support]
     born_map = (w[:, :, None] * w[:, None, :].conj()).reshape(len(w), -1)
     p = np.clip((matrices.reshape(len(matrices), -1) @ born_map.T).real,
@@ -825,14 +843,13 @@ def _complex_born(support, matrices, basis):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_snapshot_cases(),
-       st.sampled_from([1, 20, measurement.BORN_MAP_ENTRIES]))
-def test_real_born_map_matches_the_complex_product(case, entries):
-    # the real map on the coordinates against the complex product on the
-    # matrices they stand for, on the run's whole basis, its map made one
-    # outcome, a few entries or every outcome at a time; the snapshots read
-    # on their support agree with their matrices read as a plain stack on
-    # the run's basis, in Z on every qubit bit for bit, as the diagonal
+@given(_snapshot_cases())
+def test_real_born_map_matches_the_complex_product(case):
+    # the pair sums of the coordinates through the butterflies against the
+    # complex product on the matrices they stand for, on the run's whole
+    # basis; the snapshots read on their support agree with their matrices
+    # read as a plain stack on the run's basis, in Z on every qubit bit for
+    # bit, as the diagonal
     full, snapshots, basis, confusion = case
     matrices = snapshots.matrices()
     reached = full[snapshots.support]
@@ -840,21 +857,18 @@ def test_real_born_map_matches_the_complex_product(case, entries):
     z = "Z" * len(basis)
     assert np.array_equal(plain[:, ::full.size + 1],
                           np.diagonal(matrices, axis1=1, axis2=2).real)
-    with mock.patch.object(measurement, "BORN_MAP_ENTRIES", entries):
-        np.testing.assert_allclose(
-            measurement._outcome_probabilities(reached, snapshots.coords,
-                                               basis),
-            _complex_born(full, matrices, basis), rtol=0, atol=1e-14)
-        for conf in (None, confusion):
-            got = measurement._outcome_probabilities(
-                reached, snapshots.coords, basis, conf)
-            want = measurement._outcome_probabilities(full, plain, basis,
-                                                      conf)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-            np.testing.assert_array_equal(
-                measurement._outcome_probabilities(reached, snapshots.coords,
-                                                   z, conf),
-                measurement._outcome_probabilities(full, plain, z, conf))
+    np.testing.assert_allclose(
+        measurement._outcome_probabilities(reached, snapshots.coords, basis),
+        _complex_born(full, matrices, basis), rtol=0, atol=1e-14)
+    for conf in (None, confusion):
+        got = measurement._outcome_probabilities(
+            reached, snapshots.coords, basis, conf)
+        want = measurement._outcome_probabilities(full, plain, basis, conf)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(
+            measurement._outcome_probabilities(reached, snapshots.coords, z,
+                                               conf),
+            measurement._outcome_probabilities(full, plain, z, conf))
 
 
 class TestLindbladSnapshotArgument:
