@@ -130,22 +130,19 @@ def _sampled(config, potential, f_index, settings):
     """Group means (nt, n_groups) per estimator name, over every setting.
 
     settings: (measurement basis, estimator names) pairs, sampled on the
-    same snapshots, passed to the sampler with the full-space index of
-    each basis state, ascending for state vectors and in basis order for
-    Lindblad snapshots; each setting takes an equal share of the plan's
-    shots, and the groups of snapshot k are drawn from key k of the
-    (seed, gradient, setting) sequence. One sample_shots call per setting
-    covers every snapshot, and one group_means call estimates all its
-    names; the record's groups run snapshot by snapshot, so each
-    estimator's group means reshape to (nt, n_groups).
+    same snapshots, which the sampler reads as the solver returns them,
+    with the full-space index of each basis state in basis order; each
+    setting takes an equal share of the plan's shots, and the groups of
+    snapshot k are drawn from key k of the (seed, gradient, setting)
+    sequence. One sample_shots call per setting covers every snapshot, and
+    one group_means call estimates all its names; the record's groups run
+    snapshot by snapshot, so each estimator's group means reshape to
+    (nt, n_groups).
     """
     h, state, basis, collapse = _route(config, potential, config.noise)
     support = _basis_states(basis, basis.n_sites)[0]
     if collapse is None:
-        # full-space indices descend as basis positions ascend: reverse
-        # the basis states and the state vectors
-        support = support[::-1]
-        data = evolve_unitary(h, state, _times(config))[:, ::-1]
+        data = evolve_unitary(h, state, _times(config))
     else:
         data = evolve_lindblad(h, state, _times(config), collapse)
     confusion = _confusion_list(config)
@@ -378,7 +375,8 @@ def main(argv=None):
     try:
         if args.command == "validate":
             if not args.config:
-                parser.error("validate requires --config")
+                # one error line, as every refused run ends, not the usage
+                parser.exit(2, "error: --config: validate needs a config file\n")
             config = _load(args, None)
             print(json.dumps(config.normalized(), sort_keys=True, indent=2))
             return 0

@@ -28,26 +28,22 @@ _LOCAL_KETS = {
 }
 
 
-def _checked_stack(a, where=lambda k, message: f"snapshot {k}: {message}",
-                   error=DomainError):
+def _checked_stack(a, where=lambda k, message: f"snapshot {k}: {message}"):
     """a, a (T, d) stack of state vectors, or the (T, d*d) real Hermitian
     coordinates (_coordinates) of a (T, d, d) stack of density matrices,
     after the one rule every state is held to: a norm within TRACE_TOL of
     1, or _checked_coordinates on those coordinates of the Hermitian parts
     (rho + rho^dag)/2 and the anti-Hermitian residues. The earliest failing
-    snapshot k raises error(where(k, message)); the residues and
+    snapshot k raises DomainError(where(k, message)); the residues and
     coordinates of density matrices are made CHECK_STACK_ENTRIES entries
     at a time."""
     if a.ndim == 2:
-        if len(a) == 1:  # one vector, as QuantumState checks it: scalar work
-            norm = [float(np.sqrt(np.vdot(a[0], a[0]).real))]
-            bad = [0] if not abs(norm[0] - 1.0) <= TRACE_TOL else []
-        else:
+        with np.errstate(over="ignore"):  # an overflowing norm is inf
             norm = np.linalg.norm(a, axis=1)
-            bad = np.flatnonzero(~(np.abs(norm - 1.0) <= TRACE_TOL))
+        bad = np.flatnonzero(~(np.abs(norm - 1.0) <= TRACE_TOL))
         if len(bad):
             k = bad[0]
-            raise error(where(k, f"state vector norm {norm[k]} is not 1"))
+            raise DomainError(where(k, f"state vector norm {norm[k]} is not 1"))
         return a
     per = max(1, CHECK_STACK_ENTRIES // max(1, a.shape[1] ** 2))
     x = np.empty((len(a), a.shape[1] ** 2))
@@ -59,7 +55,7 @@ def _checked_stack(a, where=lambda k, message: f"snapshot {k}: {message}",
         with np.errstate(invalid="ignore", over="ignore"):
             residue[first:first + per] = np.abs(stack - adjoint).max(axis=(1, 2))
             x[first:first + per] = _coordinates(stack)
-    _checked_coordinates(x, a.shape[1], np.arange(len(a)), where, error,
+    _checked_coordinates(x, a.shape[1], np.arange(len(a)), where, DomainError,
                          residue)
     return x
 
@@ -124,7 +120,7 @@ def prepare_initial_state(spec, n_sites, basis=None):
 def _check_hermitian(h):
     if not isinstance(h, OperatorMatrix):
         raise DomainError("hamiltonian must be an OperatorMatrix")
-    if not h.is_hermitian(1e-12):
+    if not h.is_hermitian():
         raise DomainError("hamiltonian is not Hermitian within 1e-12")
 
 
@@ -310,8 +306,8 @@ def make_collapse_ops(params, dephasing="as-given", basis=None):
         rate = np.maximum(rate - 0.5 * gamma1, 0.0)
     ops = []
     for q, occupied in enumerate(occ.T):  # q counts sites from 0
-        ops.append(_operator(states, [(states ^ (1 << (n - 1 - q)),
-                                       np.sqrt(gamma1[q]) * occupied)], tag))
+        ops.append(_operator(states, states[None] ^ 1 << (n - 1 - q),
+                             np.sqrt(gamma1[q]) * occupied[None], tag))
         if rate[q] > 0.0:
             ops.append(_diagonal(np.sqrt(rate[q]) * occupied, tag))
     return CollapseOperatorSet(operators=tuple(ops), basis_tag=tag)

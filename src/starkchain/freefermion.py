@@ -91,27 +91,27 @@ def two_excitation_slater(h, sites0, times_ns):
     return dens.T, np.transpose(pair, (2, 0, 1))
 
 
-def time_averaged_profile(h, site0, gradient_mhz, n_samples=1500):
-    """Mean of P_j(t) over t in [5 T_B, 10 T_B]; averages out the BO phase."""
+def time_averaged_profile(h, site0, gradient_mhz):
+    """Mean of P_j(t) over 1500 times evenly spaced on [5 T_B, 10 T_B];
+    averages out the BO phase."""
     f = abs(float(gradient_mhz))
     if f == 0:
         raise DomainError("averaging window needs a nonzero gradient")
     t_b = 1e3 / f
-    t = np.linspace(5 * t_b, 10 * t_b, int(n_samples))
+    t = np.linspace(5 * t_b, 10 * t_b, 1500)
     return propagate_single_particle(h, site0, t).mean(axis=0)
 
 
-def fit_localization_length(profile, center, xi_guess=None,
-                            rel_floor=PROFILE_REL_FLOOR):
+def fit_localization_length(profile, center, xi_guess=None):
     """Tail fit of a density profile; returns xi from the amplitude decay.
 
     The tail model is an amplitude envelope e^(-d/xi), so the fitted line is
     0.5*ln(profile) against distance d and xi = -1/slope. Window: d from 1 to
     min(3*xi_guess, L/2 - 1), the center site and the two boundary sites
     excluded, truncated where the side-averaged density falls below
-    rel_floor times the center value. The floor matches the dynamic range a
-    few-thousand-shot measurement resolves; beyond it the true tail is
-    superexponential and would bias the slope steep.
+    PROFILE_REL_FLOOR times the center value. The floor matches the dynamic
+    range a few-thousand-shot measurement resolves; beyond it the true tail
+    is superexponential and would bias the slope steep.
     """
     profile = np.asarray(profile, dtype=float)
     length = profile.shape[0]
@@ -129,7 +129,7 @@ def fit_localization_length(profile, center, xi_guess=None,
         if not sites:
             break
         vals = profile[[j - 1 for j in sites]]
-        if np.mean(vals) < rel_floor * p0:
+        if np.mean(vals) < PROFILE_REL_FLOOR * p0:
             break
         if np.any(vals <= 0):
             raise FitDomainError(f"non-positive density at distance {d}")

@@ -186,9 +186,10 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
     density matrices, held to the state rule (dynamics._checked_stack) and
     read through the coordinates of their Hermitian parts, or the
     LindbladSnapshots of evolve_lindblad, checked when made, with one seed
-    per snapshot. support gives the full-space index of each of the s
-    states of n qubits: ascending for an array, in the run's basis order
-    for LindbladSnapshots; None, the default, is the whole 2^n space. Each
+    per snapshot. support gives the distinct full-space index of each of
+    the s states of n qubits, in the stack's own order (for
+    LindbladSnapshots, that of the run's basis); None, the default, is the
+    whole 2^n space in index order. Each
     snapshot's n_shots split into n_groups groups. With independent
     per-qubit flips, the reported outcome of one shot has the distribution
     q = (C_1 x ... x C_n) p, p the Born probabilities after the basis
@@ -215,15 +216,14 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
     if n_groups < 1 or n_shots % n_groups:
         raise DomainError(
             f"{n_shots} shots per state not divisible into {n_groups} groups")
-    checked = isinstance(states, LindbladSnapshots)
     support = np.arange(1 << n_qubits) if support is None else np.asarray(support)
-    ordered = np.sort(support, axis=None) if checked else support
+    ordered = np.sort(support, axis=None)
     if (support.ndim != 1 or not support.size
             or not np.issubdtype(support.dtype, np.integer) or ordered[0] < 0
             or ordered[-1] >= 1 << n_qubits or np.any(np.diff(ordered) <= 0)):
         raise DomainError(
-            f"support must be {'distinct' if checked else 'ascending'} "
-            f"full-space indices of {n_qubits} qubits")
+            f"support must be distinct full-space indices of {n_qubits} qubits")
+    checked = isinstance(states, LindbladSnapshots)
     stack = states if checked else np.asarray(states, dtype=complex)
     size = support.size
     if len(stack.shape) not in (2, 3) or stack.shape[1:] not in ((size,), (size, size)):

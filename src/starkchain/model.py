@@ -206,8 +206,8 @@ class OperatorMatrix:
         out[self.rows, self.cols] += self.vals
         return out
 
-    def is_hermitian(self, tol=1e-12):
-        return self.hermitian_residue <= tol
+    def is_hermitian(self):
+        return self.hermitian_residue <= 1e-12
 
 
 def _basis_states(basis, n_sites, fock_cutoff=None):
@@ -232,24 +232,14 @@ def _basis_states(basis, n_sites, fock_cutoff=None):
     return occupations @ place, occupations, basis.tag
 
 
-def _operator(states, terms, basis_tag):
+def _operator(states, targets, amplitudes, basis_tag):
     """Operator over an ordered list of integer states: a sector, a whole
-    product space in index order or any support. A term (targets,
-    amplitudes) maps states[i] to targets[i] with amplitudes[i]: states ^ mask
-    flips bits, states +- step moves a boson, states itself is diagonal. Zero
-    amplitudes and targets outside the list are dropped: on a subset this is
-    the restriction of the full operator. The amplitudes, arrays or scalars,
-    are assigned row by row into one (terms, states) table."""
-    targets = np.array([t for t, _ in terms])
-    amplitudes = np.empty(targets.shape, dtype=complex)
-    for row, (_, a) in zip(amplitudes, terms):
-        row[...] = a
-    return _table_operator(states, targets, amplitudes, basis_tag)
-
-
-def _table_operator(states, targets, amplitudes, basis_tag):
-    """_operator's terms given as one (terms, states) table of targets and
-    one of amplitudes, real or complex."""
+    product space in index order or any support. targets and amplitudes
+    are (terms, states) tables, real or complex: term t maps states[i] to
+    targets[t, i] with amplitudes[t, i], where states ^ mask flips bits,
+    states +- step moves a boson and states itself is diagonal. Zero
+    amplitudes and targets outside the list are dropped: on a subset this
+    is the restriction of the full operator."""
     order = np.argsort(states)
     ranked = states[order]
     pos = np.minimum(np.searchsorted(ranked, targets), states.size - 1)
@@ -316,7 +306,7 @@ def _chain_hamiltonian(params, potential, basis, fock_cutoff):
         filled < d - 1,
         np.concatenate([g, g])[:, None] * (np.sqrt(filled + 1) * np.sqrt(emptied)),
         0.0)])
-    return _table_operator(states, targets, amplitudes, tag)
+    return _operator(states, targets, amplitudes, tag)
 
 
 def build_xy_hamiltonian(params, potential, basis=None):
@@ -397,4 +387,5 @@ def build_observable(kind, index, params, potential=None, basis=None,
         amplitudes = np.where(moves, np.where(b == 1, -1.0j, 1.0j), 0.0)
     else:
         amplitudes = np.where(moves | (axis == "x"), 1.0, -1.0)
-    return _operator(states, [(states ^ (3 << (n - j - 1)), amplitudes)], tag)
+    return _operator(states, states[None] ^ 3 << (n - j - 1), amplitudes[None],
+                     tag)

@@ -71,25 +71,41 @@ def _expectations(snapshots, operators):
     return out
 
 
+def _check_observables(tag, observables):
+    """DomainError unless every operator of the mapping observables, name
+    -> OperatorMatrix, is on the basis tag and Hermitian."""
+    for n, o in observables.items():
+        if o.basis_tag != tag:
+            raise DomainError(
+                f"observable {n!r} basis {o.basis_tag!r} does not match state"
+            )
+        if not o.is_hermitian():
+            raise DomainError(f"observable {n!r} is not Hermitian")
+
+
+def _real_parts(data, times_ns):
+    """The real parts of (T, K) expectations; NumericalConsistencyError if
+    one is not finite or an imaginary residue reaches IMAG_ERROR_TOL. A
+    trajectory gives times_ns, the time of each row, for its messages; a
+    lone expectation None."""
+    prefix = "" if times_ns is None else "trajectory "
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        at = "" if times_ns is None else f" at t = {times_ns[~finite].min():g} ns"
+        raise NumericalConsistencyError(f"{prefix}expectation is not finite{at}")
+    imax = float(np.max(np.abs(data.imag), initial=0.0))
+    if imax >= IMAG_ERROR_TOL:
+        raise NumericalConsistencyError(f"{prefix}imaginary residue {imax:.3e}")
+    return data.real
+
+
 def expectation(state, obs):
     """<psi|O|psi> or tr(rho O); the imaginary residue must be numerical noise.
 
     A non-finite value or |Im| >= 1e-8 raises; a smaller |Im| is discarded.
     """
-    if state.basis_tag != obs.basis_tag:
-        raise DomainError(
-            f"basis mismatch: state {state.basis_tag!r} vs operator {obs.basis_tag!r}"
-        )
-    if not obs.is_hermitian():
-        raise DomainError("observable is not Hermitian")
-    val = _expectations(state.data[None], [obs])[0, 0]
-    if not np.isfinite(val):
-        raise NumericalConsistencyError(f"expectation {val} is not finite")
-    if abs(val.imag) >= IMAG_ERROR_TOL:
-        raise NumericalConsistencyError(
-            f"expectation has imaginary part {val.imag:.3e} (tol {IMAG_ERROR_TOL:g})"
-        )
-    return val.real
+    _check_observables(state.basis_tag, {"O": obs})
+    return _real_parts(_expectations(state.data[None], [obs]), None)[0, 0]
 
 
 def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
@@ -100,25 +116,13 @@ def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
     one it evolves under the master equation and pays the density-matrix
     cost.
     """
-    for n, o in observables.items():
-        if o.basis_tag != state.basis_tag:
-            raise DomainError(
-                f"observable {n!r} basis {o.basis_tag!r} does not match state"
-            )
-        if not o.is_hermitian():
-            raise DomainError(f"observable {n!r} is not Hermitian")
+    _check_observables(state.basis_tag, observables)
     times_ns = _checked_times(times_ns)
     if collapse is None:
         snapshots = evolve_unitary(hamiltonian, state, times_ns)
     else:
         snapshots = evolve_lindblad(hamiltonian, state, times_ns, collapse)
-    data = _expectations(snapshots, list(observables.values()))
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        raise NumericalConsistencyError("trajectory expectation is not finite at "
-                                        f"t = {times_ns[~finite].min():g} ns")
-    imax = float(np.max(np.abs(data.imag), initial=0.0))
-    if imax >= IMAG_ERROR_TOL:
-        raise NumericalConsistencyError(f"trajectory imaginary residue {imax:.3e}")
-    cols = dict(zip(observables, data.T.real))
-    return TrajectoryTable(times_ns=times_ns, columns=cols)
+    data = _real_parts(_expectations(snapshots, list(observables.values())),
+                       times_ns)
+    return TrajectoryTable(times_ns=times_ns,
+                           columns=dict(zip(observables, data.T)))

@@ -248,19 +248,22 @@ class TestFileBoundary:
         assert blocker.read_text() == "not a directory\n"
 
 
-def _run_on_huge_couplings(tmp_path, experiment, coupling):
-    """The CLI as a user starts it, on a 3-qubit chain at one coupling."""
-    p = tmp_path / "c.yaml"
-    p.write_text(f"experiment: {experiment}\ndevice:\n  n_qubits: 3\n"
-                 f"  coupling_mhz: [{coupling}, {coupling}]\n")
+def _cli(*args):
+    """The CLI as a user starts it, in a subprocess."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         x for x in (src, env.get("PYTHONPATH")) if x)
-    return subprocess.run(
-        [sys.executable, "-m", "starkchain.cli", experiment,
-         "--config", str(p), "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "starkchain.cli", *args],
+                          env=env, capture_output=True, text=True)
+
+
+def _run_on_huge_couplings(tmp_path, experiment, coupling):
+    """The CLI on a 3-qubit chain at one coupling."""
+    p = tmp_path / "c.yaml"
+    p.write_text(f"experiment: {experiment}\ndevice:\n  n_qubits: 3\n"
+                 f"  coupling_mhz: [{coupling}, {coupling}]\n")
+    return _cli(experiment, "--config", str(p), "--out", str(tmp_path / "out"))
 
 
 @pytest.mark.parametrize("coupling", ["1.0e+306", "1.0e+150"])
@@ -282,6 +285,14 @@ def test_non_finite_trajectory_is_refused(tmp_path, experiment):
     assert done.returncode == 2
     assert done.stderr.splitlines()[-1].startswith("error: ")
     assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_validate_without_config_prints_one_error_line():
+    # the refusal names --config in one line, without the program's usage
+    done = _cli("validate")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: --config: validate needs a config file\n"
 
 
 def _uniform(n, **raw):

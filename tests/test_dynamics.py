@@ -432,11 +432,13 @@ _BLOCK_TIMES = np.arange(0.0, 14.0, 2.0)
 
 def _solver_check(stack, times):
     """The state rule on matrices (_checked_stack), its failures named as
-    the Lindblad solver names them; a stack that passes comes back as the
-    coordinates it was checked in."""
-    x = dynamics._checked_stack(
-        stack, lambda k, message: f"{message} at t = {times[k]:g} ns",
-        NumericalConsistencyError)
+    the Lindblad solver names them, as a NumericalConsistencyError; a stack
+    that passes comes back as the coordinates it was checked in."""
+    try:
+        x = dynamics._checked_stack(
+            stack, lambda k, message: f"{message} at t = {times[k]:g} ns")
+    except DomainError as exc:
+        raise NumericalConsistencyError(str(exc)) from exc
     np.testing.assert_array_equal(x, dynamics._coordinates(stack))
 
 

@@ -290,10 +290,10 @@ def test_bit_operator_on_any_state_list(n, data):
                                             min_size=1, max_size=4, unique=True))]
     support = np.array(data.draw(st.permutations(full)))
     support = support[:data.draw(st.integers(1, 2 ** n))]
-    got = csr(_operator(support, [(support ^ flip, amps[support]) for flip, amps in terms],
-                        "support"))
-    ref = csr(_operator(full, [(full ^ flip, amps) for flip, amps in terms],
-                        full_tag(n)))
+    flips = np.array([flip for flip, _ in terms])[:, None]
+    table = np.array([amps for _, amps in terms])
+    got = csr(_operator(support, support ^ flips, table[:, support], "support"))
+    ref = csr(_operator(full, full ^ flips, table, full_tag(n)))
     _assert_same_entries(got, ref[np.ix_(support, support)])
     # the full-space matrix itself: one entry per nonzero amplitude
     assert ref.nnz == sum(np.count_nonzero(amps) for _, amps in terms)
@@ -345,7 +345,10 @@ def test_one_pass_builder_matches_the_per_term_loop(data):
             amps = np.array(data.draw(st.lists(
                 amplitude, min_size=states.size, max_size=states.size)))
         terms.append((targets, amps))
-    got = _operator(states, terms, "t")
+    # the terms as (terms, states) tables, real when no amplitude is complex
+    targets = np.array([t for t, _ in terms])
+    amplitudes = np.array([np.broadcast_to(a, states.shape) for _, a in terms])
+    got = _operator(states, targets, amplitudes, "t")
     want = _per_term_operator(states, terms, "t")
     assert got.dim == want.dim and got.basis_tag == want.basis_tag
     for a, b in ((got.rows, want.rows), (got.cols, want.cols),
