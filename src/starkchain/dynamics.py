@@ -9,8 +9,8 @@ import numpy as np
 from .config import LINDBLAD_SUPPORT_CAP, _tokenize_state_spec
 from .device import DeviceParams
 from .errors import DomainError, NumericalConsistencyError, StateSpecError
-from .model import (DENSE_DIM_CAP, OperatorMatrix, _basis_states, _diagonal,
-                    _operator, _restricted, _run_starts, _summed)
+from .model import (OperatorMatrix, _basis_states, _diagonal, _operator,
+                    _restricted, _run_starts, _summed)
 
 DENSE_BLOCK_CAP = 512  # largest real block given a dense propagator
 CHECK_STACK_ENTRIES = 1 << 14  # most snapshot entries checked in one stack
@@ -117,11 +117,17 @@ def prepare_initial_state(spec, n_sites, basis=None):
     return QuantumState(vec, tag)
 
 
-def _check_hermitian(h):
-    if not isinstance(h, OperatorMatrix):
+def _checked_run(hamiltonian, state, times):
+    """The times of a run (_checked_times), once hamiltonian is a Hermitian
+    OperatorMatrix on the state's basis; DomainError otherwise."""
+    if not isinstance(hamiltonian, OperatorMatrix):
         raise DomainError("hamiltonian must be an OperatorMatrix")
-    if not h.is_hermitian():
+    if not hamiltonian.is_hermitian():
         raise DomainError("hamiltonian is not Hermitian within 1e-12")
+    if state.basis_tag != hamiltonian.basis_tag:
+        raise DomainError(f"state tag {state.basis_tag!r} does not match "
+                          f"hamiltonian {hamiltonian.basis_tag!r}")
+    return _checked_times(times)
 
 
 def _checked_times(times):
@@ -231,41 +237,46 @@ def _expm_multiply(gen, vec):
         np.random.set_state(saved)
 
 
-def evolve_unitary(hamiltonian, state, times):
-    """Pure-state evolution psi(t) = expm(-i H t) psi(0) on a time grid.
+def _eigh_evolved(h, vec, times):
+    """expm(-i h t) vec at each of times, from one eigendecomposition of the
+    dense h; an overflowing phase is nan, without a warning, as in _expm."""
+    evals, evecs = np.linalg.eigh(h.todense())
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * np.outer(times, evals))
+        return (phases * (evecs.conj().T @ vec)) @ evecs.T
 
-    Up to DENSE_DIM_CAP dimensions a dense eigendecomposition gives every
-    time at once. Above it the requested times are visited in ascending order
-    and each interval is propagated with scipy's expm_multiply (Al-Mohy &
-    Higham 2011). Times must be finite and non-negative. Returns an
-    (n_times, dim) array of state vectors in the order of times.
+
+def evolve_unitary(hamiltonian, state, times):
+    """Pure-state evolution psi(t) = expm(-i H t) psi(0), as an (n_times,
+    dim) array in the order of times, which must be finite and non-negative.
+    The block size alone picks the propagator, as in evolve_lindblad: a
+    space above DENSE_BLOCK_CAP states splits into the blocks of H's
+    pattern (_generator_blocks), and a block whose start is all zero is not
+    evolved. A block of up to DENSE_BLOCK_CAP states is diagonalized (numpy's
+    eigh) for all times at once; the larger ones are stepped together over
+    the ascending times with scipy's expm_multiply (Al-Mohy & Higham 2011).
     """
-    _check_hermitian(hamiltonian)
     if state.is_density:
         raise DomainError("evolve_unitary expects a pure state vector")
-    if state.basis_tag != hamiltonian.basis_tag:
-        raise DomainError(
-            f"state tag {state.basis_tag!r} does not match hamiltonian "
-            f"{hamiltonian.basis_tag!r}")
-    times = _checked_times(times)
-    if hamiltonian.dim <= DENSE_DIM_CAP:
-        hm = hamiltonian.todense()
-        evals, evecs = np.linalg.eigh(hm)
-        c0 = evecs.conj().T @ state.data
-        phases = np.exp(-1j * np.outer(times, evals))
-        return (phases * c0) @ evecs.T
-    rows, cols, vals, norm = _pruned(hamiltonian.dim, hamiltonian.rows,
-                                     hamiltonian.cols, -1j * hamiltonian.vals)
-    gen = _csr(hamiltonian.dim, rows, cols, vals)
-    out = np.empty((times.size, state.dim), dtype=complex)
-    vec = state.data
-    t_prev = 0.0
-    for pos in np.argsort(times, kind="stable"):
-        t = times[pos]
-        if (t - t_prev) * norm >= _UNIT_ROUNDOFF:
-            vec = _expm_multiply((t - t_prev) * gen, vec)
-            t_prev = t
-        out[pos] = vec
+    times = _checked_run(hamiltonian, state, times)
+    h, data = hamiltonian, state.data
+    if h.dim <= DENSE_BLOCK_CAP:  # one block: a split picks no other propagator
+        return _eigh_evolved(h, data, times)
+    blocks = [idx for idx in _generator_blocks(h.rows, h.cols, h.dim)
+              if data[idx].any()]
+    out = np.zeros((times.size, h.dim), dtype=complex)
+    for idx in (idx for idx in blocks if idx.size <= DENSE_BLOCK_CAP):
+        out[:, idx] = _eigh_evolved(OperatorMatrix._canonical(idx.size, *_restricted(
+            idx, h.rows, h.cols, h.vals), h.basis_tag), data[idx], times)
+    if large := [idx for idx in blocks if idx.size > DENSE_BLOCK_CAP]:
+        idx = np.sort(np.concatenate(large))
+        rows, cols, vals, norm = _pruned(idx.size, *_restricted(
+            idx, h.rows, h.cols, -1j * h.vals))
+        gen, vec, t_prev = _csr(idx.size, rows, cols, vals), data[idx], 0.0
+        for t, pos in sorted(zip(times.tolist(), range(times.size))):
+            if (t - t_prev) * norm >= _UNIT_ROUNDOFF:
+                vec, t_prev = _expm_multiply((t - t_prev) * gen, vec), t
+            out[pos, idx] = vec
     return out
 
 
@@ -619,12 +630,9 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     names the earliest failure, at its time; the start, a principal block
     of a checked QuantumState, needs none.
     """
-    _check_hermitian(hamiltonian)
+    times = _checked_run(hamiltonian, state, times)
     if collapse.basis_tag != hamiltonian.basis_tag:
         raise DomainError("collapse operators and hamiltonian bases differ")
-    if state.basis_tag != hamiltonian.basis_tag:
-        raise DomainError("state and hamiltonian bases differ")
-    times = _checked_times(times)
     table = _entry_table(hamiltonian, collapse)
     support = _reachable(state.data, table, hamiltonian.dim)
     size = support.size

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,25 @@ class TestValidate:
         assert err.startswith("error: t_max: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["spin_transport", "decoherence_check"])
+    def test_overflowing_phases(self, tmp_path, capsys, experiment):
+        # couplings of 1e308 MHz make the eigenphases overflow: the
+        # trajectory's finite check names the failure in one error line,
+        # and numpy warns nothing on the way (decoherence_check runs its
+        # ideal half first)
+        p = tmp_path / "c.yaml"
+        p.write_text(f"experiment: {experiment}\ninitial_state: '100'\n"
+                     "device: {n_qubits: 3, coupling_mhz: [1.0e+308, 1.0e+308]}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([experiment, "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert [str(w.message) for w in caught] == []
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trajectory expectation is not finite")
+        assert err.count("\n") == 1
 
     def test_too_many_shots(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"

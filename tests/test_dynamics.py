@@ -39,7 +39,7 @@ from starkchain import dynamics
 from starkchain.config import _excitation_range
 from starkchain.dynamics import (_entry_table, _generator_blocks, _liouvillian,
                                  _reachable)
-from starkchain.model import DENSE_DIM_CAP, _restricted, _summed
+from starkchain.model import _restricted, _summed
 
 from scipy_forms import csr, operator
 
@@ -225,25 +225,30 @@ class TestUnitaryEvolution:
         ref = scipy.linalg.expm(-1j * h.todense() * 100.0) @ st.data
         assert np.linalg.norm(got - ref) < 1e-8
 
-    def test_above_dense_cap_matches_sectors(self):
-        # n = 13 is 8192 dims, above DENSE_DIM_CAP: the full space is stepped
-        # with expm_multiply, each excitation sector is diagonalized
+    @pytest.mark.parametrize("cap", [dynamics.DENSE_BLOCK_CAP, 8])
+    def test_full_space_matches_sectors(self, cap, monkeypatch):
+        # n = 13 is 8192 dims, split into its excitation sectors, of which
+        # the live ones hold 1, 13 and 78 states: at the default cap each is
+        # diagonalized, at cap 8 the two larger ones are stepped together
+        # with expm_multiply. Either way the result is that of each sector
+        # diagonalized on its own basis, and from one excitation that of
+        # the free-fermion solver
         n = 13
         dev = DeviceParams.uniform(n, coupling_mhz=14.4)
         pot = PotentialSpec.linear(-15.0)
-        h = build_xy_hamiltonian(dev, pot)
-        assert h.dim > DENSE_DIM_CAP
         zeros = "0" * (n - 2)
-        got = evolve_unitary(h, prepare_initial_state("X+X+" + zeros, n),
-                             _REFERENCE_TIMES)
         # X+X+0... is half the sum of 00..., 01..., 10... and 11...
-        ref = np.zeros_like(got)
+        ref = np.zeros((len(_REFERENCE_TIMES), 2 ** n), dtype=complex)
         for head in ("00", "01", "10", "11"):
             b = build_sector_basis(n, head.count("1"))
             part = evolve_unitary(build_xy_hamiltonian(dev, pot, basis=b),
                                   prepare_initial_state(head + zeros, n, basis=b),
                                   _REFERENCE_TIMES)
             ref[:, [full_index(s) for s in b.states]] += 0.5 * part
+        monkeypatch.setattr(dynamics, "DENSE_BLOCK_CAP", cap)
+        h = build_xy_hamiltonian(dev, pot)
+        got = evolve_unitary(h, prepare_initial_state("X+X+" + zeros, n),
+                             _REFERENCE_TIMES)
         assert np.max(np.abs(got - ref)) <= 1e-10
         amps = evolve_unitary(h, prepare_initial_state("1" + "0" * (n - 1), n),
                               _REFERENCE_TIMES)
@@ -254,17 +259,54 @@ class TestUnitaryEvolution:
         assert np.max(np.abs(np.abs(amps[:, sites]) ** 2 - dens)) <= 1e-10
 
     def test_negligible_steps_and_couplings(self, monkeypatch):
-        # above the cap a step whose dt H underflows leaves the state as it
-        # is, where expm_multiply would pick zero scaling steps and divide by
-        # zero; a subnormal coupling would make its norm estimate overflow
+        # on a block above the cap a step whose dt H underflows leaves the
+        # state as it is, where expm_multiply would pick zero scaling steps
+        # and divide by zero; a subnormal coupling would make its norm
+        # estimate overflow
         dev = DeviceParams.uniform(4).replace(coupling_mhz=[0.0, 0.0, 2.2250738585e-313])
         h = build_xy_hamiltonian(dev, PotentialSpec.linear(28.0))
         st = prepare_initial_state("0001", 4)
-        monkeypatch.setattr(dynamics, "DENSE_DIM_CAP", 4)
+        monkeypatch.setattr(dynamics, "DENSE_BLOCK_CAP", 0)
         got = evolve_unitary(h, st, [5e-324, 0.0, 1e-300, 300.0])
         np.testing.assert_array_equal(got[:3], np.tile(st.data, (3, 1)))
         ref = scipy.linalg.expm(-300.0j * h.todense()) @ st.data
         assert np.max(np.abs(got[3] - ref)) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 7), min_size=1, max_size=5),
+           live=st.lists(st.booleans(), min_size=5, max_size=5),
+           is_complex=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           cap=st.sampled_from([0, 3, dynamics.DENSE_BLOCK_CAP]))
+    def test_planted_blocks_match_expm(self, sizes, live, is_complex, seed, cap):
+        # random Hermitian blocks on a random permutation of the states,
+        # some with an all-zero start: at cap 0 every live block is stepped
+        # with expm_multiply, at cap 3 the blocks of up to 3 states are
+        # diagonalized and the rest stepped, and at the default cap the
+        # whole space is one block
+        rng = np.random.default_rng(seed)
+        dim = sum(sizes)
+        live[rng.integers(len(sizes))] = True
+        perm = rng.permutation(dim)
+        h = np.zeros((dim, dim), dtype=complex)
+        vec = np.zeros(dim, dtype=complex)
+        for k, lo in enumerate(np.cumsum([0] + sizes[:-1])):
+            at = perm[lo:lo + sizes[k]]
+            a = rng.normal(size=(sizes[k], sizes[k]))
+            if is_complex:
+                a = a + 1j * rng.normal(size=a.shape)
+            h[np.ix_(at, at)] = 0.5 * (a + a.conj().T)
+            if live[k]:
+                vec[at] = rng.normal(size=at.size) + 1j * rng.normal(size=at.size)
+        rows, cols = np.nonzero(h)
+        op = OperatorMatrix(dim, rows, cols, h[rows, cols], "planted")
+        state = QuantumState(vec / np.linalg.norm(vec), "planted")
+        times = rng.uniform(0.0, 3.0, size=5)
+        times[rng.integers(5)] = 0.0
+        with mock.patch.object(dynamics, "DENSE_BLOCK_CAP", cap):
+            got = evolve_unitary(op, state, times)
+        for k, t in enumerate(times):
+            ref = scipy.linalg.expm(-1j * h * t) @ state.data
+            np.testing.assert_allclose(got[k], ref, rtol=0, atol=1e-10)
 
     def test_two_site_swap(self):
         # P2(t) = sin^2(g t), full population transfer at t = pi / 2g

@@ -4,6 +4,7 @@ noisy paper runs need no scipy, and nothing loads the heavy scipy parts
 before it needs them."""
 
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -100,6 +101,26 @@ def test_ideal_cli_runs_load_no_scipy(tmp_path, command):
         argv += ["--out", str(out)]
     assert _scipy_modules_after(_CLI, *argv) == []
     assert (out / "summary.json").is_file() == (command != "validate")
+
+
+@pytest.mark.parametrize("cap", [None, 400], ids=["default_cap", "cap_400"])
+def test_unitary_blocks_under_the_cap_load_no_scipy(tmp_path, cap):
+    # X+ on 11 qubits spans all 2048 states, which split into excitation
+    # sectors of at most 462 states: under the default DENSE_BLOCK_CAP each
+    # is diagonalized with numpy; with the cap at 400 the two sectors of
+    # 462 states go to expm_multiply
+    config = tmp_path / "c.yaml"
+    config.write_text(json.dumps({
+        "experiment": "spin_transport", "initial_state": "X+" * 11,
+        "device": {"n_qubits": 11, "coupling_mhz": [14.4] * 10}}))
+    code = _CLI if cap is None else (
+        f"from starkchain import dynamics\ndynamics.DENSE_BLOCK_CAP = {cap}\n" + _CLI)
+    loaded = _scipy_modules_after(code, "spin_transport", "--config",
+                                  str(config), "--out", str(tmp_path / "out"))
+    if cap is None:
+        assert loaded == []
+    else:
+        assert "scipy.sparse.linalg" in loaded
 
 
 @pytest.mark.parametrize("code", ["import starkchain.cli", _CLI],
