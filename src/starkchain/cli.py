@@ -27,7 +27,8 @@ from .config import (EXPERIMENTS, _excitation_range, _f_label, _time_points,
 from .device import ANGULAR_PER_MHZ, PotentialSpec
 from .dynamics import (evolve_lindblad, evolve_unitary, make_collapse_ops,
                        prepare_initial_state)
-from .errors import ConfigError, NoWavefrontError, StarkchainError
+from .errors import (ConfigError, DomainError, FitDomainError,
+                     NoWavefrontError, StarkchainError)
 from .measurement import ConfusionMatrix, group_means, sample_shots
 from .model import (_basis_states, build_observable, build_sector_basis,
                     build_xy_hamiltonian)
@@ -86,9 +87,7 @@ def _csv_text(key, keys, columns, errors=None):
 
 
 def _confusion_list(config):
-    if config.readout is None:
-        return [ConfusionMatrix.perfect() for _ in range(config.device.n_qubits)]
-    return [ConfusionMatrix(f0=f0, f1=f1) for f0, f1 in config.readout]
+    return config.readout or (ConfusionMatrix.perfect(),) * config.device.n_qubits
 
 
 def _times(config):
@@ -259,11 +258,14 @@ def _run_wsl_scan(config, out_dir):
         try:
             peak = boundary_peak(times, cols[f"P{n}"],
                                  "wavefront" if theory_mode else "gaussian")
+            xi = wsl_length_from_boundary(peak, n - 1)
         except NoWavefrontError as exc:
             raise NoWavefrontError(
                 f"{exc} at F[{f_index}] = {f:g} MHz; t_max = "
                 f"{config.t_max_ns:g} ns may be too short for it") from exc
-        rows.append((peak, np.log(peak), wsl_length_from_boundary(peak, n - 1)))
+        except (DomainError, FitDomainError) as exc:  # a series, fit or peak
+            raise type(exc)(f"{exc} at F[{f_index}] = {f:g} MHz") from exc
+        rows.append((peak, np.log(peak), xi))
     scan = dict(zip(("p5max", "ln_p5max", "xi_boundary"), zip(*rows)))
     name = "wsl_scan.csv"
     _write_atomic(os.path.join(out_dir, name),

@@ -9,8 +9,8 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
-from .device import (_FIDELITY, _POSITIVE, ConfusionMatrix, DeviceParams,
-                     _real, device_preset)
+from .device import (_FIDELITY, _POSITIVE, ANGULAR_PER_MHZ, ConfusionMatrix,
+                     DeviceParams, _real, device_preset)
 from .errors import ConfigError, DomainError, StateSpecError
 
 EXPERIMENTS = (
@@ -118,7 +118,7 @@ class ExperimentConfig:
     noise: str
     dephasing: str
     shots: ShotPlan | None
-    readout: tuple | None  # per-qubit (f0, f1), None = perfect
+    readout: tuple | None  # a ConfusionMatrix per qubit, None = perfect
     readout_correction: bool
     output_dir: str
     preset_name: str | None = field(default=None)
@@ -145,7 +145,7 @@ class ExperimentConfig:
                 "seed": self.shots.seed,
             },
             "readout": "perfect" if self.readout is None else [
-                {"f0": f0, "f1": f1} for f0, f1 in self.readout
+                {"f0": c.f0, "f1": c.f1} for c in self.readout
             ],
             "readout_correction": self.readout_correction,
             "output_dir": self.output_dir,
@@ -267,7 +267,7 @@ def _parse_readout(raw, device, correction, path="readout"):
     if raw == "table-s1":
         _require(device.n_qubits == 5, path,
                  "the tabulated readout set is for the 5-qubit device")
-        table = tuple(zip(device.readout_f0, device.readout_f1))
+        table = tuple(map(ConfusionMatrix, device.readout_f0, device.readout_f1))
     elif isinstance(raw, list):
         _require(len(raw) == device.n_qubits, path,
                  f"need {device.n_qubits} per-qubit entries")
@@ -278,13 +278,14 @@ def _parse_readout(raw, device, correction, path="readout"):
                 raise ConfigError(f"{p}: expected a mapping with f0, f1")
             _reject_unknown(entry, {"f0", "f1"}, p)
             _require("f0" in entry and "f1" in entry, p, "needs f0 and f1")
-            out.append(tuple(_as_number(entry[name], f"{p}.{name}", _FIDELITY)
-                             for name in ("f0", "f1")))
+            out.append(ConfusionMatrix(*(
+                _as_number(entry[name], f"{p}.{name}", _FIDELITY)
+                for name in ("f0", "f1"))))
         table = tuple(out)
     else:
         raise ConfigError(f"{path}: expected 'perfect', 'table-s1', or a list")
-    for q, (f0, f1) in enumerate(table):
-        _require(not (correction and ConfusionMatrix(f0=f0, f1=f1).is_singular),
+    for q, matrix in enumerate(table):
+        _require(not (correction and matrix.is_singular),
                  f"{path}[{q}]", f"f0 + f1 = 1 gives a singular confusion "
                  f"matrix, which readout_correction cannot invert")
     return table
@@ -358,6 +359,20 @@ def parse_config(raw, default_experiment=None):
     dephasing = raw.get("dephasing", "as-given")
     _require(dephasing in ("as-given", "pure"), "dephasing",
              f"expected 'as-given' or 'pure', got {dephasing!r}")
+    # the precision rule: a phase lambda t is held to about |lambda| t 2^-53,
+    # so the largest |H| entry times t_max is kept to 1e6 rad, and phases to
+    # about 1e-10 rad. That entry is a coupling, or a gradient times the sum
+    # of the site indices 1..n of the `top` highest sites, top the most
+    # excitations the run holds; the field that sets the largest is named
+    top = _excitation_range(initial, noise)[1]
+    sites = top * (2 * device.n_qubits - top + 1) / 2
+    entry, name = max([(max(map(abs, device.coupling_mhz)), "device.coupling_mhz")]
+                      + [(abs(f) * sites, f"F[{i}]") for i, f in enumerate(gradients)],
+                      key=lambda item: item[0])
+    _require(entry * ANGULAR_PER_MHZ <= 1e6 / t_max, name,
+             f"an |H| entry of {entry * ANGULAR_PER_MHZ:.3g} rad/ns times t_max "
+             f"= {t_max:g} ns exceeds the 1e6 rad that keeps phases accurate "
+             f"to about 1e-10 rad")
 
     paper = noise == "lindblad" and experiment != "decoherence_check"
     shots_raw = raw.get("shots", "paper" if paper else "none")

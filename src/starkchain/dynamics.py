@@ -143,10 +143,10 @@ def _checked_times(times):
 
 def _pruned(size, rows, cols, vals):
     """The entries of a size x size generator, row-major, less those below
-    _UNIT_ROUNDOFF times its 1-norm and exact zeros, and that norm. Neither
-    those entries nor a step dt with dt times the norm below _UNIT_ROUNDOFF
-    move a state beyond rounding, and on either the expm_multiply of large
-    blocks and spaces (scipy) can divide by zero or overflow."""
+    _UNIT_ROUNDOFF times its 1-norm and exact zeros, and that norm. Those
+    entries move no state beyond rounding. On them scipy's expm_multiply can
+    divide by zero or overflow, as on a step dt with dt times the norm below
+    _UNIT_ROUNDOFF, which the one step rule (_expm_multiply_steps) carries."""
     norm = np.bincount(cols, np.abs(vals), size).max(initial=0.0)
     keep = ~(np.abs(vals) < norm * _UNIT_ROUNDOFF) & (vals != 0)
     return rows[keep], cols[keep], vals[keep], norm
@@ -246,6 +246,21 @@ def _eigh_evolved(h, vec, times):
         return (phases * (evecs.conj().T @ vec)) @ evecs.T
 
 
+def _expm_multiply_steps(out, idx, rows, cols, vals, start, times):
+    """The one step rule above DENSE_BLOCK_CAP, in both solvers: out[k, idx]
+    = expm(times[k] G) start[idx], G the generator (rows, cols, vals) on the
+    ascending indices idx, which its entries never leave, pruned (_pruned)
+    and stepped over the ascending times with scipy's expm_multiply (Al-Mohy
+    & Higham 2011). An interval with dt times G's 1-norm below
+    _UNIT_ROUNDOFF is carried into the next one, not dropped."""
+    *gen, norm = _pruned(idx.size, *_restricted(idx, rows, cols, vals))
+    gen, vec, t_prev = _csr(idx.size, *gen), start[idx], 0.0  # keeps only the CSR
+    for t, pos in sorted(zip(times.tolist(), range(times.size))):
+        if (t - t_prev) * norm >= _UNIT_ROUNDOFF:
+            vec, t_prev = _expm_multiply((t - t_prev) * gen, vec), t
+        out[pos, idx] = vec
+
+
 def evolve_unitary(hamiltonian, state, times):
     """Pure-state evolution psi(t) = expm(-i H t) psi(0), as an (n_times,
     dim) array in the order of times, which must be finite and non-negative.
@@ -253,9 +268,8 @@ def evolve_unitary(hamiltonian, state, times):
     space above DENSE_BLOCK_CAP states splits into the blocks of H's
     pattern (_generator_blocks), and a block whose start is all zero is not
     evolved. A block of up to DENSE_BLOCK_CAP states is diagonalized (numpy's
-    eigh) for all times at once; the larger ones are stepped together over
-    the ascending times with scipy's expm_multiply (Al-Mohy & Higham 2011).
-    """
+    eigh) for all times at once; the larger ones go together through the one
+    step rule of both solvers (_expm_multiply_steps)."""
     if state.is_density:
         raise DomainError("evolve_unitary expects a pure state vector")
     times = _checked_run(hamiltonian, state, times)
@@ -269,14 +283,8 @@ def evolve_unitary(hamiltonian, state, times):
         out[:, idx] = _eigh_evolved(OperatorMatrix._canonical(idx.size, *_restricted(
             idx, h.rows, h.cols, h.vals), h.basis_tag), data[idx], times)
     if large := [idx for idx in blocks if idx.size > DENSE_BLOCK_CAP]:
-        idx = np.sort(np.concatenate(large))
-        rows, cols, vals, norm = _pruned(idx.size, *_restricted(
-            idx, h.rows, h.cols, -1j * h.vals))
-        gen, vec, t_prev = _csr(idx.size, rows, cols, vals), data[idx], 0.0
-        for t, pos in sorted(zip(times.tolist(), range(times.size))):
-            if (t - t_prev) * norm >= _UNIT_ROUNDOFF:
-                vec, t_prev = _expm_multiply((t - t_prev) * gen, vec), t
-            out[pos, idx] = vec
+        _expm_multiply_steps(out, np.sort(np.concatenate(large)), h.rows,
+                             h.cols, -1j * h.vals, data, times)
     return out
 
 
@@ -623,9 +631,10 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     not stepped. The times are visited in ascending order, and the block
     size alone picks the propagator over each interval dt, on any grid: a
     block of up to DENSE_BLOCK_CAP coordinates is multiplied in place by its
-    dense real expm(dt G_b) (_expm, numpy alone), made on dt's first use and
-    dropped after its last; the larger blocks are propagated together with
-    scipy's expm_multiply (Al-Mohy & Higham 2011). Making the
+    dense real expm(dt G_b) (_expm, numpy alone) on every dt but an exact 0,
+    made on dt's first use and dropped after its last; the larger blocks go
+    together through the one step rule of both solvers
+    (_expm_multiply_steps). So no interval's time is dropped. Making the
     LindbladSnapshots is the state check, and a NumericalConsistencyError
     names the earliest failure, at its time; the start, a principal block
     of a checked QuantumState, needs none.
@@ -646,35 +655,25 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
         raw = np.outer(state.data[support], state.data[support].conj())
     side = size * size
     start = _coordinates(raw[None])[0]
-    rows, cols, vals, norm = _pruned(side, *_hermitian_coordinates(
+    rows, cols, vals, _ = _pruned(side, *_hermitian_coordinates(
         size, *_liouvillian(_restricted(support, *table), size)))
-    # the blocks whose start is not all zero, the dense ones first, laid
-    # out one after another: held[bounds[j]:bounds[j + 1]] is block j, and
-    # held's last slot is the 0 of dead coordinates
     live = [idx for idx in _generator_blocks(rows, cols, side)
             if start[idx].any()]
-    live.sort(key=lambda idx: idx.size > DENSE_BLOCK_CAP)
-    n_dense = sum(idx.size <= DENSE_BLOCK_CAP for idx in live)
-    perm = np.concatenate(live)
-    bounds = np.cumsum([0] + [idx.size for idx in live])
-    # place[k]: where coordinate k is held, perm.size for a dead one, a
-    # slot that holds 0
-    place = np.full(side, perm.size)
+    # the dense ones laid out one after another: held[bounds[j]:bounds[j +
+    # 1]] is block j, and held's last slot is the 0 of every other coordinate
+    dense = [idx for idx in live if idx.size <= DENSE_BLOCK_CAP]
+    perm = np.concatenate([np.arange(0), *dense])
+    bounds = np.cumsum([0] + [idx.size for idx in dense])
+    place = np.full(side, perm.size)  # place[k]: where coordinate k is held
     place[perm] = np.arange(perm.size)
-    inside = place[rows] < perm.size  # nothing flows between blocks
-    rows, cols, vals = place[rows[inside]], place[cols[inside]], vals[inside]
-    dense = []
-    for lo, hi in zip(bounds[:n_dense], bounds[1:n_dense + 1]):
-        ours = (rows >= lo) & (rows < hi)
+    at, to = place[rows], place[cols]
+    gens = []
+    for lo, hi in zip(bounds, bounds[1:]):  # nothing flows between blocks
+        ours = (at >= lo) & (at < hi)
         gen_b = np.zeros((hi - lo, hi - lo))
-        gen_b[rows[ours] - lo, cols[ours] - lo] = vals[ours]
-        dense.append(gen_b)
-    split = bounds[n_dense]  # held[split:-1] holds the large blocks
-    large_gen = None  # the large blocks together, as one CSR matrix
-    if split < perm.size:
-        ours = rows >= split
-        large_gen = _csr(perm.size - split, rows[ours] - split,
-                         cols[ours] - split, vals[ours])
+        gen_b[at[ours] - lo, to[ours] - lo] = vals[ours]
+        gens.append(gen_b)
+    del at, to  # not held while the large blocks step
     order = np.argsort(times, kind="stable")
     steps = np.diff(times[order], prepend=0.0).tolist()
     last_use = {dt: i for i, dt in enumerate(steps)}  # propagators go after it
@@ -682,14 +681,15 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     held = np.append(start[perm], 0.0)
     coords = np.empty((times.size, side))
     for i, dt in enumerate(steps):
-        if dt * norm >= _UNIT_ROUNDOFF:
+        if dt:
             if dt not in propagators:
-                propagators[dt] = [_expm(dt * gen_b) for gen_b in dense]
+                propagators[dt] = [_expm(dt * gen_b) for gen_b in gens]
             for prop, lo, hi in zip(propagators[dt], bounds, bounds[1:]):
                 held[lo:hi] = prop @ held[lo:hi]
-            if large_gen is not None:
-                held[split:-1] = _expm_multiply(dt * large_gen, held[split:-1])
             if last_use[dt] == i:
                 del propagators[dt]
         coords[order[i]] = held[place]
+    if large := [idx for idx in live if idx.size > DENSE_BLOCK_CAP]:
+        _expm_multiply_steps(coords, np.sort(np.concatenate(large)), rows,
+                             cols, vals, start, times)
     return LindbladSnapshots(coords, support, hamiltonian.dim, times)

@@ -137,10 +137,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("experiment", ["spin_transport", "decoherence_check"])
     def test_overflowing_phases(self, tmp_path, capsys, experiment):
-        # couplings of 1e308 MHz make the eigenphases overflow: the
-        # trajectory's finite check names the failure in one error line,
-        # and numpy warns nothing on the way (decoherence_check runs its
-        # ideal half first)
+        # couplings of 1e308 MHz would make the eigenphases overflow: the
+        # precision rule refuses them at parse time in one error line that
+        # names the field, and numpy warns nothing on the way
         p = tmp_path / "c.yaml"
         p.write_text(f"experiment: {experiment}\ninitial_state: '100'\n"
                      "device: {n_qubits: 3, coupling_mhz: [1.0e+308, 1.0e+308]}\n")
@@ -151,7 +150,7 @@ class TestValidate:
         assert [str(w.message) for w in caught] == []
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: trajectory expectation is not finite")
+        assert err.startswith("error: device.coupling_mhz: an |H| entry of ")
         assert err.count("\n") == 1
 
     def test_too_many_shots(self, tmp_path, capsys):
@@ -288,19 +287,20 @@ def _run_on_huge_couplings(tmp_path, experiment, coupling):
 
 @pytest.mark.parametrize("coupling", ["1.0e+306", "1.0e+150"])
 def test_overflowing_run_ends_in_one_error_line(tmp_path, coupling):
-    # couplings this large overflow the Lindblad propagator's squarings, and
-    # at 1e306 the Hamiltonian's norm; the run as a user starts it prints
-    # the snapshot check's error line and nothing else, no numpy warning
+    # couplings this large would overflow the Lindblad propagator's
+    # squarings, and at 1e306 the Hamiltonian's norm; the run as a user
+    # starts it prints the precision rule's error line and nothing else, no
+    # numpy warning
     done = _run_on_huge_couplings(tmp_path, "decoherence_check", coupling)
     assert done.returncode == 2
-    assert done.stderr == ("error: density matrix anti-Hermitian residue nan "
-                           "at t = 2 ns\n")
+    assert done.stderr.startswith("error: device.coupling_mhz: an |H| entry of ")
+    assert done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("experiment", ["spin_transport", "spin_current"])
 def test_non_finite_trajectory_is_refused(tmp_path, experiment):
-    # at 1e308 MHz the ideal phases overflow to nan; the trajectory check
-    # refuses them before any CSV is written (numpy's warnings come first)
+    # at 1e308 MHz the ideal phases would overflow to nan; the run is
+    # refused before any CSV is written
     done = _run_on_huge_couplings(tmp_path, experiment, "1.0e+308")
     assert done.returncode == 2
     assert done.stderr.splitlines()[-1].startswith("error: ")
@@ -1009,6 +1009,26 @@ class TestNoisyWslScan:
         header, data = _read_csv(tmp_path / "wsl_scan.csv")
         assert header == ["F_mhz", "p5max", "ln_p5max", "xi_boundary"]
         assert np.all((data[:, 1] > 0) & (data[:, 1] < 1))
+
+    def test_peak_out_of_range_names_the_gradient(self, tmp_path, capsys):
+        # two shots from 101X- on 4 qubits: the Gaussian fit's amplitude at
+        # F = 2.5 MHz is 3.2, no probability; the one error line names the
+        # gradient, as the no-wavefront refusal does
+        p = tmp_path / "c.yaml"
+        p.write_text(
+            "experiment: wsl_scan\ndevice: {n_qubits: 4, coupling_mhz: "
+            "[14.4, 14.4, 14.4], t1_us: [0.5, 0.5, 0.5, 0.5], t2star_us: "
+            "[5.0, 5.0, 5.0, 5.0]}\nF: [2.5]\ninitial_state: '101X-'\n"
+            "t_max: 20\ndt_sample: 0.5\nnoise: lindblad\ndephasing: pure\n"
+            "readout_correction: true\n"
+            "shots: {n_shots: 2, n_groups: 1, seed: 1}\n")
+        assert main(["wsl_scan", "--config", str(p),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: P5max must lie strictly in (0, 1), got 3.2")
+        assert err.endswith(" at F[0] = 2.5 MHz\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 def test_noisy_scan_finishes_on_thirty_more_seeds(tmp_path):

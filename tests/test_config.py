@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from starkchain import (
     ConfigError,
+    ConfusionMatrix,
     ExperimentConfig,
     ShotPlan,
     load_config,
@@ -529,6 +530,46 @@ class TestCountBudget:
             parse_config(self._chain(17))
 
 
+class TestPrecisionRule:
+    # the largest |H| entry times t_max is held to 1e6 rad. From "100" on 3
+    # qubits that entry is the larger of the couplings and 3 |F| (site 3's
+    # diagonal), and at t_max = 300 ns the bound is 1e6 / 300 rad/ns, or
+    # 530516 MHz
+    RAW = {"experiment": "spin_transport", "initial_state": "100",
+           "device": {"n_qubits": 3, "coupling_mhz": [14.4, 14.4]}}
+
+    @pytest.mark.parametrize("coupling", [1.0e300, 1.0e308])
+    def test_huge_couplings_are_refused(self, coupling):
+        raw = dict(self.RAW, device={"n_qubits": 3, "coupling_mhz": [coupling] * 2})
+        with pytest.raises(ConfigError, match=r"^device\.coupling_mhz: an \|H\| "
+                           r"entry of 6\.28e\+\d+ rad/ns times t_max = 300 ns "
+                           r"exceeds the 1e6 rad"):
+            parse_config(raw)
+
+    def test_the_bound(self):
+        def chain(g):
+            return dict(self.RAW, device={"n_qubits": 3, "coupling_mhz": [1.0, g]})
+        parse_config(chain(5.3e5))
+        with pytest.raises(ConfigError, match=r"^device\.coupling_mhz: "):
+            parse_config(chain(5.31e5))
+        parse_config(dict(self.RAW, F=1.76e5))
+        with pytest.raises(ConfigError, match=r"^F\[0\]: an \|H\| entry of "):
+            parse_config(dict(self.RAW, F=1.77e5))
+        # a shorter run keeps its phases to the same bound
+        parse_config(dict(self.RAW, F=1.77e5, t_max=290.0))
+
+    def test_the_dominant_field_is_named(self):
+        # from X+X+0 two excitations reach sites 2 and 3: 5 |F|
+        raw = dict(self.RAW, experiment="wsl_scan", initial_state="X+X+0",
+                   F=[5.0, 1.1e5, 9e4],
+                   device={"n_qubits": 3, "coupling_mhz": [5e5, 14.4]})
+        with pytest.raises(ConfigError, match=r"^F\[1\]: an \|H\| entry of 3\.46"):
+            parse_config(raw)
+        raw["device"] = {"n_qubits": 3, "coupling_mhz": [6e5, 14.4]}
+        with pytest.raises(ConfigError, match=r"^device\.coupling_mhz: "):
+            parse_config(raw)
+
+
 class TestReadout:
     def test_table_requires_five_qubits(self):
         with pytest.raises(ConfigError, match="5-qubit"):
@@ -540,13 +581,13 @@ class TestReadout:
 
     def test_table_values(self):
         cfg = parse_config({"experiment": "spin_transport", "readout": "table-s1"})
-        assert cfg.readout[0] == (0.981, 0.853)
-        assert cfg.readout[4] == (0.971, 0.917)
+        assert cfg.readout[0] == ConfusionMatrix(f0=0.981, f1=0.853)
+        assert cfg.readout[4] == ConfusionMatrix(f0=0.971, f1=0.917)
 
     def test_explicit_list(self):
         entries = [{"f0": 0.95, "f1": 0.9}] * 5
         cfg = parse_config({"experiment": "spin_transport", "readout": entries})
-        assert cfg.readout == ((0.95, 0.9),) * 5
+        assert cfg.readout == (ConfusionMatrix(f0=0.95, f1=0.9),) * 5
 
     def test_range_check(self):
         entries = [{"f0": 1.5, "f1": 0.9}] * 5
@@ -556,7 +597,7 @@ class TestReadout:
     def test_correction_needs_invertible_entries(self):
         entries = [{"f0": 0.95, "f1": 0.9}] * 4 + [{"f0": 0.6, "f1": 0.4}]
         raw = {"experiment": "spin_transport", "readout": entries}
-        assert parse_config(raw).readout[4] == (0.6, 0.4)
+        assert parse_config(raw).readout[4] == ConfusionMatrix(f0=0.6, f1=0.4)
         with pytest.raises(ConfigError, match=r"^readout\[4\]: .*singular"):
             parse_config(dict(raw, readout_correction=True))
 
@@ -671,4 +712,4 @@ class TestLoadConfig:
         p = tmp_path / "alias.yaml"
         p.write_text("experiment: spin_transport\n"
                      "readout: [&q {f0: 0.9, f1: 0.9}, *q, *q, *q, *q]\n")
-        assert load_config(p).readout == ((0.9, 0.9),) * 5
+        assert load_config(p).readout == (ConfusionMatrix(f0=0.9, f1=0.9),) * 5

@@ -1022,6 +1022,75 @@ def test_full_space_run_equals_the_sector_range_run(chain):
     assert not full.any()
 
 
+def _displacements(h, state, times, at):
+    """rho(t) - rho(0) at the snapshots at of a run on times, times[0] = 0,
+    from evolve_unitary and from the noise-free evolve_lindblad, each
+    measured from its own first snapshot."""
+    amps = evolve_unitary(h, state, times)[[0, *at]]
+    unitary = np.einsum("ti,tj->tij", amps, amps.conj())
+    snaps = evolve_lindblad(h, state, times, CollapseOperatorSet((), h.basis_tag))
+    lindblad = dynamics.LindbladSnapshots(
+        snaps.coords[[0, *at]], snaps.support, h.dim,
+        times[[0, *at]]).matrices()
+    return unitary[1:] - unitary[0], lindblad[1:] - lindblad[0]
+
+
+@st.composite
+def _sub_roundoff_grids(draw):
+    # (kind, size, count) segments: normal steps in ns, exact repeats, and
+    # runs of steps of size times 2^-53 / (4 |H|_1), below 2^-53 over the
+    # 1-norm of either solver's generator: that of the noise-free generator
+    # on the Hermitian coordinates is at most 4 |H|_1 for a real H
+    n = draw(st.integers(2, 4))
+    spec = "".join(draw(st.lists(st.sampled_from(["0", "1", "X+", "X-"]),
+                                 min_size=n, max_size=n)))
+    tilt = draw(st.sampled_from([0.0, 7.5, -15.0, 30.0]))
+    segments = draw(st.lists(st.one_of(
+        st.tuples(st.just("normal"), st.floats(0.01, 4.0), st.just(1)),
+        st.tuples(st.just("repeat"), st.just(0.0), st.integers(1, 3)),
+        st.tuples(st.just("short"), st.floats(0.05, 0.95), st.integers(1, 300))),
+        min_size=1, max_size=4))
+    return n, spec, tilt, segments
+
+
+@pytest.mark.parametrize("cap", [dynamics.DENSE_BLOCK_CAP, 0])
+@settings(max_examples=10, deadline=None)
+@given(_sub_roundoff_grids())
+# only short steps, with a repeat between two runs: frozen where the steps
+# were dropped
+@example((2, "X+0", -15.0, [("short", 0.9, 200), ("repeat", 0.0, 2),
+                             ("short", 0.5, 100)]))
+def test_noise_free_lindblad_moves_as_the_unitary(cap, grid):
+    # each solver's one step rule leaves out no interval's time: the dense
+    # propagators take every nonzero step, and expm_multiply carries a step
+    # too short for it into the next one. The unitary's displacement is
+    # matched to 1%, within a carry's lag of a few ulps
+    n, spec, tilt, segments = grid
+    h = build_xy_hamiltonian(DeviceParams.uniform(n), PotentialSpec.linear(tilt))
+    short = 2.0 ** -53 / (4 * np.abs(h.todense()).sum(axis=0).max())
+    steps = [0.0]
+    for kind, size, count in segments:
+        steps += [size * short if kind == "short" else size] * count
+    with mock.patch.object(dynamics, "DENSE_BLOCK_CAP", cap):
+        unitary, lindblad = _displacements(
+            h, prepare_initial_state(spec, n), np.cumsum(steps), range(len(steps)))
+    gap = np.abs(lindblad - unitary).max(axis=(1, 2))
+    assert np.all(gap <= 0.01 * np.abs(unitary).max(axis=(1, 2)) + 2.0 ** -51)
+
+
+def test_steps_below_roundoff_move_the_lindblad_run():
+    # 100 000 snapshots 2.5e-17 ns apart from X+0000: each step is below
+    # 2^-53 over the generator's 1-norm, and together they move rho by
+    # 1.2e-13, as in the unitary run
+    h = build_xy_hamiltonian(paper_device(), PotentialSpec.linear(-15.0))
+    (unitary,), (lindblad,) = _displacements(
+        h, prepare_initial_state("X+0000", 5), 2.5e-17 * np.arange(100_000),
+        [-1])
+    moved = np.abs(unitary).max()
+    assert moved >= 1e-13
+    assert np.abs(lindblad - unitary).max() <= 0.01 * moved
+
+
 def _expm_gap(got, want):
     """The 1-norm of got - want relative to that of want."""
     return np.abs(got - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max()

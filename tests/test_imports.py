@@ -284,7 +284,7 @@ class TestPublicSurface:
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 # backticked dotted names in the README that are config field paths
-_FIELD_PATHS = {"device.n_qubits"}
+_FIELD_PATHS = {"device.n_qubits", "device.coupling_mhz"}
 
 
 def test_readme_cites_only_names_that_exist():
