@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .device import _POSITIVE, _real
 from .errors import DomainError, FitDomainError, NoWavefrontError
 
 GN_MAX_ITERATIONS = 200
@@ -169,6 +170,9 @@ def linear_fit(x, y):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DomainError("x and y must be 1-d with matching length")
+    for name, values in (("x", x), ("y", y)):
+        if not np.isfinite(values).all():
+            raise DomainError(f"{name} must be finite")
     if np.unique(x).shape[0] < 2:
         raise FitDomainError("need at least 2 distinct x values")
     design = np.vstack([x, np.ones_like(x)]).T
@@ -216,6 +220,5 @@ def wsl_length_from_boundary(p5max, distance, alpha=1.0):
     equal to it, with alpha the user's proportionality scale."""
     if not 0.0 < p5max < 1.0:
         raise DomainError(f"P5max must lie strictly in (0, 1), got {p5max}")
-    if distance <= 0:
-        raise DomainError("distance must be positive")
-    return -float(alpha) * float(distance) / np.log(p5max)
+    distance = _real(distance, "distance", _POSITIVE)
+    return -_real(alpha, "alpha", _POSITIVE) * distance / np.log(p5max)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .device import (_FIDELITY, _POSITIVE, ANGULAR_PER_MHZ, ConfusionMatrix,
-                     DeviceParams, _real, device_preset)
+                     DeviceParams, _integer, _real, device_preset)
 from .errors import ConfigError, DomainError, StateSpecError
 
 EXPERIMENTS = (
@@ -191,12 +191,8 @@ def _require(cond, path, msg):
 
 # _as_number(value, path, rule=None): a float under the device's number rule
 _as_number = partial(_real, error=ConfigError)
-
-
-def _as_int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
+# _as_int(value, path): an int under the device's count rule
+_as_int = partial(_integer, error=ConfigError)
 
 
 def _parse_device(raw, path="device"):

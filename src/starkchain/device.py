@@ -43,6 +43,15 @@ def _real(value, name, rule=None, error=DomainError):
     return v
 
 
+def _integer(value, name, error=DomainError):
+    """value as an int: the one count rule beside _real. bool and anything
+    that is not a numbers.Integral are refused, as an error naming the
+    field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 # each per-qubit field of DeviceParams and the rule its values keep
 _FIELD_RULES = {"coupling_mhz": None, "anharmonicity_mhz": None,
                 "t1_us": _POSITIVE, "t2star_us": _POSITIVE,

@@ -146,10 +146,28 @@ def _pruned(size, rows, cols, vals):
     _UNIT_ROUNDOFF times its 1-norm and exact zeros, and that norm. Those
     entries move no state beyond rounding. On them scipy's expm_multiply can
     divide by zero or overflow, as on a step dt with dt times the norm below
-    _UNIT_ROUNDOFF, which the one step rule (_expm_multiply_steps) carries."""
+    _UNIT_ROUNDOFF, which the one step list (_steps) carries."""
     norm = np.bincount(cols, np.abs(vals), size).max(initial=0.0)
     keep = ~(np.abs(vals) < norm * _UNIT_ROUNDOFF) & (vals != 0)
     return rows[keep], cols[keep], vals[keep], norm
+
+
+def _steps(times, norm):
+    """The one step list of every stepped block, norm the 1-norm of its
+    generator: (position, dt) for each of times, ascending, ties in input
+    order. dt is the time less the last taken one, or 0 where the interval
+    is carried into the next one, not taken: an exact 0, or dt times norm
+    below _UNIT_ROUNDOFF, which moves no state beyond rounding. So no
+    interval's time is dropped."""
+    order, steps, t_prev = np.argsort(times, kind="stable"), [], 0.0
+    for t, pos in zip(times[order].tolist(), order.tolist()):
+        dt = t - t_prev
+        if not dt or dt * norm < _UNIT_ROUNDOFF:
+            dt = 0.0
+        else:
+            t_prev = t
+        steps.append((pos, dt))
+    return steps
 
 
 def _pade_rows(m):
@@ -240,52 +258,74 @@ def _expm_multiply(gen, vec):
 def _eigh_evolved(h, vec, times):
     """expm(-i h t) vec at each of times, from one eigendecomposition of the
     dense h; an overflowing phase is nan, without a warning, as in _expm."""
-    evals, evecs = np.linalg.eigh(h.todense())
+    evals, evecs = np.linalg.eigh(h)
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(-1j * np.outer(times, evals))
         return (phases * (evecs.conj().T @ vec)) @ evecs.T
 
 
-def _expm_multiply_steps(out, idx, rows, cols, vals, start, times):
-    """The one step rule above DENSE_BLOCK_CAP, in both solvers: out[k, idx]
-    = expm(times[k] G) start[idx], G the generator (rows, cols, vals) on the
-    ascending indices idx, which its entries never leave, pruned (_pruned)
-    and stepped over the ascending times with scipy's expm_multiply (Al-Mohy
-    & Higham 2011). An interval with dt times G's 1-norm below
-    _UNIT_ROUNDOFF is carried into the next one, not dropped."""
-    *gen, norm = _pruned(idx.size, *_restricted(idx, rows, cols, vals))
-    gen, vec, t_prev = _csr(idx.size, *gen), start[idx], 0.0  # keeps only the CSR
-    for t, pos in sorted(zip(times.tolist(), range(times.size))):
-        if (t - t_prev) * norm >= _UNIT_ROUNDOFF:
-            vec, t_prev = _expm_multiply((t - t_prev) * gen, vec), t
-        out[pos, idx] = vec
+def _expm_stepped(gen, vec, times):
+    """(position, expm(t G) vec) for each of times along the step list
+    (_steps), G the dense real block gen: one expm(dt G) (_expm, numpy
+    alone) per distinct dt, made on its first use, dropped after its last."""
+    steps = _steps(times, np.abs(gen).sum(axis=0).max())
+    last = {dt: i for i, (_, dt) in enumerate(steps)}
+    propagators = {}
+    for i, (pos, dt) in enumerate(steps):
+        if dt:
+            if dt not in propagators:
+                propagators[dt] = _expm(dt * gen)
+            vec = (propagators.pop(dt) if last[dt] == i
+                   else propagators[dt]) @ vec
+        yield pos, vec
+
+
+def _evolved_blocks(rows, cols, vals, start, times, dense):
+    """The one block loop of both solvers: expm(t G) start at each of
+    times, in their order, as a (T, size) array, G the generator (rows,
+    cols, vals) on the indices of start. G splits into the blocks of its
+    pattern (_generator_blocks); a block whose start is all zero stays
+    zero. A block of up to DENSE_BLOCK_CAP indices is made dense and given
+    with its start and the times to dense, the solver's dense propagator,
+    which yields (position, row) for each time. The larger blocks go
+    together, pruned (_pruned), through scipy's expm_multiply (Al-Mohy &
+    Higham 2011), one call per interval of the step list (_steps)."""
+    out = np.zeros((times.size, start.size), dtype=start.dtype)
+    blocks = [idx for idx in _generator_blocks(rows, cols, start.size)
+              if start[idx].any()]
+    for idx in (idx for idx in blocks if idx.size <= DENSE_BLOCK_CAP):
+        r, c, v = _restricted(idx, rows, cols, vals)
+        gen = np.zeros((idx.size, idx.size), dtype=vals.dtype)
+        gen[r, c] += v  # added to zeros, as todense: a -0.0 becomes +0.0
+        for pos, row in dense(gen, start[idx], times):
+            out[pos][idx] = row
+    if large := [idx for idx in blocks if idx.size > DENSE_BLOCK_CAP]:
+        idx = np.sort(np.concatenate(large))
+        *gen, norm = _pruned(idx.size, *_restricted(idx, rows, cols, vals))
+        gen, vec = _csr(idx.size, *gen), start[idx]  # keeps only the CSR
+        for pos, dt in _steps(times, norm):
+            if dt:
+                vec = _expm_multiply(dt * gen, vec)
+            out[pos][idx] = vec
+    return out
 
 
 def evolve_unitary(hamiltonian, state, times):
     """Pure-state evolution psi(t) = expm(-i H t) psi(0), as an (n_times,
     dim) array in the order of times, which must be finite and non-negative.
-    The block size alone picks the propagator, as in evolve_lindblad: a
-    space above DENSE_BLOCK_CAP states splits into the blocks of H's
-    pattern (_generator_blocks), and a block whose start is all zero is not
-    evolved. A block of up to DENSE_BLOCK_CAP states is diagonalized (numpy's
-    eigh) for all times at once; the larger ones go together through the one
-    step rule of both solvers (_expm_multiply_steps)."""
+    A space of up to DENSE_BLOCK_CAP states is one block, diagonalized
+    (numpy's eigh) for all times at once; a larger one goes through the one
+    block loop of both solvers (_evolved_blocks) with G = -iH, where each
+    dense block gets one eigh of iG = H."""
     if state.is_density:
         raise DomainError("evolve_unitary expects a pure state vector")
     times = _checked_run(hamiltonian, state, times)
     h, data = hamiltonian, state.data
     if h.dim <= DENSE_BLOCK_CAP:  # one block: a split picks no other propagator
-        return _eigh_evolved(h, data, times)
-    blocks = [idx for idx in _generator_blocks(h.rows, h.cols, h.dim)
-              if data[idx].any()]
-    out = np.zeros((times.size, h.dim), dtype=complex)
-    for idx in (idx for idx in blocks if idx.size <= DENSE_BLOCK_CAP):
-        out[:, idx] = _eigh_evolved(OperatorMatrix._canonical(idx.size, *_restricted(
-            idx, h.rows, h.cols, h.vals), h.basis_tag), data[idx], times)
-    if large := [idx for idx in blocks if idx.size > DENSE_BLOCK_CAP]:
-        _expm_multiply_steps(out, np.sort(np.concatenate(large)), h.rows,
-                             h.cols, -1j * h.vals, data, times)
-    return out
+        return _eigh_evolved(h.todense(), data, times)
+    return _evolved_blocks(
+        h.rows, h.cols, -1j * h.vals, data, times,
+        lambda gen, vec, t: enumerate(_eigh_evolved(1j * gen, vec, t)))
 
 
 @dataclass(frozen=True)
@@ -621,23 +661,18 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     of times, on the basis states reachable from the state (6 of 32 on the
     full space for "10000", all 6 on its counts 0..1).
 
-    H and the C_k are stacked once into one entry table (_entry_table),
-    the reachable states are closed over it (_reachable), and a support
-    above LINDBLAD_SUPPORT_CAP states is refused before the generator is
-    assembled on it. On the coordinates the generator is real
+    H and the C_k are stacked once into one entry table (_entry_table), the
+    reachable states are closed over it (_reachable), and a support above
+    LINDBLAD_SUPPORT_CAP states is refused before the generator is assembled
+    on it. On the coordinates the generator is real
     (_hermitian_coordinates), so every snapshot is Hermitian by
-    construction. It splits into independent real blocks (26/10 for
-    "10000", 126/110/20 for "X+X+000"); a block whose start is all zero is
-    not stepped. The times are visited in ascending order, and the block
-    size alone picks the propagator over each interval dt, on any grid: a
-    block of up to DENSE_BLOCK_CAP coordinates is multiplied in place by its
-    dense real expm(dt G_b) (_expm, numpy alone) on every dt but an exact 0,
-    made on dt's first use and dropped after its last; the larger blocks go
-    together through the one step rule of both solvers
-    (_expm_multiply_steps). So no interval's time is dropped. Making the
-    LindbladSnapshots is the state check, and a NumericalConsistencyError
-    names the earliest failure, at its time; the start, a principal block
-    of a checked QuantumState, needs none.
+    construction. Pruned (_pruned), it goes through the one block loop of
+    both solvers (_evolved_blocks), which splits it into real blocks (26/10
+    for "10000", 126/110/20 for "X+X+000"); each of up to DENSE_BLOCK_CAP
+    coordinates steps by its dense expm(dt G_b) (_expm_stepped, numpy alone)
+    on any grid. Making the LindbladSnapshots is the state check: a
+    NumericalConsistencyError names the earliest failure, at its time. The
+    start, a principal block of a checked QuantumState, needs none.
     """
     times = _checked_run(hamiltonian, state, times)
     if collapse.basis_tag != hamiltonian.basis_tag:
@@ -653,43 +688,8 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
         raw = state.data[np.ix_(support, support)]
     else:
         raw = np.outer(state.data[support], state.data[support].conj())
-    side = size * size
-    start = _coordinates(raw[None])[0]
-    rows, cols, vals, _ = _pruned(side, *_hermitian_coordinates(
+    rows, cols, vals, _ = _pruned(size * size, *_hermitian_coordinates(
         size, *_liouvillian(_restricted(support, *table), size)))
-    live = [idx for idx in _generator_blocks(rows, cols, side)
-            if start[idx].any()]
-    # the dense ones laid out one after another: held[bounds[j]:bounds[j +
-    # 1]] is block j, and held's last slot is the 0 of every other coordinate
-    dense = [idx for idx in live if idx.size <= DENSE_BLOCK_CAP]
-    perm = np.concatenate([np.arange(0), *dense])
-    bounds = np.cumsum([0] + [idx.size for idx in dense])
-    place = np.full(side, perm.size)  # place[k]: where coordinate k is held
-    place[perm] = np.arange(perm.size)
-    at, to = place[rows], place[cols]
-    gens = []
-    for lo, hi in zip(bounds, bounds[1:]):  # nothing flows between blocks
-        ours = (at >= lo) & (at < hi)
-        gen_b = np.zeros((hi - lo, hi - lo))
-        gen_b[at[ours] - lo, to[ours] - lo] = vals[ours]
-        gens.append(gen_b)
-    del at, to  # not held while the large blocks step
-    order = np.argsort(times, kind="stable")
-    steps = np.diff(times[order], prepend=0.0).tolist()
-    last_use = {dt: i for i, dt in enumerate(steps)}  # propagators go after it
-    propagators = {}
-    held = np.append(start[perm], 0.0)
-    coords = np.empty((times.size, side))
-    for i, dt in enumerate(steps):
-        if dt:
-            if dt not in propagators:
-                propagators[dt] = [_expm(dt * gen_b) for gen_b in gens]
-            for prop, lo, hi in zip(propagators[dt], bounds, bounds[1:]):
-                held[lo:hi] = prop @ held[lo:hi]
-            if last_use[dt] == i:
-                del propagators[dt]
-        coords[order[i]] = held[place]
-    if large := [idx for idx in live if idx.size > DENSE_BLOCK_CAP]:
-        _expm_multiply_steps(coords, np.sort(np.concatenate(large)), rows,
-                             cols, vals, start, times)
+    coords = _evolved_blocks(rows, cols, vals, _coordinates(raw[None])[0],
+                             times, _expm_stepped)
     return LindbladSnapshots(coords, support, hamiltonian.dim, times)

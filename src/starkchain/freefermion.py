@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .device import _real
 from .errors import DomainError, FitDomainError
 
 # A fitted length above this is reported as "no decay resolved" by raising,
@@ -54,9 +55,12 @@ def single_particle_matrix(params, potential):
 
 
 def _amplitudes(h, site0, times_ns):
+    times_ns = np.asarray(times_ns, dtype=float)
+    if not np.isfinite(times_ns).all():
+        raise DomainError("times_ns must be finite")
     energies, modes = np.linalg.eigh(h.matrix)
     c0 = modes[site0 - 1, :]
-    phases = np.exp(-1j * np.outer(energies, np.asarray(times_ns, dtype=float)))
+    phases = np.exp(-1j * np.outer(energies, times_ns))
     return modes @ (phases * c0[:, None])  # (L, nt)
 
 
@@ -81,7 +85,6 @@ def two_excitation_slater(h, sites0, times_ns):
     for s in (i0, j0):
         if not 1 <= s <= h.size:
             raise DomainError(f"site {s} outside 1..{h.size}")
-    times_ns = np.asarray(times_ns, dtype=float)
     ua = _amplitudes(h, i0, times_ns)  # column of e^{-iht} from i0, (L, nt)
     ub = _amplitudes(h, j0, times_ns)
     # A[i,j] = U_ia U_jb - U_ja U_ib, antisymmetric; |A_ij|^2 = <n_i n_j>
@@ -94,7 +97,7 @@ def two_excitation_slater(h, sites0, times_ns):
 def time_averaged_profile(h, site0, gradient_mhz):
     """Mean of P_j(t) over 1500 times evenly spaced on [5 T_B, 10 T_B];
     averages out the BO phase."""
-    f = abs(float(gradient_mhz))
+    f = abs(_real(gradient_mhz, "gradient_mhz"))
     if f == 0:
         raise DomainError("averaging window needs a nonzero gradient")
     t_b = 1e3 / f
@@ -114,6 +117,8 @@ def fit_localization_length(profile, center, xi_guess=None):
     is superexponential and would bias the slope steep.
     """
     profile = np.asarray(profile, dtype=float)
+    if not np.isfinite(profile).all():
+        raise DomainError("profile must be finite")
     length = profile.shape[0]
     if not 1 <= center <= length:
         raise DomainError("center outside the profile")

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ConfusionMatrix
+from .config import MAX_SHOTS
+from .device import ConfusionMatrix, _integer
 from .dynamics import LindbladSnapshots, _checked_stack, _hermitian_slots
 from .errors import DomainError, StateSpecError
 
@@ -206,13 +207,20 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
     if len(confusion) != n_qubits:
         raise DomainError(
             f"need {n_qubits} confusion matrices, got {len(confusion)}")
-    if n_shots < 1:
-        raise DomainError("n_shots must be positive")
+    n_shots = _integer(n_shots, "n_shots")
+    n_groups = _integer(n_groups, "n_groups")
+    if not 1 <= n_shots <= MAX_SHOTS:
+        raise DomainError(f"n_shots must be in 1..{MAX_SHOTS}, got {n_shots}")
     if np.ndim(seeds) != 1 or not len(states) or len(seeds) != len(states):
         raise DomainError(
             f"need one seed per state, got {np.size(seeds)} seeds for "
             f"{len(states)} states")
-    n_shots = int(n_shots)
+    # an array of an integer dtype passes on its dtype alone
+    if not (isinstance(seeds, np.ndarray) and np.issubdtype(seeds.dtype, np.integer)):
+        bad = [s for s in seeds
+               if isinstance(s, bool) or not isinstance(s, (int, np.integer))]
+        if bad:
+            raise DomainError(f"seeds must be integers, got {bad[0]!r}")
     if n_groups < 1 or n_shots % n_groups:
         raise DomainError(
             f"{n_shots} shots per state not divisible into {n_groups} groups")

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .device import DeviceParams, PotentialSpec
+from .device import DeviceParams, PotentialSpec, _integer
 from .errors import DomainError
 
 DENSE_DIM_CAP = 4096
@@ -72,11 +72,11 @@ def build_sector_basis(n_sites, n_excitations):
     States are sorted in descending lexicographic order, site 1 most
     significant: (5, 1) gives 10000, 01000, 00100, 00010, 00001.
     """
-    n = int(n_sites)
+    n = _integer(n_sites, "n_sites")
     if n < 1:
         raise DomainError(f"n_sites must be >= 1, got {n_sites}")
-    lo, hi = (map(int, n_excitations) if isinstance(n_excitations, tuple)
-              else (int(n_excitations),) * 2)
+    ends = n_excitations if isinstance(n_excitations, tuple) else (n_excitations,) * 2
+    lo, hi = (_integer(k, "n_excitations") for k in ends)
     if not 0 <= lo <= hi <= n:
         raise DomainError(f"n_excitations must lie in [0, {n}], got {n_excitations}")
     states = tuple(sorted((tuple(int(j in occupied) for j in range(n))
@@ -103,13 +103,9 @@ def _hermitian_residue(dim, rows, cols, vals):
     mirror = np.argsort(tkey)
     if np.array_equal(tkey[mirror], key):
         diff = vals - vals[mirror].conj()
-    else:
-        union, where = np.unique(np.concatenate([key, tkey]), return_inverse=True)
-        a = np.zeros(union.size, dtype=complex)
-        b = np.zeros(union.size, dtype=complex)
-        a[where[:key.size]] = vals
-        b[where[key.size:]] = vals.conj()
-        diff = a - b
+    else:  # M's entries, then M+'s negated, summed on the union of patterns
+        diff = _summed(dim, np.concatenate([rows, cols]), np.concatenate(
+            [cols, rows]), np.concatenate([vals, -vals.conj()]))[2]
     diff = diff[diff != 0]
     # a norm that overflows is inf, and the figure then 0, or nan, which
     # fails every tolerance
@@ -345,7 +341,7 @@ def build_observable(kind, index, params, potential=None, basis=None,
     fock_cutoff targets the truncated bosonic space (density only).
     """
     n = params.n_qubits
-    j = int(index)
+    j = _integer(index, "index")
     if fock_cutoff is not None:
         if basis is not None:
             raise DomainError("pass either basis or fock_cutoff, not both")

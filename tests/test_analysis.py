@@ -214,6 +214,17 @@ class TestLinearFit:
         with pytest.raises(DomainError):
             linear_fit(np.arange(4.0), np.arange(5.0))
 
+    @pytest.mark.parametrize("x, y, name", [
+        ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0], "y"),
+        ([1.0, 2.0, 3.0], [1.0, np.nan, 3.0], "y"),
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0], "x"),
+        ([1.0, 2.0, -np.inf], [1.0, 2.0, 3.0], "x"),
+    ])
+    def test_non_finite_inputs(self, x, y, name):
+        # an inf gave a nan slope after a RuntimeWarning
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            linear_fit(x, y)
+
 
 class TestP5maxScan:
     """The P5max scan as the CLI's wsl_scan runs it, and boundary_peak on
@@ -269,3 +280,15 @@ class TestBoundaryLength:
             wsl_length_from_boundary(0.0, 4.0)
         with pytest.raises(DomainError):
             wsl_length_from_boundary(0.5, 0.0)
+
+    @pytest.mark.parametrize("p5max, distance, alpha, match", [
+        (0.5, np.nan, 1.0, "^distance: must be finite, got nan$"),
+        (0.5, np.inf, 1.0, "^distance: must be finite, got inf$"),
+        (0.5, 4.0, np.nan, "^alpha: must be finite, got nan$"),
+        (0.5, 4.0, -1.0, "^alpha: must be positive, got -1.0$"),
+        (0.5, 4.0, 0.0, "^alpha: must be positive, got 0.0$"),
+    ])
+    def test_every_input_is_named(self, p5max, distance, alpha, match):
+        # a nan distance gave a nan length, and alpha -1 a negative one
+        with pytest.raises(DomainError, match=match):
+            wsl_length_from_boundary(p5max, distance, alpha)

@@ -1061,10 +1061,10 @@ def _sub_roundoff_grids(draw):
 @example((2, "X+0", -15.0, [("short", 0.9, 200), ("repeat", 0.0, 2),
                              ("short", 0.5, 100)]))
 def test_noise_free_lindblad_moves_as_the_unitary(cap, grid):
-    # each solver's one step rule leaves out no interval's time: the dense
-    # propagators take every nonzero step, and expm_multiply carries a step
-    # too short for it into the next one. The unitary's displacement is
-    # matched to 1%, within a carry's lag of a few ulps
+    # the one step list of both solvers leaves out no interval's time: every
+    # stepped block, dense or above the cap, carries a step too short for it
+    # into the next one. The unitary's displacement is matched to 1%, within
+    # a carry's lag of a few ulps
     n, spec, tilt, segments = grid
     h = build_xy_hamiltonian(DeviceParams.uniform(n), PotentialSpec.linear(tilt))
     short = 2.0 ** -53 / (4 * np.abs(h.todense()).sum(axis=0).max())
@@ -1089,6 +1089,48 @@ def test_steps_below_roundoff_move_the_lindblad_run():
     moved = np.abs(unitary).max()
     assert moved >= 1e-13
     assert np.abs(lindblad - unitary).max() <= 0.01 * moved
+
+
+@st.composite
+def _step_grids(draw):
+    """(times, norm): an unsorted grid of normal steps, exact repeats and
+    runs of steps below 2^-53 over norm, and the 1-norm of a generator."""
+    norm = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+    short = 2.0 ** -53 / max(norm, 1e-3)
+    t, times = draw(st.floats(0.0, 10.0)), []
+    for kind, size, count in draw(st.lists(st.one_of(
+            st.tuples(st.just("normal"), st.floats(1e-3, 4.0), st.just(1)),
+            st.tuples(st.just("repeat"), st.just(0.0), st.integers(1, 3)),
+            st.tuples(st.just("short"), st.floats(0.05, 2.0), st.integers(1, 20))),
+            min_size=1, max_size=6)):
+        for _ in range(count):
+            t += size * short if kind == "short" else size
+            times.append(t)
+    order = draw(st.permutations(range(len(times))))
+    return np.array(times)[order], norm
+
+
+@settings(max_examples=200, deadline=None)
+@given(_step_grids())
+@example((np.array([2.0, 0.0, 2.0, 1.0]), 0.0))  # no block moves: all carried
+def test_step_list(grid):
+    # every position once, in ascending time with ties in input order; an
+    # exact 0 or an interval below 2^-53 over the norm gives 0 and is
+    # carried, and every other dt is its time less the last taken, bit for
+    # bit, so what stays untaken at the end is below roundoff too
+    times, norm = grid
+    steps = dynamics._steps(times, norm)
+    assert [pos for pos, _ in steps] == sorted(range(times.size),
+                                                key=lambda k: times[k])
+    taken = 0.0
+    for pos, dt in steps:
+        gap = times[pos] - taken
+        if gap == 0 or gap * norm < 2.0 ** -53:
+            assert dt == 0.0
+        else:
+            assert dt == gap > 0
+            taken = times[pos]
+    assert (times.max() - taken) * norm < 2.0 ** -53 or times.max() == taken
 
 
 def _expm_gap(got, want):

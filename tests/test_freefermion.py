@@ -98,6 +98,17 @@ class TestEDEquivalence:
         with pytest.raises(DomainError):
             two_excitation_slater(m, (2, 2), [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times(self, bad):
+        # refused as both many-body solvers refuse them; a nan time gave
+        # nan densities
+        m = single_particle_matrix(DeviceParams.uniform(4, coupling_mhz=10.0),
+                                   PotentialSpec.linear(0.0))
+        with pytest.raises(DomainError, match="^times_ns must be finite$"):
+            propagate_single_particle(m, 1, [0.0, bad])
+        with pytest.raises(DomainError, match="^times_ns must be finite$"):
+            two_excitation_slater(m, (1, 3), [bad])
+
 
 class TestBlochOscillation:
     def test_revival_period_l21(self):
@@ -163,6 +174,21 @@ class TestWSLFits:
     def test_center_validation(self):
         with pytest.raises(DomainError):
             fit_localization_length(np.ones(11), center=12)
+
+    def test_non_finite_profile(self):
+        # a nan inside the window gave a nan length
+        amps = _exponential_profile(center=21, xi=2.0, length=41)
+        profile = amps ** 2
+        profile[22] = np.nan
+        with pytest.raises(DomainError, match="^profile must be finite$"):
+            fit_localization_length(profile, center=21)
+
+    @pytest.mark.parametrize("gradient", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient(self, gradient):
+        # a nan gradient gave a nan profile
+        h = single_particle_matrix(DeviceParams.uniform(7), PotentialSpec.linear(-5.0))
+        with pytest.raises(DomainError, match="^gradient_mhz: must be finite"):
+            time_averaged_profile(h, 4, gradient)
 
     def test_time_averaged_length_law(self):
         # L = 41 uniform chain: the averaged-profile fit lands within 15% of

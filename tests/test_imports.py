@@ -305,3 +305,22 @@ def test_readme_cites_only_names_that_exist():
             missing.append(path)
     assert checked >= 12  # the pattern still finds the citations
     assert missing == []
+
+
+_README_CODE = re.findall(r"^```python\n(.*?)^```", _README.read_text(),
+                          re.M | re.S)
+
+
+@pytest.mark.parametrize("k", range(len(_README_CODE)))
+def test_readme_python_blocks_run(k, tmp_path):
+    # each quick start runs on its own in a fresh interpreter, under the
+    # suite's rule that a RuntimeWarning is an error
+    assert len(_README_CODE) >= 2  # the pattern still finds the blocks
+    src = os.path.dirname(os.path.dirname(starkchain.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _README_CODE[k]],
+        env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -170,6 +170,40 @@ class TestSampling:
                            match="^15 shots per state not divisible into 10 groups$"):
             sample_shots([data] * 3, conf, "ZZ", 15, [1, 2, 3], n_groups=10)
 
+    @pytest.mark.parametrize("n_shots, seeds, n_groups, match", [
+        (5.5, [1], 1, r"^n_shots: expected an integer, got 5\.5$"),
+        (True, [1], 1, "^n_shots: expected an integer, got True$"),
+        (2 ** 70, [1], 1, r"^n_shots must be in 1\.\.1000000000, got 1180591620717411303424$"),
+        (10, [1], 2.5, r"^n_groups: expected an integer, got 2\.5$"),
+        (10, [1.7], 1, r"^seeds must be integers, got 1\.7$"),
+        (10, np.array([1.7]), 1, r"^seeds must be integers, got np\.float64\(1\.7\)$"),
+        (10, [True], 1, "^seeds must be integers, got True$"),
+        (10, np.array([True]), 1, "^seeds must be integers, got np.True_$"),
+    ])
+    def test_counts_and_seeds_are_integers(self, n_shots, seeds, n_groups, match):
+        # a fractional count or seed was truncated, a bool taken as 0 or 1,
+        # and a count past the int64 range ended in an OverflowError
+        data = prepare_initial_state("X+0", 2).data
+        conf = [ConfusionMatrix.perfect()] * 2
+        with pytest.raises(DomainError, match=match):
+            sample_shots([data], conf, "ZZ", n_shots, seeds, n_groups=n_groups)
+
+    def test_integers_of_any_kind_draw_alike(self):
+        # numpy integers, an integer array and Python ints wider than one
+        # 64-bit word are seeds and counts as their int values are
+        data = prepare_initial_state("X+0", 2).data
+        conf = [ConfusionMatrix.perfect()] * 2
+        want = sample_shots([data] * 2, conf, "ZZ", 10, [3, 2 ** 64 + 5],
+                            n_groups=2).counts
+        for seeds in ([np.uint64(3), 2 ** 64 + 5],
+                      np.array([3, 2 ** 64 + 5], dtype=object)):
+            got = sample_shots([data] * 2, conf, "ZZ", np.int64(10), seeds,
+                               n_groups=np.uint8(2)).counts
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            sample_shots([data], conf, "ZZ", 10, np.array([3], dtype=np.uint64)).counts,
+            sample_shots([data], conf, "ZZ", 10, [3]).counts)
+
 
 class TestEstimators:
     def test_site_density(self):

@@ -87,6 +87,20 @@ class TestSectorBasis:
             with pytest.raises(DomainError):
                 build_sector_basis(4, counts)
 
+    @pytest.mark.parametrize("n_sites, counts, match", [
+        (5.7, 1, r"^n_sites: expected an integer, got 5\.7$"),
+        (True, 1, "^n_sites: expected an integer, got True$"),
+        (5, 1.0, r"^n_excitations: expected an integer, got 1\.0$"),
+        (5, (0, 2.5), r"^n_excitations: expected an integer, got 2\.5$"),
+        (5, (False, 2), "^n_excitations: expected an integer, got False$"),
+    ])
+    def test_counts_are_integers(self, n_sites, counts, match):
+        # 5.7 sites built 5, and True built 1
+        with pytest.raises(DomainError, match=match):
+            build_sector_basis(n_sites, counts)
+        assert build_sector_basis(np.int64(5), (np.uint8(0), 2)) == \
+            build_sector_basis(5, (0, 2))
+
     @pytest.mark.parametrize("k", range(6))
     def test_one_count_range_is_the_count(self, k):
         assert build_sector_basis(5, (k, k)) == build_sector_basis(5, k)
@@ -518,6 +532,17 @@ class TestObservables:
     def setup_method(self):
         self.dev = paper_device()
         self.pot = PotentialSpec.linear(-15.0)
+
+    @pytest.mark.parametrize("index", [2.9, "2", True, None])
+    def test_index_is_an_integer(self, index):
+        # 2.9 and "2" built site 2, and True site 1
+        with pytest.raises(DomainError, match="^index: expected an integer, got "):
+            build_observable("density", index, self.dev)
+        with pytest.raises(DomainError, match="^index: expected an integer, got "):
+            build_observable("kinetic", index, self.dev)
+        np.testing.assert_array_equal(
+            build_observable("density", np.int64(2), self.dev).vals,
+            build_observable("density", 2, self.dev).vals)
 
     def test_density_diagonal(self):
         n3 = _dense(build_observable("density", 3, self.dev))
