@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import _POSITIVE, _real
+from .device import _POSITIVE, _integer, _real
 from .errors import DomainError, FitDomainError, NoWavefrontError
 
 GN_MAX_ITERATIONS = 200
@@ -111,6 +111,8 @@ def gaussian_fit_wavefront(times_ns, values, window_stop=None):
         raise DomainError("values must lie in [0, 1]")
     if window_stop is None:
         window_stop = _fit_window(t, y)
+    else:
+        window_stop = _integer(window_stop, "window_stop")
     tw = t[:window_stop]
     yw = y[:window_stop]
     if tw.shape[0] < 5:

@@ -16,7 +16,6 @@ DENSE_BLOCK_CAP = 512  # largest real block given a dense propagator
 CHECK_STACK_ENTRIES = 1 << 14  # most snapshot entries checked in one stack
 TRACE_TOL = 1e-6
 POSITIVITY_TOL = 1e-6
-HERMITICITY_TOL = 1e-8
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 # single-site kets used by the product-state parser
@@ -29,44 +28,27 @@ _LOCAL_KETS = {
 
 
 def _checked_stack(a, where=lambda k, message: f"snapshot {k}: {message}"):
-    """a, a (T, d) stack of state vectors, or the (T, d*d) real Hermitian
-    coordinates (_coordinates) of a (T, d, d) stack of density matrices,
-    after the one rule every state is held to: a norm within TRACE_TOL of
-    1, or _checked_coordinates on those coordinates of the Hermitian parts
-    (rho + rho^dag)/2 and the anti-Hermitian residues. The earliest failing
-    snapshot k raises DomainError(where(k, message)); the residues and
-    coordinates of density matrices are made CHECK_STACK_ENTRIES entries
-    at a time."""
-    if a.ndim == 2:
-        with np.errstate(over="ignore"):  # an overflowing norm is inf
-            norm = np.linalg.norm(a, axis=1)
-        bad = np.flatnonzero(~(np.abs(norm - 1.0) <= TRACE_TOL))
-        if len(bad):
-            k = bad[0]
-            raise DomainError(where(k, f"state vector norm {norm[k]} is not 1"))
-        return a
-    per = max(1, CHECK_STACK_ENTRIES // max(1, a.shape[1] ** 2))
-    x = np.empty((len(a), a.shape[1] ** 2))
-    residue = np.empty(len(a))
-    for first in range(0, len(a), per):
-        stack = a[first:first + per]
-        # a contiguous adjoint: subtracting the transposed view is 3x slower
-        adjoint = np.ascontiguousarray(stack.transpose(0, 2, 1)).conj()
-        with np.errstate(invalid="ignore", over="ignore"):
-            residue[first:first + per] = np.abs(stack - adjoint).max(axis=(1, 2))
-            x[first:first + per] = _coordinates(stack)
-    _checked_coordinates(x, a.shape[1], np.arange(len(a)), where, DomainError,
-                         residue)
-    return x
+    """a, a (T, d) stack of state vectors, after the state rule on vectors:
+    a norm within TRACE_TOL of 1. The earliest failing snapshot k raises
+    DomainError(where(k, message)). Density matrices are held only as
+    LindbladSnapshots, whose rule is _checked_coordinates."""
+    with np.errstate(over="ignore"):  # an overflowing norm is inf
+        norm = np.linalg.norm(a, axis=1)
+    bad = np.flatnonzero(~(np.abs(norm - 1.0) <= TRACE_TOL))
+    if len(bad):
+        k = bad[0]
+        raise DomainError(where(k, f"state vector norm {norm[k]} is not 1"))
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """State vector or density matrix together with its basis tag. Making
-    one is the state check (_checked_stack), and it cannot change: data is
-    a read-only complex array. A complex array that owns its data is taken
-    over; any other, a view among them, is copied, so nothing the caller
-    holds writes to the checked state."""
+    """State vector together with its basis tag. Making one is the state
+    check (_checked_stack), and it cannot change: data is a read-only
+    complex 1-d array. A complex array that owns its data is taken over; any
+    other, a view among them, is copied, so nothing the caller holds writes
+    to the checked state. A density matrix is never a QuantumState: the
+    Lindblad solver starts from psi psi^dag and returns LindbladSnapshots."""
 
     data: np.ndarray
     basis_tag: str
@@ -75,25 +57,15 @@ class QuantumState:
         a = np.asarray(self.data, dtype=complex)
         if not a.flags.owndata:
             a = a.copy()
-        if a.ndim not in (1, 2) or a.shape != a.shape[:1] * a.ndim:
-            raise DomainError(
-                f"state data must be a vector or a square matrix, got shape {a.shape}")
+        if a.ndim != 1:
+            raise DomainError(f"state data must be a vector, got shape {a.shape}")
         _checked_stack(a[None], lambda k, message: message)
         a.flags.writeable = False
         object.__setattr__(self, "data", a)
 
     @property
-    def is_density(self):
-        return self.data.ndim == 2
-
-    @property
     def dim(self):
         return self.data.shape[0]
-
-    def to_density(self):
-        if self.is_density:
-            return self
-        return QuantumState(np.outer(self.data, self.data.conj()), self.basis_tag)
 
 
 def prepare_initial_state(spec, n_sites, basis=None):
@@ -317,8 +289,6 @@ def evolve_unitary(hamiltonian, state, times):
     (numpy's eigh) for all times at once; a larger one goes through the one
     block loop of both solvers (_evolved_blocks) with G = -iH, where each
     dense block gets one eigh of iG = H."""
-    if state.is_density:
-        raise DomainError("evolve_unitary expects a pure state vector")
     times = _checked_run(hamiltonian, state, times)
     h, data = hamiltonian, state.data
     if h.dim <= DENSE_BLOCK_CAP:  # one block: a split picks no other propagator
@@ -435,8 +405,8 @@ def _liouvillian(table, size):
 
 def _reachable(data, table, dim):
     """Sorted indices of the basis states reachable from the support of a
-    state vector's or a density matrix's data, over the entry table
-    (_entry_table) of H and the C_k on a basis of dim states.
+    state vector's data, over the entry table (_entry_table) of H and the
+    C_k on a basis of dim states.
 
     Every term of the master equation moves the row index of rho along a
     nonzero entry of H, of a C_k or of K = sum_k C_k+ C_k. It moves the
@@ -455,8 +425,7 @@ def _reachable(data, table, dim):
     # each link leads from a column state to a row state of one operator
     src, end = cols[nonzero], op[nonzero] * dim + rows[nonzero]
     keys = (op.max(initial=0) + 1) * dim
-    nonzero = data != 0
-    reached = nonzero if data.ndim == 1 else nonzero.any(axis=0) | nonzero.any(axis=1)
+    reached = data != 0
     while True:
         size = np.count_nonzero(reached)
         via = np.zeros(keys, dtype=bool)
@@ -538,33 +507,31 @@ def _coordinate_map(coef):
             * (2.0 - np.eye(coef.shape[1]).ravel()))
 
 
-def _checked_coordinates(x, size, order, where, error, residue=None):
-    """The state rule on density matrices, given the (T, size*size)
-    coordinates x of their Hermitian parts and their (T,) anti-Hermitian
-    residues; without residues, a matrix read from x is Hermitian exactly
-    and only a non-finite row fails, with residue nan. Rows are visited in
-    the order of the indices order, CHECK_STACK_ENTRIES entries at a time,
-    and the earliest failing row k raises error(where(k, message)): in this
-    order, a residue above HERMITICITY_TOL, a real trace off 1 by more than
-    TRACE_TOL, an eigenvalue below -POSITIVITY_TOL. Positivity is screened
-    by one batched Cholesky factorisation of rho + POSITIVITY_TOL/2 * I,
-    and eigvalsh runs only where it fails, as it does wherever eigvalsh
-    would find an eigenvalue below -POSITIVITY_TOL."""
+def _checked_coordinates(x, size, times):
+    """The state rule on density matrices, given the (T, size*size) real
+    Hermitian coordinates x of T snapshots at times; a matrix read from x is
+    Hermitian exactly. Rows are visited in time order, CHECK_STACK_ENTRIES
+    entries at a time, and the earliest failing snapshot raises
+    NumericalConsistencyError ending at its time: in this order, a
+    non-finite coordinate, a trace off 1 by more than TRACE_TOL, an
+    eigenvalue below -POSITIVITY_TOL. Positivity is screened by one batched
+    Cholesky factorisation of rho + POSITIVITY_TOL/2 * I, and eigvalsh runs
+    only where it fails, as it does wherever eigvalsh would find an
+    eigenvalue below -POSITIVITY_TOL."""
+    order = np.argsort(times, kind="stable")
     per = max(1, CHECK_STACK_ENTRIES // max(1, size * size))
     for first in range(0, len(order), per):
         at = order[first:first + per]
         stack = x[at]
-        res = (np.where(np.isfinite(stack).all(axis=1), 0.0, np.nan)
-               if residue is None else residue[at])
+        finite = np.isfinite(stack).all(axis=1)
         herm = _matrices(stack, size)
         with np.errstate(invalid="ignore"):
             trace = np.trace(herm, axis1=1, axis2=2).real
-        bad = ~(res <= HERMITICITY_TOL) | (np.abs(trace - 1.0) > TRACE_TOL)
+        bad = ~finite | (np.abs(trace - 1.0) > TRACE_TOL)
         stop = np.argmax(bad) if bad.any() else len(herm)
         message = None if stop == len(herm) else (
-            f"density matrix trace {trace[stop]} is not 1"
-            if res[stop] <= HERMITICITY_TOL else
-            f"density matrix anti-Hermitian residue {res[stop]:.3e}")
+            f"density matrix trace {trace[stop]} is not 1" if finite[stop]
+            else "density matrix is not finite")
         try:  # these are finite, and trace 1 bounds a positive one's norm
             np.linalg.cholesky(herm[:stop] + 0.5 * POSITIVITY_TOL * np.eye(size))
         except np.linalg.LinAlgError:
@@ -574,12 +541,14 @@ def _checked_coordinates(x, size, order, where, error, residue=None):
                 stop = negative[0]
                 message = f"density matrix eigenvalue {low[stop]}"
         if stop < len(stack):
-            raise error(where(at[stop], message))
+            raise NumericalConsistencyError(
+                f"{message} at t = {times[at[stop]]:g} ns")
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class LindbladSnapshots:
-    """Density matrices in their real Hermitian coordinates: coords, a
+    """Density matrices in their real Hermitian coordinates, the one form a
+    density matrix takes (states enter as QuantumState vectors): coords, a
     read-only (T, s*s) array, row k at times[k], on the s reached states at
     the ascending positions support of a basis of dim states; shape is (T,
     dim, dim). Making one is the state check (_checked_coordinates), so it
@@ -603,10 +572,7 @@ class LindbladSnapshots:
                 f"need (T, s^2) coordinates at T = {len(times)} times on s "
                 f"ascending positions in 0..{dim - 1}, got coordinates of "
                 f"shape {coords.shape} and a support of shape {support.shape}")
-        _checked_coordinates(
-            coords, support.size, np.argsort(times, kind="stable"),
-            lambda k, message: f"{message} at t = {times[k]:g} ns",
-            NumericalConsistencyError)
+        _checked_coordinates(coords, support.size, times)
         coords.flags.writeable = False
         support.flags.writeable = False
         object.__setattr__(self, "coords", coords)
@@ -672,7 +638,8 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     coordinates steps by its dense expm(dt G_b) (_expm_stepped, numpy alone)
     on any grid. Making the LindbladSnapshots is the state check: a
     NumericalConsistencyError names the earliest failure, at its time. The
-    start, a principal block of a checked QuantumState, needs none.
+    start, psi psi^dag of a checked QuantumState's vector psi on the reached
+    states, which hold all its weight, needs none.
     """
     times = _checked_run(hamiltonian, state, times)
     if collapse.basis_tag != hamiltonian.basis_tag:
@@ -684,12 +651,9 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
         raise DomainError(
             f"lindblad solver is capped at {LINDBLAD_SUPPORT_CAP} reachable "
             f"basis states, got {size}")
-    if state.is_density:
-        raw = state.data[np.ix_(support, support)]
-    else:
-        raw = np.outer(state.data[support], state.data[support].conj())
+    psi = state.data[support]
     rows, cols, vals, _ = _pruned(size * size, *_hermitian_coordinates(
         size, *_liouvillian(_restricted(support, *table), size)))
-    coords = _evolved_blocks(rows, cols, vals, _coordinates(raw[None])[0],
-                             times, _expm_stepped)
+    start = _coordinates(np.outer(psi, psi.conj())[None])[0]
+    coords = _evolved_blocks(rows, cols, vals, start, times, _expm_stepped)
     return LindbladSnapshots(coords, support, hamiltonian.dim, times)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import _real
+from .device import _POSITIVE, _integer, _real
 from .errors import DomainError, FitDomainError
 
 # A fitted length above this is reported as "no decay resolved" by raising,
@@ -66,6 +66,7 @@ def _amplitudes(h, site0, times_ns):
 
 def propagate_single_particle(h, site0, times_ns):
     """P_j(t) for a particle starting on site0; rows are time points."""
+    site0 = _integer(site0, "site0")
     if not 1 <= site0 <= h.size:
         raise DomainError(f"site0 {site0} outside 1..{h.size}")
     amps = _amplitudes(h, site0, times_ns)
@@ -79,7 +80,9 @@ def two_excitation_slater(h, sites0, times_ns):
     pair_corr[t, i, j] = <n_i n_j> with zeros on the diagonal (hard-core).
     Amplitudes are 2x2 Slater determinants of propagator columns.
     """
-    i0, j0 = sites0
+    if not isinstance(sites0, (tuple, list, np.ndarray)) or len(sites0) != 2:
+        raise DomainError(f"sites0: expected a pair of sites, got {sites0!r}")
+    i0, j0 = (_integer(s, f"sites0[{k}]") for k, s in enumerate(sites0))
     if i0 == j0:
         raise DomainError("initial sites must be distinct")
     for s in (i0, j0):
@@ -117,9 +120,12 @@ def fit_localization_length(profile, center, xi_guess=None):
     is superexponential and would bias the slope steep.
     """
     profile = np.asarray(profile, dtype=float)
+    if profile.ndim != 1:
+        raise DomainError(f"profile must be 1-d, got shape {profile.shape}")
     if not np.isfinite(profile).all():
         raise DomainError("profile must be finite")
     length = profile.shape[0]
+    center = _integer(center, "center")
     if not 1 <= center <= length:
         raise DomainError("center outside the profile")
     p0 = profile[center - 1]
@@ -127,7 +133,8 @@ def fit_localization_length(profile, center, xi_guess=None):
         raise FitDomainError("center density must be positive")
     d_cap = length // 2 - 1
     if xi_guess is not None:
-        d_cap = int(min(np.floor(3.0 * float(xi_guess)), d_cap))
+        xi_guess = _real(xi_guess, "xi_guess", _POSITIVE)
+        d_cap = int(min(np.floor(3.0 * xi_guess), d_cap))
     dists, logs = [], []
     for d in range(1, d_cap + 1):
         sites = [j for j in (center - d, center + d) if 1 < j < length]

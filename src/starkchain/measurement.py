@@ -183,14 +183,13 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
                  support=None):
     """Per-group outcome histograms of noisy readouts of a snapshot stack.
 
-    states is a (T, s) stack of state vectors or a (T, s, s) stack of
-    density matrices, held to the state rule (dynamics._checked_stack) and
-    read through the coordinates of their Hermitian parts, or the
-    LindbladSnapshots of evolve_lindblad, checked when made, with one seed
-    per snapshot. support gives the distinct full-space index of each of
-    the s states of n qubits, in the stack's own order (for
-    LindbladSnapshots, that of the run's basis); None, the default, is the
-    whole 2^n space in index order. Each
+    states is a (T, s) stack of state vectors, held to the state rule on
+    vectors (dynamics._checked_stack), or the LindbladSnapshots of
+    evolve_lindblad, checked when made, with one seed per snapshot; a
+    density matrix is sampled only as LindbladSnapshots. support gives the
+    distinct full-space index of each of the s states of n qubits, in the
+    stack's own order (for LindbladSnapshots, that of the run's basis);
+    None, the default, is the whole 2^n space in index order. Each
     snapshot's n_shots split into n_groups groups. With independent
     per-qubit flips, the reported outcome of one shot has the distribution
     q = (C_1 x ... x C_n) p, p the Born probabilities after the basis
@@ -234,7 +233,7 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
     checked = isinstance(states, LindbladSnapshots)
     stack = states if checked else np.asarray(states, dtype=complex)
     size = support.size
-    if len(stack.shape) not in (2, 3) or stack.shape[1:] not in ((size,), (size, size)):
+    if stack.shape[1:] != ((size, size) if checked else (size,)):
         raise StateSpecError(
             f"sampling needs states on {size} of the full-space states of "
             f"{n_qubits} qubits, got a stack of shape {stack.shape}")

@@ -21,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .config import MAX_QUBITS
 from .device import DeviceParams, PotentialSpec, _integer
 from .errors import DomainError
 
@@ -210,7 +211,12 @@ def _basis_states(basis, n_sites, fock_cutoff=None):
     """(states, occupations, tag) of a basis: its product-space integers in
     basis order, their (dim, n) occupations with site 1 in column 0, and its
     tag. basis None is a whole product space in index order: the two-level
-    one, or with fock_cutoff levels per site the truncated bosonic one."""
+    one, or with fock_cutoff levels per site the truncated bosonic one. A
+    chain of more than MAX_QUBITS sites is refused: its states would not fit
+    one int64."""
+    if n_sites > MAX_QUBITS:
+        raise DomainError(f"a chain of {n_sites} sites is above the "
+                          f"{MAX_QUBITS} whose states fit one int64")
     d = 2 if fock_cutoff is None else int(fock_cutoff)
     if d < 2:
         raise DomainError(f"fock_cutoff must be >= 2, got {fock_cutoff}")

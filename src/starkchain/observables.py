@@ -1,5 +1,6 @@
 """Expectation values and observable trajectories on state snapshots."""
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,7 +8,7 @@ import numpy as np
 from .dynamics import (LindbladSnapshots, _checked_times, _coordinate_map,
                        evolve_lindblad, evolve_unitary)
 from .errors import DomainError, NumericalConsistencyError
-from .model import _restricted
+from .model import OperatorMatrix, _restricted
 
 IMAG_ERROR_TOL = 1e-8
 
@@ -47,14 +48,12 @@ class TrajectoryTable:
 
 
 def _expectations(snapshots, operators):
-    """(T, K) complex <O_k> on T stacked state vectors (T, d) or density
-    matrices (T, d, d), gathered at each OperatorMatrix's stored entries
-    (r, c, v): <psi|O|psi> = sum v psi*[r] psi[c] and tr(O rho) = sum v
-    rho[c, r], whose imaginary part, left by a density array's
-    anti-Hermitian residue, expectation checks. On LindbladSnapshots, the
-    real Re tr(O rho), one product of their coordinates with the (K, s^2)
-    real map (dynamics._coordinate_map) of the operators' entries among the
-    reached states (model._restricted)."""
+    """(T, K) <O_k> on T stacked state vectors (T, d), gathered at each
+    OperatorMatrix's stored entries (r, c, v): <psi|O|psi> = sum v psi*[r]
+    psi[c], complex, whose imaginary part _real_parts checks.
+    On LindbladSnapshots, the real Re tr(O rho), one product of their
+    coordinates with the (K, s^2) real map (dynamics._coordinate_map) of
+    the operators' entries among the reached states (model._restricted)."""
     if isinstance(snapshots, LindbladSnapshots):
         size = snapshots.support.size
         coef = np.zeros((len(operators), size, size), dtype=complex)
@@ -64,17 +63,20 @@ def _expectations(snapshots, operators):
         return snapshots.coords @ _coordinate_map(coef).T
     out = np.empty((len(snapshots), len(operators)), dtype=complex)
     for k, o in enumerate(operators):
-        if snapshots.ndim == 3:
-            out[:, k] = snapshots[:, o.cols, o.rows] @ o.vals
-        else:
-            out[:, k] = (snapshots[:, o.rows].conj() * snapshots[:, o.cols]) @ o.vals
+        out[:, k] = (snapshots[:, o.rows].conj() * snapshots[:, o.cols]) @ o.vals
     return out
 
 
 def _check_observables(tag, observables):
-    """DomainError unless every operator of the mapping observables, name
-    -> OperatorMatrix, is on the basis tag and Hermitian."""
+    """DomainError unless observables is a mapping, name -> OperatorMatrix,
+    whose every operator is on the basis tag and Hermitian."""
+    if not isinstance(observables, Mapping):
+        raise DomainError("observables must be a mapping of names to "
+                          f"OperatorMatrix, got {observables!r}")
     for n, o in observables.items():
+        if not isinstance(o, OperatorMatrix):
+            raise DomainError(f"observable {n!r} must be an OperatorMatrix, "
+                              f"got {o!r}")
         if o.basis_tag != tag:
             raise DomainError(
                 f"observable {n!r} basis {o.basis_tag!r} does not match state"
@@ -100,11 +102,12 @@ def _real_parts(data, times_ns):
 
 
 def expectation(state, obs):
-    """<psi|O|psi> or tr(rho O); the imaginary residue must be numerical noise.
+    """<psi|O|psi> of a QuantumState; the imaginary residue must be
+    numerical noise.
 
     A non-finite value or |Im| >= 1e-8 raises; a smaller |Im| is discarded.
     """
-    _check_observables(state.basis_tag, {"O": obs})
+    _check_observables(state.basis_tag, {"obs": obs})
     return _real_parts(_expectations(state.data[None], [obs]), None)[0, 0]
 
 

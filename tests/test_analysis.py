@@ -179,6 +179,13 @@ class TestGaussianFit:
         with pytest.raises(FitDomainError):
             gaussian_fit_wavefront(t, _gauss(t, 0.5, 50, 10), window_stop=3)
 
+    @pytest.mark.parametrize("stop", [2.5, 20.0, True, "20"])
+    def test_window_stop_is_an_integer(self, stop):
+        # a float index ended in a TypeError
+        t = np.arange(0, 100, 2.0)
+        with pytest.raises(DomainError, match="^window_stop: expected an integer"):
+            gaussian_fit_wavefront(t, _gauss(t, 0.5, 50, 10), window_stop=stop)
+
 
 class TestLinearFit:
     def test_exact_line(self):

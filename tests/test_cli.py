@@ -30,7 +30,7 @@ from starkchain import (
 )
 from starkchain import cli, measurement, observables
 from starkchain.cli import main, run
-from starkchain.config import EXPERIMENTS
+from starkchain.config import EXPERIMENTS, _tokenize_state_spec
 from starkchain.model import _basis_states
 
 
@@ -484,6 +484,61 @@ def test_noise_free_lindblad_equals_unitary(n, dephasing, f, t_max, data):
             scale = 14.4 if name[0] == "K" else 1.0
             np.testing.assert_allclose(lindblad[name], want, rtol=0,
                                        atol=1e-9 * scale, err_msg=name)
+
+
+def _mirror_image(spec, n):
+    """The start whose run on the same descending ramp is the mirror image
+    of spec's: its tokens reversed, then X+ and X- swapped on each odd site
+    of the image. The mirror j -> n + 1 - j turns the ramp ascending (plus a
+    constant times the excitation count, which moves no density, bond
+    energy or current), complex conjugation turns it back at the price of
+    the hopping's sign, and the staggered gauge prod_j (-1)^(j n_j) restores
+    that sign; only the gauge acts on the kets, as the sign of |1> on odd
+    sites."""
+    tokens = _tokenize_state_spec(spec)[::-1]
+    swap = {"X+": "X-", "X-": "X+"}
+    return "".join(swap.get(t, t) if j % 2 else t
+                   for j, t in enumerate(tokens, start=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), noise=st.sampled_from(["ideal", "lindblad"]),
+       dephasing=st.sampled_from(["as-given", "pure"]),
+       f=st.sampled_from([0.0, 5.0, 15.0]), g=st.sampled_from([9.0, 14.4]),
+       data=st.data())
+def test_chain_mirror(n, noise, dephasing, f, g, data):
+    # on a uniform chain with uniform T1 and T2*, the run from a start and
+    # from its mirror image (_mirror_image) give P_j = P'_(n+1-j),
+    # J_b = -J'_(n-b) and K_b = -K'_(n-b), shot-free, with either noise
+    # model; decoherence_check runs both
+    spec = "".join(data.draw(st.lists(_TOKENS, min_size=n, max_size=n)))
+    image = _mirror_image(spec, n)
+    raw = {"shots": "none", "noise": noise, "dephasing": dephasing,
+           "t_max": 12.0, "dt_sample": 3.0, "F": f,
+           "device": {"n_qubits": n, "coupling_mhz": [g] * (n - 1),
+                      "t1_us": [0.8] * n, "t2star_us": [0.5] * n}}
+    potential = cli._potential_for(f)
+
+    def mirrored(name):
+        kind, index = name[0], int(name[1:].split("_")[0])
+        rest = name[1 + len(str(index)):]
+        if kind == "P":
+            return 1.0, f"P{n + 1 - index}{rest}"
+        return -1.0, f"{kind}{n - index}{rest}"
+
+    for experiment in ("spin_transport", "thermal_transport", "spin_current",
+                       "decoherence_check"):
+        there, back = (
+            cli._COLUMNS[experiment](parse_config(dict(
+                raw, experiment=experiment, initial_state=start)), 0,
+                potential)[0]
+            for start in (spec, image))
+        assert sorted(there) == sorted(back)
+        for name, values in there.items():
+            sign, other = mirrored(name)
+            np.testing.assert_allclose(values, sign * back[other], rtol=0,
+                                       atol=1e-12, err_msg=f"{experiment} "
+                                       f"{spec} {image} {name}")
 
 
 _F_VALUES = st.sampled_from([0.0, 2.5, 5.0, 7.5, 15.0, 30.0])

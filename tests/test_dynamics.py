@@ -154,11 +154,13 @@ class TestQuantumState:
             QuantumState(np.array([1.0, 1.0]), "full:n=1")
 
     def test_density_validation(self):
-        with pytest.raises(DomainError):
-            QuantumState(np.eye(2), "full:n=1")  # trace 2
-        bad = np.array([[0.5, 0.5j], [0.5j, 0.5]])
-        with pytest.raises(DomainError):
-            QuantumState(bad, "full:n=1")  # not Hermitian
+        # a state is a vector: a density matrix, valid or not, is refused by
+        # its shape, whatever its entries
+        for rho in (np.diag([0.75, 0.25]), np.eye(2),
+                    np.array([[0.5, 0.5j], [0.5j, 0.5]])):
+            with pytest.raises(DomainError, match=r"^state data must be a "
+                               r"vector, got shape \(2, 2\)$"):
+                QuantumState(rho, "full:n=1")
 
     def test_messages_name_no_snapshot(self):
         # the stack check sample_shots uses, on a stack of one
@@ -166,16 +168,10 @@ class TestQuantumState:
             QuantumState(np.array([2.0, 0.0]), "full:n=1")
         with pytest.raises(DomainError, match="^state vector norm nan is not 1$"):
             QuantumState(np.array([np.nan, 0.0]), "full:n=1")
-        with pytest.raises(DomainError, match="^density matrix trace 2.0 is not 1$"):
-            QuantumState(np.eye(2), "full:n=1")
-        with pytest.raises(DomainError, match="^density matrix anti-Hermitian "
-                           "residue 1.000e[+]00$"):
-            QuantumState(np.array([[0.5, 0.5j], [0.5j, 0.5]]), "full:n=1")
-        with pytest.raises(DomainError, match="^density matrix eigenvalue -0.25$"):
-            QuantumState(np.diag([1.25, -0.25]), "full:n=1")
-        with pytest.raises(DomainError, match="^state data must be a vector or "
-                           "a square matrix, got shape"):
-            QuantumState(np.ones((2, 3)) / 6.0, "full:n=1")
+        for data in (np.ones((2, 3)) / 6.0, np.array(1.0), np.ones((1, 1, 1))):
+            with pytest.raises(DomainError, match=r"^state data must be a "
+                               r"vector, got shape \("):
+                QuantumState(data, "full:n=1")
 
     def test_cannot_change_once_checked(self):
         # new data cannot be set, the data is read-only, an array of its own
@@ -193,13 +189,6 @@ class TestQuantumState:
         st = QuantumState(base[0], "full:n=1")
         base[0, 0] = 5.0
         np.testing.assert_array_equal(st.data, e0)
-
-    def test_to_density(self):
-        st = prepare_initial_state("X+0", 2)
-        rho = st.to_density()
-        assert rho.is_density
-        np.testing.assert_allclose(rho.data, np.outer(st.data, st.data.conj()))
-        assert np.trace(rho.data) == pytest.approx(1.0)
 
 
 class TestUnitaryEvolution:
@@ -333,8 +322,6 @@ class TestUnitaryEvolution:
         dev = paper_device()
         h = build_xy_hamiltonian(dev, PotentialSpec.linear(0.0))
         st = prepare_initial_state("10000", 5)
-        with pytest.raises(DomainError):
-            evolve_unitary(h, st.to_density(), [0.0])
         b = build_sector_basis(5, 1)
         st_sec = prepare_initial_state("10000", 5, basis=b)
         with pytest.raises(DomainError):
@@ -441,8 +428,10 @@ class TestLindblad:
             evolve_lindblad(h, st, [[0.0, 1.0], [2.0, 3.0]], make_collapse_ops(dev))
 
     def test_non_positive_state_rejected(self):
-        # a non-positive start never reaches the solver: the state refuses it
-        with pytest.raises(DomainError, match="^density matrix eigenvalue -0.5$"):
+        # a non-positive start never reaches the solver: every start is a
+        # state vector, and a matrix is refused by its shape
+        with pytest.raises(DomainError, match=r"^state data must be a vector, "
+                           r"got shape \(4, 4\)$"):
             QuantumState(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), full_tag(2))
 
     @pytest.mark.parametrize("entries", [1, 40, 1 << 20])
@@ -460,12 +449,11 @@ class TestLindblad:
 # a valid 2x2 block, and one failure of each check, with the text that
 # checking one snapshot at a time gave for it at the time t below
 _GOOD = np.diag([0.75, 0.25]).astype(complex)
-_RESIDUE = _GOOD + np.array([[0.0, 3e-7], [0.0, 0.0]])
 _TRACE = np.diag([0.75, 0.25 + 2e-5]).astype(complex)
 _NEGATIVE = np.diag([1.25, -0.25]).astype(complex)
 _NEGATIVE_AND_TRACE = np.diag([1.5, -0.25]).astype(complex)
 _MESSAGES = {
-    "residue": "density matrix anti-Hermitian residue 3.000e-07 at t = {:g} ns",
+    "nan": "density matrix is not finite at t = {:g} ns",
     "trace": "density matrix trace 1.0000200000000001 is not 1 at t = {:g} ns",
     "negative": "density matrix eigenvalue -0.25 at t = {:g} ns",
 }
@@ -473,15 +461,14 @@ _BLOCK_TIMES = np.arange(0.0, 14.0, 2.0)
 
 
 def _solver_check(stack, times):
-    """The state rule on matrices (_checked_stack), its failures named as
-    the Lindblad solver names them, as a NumericalConsistencyError; a stack
-    that passes comes back as the coordinates it was checked in."""
-    try:
-        x = dynamics._checked_stack(
-            stack, lambda k, message: f"{message} at t = {times[k]:g} ns")
-    except DomainError as exc:
-        raise NumericalConsistencyError(str(exc)) from exc
-    np.testing.assert_array_equal(x, dynamics._coordinates(stack))
+    """The state rule on density matrices: LindbladSnapshots made from the
+    coordinates (dynamics._coordinates) of a Hermitian (T, s, s) stack on all
+    s states, at times; a failure is the solver's NumericalConsistencyError,
+    and snapshots that pass hold the stack exactly."""
+    side = stack.shape[1]
+    snaps = dynamics.LindbladSnapshots(dynamics._coordinates(stack),
+                                       np.arange(side), side, times)
+    np.testing.assert_array_equal(snaps.matrices(), stack)
 
 
 def _stack_failing(**at):
@@ -489,7 +476,7 @@ def _stack_failing(**at):
     at the given snapshots."""
     stack = np.array([_GOOD] * _BLOCK_TIMES.size)
     for name, k in at.items():
-        stack[k] = {"residue": _RESIDUE, "trace": _TRACE, "negative": _NEGATIVE,
+        stack[k] = {"trace": _TRACE, "negative": _NEGATIVE,
                     "both": _NEGATIVE_AND_TRACE, "nan": np.nan}[name]
     return stack
 
@@ -507,8 +494,8 @@ class TestStackChecks:
         assert str(info.value) == _MESSAGES[name].format(_BLOCK_TIMES[k])
 
     @pytest.mark.parametrize("first, second", [
-        ("residue", "negative"), ("negative", "residue"), ("trace", "residue"),
-        ("negative", "trace"), ("residue", "trace"), ("trace", "negative")])
+        ("nan", "negative"), ("negative", "nan"), ("trace", "nan"),
+        ("negative", "trace"), ("nan", "trace"), ("trace", "negative")])
     def test_earliest_of_two_failures(self, first, second):
         stack = _stack_failing(**{first: 2, second: 5})
         with pytest.raises(NumericalConsistencyError) as info:
@@ -542,8 +529,7 @@ class TestStackChecks:
         if negative < 3:
             assert str(info.value) == _MESSAGES["negative"].format(2.0)
         else:
-            assert str(info.value) == \
-                "density matrix anti-Hermitian residue nan at t = 6 ns"
+            assert str(info.value) == _MESSAGES["nan"].format(6.0)
         assert seen and all(seen)
 
 
@@ -634,13 +620,13 @@ class TestPositivityScreen:
 
 
 # the reason each message names, and a failure of each kind for a snapshot
-_REASONS = {"state vector norm": "norm", "density matrix anti-Hermitian": "residue",
+_REASONS = {"state vector norm": "norm", "density matrix is not finite": "nan",
             "density matrix trace": "trace", "density matrix eigenvalue": "negative"}
 
 
 def _snapshot(kind, side, density, rng):
-    """A valid state vector or density matrix of the side, or one that
-    carries the named failure."""
+    """A valid state vector or Hermitian density matrix of the side, or one
+    that carries the named failure."""
     if not density:
         v = rng.normal(size=side) + 1j * rng.normal(size=side)
         v /= np.linalg.norm(v)
@@ -657,14 +643,11 @@ def _snapshot(kind, side, density, rng):
     u, _ = np.linalg.qr(rng.normal(size=(side, side))
                         + 1j * rng.normal(size=(side, side)))
     rho = (u * weights) @ u.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    if kind == "residue":
-        rho[0, side - 1] += 10.0 ** rng.uniform(-7.5, -1) * 1j
-    elif kind == "trace":
+    if kind == "trace":
         rho *= 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.5, -1)
     elif kind == "nan":
         rho[rng.integers(side), rng.integers(side)] = np.nan
-    return rho
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _first_failure_one_at_a_time(stack):
@@ -675,19 +658,19 @@ def _first_failure_one_at_a_time(stack):
             if not abs(np.linalg.norm(x) - 1.0) <= dynamics.TRACE_TOL:
                 return k, "norm"
             continue
-        if not np.abs(x - x.conj().T).max() <= dynamics.HERMITICITY_TOL:
-            return k, "residue"
-        herm = 0.5 * (x + x.conj().T)
-        if abs(np.trace(herm).real - 1.0) > dynamics.TRACE_TOL:
+        if not np.isfinite(x).all():
+            return k, "nan"
+        if abs(np.trace(x).real - 1.0) > dynamics.TRACE_TOL:
             return k, "trace"
-        if np.linalg.eigvalsh(herm)[0] < -dynamics.POSITIVITY_TOL:
+        if np.linalg.eigvalsh(x)[0] < -dynamics.POSITIVITY_TOL:
             return k, "negative"
     return None
 
 
 class TestStateRule:
-    """One rule for every state: QuantumState, sample_shots and the
-    Lindblad solver's snapshots."""
+    """One rule for every state: a norm for the state vectors of
+    QuantumState and sample_shots, and trace and positivity for the
+    density matrices of LindbladSnapshots."""
 
     @settings(max_examples=300, deadline=None)
     @given(density=st.booleans(), side=st.integers(1, 6),
@@ -695,7 +678,7 @@ class TestStateRule:
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_same_verdict_as_one_snapshot_at_a_time(self, density, side,
                                                     entries, seed, data):
-        kinds = (["valid", "residue", "trace", "nan"]
+        kinds = (["valid", "trace", "nan"]
                  + ["negative"] * (side > 1)) if density else \
             ["valid", "norm", "nan"]
         picked = data.draw(st.lists(st.sampled_from(kinds), min_size=1,
@@ -704,41 +687,50 @@ class TestStateRule:
         stack = np.array([_snapshot(kind, side, density, rng)
                           for kind in picked])
         want = _first_failure_one_at_a_time(stack)
-        # stacks of one snapshot or a few at a time, or all at once
+        # vectors through the stack check, density matrices as snapshots at
+        # 0, 2, 4, ... ns; one snapshot or a few at a time, or all at once
+        check, error, named = (
+            (lambda: _solver_check(stack, 2.0 * np.arange(len(stack))),
+             NumericalConsistencyError, r"(.*) at t = (\d+) ns") if density
+            else (lambda: dynamics._checked_stack(stack), DomainError,
+                  r"snapshot (\d+): (.*)"))
         with mock.patch.object(dynamics, "CHECK_STACK_ENTRIES", entries):
             if want is None:
-                # vectors come back as given, density matrices as the
-                # coordinates they were checked in
-                got = dynamics._checked_stack(stack)
-                if density:
-                    np.testing.assert_array_equal(
-                        got, dynamics._coordinates(stack))
-                else:
-                    assert got is stack
+                # vectors come back as given, density matrices as held
+                got = check()
+                assert density or got is stack
                 return
-            with pytest.raises(DomainError) as info:
-                dynamics._checked_stack(stack)
-        k, message = re.fullmatch(r"snapshot (\d+): (.*)", str(info.value)).groups()
+            with pytest.raises(error) as info:
+                check()
+        groups = re.fullmatch(named, str(info.value)).groups()
+        k, message = ((int(groups[1]) // 2, groups[0]) if density
+                      else (int(groups[0]), groups[1]))
         reason = [r for prefix, r in _REASONS.items() if message.startswith(prefix)]
-        assert (int(k), reason) == (want[0], [want[1]])
+        assert (k, reason) == (want[0], [want[1]])
 
     def test_every_caller_names_the_earliest_snapshot(self):
-        # an anti-Hermitian residue at snapshot 1 and a trace off 1 at 3
-        stack = np.array([_GOOD] * 4)
-        stack[1] = _RESIDUE
-        stack[3] = _TRACE
-        with pytest.raises(DomainError, match=r"^snapshot 1: density matrix "
-                           r"anti-Hermitian residue 3\.000e-07$"):
-            sample_shots(stack, [ConfusionMatrix.perfect()], "Z", 10,
+        # vectors with a norm off 1 at snapshots 1 and 3, and density
+        # matrices with a trace off 1 at 1 and a negative eigenvalue at 3
+        vectors = np.array([[1.0, 0.0]] * 4)
+        vectors[[1, 3]] *= 2.0
+        with pytest.raises(DomainError, match=r"^snapshot 1: state vector "
+                           r"norm 2\.0 is not 1$"):
+            sample_shots(vectors, [ConfusionMatrix.perfect()], "Z", 10,
                          [1, 2, 3, 4])
+        with pytest.raises(DomainError, match=r"^state vector norm 2\.0 is "
+                           r"not 1$"):
+            QuantumState(vectors[1], "full:n=1")
+        stack = np.array([_GOOD] * 4)
+        stack[1] = _TRACE
+        stack[3] = _NEGATIVE
         with pytest.raises(NumericalConsistencyError, match=r"^density matrix "
-                           r"anti-Hermitian residue 3\.000e-07 at t = 2 ns$"):
-            _solver_check(stack, _BLOCK_TIMES)
+                           r"trace 1\.00002\d* is not 1 at t = 2 ns$"):
+            _solver_check(stack, _BLOCK_TIMES[:4])
 
 
 class TestLindbladSnapshots:
     """The solver's snapshots in real coordinates: making them is the
-    state check, with the rule and the messages of the matrix check."""
+    state check, which names the earliest failure in time."""
 
     @settings(max_examples=200, deadline=None)
     @given(side=st.integers(1, 6),
@@ -746,7 +738,8 @@ class TestLindbladSnapshots:
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_same_verdict_as_the_matrix_rule(self, side, entries, seed, data):
         # Hermitian stacks, so their coordinates hold them exactly, at
-        # unsorted times: the earliest failure in time is named
+        # unsorted times: the failure named is the one the same snapshots
+        # in time order name
         kinds = ["valid", "trace", "nan"] + ["negative"] * (side > 1)
         picked = data.draw(st.lists(st.sampled_from(kinds), min_size=1,
                                     max_size=8))
@@ -833,7 +826,7 @@ def _dense_lindblad(h, collapse, state, times):
         c = op.todense()
         cdc = c.conj().T @ c
         gen += np.kron(c.conj(), c) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
-    v0 = state.to_density().data.reshape(-1, order="F")
+    v0 = np.outer(state.data, state.data.conj()).reshape(-1, order="F")
     return np.array([(scipy.linalg.expm(gen * t) @ v0).reshape(dim, dim, order="F")
                      for t in times])
 
@@ -860,10 +853,11 @@ def _noisy_chain(n, jumps):
     return h, col
 
 
-def _block_sizes(h, col, rho, real=False):
-    """Sizes of the generator's blocks on the states reachable from rho:
-    on vec rho, or with real on its Hermitian coordinates."""
-    keep = _reachable_states(rho, h, col)
+def _block_sizes(h, col, psi, real=False):
+    """Sizes of the generator's blocks on the states reachable from the
+    state vector psi: on vec rho, or with real on its Hermitian
+    coordinates."""
+    keep = _reachable_states(psi, h, col)
     rows, cols, vals = _liouvillian(_table(h, col, keep), keep.size)
     if real:
         rows, cols, vals = dynamics._hermitian_coordinates(keep.size, rows,
@@ -931,27 +925,27 @@ class TestLindbladReference:
         h = build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0))
         col = make_collapse_ops(dev)
         for spec, size in (("10000", 6), ("X+X+000", 16), ("X+" * 5, 32)):
-            rho = prepare_initial_state(spec, 5).to_density().data
-            assert _reachable_states(rho, h, col).size == size
+            psi = prepare_initial_state(spec, 5).data
+            assert _reachable_states(psi, h, col).size == size
         # damping and dephasing keep the ket-bra excitation difference, so
         # the generator on the reachable states splits into these blocks
         for spec, sizes in (("10000", [26, 5, 5]),
                             ("X+X+000", [126, 55, 55, 10, 10]),
                             ("X+" * 5, [252, 210, 210, 120, 120, 45, 45, 10, 10, 1, 1])):
-            rho = prepare_initial_state(spec, 5).to_density().data
-            assert _block_sizes(h, col, rho) == sizes
+            psi = prepare_initial_state(spec, 5).data
+            assert _block_sizes(h, col, psi) == sizes
         # on the Hermitian coordinates each block of entries rho_ab and the
         # block of their mirrors rho_ba become one real block; a block that
         # is its own mirror keeps its size
         for spec, sizes in (("10000", [26, 10]),
                             ("X+X+000", [126, 110, 20]),
                             ("X+" * 5, [420, 252, 240, 90, 20, 2])):
-            rho = prepare_initial_state(spec, 5).to_density().data
-            assert _block_sizes(h, col, rho, real=True) == sizes
+            psi = prepare_initial_state(spec, 5).data
+            assert _block_sizes(h, col, psi, real=True) == sizes
         dev6 = DeviceParams.uniform(6, t1_us=20.0, t2star_us=2.0)
         h6 = build_xy_hamiltonian(dev6, PotentialSpec.linear(-15.0))
-        rho6 = prepare_initial_state("100000", 6).to_density().data
-        assert _reachable_states(rho6, h6, make_collapse_ops(dev6)).size == 7
+        psi6 = prepare_initial_state("100000", 6).data
+        assert _reachable_states(psi6, h6, make_collapse_ops(dev6)).size == 7
 
 
 @st.composite
@@ -1262,16 +1256,16 @@ class TestSupportCap:
             evolve_lindblad(h, prepare_initial_state("1" + "0" * 10, 11), [0.0], col)
 
 
-def _link_matrix_closure(rho, h, collapse):
+def _link_matrix_closure(psi, h, collapse):
     """Reference: the reachable states grown by one sparse product per step
     with a link matrix stacking the patterns of H, of every C_k and of
     K = sum_k C_k+ C_k, read from their values (a stored zero links
-    nothing)."""
+    nothing), from the support of the state vector psi."""
     dim = h.dim
     jumps = [csr(op) for op in collapse.operators]
     stacked = sp.vstack([*jumps, sp.csr_matrix((0, dim))], format="csr")
     links = abs(sp.vstack([csr(h), *jumps, stacked.getH() @ stacked], format="csr"))
-    reached = (rho != 0).any(axis=0) | (rho != 0).any(axis=1)
+    reached = psi != 0
     while True:
         grown = reached | (links @ reached).reshape(-1, dim).any(axis=0)
         if np.array_equal(grown, reached):
@@ -1317,9 +1311,8 @@ def _random_jump_chains(draw):
 @given(_random_jump_chains())
 def test_reachable_states_match_the_link_matrix(chain):
     h, col, state = chain
-    rho = state.to_density().data
-    keep = _reachable_states(rho, h, col)
-    np.testing.assert_array_equal(keep, _link_matrix_closure(rho, h, col))
+    keep = _reachable_states(state.data, h, col)
+    np.testing.assert_array_equal(keep, _link_matrix_closure(state.data, h, col))
     for op in (h, *col.operators):
         ref = csr(op)[np.ix_(keep, keep)]
         ref_rows = np.repeat(np.arange(keep.size), np.diff(ref.indptr))
@@ -1409,8 +1402,8 @@ def test_generator_matches_kron_formula(n, jumps):
     assert got.dtype == np.complex128
     assert abs(got - ref).max() <= 1e-15
     # on a reachable support, as the Lindblad solver builds it
-    rho = prepare_initial_state("X+1" + "0" * (n - 2), n).to_density().data
-    keep = _reachable_states(rho, h, col)
+    psi = prepare_initial_state("X+1" + "0" * (n - 2), n).data
+    keep = _reachable_states(psi, h, col)
     block = np.ix_(keep, keep)
     sub = [m[block] for m in mats]
     rows, cols, vals = _liouvillian(_table(h, col, keep), keep.size)
@@ -1470,7 +1463,7 @@ def test_generator_equals_the_per_jump_assembly(chain, no_jumps, reachable):
         col = CollapseOperatorSet(operators=(), basis_tag=col.basis_tag)
     keep = np.arange(h.dim)
     if reachable:
-        keep = _reachable_states(state.to_density().data, h, col)
+        keep = _reachable_states(state.data, h, col)
     want = _per_jump_liouvillian(_on(h, keep),
                                  [_on(op, keep) for op in col.operators],
                                  keep.size)

@@ -98,6 +98,30 @@ class TestEDEquivalence:
         with pytest.raises(DomainError):
             two_excitation_slater(m, (2, 2), [0.0])
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda m, t: propagate_single_particle(m, 2.5, t),
+         r"^site0: expected an integer, got 2\.5$"),
+        (lambda m, t: propagate_single_particle(m, True, t),
+         r"^site0: expected an integer, got True$"),
+        (lambda m, t: two_excitation_slater(m, (1.0, 2), t),
+         r"^sites0\[0\]: expected an integer, got 1\.0$"),
+        (lambda m, t: two_excitation_slater(m, (1, np.float64(3.0)), t),
+         r"^sites0\[1\]: expected an integer, got "),
+        (lambda m, t: two_excitation_slater(m, (1, 2, 3), t),
+         r"^sites0: expected a pair of sites, got \(1, 2, 3\)$"),
+        (lambda m, t: two_excitation_slater(m, 3, t),
+         r"^sites0: expected a pair of sites, got 3$"),
+        (lambda m, t: time_averaged_profile(m, 4.5, 14.4),
+         r"^site0: expected an integer, got 4\.5$")],
+        ids=["site0-float", "site0-bool", "sites0-float", "sites0-numpy-float",
+             "sites0-triple", "sites0-int", "profile-site0-float"])
+    def test_sites_are_integers(self, call, match):
+        # a float site ended in an IndexError, and True ran from site 1
+        m = single_particle_matrix(DeviceParams.uniform(7, coupling_mhz=10.0),
+                                   PotentialSpec.linear(-5.0))
+        with pytest.raises(DomainError, match=match):
+            call(m, [0.0, 1.0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_times(self, bad):
         # refused as both many-body solvers refuse them; a nan time gave
@@ -174,6 +198,25 @@ class TestWSLFits:
     def test_center_validation(self):
         with pytest.raises(DomainError):
             fit_localization_length(np.ones(11), center=12)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"center": 5.0}, r"^center: expected an integer, got 5\.0$"),
+        ({"center": True}, r"^center: expected an integer, got True$"),
+        ({"center": 5, "xi_guess": np.nan}, r"^xi_guess: must be finite, got nan$"),
+        ({"center": 5, "xi_guess": "2"}, r"^xi_guess: expected a number"),
+        ({"center": 5, "xi_guess": -1.0}, r"^xi_guess: must be positive"),
+        ({"center": 5, "profile": np.ones((11, 2))},
+         r"^profile must be 1-d, got shape \(11, 2\)$")],
+        ids=["center-float", "center-bool", "xi-nan", "xi-str", "xi-negative",
+             "profile-2d"])
+    def test_arguments_are_named(self, kwargs, match):
+        # a float center ended in an IndexError, a nan guess and a 2-d
+        # profile in a ValueError
+        kwargs = dict(
+            {"profile": _exponential_profile(center=5, xi=1.0, length=11) ** 2},
+            **kwargs)
+        with pytest.raises(DomainError, match=match):
+            fit_localization_length(**kwargs)
 
     def test_non_finite_profile(self):
         # a nan inside the window gave a nan length

@@ -32,6 +32,17 @@ from starkchain.dynamics import LindbladSnapshots, _coordinates
 
 PERFECT = [ConfusionMatrix.perfect()] * 5
 
+
+def _sampled(stack):
+    """A stack as sample_shots takes it: state vectors as they are, and a
+    (T, s, s) stack of Hermitian density matrices as the LindbladSnapshots
+    of their coordinates on all s states, at times 0, 1, ..."""
+    if stack.ndim == 2:
+        return stack
+    side = stack.shape[1]
+    return LindbladSnapshots(_coordinates(stack), np.arange(side), side,
+                             np.arange(len(stack), dtype=float))
+
 # the basis pre-rotations, stated here apart from the module's butterflies:
 # R_y(-pi/2) measures X and R_x(+pi/2) measures Y, bit 0 the +1 eigenvalue
 _AXIS_ROT = {
@@ -424,10 +435,10 @@ def test_batch_equals_its_parts(case):
     # a stack's counts, and every estimate from them, are its snapshots'
     # one-snapshot calls, one after another
     stack, basis, seeds, n_shots, n_groups, confusion = case
-    parts = [sample_shots(stack[k:k + 1], confusion, basis, n_shots, [seed],
-                          n_groups=n_groups)
+    parts = [sample_shots(_sampled(stack[k:k + 1]), confusion, basis,
+                          n_shots, [seed], n_groups=n_groups)
              for k, seed in enumerate(seeds)]
-    batch = sample_shots(stack, confusion, basis, n_shots, seeds,
+    batch = sample_shots(_sampled(stack), confusion, basis, n_shots, seeds,
                          n_groups=n_groups)
     np.testing.assert_array_equal(batch.counts,
                                   np.vstack([p.counts for p in parts]))
@@ -547,7 +558,8 @@ class TestCounts:
     def test_counts_sum_to_the_group_size(self):
         stack = _random_stack(3, 4, seed=2)
         conf = confusion_from_device(paper_device())[:3]
-        rec = sample_shots(stack, conf, "XYZ", 90, [1, 2, 3, 4], n_groups=3)
+        rec = sample_shots(_sampled(stack), conf, "XYZ", 90, [1, 2, 3, 4],
+                           n_groups=3)
         assert rec.counts.shape == (12, 8) and rec.n_groups == 12
         np.testing.assert_array_equal(rec.counts.sum(axis=1), 30)
         assert rec.basis == "XYZ"
@@ -558,10 +570,11 @@ class TestCounts:
         seeds = [11, 12, 13, 14]
         for pure in (False, True):
             stack = _random_stack(3, 4, seed=5, pure=pure)
-            batch = sample_shots(stack, conf, "XZY", 40, seeds, n_groups=2)
+            batch = sample_shots(_sampled(stack), conf, "XZY", 40, seeds,
+                                 n_groups=2)
             for k, seed in enumerate(seeds):
-                one = sample_shots(stack[k:k + 1], conf, "XZY", 40, [seed],
-                                    n_groups=2)
+                one = sample_shots(_sampled(stack[k:k + 1]), conf, "XZY", 40,
+                                   [seed], n_groups=2)
                 np.testing.assert_array_equal(one.counts,
                                               batch.counts[2 * k:2 * k + 2])
 
@@ -598,7 +611,7 @@ class TestCounts:
         born = np.real(np.diag(u @ rho @ u.conj().T))
         conf = confusion_from_device(paper_device())[:n]
         law = functools.reduce(np.kron, [c.matrix for c in conf]) @ born
-        rec = sample_shots(np.array([data] * k), conf, basis, n_shots,
+        rec = sample_shots(_sampled(np.array([data] * k)), conf, basis, n_shots,
                            np.arange(5000, 5000 + k), n_groups=6,
                            support=support if on_support else None)
         pooled = rec.counts.sum(axis=0)
@@ -659,19 +672,15 @@ class TestCounts:
             sample_shots(good[:, :3], conf, "ZZ", 10, [1, 2])
         with pytest.raises(DomainError, match="^snapshot 1: state vector norm"):
             sample_shots(good * [[1], [2]], conf, "ZZ", 10, [1, 2])
+        # density matrices are sampled only as LindbladSnapshots, which hold
+        # them to the density rule when made; a (T, s, s) array is refused
+        # by its shape, valid or not
         rho = np.array([np.outer(v, v.conj()) for v in good])
-        with pytest.raises(DomainError, match="^snapshot 0: density matrix trace"):
-            sample_shots(rho * 1.1, conf, "ZZ", 10, [1, 2])
-        skew = rho.copy()
-        skew[1, 0, 1] = 1e-6
-        with pytest.raises(DomainError, match="^snapshot 1: density matrix "
-                           "anti-Hermitian residue 1.000e-06$"):
-            sample_shots(skew, conf, "ZZ", 10, [1, 2])
-        negative = rho.copy()
-        negative[1] = np.diag([1.25, -0.25, 0.0, 0.0])
-        with pytest.raises(DomainError, match="^snapshot 1: density matrix "
-                           "eigenvalue -0.25$"):
-            sample_shots(negative, conf, "ZZ", 10, [1, 2])
+        for stack in (rho, rho * 1.1):
+            with pytest.raises(StateSpecError, match=r"on 4 of the full-space "
+                               r"states of 2 qubits, got a stack of shape "
+                               r"\(2, 4, 4\)$"):
+                sample_shots(stack, conf, "ZZ", 10, [1, 2])
         with pytest.raises(DomainError, match="one seed per state"):
             sample_shots(good, conf, "ZZ", 10, [1])
         with pytest.raises(DomainError, match="not divisible into 3 groups"):
@@ -818,9 +827,9 @@ class TestSupportArgument:
             full[:, support[:, None], support] = stack
         conf = confusion_from_device(paper_device())[:4]
         seeds = list(range(20, 26))
-        got = sample_shots(stack, conf, basis, 600, seeds, n_groups=6,
-                            support=support)
-        want = sample_shots(full, conf, basis, 600, seeds, n_groups=6)
+        got = sample_shots(_sampled(stack), conf, basis, 600, seeds,
+                           n_groups=6, support=support)
+        want = sample_shots(_sampled(full), conf, basis, 600, seeds, n_groups=6)
         np.testing.assert_array_equal(got.counts, want.counts)
 
     @pytest.mark.parametrize("basis", ["ZZZZ", "XYZX"])
@@ -838,10 +847,10 @@ class TestSupportArgument:
         rise = stack[:, ::-1] if pure else stack[:, ::-1, ::-1]
         conf = confusion_from_device(paper_device())[:4]
         seeds = list(range(30, 36))
-        got = sample_shots(stack, conf, basis, 600, seeds, n_groups=6,
-                           support=support)
-        want = sample_shots(rise, conf, basis, 600, seeds, n_groups=6,
-                            support=support[::-1])
+        got = sample_shots(_sampled(stack), conf, basis, 600, seeds,
+                           n_groups=6, support=support)
+        want = sample_shots(_sampled(rise), conf, basis, 600, seeds,
+                            n_groups=6, support=support[::-1])
         np.testing.assert_array_equal(got.counts, want.counts)
 
     @pytest.mark.parametrize("support", [[1, 1], [-1, 2], [3, 16], [],
@@ -938,9 +947,10 @@ class TestLindbladSnapshotArgument:
                                make_collapse_ops(dev))
 
     def test_checked_once(self, monkeypatch):
-        # the solver's snapshots reach the Born map without _checked_stack;
-        # their matrices, as a plain array, are checked, and in Z draw the
-        # same counts
+        # the solver's snapshots reach the Born map without _checked_stack,
+        # and draw in Z what snapshots made again from their matrices draw;
+        # a stack of state vectors is checked, once; the matrices as a
+        # plain array are refused by their shape
         snapshots = self._snapshots()
         matrices = snapshots.matrices()
         calls, checked = [], measurement._checked_stack
@@ -952,14 +962,14 @@ class TestLindbladSnapshotArgument:
         monkeypatch.setattr(measurement, "_checked_stack", counted)
         seeds = np.arange(len(snapshots))
         got = sample_shots(snapshots, PERFECT[:3], "ZZZ", 100, seeds)
+        want = sample_shots(_sampled(matrices), PERFECT[:3], "ZZZ", 100, seeds)
         assert calls == []
-        want = sample_shots(matrices, PERFECT[:3], "ZZZ", 100, seeds)
-        assert calls == [len(snapshots)]
         np.testing.assert_array_equal(got.counts, want.counts)
-        # a plain stack is still held to the whole rule
-        matrices[1] = np.diag([1.25, -0.25] + [0.0] * 6)
-        with pytest.raises(DomainError, match="^snapshot 1: density matrix "
-                           "eigenvalue -0.25$"):
+        sample_shots(np.eye(8, dtype=complex)[:3], PERFECT[:3], "ZZZ", 100,
+                     seeds[:3])
+        assert calls == [3]
+        with pytest.raises(StateSpecError, match=r"got a stack of shape "
+                           r"\(10, 8, 8\)$"):
             sample_shots(matrices, PERFECT[:3], "ZZZ", 100, seeds)
 
     @pytest.mark.parametrize("basis", ["ZZZ", "XYX"])
@@ -973,8 +983,8 @@ class TestLindbladSnapshotArgument:
         got = sample_shots(snapshots, PERFECT[:3], basis, 600, seeds,
                            n_groups=6, support=order)
         full = snapshots.matrices()
-        want = sample_shots(full[:, ::-1, ::-1], PERFECT[:3], basis, 600,
-                            seeds, n_groups=6)
+        want = sample_shots(_sampled(full[:, ::-1, ::-1]), PERFECT[:3], basis,
+                            600, seeds, n_groups=6)
         np.testing.assert_array_equal(got.counts, want.counts)
 
     @pytest.mark.parametrize("support", [[1, 1, 2, 3, 4, 5, 6, 7],

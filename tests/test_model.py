@@ -20,10 +20,12 @@ from starkchain import (
     full_tag,
     make_collapse_ops,
     paper_device,
+    prepare_initial_state,
     sector_tag,
     single_particle_matrix,
 )
 from starkchain import model
+from starkchain.config import MAX_QUBITS
 from starkchain.model import _operator, fock_tag
 
 from scipy_forms import csr, operator
@@ -455,6 +457,29 @@ class TestXYHamiltonian:
         b = build_sector_basis(4, 1)
         with pytest.raises(DomainError):
             build_xy_hamiltonian(self.dev, self.pot, basis=b)
+
+    def test_chains_above_max_qubits_are_refused(self):
+        # a state is the bits of one int64: on 70 sites the 70 states of one
+        # excitation mapped to 65 integers, and the Hamiltonian had 198
+        # entries instead of 208. DeviceParams stays uncapped, as the
+        # free-fermion solver needs longer chains
+        n = MAX_QUBITS + 8
+        dev = DeviceParams.uniform(n)
+        basis = build_sector_basis(n, 1)
+        match = f"^a chain of {n} sites is above the {MAX_QUBITS} "
+        with pytest.raises(DomainError, match=match):
+            build_xy_hamiltonian(dev, self.pot, basis=basis)
+        with pytest.raises(DomainError, match=match):
+            build_observable("density", 1, dev, basis=basis)
+        with pytest.raises(DomainError, match=match):
+            prepare_initial_state("1" + "0" * (n - 1), n)
+        with pytest.raises(DomainError, match=match):
+            make_collapse_ops(dev, basis=basis)
+        # at the cap, every state is its own integer
+        n = MAX_QUBITS
+        h = build_xy_hamiltonian(DeviceParams.uniform(n), self.pot,
+                                 basis=build_sector_basis(n, 1))
+        assert h.dim == n and h.vals.size == 3 * n - 2
 
 
 class TestBoseHubbard:

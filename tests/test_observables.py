@@ -30,8 +30,25 @@ from starkchain.observables import _expectations
 from scipy_forms import operator
 
 
+def _snapshots(rho):
+    """LindbladSnapshots of a Hermitian (T, d, d) stack on all d states, at
+    times 0, 1, ..."""
+    dim = rho.shape[1]
+    return LindbladSnapshots(_coordinates(rho), np.arange(dim), dim,
+                             np.arange(len(rho), dtype=float))
+
+
+def _gathered(matrices, ops):
+    """Reference: (T, K) complex tr(O rho) on a (T, d, d) stack, gathered at
+    each operator's stored entries (r, c, v) as sum v rho[c, r]."""
+    return np.array([matrices[:, o.cols, o.rows] @ o.vals for o in ops]).T \
+        .reshape(len(matrices), len(ops))
+
+
 class TestExpectation:
     def test_vector_and_density_routes_agree(self):
+        # <psi|O|psi> of a state vector, and Re tr(O rho) of the snapshot
+        # psi psi^dag, read from its coordinates
         rng = np.random.default_rng(19)
         for _ in range(10):
             v = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -39,14 +56,29 @@ class TestExpectation:
             a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
             op = operator(0.5 * (a + a.conj().T), "full:n=3")
             psi = QuantumState(v, "full:n=3")
-            rho = psi.to_density()
-            assert expectation(psi, op) == pytest.approx(expectation(rho, op), abs=1e-12)
+            rho = _snapshots(np.outer(v, v.conj())[None])
+            assert expectation(psi, op) == pytest.approx(
+                _expectations(rho, [op])[0, 0], abs=1e-12)
 
     def test_basis_mismatch(self):
         op = build_observable("density", 1, paper_device())
         st = prepare_initial_state("100", 3)
         with pytest.raises(DomainError):
             expectation(st, op)
+
+    def test_observable_must_be_an_operator(self):
+        # a string or a list of names ended in an AttributeError
+        st = prepare_initial_state("100", 3)
+        h = build_xy_hamiltonian(DeviceParams.uniform(3), PotentialSpec.linear(0.0))
+        with pytest.raises(DomainError, match="^observable 'obs' must be an "
+                           "OperatorMatrix, got 'x'$"):
+            expectation(st, "x")
+        with pytest.raises(DomainError, match=r"^observables must be a mapping "
+                           r"of names to OperatorMatrix, got \['x'\]$"):
+            trajectory(h, st, [0.0], ["x"])
+        with pytest.raises(DomainError, match="^observable 'P1' must be an "
+                           "OperatorMatrix, got None$"):
+            trajectory(h, st, [0.0], {"P1": None})
 
     def test_rejects_non_hermitian(self):
         op = operator(np.array([[0.0, 1.0], [0.0, 0.0]]), "full:n=1")
@@ -286,9 +318,10 @@ def test_kernel_matches_dense_reference(space, n_times):
     psi, rho = _random_states(n_times, ops[0].dim, rng)
     dense = [o.todense() for o in ops]
     want_vec = np.array([[np.vdot(v, m @ v) for m in dense] for v in psi])
-    want_rho = np.array([[np.trace(m @ r) for m in dense] for r in rho])
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    want_rho = np.array([[np.trace(m @ r).real for m in dense] for r in rho])
     for got, want in ((_expectations(psi, ops), want_vec),
-                      (_expectations(rho, ops), want_rho)):
+                      (_expectations(_snapshots(rho), ops), want_rho)):
         assert got.shape == (n_times, len(ops))
         np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12)
 
@@ -310,7 +343,7 @@ def test_coordinate_map_matches_the_matrix_kernel(space, n_times, data):
     snapshots = LindbladSnapshots(_coordinates(rho), reached, dim,
                                   np.arange(n_times, dtype=float))
     got = _expectations(snapshots, ops)
-    want = _expectations(snapshots.matrices(), ops)
+    want = _gathered(snapshots.matrices(), ops)
     assert got.shape == want.shape == (n_times, len(ops))
     assert got.dtype == np.float64
     scale = np.array([max(1.0, np.abs(o.vals).max(initial=0.0)) for o in ops])
@@ -335,30 +368,31 @@ def test_trajectory_columns_equal_expectation(space, times, noisy):
         coupling_mhz=rng.uniform(2.0, 25.0, n - 1))
     h = build_xy_hamiltonian(dev, PotentialSpec.linear(rng.uniform(-30.0, 30.0)),
                              basis=basis)
-    psi, rho = _random_states(1, h.dim, rng)
-    if noisy:
-        collapse = make_collapse_ops(dev)
-        state = QuantumState(rho[0], h.basis_tag)
-        snapshots = evolve_lindblad(h, state, times, collapse).matrices()
-    else:
-        collapse = None
-        state = QuantumState(psi[0], h.basis_tag)
-        snapshots = evolve_unitary(h, state, times)
+    psi, _ = _random_states(1, h.dim, rng)
+    state = QuantumState(psi[0], h.basis_tag)
+    collapse = make_collapse_ops(dev) if noisy else None
     tab = trajectory(h, state, times, ops, collapse=collapse)
     assert tab.names == list(ops)
-    for name, op in ops.items():
-        want = [expectation(QuantumState(s, h.basis_tag), op) for s in snapshots]
-        np.testing.assert_allclose(tab.column(name), np.reshape(want, -1),
+    if noisy:
+        # each snapshot's matrix, gathered as a complex array
+        matrices = evolve_lindblad(h, state, times, collapse).matrices()
+        want = _gathered(matrices, list(ops.values())).real.T
+    else:
+        want = [[expectation(QuantumState(s, h.basis_tag), op)
+                 for s in evolve_unitary(h, state, times)] for op in ops.values()]
+    for name, column in zip(ops, want):
+        np.testing.assert_allclose(tab.column(name), np.reshape(column, -1),
                                    rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestImaginaryResidue:
     def test_large_residue_raises(self):
-        # a density matrix whose anti-Hermitian part sits just under the state
-        # validation tolerance still produces a detectable imaginary residue
-        # once amplified by a large-norm operator
-        rho = np.array([[0.5, 0.4 + 4e-9j], [0.4 + 4e-9j, 0.5]])
-        st = QuantumState(rho, "full:n=1")
-        op = operator(10.0 * np.array([[0.0, 1.0], [1.0, 0.0]]), "full:n=1")
-        with pytest.raises(NumericalConsistencyError):
+        # an operator whose anti-Hermitian part sits just under the
+        # Hermiticity tolerance (5e-13 of its norm against 1e-12) still
+        # produces a detectable imaginary residue, 2.5e-8, once amplified by
+        # its norm of 1e5
+        op = operator(np.array([[0.0, 1e5], [1e5 + 5e-8j, 0.0]]), "full:n=1")
+        assert op.is_hermitian()
+        st = QuantumState(np.array([1.0, 1.0]) / np.sqrt(2.0), "full:n=1")
+        with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
             expectation(st, op)
