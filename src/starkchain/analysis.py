@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import _POSITIVE, _integer, _real
+from .device import _POSITIVE, _real
 from .errors import DomainError, FitDomainError, NoWavefrontError
 
 GN_MAX_ITERATIONS = 200
@@ -94,12 +94,12 @@ def _fit_window(times, values):
     return min(max(stop, k + 1, 5), len(times))
 
 
-def gaussian_fit_wavefront(times_ns, values, window_stop=None):
+def gaussian_fit_wavefront(times_ns, values):
     """Gauss-Newton fit of A exp(-(t-t0)^2 / 2 sigma^2) to the first wavefront.
 
     The window runs from t = 0 to the first smoothed local maximum plus one
     left-half-width margin, and holds at least 5 samples where the series
-    has them (override with window_stop, an exclusive index).
+    has them.
     Damped step halving; non-convergence is flagged on the result rather than
     raised.
     """
@@ -109,10 +109,7 @@ def gaussian_fit_wavefront(times_ns, values, window_stop=None):
         raise DomainError("times and values must have matching shapes")
     if np.any((y < -1e-9) | (y > 1.0 + 1e-9)):
         raise DomainError("values must lie in [0, 1]")
-    if window_stop is None:
-        window_stop = _fit_window(t, y)
-    else:
-        window_stop = _integer(window_stop, "window_stop")
+    window_stop = _fit_window(t, y)
     tw = t[:window_stop]
     yw = y[:window_stop]
     if tw.shape[0] < 5:
@@ -217,10 +214,9 @@ def boundary_peak(times_ns, values, mode="wavefront"):
     return gaussian_fit_wavefront(times_ns, above).parameters["amplitude"]
 
 
-def wsl_length_from_boundary(p5max, distance, alpha=1.0):
-    """-alpha * distance / ln(P5max); proportional to the true length, not
-    equal to it, with alpha the user's proportionality scale."""
+def wsl_length_from_boundary(p5max, distance):
+    """-distance / ln(P5max); proportional to the true length, not equal to
+    it."""
     if not 0.0 < p5max < 1.0:
         raise DomainError(f"P5max must lie strictly in (0, 1), got {p5max}")
-    distance = _real(distance, "distance", _POSITIVE)
-    return -_real(alpha, "alpha", _POSITIVE) * distance / np.log(p5max)
+    return -_real(distance, "distance", _POSITIVE) / np.log(p5max)

@@ -1,4 +1,5 @@
-"""Device parameters, the readout confusion map and the on-site potential.
+"""Device parameters, the readout confusion map and the on-site potential,
+and the number, count and time rules the other modules share.
 
 Unit conventions used throughout the package:
 
@@ -50,6 +51,19 @@ def _integer(value, name, error=DomainError):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _checked_times(times):
+    """Requested times as a 1-d float array; DomainError unless they form a
+    scalar or a 1-d sequence and every one is finite and non-negative: the
+    time rule of every solver."""
+    np = _np()
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim > 1:
+        raise DomainError(f"times must be a scalar or 1-d, got shape {times.shape}")
+    if not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise DomainError("times must be finite and non-negative")
+    return times
 
 
 # each per-qubit field of DeviceParams and the rule its values keep
@@ -202,19 +216,13 @@ def device_preset(name):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Linear on-site potential h_j = F * j + shift, 1-based site index.
-
-    Only differences of the h_j enter the dynamics; shift_mhz is a gauge
-    freedom that multiplies every amplitude by a global phase within a fixed
-    excitation sector and leaves all densities unchanged.
-    """
+    """Linear on-site potential h_j = F * j, 1-based site index."""
 
     gradient_mhz: float
-    shift_mhz: float = 0.0
 
     def __post_init__(self):
-        for name in ("gradient_mhz", "shift_mhz"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+        object.__setattr__(self, "gradient_mhz",
+                           _real(self.gradient_mhz, "gradient_mhz"))
 
     @classmethod
     def linear(cls, gradient_mhz):
@@ -222,7 +230,7 @@ class PotentialSpec:
 
     def offsets_mhz(self, n_sites):
         j = _np().arange(1, n_sites + 1, dtype=float)
-        return self.gradient_mhz * j + self.shift_mhz
+        return self.gradient_mhz * j
 
     def offsets_rad_ns(self, n_sites):
         return self.offsets_mhz(n_sites) * ANGULAR_PER_MHZ

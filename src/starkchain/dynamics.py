@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LINDBLAD_SUPPORT_CAP, _tokenize_state_spec
-from .device import DeviceParams
+from .device import DeviceParams, _checked_times
 from .errors import DomainError, NumericalConsistencyError, StateSpecError
 from .model import (OperatorMatrix, _basis_states, _diagonal, _operator,
                     _restricted, _run_starts, _summed)
@@ -89,28 +89,27 @@ def prepare_initial_state(spec, n_sites, basis=None):
     return QuantumState(vec, tag)
 
 
+def _checked_state(state):
+    """state, once it is a QuantumState; DomainError naming it otherwise.
+    The state rule of the solvers and of the expectation readers."""
+    if not isinstance(state, QuantumState):
+        raise DomainError(
+            f"state must be a QuantumState, got {type(state).__name__}")
+    return state
+
+
 def _checked_run(hamiltonian, state, times):
     """The times of a run (_checked_times), once hamiltonian is a Hermitian
-    OperatorMatrix on the state's basis; DomainError otherwise."""
+    OperatorMatrix and state a QuantumState on its basis; DomainError
+    otherwise."""
     if not isinstance(hamiltonian, OperatorMatrix):
         raise DomainError("hamiltonian must be an OperatorMatrix")
     if not hamiltonian.is_hermitian():
         raise DomainError("hamiltonian is not Hermitian within 1e-12")
-    if state.basis_tag != hamiltonian.basis_tag:
+    if _checked_state(state).basis_tag != hamiltonian.basis_tag:
         raise DomainError(f"state tag {state.basis_tag!r} does not match "
                           f"hamiltonian {hamiltonian.basis_tag!r}")
     return _checked_times(times)
-
-
-def _checked_times(times):
-    """Requested times as a 1-d float array; DomainError unless they form a
-    scalar or a 1-d sequence and every one is finite and non-negative."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.ndim > 1:
-        raise DomainError(f"times must be a scalar or 1-d, got shape {times.shape}")
-    if not np.all(np.isfinite(times)) or np.any(times < 0):
-        raise DomainError("times must be finite and non-negative")
-    return times
 
 
 def _pruned(size, rows, cols, vals):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import _POSITIVE, _integer, _real
+from .device import _POSITIVE, _checked_times, _integer, _real
 from .errors import DomainError, FitDomainError
 
 # A fitted length above this is reported as "no decay resolved" by raising,
@@ -55,9 +55,7 @@ def single_particle_matrix(params, potential):
 
 
 def _amplitudes(h, site0, times_ns):
-    times_ns = np.asarray(times_ns, dtype=float)
-    if not np.isfinite(times_ns).all():
-        raise DomainError("times_ns must be finite")
+    times_ns = _checked_times(times_ns)
     energies, modes = np.linalg.eigh(h.matrix)
     c0 = modes[site0 - 1, :]
     phases = np.exp(-1j * np.outer(energies, times_ns))

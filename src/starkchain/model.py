@@ -330,18 +330,13 @@ def build_bose_hubbard_hamiltonian(params, potential, fock_cutoff=2):
     return _chain_hamiltonian(params, potential, None, fock_cutoff)
 
 
-def build_observable(kind, index, params, potential=None, basis=None,
-                     axis=None, fock_cutoff=None):
+def build_observable(kind, index, params, basis=None, fock_cutoff=None):
     """Observable operators used by the transport experiments.
 
     kind
         "density"      n_j at site index (1-based).
         "kinetic"      (g_j/2)(sx_j sx_{j+1} + sy_j sy_{j+1}) on bond index.
-        "potential"    h_j n_j + h_{j+1} n_{j+1} on bond index.  Interior
-                       sites are shared by two bonds, so summing over bonds
-                       double counts them by construction.
         "spin_current" (1/2)(sx_j sy_{j+1} - sy_j sx_{j+1}) on bond index.
-        "pauli_pair"   sa_j sa_{j+1} with axis in {"x","y","z"} on bond index.
 
     basis None targets the full two-level space, a SectorBasis the sector;
     fock_cutoff targets the truncated bosonic space (density only).
@@ -353,41 +348,25 @@ def build_observable(kind, index, params, potential=None, basis=None,
             raise DomainError("pass either basis or fock_cutoff, not both")
         if kind != "density":
             raise DomainError(f"{kind!r} is not available on the bosonic space")
-    on_bond = kind in ("kinetic", "potential", "spin_current", "pauli_pair")
+    on_bond = kind in ("kinetic", "spin_current")
     if kind != "density" and not on_bond:
         raise DomainError(f"unknown observable kind {kind!r}")
     last = n - 1 if on_bond else n
     if not 1 <= j <= last:
         raise DomainError(f"{'bond' if on_bond else 'site'} index must lie in "
                           f"[1, {last}], got {index}")
-    if kind == "potential" and potential is None:
-        raise DomainError("potential observable needs a PotentialSpec")
-    if kind == "pauli_pair" and axis not in ("x", "y", "z"):
-        raise DomainError(f"axis must be one of x, y, z, got {axis!r}")
     states, occ, tag = _basis_states(basis, n, fock_cutoff)
-    if basis is not None and kind == "pauli_pair" and axis in ("x", "y"):
-        raise DomainError(
-            "pauli_pair x/y does not conserve excitation number; "
-            "build it on the full space")
     a = occ[:, j - 1]
-    b = occ[:, min(j, n - 1)]  # site j + 1 of bond j; unused for a density
     if kind == "density":
         return _diagonal(a, tag)
-    if kind == "potential":
-        h = potential.offsets_rad_ns(n)
-        return _diagonal(h[j - 1] * a + h[j] * b, tag)
-    if kind == "pauli_pair" and axis == "z":
-        return _diagonal((1 - 2 * a) * (1 - 2 * b), tag)
-    # flip both sites of bond j. kinetic and spin_current move an excitation
-    # across it: with weight g_j, and for the current with -i toward smaller
-    # site index and +i toward larger. sx sx is 1 on every state, sy sy is -1
-    # where the two sites agree
+    # flip both sites of bond j where they differ, moving an excitation
+    # across it: with weight g_j for kinetic, and for the current with -i
+    # toward smaller site index and +i toward larger
+    b = occ[:, j]
     moves = a != b
     if kind == "kinetic":
         amplitudes = np.where(moves, params.coupling_rad_ns[j - 1], 0.0)
-    elif kind == "spin_current":
-        amplitudes = np.where(moves, np.where(b == 1, -1.0j, 1.0j), 0.0)
     else:
-        amplitudes = np.where(moves | (axis == "x"), 1.0, -1.0)
+        amplitudes = np.where(moves, np.where(b == 1, -1.0j, 1.0j), 0.0)
     return _operator(states, states[None] ^ 3 << (n - j - 1), amplitudes[None],
                      tag)

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (LindbladSnapshots, _checked_times, _coordinate_map,
+from .device import _checked_times
+from .dynamics import (LindbladSnapshots, _checked_state, _coordinate_map,
                        evolve_lindblad, evolve_unitary)
 from .errors import DomainError, NumericalConsistencyError
 from .model import OperatorMatrix, _restricted
@@ -107,7 +108,7 @@ def expectation(state, obs):
 
     A non-finite value or |Im| >= 1e-8 raises; a smaller |Im| is discarded.
     """
-    _check_observables(state.basis_tag, {"obs": obs})
+    _check_observables(_checked_state(state).basis_tag, {"obs": obs})
     return _real_parts(_expectations(state.data[None], [obs]), None)[0, 0]
 
 
@@ -119,7 +120,7 @@ def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
     one it evolves under the master equation and pays the density-matrix
     cost.
     """
-    _check_observables(state.basis_tag, observables)
+    _check_observables(_checked_state(state).basis_tag, observables)
     times_ns = _checked_times(times_ns)
     if collapse is None:
         snapshots = evolve_unitary(hamiltonian, state, times_ns)

@@ -158,11 +158,6 @@ class TestPotentialSpec:
         offs = pot.offsets_mhz(5)
         np.testing.assert_allclose(offs, [-15, -30, -45, -60, -75])
 
-    def test_shift_is_uniform(self):
-        pot = PotentialSpec(gradient_mhz=10.0, shift_mhz=2.5)
-        offs = pot.offsets_mhz(4)
-        np.testing.assert_allclose(offs, [12.5, 22.5, 32.5, 42.5])
-
     def test_angular_units(self):
         pot = PotentialSpec.linear(1.0)
         np.testing.assert_allclose(

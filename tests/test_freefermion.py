@@ -128,10 +128,23 @@ class TestEDEquivalence:
         # nan densities
         m = single_particle_matrix(DeviceParams.uniform(4, coupling_mhz=10.0),
                                    PotentialSpec.linear(0.0))
-        with pytest.raises(DomainError, match="^times_ns must be finite$"):
+        with pytest.raises(DomainError, match="^times must be finite and non-negative$"):
             propagate_single_particle(m, 1, [0.0, bad])
-        with pytest.raises(DomainError, match="^times_ns must be finite$"):
+        with pytest.raises(DomainError, match="^times must be finite and non-negative$"):
             two_excitation_slater(m, (1, 3), [bad])
+
+    @pytest.mark.parametrize("times, match", [
+        ([[0.0, 1.0], [2.0, 3.0]], r"^times must be a scalar or 1-d, got shape \(2, 2\)$"),
+        ([-5.0], "^times must be finite and non-negative$")],
+        ids=["grid-2d", "negative"])
+    def test_times_follow_the_solver_rule(self, times, match):
+        # a 2-d grid gave one row per entry, and a negative time ran
+        m = single_particle_matrix(DeviceParams.uniform(7, coupling_mhz=10.0),
+                                   PotentialSpec.linear(-5.0))
+        with pytest.raises(DomainError, match=match):
+            propagate_single_particle(m, 1, times)
+        with pytest.raises(DomainError, match=match):
+            two_excitation_slater(m, (1, 3), times)
 
 
 class TestBlochOscillation:

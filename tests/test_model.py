@@ -186,10 +186,9 @@ def _kron_xy(params, potential):
     return ham
 
 
-def _kron_observable(kind, j, params, potential, axis=None):
+def _kron_observable(kind, j, params):
     n = params.n_qubits
     g = params.coupling_rad_ns
-    h = potential.offsets_rad_ns(n)
 
     def pair(a, b):
         return _site_operator(a, j, n) @ _site_operator(b, j + 1, n)
@@ -200,13 +199,7 @@ def _kron_observable(kind, j, params, potential, axis=None):
         # g (0.5 (XX + YY)), not 0.5 g (XX + YY): halving a subnormal g
         # rounds it, and the builder's entry is g itself
         return g[j - 1] * (0.5 * (pair(SIGMA_X, SIGMA_X) + pair(SIGMA_Y, SIGMA_Y)))
-    if kind == "potential":
-        return (h[j - 1] * _site_operator(NUMBER_OP, j, n)
-                + h[j] * _site_operator(NUMBER_OP, j + 1, n))
-    if kind == "spin_current":
-        return 0.5 * (pair(SIGMA_X, SIGMA_Y) - pair(SIGMA_Y, SIGMA_X))
-    op = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}[axis]
-    return pair(op, op)
+    return 0.5 * (pair(SIGMA_X, SIGMA_Y) - pair(SIGMA_Y, SIGMA_X))
 
 
 def _kron_collapse(params, dephasing):
@@ -247,7 +240,7 @@ def _chains(draw):
         coupling_mhz=draw(st.lists(_MHZ, min_size=n - 1, max_size=n - 1)),
         t1_us=draw(st.lists(st.floats(0.1, 100.0), min_size=n, max_size=n)),
         t2star_us=draw(st.lists(st.floats(0.1, 100.0), min_size=n, max_size=n)))
-    pot = PotentialSpec(gradient_mhz=draw(_MHZ), shift_mhz=draw(_MHZ))
+    pot = PotentialSpec(gradient_mhz=draw(_MHZ))
     return dev, pot, draw(st.integers(1, n)), draw(st.integers(1, n - 1))
 
 
@@ -255,25 +248,20 @@ def _chains(draw):
 @given(_chains())
 # a coupling subnormal in rad/ns (1.26e-308)
 @example((DeviceParams.uniform(2).replace(coupling_mhz=[2.00709114e-306]),
-          PotentialSpec(gradient_mhz=0.0, shift_mhz=0.0), 1, 1))
+          PotentialSpec(gradient_mhz=0.0), 1, 1))
 def test_bit_rule_builder_matches_kron(chain):
     dev, pot, site, bond = chain
     n = dev.n_qubits
     refs = {"H": _kron_xy(dev, pot),
-            "density": _kron_observable("density", site, dev, pot)}
-    for kind in ("kinetic", "potential", "spin_current"):
-        refs[kind] = _kron_observable(kind, bond, dev, pot)
-    for axis in "xyz":
-        refs["pauli_" + axis] = _kron_observable("pauli_pair", bond, dev, pot, axis)
+            "density": _kron_observable("density", site, dev)}
+    for kind in ("kinetic", "spin_current"):
+        refs[kind] = _kron_observable(kind, bond, dev)
 
     def built(name, basis):
         if name == "H":
             return csr(build_xy_hamiltonian(dev, pot, basis=basis))
-        if name.startswith("pauli_"):
-            return csr(build_observable("pauli_pair", bond, dev, basis=basis,
-                                        axis=name[-1]))
         j = site if name == "density" else bond
-        return csr(build_observable(name, j, dev, potential=pot, basis=basis))
+        return csr(build_observable(name, j, dev, basis=basis))
 
     for name, ref in refs.items():
         _assert_same_entries(built(name, None), ref)
@@ -282,8 +270,7 @@ def test_bit_rule_builder_matches_kron(chain):
         rows = [full_index(s) for s in b.states]
         assert rows == sorted(rows, reverse=True)
         for name, ref in refs.items():
-            if name not in ("pauli_x", "pauli_y"):
-                _assert_same_entries(built(name, b), ref[np.ix_(rows, rows)])
+            _assert_same_entries(built(name, b), ref[np.ix_(rows, rows)])
     for dephasing in ("as-given", "pure"):
         got = make_collapse_ops(dev, dephasing=dephasing).operators
         ref = _kron_collapse(dev, dephasing)
@@ -542,7 +529,7 @@ def test_bose_hubbard_builder_matches_kron(n, d, data):
     dev = DeviceParams.uniform(n).replace(
         coupling_mhz=data.draw(st.lists(_MHZ, min_size=n - 1, max_size=n - 1)),
         anharmonicity_mhz=data.draw(st.lists(_MHZ, min_size=n, max_size=n)))
-    pot = PotentialSpec(gradient_mhz=data.draw(_MHZ), shift_mhz=data.draw(_MHZ))
+    pot = PotentialSpec(gradient_mhz=data.draw(_MHZ))
     ham, densities = _kron_bose_hubbard(dev, pot, d)
     got = build_bose_hubbard_hamiltonian(dev, pot, fock_cutoff=d)
     assert got.basis_tag == fock_tag(n, d)
@@ -556,7 +543,6 @@ def test_bose_hubbard_builder_matches_kron(n, d, data):
 class TestObservables:
     def setup_method(self):
         self.dev = paper_device()
-        self.pot = PotentialSpec.linear(-15.0)
 
     @pytest.mark.parametrize("index", [2.9, "2", True, None])
     def test_index_is_an_integer(self, index):
@@ -584,13 +570,12 @@ class TestObservables:
         np.testing.assert_allclose(k2, expect, atol=1e-13)
 
     def test_full_vs_sector_agreement(self):
-        for kind in ("density", "kinetic", "potential", "spin_current"):
+        for kind in ("density", "kinetic", "spin_current"):
             idx = 2
-            full = _dense(build_observable(kind, idx, self.dev, potential=self.pot))
+            full = _dense(build_observable(kind, idx, self.dev))
             for k in (1, 2):
                 b = build_sector_basis(5, k)
-                sec = _dense(build_observable(kind, idx, self.dev,
-                                              potential=self.pot, basis=b))
+                sec = _dense(build_observable(kind, idx, self.dev, basis=b))
                 rows = [full_index(s) for s in b.states]
                 np.testing.assert_allclose(sec, full[np.ix_(rows, rows)],
                                            atol=1e-13, err_msg=f"{kind} k={k}")
@@ -606,31 +591,19 @@ class TestObservables:
         assert jm[1, 0] == pytest.approx(1.0j)
         assert jm[0, 1] == pytest.approx(-1.0j)
 
-    def test_pauli_pair_zz(self):
-        zz = _dense(build_observable("pauli_pair", 1, self.dev, axis="z"))
-        for idx in range(32):
-            b1, b2 = idx >> 4 & 1, idx >> 3 & 1  # sites 1 and 2 of 5
-            assert zz[idx, idx] == (1 - 2 * b1) * (1 - 2 * b2)
-
     def test_bosonic_density(self):
         nb = _dense(build_observable("density", 1, self.dev, fock_cutoff=3))
         # state (2,0,0,0,0) has n_1 = 2
         assert nb[2 * 3 ** 4, 2 * 3 ** 4] == pytest.approx(2.0)
 
     def test_error_paths(self):
-        with pytest.raises(DomainError):
-            build_observable("charge", 1, self.dev)
+        for kind in ("charge", "potential", "pauli_pair"):
+            with pytest.raises(DomainError, match="^unknown observable kind"):
+                build_observable(kind, 1, self.dev)
         with pytest.raises(DomainError):
             build_observable("density", 6, self.dev)
         with pytest.raises(DomainError):
             build_observable("kinetic", 5, self.dev)  # only 4 bonds
-        with pytest.raises(DomainError):
-            build_observable("potential", 1, self.dev)  # needs the potential
-        with pytest.raises(DomainError):
-            build_observable("pauli_pair", 1, self.dev, axis="w")
-        b = build_sector_basis(5, 1)
-        with pytest.raises(DomainError):
-            build_observable("pauli_pair", 1, self.dev, axis="x", basis=b)
         # the Fock space takes the Bose-Hubbard builder's cutoff and size checks
         for cutoff in (1, 17):
             with pytest.raises(DomainError, match="fock"):
@@ -764,15 +737,10 @@ def test_built_operators_match_the_canonical_csr(chain, data):
     for basis, cut in ((None, lambda r: r), (sector, lambda r: r[keep])):
         cases.append((build_xy_hamiltonian(dev, pot, basis=basis),
                       cut(_kron_xy(dev, pot))))
-        for kind in ("density", "kinetic", "potential", "spin_current"):
+        for kind in ("density", "kinetic", "spin_current"):
             j = site if kind == "density" else bond
-            cases.append((build_observable(kind, j, dev, potential=pot, basis=basis),
-                          cut(_kron_observable(kind, j, dev, pot))))
-        # x and y pair operators leave an excitation sector
-        for axis in "xyz" if basis is None else "z":
-            cases.append((build_observable("pauli_pair", bond, dev, basis=basis,
-                                           axis=axis),
-                          cut(_kron_observable("pauli_pair", bond, dev, pot, axis))))
+            cases.append((build_observable(kind, j, dev, basis=basis),
+                          cut(_kron_observable(kind, j, dev))))
     cases += zip(make_collapse_ops(dev).operators, _kron_collapse(dev, "as-given"))
     for op, ref in cases:
         old = _old_canonical(ref)

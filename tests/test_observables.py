@@ -24,6 +24,7 @@ from starkchain import (
     prepare_initial_state,
     trajectory,
 )
+from starkchain.config import _excitation_range
 from starkchain.dynamics import LindbladSnapshots, _coordinates
 from starkchain.observables import _expectations
 
@@ -186,6 +187,19 @@ class TestTrajectory:
                 with pytest.raises(DomainError):
                     trajectory(self.h, st, [0.0, bad], obs, collapse=collapse)
 
+    @pytest.mark.parametrize("call", [
+        lambda h, col, op: evolve_unitary(h, "x", [0.0]),
+        lambda h, col, op: evolve_lindblad(h, np.ones(32) / np.sqrt(32), [0.0], col),
+        lambda h, col, op: trajectory(h, "100", [0.0], {}),
+        lambda h, col, op: expectation("100", op)],
+        ids=["evolve_unitary", "evolve_lindblad", "trajectory", "expectation"])
+    def test_state_must_be_a_quantum_state(self, call):
+        # each ended in an AttributeError on basis_tag
+        col = make_collapse_ops(self.dev)
+        op = build_observable("density", 1, self.dev)
+        with pytest.raises(DomainError, match="^state must be a QuantumState, got "):
+            call(self.h, col, op)
+
     def test_times_must_be_one_dimensional(self):
         st = prepare_initial_state("10000", 5)
         obs = {"P1": build_observable("density", 1, self.dev)}
@@ -261,6 +275,55 @@ def test_sector_and_full_trajectories_agree(chain):
                                    err_msg=name)
 
 
+def _gauge_image(tokens):
+    """The start whose run at -F is the gauge image of the run at F from
+    tokens: X+ and X- swapped on each odd site, where the staggered gauge
+    prod_j (-1)^(j n_j) flips the sign of |1>."""
+    swap = {"X+": "X-", "X-": "X+"}
+    return "".join(swap.get(t, t) if j % 2 else t
+                   for j, t in enumerate(tokens, start=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), noise=st.sampled_from(["ideal", "lindblad"]),
+       dephasing=st.sampled_from(["as-given", "pure"]),
+       f=st.floats(-40.0, 40.0), data=st.data())
+def test_staggered_gauge(n, noise, dephasing, f, data):
+    # the gauge flips the hopping's sign, and complex conjugation then turns
+    # H(F) into H(-F); both leave the real collapse operators' dissipator as
+    # it is. So on the CLI's basis, the run at F from a start and the run at
+    # -F from its image (_gauge_image) give P_j equal, K_b negated (G flips
+    # it, conjugation keeps it) and J_b equal (both flip it), on any chain
+    tokens = data.draw(st.lists(st.sampled_from(["0", "1", "X+", "X-"]),
+                                min_size=n, max_size=n))
+    spec = "".join(tokens)
+    dev = DeviceParams.uniform(n).replace(
+        coupling_mhz=data.draw(st.lists(st.floats(-30.0, 30.0), min_size=n - 1,
+                                        max_size=n - 1)),
+        t1_us=data.draw(st.lists(st.floats(0.2, 50.0), min_size=n, max_size=n)),
+        t2star_us=data.draw(st.lists(st.floats(0.2, 50.0), min_size=n,
+                                     max_size=n)))
+    basis = build_sector_basis(n, _excitation_range(spec, noise))
+    obs = {f"P{j}": build_observable("density", j, dev, basis=basis)
+           for j in range(1, n + 1)}
+    for b in range(1, n):
+        obs[f"K{b}"] = build_observable("kinetic", b, dev, basis=basis)
+        obs[f"J{b}"] = build_observable("spin_current", b, dev, basis=basis)
+    collapse = (make_collapse_ops(dev, dephasing, basis)
+                if noise == "lindblad" else None)
+    times = np.arange(0.0, 13.0, 3.0)
+    there, back = (
+        trajectory(build_xy_hamiltonian(dev, PotentialSpec.linear(gradient),
+                                        basis=basis),
+                   prepare_initial_state(start, n, basis=basis), times, obs,
+                   collapse=collapse).columns
+        for gradient, start in ((f, spec), (-f, _gauge_image(tokens))))
+    for name, values in there.items():
+        sign = -1.0 if name[0] == "K" else 1.0
+        np.testing.assert_allclose(back[name], sign * values, rtol=0,
+                                   atol=1e-12, err_msg=f"{spec} {name}")
+
+
 def _random_hermitian(dim, rng, tag):
     """Sparse Hermitian operator with complex entries, diagonal ones included."""
     mask = rng.random((dim, dim)) < rng.uniform(0.1, 0.6)
@@ -277,15 +340,10 @@ def _operators(n, basis, rng):
     if n < 2:
         return ops
     dev = DeviceParams.uniform(n).replace(coupling_mhz=rng.uniform(2.0, 25.0, n - 1))
-    pot = PotentialSpec.linear(rng.uniform(-30.0, 30.0))
     ops += [build_observable("density", j, dev, basis=basis) for j in range(1, n + 1)]
-    # x and y pair operators leave an excitation sector
-    axes = "xyz" if basis is None else "z"
     for b in range(1, n):
-        ops += [build_observable(kind, b, dev, potential=pot, basis=basis)
-                for kind in ("kinetic", "potential", "spin_current")]
-        ops += [build_observable("pauli_pair", b, dev, basis=basis, axis=a)
-                for a in axes]
+        ops += [build_observable(kind, b, dev, basis=basis)
+                for kind in ("kinetic", "spin_current")]
     return ops
 
 
