@@ -46,7 +46,7 @@ _EXPORTS = {
         "OperatorMatrix", "SectorBasis", "build_observable",
         "build_sector_basis", "build_xy_hamiltonian", "full_tag", "sector_tag",
     ),
-    "observables": ("TrajectoryTable", "expectation", "trajectory"),
+    "observables": ("expectation", "trajectory"),
 }
 
 # public name -> the submodule that defines it

@@ -12,15 +12,14 @@ that reproduces the observed edge localization.
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import os
 import sys
-from importlib import metadata
 
 import numpy as np
 
+from . import __version__
 from .analysis import boundary_peak, linear_fit, wsl_length_from_boundary
 from .config import (EXPERIMENTS, _excitation_range, _f_label, _time_points,
                      parse_config, read_config)
@@ -35,14 +34,6 @@ from .model import (_basis_states, build_observable, build_sector_basis,
 from .observables import trajectory
 
 CSV_FORMAT = "%.9g"
-
-
-@functools.cache
-def _version():
-    try:
-        return metadata.version("starkchain")
-    except metadata.PackageNotFoundError:
-        return "0+unknown"
 
 
 def _potential_for(f_mhz):
@@ -122,7 +113,7 @@ def _exact(config, potential, noise, kind, indices):
         name: build_observable(kind, j, config.device, basis=basis)
         for name, j in indices.items()
     }
-    return trajectory(h, state, _times(config), ops, collapse=collapse).columns
+    return trajectory(h, state, _times(config), ops, collapse=collapse)
 
 
 def _sampled(config, potential, f_index, settings):
@@ -319,7 +310,7 @@ def run(config, out_dir=None):
         "outputs": sorted(outputs),
         "fits": fits,
         "versions": {
-            "starkchain": _version(),
+            "starkchain": __version__,
             "numpy": np.__version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
         },
@@ -350,8 +341,8 @@ def _load(args, default_experiment):
     if raw is None:
         raw = {}
     if isinstance(raw, dict):
-        # flags act on the raw mapping, so the preset's readout table and
-        # every other device-derived default follow the new device
+        # flags act on the raw mapping, so every device-derived default,
+        # such as the initial state, follows the new device
         raw = dict(raw)
         if args.preset:
             raw["device"] = args.preset

@@ -9,8 +9,9 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
-from .device import (_FIDELITY, _POSITIVE, ANGULAR_PER_MHZ, ConfusionMatrix,
-                     DeviceParams, _integer, _real, device_preset)
+from .device import (_FIDELITY, _POSITIVE, ANGULAR_PER_MHZ, TABLE_S1,
+                     ConfusionMatrix, DeviceParams, _integer, _real,
+                     device_preset)
 from .errors import ConfigError, DomainError, StateSpecError
 
 EXPERIMENTS = (
@@ -207,7 +208,7 @@ def _parse_device(raw, path="device"):
         raise ConfigError(f"{path}: expected a preset name or a mapping")
     allowed = {
         "preset", "n_qubits", "coupling_mhz", "anharmonicity_mhz",
-        "t1_us", "t2star_us", "readout_f0", "readout_f1",
+        "t1_us", "t2star_us",
     }
     _reject_unknown(raw, allowed, path)
     overrides = dict(raw)
@@ -265,7 +266,7 @@ def _parse_readout(raw, device, correction, path="readout"):
     if raw == "table-s1":
         _require(device.n_qubits == 5, path,
                  "the tabulated readout set is for the 5-qubit device")
-        table = tuple(map(ConfusionMatrix, device.readout_f0, device.readout_f1))
+        table = tuple(ConfusionMatrix(f0, f1) for f0, f1 in TABLE_S1)
     elif isinstance(raw, list):
         _require(len(raw) == device.n_qubits, path,
                  f"need {device.n_qubits} per-qubit entries")

@@ -280,19 +280,20 @@ def _correct_histograms(hist, mats):
     return out * (hist.sum(axis=1) / total)[:, None]
 
 
-def group_means(record, estimator, confusion=None):
-    """Per-group estimates of one estimator, in group order, or of a
-    sequence of K estimators as (n_groups, K), column k for name k.
+def group_means(record, estimators, confusion=None):
+    """Per-group estimates (n_groups, K) of a sequence of K estimators, in
+    group order, column k for name k.
 
     record: a CountRecord, which gives every estimator's histogram from
-    one pass over its counts. estimator: 'P{j}' for a site density, or a
-    two-letter Pauli pair plus the bond index ('XX2', 'XY1', ...) evaluated
-    as (1-2b_i)(1-2b_j). With confusion matrices given, each group's joint
-    histogram is inverse-corrected before the estimate.
+    one pass over its counts. Each estimator: 'P{j}' for a site density, or
+    a two-letter Pauli pair plus the bond index ('XX2', 'XY1', ...)
+    evaluated as (1-2b_i)(1-2b_j). With confusion matrices given, each
+    group's joint histogram is inverse-corrected before the estimate.
     """
-    single = isinstance(estimator, str) or not np.iterable(estimator)
-    parsed = [_parse_estimator(str(name), record)
-              for name in ([estimator] if single else estimator)]
+    if isinstance(estimators, str) or not np.iterable(estimators):
+        raise DomainError(f"estimators must be a sequence of names, got "
+                          f"{estimators!r}")
+    parsed = [_parse_estimator(str(name), record) for name in estimators]
     hists = record.site_histograms([sites for _, sites in parsed])
     out = np.empty((len(parsed), record.n_groups))
     for k, ((kind, sites), hist) in enumerate(zip(parsed, hists)):
@@ -306,4 +307,4 @@ def group_means(record, estimator, confusion=None):
         vals = np.array([0.0, 1.0] if kind == "P" else [1.0, -1.0, -1.0, 1.0])
         # one dot product per group, as np.dot(vals, h) for a single group
         out[k] = np.matmul(hist[:, None, :], vals)[:, 0] / hist.sum(axis=1)
-    return out[0] if single else out.T
+    return out.T

@@ -196,8 +196,10 @@ def _basis_states(basis, n_sites):
     """(states, occupations, tag) of a basis: its integers in the full
     two-level space (full_tag) in basis order, their (dim, n) occupations
     with site 1 in column 0, and its tag. basis None is the full space in
-    index order. A chain of more than MAX_QUBITS sites is refused: its
-    states would not fit one int64."""
+    index order. A chain of no sites is refused, and so is one of more
+    than MAX_QUBITS sites: its states would not fit one int64."""
+    if n_sites < 1:
+        raise DomainError(f"n_sites must be >= 1, got {n_sites}")
     if n_sites > MAX_QUBITS:
         raise DomainError(f"a chain of {n_sites} sites is above the "
                           f"{MAX_QUBITS} whose states fit one int64")

@@ -1,7 +1,6 @@
 """Expectation values and observable trajectories on state snapshots."""
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,40 +11,6 @@ from .errors import DomainError, NumericalConsistencyError
 from .model import OperatorMatrix, _restricted
 
 IMAG_ERROR_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class TrajectoryTable:
-    """Time series of named observables.
-
-    Column names follow the fixed scheme P{j}, K{j}, V{j}, J{j} (site or bond
-    index) so CSV headers stay stable; nothing enforces the scheme here, the
-    builders in the cli module use it.
-    """
-
-    times_ns: np.ndarray
-    columns: dict
-
-    def __post_init__(self):
-        t = np.asarray(self.times_ns, dtype=float)
-        object.__setattr__(self, "times_ns", t)
-        nt = t.shape[0]
-        cols = {}
-        for name, vals in self.columns.items():
-            v = np.asarray(vals, dtype=float)
-            if v.shape != (nt,):
-                raise DomainError(
-                    f"column {name!r} has length {v.shape}, expected ({nt},)"
-                )
-            cols[str(name)] = v
-        object.__setattr__(self, "columns", cols)
-
-    @property
-    def names(self):
-        return list(self.columns)
-
-    def column(self, name):
-        return self.columns[name]
 
 
 def _expectations(snapshots, operators):
@@ -115,8 +80,8 @@ def expectation(state, obs):
 def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
     """Evolve once and tabulate exact expectations of each named observable.
 
-    observables: mapping name -> OperatorMatrix (insertion order fixes the
-    column order). Without a collapse operator set the state stays pure; with
+    observables: mapping name -> OperatorMatrix. Returns {name: (T,) float
+    array}, one column per observable in the mapping's order. Without a collapse operator set the state stays pure; with
     one it evolves under the master equation and pays the density-matrix
     cost.
     """
@@ -128,5 +93,4 @@ def trajectory(hamiltonian, state, times_ns, observables, collapse=None):
         snapshots = evolve_lindblad(hamiltonian, state, times_ns, collapse)
     data = _real_parts(_expectations(snapshots, list(observables.values())),
                        times_ns)
-    return TrajectoryTable(times_ns=times_ns,
-                           columns=dict(zip(observables, data.T)))
+    return dict(zip(observables, data.T))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import starkchain
 from starkchain import (
     ConfigError,
     NoWavefrontError,
@@ -80,26 +81,25 @@ class TestValidate:
         assert main(["validate", "--config", str(p), "--seed", "-1"]) == 2
         assert "shots.seed" in capsys.readouterr().err
 
-    def test_preset_flag_sets_readout_table(self, tmp_path, capsys):
-        # table-s1 reads the fidelities of the device the flag selects, not
-        # those of the device the file describes
+    def test_preset_flag_leaves_table_s1_readout(self, tmp_path, capsys):
+        # the flag picks the device; table-s1 is the paper's Table S1 with
+        # or without it
         p = tmp_path / "c.yaml"
         p.write_text(
             "experiment: spin_transport\n"
-            "device: {n_qubits: 5, coupling_mhz: [10, 10, 10, 10],\n"
-            "         readout_f0: [0.5, 0.5, 0.5, 0.5, 0.5],\n"
-            "         readout_f1: [0.6, 0.6, 0.6, 0.6, 0.6]}\n"
+            "device: {n_qubits: 5, coupling_mhz: [10, 10, 10, 10]}\n"
             "readout: table-s1\n"
         )
-        assert main(["validate", "--config", str(p)]) == 0
-        own = json.loads(capsys.readouterr().out)
-        assert own["readout"][0] == {"f0": 0.5, "f1": 0.6}
-        assert main(["validate", "--config", str(p),
-                     "--preset", "paper-device"]) == 0
-        echoed = json.loads(capsys.readouterr().out)
-        assert echoed["device"]["preset"] == "paper-device"
-        assert echoed["readout"][0] == {"f0": 0.981, "f1": 0.853}
-        assert echoed["readout"][4] == {"f0": 0.971, "f1": 0.917}
+        echoes = []
+        for flags in ([], ["--preset", "paper-device"]):
+            assert main(["validate", "--config", str(p), *flags]) == 0
+            echoes.append(json.loads(capsys.readouterr().out))
+        own, preset = echoes
+        assert own["device"]["preset"] is None
+        assert preset["device"]["preset"] == "paper-device"
+        for echoed in echoes:
+            assert echoed["readout"][0] == {"f0": 0.981, "f1": 0.853}
+            assert echoed["readout"][4] == {"f0": 0.971, "f1": 0.917}
 
     def test_zero_gradient_in_scan(self, tmp_path, capsys):
         # refused before any gradient is evolved
@@ -446,7 +446,7 @@ def test_sector_range_route_matches_the_full_space(n, noise, dephasing, f,
         ops = {name: build_observable(kind, j, cfg.device, basis=where)
                for kind, j, name in kinds}
         columns.append(trajectory(hm, st0, cli._times(cfg), ops,
-                                  collapse=col).columns)
+                                  collapse=col))
     for name in columns[1]:
         np.testing.assert_allclose(columns[0][name], columns[1][name],
                                    rtol=0, atol=1e-10, err_msg=name)
@@ -957,23 +957,13 @@ class TestGoldenShotFree:
         assert digest == self.GOLDEN[name]
 
 
-def test_version_is_looked_up_once_per_process(tmp_path, monkeypatch):
-    # importlib.metadata.version scans every sys.path entry, so a run reads
-    # the package version through a cache
-    lookups = []
-    version = cli.metadata.version
-
-    def counted(name):
-        lookups.append(name)
-        return version(name)
-
-    monkeypatch.setattr(cli.metadata, "version", counted)
-    cli._version.cache_clear()
+def test_summary_version_is_the_package_version(tmp_path):
+    # one version string: the package's, which pyproject.toml reads too
     cfg = parse_config({"experiment": "spin_transport", "t_max": 20})
-    first = run(cfg, out_dir=str(tmp_path / "a"))
-    second = run(cfg, out_dir=str(tmp_path / "b"))
-    assert lookups == ["starkchain"]
-    assert first["versions"] == second["versions"]
+    summary = run(cfg, out_dir=str(tmp_path))
+    assert summary["versions"]["starkchain"] == starkchain.__version__
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written["versions"]["starkchain"] == starkchain.__version__
 
 
 class TestWslScan:
@@ -1249,9 +1239,9 @@ def test_one_estimate_pass_per_setting(tmp_path, monkeypatch, experiment,
     # one group_means call estimates every name of a readout setting
     calls, group_means = [], cli.group_means
 
-    def counted(record, estimator, confusion=None):
-        calls.append(estimator)
-        return group_means(record, estimator, confusion)
+    def counted(record, estimators, confusion=None):
+        calls.append(estimators)
+        return group_means(record, estimators, confusion)
 
     monkeypatch.setattr(cli, "group_means", counted)
     run(parse_config({"experiment": experiment, "noise": "lindblad",

@@ -153,7 +153,8 @@ class TestDevice:
     @pytest.mark.parametrize("override, message", [
         ({"t1_us": [17, 30, "42", 17, 36]},
          r"t1_us\[2\]: expected a number, got '42'"),
-        ({"readout_f0": [True] * 5}, r"readout_f0\[0\]: expected a number, got True"),
+        ({"anharmonicity_mhz": [True] * 5},
+         r"anharmonicity_mhz\[0\]: expected a number, got True"),
         ({"coupling_mhz": "14.4"},
          r"coupling_mhz: expected a list of 4 numbers, got '14.4'"),
         ({"coupling_mhz": [14.4, {"g": 14.4}, 14.4, 14.4]},
@@ -162,8 +163,8 @@ class TestDevice:
          r"t2star_us\[4\]: must be finite, got inf"),
         ({"t1_us": [17.0, 0, 42.0, 17.0, 36.0]},
          r"t1_us\[1\]: must be positive, got 0.0"),
-        ({"readout_f1": [0.9, 0.9, 0.9, 1.5, 0.9]},
-         r"readout_f1\[3\]: must be in \[0, 1\], got 1.5"),
+        ({"t2star_us": [2.0, 2.0, 2.0, -1.5, 2.0]},
+         r"t2star_us\[3\]: must be positive, got -1.5"),
     ])
     def test_device_values_keep_the_number_rule(self, override, message):
         # one line under device naming the field and index, by the rule
@@ -299,8 +300,6 @@ _DEVICE = _mapping({
     "anharmonicity_mhz": _floats(-300, 0),
     "t1_us": _floats(-1, 50),
     "t2star_us": _floats(-1, 5),
-    "readout_f0": _floats(-0.5, 1.5),
-    "readout_f1": _floats(-0.5, 1.5),
 }) | st.sampled_from(["paper-device", "other"])
 _SHOTS = _mapping({
     "n_shots": st.integers(-2, 3000),
@@ -584,10 +583,48 @@ class TestReadout:
         assert cfg.readout[0] == ConfusionMatrix(f0=0.981, f1=0.853)
         assert cfg.readout[4] == ConfusionMatrix(f0=0.971, f1=0.917)
 
+    def test_table_is_the_papers_on_any_five_qubit_device(self):
+        # table-s1 is the paper's Table S1, whatever the device
+        cfg = parse_config({
+            "experiment": "spin_transport", "readout": "table-s1",
+            "device": {"n_qubits": 5, "coupling_mhz": [14.4] * 4}})
+        assert cfg.readout == tuple(ConfusionMatrix(f0, f1) for f0, f1 in (
+            (0.981, 0.853), (0.957, 0.897), (0.957, 0.891), (0.923, 0.859),
+            (0.971, 0.917)))
+
+    @pytest.mark.parametrize("device", [
+        {"preset": "paper-device"},
+        {"n_qubits": 5, "coupling_mhz": [14.4] * 4}], ids=["preset", "uniform"])
+    @pytest.mark.parametrize("key", ["readout_f0", "readout_f1"])
+    def test_device_has_no_readout_keys(self, device, key):
+        # the fidelities live under readout: alone
+        with pytest.raises(ConfigError,
+                           match=rf"^device: unknown keys \['{key}'\]; "):
+            parse_config({"experiment": "spin_transport",
+                          "device": dict(device, **{key: [0.9] * 5})})
+
+    @pytest.mark.parametrize("q, entry, message", [
+        (0, {"f0": True, "f1": 0.9}, r"f0: expected a number, got True"),
+        (3, {"f0": 0.9, "f1": 1.5}, r"f1: must be in \[0, 1\], got 1.5"),
+    ], ids=["f0-bool", "f1-range"])
+    def test_entries_keep_the_number_rule(self, q, entry, message):
+        # one line naming the entry and field, by the number rule and the
+        # fidelity range
+        entries = [{"f0": 0.9, "f1": 0.9}] * 5
+        entries[q] = entry
+        with pytest.raises(ConfigError,
+                           match=rf"^readout\[{q}\]\.{message}$"):
+            parse_config({"experiment": "spin_transport", "readout": entries})
+
     def test_explicit_list(self):
         entries = [{"f0": 0.95, "f1": 0.9}] * 5
         cfg = parse_config({"experiment": "spin_transport", "readout": entries})
         assert cfg.readout == (ConfusionMatrix(f0=0.95, f1=0.9),) * 5
+
+    def test_list_has_one_entry_per_qubit(self):
+        entries = [{"f0": 0.9, "f1": 0.9}] * 4
+        with pytest.raises(ConfigError, match=r"^readout: need 5 per-qubit"):
+            parse_config({"experiment": "spin_transport", "readout": entries})
 
     def test_range_check(self):
         entries = [{"f0": 1.5, "f1": 0.9}] * 5
@@ -601,12 +638,11 @@ class TestReadout:
         with pytest.raises(ConfigError, match=r"^readout\[4\]: .*singular"):
             parse_config(dict(raw, readout_correction=True))
 
-    def test_correction_checks_the_device_table(self):
-        # table-s1 reads the device's own fidelities
-        device = {"n_qubits": 5, "coupling_mhz": [10.0] * 4,
-                  "readout_f0": [0.5] * 5, "readout_f1": [0.5] * 5}
+    def test_correction_checks_a_singular_first_entry(self):
+        device = {"n_qubits": 5, "coupling_mhz": [10.0] * 4}
         raw = {"experiment": "spin_transport", "device": device,
-               "readout": "table-s1", "readout_correction": True}
+               "readout": [{"f0": 0.5, "f1": 0.5}] * 5,
+               "readout_correction": True}
         with pytest.raises(ConfigError, match=r"^readout\[0\]: .*singular"):
             parse_config(raw)
 

@@ -16,6 +16,7 @@ from starkchain import (
     device_preset,
     paper_device,
 )
+from starkchain.device import TABLE_S1
 
 
 class TestDeviceParams:
@@ -26,15 +27,15 @@ class TestDeviceParams:
         np.testing.assert_allclose(dev.anharmonicity_mhz, [-242, -196, -239, -196, -242])
         np.testing.assert_allclose(dev.t1_us, [17, 30, 42, 17, 36])
         np.testing.assert_allclose(dev.t2star_us, [1.53, 4.39, 2.20, 2.19, 2.25])
-        np.testing.assert_allclose(dev.readout_f0, [0.981, 0.957, 0.957, 0.923, 0.971])
-        np.testing.assert_allclose(dev.readout_f1, [0.853, 0.897, 0.891, 0.859, 0.917])
+        # the readout fidelities are the paper's Table S1, beside the preset
+        assert TABLE_S1 == ((0.981, 0.853), (0.957, 0.897), (0.957, 0.891),
+                            (0.923, 0.859), (0.971, 0.917))
 
     def test_preset_lookup(self):
         dev = device_preset("paper-device")
         ref = paper_device()
         assert dev.n_qubits == ref.n_qubits
-        for name in ("coupling_mhz", "anharmonicity_mhz", "t1_us", "t2star_us",
-                     "readout_f0", "readout_f1"):
+        for name in ("coupling_mhz", "anharmonicity_mhz", "t1_us", "t2star_us"):
             np.testing.assert_array_equal(getattr(dev, name), getattr(ref, name))
         with pytest.raises(DomainError):
             device_preset("no-such-device")
@@ -44,9 +45,6 @@ class TestDeviceParams:
         assert dev.n_qubits == 7
         assert len(dev.coupling_mhz) == 6
         np.testing.assert_allclose(dev.coupling_mhz, 3.0)
-        # uniform chain defaults to ideal readout
-        np.testing.assert_allclose(dev.readout_f0, 1.0)
-        np.testing.assert_allclose(dev.readout_f1, 1.0)
 
     @pytest.mark.parametrize("n", [2.7, "5", 5.0, None, 1, True])
     def test_uniform_refuses_what_the_constructor_refuses(self, n):
@@ -68,6 +66,9 @@ class TestDeviceParams:
         assert dev2.n_qubits == 5
         np.testing.assert_allclose(dev2.t1_us, 1e9)
         np.testing.assert_allclose(dev2.coupling_mhz, dev.coupling_mhz)
+        # the readout fidelities are not device fields
+        with pytest.raises(DomainError, match="readout_f0"):
+            dev.replace(readout_f0=[0.9] * 5)
 
     def test_length_validation(self):
         with pytest.raises(DomainError):
@@ -77,8 +78,6 @@ class TestDeviceParams:
                 anharmonicity_mhz=np.zeros(5),
                 t1_us=np.ones(5),
                 t2star_us=np.ones(5),
-                readout_f0=np.ones(5),
-                readout_f1=np.ones(5),
             )
 
     def test_nonpositive_lifetimes_rejected(self):
@@ -88,7 +87,8 @@ class TestDeviceParams:
     @pytest.mark.parametrize("field, value, message", [
         ("t1_us", [17.0, 30.0, "42", 17.0, 36.0],
          r"t1_us\[2\]: expected a number, got '42'"),
-        ("readout_f0", [True] * 5, r"readout_f0\[0\]: expected a number, got True"),
+        ("anharmonicity_mhz", [True] * 5,
+         r"anharmonicity_mhz\[0\]: expected a number, got True"),
         ("coupling_mhz", [1.0, 2.0, 3.0, 1j], r"coupling_mhz\[3\]: expected a number"),
         ("anharmonicity_mhz", [0.0] * 4 + [-10 ** 400],
          r"anharmonicity_mhz\[4\]: must be finite, got -inf"),
@@ -97,7 +97,7 @@ class TestDeviceParams:
         # a string is not a list of its characters
         ("coupling_mhz", "1234", r"coupling_mhz: expected a list of 4 numbers"),
         ("coupling_mhz", np.ones((4, 1)), r"coupling_mhz\[0\]: expected a number"),
-        ("readout_f1", [0.9] * 4, r"readout_f1: expected a list of 5 numbers"),
+        ("t1_us", [17.0] * 4, r"t1_us: expected a list of 5 numbers"),
     ])
     def test_one_number_rule(self, field, value, message):
         with pytest.raises(DomainError, match=message):
@@ -114,7 +114,7 @@ class TestDeviceHoldsItsValues:
     def test_callers_array_is_not_kept(self):
         t1 = np.full(5, 20.0)
         dev = paper_device().replace(t1_us=t1)
-        built = DeviceParams(5, *(np.ones(n) for n in (4, 5, 5, 5, 5, 5)))
+        built = DeviceParams(5, *(np.ones(n) for n in (4, 5, 5, 5)))
         t1[0] = 0.0
         assert dev.t1_us[0] == 20.0 and dev.t1_ns[0] == 20e3
         assert built.coupling_mhz == (1.0,) * 4
@@ -138,6 +138,15 @@ class TestDeviceHoldsItsValues:
 def test_confusion_matrix_keeps_the_number_rule(f0):
     with pytest.raises(DomainError, match="^f0: "):
         ConfusionMatrix(f0=f0, f1=0.9)
+
+
+@pytest.mark.parametrize("field", ["f0", "f1"])
+def test_confusion_matrix_names_a_bool_fidelity(field):
+    # a bool is not a fidelity: the message names the field and the value
+    fidelities = dict({"f0": 0.9, "f1": 0.9}, **{field: True})
+    with pytest.raises(DomainError,
+                       match=rf"^{field}: expected a number, got True$"):
+        ConfusionMatrix(**fidelities)
 
 
 class TestPotentialSpec:

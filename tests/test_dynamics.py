@@ -34,7 +34,7 @@ from starkchain import (
     sample_shots,
     single_particle_matrix,
 )
-from starkchain import dynamics
+from starkchain import dynamics, model
 from starkchain.config import _excitation_range
 from starkchain.dynamics import (_entry_table, _generator_blocks, _liouvillian,
                                  _reachable)
@@ -117,6 +117,15 @@ class TestStatePrep:
         with pytest.raises(DomainError, match=re.escape(
                 f"n_sites: expected an integer, got {n_sites!r}")):
             prepare_initial_state("10", n_sites)
+
+    def test_zero_site_chain_is_refused(self):
+        # ("", 0) made a state tagged full:n=0 that no Hamiltonian takes;
+        # every basis-taking function holds a chain to one site or more
+        message = "^n_sites must be >= 1, got 0$"
+        with pytest.raises(DomainError, match=message):
+            prepare_initial_state("", 0)
+        with pytest.raises(DomainError, match=message):
+            model._basis_states(None, 0)
 
     def test_spec_errors(self):
         with pytest.raises(StateSpecError):

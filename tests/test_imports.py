@@ -184,21 +184,30 @@ def test_package_import_loads_no_submodule_and_no_numpy():
 
 
 def test_parse_config_loads_no_numerics_module_and_no_yaml():
-    # a noisy thermal run with corrected table-s1 readout on a custom device
-    # touches every branch of the parser that once needed dynamics (the
-    # state grammar) or measurement (the confusion matrix)
+    # a noisy thermal run with corrected table-s1 readout, and one with a
+    # corrected readout list on a custom device, touch every branch of the
+    # parser that once needed dynamics (the state grammar) or measurement
+    # (the confusion matrix)
     loaded = _modules_after(
         "from starkchain.config import parse_config\n"
         "parse_config({'experiment': 'thermal_transport', 'noise': 'lindblad',\n"
-        "              'readout': 'table-s1', 'readout_correction': True,\n"
+        "              'readout': 'table-s1', 'readout_correction': True})\n"
+        "parse_config({'experiment': 'thermal_transport', 'noise': 'lindblad',\n"
+        "              'readout': [{'f0': 0.95, 'f1': 0.9}] * 5,\n"
+        "              'readout_correction': True,\n"
         "              'initial_state': 'X+0000',\n"
-        "              'device': {'n_qubits': 5, 'coupling_mhz': [14.4] * 4,\n"
-        "                         'readout_f0': [0.95] * 5}})")
+        "              'device': {'n_qubits': 5, 'coupling_mhz': [14.4] * 4}})")
     assert _starkchain_modules(loaded) == [
         "starkchain", "starkchain.config", "starkchain.device",
         "starkchain.errors"]
     assert "yaml" not in loaded
     assert "numpy" not in loaded
+
+
+def test_cli_import_loads_no_package_metadata():
+    # summary.json's version is starkchain.__version__; importlib.metadata
+    # took 17-22 ms to import for that one string
+    assert "importlib.metadata" not in _modules_after("import starkchain.cli")
 
 
 def test_load_config_loads_yaml_on_first_read(tmp_path):
@@ -213,7 +222,7 @@ def test_load_config_loads_yaml_on_first_read(tmp_path):
     assert "numpy" not in loaded
 
 
-# the package's 50 public names, by defining module
+# the package's 49 public names, by defining module
 _PUBLIC = {
     "analysis": [
         "FitResult", "boundary_peak", "detect_first_wavefront",
@@ -238,13 +247,13 @@ _PUBLIC = {
     "model": [
         "OperatorMatrix", "SectorBasis", "build_observable",
         "build_sector_basis", "build_xy_hamiltonian", "full_tag", "sector_tag"],
-    "observables": ["TrajectoryTable", "expectation", "trajectory"],
+    "observables": ["expectation", "trajectory"],
 }
 
 
 class TestPublicSurface:
     def test_all_is_unchanged(self):
-        assert len(starkchain.__all__) == 50
+        assert len(starkchain.__all__) == 49
         assert starkchain.__all__ == sorted(
             name for names in _PUBLIC.values() for name in names)
 
@@ -314,3 +323,19 @@ def test_readme_python_blocks_run(k, tmp_path):
         [sys.executable, "-W", "error::RuntimeWarning", "-c", _README_CODE[k]],
         env=env, cwd=tmp_path, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+_README_YAML = re.findall(r"^```yaml\n(.*?)^```", _README.read_text(),
+                          re.M | re.S)
+
+
+@pytest.mark.parametrize("k", range(len(_README_YAML)))
+def test_readme_yaml_blocks_validate(k, tmp_path):
+    # each config example reads as a file and validates, so the README
+    # documents no key the parser refuses
+    from starkchain.config import parse_config, read_config
+
+    assert len(_README_YAML) >= 2  # the pattern still finds the blocks
+    path = tmp_path / "c.yaml"
+    path.write_text(_README_YAML[k])
+    parse_config(read_config(path), default_experiment="spin_transport")

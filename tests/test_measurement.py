@@ -22,7 +22,6 @@ from starkchain import (
     evolve_lindblad,
     group_means,
     make_collapse_ops,
-    paper_device,
     parse_config,
     prepare_initial_state,
     sample_shots,
@@ -137,7 +136,7 @@ class TestSampling:
         n = 100_000
         rec = sample_shots(data, conf, "ZZZZZ", n, [11])
         p_hat = group_means(rec, [f"P{q}" for q in range(1, 6)])[0]
-        for q, f1 in enumerate(paper_device().readout_f1):
+        for q, f1 in enumerate(c.f1 for c in TABLE_S1):
             sigma = np.sqrt(f1 * (1 - f1) / n)
             assert abs(p_hat[q] - f1) < 3 * sigma
 
@@ -145,7 +144,7 @@ class TestSampling:
         data = prepare_initial_state("X+0", 2).data[None]
         rec = sample_shots(data, [ConfusionMatrix.perfect()] * 2, "ZZ",
                            50_000, [9])
-        p1 = group_means(rec, "P1")[0]
+        p1 = group_means(rec, ["P1"])[0, 0]
         assert abs(p1 - 0.5) < 3 * np.sqrt(0.25 / 50_000)
 
     def test_state_tag_check(self):
@@ -224,37 +223,44 @@ class TestSampling:
 class TestEstimators:
     def test_site_density(self):
         r = _counts_of(_strings_to_bits(("10", "10", "00", "10")), 2, "ZZ")
-        means = group_means(r, "P1")
+        means = group_means(r, ["P1"])[:, 0]
         np.testing.assert_allclose(means, [1.0, 0.5])
         assert means.mean() == pytest.approx(0.75)
 
     def test_pauli_pair_values(self):
         # (1-2b_i)(1-2b_j) per shot
         r = _counts_of(_strings_to_bits(("10", "01", "00", "11")), 1, "XX")
-        means = group_means(r, "XX1")
+        means = group_means(r, ["XX1"])[:, 0]
         np.testing.assert_allclose(means, [(-1 - 1 + 1 + 1) / 4.0])
 
     def test_basis_mismatch(self):
         r = CountRecord([[1, 0, 0, 0]], "XY")
         with pytest.raises(DomainError):
-            group_means(r, "XX1")
+            group_means(r, ["XX1"])
         # matching mixed-basis estimator works
-        assert group_means(r, "XY1")[0] == pytest.approx(1.0)
+        assert group_means(r, ["XY1"])[0, 0] == pytest.approx(1.0)
+
+    def test_bare_name_is_refused(self):
+        # a name is not a sequence of its characters: the one form is a list
+        r = CountRecord([[0, 0, 1, 0]], "ZZ")
+        with pytest.raises(DomainError, match=r"sequence of names, got 'P1'$"):
+            group_means(r, "P1")
+        np.testing.assert_array_equal(group_means(r, ["P1"]), [[1.0]])
 
     def test_unknown_estimator(self):
         r = CountRecord([[1, 0, 0, 0]], "ZZ")
         with pytest.raises(DomainError):
-            group_means(r, "Q1")
+            group_means(r, ["Q1"])
         with pytest.raises(DomainError):
-            group_means(r, "P3")
+            group_means(r, ["P3"])
         with pytest.raises(DomainError):
-            group_means(r, "ZZ2")
+            group_means(r, ["ZZ2"])
 
     def test_single_group_spread_is_zero(self):
         # one group per snapshot has no spread: the runner reports the means
         # and no error bars
         r = _counts_of(_strings_to_bits(("10", "00")), 1, "ZZ")
-        cols, errs = cli._mean_err({"P1": group_means(r, "P1")[None]})
+        cols, errs = cli._mean_err({"P1": group_means(r, ["P1"]).T})
         np.testing.assert_array_equal(cols["P1"], [0.5])
         assert errs == {}
 
@@ -265,7 +271,7 @@ class TestEstimators:
         conf = [ConfusionMatrix.perfect()] * 2
         rec = sample_shots([data] * 100, conf, "ZZ", 600, np.arange(100),
                            n_groups=6)
-        spreads = group_means(rec, "P1").reshape(100, 6).std(axis=1, ddof=1)
+        spreads = group_means(rec, ["P1"]).reshape(100, 6).std(axis=1, ddof=1)
         assert 0.025 < spreads.mean() < 0.1
 
 
@@ -280,8 +286,8 @@ class TestReadoutCorrection:
         for c in TABLE_S1:
             true = 1000 * rng.integers(1, 1000, size=2)
             rec = CountRecord(np.rint(c.matrix @ true)[None], "Z")
-            np.testing.assert_allclose(group_means(rec, "P1", confusion=[c]),
-                                       [true[1] / true.sum()], rtol=0,
+            np.testing.assert_allclose(group_means(rec, ["P1"], confusion=[c]),
+                                       [[true[1] / true.sum()]], rtol=0,
                                        atol=1e-12)
 
     def test_histogram_roundtrip(self):
@@ -305,7 +311,7 @@ class TestReadoutCorrection:
         conf = [ConfusionMatrix(f0=0.9, f1=0.9)]
         # a reported density below the achievable floor maps to a clamped 0
         rec = CountRecord([[100, 0]], "Z")
-        assert group_means(rec, "P1", confusion=conf)[0] == 0.0
+        assert group_means(rec, ["P1"], confusion=conf)[0, 0] == 0.0
 
     def test_clamping_both_ways(self):
         # densities past either end of the correctable range clamp to 0 or
@@ -343,7 +349,7 @@ class TestReadoutCorrection:
         data = prepare_initial_state("11111", 5).data[None]
         conf = TABLE_S1
         rec = sample_shots(data, conf, "ZZZZZ", 60_000, [13], n_groups=6)
-        grand = group_means(rec, "P4", confusion=conf).mean()
+        grand = group_means(rec, ["P4"], confusion=conf)[:, 0].mean()
         assert abs(grand - 1.0) < 0.01
 
 
@@ -407,8 +413,8 @@ def test_group_means_match_string_reference(case):
     bits, n_groups, basis, estimator, confusion = case
     strings = tuple("".join(str(b) for b in row) for row in bits)
     want = _reference_group_means(strings, n_groups, estimator, confusion)
-    got = group_means(_counts_of(bits, n_groups, basis), estimator,
-                      confusion=confusion)
+    got = group_means(_counts_of(bits, n_groups, basis), [estimator],
+                      confusion=confusion)[:, 0]
     # same arithmetic as the reference, so equal to the last bit
     np.testing.assert_array_equal(got, want)
 
@@ -450,8 +456,8 @@ def test_batch_equals_its_parts(case):
     assert batch.n_groups == len(stack) * n_groups and batch.basis == basis
     for est in _estimators(basis):
         for correct in (None, confusion):
-            got = group_means(batch, est, confusion=correct)
-            want = np.vstack([group_means(p, est, confusion=correct)
+            got = group_means(batch, [est], confusion=correct)[:, 0]
+            want = np.vstack([group_means(p, [est], confusion=correct)[:, 0]
                               for p in parts])
             assert np.array_equal(got.reshape(len(stack), n_groups), want)
 
@@ -478,7 +484,7 @@ def test_counts_of_a_record_give_its_means(case):
     for est in _estimators(basis):
         for correct in (None, TABLE_S1[:len(basis)]):
             np.testing.assert_array_equal(
-                group_means(counts, est, confusion=correct),
+                group_means(counts, [est], confusion=correct)[:, 0],
                 _reference_group_means(strings, n_groups, est, correct))
 
 
@@ -520,12 +526,12 @@ def test_one_pass_equals_the_per_name_calls(case, drawn, data):
             except DomainError as exc:  # an empty group, or one corrected
                 with pytest.raises(DomainError, match=re.escape(str(exc))):
                     for name in names:
-                        group_means(rec, name, confusion=correct)
+                        group_means(rec, [name], confusion=correct)[:, 0]
                 continue
             assert got.shape == (rec.n_groups, len(names))
             for k, name in enumerate(names):
                 np.testing.assert_array_equal(
-                    got[:, k], group_means(rec, name, confusion=correct))
+                    got[:, [k]], group_means(rec, [name], confusion=correct))
         if isinstance(rec, CountRecord):
             # the one product gives the former axis sums, exactly
             tuples = [(j,) for j in range(1, n + 1)]
@@ -558,7 +564,7 @@ class TestCounts:
             want[3 * k:3 * k + 3, outcome] = 20
         np.testing.assert_array_equal(rec.counts, want)
         np.testing.assert_array_equal(
-            group_means(rec, "P1").reshape(3, 3), [[1] * 3, [0] * 3, [1] * 3])
+            group_means(rec, ["P1"]).reshape(3, 3), [[1] * 3, [0] * 3, [1] * 3])
 
     def test_counts_sum_to_the_group_size(self):
         stack = _random_stack(3, 4, seed=2)
@@ -704,7 +710,7 @@ class TestCounts:
         rec = CountRecord([[1, 0, 0, 0], [0, 0, 0, 0]], "ZZ")
         assert not rec.counts.flags.writeable
         with pytest.raises(DomainError, match="empty groups"):
-            group_means(rec, "P1")
+            group_means(rec, ["P1"])
         # a caller's array is copied: writing to it leaves the record be
         mine = np.array([[1, 0, 0, 0]], dtype=np.int64)
         rec = CountRecord(mine, "ZZ")

@@ -1,4 +1,4 @@
-"""Expectation values and trajectory tables."""
+"""Expectation values and trajectories."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from starkchain import (
     NumericalConsistencyError,
     PotentialSpec,
     QuantumState,
-    TrajectoryTable,
     build_observable,
     build_sector_basis,
     build_xy_hamiltonian,
@@ -104,36 +103,40 @@ class TestExpectation:
             assert expectation(st, build_observable("density", j, dev)) == pytest.approx(want)
 
 
-class TestTrajectoryTable:
-    def test_length_validation(self):
-        with pytest.raises(DomainError):
-            TrajectoryTable(times_ns=np.arange(3.0), columns={"P1": np.zeros(4)})
-
-    def test_accessors(self):
-        t = np.arange(4.0)
-        tab = TrajectoryTable(times_ns=t, columns={"P1": t * 0.1, "P2": t * 0.2})
-        assert tab.names == ["P1", "P2"]
-        np.testing.assert_allclose(tab.column("P2"), t * 0.2)
-
-
 class TestTrajectory:
     def setup_method(self):
         self.dev = paper_device()
         self.pot = PotentialSpec.linear(-15.0)
         self.h = build_xy_hamiltonian(self.dev, self.pot)
 
+    def test_returns_ordered_float_columns(self):
+        # {name: (T,) float array}, in the order the observables are given
+        st = prepare_initial_state("10000", 5)
+        names = ["P3", "E", "P1"]
+        ops = {"P3": build_observable("density", 3, self.dev), "E": self.h,
+               "P1": build_observable("density", 1, self.dev)}
+        times = np.linspace(0, 20, 6)
+        for collapse in (None, make_collapse_ops(self.dev)):
+            tab = trajectory(self.h, st, times, ops, collapse=collapse)
+            assert type(tab) is dict
+            assert list(tab) == names
+            for name in names:
+                assert tab[name].dtype == np.float64
+                assert tab[name].shape == (6,)
+            assert tab["P1"][0] == pytest.approx(1.0, abs=1e-12)
+
     def test_energy_conserved_unitary(self):
         st = prepare_initial_state("X+X+000", 5)
         times = np.linspace(0, 300, 61)
         tab = trajectory(self.h, st, times, {"E": self.h})
-        e = tab.column("E")
+        e = tab["E"]
         np.testing.assert_allclose(e, e[0], atol=1e-9)
 
     def test_total_density_conserved(self):
         st = prepare_initial_state("10000", 5)
         obs = {f"P{j}": build_observable("density", j, self.dev) for j in range(1, 6)}
         tab = trajectory(self.h, st, np.linspace(0, 300, 151), obs)
-        total = sum(tab.column(f"P{j}") for j in range(1, 6))
+        total = sum(tab[f"P{j}"] for j in range(1, 6))
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
 
     def test_current_vanishes_at_t0(self):
@@ -142,14 +145,14 @@ class TestTrajectory:
             st = prepare_initial_state(spec, 5)
             j4 = build_observable("spin_current", 4, self.dev)
             tab = trajectory(self.h, st, [0.0], {"J4": j4})
-            assert tab.column("J4")[0] == pytest.approx(0.0, abs=1e-12)
+            assert tab["J4"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_kinetic_initial_value(self):
         # <K1>(0) on |X+X+000> is g1/2, here in rad/ns
         st = prepare_initial_state("X+X+000", 5)
         k1 = build_observable("kinetic", 1, self.dev)
         tab = trajectory(self.h, st, [0.0], {"K1": k1})
-        assert tab.column("K1")[0] == pytest.approx(
+        assert tab["K1"][0] == pytest.approx(
             0.5 * 14.60 * ANGULAR_PER_MHZ, rel=1e-12)
 
     def test_kinetic_on_two_site_chain(self):
@@ -166,7 +169,7 @@ class TestTrajectory:
         t = np.pi / (4 * g)
         vec = evolve_unitary(h, st, [t])[0]
         k1 = build_observable("kinetic", 1, dev)
-        via_traj = trajectory(h, st, [t], {"K1": k1}).column("K1")[0]
+        via_traj = trajectory(h, st, [t], {"K1": k1})["K1"][0]
         direct = np.real(vec.conj() @ (k1.todense() @ vec))
         assert via_traj == pytest.approx(direct, abs=1e-14)
         assert via_traj == pytest.approx(0.5 * g, rel=1e-10)
@@ -176,8 +179,8 @@ class TestTrajectory:
         col = make_collapse_ops(self.dev)
         obs = {"P1": build_observable("density", 1, self.dev)}
         tab = trajectory(self.h, st, [0.0, 50.0], obs, collapse=col)
-        assert tab.column("P1")[0] == pytest.approx(1.0, abs=1e-9)
-        assert tab.column("P1")[1] < 1.0
+        assert tab["P1"][0] == pytest.approx(1.0, abs=1e-9)
+        assert tab["P1"][1] < 1.0
 
     def test_times_must_be_finite_and_non_negative(self):
         st = prepare_initial_state("10000", 5)
@@ -212,15 +215,13 @@ class TestTrajectory:
         obs = {"P1": build_observable("density", 1, self.dev)}
         for collapse in (None, make_collapse_ops(self.dev)):
             tab = trajectory(self.h, st, [], obs, collapse=collapse)
-            assert tab.times_ns.shape == (0,)
-            assert tab.column("P1").shape == (0,)
+            assert tab["P1"].shape == (0,)
 
     def test_no_observables_gives_no_columns(self):
         st = prepare_initial_state("10000", 5)
         for collapse in (None, make_collapse_ops(self.dev)):
             tab = trajectory(self.h, st, [0.0, 1.0], {}, collapse=collapse)
-            np.testing.assert_array_equal(tab.times_ns, [0.0, 1.0])
-            assert tab.names == []
+            assert tab == {}
 
     def test_scalar_time_gives_one_row(self):
         st = prepare_initial_state("10000", 5)
@@ -228,8 +229,8 @@ class TestTrajectory:
         for collapse in (None, make_collapse_ops(self.dev)):
             tab = trajectory(self.h, st, 5.0, obs, collapse=collapse)
             grid = trajectory(self.h, st, [5.0], obs, collapse=collapse)
-            np.testing.assert_array_equal(tab.times_ns, [5.0])
-            np.testing.assert_array_equal(tab.column("P1"), grid.column("P1"))
+            assert tab["P1"].shape == (1,)
+            np.testing.assert_array_equal(tab["P1"], grid["P1"])
 
     def test_imaginary_residue_guard(self):
         # a non-Hermitian "observable" is rejected before evolution
@@ -267,7 +268,7 @@ def test_sector_and_full_trajectories_agree(chain):
                     for b in range(1, n)})
         h = build_xy_hamiltonian(dev, pot, basis=basis)
         state = prepare_initial_state(spec, n, basis=basis)
-        return trajectory(h, state, times, obs).columns
+        return trajectory(h, state, times, obs)
 
     sector, full = columns(basis), columns(None)
     for name, values in full.items():
@@ -316,7 +317,7 @@ def test_staggered_gauge(n, noise, dephasing, f, data):
         trajectory(build_xy_hamiltonian(dev, PotentialSpec.linear(gradient),
                                         basis=basis),
                    prepare_initial_state(start, n, basis=basis), times, obs,
-                   collapse=collapse).columns
+                   collapse=collapse)
         for gradient, start in ((f, spec), (-f, _gauge_image(tokens))))
     for name, values in there.items():
         sign = -1.0 if name[0] == "K" else 1.0
@@ -430,7 +431,7 @@ def test_trajectory_columns_equal_expectation(space, times, noisy):
     state = QuantumState(psi[0], h.basis_tag)
     collapse = make_collapse_ops(dev) if noisy else None
     tab = trajectory(h, state, times, ops, collapse=collapse)
-    assert tab.names == list(ops)
+    assert list(tab) == list(ops)
     if noisy:
         # each snapshot's matrix, gathered as a complex array
         matrices = density_matrices(evolve_lindblad(h, state, times, collapse))
@@ -439,7 +440,7 @@ def test_trajectory_columns_equal_expectation(space, times, noisy):
         want = [[expectation(QuantumState(s, h.basis_tag), op)
                  for s in evolve_unitary(h, state, times)] for op in ops.values()]
     for name, column in zip(ops, want):
-        np.testing.assert_allclose(tab.column(name), np.reshape(column, -1),
+        np.testing.assert_allclose(tab[name], np.reshape(column, -1),
                                    rtol=0, atol=1e-12, err_msg=name)
 
 
