@@ -1,7 +1,10 @@
 """State preparation and time evolution (unitary and dissipative)."""
 
 import bisect
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,28 +121,51 @@ def _pruned(size, rows, cols, vals):
     _UNIT_ROUNDOFF times its 1-norm and exact zeros, and that norm. Those
     entries move no state beyond rounding. On them scipy's expm_multiply can
     divide by zero or overflow, as on a step dt with dt times the norm below
-    _UNIT_ROUNDOFF, which the one step list (_steps) carries."""
+    _UNIT_ROUNDOFF, which the step list (_step_lists) carries."""
     norm = np.bincount(cols, np.abs(vals), size).max(initial=0.0)
     keep = ~(np.abs(vals) < norm * _UNIT_ROUNDOFF) & (vals != 0)
     return rows[keep], cols[keep], vals[keep], norm
 
 
-def _steps(times, norm):
-    """The one step list of every stepped block, norm the 1-norm of its
-    generator: (position, dt) for each of times, ascending, ties in input
-    order. dt is the time less the last taken one, or 0 where the interval
-    is carried into the next one, not taken: an exact 0, or dt times norm
-    below _UNIT_ROUNDOFF, which moves no state beyond rounding. So no
-    interval's time is dropped."""
-    order, steps, t_prev = np.argsort(times, kind="stable"), [], 0.0
-    for t, pos in zip(times[order].tolist(), order.tolist()):
-        dt = t - t_prev
-        if not dt or dt * norm < _UNIT_ROUNDOFF:
-            dt = 0.0
-        else:
-            t_prev = t
-        steps.append((pos, dt))
+def _step_lists(times):
+    """The step list of every stepped block of a run on times, as a function
+    of the 1-norm of the block's generator: (position, dt) for each of
+    times, ascending, ties in input order. dt is the time less the last
+    taken one, or 0 where the interval is carried into the next one, not
+    taken: an exact 0, or dt times norm below _UNIT_ROUNDOFF, which moves no
+    state beyond rounding. So no interval's time is dropped. The order and
+    the intervals between successive times are found once per run; a norm
+    at which no nonzero interval is carried gets the one list they make
+    (a product rounds monotonically, so the shortest interval decides), and
+    only another norm walks the times with its carry rule."""
+    order = np.argsort(times, kind="stable")
+    ordered = times[order]
+    gaps = np.diff(ordered, prepend=0.0)
+    shared = list(zip(order.tolist(), np.where(gaps > 0, gaps, 0.0).tolist()))
+    shortest = float(gaps[gaps > 0].min(initial=math.inf))
+    ordered = ordered.tolist()
+
+    def steps(norm):
+        norm = float(norm)  # Python floats never warn, on inf * 0 neither
+        if shortest * norm >= _UNIT_ROUNDOFF:
+            return shared
+        carried, taken = [], 0.0
+        for t, (pos, _) in zip(ordered, shared):
+            dt = t - taken
+            if not dt or dt * norm < _UNIT_ROUNDOFF:
+                dt = 0.0
+            else:
+                taken = t
+            carried.append((pos, dt))
+        return carried
+
     return steps
+
+
+def _steps(times, norm):
+    """The step list (_step_lists) of one block whose generator has 1-norm
+    norm."""
+    return _step_lists(times)(norm)
 
 
 def _pade_rows(m):
@@ -236,11 +262,12 @@ def _eigh_evolved(h, vec, times):
         return (phases * (evecs.conj().T @ vec)) @ evecs.T
 
 
-def _expm_stepped(gen, vec, times):
-    """(position, expm(t G) vec) for each of times along the step list
-    (_steps), G the dense real block gen: one expm(dt G) (_expm, numpy
-    alone) per distinct dt, made on its first use, dropped after its last."""
-    steps = _steps(times, np.abs(gen).sum(axis=0).max())
+def _expm_stepped(gen, vec, times, steps):
+    """(position, expm(t G) vec) for each of times along the block's step
+    list (steps, the run's _step_lists), G the dense real block gen: one
+    expm(dt G) (_expm, numpy alone) per distinct dt, made on its first use,
+    dropped after its last."""
+    steps = steps(np.abs(gen).sum(axis=0).max())
     last = {dt: i for i, (_, dt) in enumerate(steps)}
     propagators = {}
     for i, (pos, dt) in enumerate(steps):
@@ -252,30 +279,103 @@ def _expm_stepped(gen, vec, times):
         yield pos, vec
 
 
+_pool = None  # the worker threads of _in_parts, made on first use
+_pool_lock = threading.Lock()
+_on_pool = threading.local()  # .flag is set on _pool's own threads
+
+
+def _drop_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cpus():
+    """How many CPUs this process may run on: its affinity set, or the
+    machine's count where the platform keeps none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _in_parts(work, weights):
+    """work(part) for the parts of range(len(weights)): contiguous ranges,
+    one per CPU this process may use (_cpus), of about equal total weight,
+    weights[i] the cost of item i. Each part must write only where no other
+    part reads or writes, so the results never depend on the split. The
+    first part runs on the calling thread, the others on a persistent pool,
+    each in a copy of the caller's context, so that np.errstate holds there
+    too. Every part is waited for, and then the exception of the lowest
+    failing part is raised: the one a serial loop meets first. On one CPU,
+    or called from a pool thread (no nesting), it is one work(range(...))."""
+    global _pool
+    n, count = _cpus(), len(weights)
+    if n == 1 or count < 2 or getattr(_on_pool, "flag", False):
+        work(range(count))
+        return
+    mid = np.cumsum(weights) - 0.5 * np.asarray(weights, dtype=float)
+    bounds = [0, *np.searchsorted(mid, mid[-1] * np.arange(1, n) / n).tolist(),
+              count]
+    parts = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                n - 1, thread_name_prefix="starkchain", initializer=setattr,
+                initargs=(_on_pool, "flag", True))
+        pool = _pool
+    futures = [pool.submit(contextvars.copy_context().run, work, part)
+               for part in parts[1:]]
+    try:
+        work(parts[0])
+    finally:
+        errors = [f.exception() for f in futures]  # waits for every part
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def _evolved_blocks(rows, cols, vals, start, times, dense):
     """The one block loop of both solvers: expm(t G) start at each of
     times, in their order, as a (T, size) array, G the generator (rows,
     cols, vals) on the indices of start. G splits into the blocks of its
     pattern (_generator_blocks); a block whose start is all zero stays
     zero. A block of up to DENSE_BLOCK_CAP indices is made dense and given
-    with its start and the times to dense, the solver's dense propagator,
-    which yields (position, row) for each time. The larger blocks go
-    together, pruned (_pruned), through scipy's expm_multiply (Al-Mohy &
-    Higham 2011), one call per interval of the step list (_steps)."""
+    with its start, the times and the run's step lists (_step_lists, built
+    once) to dense, the solver's dense propagator, which yields (position,
+    row) for each time. These blocks share nothing, so they run in parts of
+    about equal work (_in_parts, by size cubed, largest first), each part
+    writing only its own blocks' columns. The larger blocks go together,
+    pruned (_pruned), through scipy's expm_multiply (Al-Mohy & Higham 2011),
+    one call per interval of their step list, on the calling thread once the
+    dense blocks are done: _expm_multiply sets numpy's global random
+    state."""
     out = np.zeros((times.size, start.size), dtype=start.dtype)
+    steps = _step_lists(times)
     blocks = [idx for idx in _generator_blocks(rows, cols, start.size)
               if start[idx].any()]
-    for idx in (idx for idx in blocks if idx.size <= DENSE_BLOCK_CAP):
-        r, c, v = _restricted(idx, rows, cols, vals)
-        gen = np.zeros((idx.size, idx.size), dtype=vals.dtype)
-        gen[r, c] += v  # added to zeros, as todense: a -0.0 becomes +0.0
-        for pos, row in dense(gen, start[idx], times):
-            out[pos][idx] = row
+    small = sorted((idx for idx in blocks if idx.size <= DENSE_BLOCK_CAP),
+                   key=len, reverse=True)
+
+    def evolve(part):
+        for idx in (small[i] for i in part):
+            r, c, v = _restricted(idx, rows, cols, vals)
+            gen = np.zeros((idx.size, idx.size), dtype=vals.dtype)
+            gen[r, c] += v  # added to zeros, as todense: a -0.0 becomes +0.0
+            for pos, row in dense(gen, start[idx], times, steps):
+                out[pos][idx] = row
+
+    _in_parts(evolve, [idx.size ** 3 for idx in small])
     if large := [idx for idx in blocks if idx.size > DENSE_BLOCK_CAP]:
         idx = np.sort(np.concatenate(large))
         *gen, norm = _pruned(idx.size, *_restricted(idx, rows, cols, vals))
         gen, vec = _csr(idx.size, *gen), start[idx]  # keeps only the CSR
-        for pos, dt in _steps(times, norm):
+        for pos, dt in steps(norm):
             if dt:
                 vec = _expm_multiply(dt * gen, vec)
             out[pos][idx] = vec
@@ -295,7 +395,7 @@ def evolve_unitary(hamiltonian, state, times):
         return _eigh_evolved(h.todense(), data, times)
     return _evolved_blocks(
         h.rows, h.cols, -1j * h.vals, data, times,
-        lambda gen, vec, t: enumerate(_eigh_evolved(1j * gen, vec, t)))
+        lambda gen, vec, t, _: enumerate(_eigh_evolved(1j * gen, vec, t)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ import numpy as np
 
 from .config import MAX_SHOTS
 from .device import ConfusionMatrix, _integer  # ConfusionMatrix re-exported
-from .dynamics import LindbladSnapshots, _checked_stack, _hermitian_slots
+from .dynamics import (LindbladSnapshots, _checked_stack, _hermitian_slots,
+                       _in_parts)
 from .errors import DomainError, StateSpecError
 
 VALID_AXES = frozenset("ZXY")
@@ -155,10 +156,11 @@ def _outcome_probabilities(support, stack, basis, confusion=None):
 
 def _keyed_generators(seeds):
     """For each seed, a Generator that draws what a fresh
-    Generator(Philox(key=seed)) draws. One Philox serves the whole call: its
-    state is reset to counter 0, an empty buffer and the key's two 64-bit
-    words (low first) before each yield. Philox(key=...) itself would first
-    seed a throw-away SeedSequence from OS entropy."""
+    Generator(Philox(key=seed)) draws. One Philox serves the whole call, so
+    a call serves one thread (sample_shots makes one per part of its
+    snapshots): its state is reset to counter 0, an empty buffer and the
+    key's two 64-bit words (low first) before each yield. Philox(key=...)
+    itself would first seed a throw-away SeedSequence from OS entropy."""
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # counter 0, an empty buffer
@@ -235,9 +237,14 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
         stack = _checked_stack(stack)
     reported = _outcome_probabilities(support, stack, basis, confusion)
     counts = np.empty((len(seeds), n_groups, 1 << n_qubits), dtype=np.int64)
-    for k, gen in enumerate(_keyed_generators(seeds)):
-        counts[k] = gen.multinomial(n_shots // n_groups, reported[k],
-                                    size=n_groups)
+
+    def draw(part):
+        keyed = _keyed_generators(seeds[part.start:part.stop])
+        for k, gen in zip(part, keyed):
+            counts[k] = gen.multinomial(n_shots // n_groups, reported[k],
+                                        size=n_groups)
+
+    _in_parts(draw, np.ones(len(seeds)))
     return CountRecord(counts.reshape(-1, 1 << n_qubits), basis, _owned=True)
 
 

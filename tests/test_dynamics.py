@@ -1151,6 +1151,57 @@ def test_step_list(grid):
     assert (times.max() - taken) * norm < 2.0 ** -53 or times.max() == taken
 
 
+def _reference_steps(times, norm):
+    """The step list of one block as a loop over the sorted times, the form
+    dynamics._step_lists replaced."""
+    order, steps, t_prev = np.argsort(times, kind="stable"), [], 0.0
+    for t, pos in zip(times[order].tolist(), order.tolist()):
+        dt = t - t_prev
+        if not dt or dt * norm < 2.0 ** -53:
+            dt = 0.0
+        else:
+            t_prev = t
+        steps.append((pos, dt))
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_step_grids(), st.lists(st.one_of(
+    st.just(0.0), st.just(np.inf), st.floats(1e-6, 1e6)), max_size=4))
+@example((np.array([2.0, 0.0, 2.0, 1.0]), 0.0), [1.0])
+@example((np.array([0.0, 0.0]), 0.0), [np.inf])  # no nonzero interval
+def test_step_lists_match_the_loop(grid, norms):
+    # one run's lists, built once, for blocks of several norms: each is the
+    # loop's list exactly, positions and dt alike
+    times, norm = grid
+    steps = dynamics._step_lists(times)
+    for block_norm in [norm, *norms]:
+        assert steps(block_norm) == _reference_steps(times, block_norm)
+
+
+@pytest.mark.parametrize("times", [
+    np.array([0.0, 4.0, 2.0, 2.0, 6.0]),
+    np.array([3e-17, 0.0, 1e-17, 2.0, 2.0 + 2.0 ** -51, 4.0, 2.0])],
+    ids=["ties", "sub-roundoff"])
+def test_every_block_steps_by_the_loop(monkeypatch, times):
+    # each dense block of an X+X+000 run on counts 0..2 steps along the
+    # loop's list at the 1-norm of its own generator
+    seen, stepped = [], dynamics._expm_stepped
+
+    def recorded(gen, vec, t, steps):
+        norm = np.abs(gen).sum(axis=0).max()
+        seen.append(steps(norm) == _reference_steps(t, norm))
+        return stepped(gen, vec, t, steps)
+
+    monkeypatch.setattr(dynamics, "_expm_stepped", recorded)
+    basis = build_sector_basis(5, (0, 2))
+    h = build_xy_hamiltonian(paper_device(), PotentialSpec.linear(-15.0),
+                             basis=basis)
+    evolve_lindblad(h, prepare_initial_state("X+X+000", 5, basis=basis), times,
+                    make_collapse_ops(paper_device(), basis=basis))
+    assert seen == [True] * 3
+
+
 def _expm_gap(got, want):
     """The 1-norm of got - want relative to that of want."""
     return np.abs(got - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max()
@@ -1202,7 +1253,9 @@ class TestExpm:
         state = prepare_initial_state("X+X+" + "0" * (n - 2), n, basis=basis)
         evolve_lindblad(h, state, [0.0, 2.0, 4.0],
                         make_collapse_ops(dev, basis=basis))
-        assert [len(a) for a in blocks] == sizes
+        # the blocks run in parts on the CPUs the process may use, so the
+        # order of the calls is the scheduler's
+        assert sorted(len(a) for a in blocks) == sorted(sizes)
         for a in blocks:
             assert _expm_gap(expm(a), scipy.linalg.expm(a)) <= 1e-13
 
