@@ -162,12 +162,6 @@ def _step_lists(times):
     return steps
 
 
-def _steps(times, norm):
-    """The step list (_step_lists) of one block whose generator has 1-norm
-    norm."""
-    return _step_lists(times)(norm)
-
-
 def _pade_rows(m):
     """Rows of coefficients over the even powers I, A^2, A^4, ... of the
     [m/m] Pade approximant p(A) / p(-A) of exp(A), p(x) = sum_k b_k x^k with
@@ -302,24 +296,23 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _in_parts(work, weights):
-    """work(part) for the parts of range(len(weights)): contiguous ranges,
-    one per CPU this process may use (_cpus), of about equal total weight,
-    weights[i] the cost of item i. Each part must write only where no other
-    part reads or writes, so the results never depend on the split. The
-    first part runs on the calling thread, the others on a persistent pool,
-    each in a copy of the caller's context, so that np.errstate holds there
-    too. Every part is waited for, and then the exception of the lowest
-    failing part is raised: the one a serial loop meets first. On one CPU,
-    or called from a pool thread (no nesting), it is one work(range(...))."""
+def _in_parts(work, count):
+    """work(part) for the parts of range(count): contiguous ranges of about
+    equal length, one per CPU this process may use (_cpus). Its one caller
+    is sample_shots' keyed draws, which cost about the same per snapshot.
+    Each part must write only where no other part reads or writes, so the
+    results never depend on the split. The first part runs on the calling
+    thread, the others on a persistent pool, each in a copy of the caller's
+    context, so that np.errstate holds there too. Every part is waited for,
+    and then the exception of the lowest failing part is raised: the one a
+    serial loop meets first. On one CPU, or called from a pool thread (no
+    nesting), it is one work(range(count))."""
     global _pool
-    n, count = _cpus(), len(weights)
+    n = _cpus()
     if n == 1 or count < 2 or getattr(_on_pool, "flag", False):
         work(range(count))
         return
-    mid = np.cumsum(weights) - 0.5 * np.asarray(weights, dtype=float)
-    bounds = [0, *np.searchsorted(mid, mid[-1] * np.arange(1, n) / n).tolist(),
-              count]
+    bounds = [count * k // n for k in range(n + 1)]
     parts = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
     with _pool_lock:
         if _pool is None:
@@ -348,29 +341,22 @@ def _evolved_blocks(rows, cols, vals, start, times, dense):
     zero. A block of up to DENSE_BLOCK_CAP indices is made dense and given
     with its start, the times and the run's step lists (_step_lists, built
     once) to dense, the solver's dense propagator, which yields (position,
-    row) for each time. These blocks share nothing, so they run in parts of
-    about equal work (_in_parts, by size cubed, largest first), each part
-    writing only its own blocks' columns. The larger blocks go together,
-    pruned (_pruned), through scipy's expm_multiply (Al-Mohy & Higham 2011),
-    one call per interval of their step list, on the calling thread once the
-    dense blocks are done: _expm_multiply sets numpy's global random
-    state."""
+    row) for each time. These blocks step one after another on the calling
+    thread, in the order of _generator_blocks: on a pool thread a block's
+    _expm work raised the run's peak memory and, on two CPUs, won no time.
+    The larger blocks go together, pruned (_pruned), through scipy's
+    expm_multiply (Al-Mohy & Higham 2011), one call per interval of their
+    step list."""
     out = np.zeros((times.size, start.size), dtype=start.dtype)
     steps = _step_lists(times)
     blocks = [idx for idx in _generator_blocks(rows, cols, start.size)
               if start[idx].any()]
-    small = sorted((idx for idx in blocks if idx.size <= DENSE_BLOCK_CAP),
-                   key=len, reverse=True)
-
-    def evolve(part):
-        for idx in (small[i] for i in part):
-            r, c, v = _restricted(idx, rows, cols, vals)
-            gen = np.zeros((idx.size, idx.size), dtype=vals.dtype)
-            gen[r, c] += v  # added to zeros, as todense: a -0.0 becomes +0.0
-            for pos, row in dense(gen, start[idx], times, steps):
-                out[pos][idx] = row
-
-    _in_parts(evolve, [idx.size ** 3 for idx in small])
+    for idx in (idx for idx in blocks if idx.size <= DENSE_BLOCK_CAP):
+        r, c, v = _restricted(idx, rows, cols, vals)
+        gen = np.zeros((idx.size, idx.size), dtype=vals.dtype)
+        gen[r, c] += v  # added to zeros, as todense: a -0.0 becomes +0.0
+        for pos, row in dense(gen, start[idx], times, steps):
+            out[pos][idx] = row
     if large := [idx for idx in blocks if idx.size > DENSE_BLOCK_CAP]:
         idx = np.sort(np.concatenate(large))
         *gen, norm = _pruned(idx.size, *_restricted(idx, rows, cols, vals))
@@ -727,10 +713,11 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     both solvers (_evolved_blocks), which splits it into real blocks (26/10
     for "10000", 126/110/20 for "X+X+000"); each of up to DENSE_BLOCK_CAP
     coordinates steps by its dense expm(dt G_b) (_expm_stepped, numpy alone)
-    on any grid. Making the LindbladSnapshots is the state check: a
-    NumericalConsistencyError names the earliest failure, at its time. The
-    start, psi psi^dag of a checked QuantumState's vector psi on the reached
-    states, which hold all its weight, needs none.
+    on any grid, one block after another on the calling thread. Making the
+    LindbladSnapshots is the state check: a NumericalConsistencyError names
+    the earliest failure, at its time. The start, psi psi^dag of a checked
+    QuantumState's vector psi on the reached states, which hold all its
+    weight, needs none.
     """
     times = _checked_run(hamiltonian, state, times)
     if collapse.basis_tag != hamiltonian.basis_tag:

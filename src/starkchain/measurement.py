@@ -190,7 +190,9 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
     pre-rotation, so each group's histogram is one multinomial draw of
     n_shots // n_groups from q. Snapshot k draws its n_groups histograms
     from Philox keyed by its seed alone, so any snapshot can be regenerated
-    on its own.
+    on its own, and the draws split into contiguous runs of snapshots, one
+    per CPU the process may use (dynamics._in_parts), each writing only its
+    own rows: the counts are the same at any thread count.
 
     Returns a CountRecord of T * n_groups groups in state-major order (group
     g of snapshot k is row k * n_groups + g).
@@ -244,7 +246,7 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
             counts[k] = gen.multinomial(n_shots // n_groups, reported[k],
                                         size=n_groups)
 
-    _in_parts(draw, np.ones(len(seeds)))
+    _in_parts(draw, len(seeds))
     return CountRecord(counts.reshape(-1, 1 << n_qubits), basis, _owned=True)
 
 

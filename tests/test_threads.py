@@ -1,6 +1,7 @@
-"""Keyed shot draws and dense Lindblad blocks split over threads
-(dynamics._in_parts): the same bytes at any thread count, the serial
-error, the caller's numpy error state, no nesting, and a forked child."""
+"""Keyed shot draws split over threads (dynamics._in_parts), the only
+work that is: the same bytes at any thread count, the serial error, the
+caller's numpy error state, no nesting, and a forked child. Dense Lindblad
+blocks step on the calling thread."""
 
 import json
 import multiprocessing
@@ -26,7 +27,7 @@ from starkchain import (
     sample_shots,
 )
 from starkchain import cli, dynamics, observables
-from starkchain.device import PotentialSpec
+from starkchain.device import DeviceParams, PotentialSpec
 from starkchain.dynamics import _in_parts
 
 JOIN_S = 60  # a part that waits for its own pool would hang
@@ -101,6 +102,36 @@ def test_lindblad_blocks_match_one_thread(monkeypatch, threads):
     np.testing.assert_array_equal(got, evolve_lindblad(*args).coords)
 
 
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("n", [5, 6])
+def test_dense_blocks_step_on_the_callers_thread(monkeypatch, n, cpus):
+    # X+X+0... on counts 0..2: dense blocks of 126/110/20 coordinates at
+    # n = 5 and 262/192/30 at n = 6. On a pool thread a block's _expm work
+    # raised the run's peak memory and, on two CPUs, won no time
+    _threads(monkeypatch, cpus)
+    idents, expm = [], dynamics._expm
+
+    def recorded(a):
+        idents.append(threading.get_ident())
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "_expm", recorded)
+    dev = (paper_device() if n == 5 else
+           DeviceParams.uniform(n, t1_us=20.0, t2star_us=2.0))
+    basis = build_sector_basis(n, (0, 2))
+    h = build_xy_hamiltonian(dev, PotentialSpec.linear(-15.0), basis=basis)
+    try:
+        evolve_lindblad(h, prepare_initial_state("X+X+" + "0" * (n - 2), n,
+                                                 basis=basis),
+                        np.arange(0.0, 20.0, 2.0),
+                        make_collapse_ops(dev, basis=basis))
+    finally:
+        if dynamics._pool is not None:
+            dynamics._pool.shutdown()
+    assert len(idents) == 3
+    assert set(idents) == {threading.get_ident()}
+
+
 @pytest.mark.parametrize("raw", [
     {"experiment": "thermal_transport", "noise": "lindblad", "shots": "paper"},
     {"experiment": "spin_current", "noise": "lindblad", "readout": "table-s1",
@@ -127,10 +158,10 @@ seen = {}
 def outer(part):
     inner = []
     dynamics._in_parts(
-        lambda p: inner.append((threading.get_ident(), list(p))), [1.0] * 4)
+        lambda p: inner.append((threading.get_ident(), list(p))), 4)
     seen[part.start] = threading.get_ident(), inner
 
-dynamics._in_parts(outer, [1.0] * 6)
+dynamics._in_parts(outer, 6)
 print(json.dumps([threading.get_ident(), sorted(seen.items())]))
 """
 
@@ -157,7 +188,7 @@ def test_call_from_a_pool_thread_runs_there(n):
 def test_parts_keep_the_callers_error_state(threads):
     states = []
     with np.errstate(divide="raise"):
-        _in_parts(lambda part: states.append(np.geterr()["divide"]), [1.0] * 9)
+        _in_parts(lambda part: states.append(np.geterr()["divide"]), 9)
     assert states == ["raise"] * threads
 
 
