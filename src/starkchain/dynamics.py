@@ -1,10 +1,7 @@
 """State preparation and time evolution (unitary and dissipative)."""
 
 import bisect
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,66 +270,6 @@ def _expm_stepped(gen, vec, times, steps):
         yield pos, vec
 
 
-_pool = None  # the worker threads of _in_parts, made on first use
-_pool_lock = threading.Lock()
-_on_pool = threading.local()  # .flag is set on _pool's own threads
-
-
-def _drop_pool():
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _cpus():
-    """How many CPUs this process may run on: its affinity set, or the
-    machine's count where the platform keeps none."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _in_parts(work, count):
-    """work(part) for the parts of range(count): contiguous ranges of about
-    equal length, one per CPU this process may use (_cpus). Its one caller
-    is sample_shots' keyed draws, which cost about the same per snapshot.
-    Each part must write only where no other part reads or writes, so the
-    results never depend on the split. The first part runs on the calling
-    thread, the others on a persistent pool, each in a copy of the caller's
-    context, so that np.errstate holds there too. Every part is waited for,
-    and then the exception of the lowest failing part is raised: the one a
-    serial loop meets first. On one CPU, or called from a pool thread (no
-    nesting), it is one work(range(count))."""
-    global _pool
-    n = _cpus()
-    if n == 1 or count < 2 or getattr(_on_pool, "flag", False):
-        work(range(count))
-        return
-    bounds = [count * k // n for k in range(n + 1)]
-    parts = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(
-                n - 1, thread_name_prefix="starkchain", initializer=setattr,
-                initargs=(_on_pool, "flag", True))
-        pool = _pool
-    futures = [pool.submit(contextvars.copy_context().run, work, part)
-               for part in parts[1:]]
-    try:
-        work(parts[0])
-    finally:
-        errors = [f.exception() for f in futures]  # waits for every part
-    for error in errors:
-        if error is not None:
-            raise error
-
-
 def _evolved_blocks(rows, cols, vals, start, times, dense):
     """The one block loop of both solvers: expm(t G) start at each of
     times, in their order, as a (T, size) array, G the generator (rows,
@@ -341,10 +278,8 @@ def _evolved_blocks(rows, cols, vals, start, times, dense):
     zero. A block of up to DENSE_BLOCK_CAP indices is made dense and given
     with its start, the times and the run's step lists (_step_lists, built
     once) to dense, the solver's dense propagator, which yields (position,
-    row) for each time. These blocks step one after another on the calling
-    thread, in the order of _generator_blocks: on a pool thread a block's
-    _expm work raised the run's peak memory and, on two CPUs, won no time.
-    The larger blocks go together, pruned (_pruned), through scipy's
+    row) for each time, one block after another in the order of
+    _generator_blocks. The larger blocks go together, pruned (_pruned), through scipy's
     expm_multiply (Al-Mohy & Higham 2011), one call per interval of their
     step list."""
     out = np.zeros((times.size, start.size), dtype=start.dtype)
@@ -713,7 +648,7 @@ def evolve_lindblad(hamiltonian, state, times, collapse):
     both solvers (_evolved_blocks), which splits it into real blocks (26/10
     for "10000", 126/110/20 for "X+X+000"); each of up to DENSE_BLOCK_CAP
     coordinates steps by its dense expm(dt G_b) (_expm_stepped, numpy alone)
-    on any grid, one block after another on the calling thread. Making the
+    on any grid, one block after another. Making the
     LindbladSnapshots is the state check: a NumericalConsistencyError names
     the earliest failure, at its time. The start, psi psi^dag of a checked
     QuantumState's vector psi on the reached states, which hold all its

@@ -9,8 +9,7 @@ import numpy as np
 
 from .config import MAX_SHOTS
 from .device import ConfusionMatrix, _integer  # ConfusionMatrix re-exported
-from .dynamics import (LindbladSnapshots, _checked_stack, _hermitian_slots,
-                       _in_parts)
+from .dynamics import LindbladSnapshots, _checked_stack, _hermitian_slots
 from .errors import DomainError, StateSpecError
 
 VALID_AXES = frozenset("ZXY")
@@ -156,11 +155,11 @@ def _outcome_probabilities(support, stack, basis, confusion=None):
 
 def _keyed_generators(seeds):
     """For each seed, a Generator that draws what a fresh
-    Generator(Philox(key=seed)) draws. One Philox serves the whole call, so
-    a call serves one thread (sample_shots makes one per part of its
-    snapshots): its state is reset to counter 0, an empty buffer and the
-    key's two 64-bit words (low first) before each yield. Philox(key=...)
-    itself would first seed a throw-away SeedSequence from OS entropy."""
+    Generator(Philox(key=seed)) draws. One Philox serves the whole call:
+    its state is reset to counter 0, an empty buffer and the key's two
+    64-bit words (low first) before each yield, so a generator is spent
+    before the next is drawn. Philox(key=...) itself would first seed a
+    throw-away SeedSequence from OS entropy."""
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # counter 0, an empty buffer
@@ -190,9 +189,8 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
     pre-rotation, so each group's histogram is one multinomial draw of
     n_shots // n_groups from q. Snapshot k draws its n_groups histograms
     from Philox keyed by its seed alone, so any snapshot can be regenerated
-    on its own, and the draws split into contiguous runs of snapshots, one
-    per CPU the process may use (dynamics._in_parts), each writing only its
-    own rows: the counts are the same at any thread count.
+    on its own. The snapshots draw in order on the calling thread, so a bad
+    seed raises at the lowest snapshot that holds one.
 
     Returns a CountRecord of T * n_groups groups in state-major order (group
     g of snapshot k is row k * n_groups + g).
@@ -239,14 +237,9 @@ def sample_shots(states, confusion, basis, n_shots, seeds, n_groups=1,
         stack = _checked_stack(stack)
     reported = _outcome_probabilities(support, stack, basis, confusion)
     counts = np.empty((len(seeds), n_groups, 1 << n_qubits), dtype=np.int64)
-
-    def draw(part):
-        keyed = _keyed_generators(seeds[part.start:part.stop])
-        for k, gen in zip(part, keyed):
-            counts[k] = gen.multinomial(n_shots // n_groups, reported[k],
-                                        size=n_groups)
-
-    _in_parts(draw, len(seeds))
+    for k, gen in enumerate(_keyed_generators(seeds)):
+        counts[k] = gen.multinomial(n_shots // n_groups, reported[k],
+                                    size=n_groups)
     return CountRecord(counts.reshape(-1, 1 << n_qubits), basis, _owned=True)
 
 

@@ -5,12 +5,12 @@ Basis conventions (fixed, relied on by every other module):
 * full two-level space, tag ``full:n=L``: computational states are indexed by
   the integer whose binary digits are the site occupations with site 1 as the
   most significant bit, ascending.  Index 0 is the vacuum.
-* excitation sector, tag ``sector:n=L,k=K``: all occupation tuples with K
-  excitations, in descending lexicographic order (site 1 most significant).
+* excitation sector, tag ``sector:n=L,k=K``: the full-space indices of all
+  states with K excitations, descending (site 1 most significant).
   For K = 1 this puts the excitation on site k+1 at basis index k, so the
   sector block of the hopping Hamiltonian is literally the tridiagonal
   single-particle matrix. A range of counts, tag ``sector:n=L,k=lo..hi``,
-  holds the tuples of every count in it, in the same order.
+  holds the states of every count in it, in the same order.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +36,8 @@ def sector_tag(n_sites, n_excitations):
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Canonically ordered basis of one excitation number or a range (lo, hi)."""
+    """Canonically ordered basis of one excitation number or a range (lo, hi):
+    states holds the full-space index (full_tag) of each state, descending."""
 
     n_sites: int
     n_excitations: int | tuple
@@ -52,11 +53,10 @@ class SectorBasis:
 
 
 def build_sector_basis(n_sites, n_excitations):
-    """All occupation tuples with the given excitation number, or with any
-    number of an inclusive range (lo, hi), which may hold one number.
-
-    States are sorted in descending lexicographic order, site 1 most
-    significant: (5, 1) gives 10000, 01000, 00100, 00010, 00001.
+    """All states with the given excitation number, or with any number of
+    an inclusive range (lo, hi), which may hold one number, as full-space
+    indices in descending order, site 1 most significant: (5, 1) gives
+    10000, 01000, 00100, 00010, 00001, that is 16, 8, 4, 2, 1.
     """
     n = _integer(n_sites, "n_sites")
     if n < 1:
@@ -65,7 +65,8 @@ def build_sector_basis(n_sites, n_excitations):
     lo, hi = (_integer(k, "n_excitations") for k in ends)
     if not 0 <= lo <= hi <= n:
         raise DomainError(f"n_excitations must lie in [0, {n}], got {n_excitations}")
-    states = tuple(sorted((tuple(int(j in occupied) for j in range(n))
+    place = [1 << (n - 1 - j) for j in range(n)]
+    states = tuple(sorted((sum(place[j] for j in occupied)
                            for k in range(lo, hi + 1)
                            for occupied in combinations(range(n), k)),
                           reverse=True))
@@ -203,15 +204,15 @@ def _basis_states(basis, n_sites):
     if n_sites > MAX_QUBITS:
         raise DomainError(f"a chain of {n_sites} sites is above the "
                           f"{MAX_QUBITS} whose states fit one int64")
-    place = 2 ** np.arange(n_sites - 1, -1, -1)
     if basis is None:
-        states = np.arange(2 ** n_sites)
-        return states, states[:, None] // place % 2, full_tag(n_sites)
-    if not isinstance(basis, SectorBasis) or basis.n_sites != n_sites:
+        states, tag = np.arange(1 << n_sites), full_tag(n_sites)
+    elif isinstance(basis, SectorBasis) and basis.n_sites == n_sites:
+        states, tag = np.array(basis.states, dtype=np.int64), basis.tag
+    else:
         raise DomainError(
             f"basis must be a SectorBasis over {n_sites} sites, got {basis!r}")
-    occupations = np.array(basis.states).reshape(basis.dim, n_sites)
-    return occupations @ place, occupations, basis.tag
+    return (states, states[:, None] >> np.arange(n_sites - 1, -1, -1) & 1,
+            tag)
 
 
 def _operator(states, targets, amplitudes, basis_tag):

@@ -12,6 +12,11 @@ restores the file. It exits with status 1 if a mutant survived, if its
 old text does not occur exactly once, or if pytest could not run its
 nodes (a collection error or a node id that names no test). A change that
 moves or rewrites a mutated line updates its entry here.
+
+Before the catalogue it checks itself on two mutants of its own
+(SELF_CHECK): one that adds only a comment must read survived, and one
+whose old text is in no file must read error; any other result fails
+the run too.
 """
 
 import os
@@ -32,65 +37,16 @@ class Mutant:
     new: str
     nodes: tuple  # pytest node ids, at least one of which must fail
     reason: str
+    expect: str = "killed"  # the result the runner passes
 
-
-_DENSE_LOOP = """\
-    for idx in (idx for idx in blocks if idx.size <= DENSE_BLOCK_CAP):
-        r, c, v = _restricted(idx, rows, cols, vals)
-        gen = np.zeros((idx.size, idx.size), dtype=vals.dtype)
-        gen[r, c] += v  # added to zeros, as todense: a -0.0 becomes +0.0
-        for pos, row in dense(gen, start[idx], times, steps):
-            out[pos][idx] = row
-"""
-
-_DENSE_PARTS = """\
-    small = [idx for idx in blocks if idx.size <= DENSE_BLOCK_CAP]
-
-    def evolve(part):
-        for idx in (small[i] for i in part):
-            r, c, v = _restricted(idx, rows, cols, vals)
-            gen = np.zeros((idx.size, idx.size), dtype=vals.dtype)
-            gen[r, c] += v
-            for pos, row in dense(gen, start[idx], times, steps):
-                out[pos][idx] = row
-
-    _in_parts(evolve, len(small))
-"""
 
 DYNAMICS = "src/starkchain/dynamics.py"
-THREADS = "tests/test_threads.py"
+MEASUREMENT = "src/starkchain/measurement.py"
+OBSERVABLES = "src/starkchain/observables.py"
+KEYED_HASH = "tests/test_cli.py::TestGoldenShots::test_keyed_csv_hash"
+_KEY_RESET = "        bitgen.state = state\n"
 
 MUTANTS = (
-    Mutant(
-        "in-parts-raises-highest-failure", DYNAMICS,
-        "    for error in errors:\n",
-        "    for error in reversed(errors):\n",
-        (f"{THREADS}::test_lowest_failing_snapshot_is_raised[3-60-120]",),
-        "a split run must raise the error a serial loop meets first"),
-    Mutant(
-        "in-parts-drops-copy-context", DYNAMICS,
-        "pool.submit(contextvars.copy_context().run, work, part)",
-        "pool.submit(work, part)",
-        (f"{THREADS}::test_parts_keep_the_callers_error_state[2]",),
-        "a pool thread must run under the caller's np.errstate"),
-    Mutant(
-        "in-parts-drops-fork-hook", DYNAMICS,
-        "    os.register_at_fork(after_in_child=_drop_pool)\n",
-        "    pass\n",
-        (f"{THREADS}::test_forked_child_still_samples",),
-        "a forked child must not wait on the parent's pool threads"),
-    Mutant(
-        "in-parts-skips-part-0", DYNAMICS,
-        "        work(parts[0])\n",
-        "        pass\n",
-        (f"{THREADS}::test_draws_match_one_loop[2]",),
-        "the calling thread's part must be drawn too"),
-    Mutant(
-        "in-parts-drops-nesting-guard", DYNAMICS,
-        'if n == 1 or count < 2 or getattr(_on_pool, "flag", False):',
-        "if n == 1 or count < 2:",
-        (f"{THREADS}::test_call_from_a_pool_thread_runs_there[2]",),
-        "a call from a pool thread must not wait for the pool it occupies"),
     Mutant(
         "step-lists-always-shared", DYNAMICS,
         "        if shortest * norm >= _UNIT_ROUNDOFF:\n",
@@ -98,9 +54,33 @@ MUTANTS = (
         ("tests/test_dynamics.py::test_step_lists_match_the_loop",),
         "a block whose norm carries an interval must walk its own list"),
     Mutant(
-        "dense-blocks-on-in-parts", DYNAMICS, _DENSE_LOOP, _DENSE_PARTS,
-        (f"{THREADS}::test_dense_blocks_step_on_the_callers_thread",),
-        "dense blocks on a pool thread raise the peak memory of a run"),
+        "keyed-generators-skip-reset", MEASUREMENT, _KEY_RESET, "        pass\n",
+        (KEYED_HASH, "tests/test_measurement.py::test_draws_match_one_loop"),
+        "each snapshot must draw from a generator reset to its own key"),
+    Mutant(
+        "key-words-swapped", MEASUREMENT,
+        "(seed & _M64, seed >> 64)", "(seed >> 64, seed & _M64)",
+        (KEYED_HASH,),
+        "a key's low 64-bit word goes first, as Philox(key=seed) takes it"),
+    Mutant(
+        "expectations-drop-conj", OBSERVABLES,
+        "snapshots[:, o.rows].conj()", "snapshots[:, o.rows]",
+        ("tests/test_cli.py::TestGoldenShotFree::test_csv_hash[spin_current]",),
+        "<psi|O|psi> conjugates the bra"),
+)
+
+# the runner's own check, run before the catalogue: a change to a comment
+# alone must survive, and old text that is not in its file is an error
+SELF_CHECK = (
+    Mutant(
+        "self-check-comment-only", MEASUREMENT, _KEY_RESET,
+        "        # a comment changes nothing\n" + _KEY_RESET,
+        ("tests/test_measurement.py::test_draws_match_one_loop",),
+        "a mutant no test can kill reads survived", expect="survived"),
+    Mutant(
+        "self-check-missing-old-text", MEASUREMENT,
+        "text that occurs in no file", "", (KEYED_HASH,),
+        "a mutant whose old text is gone fails the runner", expect="error"),
 )
 
 
@@ -137,18 +117,21 @@ def _run(mutant, dest):
 
 def main():
     root = Path(__file__).resolve().parent.parent
-    bad = 0
+    as_expected = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         dest = Path(tmp)
         _copy(root, dest)
-        for mutant in MUTANTS:
+        for mutant in SELF_CHECK + MUTANTS:
             start = time.perf_counter()
             result = _run(mutant, dest)
             took = time.perf_counter() - start
             print(f"{result:9} {took:6.1f} s  {mutant.name}", flush=True)
-            bad += result != "killed"
-    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
-    return 1 if bad else 0
+            as_expected.append(result.startswith(mutant.expect))
+    checked = all(as_expected[:len(SELF_CHECK)])
+    killed = sum(as_expected[len(SELF_CHECK):])
+    print(f"self-check {'passed' if checked else 'failed'}; "
+          f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if all(as_expected) else 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Import cost and public surface: the package loads its submodules on first
 use, the config parser needs neither numpy nor PyYAML, the ideal and the
-noisy paper runs need no scipy, and nothing loads the heavy scipy parts
-before it needs them."""
+noisy paper runs need no scipy, nothing loads the heavy scipy parts
+before it needs them, and a run starts no thread."""
 
 import importlib
 import json
@@ -142,6 +142,28 @@ def test_noisy_paper_runs_load_no_scipy(tmp_path, experiment, grid):
     out = tmp_path / "out"
     assert _scipy_modules_after(_CLI, experiment, "--config", str(config),
                                 "--out", str(out)) == []
+    assert (out / "summary.json").is_file()
+
+
+_THREAD_COUNT_RUN = """
+import threading
+before = threading.active_count()
+""" + _CLI + """
+assert threading.active_count() == before, threading.enumerate()
+"""
+
+
+def test_noisy_shot_run_starts_no_thread(tmp_path):
+    # every stage, the keyed shot draws included, runs on the calling
+    # thread: a noisy shot run leaves the thread count as it found it and
+    # never loads a thread pool
+    config = tmp_path / "c.yaml"
+    config.write_text("experiment: thermal_transport\nt_max: 20\n"
+                      "noise: lindblad\nshots: paper\n")
+    out = tmp_path / "out"
+    loaded = _modules_after(_THREAD_COUNT_RUN, "thermal_transport",
+                            "--config", str(config), "--out", str(out))
+    assert "concurrent.futures" not in loaded
     assert (out / "summary.json").is_file()
 
 

@@ -1,7 +1,9 @@
-"""Confusion matrices, shot sampling and per-group estimators."""
+"""Confusion matrices, shot sampling and per-group estimators. Snapshots
+draw in order on the calling thread, each from its own key."""
 
 import functools
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,7 +28,7 @@ from starkchain import (
     prepare_initial_state,
     sample_shots,
 )
-from starkchain import cli, measurement
+from starkchain import cli, measurement, observables
 from starkchain.dynamics import LindbladSnapshots, _coordinates
 
 from scipy_forms import density_matrices
@@ -1043,3 +1045,57 @@ class TestKeyedStreams:
     def test_key_out_of_range(self, seed):
         with pytest.raises(DomainError, match="seed must be in"):
             next(measurement._keyed_generators([seed]))
+
+
+def _distinct_snapshots(n_times=151):
+    """(T, 32) 5-qubit state vectors, each of its own outcome distribution."""
+    amps = np.cos(np.outer(np.arange(1, n_times + 1), np.arange(32)) / 7.0)
+    return (amps / np.linalg.norm(amps, axis=1, keepdims=True)).astype(complex)
+
+
+def test_draws_match_one_loop():
+    # the counts of one loop of fresh keyed generators in snapshot order
+    states = _distinct_snapshots()
+    seeds = np.random.SeedSequence(7).generate_state(len(states), np.uint64)
+    probs = np.abs(states) ** 2
+    want = np.concatenate([
+        np.random.Generator(np.random.Philox(key=int(seed))).multinomial(
+            200, p / p.sum(), size=3)
+        for seed, p in zip(seeds, probs)])
+    record = sample_shots(states, PERFECT, "ZZZZZ", 600, seeds, n_groups=3)
+    np.testing.assert_array_equal(record.counts, want)
+
+
+@pytest.mark.parametrize("first, second", [(3, 120), (60, 120)])
+def test_lowest_failing_snapshot_is_raised(first, second):
+    # two snapshots have keys out of range; a loop meets the first first
+    seeds = list(range(151))
+    seeds[first], seeds[second] = -1, 2 ** 128
+    with pytest.raises(DomainError, match=r"^seed must be in .*, got -1$"):
+        sample_shots(_distinct_snapshots(), PERFECT, "ZZZZZ", 10, seeds)
+
+
+def test_traced_functions_run_on_the_callers_thread(monkeypatch, tmp_path):
+    # the benchmark's span tracer keeps one stack per process; every
+    # solver, sampler and estimator call of a noisy shot run, as cli and
+    # observables bind them, stays on the thread that called cli.run
+    idents = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            idents.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return call
+
+    for module in (cli, observables):
+        for name in ("sample_shots", "group_means", "evolve_unitary",
+                     "evolve_lindblad", "trajectory"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    recorded(getattr(module, name)))
+    cli.run(parse_config({"experiment": "thermal_transport",
+                          "noise": "lindblad", "shots": "paper"}),
+            out_dir=str(tmp_path))
+    names = {name for name, _ in idents}
+    assert {"sample_shots", "group_means", "evolve_lindblad"} <= names
+    assert {ident for _, ident in idents} == {threading.get_ident()}

@@ -60,22 +60,16 @@ class TestSectorBasis:
     def test_single_excitation_order(self):
         b = build_sector_basis(5, 1)
         assert b.dim == 5
-        # descending lexicographic: basis index k holds the excitation on site k+1
-        assert b.states == (
-            (1, 0, 0, 0, 0),
-            (0, 1, 0, 0, 0),
-            (0, 0, 1, 0, 0),
-            (0, 0, 0, 1, 0),
-            (0, 0, 0, 0, 1),
-        )
+        # descending: basis index k holds the excitation on site k+1
+        assert b.states == (0b10000, 0b01000, 0b00100, 0b00010, 0b00001)
+        assert all(type(s) is int for s in b.states)
 
     def test_two_excitation_count_and_order(self):
         b = build_sector_basis(5, 2)
         assert b.dim == 10
-        assert b.states[0] == (1, 1, 0, 0, 0)
-        assert b.states[-1] == (0, 0, 0, 1, 1)
-        ints = [full_index(s) for s in b.states]
-        assert ints == sorted(ints, reverse=True)
+        assert b.states[0] == full_index((1, 1, 0, 0, 0))
+        assert b.states[-1] == full_index((0, 0, 0, 1, 1))
+        assert list(b.states) == sorted(b.states, reverse=True)
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -110,12 +104,11 @@ class TestSectorBasis:
         assert b.tag == sector_tag(5, (0, 2)) == "sector:n=5,k=0..2"
         assert b.n_excitations == (0, 2)
         assert b.dim == 1 + 5 + 10
-        ints = [full_index(s) for s in b.states]
-        assert ints == sorted(ints, reverse=True)
-        assert {sum(s) for s in b.states} == {0, 1, 2}
+        assert list(b.states) == sorted(b.states, reverse=True)
+        assert {s.bit_count() for s in b.states} == {0, 1, 2}
         # the whole space in descending index order
         full = build_sector_basis(3, (0, 3))
-        assert [full_index(s) for s in full.states] == list(range(7, -1, -1))
+        assert full.states == tuple(range(7, -1, -1))
 
 
 def _dense(op):
@@ -255,7 +248,7 @@ def test_bit_rule_builder_matches_kron(chain):
         _assert_same_entries(built(name, None), ref)
     for k in range(n + 1):
         b = build_sector_basis(n, k)
-        rows = [full_index(s) for s in b.states]
+        rows = list(b.states)
         assert rows == sorted(rows, reverse=True)
         for name, ref in refs.items():
             _assert_same_entries(built(name, b), ref[np.ix_(rows, rows)])
@@ -382,7 +375,7 @@ class TestXYHamiltonian:
         for k in range(6):
             b = build_sector_basis(5, k)
             hs = _dense(build_xy_hamiltonian(self.dev, self.pot, basis=b))
-            rows = [full_index(s) for s in b.states]
+            rows = list(b.states)
             np.testing.assert_allclose(hs, hf[np.ix_(rows, rows)], atol=1e-13)
 
     def test_single_excitation_is_single_particle_matrix(self):
@@ -398,10 +391,10 @@ class TestXYHamiltonian:
         # one-excitation states keep the single-particle order
         b = build_sector_basis(5, counts)
         hs = _dense(build_xy_hamiltonian(self.dev, self.pot, basis=b))
-        rows = [full_index(s) for s in b.states]
+        rows = list(b.states)
         hf = _dense(build_xy_hamiltonian(self.dev, self.pot))
         np.testing.assert_array_equal(hs, hf[np.ix_(rows, rows)])
-        one = [i for i, s in enumerate(b.states) if sum(s) == 1]
+        one = [i for i, s in enumerate(b.states) if s.bit_count() == 1]
         if one:
             h1 = single_particle_matrix(self.dev, self.pot)
             np.testing.assert_allclose(hs[np.ix_(one, one)], h1.matrix,
@@ -521,7 +514,7 @@ class TestObservables:
             for k in (1, 2):
                 b = build_sector_basis(5, k)
                 sec = _dense(build_observable(kind, idx, self.dev, basis=b))
-                rows = [full_index(s) for s in b.states]
+                rows = list(b.states)
                 np.testing.assert_allclose(sec, full[np.ix_(rows, rows)],
                                            atol=1e-13, err_msg=f"{kind} k={k}")
 
@@ -682,7 +675,7 @@ def test_built_operators_match_the_canonical_csr(chain, data):
     dev, pot, site, bond = chain
     n = dev.n_qubits
     sector = build_sector_basis(n, data.draw(st.integers(0, n)))
-    keep = np.ix_(*2 * [[full_index(s) for s in sector.states]])
+    keep = np.ix_(*2 * [list(sector.states)])
     cases = []
     for basis, cut in ((None, lambda r: r), (sector, lambda r: r[keep])):
         cases.append((build_xy_hamiltonian(dev, pot, basis=basis),
