@@ -1053,26 +1053,30 @@ def _distinct_snapshots(n_times=151):
     return (amps / np.linalg.norm(amps, axis=1, keepdims=True)).astype(complex)
 
 
-def test_draws_match_one_loop():
+@pytest.mark.parametrize("n_groups", [1, 2, 3])
+def test_draws_match_one_loop(n_groups):
     # the counts of one loop of fresh keyed generators in snapshot order
     states = _distinct_snapshots()
     seeds = np.random.SeedSequence(7).generate_state(len(states), np.uint64)
     probs = np.abs(states) ** 2
     want = np.concatenate([
         np.random.Generator(np.random.Philox(key=int(seed))).multinomial(
-            200, p / p.sum(), size=3)
+            600 // n_groups, p / p.sum(), size=n_groups)
         for seed, p in zip(seeds, probs)])
-    record = sample_shots(states, PERFECT, "ZZZZZ", 600, seeds, n_groups=3)
+    record = sample_shots(states, PERFECT, "ZZZZZ", 600, seeds,
+                          n_groups=n_groups)
     np.testing.assert_array_equal(record.counts, want)
 
 
 @pytest.mark.parametrize("first, second", [(3, 120), (60, 120)])
-def test_lowest_failing_snapshot_is_raised(first, second):
+@pytest.mark.parametrize("n_groups", [1, 2, 3])
+def test_lowest_failing_snapshot_is_raised(n_groups, first, second):
     # two snapshots have keys out of range; a loop meets the first first
     seeds = list(range(151))
     seeds[first], seeds[second] = -1, 2 ** 128
     with pytest.raises(DomainError, match=r"^seed must be in .*, got -1$"):
-        sample_shots(_distinct_snapshots(), PERFECT, "ZZZZZ", 10, seeds)
+        sample_shots(_distinct_snapshots(), PERFECT, "ZZZZZ", 12, seeds,
+                     n_groups=n_groups)
 
 
 def test_traced_functions_run_on_the_callers_thread(monkeypatch, tmp_path):
